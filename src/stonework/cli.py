@@ -243,7 +243,7 @@ def cmd_dualize(args) -> int:
         out.update({"dual": dual_name, "kind": "groupoid", "arrows": sg.groupoid.m,
                     "path": str(path)})
         if args.round_trip:
-            out["certificate"] = round_trip_monoid(obj, limits=limits).to_json()
+            out["certificate"] = round_trip_monoid(obj, sg, limits=limits).to_json()
             out["preserved_size"] = obj.n
     elif kind == "groupoid":
         bm = all_bisections_monoid(obj, limits=limits)
@@ -253,7 +253,7 @@ def cmd_dualize(args) -> int:
         out.update({"dual": dual_name, "kind": "monoid", "elements": bm.monoid.n,
                     "path": str(path)})
         if args.round_trip:
-            out["certificate"] = round_trip_groupoid(obj, limits=limits).to_json()
+            out["certificate"] = round_trip_groupoid(obj, bm, limits=limits).to_json()
             out["preserved_size"] = obj.m
     else:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")

@@ -183,7 +183,8 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     bisection-ness, meet/intersection, inverse, product, order embedding,
     injectivity, join/union both ways, and surjectivity onto all bisections
     of the ultrafilter groupoid."""
-    sg = sg or stone_groupoid(monoid, limits=limits)
+    if sg is None:
+        sg = stone_groupoid(monoid, limits=limits)
     report = LawReport(subject=f"basic-open laws on {monoid!r}")
     n = monoid.n
     opens = {s: basic_open(s, sg) for s in range(n)}
@@ -335,12 +336,15 @@ class IsoCertificate:
         }
 
 
-def round_trip_monoid(monoid: InverseMonoid, *, limits: Limits | None = None) -> IsoCertificate:
+def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
+                      limits: Limits | None = None) -> IsoCertificate:
     """Certify that s -> basic_open(s) is an isomorphism onto the monoid of
-    all bisections of the ultrafilter groupoid."""
+    all bisections of the ultrafilter groupoid (``sg``, built when not
+    given)."""
     start = time.perf_counter()
     n = monoid.n
-    sg = stone_groupoid(monoid, limits=limits)
+    if sg is None:
+        sg = stone_groupoid(monoid, limits=limits)
     bm = all_bisections_monoid(sg.groupoid, limits=limits or monoid.limits)
     if len(bm) != n:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
@@ -385,14 +389,15 @@ def round_trip_monoid(monoid: InverseMonoid, *, limits: Limits | None = None) ->
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)
 
 
-def round_trip_groupoid(groupoid: FiniteGroupoid, *,
+def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = None, *,
                         limits: Limits = DEFAULT_LIMITS) -> IsoCertificate:
     """Certify that g -> point_ultrafilter(g) is an isomorphism onto the
-    ultrafilter groupoid of the bisection monoid, and that it carries each
-    bisection U onto basic_open(U)."""
+    ultrafilter groupoid of the bisection monoid (``bm``, built when not
+    given), and that it carries each bisection U onto basic_open(U)."""
     start = time.perf_counter()
     m = groupoid.m
-    bm = all_bisections_monoid(groupoid, limits=limits)
+    if bm is None:
+        bm = all_bisections_monoid(groupoid, limits=limits)
     sg = stone_groupoid(bm.monoid, limits=limits)
     if len(sg) != m:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")

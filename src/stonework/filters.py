@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Limits
 from .errors import StructureError
 from .inverse_core import InverseMonoid, iter_bits, mask_of, popcount
@@ -181,7 +183,8 @@ def prime_property_check(f: Filter) -> bool:
 
 def enumerate_ultrafilters(monoid: InverseMonoid, *,
                            limits: Limits | None = None) -> list[Filter]:
-    """All ultrafilters, ordered by their minimum member index.
+    """All ultrafilters, ordered by their minimum member index (ties, which
+    a relabelled table can have, broken by the member mask).
 
     Generates the principal filters at atoms, then verifies completeness
     against a direct maximality scan over all proper filters (exhaustively
@@ -204,7 +207,7 @@ def enumerate_ultrafilters(monoid: InverseMonoid, *,
         f = principal_filter(monoid, s)
         if f.is_ultrafilter_by_maximality() and f not in found:
             raise StructureError(f"ultrafilter enumeration missed the filter at {s}")
-    return sorted(found, key=lambda f: f.min_index)
+    return sorted(found, key=lambda f: (f.min_index, f.members))
 
 
 @dataclass
@@ -264,7 +267,9 @@ def ultrafilter_groupoid(monoid: InverseMonoid, *,
     Checks, for every ultrafilter F: the three-way equivalence between
     F being ultra, dom(F) being an idempotent ultrafilter, and E(dom F)
     being an ultrafilter of the idempotent algebra; the explicit product
-    form A*B = up(ab * dom(B)); and the groupoid axioms.
+    form A*B = up(ab * dom(B)) for every a in A, b in B; and the groupoid
+    axioms.  The explicit form depends on (a, b) only through ab, so it is
+    checked once per distinct element of the set product AB.
     """
     monoid.require_boolean()
     ultra = enumerate_ultrafilters(monoid, limits=limits)
@@ -294,15 +299,13 @@ def ultrafilter_groupoid(monoid: InverseMonoid, *,
             if prod.members not in index:
                 raise StructureError("composable ultrafilter product left the groupoid")
             k = index[prod.members]
-            # explicit form: up(a b dom(B)) for every choice of members
-            dom_b = ultra[d_map[j]]
-            for x in a:
-                for y in b:
-                    xy = int(mul[x, y])
-                    formed = monoid.upward_closure(
-                        mask_of(int(mul[xy, h]) for h in dom_b))
-                    if formed != prod.members:
-                        raise StructureError("explicit product form disagrees")
+            # explicit form: up(x y dom(B)) for every x in A, y in B, which
+            # depends on (x, y) only through the product xy
+            dom_b = list(ultra[d_map[j]])
+            for xy in np.unique(mul[np.ix_(list(a), list(b))]).tolist():
+                formed = monoid.upward_closure(mask_of(mul[xy, dom_b].tolist()))
+                if formed != prod.members:
+                    raise StructureError("explicit product form disagrees")
             compose[(i, j)] = k
 
     identities = tuple(i for i, f in enumerate(ultra) if f.is_idempotent_filter)

@@ -21,19 +21,25 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, StructureError
 from .filters import Filter
-from .inverse_core import InverseMonoid, iter_bits, mask_of
+from .inverse_core import InverseMonoid, as_indices, iter_bits, mask_of
 
 
 class FiniteGroupoid:
     """A finite groupoid on dense arrow indices, verified on construction."""
 
     def __init__(self, d, r, inv, compose, identities, labels=None):
-        self.m = len(d)
-        self.d = tuple(int(x) for x in d)
-        self.r = tuple(int(x) for x in r)
-        self.inv = tuple(int(x) for x in inv)
-        self.compose = {(int(g), int(h)): int(k) for (g, h), k in dict(compose).items()}
-        self.identities = tuple(sorted(int(e) for e in identities))
+        self.d = as_indices(d, "d")
+        self.m = len(self.d)
+        self.r = as_indices(r, "r")
+        self.inv = as_indices(inv, "inv")
+        try:
+            triples = [as_indices((*key, k), "compose") for key, k in dict(compose).items()]
+        except (TypeError, ValueError):
+            raise StructureError("compose is not a map from arrow pairs to arrows") from None
+        if any(len(t) != 3 for t in triples):
+            raise StructureError("compose keys must be arrow pairs")
+        self.compose = {(g, h): k for g, h, k in triples}
+        self.identities = tuple(sorted(as_indices(identities, "identities")))
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
         self._validate()
 
@@ -43,6 +49,13 @@ class FiniteGroupoid:
             raise StructureError("d/r/inv length mismatch")
         if self.labels is not None and len(self.labels) != m:
             raise StructureError("label count mismatch")
+        # every index is range-checked before anything is looked up by it
+        for name, values in (("d", self.d), ("r", self.r), ("inv", self.inv),
+                             ("identities", self.identities),
+                             ("compose", [x for key, k in self.compose.items()
+                                          for x in (*key, k)])):
+            if any(not 0 <= x < m for x in values):
+                raise StructureError(f"{name} has an arrow index outside 0..{m - 1}")
         for g in range(m):
             if not (self.d[g] in ids and self.r[g] in ids):
                 raise StructureError(f"dom/ran of {g} is not an identity")
@@ -52,8 +65,6 @@ class FiniteGroupoid:
         for (g, h), k in self.compose.items():
             if self.d[g] != self.r[h]:
                 raise StructureError(f"composition defined on non-composable ({g}, {h})")
-            if not 0 <= k < m:
-                raise StructureError("composite out of range")
             if self.d[k] != self.d[h] or self.r[k] != self.r[g]:
                 raise StructureError(f"composite ({g}, {h}) has wrong dom/ran")
         for g in range(m):
@@ -219,14 +230,10 @@ def bisection_product(a: Bisection, b: Bisection) -> Bisection:
     (validated by the Bisection constructor, not assumed)."""
     if a.groupoid is not b.groupoid:
         raise StructureError("bisection product needs a common carrier")
-    g = a.groupoid
-    out = set()
-    for x in a.members:
-        for y in b.members:
-            k = g.compose_maybe(x, y)
-            if k is not None:
-                out.add(k)
-    return Bisection(g, frozenset(out))
+    compose = a.groupoid.compose.get
+    out = {compose((x, y)) for x in a.members for y in b.members}
+    out.discard(None)
+    return Bisection(a.groupoid, frozenset(out))
 
 
 def enumerate_bisections(groupoid: FiniteGroupoid, *,

@@ -8,16 +8,19 @@ neutral one) so that everything downstream can trust the table.  Richer
 carriers such as partial bijections appear only as constructors and labels.
 
 The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
-is computed definitionally, and meets/joins are order-theoretic least upper
-/ greatest lower bound scans.  ``meet`` and ``join`` return ``None`` when
-the bound does not exist, so diagnostics can run on non-boolean monoids;
-``check_boolean`` decides the three boolean-monoid axioms and reports the
-first witness (in ascending index order) when one fails.
+is computed definitionally.  Because the order is antisymmetric, an element
+is determined by its down-set (and by its up-set), so a meet is one lookup:
+the element whose down-set is the intersection of the two down-sets, if
+any; joins use up-sets the same way.  ``meet`` and ``join`` return ``None``
+when the bound does not exist, so diagnostics can run on non-boolean
+monoids; ``check_boolean`` decides the three boolean-monoid axioms on dense
+meet/join tables of the idempotents and reports the first witness (in
+ascending index order) when one fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
@@ -45,6 +48,19 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def as_indices(values, what: str) -> tuple[int, ...]:
+    """The entries as a tuple of ints; a non-integer entry (float, bool,
+    string) is a StructureError, never truncated."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise StructureError(f"{what} is not a sequence") from None
+    for x in out:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise StructureError(f"{what} has a non-integer entry {x!r}")
+    return tuple(int(x) for x in out)
+
+
 @dataclass(frozen=True)
 class OrderData:
     """The natural partial order, packed as up-set / down-set bitmasks."""
@@ -53,6 +69,9 @@ class OrderData:
     down: tuple[int, ...]    # down[t] = bitmask of {s : s <= t}
     idempotents: tuple[int, ...]
     atoms: tuple[int, ...]   # minimal non-zero elements
+    # antisymmetry makes down- and up-sets unique: mask -> its element
+    by_down: dict[int, int] = field(compare=False, repr=False)
+    by_up: dict[int, int] = field(compare=False, repr=False)
 
     def leq(self, s: int, t: int) -> bool:
         return (self.up[s] >> t) & 1 == 1
@@ -86,17 +105,24 @@ class InverseMonoid:
 
     def __init__(self, mul, inv, zero: int, one: int, labels=None, *,
                  limits: Limits = DEFAULT_LIMITS):
-        table = np.asarray(mul, dtype=np.int64)
+        try:
+            table = np.asarray(mul)
+        except ValueError:
+            raise StructureError("product table rows are ragged") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError(f"product table must be square, got {table.shape}")
         n = table.shape[0]
         if n == 0:
             raise StructureError("empty carrier")
+        if table.dtype.kind not in "iu":
+            raise StructureError(f"product table has non-integer entries ({table.dtype})")
+        table = table.astype(np.int64, copy=False)
         if table.min() < 0 or table.max() >= n:
             raise StructureError("product table entry out of range")
-        inv = tuple(int(i) for i in inv)
+        inv = as_indices(inv, "inverse table")
         if len(inv) != n or any(not 0 <= i < n for i in inv):
             raise StructureError("inverse table malformed")
+        zero, one = as_indices((zero, one), "zero/one")
         if not (0 <= zero < n and 0 <= one < n):
             raise StructureError("zero/one out of range")
         if zero == one and n > 1:
@@ -110,14 +136,13 @@ class InverseMonoid:
         self.n = n
         self.mul = table
         self.inv = inv
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero = zero
+        self.one = one
         self.labels = labels
         self.limits = limits
         self._order: OrderData | None = None
         self._certificate: BooleanCertificate | None = None
         self._complements: dict[int, int] | None = None
-        self._meet_table = None
         self._validate()
 
     # -- construction-time axiom checks ------------------------------------
@@ -242,7 +267,9 @@ class InverseMonoid:
         bottom = (1 << self.zero)
         atoms = tuple(s for s in range(n)
                       if s != self.zero and down[s] == bottom | (1 << s))
-        return OrderData(up=up, down=down, idempotents=tuple(idem), atoms=atoms)
+        return OrderData(up=up, down=down, idempotents=tuple(idem), atoms=atoms,
+                         by_down={mask: s for s, mask in enumerate(down)},
+                         by_up={mask: s for s, mask in enumerate(up)})
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().leq(s, t)
@@ -267,36 +294,16 @@ class InverseMonoid:
     # -- meets, joins, compatibility ------------------------------------------
 
     def meet(self, s: int, t: int):
-        """Greatest lower bound in the natural order, or None if absent."""
+        """Greatest lower bound in the natural order, or None if absent:
+        the element whose down-set is the common down-set."""
         order = self.order()
-        lb = order.down[s] & order.down[t]
-        for m in iter_bits(lb):
-            if order.down[m] == lb:
-                return m
-        return None
+        return order.by_down.get(order.down[s] & order.down[t])
 
     def join(self, s: int, t: int):
-        """Least upper bound in the natural order, or None if absent."""
+        """Least upper bound in the natural order, or None if absent:
+        the element whose up-set is the common up-set."""
         order = self.order()
-        ub = order.up[s] & order.up[t]
-        for m in iter_bits(ub):
-            if order.up[m] == ub:
-                return m
-        return None
-
-    def meet_table(self):
-        """Dense n*n meet table with -1 for absent meets (cached)."""
-        if self._meet_table is None:
-            n = self.n
-            table = np.full((n, n), -1, dtype=np.int64)
-            for s in range(n):
-                for t in range(s, n):
-                    m = self.meet(s, t)
-                    if m is not None:
-                        table[s, t] = table[t, s] = m
-            table.setflags(write=False)
-            self._meet_table = table
-        return self._meet_table
+        return order.by_up.get(order.up[s] & order.up[t])
 
     def compatible(self, s: int, t: int) -> bool:
         """True when s^-1 t and s t^-1 are both idempotent."""
@@ -317,58 +324,67 @@ class InverseMonoid:
             self._certificate = self._decide_boolean()
         return self._certificate
 
+    def _idempotent_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense meet and join tables of (E, <=), as positions into
+        ``order().idempotents`` with -1 where the bound is absent in E.
+
+        The same lookup as :meth:`meet`, restricted to E: two idempotents
+        with one down-set inside E are equal, so the mask names the element.
+        """
+        order = self.order()
+        emask = mask_of(order.idempotents)
+        down_e = [order.down[e] & emask for e in order.idempotents]
+        up_e = [order.up[e] & emask for e in order.idempotents]
+        by_down = {mask: i for i, mask in enumerate(down_e)}
+        by_up = {mask: i for i, mask in enumerate(up_e)}
+        meet = np.array([[by_down.get(a & b, -1) for b in down_e] for a in down_e],
+                        dtype=np.int64)
+        join = np.array([[by_up.get(a & b, -1) for b in up_e] for a in up_e],
+                        dtype=np.int64)
+        return meet, join
+
     def _decide_boolean(self) -> BooleanCertificate:
         order = self.order()
         idem = order.idempotents
-        emask = mask_of(idem)
-
-        def meet_in_e(e: int, f: int):
-            lb = order.down[e] & order.down[f] & emask
-            for m in iter_bits(lb):
-                if order.down[m] & emask == lb:
-                    return m
-            return None
-
-        def join_in_e(e: int, f: int):
-            ub = order.up[e] & order.up[f] & emask
-            for m in iter_bits(ub):
-                if order.up[m] & emask == ub:
-                    return m
-            return None
+        k = len(idem)
+        meet, join = self._idempotent_tables()
 
         # BM1: (E, <=) is a lattice, distributive, complemented.
-        for e, f in combinations(idem, 2):
-            if meet_in_e(e, f) is None:
-                return BooleanCertificate(False, "BM1", "idempotent meet missing", (e, f))
-            if join_in_e(e, f) is None:
-                return BooleanCertificate(False, "BM1", "idempotent join missing", (e, f))
-        for e in idem:
-            for f in idem:
-                for g in idem:
-                    lhs = meet_in_e(e, join_in_e(f, g))
-                    rhs = join_in_e(meet_in_e(e, f), meet_in_e(e, g))
-                    if lhs != rhs:
-                        return BooleanCertificate(
-                            False, "BM1", "idempotent lattice not distributive", (e, f, g))
+        absent = np.triu((meet < 0) | (join < 0), 1)
+        if absent.any():
+            i, j = map(int, np.argwhere(absent)[0])
+            detail = "idempotent meet missing" if meet[i, j] < 0 else "idempotent join missing"
+            return BooleanCertificate(False, "BM1", detail, (idem[i], idem[j]))
+        for i in range(k):
+            row = meet[i]
+            lhs = row[join]                           # e ^ (f v g)
+            rhs = join[row[:, None], row[None, :]]    # (e ^ f) v (e ^ g)
+            if not np.array_equal(lhs, rhs):
+                f, g = map(int, np.argwhere(lhs != rhs)[0])
+                return BooleanCertificate(False, "BM1", "idempotent lattice not distributive",
+                                          (idem[i], idem[f], idem[g]))
+        zero, one = idem.index(self.zero), idem.index(self.one)
         complements: dict[int, int] = {}
-        for e in idem:
-            for f in idem:
-                if meet_in_e(e, f) == self.zero and join_in_e(e, f) == self.one:
-                    complements[e] = f
-                    break
-            else:
+        for i, e in enumerate(idem):
+            hits = np.flatnonzero((meet[i] == zero) & (join[i] == one))
+            if not len(hits):
                 return BooleanCertificate(False, "BM1", "idempotent has no complement", (e,))
+            complements[e] = idem[int(hits[0])]
 
         # BM2: every pair has a meet.
-        for s in range(self.n):
-            for t in range(s, self.n):
-                if self.meet(s, t) is None:
+        n, down, up = self.n, order.down, order.up
+        for s in range(n):
+            ds = down[s]
+            for t in range(s, n):
+                if ds & down[t] not in order.by_down:
                     return BooleanCertificate(False, "BM2", "meet missing", (s, t))
 
         # BM3: orthogonal pairs have joins.
-        for s in range(self.n):
-            for t in range(s, self.n):
-                if self.orthogonal(s, t) and self.join(s, t) is None:
+        mul, inv = self.mul, np.asarray(self.inv)
+        for s in range(n):
+            orthogonal = (mul[inv[s], s:] == self.zero) & (mul[s, inv[s:]] == self.zero)
+            for t in (np.flatnonzero(orthogonal) + s).tolist():
+                if up[s] & up[t] not in order.by_up:
                     return BooleanCertificate(False, "BM3", "orthogonal join missing", (s, t))
 
         self._complements = complements

@@ -49,7 +49,10 @@ def groupoid_to_json(groupoid: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    compose = {(g, h): k for g, h, k in data["compose"]}
+    try:
+        compose = {(g, h): k for g, h, k in data["compose"]}
+    except (TypeError, ValueError):
+        raise StructureError("compose must be a list of [g, h, k] triples") from None
     groupoid = FiniteGroupoid(data["d"], data["r"], data["inv"], compose,
                               data["identities"], data.get("labels"))
     if groupoid.m != data["m"]:

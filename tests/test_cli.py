@@ -1,9 +1,12 @@
 """Command-line contract: build/check/dualize, formats, exit codes, store."""
 
 import json
+import random
+
+import pytest
 
 from stonework.cli import main
-from stonework.serialize import load_entry
+from stonework.serialize import load_entry, save_entry
 
 
 def run(capsys, *argv):
@@ -161,3 +164,92 @@ def test_max_size_flag_guards_dualize(tmp_path, capsys):
                        "--max-size", "4")
     assert code == 2
     assert "capped" in err
+
+
+# -- malformed entries exit 2 -------------------------------------------------------
+
+GROUPOID_CORRUPTIONS = {
+    "d-range": lambda data: data["d"].__setitem__(1, data["m"]),
+    "d-range-negative": lambda data: data["d"].__setitem__(1, -1),
+    "r-range": lambda data: data["r"].__setitem__(2, data["m"] + 3),
+    "inv-range": lambda data: data["inv"].__setitem__(1, data["m"]),
+    "inv-range-negative": lambda data: data["inv"].__setitem__(4, -2),
+    "compose-range": lambda data: data["compose"][0].__setitem__(2, data["m"]),
+    "compose-range-negative": lambda data: data["compose"][5].__setitem__(0, -1),
+    "float-cell-d": lambda data: data["d"].__setitem__(1, data["d"][1] + 0.5),
+    "float-cell-inv": lambda data: data["inv"].__setitem__(3, data["inv"][3] + 0.25),
+    "missing-key-inv": lambda data: data.pop("inv"),
+    "missing-key-compose": lambda data: data.pop("compose"),
+}
+
+MONOID_CORRUPTIONS = {
+    "mul-range": lambda data: data["mul"][5].__setitem__(3, data["n"] + 1),
+    "inv-range": lambda data: data["inv"].__setitem__(3, -1),
+    "float-cell-mul": lambda data: data["mul"][5].__setitem__(3, data["mul"][5][3] + 0.75),
+    "float-cell-inv": lambda data: data["inv"].__setitem__(3, data["inv"][3] + 0.5),
+    "float-zero": lambda data: data.__setitem__("zero", float(data["zero"])),
+    "missing-key-mul": lambda data: data.pop("mul"),
+}
+
+
+def write_corrupted(tmp_path, capsys, build_argv, entry, corrupt):
+    run(capsys, "build", *build_argv, "--store", str(tmp_path))
+    path = tmp_path / f"{entry}.json"
+    stored = json.loads(path.read_text())
+    corrupt(stored["payload"])
+    (tmp_path / "bad.json").write_text(json.dumps(stored))
+
+
+@pytest.mark.parametrize("how", sorted(GROUPOID_CORRUPTIONS))
+def test_corrupted_groupoid_entry_exits_2(tmp_path, capsys, how):
+    write_corrupted(tmp_path, capsys, ("pair-groupoid", "--points", "3"), "pair3",
+                    GROUPOID_CORRUPTIONS[how])
+    code, out, err = run(capsys, "check", "bad", "--laws", "point-filters",
+                         "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", sorted(MONOID_CORRUPTIONS))
+def test_corrupted_monoid_entry_exits_2(tmp_path, capsys, how):
+    write_corrupted(tmp_path, capsys, ("ix", "--size", "2"), "ix2", MONOID_CORRUPTIONS[how])
+    code, out, err = run(capsys, "check", "bad", "--laws", "bm", "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- deterministic output -----------------------------------------------------------
+
+
+def relabelled(payload, seed):
+    """The same monoid with its indices permuted by a seeded shuffle."""
+    n = payload["n"]
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)           # old index s becomes perm[s]
+    mul = [[0] * n for _ in range(n)]
+    inv, labels = [0] * n, [""] * n
+    for s in range(n):
+        for t in range(n):
+            mul[perm[s]][perm[t]] = perm[payload["mul"][s][t]]
+        inv[perm[s]] = perm[payload["inv"][s]]
+        labels[perm[s]] = payload["labels"][s]
+    return {"n": n, "zero": perm[payload["zero"]], "one": perm[payload["one"]],
+            "inv": inv, "mul": mul, "labels": labels}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dualize_round_trip_output_is_deterministic(tmp_path, capsys, seed):
+    # relabelled ix3 has ultrafilters that tie on their least member index
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    payload = json.loads((tmp_path / "ix3.json").read_text())["payload"]
+    save_entry(tmp_path, "shuffled", "monoid", relabelled(payload, seed))
+    outputs = []
+    for _ in range(3):
+        code, out, _ = run(capsys, "dualize", "shuffled", "--round-trip",
+                           "--store", str(tmp_path))
+        assert code == 0
+        data = json.loads(out)
+        del data["certificate"]["elapsed_s"]   # a timing, not part of the result
+        outputs.append(data)
+    assert outputs[0]["preserved_size"] == 34
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -23,6 +23,8 @@ from stonework import (
 )
 from stonework.inverse_core import iter_bits
 
+from helpers import corpus_monoids
+
 
 @pytest.fixture(scope="module")
 def ix2():
@@ -304,6 +306,105 @@ def test_compatible_join_formula(ix2):
             assert ix2.orthogonal(acc, p) or p == ix2.zero
             acc = ix2.join(acc, p)
         assert acc == j
+
+
+# -- indexed meets and joins against the definition ---------------------------------
+
+
+def scan_meet(monoid, s, t):
+    """The definition as a bit scan: the common lower bound whose down-set
+    is the whole common down-set, or None."""
+    down = monoid.order().down
+    lb = down[s] & down[t]
+    for m in iter_bits(lb):
+        if down[m] == lb:
+            return m
+    return None
+
+
+def scan_join(monoid, s, t):
+    up = monoid.order().up
+    ub = up[s] & up[t]
+    for m in iter_bits(ub):
+        if up[m] == ub:
+            return m
+    return None
+
+
+def two_maximal_lower_bounds():
+    """{0, e1, e2, t, 1} inside I({1,2,3,4}), t swapping 3 and 4: the lower
+    bounds of 1 and t are 0, e1 and e2, so their meet is absent."""
+    ix4 = symmetric_inverse_monoid(4)
+    keep = ["{}", "{1->1}", "{2->2}", "{1->1,2->2,3->4,4->3}", "{1->1,2->2,3->3,4->4}"]
+    return ix4.restrict([by_label(ix4, lab) for lab in keep])
+
+
+def test_indexed_meet_and_join_match_the_scan():
+    corpus = dict(corpus_monoids(), chain3=chain_monoid(3), brandt=brandt_monoid(),
+                  two_maximal=two_maximal_lower_bounds())
+    absent = {"meet": set(), "join": set()}
+    for name, monoid in corpus.items():
+        for s in range(monoid.n):
+            for t in range(monoid.n):
+                assert monoid.meet(s, t) == scan_meet(monoid, s, t), (name, s, t)
+                assert monoid.join(s, t) == scan_join(monoid, s, t), (name, s, t)
+                if monoid.meet(s, t) is None:
+                    absent["meet"].add(name)
+                if monoid.join(s, t) is None:
+                    absent["join"].add(name)
+    assert absent == {"meet": {"two_maximal"}, "join": {"ix2", "ix3", "clifford", "brandt",
+                                                        "z2_zero", "z3_zero", "two_maximal"}}
+
+
+# -- BM1 distributivity witness ---------------------------------------------------
+
+
+def lattice_monoid(down):
+    """The all-idempotent monoid of a finite lattice given by down-sets
+    (index 0 the bottom, the last index the top); the product is the meet."""
+    n = len(down)
+
+    def meet(s, t):
+        return next(m for m in range(n) if down[m] == down[s] & down[t])
+
+    mul = [[meet(s, t) for t in range(n)] for s in range(n)]
+    return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1)
+
+
+def lattice_join(down, s, t):
+    uppers = [m for m in range(len(down)) if {s, t} <= down[m]]
+    return next(m for m in uppers if all(down[m] <= down[u] for u in uppers))
+
+
+def first_non_distributive(down):
+    """Ascending scan over all (e, f, g) on the lattice itself."""
+    n = len(down)
+
+    def meet(s, t):
+        return next(m for m in range(n) if down[m] == down[s] & down[t])
+
+    for e in range(n):
+        for f in range(n):
+            for g in range(n):
+                lhs = meet(e, lattice_join(down, f, g))
+                rhs = lattice_join(down, meet(e, f), meet(e, g))
+                if lhs != rhs:
+                    return (e, f, g)
+    return None
+
+
+N5 = [{0}, {0, 1}, {0, 1, 2}, {0, 3}, {0, 1, 2, 3, 4}]   # 0 < 1 < 2 < 4, 0 < 3 < 4
+M3 = [{0}, {0, 1}, {0, 2}, {0, 3}, {0, 1, 2, 3, 4}]      # three atoms, pairwise meet 0
+
+
+@pytest.mark.parametrize("down", [N5, M3], ids=["N5", "M3"])
+def test_bm1_distributivity_witness_is_first_ascending_triple(down):
+    witness = first_non_distributive(down)
+    assert witness is not None
+    cert = lattice_monoid(down).check_boolean()
+    assert (cert.axiom, cert.detail, cert.elements) == (
+        "BM1", "idempotent lattice not distributive", witness)
+    assert not cert.is_boolean
 
 
 # -- misc ------------------------------------------------------------------------
