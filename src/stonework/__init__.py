@@ -30,7 +30,6 @@ from .errors import (
 )
 from .filters import (
     Filter,
-    UltrafilterGroupoid,
     all_filters,
     enumerate_ultrafilters,
     filter_dom,
@@ -55,7 +54,6 @@ from .groupoids import (
     identity_functor,
     pair_groupoid,
     point_ultrafilter,
-    pullback_bisections,
     trivial_groupoid,
 )
 from .inverse_core import (

@@ -17,13 +17,7 @@ from pathlib import Path
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import GENERATORS, build
 from .duality import round_trip_groupoid, round_trip_monoid, stone_groupoid
-from .errors import (
-    BoundError,
-    MorphismError,
-    NotBooleanError,
-    ParseError,
-    StructureError,
-)
+from .errors import MorphismError, NotBooleanError, StoneworkError, StructureError
 from .groupoids import all_bisections_monoid, check_covering
 from .inverse_core import InverseMonoid
 from .laws import (
@@ -44,7 +38,6 @@ from .serialize import (
     monoid_to_json,
     render,
     save_entry,
-    stone_groupoid_to_json,
 )
 
 MONOID_LAW_SETS = ("bm", "order", "filters", "filter-semigroup",
@@ -100,7 +93,6 @@ def make_parser() -> argparse.ArgumentParser:
     dual_p = sub.add_parser("dualize", help="map an entry across the duality",
                             parents=[common])
     dual_p.add_argument("entry")
-    dual_p.add_argument("--direction", choices=("auto",), default="auto")
     dual_p.add_argument("--round-trip", action="store_true",
                         help="also certify the double dual against the input")
     return parser
@@ -131,8 +123,6 @@ def cmd_build(args) -> int:
     path = save_entry(Path(args.store), name, kind, payload)
     out = {"entry": name, "kind": kind, "path": str(path), "summary": summary}
     if args.format == "dot":
-        from .serialize import render
-
         print(render(obj, kind, "dot"))
     elif args.format == "text":
         lines = [f"{name} ({kind}) -> {path}"]
@@ -235,12 +225,12 @@ def cmd_dualize(args) -> int:
     name, kind, obj = load_entry(args.entry, Path(args.store), limits=limits)
     out: dict = {"entry": name}
     if kind == "monoid":
-        sg = stone_groupoid(obj, limits=limits)
+        sg = stone_groupoid(obj)
         dual_name = f"{name}-dual"
-        payload = groupoid_to_json(sg.groupoid)
-        payload["ultrafilters"] = stone_groupoid_to_json(sg)["ultrafilters"]
+        payload = groupoid_to_json(sg)
+        payload["ultrafilters"] = [list(f) for f in sg.ultrafilters]
         path = save_entry(Path(args.store), dual_name, "groupoid", payload)
-        out.update({"dual": dual_name, "kind": "groupoid", "arrows": sg.groupoid.m,
+        out.update({"dual": dual_name, "kind": "groupoid", "arrows": sg.m,
                     "path": str(path)})
         if args.round_trip:
             out["certificate"] = round_trip_monoid(obj, sg, limits=limits).to_json()
@@ -259,8 +249,6 @@ def cmd_dualize(args) -> int:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")
 
     if args.format == "dot":
-        from .serialize import render
-
         _, dual_kind, dual_obj = load_entry(out["dual"], Path(args.store), limits=limits)
         print(render(dual_obj, dual_kind, "dot"))
     elif args.format == "text":
@@ -283,8 +271,7 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "dualize":
             return cmd_dualize(args)
-    except (StructureError, BoundError, ParseError, MorphismError,
-            FileNotFoundError, ValueError, KeyError) as err:
+    except (StoneworkError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

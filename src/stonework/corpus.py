@@ -7,6 +7,8 @@ the same objects directly.
 
 from __future__ import annotations
 
+import inspect
+
 from .config import DEFAULT_LIMITS, Limits
 from .errors import StructureError
 from .groupoids import (
@@ -74,17 +76,17 @@ def build_chain(length: int = 3, *, limits: Limits = DEFAULT_LIMITS):
     return f"chain{length}", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_pair_groupoid(points: int = 2, **_):
+def build_pair_groupoid(points: int = 2):
     g = pair_groupoid(points)
     return f"pair{points}", "groupoid", g, _groupoid_summary(g)
 
 
-def build_group_groupoid(order: int = 2, **_):
+def build_group_groupoid(order: int = 2):
     g = group_groupoid(order)
     return f"z{order}-group", "groupoid", g, _groupoid_summary(g)
 
 
-def build_union_groupoid(orders: str = "2,3", **_):
+def build_union_groupoid(orders: str = "2,3"):
     parts = [int(x) for x in str(orders).split(",") if x.strip()]
     if len(parts) < 2:
         raise StructureError("union groupoid needs at least two orders")
@@ -94,12 +96,12 @@ def build_union_groupoid(orders: str = "2,3", **_):
     return "union-" + "-".join(f"z{p}" for p in parts), "groupoid", g, _groupoid_summary(g)
 
 
-def build_trivial_groupoid(points: int = 1, **_):
+def build_trivial_groupoid(points: int = 1):
     g = trivial_groupoid(points)
     return f"trivial{points}", "groupoid", g, _groupoid_summary(g)
 
 
-def build_cn_element(n: int = 2, expr: str = "{e/e}", **_):
+def build_cn_element(n: int = 2, expr: str = "{e/e}"):
     element = parse_cn(expr, int(n))
     summary = {
         "n": element.n,
@@ -125,8 +127,17 @@ GENERATORS = {
 }
 
 
-def build(generator: str, **params):
+def build(generator: str, *, limits: Limits = DEFAULT_LIMITS, **params):
+    """Run a named generator.  A parameter the generator does not take is a
+    StructureError; ``limits`` reaches only the generators that take it."""
     if generator not in GENERATORS:
         raise StructureError(f"unknown generator {generator!r}; "
                              f"choose from {sorted(GENERATORS)}")
-    return GENERATORS[generator](**params)
+    func = GENERATORS[generator]
+    accepted = inspect.signature(func).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise StructureError(f"generator {generator!r} takes no parameter {unknown[0]!r}")
+    if "limits" in accepted:
+        params["limits"] = limits
+    return func(**params)

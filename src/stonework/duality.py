@@ -26,15 +26,15 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import MorphismError, StructureError
 from .filters import (
     Filter,
-    UltrafilterGroupoid,
+    StoneGroupoid,
     enumerate_ultrafilters,
     filter_dom,
+    filter_ran,
     ultrafilter_groupoid,
 )
 from .groupoids import (
     Bisection,
     BisectionMonoid,
-    BisectionPullback,
     CoveringFunctor,
     FiniteGroupoid,
     all_bisections_monoid,
@@ -65,6 +65,8 @@ class MonoidMorphism:
     def __post_init__(self):
         if len(self.mapping) != self.source.n:
             raise StructureError("morphism mapping length mismatch")
+        if any(not 0 <= x < self.target.n for x in self.mapping):
+            raise StructureError("morphism maps outside the target")
         self.validate(weak=self.weak)
 
     def __call__(self, s: int) -> int:
@@ -133,46 +135,26 @@ def identity_morphism(monoid: InverseMonoid) -> MonoidMorphism:
 # -- the monoid-to-groupoid direction -----------------------------------------------
 
 
-@dataclass
-class StoneGroupoid:
-    """The ultrafilter groupoid of a monoid, doubled as a FiniteGroupoid so
-    bisection machinery can run on it.  Arrow i is ultrafilters[i]."""
-
-    monoid: InverseMonoid
-    filters: UltrafilterGroupoid
-    groupoid: FiniteGroupoid
-
-    def __len__(self) -> int:
-        return len(self.filters)
-
-    def arrow_of(self, f: Filter) -> int:
-        return self.filters.index_of(f)
-
-
-def stone_groupoid(monoid: InverseMonoid, *, limits: Limits | None = None) -> StoneGroupoid:
-    gs = ultrafilter_groupoid(monoid, limits=limits)
-    labels = [monoid.label(f.generator) + "^" for f in gs.ultrafilters]
-    groupoid = FiniteGroupoid(gs.d_map, gs.r_map, gs.inv_map, gs.compose,
-                              gs.identities, labels)
-    return StoneGroupoid(monoid, gs, groupoid)
+def stone_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
+    """The monoid-to-groupoid construction: the verified ultrafilter groupoid."""
+    return ultrafilter_groupoid(monoid)
 
 
 def basic_open(s: int, sg: StoneGroupoid) -> Bisection:
     """The bisection of all ultrafilters through s (empty at zero)."""
-    members = frozenset(i for i, f in enumerate(sg.filters.ultrafilters) if s in f)
-    return Bisection(sg.groupoid, members)
+    members = frozenset(i for i, f in enumerate(sg.ultrafilters) if s in f)
+    return Bisection(sg, members)
 
 
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     """Is basic_open(s) | basic_open(t) a bisection?  Returns (flag, witness)
     where the witness names two arrows sharing a domain or range fiber."""
-    g = sg.groupoid
     members = sorted(basic_open(s, sg).members | basic_open(t, sg).members)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            if g.d[a] == g.d[b]:
+            if sg.d[a] == sg.d[b]:
                 return False, ("domain-fiber", a, b)
-            if g.r[a] == g.r[b]:
+            if sg.r[a] == sg.r[b]:
                 return False, ("range-fiber", a, b)
     return True, None
 
@@ -184,7 +166,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     injectivity, join/union both ways, and surjectivity onto all bisections
     of the ultrafilter groupoid."""
     if sg is None:
-        sg = stone_groupoid(monoid, limits=limits)
+        sg = stone_groupoid(monoid)
     report = LawReport(subject=f"basic-open laws on {monoid!r}")
     n = monoid.n
     opens = {s: basic_open(s, sg) for s in range(n)}
@@ -193,7 +175,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     law = report.new("is-bisection")
     for s in range(n):
         law.tick()
-        if not is_bisection_set(sg.groupoid, opens[s].members):
+        if not is_bisection_set(sg, opens[s].members):
             law.fail((s,))
 
     law = report.new("zero-is-empty")
@@ -256,7 +238,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     law = report.new("surjective-on-bisections")
     all_masks = {mask_of(b) for b in
                  (bis.members for bis in enumerate_bisections(
-                     sg.groupoid, limits=limits or monoid.limits))}
+                     sg, limits=limits or monoid.limits))}
     law.tick(len(all_masks))
     uncovered = all_masks - set(masks.values())
     if uncovered:
@@ -278,10 +260,10 @@ def functor_on_morphism(theta: MonoidMorphism,
     preimage(dom) explicitly; functoriality and the covering conditions are
     re-checked structurally.
     """
-    sg_t = sg_target or stone_groupoid(theta.target)
-    sg_s = sg_source or stone_groupoid(theta.source)
+    sg_t = stone_groupoid(theta.target) if sg_target is None else sg_target
+    sg_s = stone_groupoid(theta.source) if sg_source is None else sg_source
     arrow_map = []
-    for a in sg_t.filters.ultrafilters:
+    for a in sg_t.ultrafilters:
         pre = Filter(theta.source, theta.preimage_mask(a))
         if not pre.is_ultrafilter():
             raise MorphismError("M3", (sorted(iter_bits(a.members)),))
@@ -291,7 +273,7 @@ def functor_on_morphism(theta: MonoidMorphism,
         rhs = theta.preimage_mask(filter_dom(a))
         if lhs != rhs:
             raise StructureError("preimage does not intertwine dom")
-    functor = CoveringFunctor(sg_t.groupoid, sg_s.groupoid, tuple(arrow_map))
+    functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
     report = check_covering(functor)
     if not report.ok:
         raise StructureError(f"morphism preimage is not a covering: {report.witness}")
@@ -301,12 +283,20 @@ def functor_on_morphism(theta: MonoidMorphism,
 def pullback_morphism(f: CoveringFunctor,
                       bm_source: BisectionMonoid,
                       bm_target: BisectionMonoid) -> MonoidMorphism:
-    """The contravariant bisection functor on a covering functor f: G -> H,
-    packaged as a verified monoid morphism A(H) -> A(G)."""
-    from .groupoids import pullback_bisections
-
-    pb: BisectionPullback = pullback_bisections(f, bm_source, bm_target)
-    return MonoidMorphism(pb.source_monoid, pb.target_monoid, pb.mapping)
+    """The contravariant bisection functor on a covering functor f: G -> H:
+    the preimage map A(H) -> A(G), where ``bm_source`` is A(G) and
+    ``bm_target`` is A(H).  Each preimage is built as a Bisection, and the
+    morphism axioms (homomorphism, boolean algebra map, meets, ultrafilter
+    preimages) are verified by MonoidMorphism."""
+    report = check_covering(f)
+    if not report.ok:
+        raise StructureError(f"pullback requires a covering functor: {report.witness}")
+    src = f.source
+    mapping = tuple(
+        bm_source.index_of(Bisection(src, frozenset(
+            g for g in range(src.m) if f.arrow_map[g] in b.members)))
+        for b in bm_target.bisections)
+    return MonoidMorphism(bm_target.monoid, bm_source.monoid, mapping)
 
 
 # -- round trips ------------------------------------------------------------------------
@@ -344,8 +334,8 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
     start = time.perf_counter()
     n = monoid.n
     if sg is None:
-        sg = stone_groupoid(monoid, limits=limits)
-    bm = all_bisections_monoid(sg.groupoid, limits=limits or monoid.limits)
+        sg = stone_groupoid(monoid)
+    bm = all_bisections_monoid(sg, limits=limits or monoid.limits)
     if len(bm) != n:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
     laws = [("cardinality", 1)]
@@ -398,7 +388,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
     m = groupoid.m
     if bm is None:
         bm = all_bisections_monoid(groupoid, limits=limits)
-    sg = stone_groupoid(bm.monoid, limits=limits)
+    sg = stone_groupoid(bm.monoid)
     if len(sg) != m:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")
     laws = [("cardinality", 1)]
@@ -411,13 +401,12 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
         backward[i] = g
     laws.append(("bijective", m))
 
-    dual = sg.groupoid
     for g in range(m):
-        if dual.d[forward[g]] != forward[groupoid.d[g]]:
+        if sg.d[forward[g]] != forward[groupoid.d[g]]:
             raise StructureError(f"does not preserve dom at {g}")
-        if dual.r[forward[g]] != forward[groupoid.r[g]]:
+        if sg.r[forward[g]] != forward[groupoid.r[g]]:
             raise StructureError(f"does not preserve ran at {g}")
-        if dual.inv[forward[g]] != forward[groupoid.inv[g]]:
+        if sg.inv[forward[g]] != forward[groupoid.inv[g]]:
             raise StructureError(f"does not preserve inverse at {g}")
     laws.append(("dom-ran-inverse", 3 * m))
 
@@ -425,7 +414,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
     for g in range(m):
         for h in range(m):
             lhs = groupoid.compose_maybe(g, h)
-            rhs = dual.compose_maybe(forward[g], forward[h])
+            rhs = sg.compose_maybe(forward[g], forward[h])
             if (lhs is None) != (rhs is None):
                 raise StructureError(f"composability differs at ({g}, {h})")
             if lhs is not None and forward[lhs] != rhs:
@@ -433,7 +422,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
             count += 1
     laws.append(("composition", count))
 
-    if set(forward[e] for e in groupoid.identities) != set(dual.identities):
+    if set(forward[e] for e in groupoid.identities) != set(sg.identities):
         raise StructureError("does not preserve identities")
     laws.append(("identities", len(groupoid.identities)))
 
@@ -468,18 +457,16 @@ class CliffordReport:
         }
 
 
-def clifford_check(monoid: InverseMonoid, *, limits: Limits | None = None) -> CliffordReport:
+def clifford_check(monoid: InverseMonoid) -> CliffordReport:
     """If every element has dom == ran, the ultrafilter groupoid must be a
     disjoint union of groups: verified on both the filter and arrow level."""
     monoid.require_boolean()
     for s in range(monoid.n):
         if monoid.dom(s) != monoid.ran(s):
             return CliffordReport(False, s, None, None)
-    sg = stone_groupoid(monoid, limits=limits)
-    from .filters import filter_ran
-
-    balanced = all(filter_dom(f) == filter_ran(f) for f in sg.filters.ultrafilters)
-    loops = all(sg.groupoid.d[g] == sg.groupoid.r[g] for g in range(len(sg)))
+    sg = stone_groupoid(monoid)
+    balanced = all(filter_dom(f) == filter_ran(f) for f in sg.ultrafilters)
+    loops = all(sg.d[g] == sg.r[g] for g in range(sg.m))
     return CliffordReport(True, None, loops, balanced)
 
 

@@ -11,12 +11,10 @@ with ``dom(A) = A^-1 * A``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import Limits
 from .errors import StructureError
+from .groupoids import FiniteGroupoid
 from .inverse_core import InverseMonoid, iter_bits, mask_of, popcount
 
 
@@ -181,27 +179,16 @@ def prime_property_check(f: Filter) -> bool:
     return True
 
 
-def enumerate_ultrafilters(monoid: InverseMonoid, *,
-                           limits: Limits | None = None) -> list[Filter]:
+def enumerate_ultrafilters(monoid: InverseMonoid) -> list[Filter]:
     """All ultrafilters, ordered by their minimum member index (ties, which
     a relabelled table can have, broken by the member mask).
 
     Generates the principal filters at atoms, then verifies completeness
-    against a direct maximality scan over all proper filters (exhaustively
-    up to the configured bound, seeded sampling above it).
+    against a direct maximality scan over every proper filter.
     """
     monoid.require_boolean()
-    limits = limits or monoid.limits
     found = {principal_filter(monoid, a) for a in monoid.atoms}
-
-    if monoid.n <= limits.filter_exhaustive:
-        candidates = range(monoid.n)
-    else:
-        import random
-
-        gen = random.Random(limits.seed)
-        candidates = gen.sample(range(monoid.n), min(monoid.n, limits.filter_samples))
-    for s in candidates:
+    for s in range(monoid.n):
         if s == monoid.zero:
             continue
         f = principal_filter(monoid, s)
@@ -210,39 +197,23 @@ def enumerate_ultrafilters(monoid: InverseMonoid, *,
     return sorted(found, key=lambda f: (f.min_index, f.members))
 
 
-@dataclass
-class UltrafilterGroupoid:
-    """The groupoid of ultrafilters under the filter product.
-
-    ``compose[(i, j)]`` is defined exactly when ``d_map[i] == r_map[j]``;
-    ``identities`` are the idempotent ultrafilters.  Built and verified by
+class StoneGroupoid(FiniteGroupoid):
+    """The groupoid of ultrafilters of a boolean inverse monoid under the
+    filter product.  Arrow i is ``ultrafilters[i]``; the groupoid axioms are
+    verified by :class:`FiniteGroupoid` like any other groupoid's.  Built by
     :func:`ultrafilter_groupoid`.
     """
 
-    monoid: InverseMonoid
-    ultrafilters: list[Filter]
-    d_map: tuple[int, ...]
-    r_map: tuple[int, ...]
-    inv_map: tuple[int, ...]
-    compose: dict[tuple[int, int], int]
-    identities: tuple[int, ...]
+    def __init__(self, monoid: InverseMonoid, ultrafilters: list[Filter],
+                 d, r, inv, compose, identities):
+        self.monoid = monoid
+        self.ultrafilters = ultrafilters
+        self._arrow = {f.members: i for i, f in enumerate(ultrafilters)}
+        super().__init__(d, r, inv, compose, identities,
+                         [monoid.label(f.generator) + "^" for f in ultrafilters])
 
-    def __len__(self) -> int:
-        return len(self.ultrafilters)
-
-    def index_of(self, f: Filter) -> int:
-        return self._index[f.members]
-
-    def __post_init__(self):
-        self._index = {f.members: i for i, f in enumerate(self.ultrafilters)}
-
-    def to_json(self) -> dict:
-        return {
-            "ultrafilters": [sorted(iter_bits(f.members)) for f in self.ultrafilters],
-            "d": list(self.d_map),
-            "r": list(self.r_map),
-            "compose": sorted([i, j, k] for (i, j), k in self.compose.items()),
-        }
+    def arrow_of(self, f: Filter) -> int:
+        return self._arrow[f.members]
 
 
 def _idempotent_ultra_in_e(monoid: InverseMonoid, f: Filter) -> bool:
@@ -260,19 +231,19 @@ def _idempotent_ultra_in_e(monoid: InverseMonoid, f: Filter) -> bool:
     return True
 
 
-def ultrafilter_groupoid(monoid: InverseMonoid, *,
-                         limits: Limits | None = None) -> UltrafilterGroupoid:
+def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
     """Materialize the ultrafilter groupoid and verify its structure.
 
     Checks, for every ultrafilter F: the three-way equivalence between
     F being ultra, dom(F) being an idempotent ultrafilter, and E(dom F)
     being an ultrafilter of the idempotent algebra; the explicit product
-    form A*B = up(ab * dom(B)) for every a in A, b in B; and the groupoid
-    axioms.  The explicit form depends on (a, b) only through ab, so it is
-    checked once per distinct element of the set product AB.
+    form A*B = up(ab * dom(B)) for every a in A, b in B; and, through the
+    FiniteGroupoid constructor, the groupoid axioms.  The explicit form
+    depends on (a, b) only through ab, so it is checked once per distinct
+    element of the set product AB.
     """
     monoid.require_boolean()
-    ultra = enumerate_ultrafilters(monoid, limits=limits)
+    ultra = enumerate_ultrafilters(monoid)
     index = {f.members: i for i, f in enumerate(ultra)}
 
     d_map, r_map, inv_map = [], [], []
@@ -309,27 +280,4 @@ def ultrafilter_groupoid(monoid: InverseMonoid, *,
             compose[(i, j)] = k
 
     identities = tuple(i for i, f in enumerate(ultra) if f.is_idempotent_filter)
-    gs = UltrafilterGroupoid(monoid, ultra, tuple(d_map), tuple(r_map),
-                             tuple(inv_map), compose, identities)
-    _verify_groupoid_axioms(gs)
-    return gs
-
-
-def _verify_groupoid_axioms(gs: UltrafilterGroupoid) -> None:
-    n = len(gs)
-    comp = gs.compose
-    for i in range(n):
-        if gs.d_map[i] not in gs.identities or gs.r_map[i] not in gs.identities:
-            raise StructureError("dom/ran of an arrow is not an identity")
-        if comp[(i, gs.inv_map[i])] != gs.r_map[i]:
-            raise StructureError(f"A A^-1 != ran(A) at {i}")
-        if comp[(gs.inv_map[i], i)] != gs.d_map[i]:
-            raise StructureError(f"A^-1 A != dom(A) at {i}")
-    for e in gs.identities:
-        if gs.d_map[e] != e or gs.r_map[e] != e:
-            raise StructureError("identity with displaced dom/ran")
-    for (i, j), k in comp.items():
-        for l in range(n):
-            if (j, l) in comp:
-                if comp.get((k, l)) != comp.get((i, comp[(j, l)])):
-                    raise StructureError(f"associativity fails at ({i}, {j}, {l})")
+    return StoneGroupoid(monoid, ultra, d_map, r_map, inv_map, compose, identities)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, StructureError
-from .filters import Filter
 from .inverse_core import InverseMonoid, as_indices, iter_bits, mask_of
 
 
@@ -180,13 +179,8 @@ class Bisection:
     members: frozenset = field(compare=True)
 
     def __post_init__(self):
-        g = self.groupoid
-        doms, rans = set(), set()
-        for a in self.members:
-            if g.d[a] in doms or g.r[a] in rans:
-                raise StructureError("subset is not a bisection")
-            doms.add(g.d[a])
-            rans.add(g.r[a])
+        if not is_bisection_set(self.groupoid, self.members):
+            raise StructureError("subset is not a bisection")
 
     @property
     def mask(self) -> int:
@@ -216,12 +210,15 @@ class Bisection:
 
 
 def is_bisection_set(groupoid: FiniteGroupoid, members) -> bool:
+    """Does the arrow set meet every domain and every range fiber at most once?"""
+    d, r = groupoid.d, groupoid.r
     doms, rans = set(), set()
     for a in members:
-        if groupoid.d[a] in doms or groupoid.r[a] in rans:
+        da, ra = d[a], r[a]
+        if da in doms or ra in rans:
             return False
-        doms.add(groupoid.d[a])
-        rans.add(groupoid.r[a])
+        doms.add(da)
+        rans.add(ra)
     return True
 
 
@@ -302,9 +299,6 @@ class BisectionMonoid:
     def index_of(self, b: Bisection) -> int:
         return self.index[b.mask]
 
-    def index_of_set(self, members) -> int:
-        return self.index[mask_of(members)]
-
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
                           limits: Limits = DEFAULT_LIMITS) -> BisectionMonoid:
@@ -329,8 +323,10 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     return BisectionMonoid(groupoid, bisections, monoid, index)
 
 
-def point_ultrafilter(bm: BisectionMonoid, g: int) -> Filter:
+def point_ultrafilter(bm: BisectionMonoid, g: int):
     """The ultrafilter of all bisections through a fixed arrow g."""
+    from .filters import Filter  # filters builds on FiniteGroupoid
+
     members = mask_of(i for i, b in enumerate(bm.bisections) if g in b.members)
     f = Filter(bm.monoid, members)
     if not f.is_ultrafilter():
@@ -358,6 +354,8 @@ class CoveringFunctor:
         src, tgt, f = self.source, self.target, self.arrow_map
         if len(f) != src.m:
             raise StructureError("arrow map length mismatch")
+        if any(not 0 <= x < tgt.m for x in f):
+            raise StructureError("arrow map leaves the target")
         for e in src.identities:
             if f[e] not in tgt.identities:
                 raise StructureError(f"identity {e} not sent to an identity")
@@ -425,64 +423,6 @@ def check_covering(f: CoveringFunctor) -> CoveringReport:
             if not lifts:
                 return CoveringReport(False, ("lifting", x, a, b))
     return CoveringReport(True)
-
-
-@dataclass
-class BisectionPullback:
-    """The inverse-image map on bisection monoids induced by a covering
-    functor f: G -> H, i.e. an arrow of monoids A(H) -> A(G)."""
-
-    functor: CoveringFunctor
-    source_monoid: InverseMonoid   # A(H)
-    target_monoid: InverseMonoid   # A(G)
-    mapping: tuple[int, ...]       # index in A(H) -> index in A(G)
-
-
-def pullback_bisections(f: CoveringFunctor,
-                        bm_source: BisectionMonoid,
-                        bm_target: BisectionMonoid) -> BisectionPullback:
-    """Pull bisections of the target groupoid back along a covering functor.
-
-    ``bm_source`` is the bisection monoid of ``f.source`` and ``bm_target``
-    of ``f.target``.  Verifies: preimages are bisections, the map is a
-    monoid homomorphism preserving meets and idempotent complements, and
-    preimages of ultrafilters are ultrafilters.
-    """
-    report = check_covering(f)
-    if not report.ok:
-        raise StructureError(f"pullback requires a covering functor: {report.witness}")
-    src_g = f.source
-    mapping = []
-    for b in bm_target.bisections:
-        pre = frozenset(g for g in range(src_g.m) if f.arrow_map[g] in b.members)
-        if not is_bisection_set(src_g, pre):
-            raise StructureError(f"preimage of {sorted(b.members)} is not a bisection")
-        mapping.append(bm_source.index_of_set(pre))
-    mapping = tuple(mapping)
-
-    ah, ag = bm_target.monoid, bm_source.monoid
-    for i in range(ah.n):
-        for j in range(ah.n):
-            if mapping[int(ah.mul[i, j])] != int(ag.mul[mapping[i], mapping[j]]):
-                raise StructureError(f"pullback is not multiplicative at ({i}, {j})")
-            expected = ah.meet(i, j)
-            if mapping[expected] != ag.meet(mapping[i], mapping[j]):
-                raise StructureError(f"pullback does not preserve meets at ({i}, {j})")
-    if mapping[ah.zero] != ag.zero or mapping[ah.one] != ag.one:
-        raise StructureError("pullback moves zero or one")
-    for e in ah.idempotents:
-        if mapping[ah.idempotent_complement(e)] != ag.idempotent_complement(mapping[e]):
-            raise StructureError(f"pullback breaks the idempotent complement at {e}")
-
-    from .filters import enumerate_ultrafilters
-
-    for u in enumerate_ultrafilters(ag):
-        pre_mask = mask_of(i for i in range(ah.n) if mapping[i] in u)
-        pre = Filter(ah, pre_mask)
-        if not pre.is_ultrafilter():
-            raise StructureError("ultrafilter preimage under the pullback is not ultra")
-
-    return BisectionPullback(f, ah, ag, mapping)
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -258,7 +258,10 @@ class InverseMonoid:
             raise StructureError("zero is not the order bottom")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise StructureError("natural order is not antisymmetric")
-        closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+        # float32 matmul (BLAS) is exact here: entries are 0/1, so every sum
+        # counts paths and is at most n <= order_bound (4096) < 2^24
+        square = leq.astype(np.float32)
+        closure = (square @ square) > 0
         if np.any(closure & ~leq):
             raise StructureError("natural order is not transitive")
 

@@ -11,10 +11,21 @@ import json
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, Limits
-from .duality import IsoCertificate, MonoidMorphism, StoneGroupoid
+from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, groupoid_to_dot
-from .inverse_core import InverseMonoid
+from .inverse_core import InverseMonoid, as_indices
+
+
+def _fields(data, *keys) -> list:
+    """The named fields of a JSON object, in order.  A value that is not an
+    object, or lacks one of the keys, is a StructureError."""
+    if not isinstance(data, dict):
+        raise StructureError(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise StructureError(f"missing key {key!r}")
+    return [data[key] for key in keys]
 
 
 def monoid_to_json(monoid: InverseMonoid) -> dict:
@@ -29,9 +40,9 @@ def monoid_to_json(monoid: InverseMonoid) -> dict:
 
 
 def monoid_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
-    monoid = InverseMonoid(data["mul"], data["inv"], data["zero"], data["one"],
-                           data.get("labels"), limits=limits)
-    if monoid.n != data["n"]:
+    n, mul, inv, zero, one = _fields(data, "n", "mul", "inv", "zero", "one")
+    monoid = InverseMonoid(mul, inv, zero, one, data.get("labels"), limits=limits)
+    if monoid.n != n:
         raise StructureError("declared size disagrees with the table")
     return monoid
 
@@ -49,21 +60,16 @@ def groupoid_to_json(groupoid: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
+    m, d, r, inv, compose, identities = _fields(
+        data, "m", "d", "r", "inv", "compose", "identities")
     try:
-        compose = {(g, h): k for g, h, k in data["compose"]}
+        compose = {(g, h): k for g, h, k in compose}
     except (TypeError, ValueError):
         raise StructureError("compose must be a list of [g, h, k] triples") from None
-    groupoid = FiniteGroupoid(data["d"], data["r"], data["inv"], compose,
-                              data["identities"], data.get("labels"))
-    if groupoid.m != data["m"]:
+    groupoid = FiniteGroupoid(d, r, inv, compose, identities, data.get("labels"))
+    if groupoid.m != m:
         raise StructureError("declared size disagrees with the tables")
     return groupoid
-
-
-def stone_groupoid_to_json(sg: StoneGroupoid) -> dict:
-    """The ultrafilter-groupoid export: filters as index lists plus the
-    dom/ran/composition data."""
-    return sg.filters.to_json()
 
 
 def morphism_to_json(theta: MonoidMorphism) -> dict:
@@ -76,9 +82,10 @@ def morphism_to_json(theta: MonoidMorphism) -> dict:
 
 
 def morphism_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> MonoidMorphism:
-    return MonoidMorphism(monoid_from_json(data["source"], limits=limits),
-                          monoid_from_json(data["target"], limits=limits),
-                          tuple(data["map"]), weak=data.get("weak", False))
+    source, target, mapping = _fields(data, "source", "target", "map")
+    return MonoidMorphism(monoid_from_json(source, limits=limits),
+                          monoid_from_json(target, limits=limits),
+                          as_indices(mapping, "map"), weak=data.get("weak", False))
 
 
 def functor_to_json(f: CoveringFunctor) -> dict:
@@ -90,13 +97,9 @@ def functor_to_json(f: CoveringFunctor) -> dict:
 
 
 def functor_from_json(data: dict) -> CoveringFunctor:
-    return CoveringFunctor(groupoid_from_json(data["source"]),
-                           groupoid_from_json(data["target"]),
-                           tuple(data["map"]))
-
-
-def certificate_to_json(cert: IsoCertificate) -> dict:
-    return cert.to_json()
+    source, target, mapping = _fields(data, "source", "target", "map")
+    return CoveringFunctor(groupoid_from_json(source), groupoid_from_json(target),
+                           as_indices(mapping, "map"))
 
 
 # -- corpus entries --------------------------------------------------------------
@@ -128,8 +131,7 @@ def load_entry(path_or_name, store: Path | None = None, *,
         path = Path(store) / f"{path_or_name}.json"
     if not path.exists():
         raise FileNotFoundError(path_or_name)
-    data = json.loads(path.read_text())
-    kind, payload = data["kind"], data["payload"]
+    name, kind, payload = _fields(json.loads(path.read_text()), "name", "kind", "payload")
     if kind == "monoid":
         obj = monoid_from_json(payload, limits=limits)
     elif kind == "groupoid":
@@ -141,10 +143,13 @@ def load_entry(path_or_name, store: Path | None = None, *,
     elif kind == "cn-element":
         from .polycyclic import parse_cn
 
-        obj = parse_cn(payload["expr"], payload["n"])
+        expr, n = _fields(payload, "expr", "n")
+        if not isinstance(expr, str) or isinstance(n, bool) or not isinstance(n, int):
+            raise StructureError("a cn-element needs a string expr and an integer n")
+        obj = parse_cn(expr, n)
     else:
         raise StructureError(f"unknown entry kind {kind!r}")
-    return data["name"], kind, obj
+    return name, kind, obj
 
 
 def render(obj, kind: str, fmt: str) -> str:

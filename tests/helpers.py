@@ -32,7 +32,7 @@ def symmetric_to_pair_arrow_map(x_size, ix, sg, pair):
     arrow (i, j).  Returns a list indexed by stone-groupoid arrows."""
     maps = partial_bijections(x_size)
     out = []
-    for f in sg.filters.ultrafilters:
+    for f in sg.ultrafilters:
         atom = f.generator
         ((src, dst),) = maps[atom]
         out.append(dst * x_size + src)

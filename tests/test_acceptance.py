@@ -86,7 +86,7 @@ def test_criterion_2_symmetric_monoid_dualizes_to_pair_groupoid():
         pair = pair_groupoid(x_size)
         arrow_map = symmetric_to_pair_arrow_map(x_size, ix, sg, pair)
         bijective = sorted(arrow_map) == list(range(pair.m))
-        functor = CoveringFunctor(sg.groupoid, pair, tuple(arrow_map))
+        functor = CoveringFunctor(sg, pair, tuple(arrow_map))
         assert bijective and check_covering(functor).ok, x_size
     report(2, True, "ultrafilter groupoid of I(X) is the pair groupoid "
                     "for |X| = 2, 3 (explicit isomorphism)")
@@ -209,7 +209,7 @@ def test_criterion_8_negative_controls():
     assert ix2.join(s, t) is None
     flag, witness = union_bisection_probe(sg, s, t)
     third = (not flag and witness is not None
-             and sg.groupoid.d[witness[1]] == sg.groupoid.d[witness[2]])
+             and sg.d[witness[1]] == sg.d[witness[2]])
 
     report(8, first and second and third,
            "witnesses: BM1 (no complement), star-injectivity (collapse), "

@@ -1,12 +1,23 @@
 """Command-line contract: build/check/dualize, formats, exit codes, store."""
 
+import argparse
 import json
 import random
 
 import pytest
 
-from stonework.cli import main
-from stonework.serialize import load_entry, save_entry
+from stonework import StructureError, boolean_algebra_monoid
+from stonework.cli import main, make_parser
+from stonework.duality import identity_morphism
+from stonework.groupoids import identity_functor, pair_groupoid
+from stonework.serialize import (
+    entry_to_json,
+    functor_to_json,
+    load_entry,
+    monoid_to_json,
+    morphism_to_json,
+    save_entry,
+)
 
 
 def run(capsys, *argv):
@@ -48,6 +59,30 @@ def test_build_unknown_generator(tmp_path, capsys):
     code, _, err = run(capsys, "build", "ix", "--size", "9", "--store", str(tmp_path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [("ix", "--atoms", "3"), ("pair-groupoid", "--size", "5")])
+def test_build_rejects_a_flag_the_generator_does_not_take(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "build", *argv, "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[1][2:] in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_no_option_offers_a_single_choice():
+    # an option with one choice is a flag that does nothing
+    def actions(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+            elif action.choices is not None:
+                yield action
+
+    lonely = [a.option_strings or [a.dest] for a in actions(make_parser())
+              if len(a.choices) < 2]
+    assert lonely == []
 
 
 def test_check_boolean_pass_and_fail(tmp_path, capsys):
@@ -178,8 +213,12 @@ GROUPOID_CORRUPTIONS = {
     "compose-range-negative": lambda data: data["compose"][5].__setitem__(0, -1),
     "float-cell-d": lambda data: data["d"].__setitem__(1, data["d"][1] + 0.5),
     "float-cell-inv": lambda data: data["inv"].__setitem__(3, data["inv"][3] + 0.25),
+    "missing-key-m": lambda data: data.pop("m"),
+    "missing-key-d": lambda data: data.pop("d"),
+    "missing-key-r": lambda data: data.pop("r"),
     "missing-key-inv": lambda data: data.pop("inv"),
     "missing-key-compose": lambda data: data.pop("compose"),
+    "missing-key-identities": lambda data: data.pop("identities"),
 }
 
 MONOID_CORRUPTIONS = {
@@ -188,6 +227,10 @@ MONOID_CORRUPTIONS = {
     "float-cell-mul": lambda data: data["mul"][5].__setitem__(3, data["mul"][5][3] + 0.75),
     "float-cell-inv": lambda data: data["inv"].__setitem__(3, data["inv"][3] + 0.5),
     "float-zero": lambda data: data.__setitem__("zero", float(data["zero"])),
+    "missing-key-n": lambda data: data.pop("n"),
+    "missing-key-zero": lambda data: data.pop("zero"),
+    "missing-key-one": lambda data: data.pop("one"),
+    "missing-key-inv": lambda data: data.pop("inv"),
     "missing-key-mul": lambda data: data.pop("mul"),
 }
 
@@ -198,6 +241,8 @@ def write_corrupted(tmp_path, capsys, build_argv, entry, corrupt):
     stored = json.loads(path.read_text())
     corrupt(stored["payload"])
     (tmp_path / "bad.json").write_text(json.dumps(stored))
+    with pytest.raises(StructureError):
+        load_entry("bad", tmp_path)
 
 
 @pytest.mark.parametrize("how", sorted(GROUPOID_CORRUPTIONS))
@@ -214,6 +259,64 @@ def test_corrupted_groupoid_entry_exits_2(tmp_path, capsys, how):
 def test_corrupted_monoid_entry_exits_2(tmp_path, capsys, how):
     write_corrupted(tmp_path, capsys, ("ix", "--size", "2"), "ix2", MONOID_CORRUPTIONS[how])
     code, out, err = run(capsys, "check", "bad", "--laws", "bm", "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def valid_entry(kind):
+    ba1 = boolean_algebra_monoid(1)
+    payload = {
+        "monoid": lambda: monoid_to_json(ba1),
+        "morphism": lambda: morphism_to_json(identity_morphism(ba1)),
+        "functor": lambda: functor_to_json(identity_functor(pair_groupoid(2))),
+        "cn-element": lambda: {"n": 2, "expr": "{a1/a1a1, a2a1/a1a2, a2a2/a2}"},
+    }[kind]()
+    return entry_to_json("good", kind, payload)
+
+
+def without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+def in_payload(corrupt):
+    return lambda entry: {**entry, "payload": corrupt(entry["payload"])}
+
+
+# name -> (kind of the valid entry, corrupted copy of the whole stored entry)
+ENTRY_CORRUPTIONS = {
+    "entry-is-list": ("monoid", lambda entry: [entry]),
+    "entry-is-string": ("monoid", lambda entry: "good"),
+    "missing-name": ("monoid", without("name")),
+    "missing-kind": ("monoid", without("kind")),
+    "missing-payload": ("monoid", without("payload")),
+    "payload-is-list": ("monoid", in_payload(lambda data: [data])),
+    "morphism-missing-source": ("morphism", in_payload(without("source"))),
+    "morphism-missing-target": ("morphism", in_payload(without("target"))),
+    "morphism-missing-map": ("morphism", in_payload(without("map"))),
+    "morphism-source-is-list": ("morphism", in_payload(lambda d: {**d, "source": []})),
+    "morphism-map-not-a-list": ("morphism", in_payload(lambda d: {**d, "map": 1})),
+    "morphism-map-range": ("morphism", in_payload(lambda d: {**d, "map": [0, 7]})),
+    "functor-missing-source": ("functor", in_payload(without("source"))),
+    "functor-missing-target": ("functor", in_payload(without("target"))),
+    "functor-missing-map": ("functor", in_payload(without("map"))),
+    "functor-map-range": ("functor", in_payload(lambda d: {**d, "map": [0, 1, 2, -1]})),
+    "cn-missing-expr": ("cn-element", in_payload(without("expr"))),
+    "cn-missing-n": ("cn-element", in_payload(without("n"))),
+    "cn-n-not-int": ("cn-element", in_payload(lambda d: {**d, "n": "2"})),
+    "cn-expr-not-str": ("cn-element", in_payload(lambda d: {**d, "expr": 5})),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ENTRY_CORRUPTIONS))
+def test_malformed_entry_exits_2(tmp_path, capsys, how):
+    kind, corrupt = ENTRY_CORRUPTIONS[how]
+    entry = valid_entry(kind)
+    (tmp_path / "good.json").write_text(json.dumps(entry))
+    assert load_entry("good", tmp_path)[1] == kind
+    (tmp_path / "bad.json").write_text(json.dumps(corrupt(entry)))
+    with pytest.raises(StructureError):
+        load_entry("bad", tmp_path)
+    code, out, err = run(capsys, "check", "bad", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -99,12 +99,12 @@ def test_basic_open_at_zero_and_atom(ix2, sg_ix2):
         k = basic_open(a, sg_ix2)
         assert len(k) == 1
         (i,) = k.members
-        assert sg_ix2.filters.ultrafilters[i].generator == a
+        assert sg_ix2.ultrafilters[i].generator == a
 
 
 def test_basic_open_at_one_is_identities(ix2, sg_ix2):
     k = basic_open(ix2.one, sg_ix2)
-    assert k.members == frozenset(sg_ix2.groupoid.identities)
+    assert k.members == frozenset(sg_ix2.identities)
     assert len(k) == 2
 
 
@@ -129,7 +129,7 @@ def test_union_probe_negative(ix2, sg_ix2):
     assert not flag
     kind, a, b = witness
     assert kind == "domain-fiber"
-    assert sg_ix2.groupoid.d[a] == sg_ix2.groupoid.d[b]
+    assert sg_ix2.d[a] == sg_ix2.d[b]
 
 
 def test_union_probe_positive(ix2, sg_ix2):
@@ -187,8 +187,8 @@ def test_naturality_square():
     theta = projection_first(c, z)
     sg_c, sg_z = stone_groupoid(c), stone_groupoid(z)
     functor = functor_on_morphism(theta, sg_c, sg_z)       # G(z) -> G(c)
-    bm_c = all_bisections_monoid(sg_c.groupoid)
-    bm_z = all_bisections_monoid(sg_z.groupoid)
+    bm_c = all_bisections_monoid(sg_c)
+    bm_z = all_bisections_monoid(sg_z)
     transported = pullback_morphism(functor, bm_z, bm_c)   # A(G(c)) -> A(G(z))
     fwd_c = round_trip_monoid(c).forward
     fwd_z = round_trip_monoid(z).forward
@@ -250,7 +250,7 @@ def test_symmetric_monoid_gives_pair_groupoid(x_size):
     pair = pair_groupoid(x_size)
     arrow_map = symmetric_to_pair_arrow_map(x_size, ix, sg, pair)
     assert sorted(arrow_map) == list(range(pair.m))
-    functor = CoveringFunctor(sg.groupoid, pair, tuple(arrow_map))
+    functor = CoveringFunctor(sg, pair, tuple(arrow_map))
     assert check_covering(functor).ok  # bijective functor == isomorphism
 
 
@@ -276,9 +276,9 @@ def test_clifford_check_negative(ix2):
 def test_clifford_groupoid_is_two_copies_of_z2():
     sg = stone_groupoid(clifford_monoid())
     assert len(sg) == 4
-    assert len(sg.groupoid.identities) == 2
-    for e in sg.groupoid.identities:
-        star = sg.groupoid.star(e)
+    assert len(sg.identities) == 2
+    for e in sg.identities:
+        star = sg.star(e)
         assert len(star) == 2  # a copy of Z/2 over each point
 
 

@@ -22,7 +22,9 @@ from stonework.filters import (
     principal_filter,
     ultrafilter_groupoid,
 )
+from stonework.groupoids import FiniteGroupoid
 from stonework.inverse_core import iter_bits, mask_of
+from stonework.serialize import groupoid_to_json
 
 
 @pytest.fixture(scope="module")
@@ -307,13 +309,18 @@ def test_groupoid_equivalences_for_all_filters(ix2):
 
 def test_groupoid_clifford_has_equal_dom_ran():
     gs = ultrafilter_groupoid(clifford_monoid())
-    assert gs.d_map == gs.r_map
+    assert gs.d == gs.r
     assert len(gs) == 4
     assert len(gs.identities) == 2
 
 
 def test_groupoid_json_shape(ix2):
-    data = ultrafilter_groupoid(ix2).to_json()
-    assert set(data) == {"ultrafilters", "d", "r", "compose"}
-    assert len(data["ultrafilters"]) == 4
+    # the ultrafilter groupoid is a plain FiniteGroupoid, exported in the
+    # groupoid format; len(compose) counts the composable pairs
+    gs = ultrafilter_groupoid(ix2)
+    assert isinstance(gs, FiniteGroupoid)
+    assert len(gs.compose) == 8
+    assert len(gs.ultrafilters) == 4
+    data = groupoid_to_json(gs)
+    assert data["m"] == 4 and len(data["compose"]) == 8
     assert all(len(row) == 3 for row in data["compose"])

@@ -17,9 +17,9 @@ from stonework.groupoids import (
     identity_functor,
     pair_groupoid,
     point_ultrafilter,
-    pullback_bisections,
     trivial_groupoid,
 )
+from stonework.duality import pullback_morphism
 from stonework.filters import enumerate_ultrafilters
 
 
@@ -272,14 +272,14 @@ def test_functor_validation_rejects_non_functor(pair2):
 
 
 def test_pullback_of_identity_is_identity(pair2, bm_pair2):
-    pb = pullback_bisections(identity_functor(pair2), bm_pair2, bm_pair2)
+    pb = pullback_morphism(identity_functor(pair2), bm_pair2, bm_pair2)
     assert pb.mapping == tuple(range(len(bm_pair2)))
 
 
 def test_pullback_preserves_zero_and_one(pair2, bm_pair2):
-    pb = pullback_bisections(identity_functor(pair2), bm_pair2, bm_pair2)
-    assert pb.mapping[pb.source_monoid.zero] == pb.target_monoid.zero
-    assert pb.mapping[pb.source_monoid.one] == pb.target_monoid.one
+    pb = pullback_morphism(identity_functor(pair2), bm_pair2, bm_pair2)
+    assert pb.mapping[pb.source.zero] == pb.target.zero
+    assert pb.mapping[pb.source.one] == pb.target.one
 
 
 def test_pullback_along_component_inclusion():
@@ -287,7 +287,7 @@ def test_pullback_along_component_inclusion():
     union = disjoint_union(z2, z3)
     incl = CoveringFunctor(z2, union, (0, 1))
     bm_union, bm_z2 = all_bisections_monoid(union), all_bisections_monoid(z2)
-    pb = pullback_bisections(incl, bm_z2, bm_union)
+    pb = pullback_morphism(incl, bm_z2, bm_union)
     # restriction to the left component: surjective onto A(Z/2)
     assert set(pb.mapping) == set(range(bm_z2.monoid.n))
 
@@ -296,7 +296,7 @@ def test_pullback_refuses_non_covering(pair2, bm_pair2):
     collapse = CoveringFunctor(pair2, trivial_groupoid(1), (0, 0, 0, 0))
     bm_triv = all_bisections_monoid(trivial_groupoid(1))
     with pytest.raises(StructureError):
-        pullback_bisections(collapse, bm_pair2, bm_triv)
+        pullback_morphism(collapse, bm_pair2, bm_triv)
 
 
 # -- rendering -----------------------------------------------------------------------------

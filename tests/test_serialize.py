@@ -25,7 +25,6 @@ from stonework.serialize import (
     morphism_from_json,
     morphism_to_json,
     save_entry,
-    stone_groupoid_to_json,
 )
 
 
@@ -72,10 +71,16 @@ def test_functor_round_trip():
     assert functor_from_json(data).arrow_map == f.arrow_map
 
 
-def test_stone_export_shape():
-    data = stone_groupoid_to_json(stone_groupoid(symmetric_inverse_monoid(2)))
-    assert set(data) == {"ultrafilters", "d", "r", "compose"}
+def test_stone_export_shape(tmp_path, capsys):
+    # the stored dual is the groupoid format plus each arrow's ultrafilter
+    save_entry(tmp_path, "ix2", "monoid", monoid_to_json(symmetric_inverse_monoid(2)))
+    assert main(["dualize", "ix2", "--store", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "ix2-dual.json").read_text())["payload"]
+    assert set(data) == {"m", "identities", "d", "r", "inv", "compose", "labels",
+                         "ultrafilters"}
     assert len(data["ultrafilters"]) == 4
+    sg = stone_groupoid(symmetric_inverse_monoid(2))
+    assert data["ultrafilters"] == [sorted(f) for f in sg.ultrafilters]
 
 
 def test_functor_entry_checked_via_cli(tmp_path, capsys):
