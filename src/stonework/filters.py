@@ -271,9 +271,11 @@ def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
                 raise StructureError("composable ultrafilter product left the groupoid")
             k = index[prod.members]
             # explicit form: up(x y dom(B)) for every x in A, y in B, which
-            # depends on (x, y) only through the product xy
+            # depends on (x, y) only through the product xy.  Not np.unique:
+            # its first call imports numpy.ma, inside whichever check gets
+            # there first.
             dom_b = list(ultra[d_map[j]])
-            for xy in np.unique(mul[np.ix_(list(a), list(b))]).tolist():
+            for xy in sorted(set(mul[np.ix_(list(a), list(b))].ravel().tolist())):
                 formed = monoid.upward_closure(mask_of(mul[xy, dom_b].tolist()))
                 if formed != prod.members:
                     raise StructureError("explicit product form disagrees")
