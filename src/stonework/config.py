@@ -18,8 +18,6 @@ class Limits:
     order_bound: int = 4096           # refuse to build the natural order beyond this
     bisection_bound: int = 16         # |G| cap for materializing every bisection
     symmetric_bound: int = 5          # |X| cap for the symmetric inverse monoid
-    alphabet_min: int = 2             # polycyclic alphabet size range
-    alphabet_max: int = 6
     seed: int = 0
 
 

@@ -393,6 +393,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")
     laws = [("cardinality", 1)]
 
+    # arrow_of rejects a point filter that is not an ultrafilter
     forward = tuple(sg.arrow_of(point_ultrafilter(bm, g)) for g in range(m))
     if len(set(forward)) != m:
         raise StructureError("point-ultrafilter map is not injective")

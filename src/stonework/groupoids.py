@@ -324,14 +324,12 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
 
 
 def point_ultrafilter(bm: BisectionMonoid, g: int):
-    """The ultrafilter of all bisections through a fixed arrow g."""
+    """The filter of all bisections through a fixed arrow g.  That it is an
+    ultrafilter is the law ``point-filters-ultra``."""
     from .filters import Filter  # filters builds on FiniteGroupoid
 
-    members = mask_of(i for i, b in enumerate(bm.bisections) if g in b.members)
-    f = Filter(bm.monoid, members)
-    if not f.is_ultrafilter():
-        raise StructureError(f"bisections through arrow {g} failed to be ultra")
-    return f
+    return Filter(bm.monoid, mask_of(i for i, b in enumerate(bm.bisections)
+                                     if g in b.members))
 
 
 # -- covering functors --------------------------------------------------------------

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .config import DEFAULT_LIMITS
 from .errors import BoundError, ParseError, StructureError
 
 ALPHABET = "123456789"
+ALPHABET_MIN, ALPHABET_MAX = 2, 6     # the alphabet sizes C_n is built for
 
 
 def letters(n: int) -> str:
@@ -139,10 +139,8 @@ class CnElement:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if not DEFAULT_LIMITS.alphabet_min <= self.n <= DEFAULT_LIMITS.alphabet_max:
-            raise BoundError(
-                f"alphabet size must lie in "
-                f"[{DEFAULT_LIMITS.alphabet_min}, {DEFAULT_LIMITS.alphabet_max}]")
+        if not ALPHABET_MIN <= self.n <= ALPHABET_MAX:
+            raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
         ok = letters(self.n)
         for x, y in self.pairs:
             if any(c not in ok for c in x + y):

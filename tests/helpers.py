@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the duality and acceptance tests."""
 
+import random
+
 from stonework import (
     boolean_algebra_monoid,
     clifford_monoid,
@@ -24,6 +26,22 @@ def corpus_monoids():
         "z3_zero": group_with_zero_monoid(3),
         "clifford": clifford_monoid(),
     }
+
+
+def relabelled(payload, seed):
+    """The same monoid with its indices permuted by a seeded shuffle."""
+    n = payload["n"]
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)           # old index s becomes perm[s]
+    mul = [[0] * n for _ in range(n)]
+    inv, labels = [0] * n, [""] * n
+    for s in range(n):
+        for t in range(n):
+            mul[perm[s]][perm[t]] = perm[payload["mul"][s][t]]
+        inv[perm[s]] = perm[payload["inv"][s]]
+        labels[perm[s]] = payload["labels"][s]
+    return {"n": n, "zero": perm[payload["zero"]], "one": perm[payload["one"]],
+            "inv": inv, "mul": mul, "labels": labels}
 
 
 def symmetric_to_pair_arrow_map(x_size, ix, sg, pair):

@@ -1,13 +1,17 @@
 """Command-line contract: build/check/dualize, formats, exit codes, store."""
 
 import argparse
+import dataclasses
 import json
-import random
+import re
+from pathlib import Path
 
 import pytest
+from helpers import relabelled
 
 from stonework import StructureError, boolean_algebra_monoid
 from stonework.cli import main, make_parser
+from stonework.config import Limits
 from stonework.duality import identity_morphism
 from stonework.groupoids import identity_functor, pair_groupoid
 from stonework.serialize import (
@@ -83,6 +87,15 @@ def test_no_option_offers_a_single_choice():
     lonely = [a.option_strings or [a.dest] for a in actions(make_parser())
               if len(a.choices) < 2]
     assert lonely == []
+
+
+def test_every_limits_field_is_read():
+    # a Limits field no code reads is a cap that a caller cannot change
+    source = "".join(path.read_text() for path in
+                     (Path(__file__).parents[1] / "src" / "stonework").glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(Limits)
+              if not re.search(rf"\blimits\.{f.name}\b", source)]
+    assert unread == []
 
 
 def test_check_boolean_pass_and_fail(tmp_path, capsys):
@@ -322,22 +335,6 @@ def test_malformed_entry_exits_2(tmp_path, capsys, how):
 
 
 # -- deterministic output -----------------------------------------------------------
-
-
-def relabelled(payload, seed):
-    """The same monoid with its indices permuted by a seeded shuffle."""
-    n = payload["n"]
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)           # old index s becomes perm[s]
-    mul = [[0] * n for _ in range(n)]
-    inv, labels = [0] * n, [""] * n
-    for s in range(n):
-        for t in range(n):
-            mul[perm[s]][perm[t]] = perm[payload["mul"][s][t]]
-        inv[perm[s]] = perm[payload["inv"][s]]
-        labels[perm[s]] = payload["labels"][s]
-    return {"n": n, "zero": perm[payload["zero"]], "one": perm[payload["one"]],
-            "inv": inv, "mul": mul, "labels": labels}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

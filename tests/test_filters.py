@@ -1,6 +1,7 @@
 """Filter algebra, ultrafilter enumeration and the ultrafilter groupoid."""
 
 import pytest
+from helpers import corpus_monoids, relabelled
 
 from stonework import (
     NotBooleanError,
@@ -24,7 +25,7 @@ from stonework.filters import (
 )
 from stonework.groupoids import FiniteGroupoid
 from stonework.inverse_core import iter_bits, mask_of
-from stonework.serialize import groupoid_to_json
+from stonework.serialize import groupoid_to_json, monoid_from_json, monoid_to_json
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +325,59 @@ def test_groupoid_json_shape(ix2):
     data = groupoid_to_json(gs)
     assert data["m"] == 4 and len(data["compose"]) == 8
     assert all(len(row) == 3 for row in data["compose"])
+
+
+def test_arrow_of_rejects_a_filter_that_is_not_an_arrow(ix2):
+    with pytest.raises(StructureError):
+        ultrafilter_groupoid(ix2).arrow_of(principal_filter(ix2, ix2.one))
+
+
+# -- the atom groupoid against filter products -----------------------------------------
+# ultrafilter_groupoid reads the groupoid off the atoms; this is where the
+# filter products it stands for, the explicit product form and the
+# completeness of the enumeration are checked against it.
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return corpus_monoids() | {"ix4": symmetric_inverse_monoid(4)}
+
+
+CROSS_CHECKED = ([(name, None) for name in corpus_monoids()] + [("ix4", None)]
+                 + [(name, seed) for name in ("ix3", "clifford") for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("name, seed", CROSS_CHECKED)
+def test_atom_groupoid_agrees_with_filter_products(corpus, name, seed):
+    monoid = corpus[name]
+    if seed is not None:
+        monoid = monoid_from_json(relabelled(monoid_to_json(monoid), seed))
+    sg = ultrafilter_groupoid(monoid)
+    ultra, arrow = sg.ultrafilters, sg.arrow_of
+    assert [arrow(filter_dom(f)) for f in ultra] == list(sg.d)
+    assert [arrow(filter_ran(f)) for f in ultra] == list(sg.r)
+    assert [arrow(f.inverse()) for f in ultra] == list(sg.inv)
+    assert sg.identities == tuple(i for i, f in enumerate(ultra) if f.is_idempotent_filter)
+
+    compose = {}
+    for i, a in enumerate(ultra):
+        for j, b in enumerate(ultra):
+            prod = filter_product(a, b)
+            if sg.d[i] != sg.r[j]:
+                assert not prod.is_proper
+                continue
+            compose[(i, j)] = arrow(prod)
+            # explicit form: A*B = up(x y dom(B)) for every x in A, y in B
+            dom_b = list(ultra[sg.d[j]])
+            for xy in iter_bits(a.element_product_mask(b)):
+                formed = mask_of(monoid.product(xy, e) for e in dom_b)
+                assert monoid.upward_closure(formed) == prod.members
+    assert compose == sg.compose
+
+    maximal = {f.members for f in all_filters(monoid) if f.is_ultrafilter_by_maximality()}
+    assert {f.members for f in ultra} == maximal and len(ultra) == len(maximal)
+
+
+def test_atom_groupoid_of_ix4(corpus):
+    sg = ultrafilter_groupoid(corpus["ix4"])
+    assert (len(sg), len(sg.identities), len(sg.compose)) == (16, 4, 64)
