@@ -149,7 +149,13 @@ def basic_open(s: int, sg: StoneGroupoid) -> Bisection:
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     """Is basic_open(s) | basic_open(t) a bisection?  Returns (flag, witness)
     where the witness names two arrows sharing a domain or range fiber."""
-    members = sorted(basic_open(s, sg).members | basic_open(t, sg).members)
+    return _fiber_clash(sg, basic_open(s, sg).members | basic_open(t, sg).members)
+
+
+def _fiber_clash(sg: StoneGroupoid, arrows) -> tuple[bool, tuple | None]:
+    """(True, None) when the arrows form a bisection, else (False, witness)
+    for the first pair, in ascending order, sharing a domain or range fiber."""
+    members = sorted(arrows)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if sg.d[a] == sg.d[b]:
@@ -231,7 +237,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     for s in range(n):
         for t in range(n):
             law.tick()
-            flag, witness = union_bisection_probe(sg, s, t)
+            flag, witness = _fiber_clash(sg, opens[s].members | opens[t].members)
             if flag != (monoid.join(s, t) is not None):
                 law.fail((s, t, witness))
 

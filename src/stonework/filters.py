@@ -21,7 +21,7 @@ from .inverse_core import InverseMonoid, iter_bits, mask_of, popcount
 class Filter:
     """An upward-closed directed subset of a fixed inverse monoid."""
 
-    __slots__ = ("monoid", "members", "_generator", "_ultra")
+    __slots__ = ("monoid", "members", "_generator", "_ultra", "_elements")
 
     def __init__(self, monoid: InverseMonoid, members: int):
         if members == 0:
@@ -32,6 +32,7 @@ class Filter:
         self.members = members
         self._generator = self._find_generator()
         self._ultra: bool | None = None
+        self._elements: tuple[int, ...] | None = None
 
     def _find_generator(self) -> int:
         # finite directedness == having a least member
@@ -55,7 +56,9 @@ class Filter:
         return f"Filter({{{names}}})"
 
     def __iter__(self):
-        return iter_bits(self.members)
+        if self._elements is None:      # members are listed once, on first use
+            self._elements = tuple(iter_bits(self.members))
+        return iter(self._elements)
 
     def __len__(self) -> int:
         return popcount(self.members)

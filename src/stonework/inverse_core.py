@@ -61,6 +61,15 @@ def as_indices(values, what: str) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
+def bound_table(masks, by_mask: dict[int, int]) -> np.ndarray:
+    """Dense table of greatest lower (or least upper) bounds: entry [i, j] is
+    ``by_mask[masks[i] & masks[j]]``, or -1 where no element has that mask.
+    With down-set masks and ``OrderData.by_down`` this is the meet table;
+    with up-set masks and ``by_up``, the join table."""
+    return np.array([[by_mask.get(a & b, -1) for b in masks] for a in masks],
+                    dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class OrderData:
     """The natural partial order, packed as up-set / down-set bitmasks."""
@@ -338,13 +347,8 @@ class InverseMonoid:
         emask = mask_of(order.idempotents)
         down_e = [order.down[e] & emask for e in order.idempotents]
         up_e = [order.up[e] & emask for e in order.idempotents]
-        by_down = {mask: i for i, mask in enumerate(down_e)}
-        by_up = {mask: i for i, mask in enumerate(up_e)}
-        meet = np.array([[by_down.get(a & b, -1) for b in down_e] for a in down_e],
-                        dtype=np.int64)
-        join = np.array([[by_up.get(a & b, -1) for b in up_e] for a in up_e],
-                        dtype=np.int64)
-        return meet, join
+        return (bound_table(down_e, {mask: i for i, mask in enumerate(down_e)}),
+                bound_table(up_e, {mask: i for i, mask in enumerate(up_e)}))
 
     def _decide_boolean(self) -> BooleanCertificate:
         order = self.order()
@@ -465,12 +469,6 @@ def partial_bijections(x_size: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _compose_maps(s_map, t_map):
-    # apply t first, then s: the product s*t of partial bijections
-    s_dict = dict(s_map)
-    return tuple((x, s_dict[y]) for x, y in t_map if y in s_dict)
-
-
 def _map_label(pairs) -> str:
     if not pairs:
         return "{}"
@@ -488,7 +486,18 @@ def symmetric_inverse_monoid(x_size: int, *, limits: Limits = DEFAULT_LIMITS) ->
     maps = partial_bijections(x_size)
     index = {m: i for i, m in enumerate(maps)}
     n = len(maps)
-    mul = [[index[_compose_maps(s, t)] for t in maps] for s in maps]
+    # each map as its image array, x_size standing for "undefined", with an
+    # extra column sending undefined to undefined: image[s][image[t]] is then
+    # the image array of s t (t first), and a map's code reads its image
+    # array as base-(x_size + 1) digits
+    image = np.full((n, x_size + 1), x_size, dtype=np.int64)
+    for i, m in enumerate(maps):
+        for x, y in m:
+            image[i, x] = y
+    weights = np.append((x_size + 1) ** np.arange(x_size), 0)
+    by_code = np.empty((x_size + 1) ** x_size, dtype=np.int64)
+    by_code[image @ weights] = np.arange(n)
+    mul = np.array([by_code[image[s][image] @ weights] for s in range(n)])
     inv = [index[tuple(sorted((y, x) for x, y in m))] for m in maps]
     identity = tuple((p, p) for p in range(x_size))
     return InverseMonoid(mul, inv, zero=index[()], one=index[identity],

@@ -5,9 +5,19 @@ filter of its subject and returns a :class:`LawReport` with instance counts
 and witnesses.  ``boolean_monoid_suite`` bundles the order/filter laws that
 any verified boolean inverse monoid must satisfy; the CLI exposes the same
 suites through ``check --laws``.
+
+A suite computes what its laws share once per call: the filter suites fill
+one table with the literal ``filter_product`` of every pair of filters, and
+the order suite reads meets off one dense table.  Each law still checks its
+own definition on every instance; none is replaced by the theorem it tests.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_
+
+import numpy as np
 
 from .duality import clifford_check, verify_basic_open_laws
 from .filters import (
@@ -17,7 +27,7 @@ from .filters import (
     filter_product,
     prime_property_check,
 )
-from .inverse_core import InverseMonoid, iter_bits, mask_of
+from .inverse_core import InverseMonoid, bound_table, iter_bits, mask_of
 from .reporting import LawReport
 
 
@@ -51,17 +61,19 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
                 law.fail((s, t))
 
     law = report.new("products-distribute-over-meets")
+    order = monoid.order()
+    meet = bound_table(order.down, order.by_down)     # -1 where the meet is absent
+    mul = monoid.mul
     for s in range(n):
-        for t in range(n):
-            m = monoid.meet(s, t)
-            if m is None:
-                continue
-            for u in range(n):
-                law.tick()
-                left = monoid.meet(monoid.product(u, s), monoid.product(u, t))
-                right = monoid.meet(monoid.product(s, u), monoid.product(t, u))
-                if left != monoid.product(u, m) or right != monoid.product(m, u):
-                    law.fail((s, t, u))
+        ts = np.flatnonzero(meet[s] >= 0)
+        m = meet[s, ts]
+        law.tick(n * len(ts))
+        # column i is t = ts[i], row u: (us) ^ (ut) = u m and (su) ^ (tu) = m u
+        left = meet[mul[:, s, None], mul[:, ts]]
+        right = meet[mul[s, :, None], mul[ts].T]
+        bad = (left != mul[:, m]) | (right != mul[m].T)
+        for i, u in np.argwhere(bad.T).tolist():
+            law.fail((s, int(ts[i]), u))
     return report
 
 
@@ -140,6 +152,18 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     return report
 
 
+def _filter_product_table(filters) -> tuple[np.ndarray, np.ndarray]:
+    """The literal ``filter_product`` of every pair of ``all_filters``, as
+    positions: ``prod[i, j]`` is the position of ``filters[i] * filters[j]``
+    and ``inverse[i]`` that of ``filters[i].inverse()``.  Filter i is the
+    principal filter at element i, so a filter's position is its generator,
+    and ``filter_dom(filters[i])`` is ``filters[prod[inverse[i], i]]``."""
+    prod = np.array([[filter_product(a, b).generator for b in filters] for a in filters],
+                    dtype=np.int64)
+    inverse = np.array([f.inverse().generator for f in filters], dtype=np.int64)
+    return prod, inverse
+
+
 def filter_laws(monoid: InverseMonoid) -> LawReport:
     """The filter-level laws: base property, ultrafilter criteria agreement,
     coverage, cosets, product minimality, domain submonoids, idempotent
@@ -149,6 +173,8 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     filters = all_filters(monoid)
     ultra = enumerate_ultrafilters(monoid)
     n = monoid.n
+    prod, inverse = _filter_product_table(filters)
+    dom = prod[inverse, np.arange(n)].tolist()
 
     law = report.new("filter-base-pairwise")
     for f in filters:
@@ -196,23 +222,29 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
             law.fail((f.generator,))
 
     law = report.new("product-smallest-filter")
-    for a in filters:
-        for b in filters:
+    # holders[x]: the positions of the filters that contain x
+    holders = [mask_of(i for i, c in enumerate(filters) if x in c) for x in range(n)]
+
+    def containing(mask: int) -> int:
+        """The positions of the filters that contain every member of mask."""
+        return reduce(and_, (holders[x] for x in iter_bits(mask)), (1 << n) - 1)
+
+    containing_filter = [containing(c.members) for c in filters]
+    for i, a in enumerate(filters):
+        for j, b in enumerate(filters):
             law.tick()
             prod_set = a.element_product_mask(b)
-            prod = filter_product(a, b)
-            if prod_set & prod.members != prod_set:
+            p = filters[prod[i, j]]
+            if prod_set & p.members != prod_set:
                 law.fail((a.generator, b.generator, "not containing"))
                 continue
-            for c in filters:
-                if (c.members & prod_set == prod_set
-                        and c.members & prod.members != prod.members):
-                    law.fail((a.generator, b.generator, c.generator))
+            for c in iter_bits(containing(prod_set) & ~containing_filter[p.generator]):
+                law.fail((a.generator, b.generator, filters[c].generator))
 
     law = report.new("domain-inverse-submonoid")
-    for f in filters:
+    for i, f in enumerate(filters):
         law.tick()
-        h = filter_dom(f)
+        h = filters[dom[i]]
         if monoid.one not in h:
             law.fail((f.generator, "one"))
         for x in h:
@@ -235,11 +267,13 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
             law.fail((f.generator,))
 
     law = report.new("filter-rigidity")
-    for a in filters:
-        for b in filters:
-            law.tick()
-            if (a.members & b.members and filter_dom(a) == filter_dom(b)
-                    and a != b):
+    same_dom: dict[int, list] = {}
+    for i, b in enumerate(filters):
+        same_dom.setdefault(dom[i], []).append(b)
+    for i, a in enumerate(filters):
+        law.tick(n)
+        for b in same_dom[dom[i]]:
+            if a.members & b.members and a != b:
                 law.fail((a.generator, b.generator))
 
     law = report.new("ultrafilters-prime")
@@ -257,29 +291,35 @@ def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
     monoid.require_boolean()
     report = LawReport("filter semigroup laws")
     filters = all_filters(monoid)
+    n = len(filters)
+    prod, inverse = _filter_product_table(filters)
+    rng = np.arange(n)
 
     law = report.new("inverse-semigroup")
-    for f in filters:
-        law.tick()
-        candidates = [g for g in filters
-                      if filter_product(filter_product(f, g), f) == f
-                      and filter_product(filter_product(g, f), g) == g]
-        if candidates != [f.inverse()]:
-            law.fail((f.generator,))
+    law.tick(n)
+    # candidates[f, g]: (f g) f = f and (g f) g = g
+    candidates = (prod[prod, rng[:, None]] == rng[:, None]) & (prod[prod.T, rng] == rng)
+    expected = np.zeros((n, n), dtype=bool)
+    expected[rng, inverse] = True
+    for i in np.flatnonzero((candidates != expected).any(axis=1)).tolist():
+        law.fail((filters[i].generator,))
 
     law = report.new("idempotents-are-idempotent-filters")
-    for f in filters:
+    squares = prod[rng, rng] == rng
+    for i, f in enumerate(filters):
         law.tick()
-        if (filter_product(f, f) == f) != f.is_idempotent_filter:
+        if bool(squares[i]) != f.is_idempotent_filter:
             law.fail((f.generator,))
 
     law = report.new("order-is-reverse-inclusion")
-    idem = [e for e in filters if filter_product(e, e) == e]
-    for f in filters:
-        for g in filters:
+    # algebraic[f, g]: f = g e for some idempotent e of the filter semigroup
+    algebraic = np.zeros((n, n), dtype=bool)
+    algebraic[prod[:, squares], rng[:, None]] = True
+    algebraic = algebraic.tolist()
+    for i, f in enumerate(filters):
+        for j, g in enumerate(filters):
             law.tick()
-            algebraic = any(filter_product(g, e) == f for e in idem)
-            if algebraic != (g.members & f.members == g.members):
+            if algebraic[i][j] != (g.members & f.members == g.members):
                 law.fail((f.generator, g.generator))
     return report
 

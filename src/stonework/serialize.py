@@ -34,7 +34,7 @@ def monoid_to_json(monoid: InverseMonoid) -> dict:
         "zero": monoid.zero,
         "one": monoid.one,
         "inv": list(monoid.inv),
-        "mul": [[int(x) for x in row] for row in monoid.mul],
+        "mul": monoid.mul.tolist(),
         "labels": list(monoid.labels) if monoid.labels else None,
     }
 
@@ -118,7 +118,11 @@ def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
     path = store / f"{name}.json"
-    path.write_text(json.dumps(entry_to_json(name, kind, payload), indent=2) + "\n")
+    # json.dump writes as it encodes; json.dumps would hold every chunk of a
+    # large table in memory at once
+    with path.open("w") as out:
+        json.dump(entry_to_json(name, kind, payload), out, indent=2)
+        out.write("\n")
     return path
 
 

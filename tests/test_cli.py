@@ -122,6 +122,39 @@ def test_check_full_suite(tmp_path, capsys):
     assert "union-bisection-iff-join" in names
 
 
+FULL_SUITE_LAWS = (
+    "boolean-axioms", "compatible-iff-meet-splits", "join-splits-dom-ran",
+    "products-distribute-over-meets", "downset-boolean-via-dom",
+    "relative-complement-unique", "separation-below", "compatible-join-formula",
+    "filter-base-pairwise", "ultra-criteria-agree", "nonzero-in-some-ultrafilter",
+    "ultrafilter-intersection-principal", "filters-are-cosets", "product-smallest-filter",
+    "domain-inverse-submonoid", "idempotent-filter-iff-closed", "filter-rigidity",
+    "ultrafilters-prime", "inverse-semigroup", "idempotents-are-idempotent-filters",
+    "order-is-reverse-inclusion", "three-way-equivalence", "is-bisection", "zero-is-empty",
+    "meet-is-intersection", "inverse", "product", "order-embedding", "injective",
+    "join-is-union", "union-bisection-iff-join", "surjective-on-bisections",
+)
+
+
+@pytest.mark.parametrize("build_args, entry, counts", [
+    (("ix", "--size", "3"), "ix3",
+     (1, 1156, 352, 39304, 34, 139, 1017, 352, 1675, 34, 33, 33, 34, 1156, 34, 34, 1156,
+      9, 34, 34, 1156, 34, 34, 1, 1156, 34, 1156, 1156, 561, 352, 1156, 34)),
+    (("bool-algebra", "--atoms", "4"), "bool-algebra-16",
+     (1, 256, 256, 4096, 16, 81, 175, 256, 625, 16, 15, 15, 16, 256, 16, 16, 256,
+      4, 16, 16, 256, 16, 16, 1, 256, 16, 256, 256, 120, 256, 256, 16)),
+], ids=["ix3", "ba4"])
+def test_check_all_report_is_pinned(tmp_path, capsys, build_args, entry, counts):
+    """Every law of ``check --laws all`` in order, with its instance count
+    and (empty) failure list."""
+    run(capsys, "build", *build_args, "--store", str(tmp_path))
+    code, out, _ = run(capsys, "check", entry, "--laws", "all", "--store", str(tmp_path))
+    report = json.loads(out)
+    assert (code, report["ok"], report["failures"]) == (0, True, 0)
+    assert [(law["name"], law["instances"], law["failures"]) for law in report["laws"]] == \
+        [(name, count, []) for name, count in zip(FULL_SUITE_LAWS, counts, strict=True)]
+
+
 def test_check_non_boolean_with_filter_laws(tmp_path, capsys):
     run(capsys, "build", "brandt", "--store", str(tmp_path))
     code, out, _ = run(capsys, "check", "brandt", "--laws", "filters",

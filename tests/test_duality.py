@@ -138,6 +138,32 @@ def test_union_probe_positive(ix2, sg_ix2):
     assert flag and witness is None
 
 
+@pytest.mark.parametrize("factory, clashes", [
+    (lambda: symmetric_inverse_monoid(3), {"domain-fiber", "range-fiber"}),
+    (lambda: boolean_algebra_monoid(3), set()),
+], ids=["ix3", "ba3"])
+def test_union_probe_agrees_with_the_union_law(factory, clashes, monkeypatch):
+    """The law and union_bisection_probe share one fiber-clash scan.  With
+    every join forced absent the law fails exactly where the probe finds a
+    bisection; with every join forced present it fails exactly where the
+    probe finds a clash, carrying the probe's witness."""
+    monoid = factory()
+    sg = stone_groupoid(monoid)
+    pairs = [(s, t) for s in range(monoid.n) for t in range(monoid.n)]
+    probe = {pair: union_bisection_probe(sg, *pair) for pair in pairs}
+    assert all(flag == (monoid.join(*pair) is not None) for pair, (flag, _) in probe.items())
+    assert {witness[0] for flag, witness in probe.values() if not flag} == clashes
+
+    monkeypatch.setattr(monoid, "join", lambda s, t: None)
+    law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
+    assert law.instances == len(pairs)
+    assert law.failures == [(*pair, None) for pair in pairs if probe[pair][0]]
+
+    monkeypatch.setattr(monoid, "join", lambda s, t: monoid.zero)
+    law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
+    assert law.failures == [(*pair, probe[pair][1]) for pair in pairs if not probe[pair][0]]
+
+
 # -- functors on morphisms --------------------------------------------------------------
 
 

@@ -59,6 +59,24 @@ def test_partial_bijection_count_matches():
     assert len(partial_bijections(3)) == 34
 
 
+def _compose_maps(s_map, t_map):
+    # apply t first, then s: the product s*t of partial bijections
+    s_dict = dict(s_map)
+    return tuple((x, s_dict[y]) for x, y in t_map if y in s_dict)
+
+
+@pytest.mark.parametrize("x_size", [1, 2, 3, 4])
+def test_symmetric_table_is_composition_of_maps(x_size):
+    maps = partial_bijections(x_size)
+    index = {m: i for i, m in enumerate(maps)}
+    monoid = symmetric_inverse_monoid(x_size)
+    assert monoid.mul.tolist() == [[index[_compose_maps(s, t)] for t in maps] for s in maps]
+    assert monoid.inv == tuple(index[tuple(sorted((y, x) for x, y in m))] for m in maps)
+    assert monoid.zero == index[()]
+    assert monoid.one == index[tuple((p, p) for p in range(x_size))]
+    assert monoid.labels[index[((0, x_size - 1),)]] == f"{{1->{x_size}}}"
+
+
 def test_rejects_non_associative_table():
     # 2-element "table" where 1*1 = 1 but inverse laws break associativity bait:
     mul = [[0, 0], [0, 1]]
