@@ -56,7 +56,6 @@ def _add_common(parser, *, suppress: bool) -> None:
     parser.add_argument("--store",
                         default=d or _env("STORE", "./stonework-store"),
                         help="directory for corpus entries")
-    parser.add_argument("--seed", type=int, default=d or int(_env("SEED", "0")))
     parser.add_argument("--max-size", type=int,
                         default=d or int(_env("MAX_SIZE", str(DEFAULT_LIMITS.bisection_bound))),
                         help="cap on groupoid size when materializing all bisections")
@@ -99,7 +98,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args) -> Limits:
-    return Limits(seed=args.seed, bisection_bound=args.max_size)
+    return Limits(bisection_bound=args.max_size)
 
 
 def _build_params(args) -> dict:

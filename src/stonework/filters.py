@@ -1,14 +1,14 @@
 """Filters, ultrafilters and the ultrafilter groupoid of an inverse monoid.
 
 A filter is an upward-closed, downward-directed subset, stored as a bitmask
-over element indices.  In a finite monoid every filter has a least element,
-so validation checks up-closure plus the existence of a generator; the
-pairwise filter-base property is equivalent and is exercised separately by
-the law suite.  The product of filters ``A * B`` is the upward closure of
-the elementwise product set, and the ultrafilters form a groupoid under it
-with ``dom(A) = A^-1 * A``.  In a finite boolean monoid the ultrafilters
-are the principal filters at atoms, so that groupoid is built on the atoms;
-the filter-product route is kept for the law suites that cross-check it.
+over element indices.  In a finite monoid every filter is the up-set of its
+least member, so validation looks for that member; the pairwise filter-base
+property is equivalent and is exercised by the law suite.  The product of
+filters ``A * B`` is the upward closure of the elementwise product set, and
+the ultrafilters form a groupoid under it with ``dom(A) = A^-1 * A``.  In a
+finite boolean monoid the ultrafilters are the principal filters at atoms,
+so that groupoid is built on the atoms; the filter-product route is kept
+for the law suites that cross-check it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class Filter:
     def __init__(self, monoid: InverseMonoid, members: int):
         if members == 0:
             raise StructureError("a filter cannot be empty")
-        if monoid.upward_closure(members) != members:
-            raise StructureError("member set is not upward closed")
         self.monoid = monoid
         self.members = members
         self._generator = self._find_generator()
@@ -35,12 +33,12 @@ class Filter:
         self._elements: tuple[int, ...] | None = None
 
     def _find_generator(self) -> int:
-        # finite directedness == having a least member
+        # a finite filter is the up-set of its least member
         up = self.monoid.order().up
         for m in iter_bits(self.members):
             if up[m] == self.members:
                 return m
-        raise StructureError("member set is not downward directed")
+        raise StructureError("member set is not the up-set of one of its members")
 
     # -- identity ----------------------------------------------------------
 

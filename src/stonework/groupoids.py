@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, StructureError
-from .inverse_core import InverseMonoid, as_indices, iter_bits, mask_of
+from .inverse_core import InverseMonoid, as_indices, as_labels, mask_of
 
 
 class FiniteGroupoid:
@@ -39,15 +39,13 @@ class FiniteGroupoid:
             raise StructureError("compose keys must be arrow pairs")
         self.compose = {(g, h): k for g, h, k in triples}
         self.identities = tuple(sorted(as_indices(identities, "identities")))
-        self.labels = tuple(str(x) for x in labels) if labels is not None else None
+        self.labels = as_labels(labels, self.m)
         self._validate()
 
     def _validate(self) -> None:
         m, ids = self.m, set(self.identities)
         if len(self.r) != m or len(self.inv) != m:
             raise StructureError("d/r/inv length mismatch")
-        if self.labels is not None and len(self.labels) != m:
-            raise StructureError("label count mismatch")
         # every index is range-checked before anything is looked up by it
         for name, values in (("d", self.d), ("r", self.r), ("inv", self.inv),
                              ("identities", self.identities),
@@ -73,9 +71,9 @@ class FiniteGroupoid:
         for g in range(m):
             if self.inv[self.inv[g]] != g:
                 raise StructureError(f"inverse not involutive at {g}")
-            if self.compose[(g, self.inv[g])] != self.r[g]:
+            if self.compose.get((g, self.inv[g])) != self.r[g]:
                 raise StructureError(f"g g^-1 != ran(g) at {g}")
-            if self.compose[(self.inv[g], g)] != self.d[g]:
+            if self.compose.get((self.inv[g], g)) != self.d[g]:
                 raise StructureError(f"g^-1 g != dom(g) at {g}")
             if self.compose[(self.r[g], g)] != g or self.compose[(g, self.d[g])] != g:
                 raise StructureError(f"identities do not act neutrally at {g}")
@@ -196,18 +194,6 @@ class Bisection:
         g = self.groupoid
         return Bisection(g, frozenset(g.inv[a] for a in self.members))
 
-    def satisfies_algebraic_test(self) -> bool:
-        """Equivalent characterization: A^-1 A and A A^-1 land in the identities."""
-        g = self.groupoid
-        ids = set(g.identities)
-        for a in self.members:
-            for b in self.members:
-                for x, y in ((g.inv[a], b), (a, g.inv[b])):
-                    k = g.compose_maybe(x, y)
-                    if k is not None and k not in ids:
-                        return False
-        return True
-
 
 def is_bisection_set(groupoid: FiniteGroupoid, members) -> bool:
     """Does the arrow set meet every domain and every range fiber at most once?"""
@@ -271,16 +257,6 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
     extend(0, set(), [])
     found.sort(key=mask_of)
     return [Bisection(groupoid, s) for s in found]
-
-
-def enumerate_bisections_by_subsets(groupoid: FiniteGroupoid) -> list[frozenset]:
-    """Brute-force cross-check path: filter every subset of the arrows."""
-    out = []
-    for mask in range(1 << groupoid.m):
-        members = frozenset(iter_bits(mask))
-        if is_bisection_set(groupoid, members):
-            out.append(members)
-    return out
 
 
 @dataclass
@@ -363,9 +339,6 @@ class CoveringFunctor:
         for (g, h), k in src.compose.items():
             if tgt.compose_maybe(f[g], f[h]) != f[k]:
                 raise StructureError(f"composition not preserved at ({g}, {h})")
-
-    def object_map(self) -> dict[int, int]:
-        return {e: self.arrow_map[e] for e in self.source.identities}
 
     def then(self, other: "CoveringFunctor") -> "CoveringFunctor":
         if other.source is not self.target:

@@ -61,6 +61,17 @@ def as_indices(values, what: str) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
+def as_labels(labels, count: int):
+    """The labels as a tuple of ``count`` strings, or None when absent;
+    anything else is a StructureError."""
+    if labels is None:
+        return None
+    if (not isinstance(labels, (list, tuple)) or len(labels) != count
+            or not all(isinstance(x, str) for x in labels)):
+        raise StructureError(f"labels must be a list of {count} strings")
+    return tuple(labels)
+
+
 def bound_table(masks, by_mask: dict[int, int]) -> np.ndarray:
     """Dense table of greatest lower (or least upper) bounds: entry [i, j] is
     ``by_mask[masks[i] & masks[j]]``, or -1 where no element has that mask.
@@ -136,10 +147,7 @@ class InverseMonoid:
             raise StructureError("zero/one out of range")
         if zero == one and n > 1:
             raise StructureError("zero equals one in a non-trivial monoid")
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise StructureError("label count mismatch")
+        labels = as_labels(labels, n)
 
         table.setflags(write=False)
         self.n = n
@@ -198,23 +206,31 @@ class InverseMonoid:
             raise StructureError(f"idempotents {idem[i]} and {idem[j]} do not commute")
 
     def _check_associativity(self) -> None:
+        """Light's test, exact for any finite magma: the elements g with
+        ``(x g) y == x (g y)`` for all x, y are closed under the product, so
+        it suffices to test unreached elements until products of the passed
+        ones reach all.  Rows with more distinct entries go first (speed only:
+        3-6 tries on I(X), k+1 on 2^k); trying all n is an n^3 scan."""
         mul, n = self.mul, self.n
-        if n <= self.limits.assoc_exhaustive:
-            for i in range(n):
-                left = mul[mul[i]]            # (i j) k
-                right = mul[i][mul]           # i (j k)
-                if not np.array_equal(left, right):
-                    j, k = map(int, np.argwhere(left != right)[0])
-                    raise StructureError(f"associativity fails at ({i}, {j}, {k})")
-        else:
-            gen = np.random.default_rng(self.limits.seed)
-            triples = gen.integers(0, n, size=(3, self.limits.assoc_samples))
-            i, j, k = triples
-            bad = np.nonzero(mul[mul[i, j], k] != mul[i, mul[j, k]])[0]
-            if len(bad):
-                b = int(bad[0])
-                raise StructureError(
-                    f"associativity fails at sampled ({int(i[b])}, {int(j[b])}, {int(k[b])})")
+        distinct = np.zeros((n, n), dtype=bool)
+        distinct[np.arange(n)[:, None], mul] = True
+        reached = np.zeros(n, dtype=bool)
+        passed: list[int] = []
+        for g in np.argsort(-distinct.sum(axis=1), kind="stable").tolist():
+            if reached[g]:
+                continue
+            left = np.take(mul, mul[:, g], axis=0)    # (x g) y
+            right = np.take(mul, mul[g], axis=1)      # x (g y)
+            if not np.array_equal(left, right):
+                x, y = map(int, np.argwhere(left != right)[0])
+                raise StructureError(f"associativity fails at ({x}, {g}, {y})")
+            passed.append(g)
+            # right-multiply what is reached by the passed elements
+            new = np.append(mul[reached, g], g)
+            while len(new):
+                fresh = np.bincount(new, minlength=n).astype(bool) & ~reached
+                reached |= fresh
+                new = mul[np.ix_(np.flatnonzero(fresh), passed)].ravel()
 
     # -- elementary operations ----------------------------------------------
 

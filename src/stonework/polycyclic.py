@@ -431,10 +431,6 @@ class CuntzArrow:
     def inverse(self) -> "CuntzArrow":
         return CuntzArrow.make(self.source_prefix, self.target_prefix, self.tail)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0 and not self.target_prefix and not self.source_prefix
-
     def __str__(self) -> str:
         return (f"({format_word(self.target_prefix)}|{format_ev(self.tail)}, "
                 f"{self.shift}, {format_word(self.source_prefix)}|{format_ev(self.tail)})")

@@ -83,9 +83,12 @@ def morphism_to_json(theta: MonoidMorphism) -> dict:
 
 def morphism_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> MonoidMorphism:
     source, target, mapping = _fields(data, "source", "target", "map")
+    weak = data.get("weak", False)
+    if not isinstance(weak, bool):
+        raise StructureError("weak must be true or false")
     return MonoidMorphism(monoid_from_json(source, limits=limits),
                           monoid_from_json(target, limits=limits),
-                          as_indices(mapping, "map"), weak=data.get("weak", False))
+                          as_indices(mapping, "map"), weak=weak)
 
 
 def functor_to_json(f: CoveringFunctor) -> dict:
@@ -114,14 +117,30 @@ def entry_to_json(name: str, kind: str, payload: dict) -> dict:
     return {"name": name, "kind": kind, "payload": payload}
 
 
+def _write_json(out, value) -> None:
+    """Stream ``value`` as JSON, one key or table row per line.  Pieces go
+    through ``json.dumps``, the C encoder (``json.dump`` and ``indent`` use
+    the pure-Python one), and a large table is never held as text at once."""
+    if isinstance(value, dict):
+        items, brackets = [(json.dumps(key) + ": ", item) for key, item in value.items()], "{}"
+    elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        items, brackets = [("", row) for row in value], "[]"
+    else:
+        out.write(json.dumps(value))
+        return
+    out.write(brackets[0])
+    for i, (prefix, item) in enumerate(items):
+        out.write(("," if i else "") + "\n" + prefix)
+        _write_json(out, item)
+    out.write("\n" + brackets[1])
+
+
 def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
     path = store / f"{name}.json"
-    # json.dump writes as it encodes; json.dumps would hold every chunk of a
-    # large table in memory at once
     with path.open("w") as out:
-        json.dump(entry_to_json(name, kind, payload), out, indent=2)
+        _write_json(out, entry_to_json(name, kind, payload))
         out.write("\n")
     return path
 
@@ -136,6 +155,8 @@ def load_entry(path_or_name, store: Path | None = None, *,
     if not path.exists():
         raise FileNotFoundError(path_or_name)
     name, kind, payload = _fields(json.loads(path.read_text()), "name", "kind", "payload")
+    if not isinstance(name, str):
+        raise StructureError("entry name must be a string")
     if kind == "monoid":
         obj = monoid_from_json(payload, limits=limits)
     elif kind == "groupoid":

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from stonework import (
     boolean_algebra_monoid,
     clifford_monoid,
@@ -26,6 +28,19 @@ def corpus_monoids():
         "z3_zero": group_with_zero_monoid(3),
         "clifford": clifford_monoid(),
     }
+
+
+def first_associativity_failure(mul, rows=None):
+    """Reference n^3 scan: the first (x, y, z) with (x y) z != x (y z),
+    scanning x over ``rows`` (default: every element), or None."""
+    mul = np.asarray(mul)
+    for x in range(len(mul)) if rows is None else rows:
+        left = mul[mul[x]]              # (x y) z
+        right = mul[x][mul]             # x (y z)
+        if not np.array_equal(left, right):
+            y, z = map(int, np.argwhere(left != right)[0])
+            return x, y, z
+    return None
 
 
 def relabelled(payload, seed):

@@ -1,6 +1,7 @@
 """Command-line contract: build/check/dualize, formats, exit codes, store."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import re
@@ -96,6 +97,25 @@ def test_every_limits_field_is_read():
     unread = [f.name for f in dataclasses.fields(Limits)
               if not re.search(rf"\blimits\.{f.name}\b", source)]
     assert unread == []
+
+
+def test_every_public_name_is_used():
+    # a public function, class or method whose name appears only where it
+    # is defined is dead code
+    root = Path(__file__).parents[1]
+    texts = {path: path.read_text() for folder in ("src", "tests", "perfbench")
+             for path in (root / folder).rglob("*.py")}
+    definitions: dict[str, int] = {}
+    for path in (root / "src" / "stonework").glob("*.py"):
+        for node in ast.parse(texts[path]).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    definitions[item.name] = definitions.get(item.name, 0) + 1
+    unused = [name for name, count in sorted(definitions.items())
+              if not name.startswith("_")
+              and sum(len(re.findall(rf"\b{name}\b", text)) for text in texts.values()) <= count]
+    assert unused == []
 
 
 def test_check_boolean_pass_and_fail(tmp_path, capsys):
@@ -221,6 +241,15 @@ def test_global_flags_accepted_before_subcommand(tmp_path, capsys):
     assert "trivial2" in out
 
 
+@pytest.mark.parametrize("argv", [("--seed", "1", "build", "clifford"),
+                                  ("build", "clifford", "--seed", "1")])
+def test_seed_flag_is_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--store", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_env_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STONEWORK_STORE", str(tmp_path))
     monkeypatch.setenv("STONEWORK_FORMAT", "text")
@@ -265,6 +294,9 @@ GROUPOID_CORRUPTIONS = {
     "missing-key-inv": lambda data: data.pop("inv"),
     "missing-key-compose": lambda data: data.pop("compose"),
     "missing-key-identities": lambda data: data.pop("identities"),
+    "inv-not-composable": lambda data: data["inv"].__setitem__(
+        *[next(g for g in range(data["m"]) if data["d"][g] != data["r"][g])] * 2),
+    "labels-not-a-list": lambda data: data.__setitem__("labels", 0),
 }
 
 MONOID_CORRUPTIONS = {
@@ -278,6 +310,8 @@ MONOID_CORRUPTIONS = {
     "missing-key-one": lambda data: data.pop("one"),
     "missing-key-inv": lambda data: data.pop("inv"),
     "missing-key-mul": lambda data: data.pop("mul"),
+    "labels-not-a-list": lambda data: data.__setitem__("labels", 0),
+    "label-not-a-string": lambda data: data["labels"].__setitem__(2, 5),
 }
 
 
@@ -335,6 +369,7 @@ ENTRY_CORRUPTIONS = {
     "missing-name": ("monoid", without("name")),
     "missing-kind": ("monoid", without("kind")),
     "missing-payload": ("monoid", without("payload")),
+    "name-not-a-string": ("monoid", lambda entry: {**entry, "name": 5}),
     "payload-is-list": ("monoid", in_payload(lambda data: [data])),
     "morphism-missing-source": ("morphism", in_payload(without("source"))),
     "morphism-missing-target": ("morphism", in_payload(without("target"))),
@@ -342,6 +377,7 @@ ENTRY_CORRUPTIONS = {
     "morphism-source-is-list": ("morphism", in_payload(lambda d: {**d, "source": []})),
     "morphism-map-not-a-list": ("morphism", in_payload(lambda d: {**d, "map": 1})),
     "morphism-map-range": ("morphism", in_payload(lambda d: {**d, "map": [0, 7]})),
+    "morphism-weak-not-bool": ("morphism", in_payload(lambda d: {**d, "weak": "yes"})),
     "functor-missing-source": ("functor", in_payload(without("source"))),
     "functor-missing-target": ("functor", in_payload(without("target"))),
     "functor-missing-map": ("functor", in_payload(without("map"))),

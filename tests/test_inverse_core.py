@@ -5,6 +5,8 @@ by hand; the element indices are recovered through labels so the tests do
 not depend on enumeration order.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from stonework import (
 )
 from stonework.inverse_core import iter_bits
 
-from helpers import corpus_monoids
+from helpers import corpus_monoids, first_associativity_failure
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,11 @@ def ix2():
 @pytest.fixture(scope="module")
 def ix3():
     return symmetric_inverse_monoid(3)
+
+
+@pytest.fixture(scope="module")
+def ix5():
+    return symmetric_inverse_monoid(5)
 
 
 def by_label(monoid, label):
@@ -85,6 +92,43 @@ def test_rejects_non_associative_table():
     bad = [[0, 1], [1, 0]]  # 0 not absorbing
     with pytest.raises(StructureError):
         InverseMonoid(bad, [0, 1], zero=0, one=1)
+
+
+def corrupted(monoid, i, j, value):
+    mul = monoid.mul.copy()
+    mul[i, j] = value
+    return mul
+
+
+def assert_rejected_at_a_failing_triple(monoid, mul):
+    with pytest.raises(StructureError, match="associativity") as err:
+        InverseMonoid(mul, monoid.inv, monoid.zero, monoid.one)
+    x, y, z = map(int, re.findall(r"\d+", str(err.value)))
+    assert mul[mul[x, y], z] != mul[x, mul[y, z]]
+
+
+def test_every_cell_corruption_of_ix3_is_rejected(ix3):
+    # one corruption of every cell off the zero and one rows and columns;
+    # the identity and zero checks pass, so associativity alone decides
+    rng = np.random.default_rng(0)
+    inner = [s for s in range(ix3.n) if s not in (ix3.zero, ix3.one)]
+    for i in inner:
+        for j in inner:
+            mul = corrupted(ix3, i, j, (ix3.mul[i, j] + rng.integers(1, ix3.n)) % ix3.n)
+            assert first_associativity_failure(mul) is not None
+            assert_rejected_at_a_failing_triple(ix3, mul)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_cell_corruptions_of_ix5_are_rejected(ix5, seed):
+    rng = np.random.default_rng(seed)
+    inner = [s for s in range(ix5.n) if s not in (ix5.zero, ix5.one)]
+    i, j = rng.choice(inner, size=2)
+    mul = corrupted(ix5, i, j, (ix5.mul[i, j] + rng.integers(1, ix5.n)) % ix5.n)
+    # the full reference scan takes minutes on 1,546 elements; a failure on
+    # the corrupted row is enough to demand a rejection
+    assert first_associativity_failure(mul, rows=[i]) is not None
+    assert_rejected_at_a_failing_triple(ix5, mul)
 
 
 def test_rejects_bad_inverse_table(ix2):
@@ -426,13 +470,6 @@ def test_bm1_distributivity_witness_is_first_ascending_triple(down):
 
 
 # -- misc ------------------------------------------------------------------------
-
-
-def test_monte_carlo_assoc_path():
-    from stonework import Limits
-    small = Limits(assoc_exhaustive=4, assoc_samples=5000)
-    m = symmetric_inverse_monoid(2, limits=small)
-    assert m.n == 7  # construction survived the sampled check
 
 
 def test_product_monoid_structure():

@@ -1,8 +1,15 @@
-"""Hypothesis property tests for the symbolic layer and bisection algebra."""
+"""Hypothesis property tests for the symbolic layer, bisection algebra and
+stored entries."""
 
+import json
+
+from helpers import first_associativity_failure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stonework import StoneworkError, symmetric_inverse_monoid
+from stonework.duality import identity_morphism
+from stonework.groupoids import identity_functor, pair_groupoid
 from stonework.polycyclic import (
     CnElement,
     EvPeriodicWord,
@@ -16,6 +23,14 @@ from stonework.polycyclic import (
     parse_ev,
     parse_poly,
     poly_mul,
+)
+from stonework.serialize import (
+    entry_to_json,
+    functor_to_json,
+    groupoid_to_json,
+    load_entry,
+    monoid_to_json,
+    morphism_to_json,
 )
 
 words = st.text(alphabet="12", max_size=4)
@@ -92,3 +107,70 @@ def test_ev_equality_is_prefix_agreement(a, b):
 
     horizon = len(a.pre) + len(b.pre) + 2 * lcm(len(a.period), len(b.period))
     assert (a == b) == ev_words_agree_to(a, b, horizon)
+
+
+# -- stored entries under single-field corruption ---------------------------------
+
+
+def _valid_entries():
+    ix2 = symmetric_inverse_monoid(2)
+    pair2 = pair_groupoid(2)
+    return {
+        "monoid": entry_to_json("ix2", "monoid", monoid_to_json(ix2)),
+        "groupoid": entry_to_json("pair2", "groupoid", groupoid_to_json(pair2)),
+        "morphism": entry_to_json("id-ix2", "morphism",
+                                  morphism_to_json(identity_morphism(ix2))),
+        "functor": entry_to_json("id-pair2", "functor",
+                                 functor_to_json(identity_functor(pair2))),
+        "cn-element": entry_to_json("unit", "cn-element",
+                                    {"n": 2, "expr": "{a1/a1a1, a2a1/a1a2, a2a2/a2}"}),
+    }
+
+
+VALID_ENTRIES = _valid_entries()
+
+
+def _paths(value, prefix=()):
+    """Every field of a JSON value, as a key/index path from the root."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _paths(item, prefix + (key,))
+
+
+replacements = st.one_of(
+    st.integers(-3, 40), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    st.none(), st.text(max_size=3), st.lists(st.integers(-1, 8), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def corrupted_entries(draw):
+    kind = draw(st.sampled_from(sorted(VALID_ENTRIES)))
+    entry = json.loads(json.dumps(VALID_ENTRIES[kind]))
+    *parent, last = draw(st.sampled_from(list(_paths(entry))))
+    holder = entry
+    for key in parent:
+        holder = holder[key]
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[last]
+    else:
+        holder[last] = draw(replacements)
+    return entry
+
+
+@given(corrupted_entries())
+@settings(max_examples=150, deadline=None)
+def test_a_corrupted_entry_is_rejected_or_loads_valid(tmp_path_factory, entry):
+    path = tmp_path_factory.mktemp("entry") / "bad.json"
+    path.write_text(json.dumps(entry))
+    try:
+        _, kind, obj = load_entry(path)
+    except StoneworkError:
+        return
+    # what loads passed its constructor; its tables are also re-checked by
+    # the reference associativity scan, which the constructor does not share
+    monoids = [obj] if kind == "monoid" else [obj.source, obj.target] if kind == "morphism" else []
+    for monoid in monoids:
+        assert first_associativity_failure(monoid.mul) is None
