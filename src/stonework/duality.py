@@ -22,6 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MorphismError, StructureError
 from .filters import (
@@ -41,10 +43,11 @@ from .groupoids import (
     bisection_product,
     check_covering,
     enumerate_bisections,
+    fiber_clash,
     is_bisection_set,
     point_ultrafilter,
 )
-from .inverse_core import InverseMonoid, iter_bits, mask_of
+from .inverse_core import InverseMonoid, iter_bits, mask_of, raise_first_failure
 from .reporting import LawReport
 
 
@@ -77,10 +80,10 @@ class MonoidMorphism:
         s_mon.require_boolean()
         t_mon.require_boolean()
 
-        for a in range(s_mon.n):
-            for b in range(s_mon.n):
-                if f[int(s_mon.mul[a, b])] != int(t_mon.mul[f[a], f[b]]):
-                    raise MorphismError("homomorphism", (a, b))
+        image = np.array(f, dtype=np.int64)
+        moved = image[s_mon.mul] != t_mon.mul[np.ix_(image, image)]
+        if moved.any():
+            raise MorphismError("homomorphism", tuple(int(x) for x in np.argwhere(moved)[0]))
 
         # boolean-algebra homomorphism on idempotents
         if f[s_mon.zero] != t_mon.zero or f[s_mon.one] != t_mon.one:
@@ -149,20 +152,8 @@ def basic_open(s: int, sg: StoneGroupoid) -> Bisection:
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     """Is basic_open(s) | basic_open(t) a bisection?  Returns (flag, witness)
     where the witness names two arrows sharing a domain or range fiber."""
-    return _fiber_clash(sg, basic_open(s, sg).members | basic_open(t, sg).members)
-
-
-def _fiber_clash(sg: StoneGroupoid, arrows) -> tuple[bool, tuple | None]:
-    """(True, None) when the arrows form a bisection, else (False, witness)
-    for the first pair, in ascending order, sharing a domain or range fiber."""
-    members = sorted(arrows)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if sg.d[a] == sg.d[b]:
-                return False, ("domain-fiber", a, b)
-            if sg.r[a] == sg.r[b]:
-                return False, ("range-fiber", a, b)
-    return True, None
+    clash = fiber_clash(sg, basic_open(s, sg).members | basic_open(t, sg).members)
+    return clash is None, clash
 
 
 def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = None,
@@ -237,14 +228,12 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     for s in range(n):
         for t in range(n):
             law.tick()
-            flag, witness = _fiber_clash(sg, opens[s].members | opens[t].members)
-            if flag != (monoid.join(s, t) is not None):
+            witness = fiber_clash(sg, opens[s].members | opens[t].members)
+            if (witness is None) != (monoid.join(s, t) is not None):
                 law.fail((s, t, witness))
 
     law = report.new("surjective-on-bisections")
-    all_masks = {mask_of(b) for b in
-                 (bis.members for bis in enumerate_bisections(
-                     sg, limits=limits or monoid.limits))}
+    all_masks = {b.mask for b in enumerate_bisections(sg, limits=limits or monoid.limits)}
     law.tick(len(all_masks))
     uncovered = all_masks - set(masks.values())
     if uncovered:
@@ -298,10 +287,9 @@ def pullback_morphism(f: CoveringFunctor,
     if not report.ok:
         raise StructureError(f"pullback requires a covering functor: {report.witness}")
     src = f.source
-    mapping = tuple(
-        bm_source.index_of(Bisection(src, frozenset(
-            g for g in range(src.m) if f.arrow_map[g] in b.members)))
-        for b in bm_target.bisections)
+    mapping = tuple(bm_source.indices_of([
+        Bisection(src, frozenset(g for g in range(src.m) if f.arrow_map[g] in b.members))
+        for b in bm_target.bisections]))
     return MonoidMorphism(bm_target.monoid, bm_source.monoid, mapping)
 
 
@@ -346,41 +334,31 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
     laws = [("cardinality", 1)]
 
-    forward = tuple(bm.index_of(basic_open(s, sg)) for s in range(n))
+    forward = tuple(bm.indices_of([basic_open(s, sg) for s in range(n)]))
     if len(set(forward)) != n:
         raise StructureError("basic-open map is not injective")
-    backward = [0] * n
-    for s, i in enumerate(forward):
-        backward[i] = s
+    backward = np.argsort(forward).tolist()      # the inverse permutation
     laws.append(("bijective", n))
 
-    dual = bm.monoid
-    count = 0
-    for s in range(n):
-        for t in range(n):
-            if forward[int(monoid.mul[s, t])] != int(dual.mul[forward[s], forward[t]]):
-                raise StructureError(f"not multiplicative at ({s}, {t})")
-            count += 1
-    laws.append(("multiplicative", count))
-
-    for s in range(n):
-        if forward[monoid.inv[s]] != dual.inv[forward[s]]:
-            raise StructureError(f"does not preserve inversion at {s}")
+    dual, fwd = bm.monoid, np.array(forward, dtype=np.int64)
+    raise_first_failure({"not multiplicative at ({}, {})":
+                         fwd[monoid.mul] != dual.mul[np.ix_(fwd, fwd)]})
+    laws.append(("multiplicative", n * n))
+    raise_first_failure({"does not preserve inversion at {}":
+                         fwd[list(monoid.inv)] != np.take(dual.inv, fwd)})
     laws.append(("inverse-preserving", n))
 
     if forward[monoid.zero] != dual.zero or forward[monoid.one] != dual.one:
         raise StructureError("does not preserve zero/one")
     laws.append(("zero-one", 2))
 
-    count = 0
     for s in range(n):
         for t in range(n):
             if forward[monoid.meet(s, t)] != dual.meet(forward[s], forward[t]):
                 raise StructureError(f"does not preserve meets at ({s}, {t})")
             if monoid.leq(s, t) != dual.leq(forward[s], forward[t]):
                 raise StructureError(f"does not preserve order at ({s}, {t})")
-            count += 1
-    laws.append(("meet-and-order", count))
+    laws.append(("meet-and-order", n * n))
 
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)
 
@@ -403,44 +381,32 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
     forward = tuple(sg.arrow_of(point_ultrafilter(bm, g)) for g in range(m))
     if len(set(forward)) != m:
         raise StructureError("point-ultrafilter map is not injective")
-    backward = [0] * m
-    for g, i in enumerate(forward):
-        backward[i] = g
+    backward = np.argsort(forward).tolist()      # the inverse permutation
     laws.append(("bijective", m))
 
-    for g in range(m):
-        if sg.d[forward[g]] != forward[groupoid.d[g]]:
-            raise StructureError(f"does not preserve dom at {g}")
-        if sg.r[forward[g]] != forward[groupoid.r[g]]:
-            raise StructureError(f"does not preserve ran at {g}")
-        if sg.inv[forward[g]] != forward[groupoid.inv[g]]:
-            raise StructureError(f"does not preserve inverse at {g}")
+    fwd = np.array(forward, dtype=np.int64)
+    raise_first_failure({
+        f"does not preserve {name} at {{}}": np.take(theirs, fwd) != fwd[list(mine)]
+        for name, mine, theirs in (("dom", groupoid.d, sg.d), ("ran", groupoid.r, sg.r),
+                                   ("inverse", groupoid.inv, sg.inv))})
     laws.append(("dom-ran-inverse", 3 * m))
 
-    count = 0
-    for g in range(m):
-        for h in range(m):
-            lhs = groupoid.compose_maybe(g, h)
-            rhs = sg.compose_maybe(forward[g], forward[h])
-            if (lhs is None) != (rhs is None):
-                raise StructureError(f"composability differs at ({g}, {h})")
-            if lhs is not None and forward[lhs] != rhs:
-                raise StructureError(f"does not preserve composition at ({g}, {h})")
-            count += 1
-    laws.append(("composition", count))
+    lhs, rhs = groupoid.compose, sg.compose[np.ix_(fwd, fwd)]
+    raise_first_failure({"composability differs at ({}, {})": (lhs < 0) != (rhs < 0),
+                         "does not preserve composition at ({}, {})":
+                             (lhs >= 0) & (fwd[np.where(lhs >= 0, lhs, 0)] != rhs)})
+    laws.append(("composition", m * m))
 
     if set(forward[e] for e in groupoid.identities) != set(sg.identities):
         raise StructureError("does not preserve identities")
     laws.append(("identities", len(groupoid.identities)))
 
     # each bisection U maps onto the basic open set of U's monoid element
-    count = 0
     for i, u in enumerate(bm.bisections):
         image = frozenset(forward[g] for g in u.members)
         if image != basic_open(i, sg).members:
             raise StructureError(f"image of bisection {i} is not its basic open set")
-        count += 1
-    laws.append(("bisection-transport", count))
+    laws.append(("bisection-transport", len(bm.bisections)))
 
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)
 
@@ -496,30 +462,19 @@ class WeakPullbackReport:
 
 
 def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
-    src = theta.source
     idem_failures = []
     flagged = []
     for u in enumerate_ultrafilters(theta.target):
-        pre = theta.preimage_mask(u)
-        if u.is_idempotent_filter:
-            ok = False
-            if pre:
-                try:
-                    f = Filter(src, pre)
-                    ok = f.is_ultrafilter() and f.is_idempotent_filter
-                except StructureError:
-                    ok = False
-            if not ok:
-                idem_failures.append(sorted(iter_bits(u.members)))
-        else:
-            if pre == 0:
-                kind = "empty"
-            else:
-                try:
-                    f = Filter(src, pre)
-                    kind = "ultrafilter" if f.is_ultrafilter() else "filter-not-ultra"
-                except StructureError:
-                    kind = "not-a-filter"
-            if kind != "ultrafilter":
-                flagged.append((sorted(iter_bits(u.members)), kind))
+        pre, kind, idempotent = theta.preimage_mask(u), "empty", False
+        if pre:
+            try:
+                f = Filter(theta.source, pre)
+                kind = "ultrafilter" if f.is_ultrafilter() else "filter-not-ultra"
+                idempotent = f.is_idempotent_filter
+            except StructureError:
+                kind = "not-a-filter"
+        if u.is_idempotent_filter and not (kind == "ultrafilter" and idempotent):
+            idem_failures.append(sorted(iter_bits(u.members)))
+        elif not u.is_idempotent_filter and kind != "ultrafilter":
+            flagged.append((sorted(iter_bits(u.members)), kind))
     return WeakPullbackReport(not idem_failures, idem_failures, flagged)

@@ -13,6 +13,8 @@ for the law suites that cross-check it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
 from .inverse_core import InverseMonoid, iter_bits, mask_of, popcount
@@ -204,23 +206,27 @@ class StoneGroupoid(FiniteGroupoid):
     def __init__(self, monoid: InverseMonoid, ultrafilters: list[Filter]):
         self.monoid = monoid
         self.ultrafilters = ultrafilters
-        self._arrow = {f.generator: i for i, f in enumerate(ultrafilters)}
         atoms = [f.generator for f in ultrafilters]
+        self._arrow = np.full(monoid.n, -1, dtype=np.int64)     # atom s -> arrow up(s)
+        self._arrow[atoms] = np.arange(len(atoms))
         d = [self._arrow_at(monoid.dom(a)) for a in atoms]
         r = [self._arrow_at(monoid.ran(a)) for a in atoms]
-        compose = {(i, j): self._arrow_at(monoid.product(a, b))
-                   for i, a in enumerate(atoms)
-                   for j, b in enumerate(atoms) if d[i] == r[j]}
+        # up(a) up(b) = up(ab) where dom a = ran b: one gather of mul
+        products = monoid.mul[np.ix_(atoms, atoms)]
+        composable = np.equal.outer(d, r)
+        compose = np.where(composable, self._arrow[products], -1)
+        if (stray := composable & (compose < 0)).any():
+            self._arrow_at(int(products[tuple(np.argwhere(stray)[0])]))
         super().__init__(d, r, [self._arrow_at(monoid.inv[a]) for a in atoms], compose,
                          [i for i, a in enumerate(atoms) if monoid.is_idempotent(a)],
                          [monoid.label(a) + "^" for a in atoms])
 
     def _arrow_at(self, s: int) -> int:
         """The arrow up(s); s must be an atom."""
-        if s not in self._arrow:
+        if self._arrow[s] < 0:
             raise StructureError(f"{self.monoid.label(s)} is not an atom, "
                                  f"so its filter is not an arrow")
-        return self._arrow[s]
+        return int(self._arrow[s])
 
     def arrow_of(self, f: Filter) -> int:
         """The arrow that is the ultrafilter f (every finite filter is up of

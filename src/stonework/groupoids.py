@@ -1,11 +1,12 @@
 """Finite groupoids, bisections, and the inverse monoid of all bisections.
 
 A finite groupoid is a set of arrows ``0..m-1`` with total ``d``, ``r``
-and inverse maps and a partial composition table, defined exactly on the
-pairs with ``d(g) = r(h)``.  For finite carriers the topology is discrete,
-so every subset is compact open and the boolean-groupoid conditions reduce
-to finiteness; the certificate of that reduction lives in
-:meth:`FiniteGroupoid.discrete_certificate`.
+and inverse maps and a composition table, defined exactly on the pairs
+with ``d(g) = r(h)``.  The table is dense: ``compose[g, h]`` is the arrow
+``g h``, or -1 where the pair is not composable.  For finite carriers the
+topology is discrete, so every subset is compact open and the
+boolean-groupoid conditions reduce to finiteness; the certificate of that
+reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 
 A bisection is a subset hitting each identity at most once on the domain
 side and at most once on the range side.  The set of all bisections under
@@ -18,9 +19,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, StructureError
-from .inverse_core import InverseMonoid, as_indices, as_labels, mask_of
+from .inverse_core import InverseMonoid, as_indices, as_labels, mask_of, raise_first_failure
+
+MAX_ARROWS = DEFAULT_LIMITS.order_bound   # most arrows: the composition table is m x m
+
+
+def _undefined_table(m: int) -> np.ndarray:
+    """An m x m table with no pair composable; past MAX_ARROWS, refused unallocated."""
+    if m > MAX_ARROWS:
+        raise BoundError(f"groupoids are capped at {MAX_ARROWS} arrows, got {m}")
+    return np.full((m, m), -1, dtype=np.int64)
+
+
+def compose_table(triples, m: int) -> np.ndarray:
+    """The dense table of m arrows given as ``[g, h, k]`` triples, g h = k:
+    the stored form of composition.  A pair given twice is a StructureError."""
+    table = _undefined_table(m)
+    if not isinstance(triples, list) or any(not isinstance(t, list) or len(t) != 3
+                                            for t in triples):
+        raise StructureError("compose must be a list of [g, h, k] triples")
+    cells = np.array([as_indices(t, "compose") for t in triples], dtype=np.int64).reshape(-1, 3)
+    if cells.size and (cells.min() < 0 or cells.max() >= m):
+        raise StructureError(f"compose has an arrow index outside 0..{m - 1}")
+    table[cells[:, 0], cells[:, 1]] = cells[:, 2]
+    if np.count_nonzero(table >= 0) < len(cells):
+        pairs, counts = np.unique(cells[:, 0] * m + cells[:, 1], return_counts=True)
+        g, h = divmod(int(pairs[counts > 1][0]), m)
+        raise StructureError(f"compose gives the pair ({g}, {h}) twice")
+    return table
 
 
 class FiniteGroupoid:
@@ -31,58 +61,56 @@ class FiniteGroupoid:
         self.m = len(self.d)
         self.r = as_indices(r, "r")
         self.inv = as_indices(inv, "inv")
-        try:
-            triples = [as_indices((*key, k), "compose") for key, k in dict(compose).items()]
-        except (TypeError, ValueError):
-            raise StructureError("compose is not a map from arrow pairs to arrows") from None
-        if any(len(t) != 3 for t in triples):
-            raise StructureError("compose keys must be arrow pairs")
-        self.compose = {(g, h): k for g, h, k in triples}
+        table = np.asarray(compose)
+        if table.shape != (self.m, self.m) or table.dtype.kind not in "iu":
+            raise StructureError(f"compose must be an {self.m} x {self.m} table of arrows")
+        # compose is a view of a table with a row and a column of -1 appended,
+        # so that -1 (no arrow) used as an index reads -1 instead of wrapping
+        self._padded = np.full((self.m + 1, self.m + 1), -1, dtype=np.int64)
+        self._padded[:-1, :-1] = table
+        self._padded.setflags(write=False)
+        self.compose = self._padded[:-1, :-1]
         self.identities = tuple(sorted(as_indices(identities, "identities")))
         self.labels = as_labels(labels, self.m)
         self._validate()
 
     def _validate(self) -> None:
-        m, ids = self.m, set(self.identities)
+        """Each failure names the first failing arrow, pair or triple."""
+        m, table = self.m, self.compose
         if len(self.r) != m or len(self.inv) != m:
             raise StructureError("d/r/inv length mismatch")
-        # every index is range-checked before anything is looked up by it
-        for name, values in (("d", self.d), ("r", self.r), ("inv", self.inv),
-                             ("identities", self.identities),
-                             ("compose", [x for key, k in self.compose.items()
-                                          for x in (*key, k)])):
-            if any(not 0 <= x < m for x in values):
+        d, r, inv, ids = (np.array(x, dtype=np.int64)
+                          for x in (self.d, self.r, self.inv, self.identities))
+        # every index is range-checked before anything is looked up by it;
+        # compose may also hold -1, which numpy would read as m - 1
+        for name, values, low in (("d", d, 0), ("r", r, 0), ("inv", inv, 0),
+                                  ("identities", ids, 0), ("compose", table, -1)):
+            if values.size and (values.min() < low or values.max() >= m):
                 raise StructureError(f"{name} has an arrow index outside 0..{m - 1}")
+        arrows, is_identity = np.arange(m), np.zeros(m, dtype=bool)
+        is_identity[ids] = True
+        defined, composable = table >= 0, d[:, None] == r
+        k = np.where(defined, table, 0)
+        for checks in (
+                {"identity {} is listed twice": np.bincount(ids, minlength=m) > 1},
+                {"dom/ran of {} is not an identity": ~(is_identity[d] & is_identity[r])},
+                {"identity {} has displaced dom/ran":
+                    is_identity & ((d != arrows) | (r != arrows))},
+                {"composition defined on non-composable ({}, {})": defined & ~composable,
+                 "composite ({}, {}) has wrong dom/ran":
+                    defined & ((d[k] != d) | (r[k] != r[:, None]))},
+                {"composable pair ({}, {}) left undefined": composable & ~defined},
+                {"inverse not involutive at {}": inv[inv] != arrows,
+                 "g g^-1 != ran(g) at {}": table[arrows, inv] != r,
+                 "g^-1 g != dom(g) at {}": table[inv, arrows] != d,
+                 "identities do not act neutrally at {}":
+                    (table[r, arrows] != arrows) | (table[arrows, d] != arrows)}):
+            raise_first_failure(checks)
+        # (g h) k == g (h k); both sides read -1 wherever a pair is undefined
+        padded = self._padded
         for g in range(m):
-            if not (self.d[g] in ids and self.r[g] in ids):
-                raise StructureError(f"dom/ran of {g} is not an identity")
-        for e in ids:
-            if not (self.d[e] == e and self.r[e] == e):
-                raise StructureError(f"identity {e} has displaced dom/ran")
-        for (g, h), k in self.compose.items():
-            if self.d[g] != self.r[h]:
-                raise StructureError(f"composition defined on non-composable ({g}, {h})")
-            if self.d[k] != self.d[h] or self.r[k] != self.r[g]:
-                raise StructureError(f"composite ({g}, {h}) has wrong dom/ran")
-        for g in range(m):
-            for h in range(m):
-                if self.d[g] == self.r[h] and (g, h) not in self.compose:
-                    raise StructureError(f"composable pair ({g}, {h}) left undefined")
-        for g in range(m):
-            if self.inv[self.inv[g]] != g:
-                raise StructureError(f"inverse not involutive at {g}")
-            if self.compose.get((g, self.inv[g])) != self.r[g]:
-                raise StructureError(f"g g^-1 != ran(g) at {g}")
-            if self.compose.get((self.inv[g], g)) != self.d[g]:
-                raise StructureError(f"g^-1 g != dom(g) at {g}")
-            if self.compose[(self.r[g], g)] != g or self.compose[(g, self.d[g])] != g:
-                raise StructureError(f"identities do not act neutrally at {g}")
-        for (g, h) in self.compose:
-            gh = self.compose[(g, h)]
-            for k in range(self.m):
-                if (h, k) in self.compose:
-                    if self.compose[(gh, k)] != self.compose[(g, self.compose[(h, k)])]:
-                        raise StructureError(f"associativity fails at ({g}, {h}, {k})")
+            raise_first_failure({f"associativity fails at ({g}, {{}}, {{}})":
+                                 padded[table[g], :m] != padded[g, table]})
 
     def __len__(self) -> int:
         return self.m
@@ -94,7 +122,8 @@ class FiniteGroupoid:
         return self.labels[g] if self.labels else str(g)
 
     def compose_maybe(self, g: int, h: int):
-        return self.compose.get((g, h))
+        k = self.compose.item(g, h)
+        return None if k < 0 else k
 
     def star(self, e: int) -> tuple[int, ...]:
         """Arrows with domain e."""
@@ -122,24 +151,21 @@ def pair_groupoid(points: int) -> FiniteGroupoid:
     if points < 1:
         raise BoundError("pair groupoid needs at least one point")
     idx = lambda i, j: i * points + j
-    m = points * points
-    d = [idx(j, j) for i in range(points) for j in range(points)]
-    r = [idx(i, i) for i in range(points) for j in range(points)]
-    inv = [idx(j, i) for i in range(points) for j in range(points)]
-    compose = {}
-    for i in range(points):
-        for j in range(points):
-            for k in range(points):
-                compose[(idx(i, j), idx(j, k))] = idx(i, k)
-    labels = [f"({i + 1},{j + 1})" for i in range(points) for j in range(points)]
-    return FiniteGroupoid(d, r, inv, compose, [idx(i, i) for i in range(points)], labels)
+    compose = _undefined_table(points * points)
+    i, j, k = np.indices((points, points, points))
+    compose[idx(i, j), idx(j, k)] = idx(i, k)
+    i, j = np.divmod(np.arange(points * points), points)     # arrow idx(i, j) is (i, j)
+    labels = [f"({a + 1},{b + 1})" for a, b in zip(i.tolist(), j.tolist())]
+    return FiniteGroupoid(idx(j, j), idx(i, i), idx(j, i), compose,
+                          [idx(e, e) for e in range(points)], labels)
 
 
 def group_groupoid(order: int) -> FiniteGroupoid:
     """A cyclic group of the given order as a one-object groupoid."""
     if order < 1:
         raise BoundError("group order must be positive")
-    compose = {(g, h): (g + h) % order for g in range(order) for h in range(order)}
+    compose = _undefined_table(order)
+    compose[:] = np.add.outer(np.arange(order), np.arange(order)) % order
     inv = [(-g) % order for g in range(order)]
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, order)]
     return FiniteGroupoid([0] * order, [0] * order, inv, compose, [0], labels)
@@ -147,18 +173,19 @@ def group_groupoid(order: int) -> FiniteGroupoid:
 
 def trivial_groupoid(points: int) -> FiniteGroupoid:
     """Identities only."""
-    compose = {(e, e): e for e in range(points)}
+    compose = _undefined_table(points)
     rng = list(range(points))
+    compose[rng, rng] = rng
     return FiniteGroupoid(rng, rng, rng, compose, rng, [f"e{i + 1}" for i in rng])
 
 
 def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
-    shift = a.m
-    d = list(a.d) + [x + shift for x in b.d]
-    r = list(a.r) + [x + shift for x in b.r]
-    inv = list(a.inv) + [x + shift for x in b.inv]
-    compose = dict(a.compose)
-    compose.update({(g + shift, h + shift): k + shift for (g, h), k in b.compose.items()})
+    shift = a.m                     # arrow g of b is arrow g + shift of the union
+    d, r, inv = (np.append(x, np.add(y, shift))
+                 for x, y in ((a.d, b.d), (a.r, b.r), (a.inv, b.inv)))
+    compose = _undefined_table(a.m + b.m)
+    compose[:shift, :shift] = a.compose
+    compose[shift:, shift:] = np.where(b.compose >= 0, b.compose + shift, -1)
     identities = list(a.identities) + [e + shift for e in b.identities]
     labels = None
     if a.labels and b.labels:
@@ -195,17 +222,23 @@ class Bisection:
         return Bisection(g, frozenset(g.inv[a] for a in self.members))
 
 
+def fiber_clash(groupoid: FiniteGroupoid, arrows) -> tuple | None:
+    """The first pair of arrows, in ascending order, sharing a domain or a
+    range fiber, as ("domain-fiber" or "range-fiber", a, b); None when the
+    arrows form a bisection."""
+    members = sorted(arrows)
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if groupoid.d[a] == groupoid.d[b]:
+                return "domain-fiber", a, b
+            if groupoid.r[a] == groupoid.r[b]:
+                return "range-fiber", a, b
+    return None
+
+
 def is_bisection_set(groupoid: FiniteGroupoid, members) -> bool:
     """Does the arrow set meet every domain and every range fiber at most once?"""
-    d, r = groupoid.d, groupoid.r
-    doms, rans = set(), set()
-    for a in members:
-        da, ra = d[a], r[a]
-        if da in doms or ra in rans:
-            return False
-        doms.add(da)
-        rans.add(ra)
-    return True
+    return fiber_clash(groupoid, members) is None
 
 
 def bisection_product(a: Bisection, b: Bisection) -> Bisection:
@@ -213,8 +246,8 @@ def bisection_product(a: Bisection, b: Bisection) -> Bisection:
     (validated by the Bisection constructor, not assumed)."""
     if a.groupoid is not b.groupoid:
         raise StructureError("bisection product needs a common carrier")
-    compose = a.groupoid.compose.get
-    out = {compose((x, y)) for x in a.members for y in b.members}
+    compose = a.groupoid.compose_maybe
+    out = {compose(x, y) for x in a.members for y in b.members}
     out.discard(None)
     return Bisection(a.groupoid, frozenset(out))
 
@@ -223,80 +256,97 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
                          limits: Limits = DEFAULT_LIMITS) -> list[Bisection]:
     """All bisections, ordered by member bitmask value.
 
-    Enumerates partial injections between identities together with an arrow
-    choice in each hom-fiber, which is equivalent to subset filtering but
-    never touches non-bisections.
+    Chooses, identity by identity, at most one arrow out of it into a range
+    not hit yet, which is equivalent to subset filtering but never touches
+    non-bisections.
     """
     if groupoid.m > limits.bisection_bound:
         raise BoundError(
             f"bisection monoid capped at {limits.bisection_bound} arrows; "
             "dualize the monoid side instead")
-    ids = groupoid.identities
-    hom: dict[tuple[int, int], list[int]] = {}
-    for g in range(groupoid.m):
-        hom.setdefault((groupoid.d[g], groupoid.r[g]), []).append(g)
-
-    found: list[frozenset] = []
-
-    def extend(i: int, used_ranges: set, chosen: list):
-        if i == len(ids):
-            found.append(frozenset(chosen))
-            return
-        e = ids[i]
-        extend(i + 1, used_ranges, chosen)  # e outside the domain
-        for f in ids:
-            if f in used_ranges:
-                continue
-            for arrow in hom.get((e, f), ()):
-                used_ranges.add(f)
-                chosen.append(arrow)
-                extend(i + 1, used_ranges, chosen)
-                chosen.pop()
-                used_ranges.remove(f)
-
-    extend(0, set(), [])
-    found.sort(key=mask_of)
-    return [Bisection(groupoid, s) for s in found]
+    chosen = [((), frozenset())]        # (arrows, the ranges they hit)
+    for e in groupoid.identities:       # leave e out of the domain, or add one arrow from e
+        chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
+                   for a in groupoid.star(e) if groupoid.r[a] not in hit]
+    return [Bisection(groupoid, frozenset(arrows))
+            for arrows in sorted((arrows for arrows, _ in chosen), key=mask_of)]
 
 
 @dataclass
 class BisectionMonoid:
-    """The inverse monoid of all bisections of a finite groupoid, plus the
-    index bookkeeping tying monoid elements back to arrow subsets."""
+    """The inverse monoid of all bisections of a finite groupoid: element i
+    is ``bisections[i]``, and ``codes[i]`` is its code (see _arrow_codes)."""
 
     groupoid: FiniteGroupoid
     bisections: list[Bisection]
     monoid: InverseMonoid
-    index: dict[int, int]  # member bitmask -> element index
+    codes: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.bisections)
 
-    def index_of(self, b: Bisection) -> int:
-        return self.index[b.mask]
+    def indices_of(self, bisections) -> list[int]:
+        """The elements that are the given Bisections of the groupoid."""
+        arrow_codes = _arrow_codes(self.groupoid)
+        wanted = np.array([arrow_codes[list(b)].sum() for b in bisections], dtype=np.int64)
+        found = _positions(self.codes, wanted)
+        if (found < 0).any():
+            raise StructureError("not a bisection of this groupoid")
+        return found.tolist()
+
+
+def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
+    """Entry a is arrow a's share of the code of an arrow set meeting each
+    domain fiber at most once: the digit a + 1, base m + 1, at the place of
+    its domain.  Exact while (m + 1)^identities fits in int64; -1 adds 0."""
+    base, places = groupoid.m + 1, len(groupoid.identities)
+    if base ** places > np.iinfo(np.int64).max:
+        raise BoundError(f"bisection codes of {groupoid.m} arrows on {places} "
+                         "identities overflow 64 bits")
+    place = np.searchsorted(groupoid.identities, groupoid.d)
+    return np.append((np.arange(groupoid.m) + 1) * base ** place, 0)
+
+
+def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each wanted code is in ``codes`` (which has no repeats), or -1."""
+    order = np.argsort(codes)
+    at = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(codes) - 1)]
+    return np.where(codes[at] == wanted, at, -1)
 
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
                           limits: Limits = DEFAULT_LIMITS) -> BisectionMonoid:
     """Materialize the boolean inverse monoid of all bisections.
 
-    Zero is the empty bisection, one is the identity set; the boolean
-    certificate is asserted, since for this construction it is a theorem.
+    Bisection b is held as its image array: b(e) is its arrow with domain e,
+    or -1.  The product a b at e is a(r(b(e))) b(e), so the whole table is
+    one gather through ``compose``; each product is looked up by its code,
+    and one that is not an enumerated bisection is a StructureError.  The
+    boolean certificate is asserted, since here it is a theorem.
     """
     bisections = enumerate_bisections(groupoid, limits=limits)
-    index = {b.mask: i for i, b in enumerate(bisections)}
-    n = len(bisections)
-    mul = [[0] * n for _ in range(n)]
-    for i, a in enumerate(bisections):
-        for j, b in enumerate(bisections):
-            mul[i][j] = index[bisection_product(a, b).mask]
-    inv = [index[b.inverse().mask] for b in bisections]
-    zero = index[0]
-    one = index[mask_of(groupoid.identities)]
+    arrow_codes = _arrow_codes(groupoid)
+    ids, k = groupoid.identities, len(groupoid.identities)
+    # place k of every image array holds -1, so that -1 (no arrow) indexes
+    # it, as it indexes the row and column of -1 around compose
+    images = np.full((len(bisections), k + 1), -1, dtype=np.int64)
+    domain_place = np.searchsorted(ids, groupoid.d)
+    for i, b in enumerate(bisections):
+        images[i, domain_place[list(b)]] = list(b)
+    range_place = np.append(np.searchsorted(ids, groupoid.r), k)
+    products = groupoid._padded[images[:, range_place[images]], images]
+    codes = arrow_codes[images].sum(axis=1)
+    mul = _positions(codes, arrow_codes[products].sum(axis=2))
+    if (mul < 0).any():
+        i, j = map(int, np.argwhere(mul < 0)[0])
+        raise StructureError(f"the product of bisections {i} and {j} is not a bisection")
+    inverses = np.append(groupoid.inv, -1)[images]      # the members' inverses
+    inv = _positions(codes, arrow_codes[inverses].sum(axis=1)).tolist()
+    zero, one = _positions(codes, np.array([0, arrow_codes[list(ids)].sum()])).tolist()
     labels = ["{" + ",".join(groupoid.label(a) for a in b) + "}" for b in bisections]
     monoid = InverseMonoid(mul, inv, zero, one, labels, limits=limits)
     monoid.require_boolean()
-    return BisectionMonoid(groupoid, bisections, monoid, index)
+    return BisectionMonoid(groupoid, bisections, monoid, codes)
 
 
 def point_ultrafilter(bm: BisectionMonoid, g: int):
@@ -336,9 +386,9 @@ class CoveringFunctor:
         for g in range(src.m):
             if tgt.d[f[g]] != f[src.d[g]] or tgt.r[f[g]] != f[src.r[g]]:
                 raise StructureError(f"dom/ran not preserved at {g}")
-        for (g, h), k in src.compose.items():
-            if tgt.compose_maybe(f[g], f[h]) != f[k]:
-                raise StructureError(f"composition not preserved at ({g}, {h})")
+        arrows, defined = np.array(f, dtype=np.int64), src.compose >= 0
+        raise_first_failure({"composition not preserved at ({}, {})": defined & (
+            tgt.compose[np.ix_(arrows, arrows)] != arrows[np.where(defined, src.compose, 0)])})
 
     def then(self, other: "CoveringFunctor") -> "CoveringFunctor":
         if other.source is not self.target:
@@ -365,34 +415,25 @@ def check_covering(f: CoveringFunctor) -> CoveringReport:
     lifting property verified directly as a cross-check."""
     src, tgt = f.source, f.target
     for e in src.identities:
-        star = src.star(e)
-        images = [f.arrow_map[g] for g in star]
-        if len(set(images)) != len(images):
-            seen: dict[int, int] = {}
-            for g, img in zip(star, images):
-                if img in seen:
-                    return CoveringReport(False, ("star-injectivity", e, seen[img], g))
-                seen[img] = g
-        target_star = set(tgt.star(f.arrow_map[e]))
-        missing = target_star - set(images)
-        if missing:
+        seen: dict[int, int] = {}          # image -> the first arrow sent there
+        for g in src.star(e):
+            if f.arrow_map[g] in seen:
+                return CoveringReport(False, ("star-injectivity", e, seen[f.arrow_map[g]], g))
+            seen[f.arrow_map[g]] = g
+        if missing := set(tgt.star(f.arrow_map[e])) - set(seen):
             return CoveringReport(False, ("star-surjectivity", e, min(missing)))
 
-    # lifting: every factorization of f(x) lifts to a factorization of x
+    # lifting: every factorization a b = f(x) in the target lifts to some
+    # u v = x with f(u) = a and f(v) = b
+    arrows = np.array(f.arrow_map, dtype=np.int64)
     for x in range(src.m):
-        fx = f.arrow_map[x]
-        for (a, b), k in tgt.compose.items():
-            if k != fx:
-                continue
-            lifts = [
-                (u, v)
-                for u in range(src.m)
-                for v in range(src.m)
-                if f.arrow_map[u] == a and f.arrow_map[v] == b
-                and src.compose_maybe(u, v) == x
-            ]
-            if not lifts:
-                return CoveringReport(False, ("lifting", x, a, b))
+        lifted = np.zeros((tgt.m, tgt.m), dtype=bool)
+        u, v = np.nonzero(src.compose == x)
+        lifted[arrows[u], arrows[v]] = True
+        unlifted = (tgt.compose == arrows[x]) & ~lifted
+        if unlifted.any():
+            a, b = map(int, np.argwhere(unlifted)[0])
+            return CoveringReport(False, ("lifting", x, a, b))
     return CoveringReport(True)
 
 

@@ -21,6 +21,7 @@ ascending index order) when one fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -70,6 +71,17 @@ def as_labels(labels, count: int):
             or not all(isinstance(x, str) for x in labels)):
         raise StructureError(f"labels must be a list of {count} strings")
     return tuple(labels)
+
+
+def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
+    """Raise a StructureError at the first failing position, in ascending
+    order, of same-shaped failure arrays, worded by the first check (a
+    template filled with the position) that fails there."""
+    bad = reduce(np.logical_or, checks.values())
+    if bad.any():
+        at = tuple(int(x) for x in np.argwhere(bad)[0])
+        raise StructureError(next(text.format(*at) for text, fails in checks.items()
+                                  if fails[at]))
 
 
 def bound_table(masks, by_mask: dict[int, int]) -> np.ndarray:
@@ -161,6 +173,10 @@ class InverseMonoid:
         self._certificate: BooleanCertificate | None = None
         self._complements: dict[int, int] | None = None
         self._validate()
+        # numpy read JSON true/false as 1/0: scanned last, so a rejected table skips it
+        for row in mul if isinstance(mul, list) else ():
+            if bool in map(type, row):
+                as_indices(row, "product table")
 
     # -- construction-time axiom checks ------------------------------------
 
@@ -176,17 +192,11 @@ class InverseMonoid:
         self._check_associativity()
 
         inv_arr = np.asarray(self.inv)
-        if not np.array_equal(inv_arr[inv_arr], rng):
-            s = int(np.nonzero(inv_arr[inv_arr] != rng)[0][0])
-            raise StructureError(f"inverse is not an involution at {s}")
+        raise_first_failure({"inverse is not an involution at {}": inv_arr[inv_arr] != rng})
         s_si = mul[rng, inv_arr]              # s * s^-1
         si_s = mul[inv_arr, rng]              # s^-1 * s
-        if not np.array_equal(mul[s_si, rng], rng):
-            s = int(np.nonzero(mul[s_si, rng] != rng)[0][0])
-            raise StructureError(f"s s^-1 s != s at {s}")
-        if not np.array_equal(mul[si_s, inv_arr], inv_arr):
-            s = int(np.nonzero(mul[si_s, inv_arr] != inv_arr)[0][0])
-            raise StructureError(f"s^-1 s s^-1 != s^-1 at {s}")
+        raise_first_failure({"s s^-1 s != s at {}": mul[s_si, rng] != rng})
+        raise_first_failure({"s^-1 s s^-1 != s^-1 at {}": mul[si_s, inv_arr] != inv_arr})
 
         # uniqueness of generalized inverses (with commuting idempotents this
         # is the inverse-semigroup characterization; both are verified).
@@ -214,8 +224,8 @@ class InverseMonoid:
         mul, n = self.mul, self.n
         distinct = np.zeros((n, n), dtype=bool)
         distinct[np.arange(n)[:, None], mul] = True
-        reached = np.zeros(n, dtype=bool)
-        passed: list[int] = []
+        reached = np.arange(n) == self.one    # one passes: _validate found it an identity
+        passed = [self.one]
         for g in np.argsort(-distinct.sum(axis=1), kind="stable").tolist():
             if reached[g]:
                 continue
@@ -538,15 +548,9 @@ def group_with_zero_monoid(order: int, *, limits: Limits = DEFAULT_LIMITS) -> In
     """Cyclic group of the given order with an adjoined absorbing zero."""
     if order < 1:
         raise BoundError("group order must be positive")
-    n = order + 1
-
-    def prod(s, t):
-        if s == 0 or t == 0:
-            return 0
-        return (s - 1 + t - 1) % order + 1
-
-    mul = [[prod(s, t) for t in range(n)] for s in range(n)]
-    inv = [0] + [(order - (s - 1)) % order + 1 for s in range(1, n)]
+    mul = np.zeros((order + 1, order + 1), dtype=np.int64)     # element s + 1 is g^s
+    mul[1:, 1:] = np.add.outer(np.arange(order), np.arange(order)) % order + 1
+    inv = [0] + [(order - (s - 1)) % order + 1 for s in range(1, order + 1)]
     labels = ["0", "1"] + [f"g{i}" if i > 1 else "g" for i in range(1, order)]
     return InverseMonoid(mul, inv, zero=0, one=1, labels=labels, limits=limits)
 
@@ -566,23 +570,14 @@ def chain_monoid(length: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMono
 
 
 def product_monoid(a: InverseMonoid, b: InverseMonoid) -> InverseMonoid:
-    """Direct product with componentwise operations; zero = (0,0), one = (1,1)."""
-    nb = b.n
-    n = a.n * nb
-
-    def pair(s):
-        return divmod(s, nb)
-
-    mul = [[0] * n for _ in range(n)]
-    for s in range(n):
-        sa, sb = pair(s)
-        for t in range(n):
-            ta, tb = pair(t)
-            mul[s][t] = int(a.mul[sa, ta]) * nb + int(b.mul[sb, tb])
-    inv = [a.inv[pair(s)[0]] * nb + b.inv[pair(s)[1]] for s in range(n)]
+    """Direct product with componentwise operations; element (s, t) is
+    s * |b| + t, zero = (0,0), one = (1,1)."""
+    nb, n = b.n, a.n * b.n
+    mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
+    inv = [a.inv[s // nb] * nb + b.inv[s % nb] for s in range(n)]
     labels = None
     if a.labels and b.labels:
-        labels = [f"({a.label(pair(s)[0])}|{b.label(pair(s)[1])})" for s in range(n)]
+        labels = [f"({a.label(s // nb)}|{b.label(s % nb)})" for s in range(n)]
     return InverseMonoid(mul, inv, zero=a.zero * nb + b.zero,
                          one=a.one * nb + b.one, labels=labels, limits=a.limits)
 

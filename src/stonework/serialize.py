@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS, Limits
 from .duality import MonoidMorphism
 from .errors import StructureError
-from .groupoids import CoveringFunctor, FiniteGroupoid, groupoid_to_dot
+from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
 from .inverse_core import InverseMonoid, as_indices
 
 
@@ -48,13 +50,14 @@ def monoid_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> InverseM
 
 
 def groupoid_to_json(groupoid: FiniteGroupoid) -> dict:
+    g, h = np.nonzero(groupoid.compose >= 0)          # the composable pairs, sorted
     return {
         "m": groupoid.m,
         "identities": list(groupoid.identities),
         "d": list(groupoid.d),
         "r": list(groupoid.r),
         "inv": list(groupoid.inv),
-        "compose": sorted([g, h, k] for (g, h), k in groupoid.compose.items()),
+        "compose": np.column_stack((g, h, groupoid.compose[g, h])).tolist(),
         "labels": list(groupoid.labels) if groupoid.labels else None,
     }
 
@@ -62,11 +65,9 @@ def groupoid_to_json(groupoid: FiniteGroupoid) -> dict:
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     m, d, r, inv, compose, identities = _fields(
         data, "m", "d", "r", "inv", "compose", "identities")
-    try:
-        compose = {(g, h): k for g, h, k in compose}
-    except (TypeError, ValueError):
-        raise StructureError("compose must be a list of [g, h, k] triples") from None
-    groupoid = FiniteGroupoid(d, r, inv, compose, identities, data.get("labels"))
+    d = as_indices(d, "d")
+    groupoid = FiniteGroupoid(d, r, inv, compose_table(compose, len(d)), identities,
+                              data.get("labels"))
     if groupoid.m != m:
         raise StructureError("declared size disagrees with the tables")
     return groupoid

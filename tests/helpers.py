@@ -43,6 +43,48 @@ def first_associativity_failure(mul, rows=None):
     return None
 
 
+def first_groupoid_failure(d, r, inv, compose, identities):
+    """Reference groupoid validation: the Python loops over a dict of
+    composable pairs ``{(g, h): k}`` that ``FiniteGroupoid`` ran before its
+    table became dense.  Returns the message of the first failure, or None."""
+    m, ids = len(d), set(identities)
+    if len(r) != m or len(inv) != m:
+        return "d/r/inv length mismatch"
+    for name, values in (("d", d), ("r", r), ("inv", inv), ("identities", identities),
+                         ("compose", [x for key, k in compose.items() for x in (*key, k)])):
+        if any(not 0 <= x < m for x in values):
+            return f"{name} has an arrow index outside 0..{m - 1}"
+    for g in range(m):
+        if not (d[g] in ids and r[g] in ids):
+            return f"dom/ran of {g} is not an identity"
+    for e in sorted(ids):
+        if not (d[e] == e and r[e] == e):
+            return f"identity {e} has displaced dom/ran"
+    for (g, h), k in compose.items():
+        if d[g] != r[h]:
+            return f"composition defined on non-composable ({g}, {h})"
+        if d[k] != d[h] or r[k] != r[g]:
+            return f"composite ({g}, {h}) has wrong dom/ran"
+    for g in range(m):
+        for h in range(m):
+            if d[g] == r[h] and (g, h) not in compose:
+                return f"composable pair ({g}, {h}) left undefined"
+    for g in range(m):
+        if inv[inv[g]] != g:
+            return f"inverse not involutive at {g}"
+        if compose.get((g, inv[g])) != r[g]:
+            return f"g g^-1 != ran(g) at {g}"
+        if compose.get((inv[g], g)) != d[g]:
+            return f"g^-1 g != dom(g) at {g}"
+        if compose[(r[g], g)] != g or compose[(g, d[g])] != g:
+            return f"identities do not act neutrally at {g}"
+    for (g, h), gh in compose.items():
+        for k in range(m):
+            if (h, k) in compose and compose[(gh, k)] != compose[(g, compose[(h, k)])]:
+                return f"associativity fails at ({g}, {h}, {k})"
+    return None
+
+
 def relabelled(payload, seed):
     """The same monoid with its indices permuted by a seeded shuffle."""
     n = payload["n"]

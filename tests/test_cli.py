@@ -3,18 +3,21 @@
 import argparse
 import ast
 import dataclasses
+import importlib
 import json
 import re
+import runpy
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from helpers import relabelled
 
-from stonework import StructureError, boolean_algebra_monoid
+from stonework import BoundError, StructureError, boolean_algebra_monoid
 from stonework.cli import main, make_parser
 from stonework.config import Limits
 from stonework.duality import identity_morphism
-from stonework.groupoids import identity_functor, pair_groupoid
+from stonework.groupoids import MAX_ARROWS, identity_functor, pair_groupoid
 from stonework.serialize import (
     entry_to_json,
     functor_to_json,
@@ -297,6 +300,9 @@ GROUPOID_CORRUPTIONS = {
     "inv-not-composable": lambda data: data["inv"].__setitem__(
         *[next(g for g in range(data["m"]) if data["d"][g] != data["r"][g])] * 2),
     "labels-not-a-list": lambda data: data.__setitem__("labels", 0),
+    "identity-twice": lambda data: data["identities"].append(data["identities"][0]),
+    "compose-pair-twice": lambda data: data["compose"].insert(
+        0, [*data["compose"][0][:2], (data["compose"][0][2] + 1) % data["m"]]),
 }
 
 MONOID_CORRUPTIONS = {
@@ -312,6 +318,7 @@ MONOID_CORRUPTIONS = {
     "missing-key-mul": lambda data: data.pop("mul"),
     "labels-not-a-list": lambda data: data.__setitem__("labels", 0),
     "label-not-a-string": lambda data: data["labels"].__setitem__(2, 5),
+    "bool-cell-mul": lambda data: data["mul"][1].__setitem__(data["one"], True),  # was 1
 }
 
 
@@ -341,6 +348,40 @@ def test_corrupted_monoid_entry_exits_2(tmp_path, capsys, how):
     code, out, err = run(capsys, "check", "bad", "--laws", "bm", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_groupoid_over_the_arrow_cap_is_refused_before_allocating(tmp_path, capsys):
+    # a valid trivial groupoid, one arrow too many for its m x m table
+    m = MAX_ARROWS + 1
+    arrows = list(range(m))
+    save_entry(tmp_path, "huge", "groupoid", {
+        "m": m, "identities": arrows, "d": arrows, "r": arrows, "inv": arrows,
+        "compose": [[e, e, e] for e in arrows], "labels": None})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundError, match="capped"):
+            load_entry("huge", tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 // 10          # the int64 table would take m * m * 8 bytes
+    code, out, err = run(capsys, "check", "huge", "--laws", "point-filters",
+                         "--store", str(tmp_path))
+    assert code == 2 and out == "" and "capped" in err
+
+
+def test_tracer_hooks_resolve():
+    # perfbench/tracer.py wraps these names at run time; a refactor that drops
+    # one would break traced benchmark runs without failing anything else
+    tracer = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    module = lambda name: importlib.import_module(f"stonework.{name}")
+    missing = [(name, attr) for name, attr, *_ in
+               tracer["SPAN_FUNCTIONS"] + tracer["HOT_FUNCTIONS"]
+               if not hasattr(module(name), attr)]
+    missing += [(name, cls, method) for name, cls, method, *_ in tracer["SPAN_METHODS"]
+                if method not in vars(getattr(module(name), cls, object))]
+    assert tracer["SPAN_FUNCTIONS"] and tracer["HOT_FUNCTIONS"] and tracer["SPAN_METHODS"]
+    assert missing == []
 
 
 def valid_entry(kind):

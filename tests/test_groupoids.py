@@ -1,11 +1,21 @@
 """Groupoid structure, bisection enumeration, A(G), point filters, coverings."""
 
+import numpy as np
 import pytest
+from helpers import first_groupoid_failure
 
-from stonework import BoundError, Limits, StructureError, symmetric_inverse_monoid
+from stonework import (
+    BoundError,
+    Limits,
+    StructureError,
+    clifford_monoid,
+    groupoids,
+    symmetric_inverse_monoid,
+)
 from stonework.groupoids import (
     Bisection,
     CoveringFunctor,
+    FiniteGroupoid,
     all_bisections_monoid,
     bisection_product,
     check_covering,
@@ -20,7 +30,7 @@ from stonework.groupoids import (
     trivial_groupoid,
 )
 from stonework.duality import pullback_morphism
-from stonework.filters import enumerate_ultrafilters
+from stonework.filters import enumerate_ultrafilters, ultrafilter_groupoid
 from stonework.inverse_core import iter_bits
 
 
@@ -89,8 +99,8 @@ def test_disjoint_union_counts():
 
 
 def test_validation_rejects_missing_composite(pair2):
-    compose = dict(pair2.compose)
-    del compose[(arrow(pair2, 1, 2), arrow(pair2, 2, 1))]
+    compose = pair2.compose.copy()
+    compose[arrow(pair2, 1, 2), arrow(pair2, 2, 1)] = -1
     with pytest.raises(StructureError):
         type(pair2)(pair2.d, pair2.r, pair2.inv, compose, pair2.identities)
 
@@ -101,6 +111,35 @@ def test_validation_rejects_bad_inverse(pair2):
     inv[a] = b
     with pytest.raises(StructureError):
         type(pair2)(pair2.d, pair2.r, inv, pair2.compose, pair2.identities)
+
+
+@pytest.mark.parametrize("groupoid", [pair_groupoid(3),
+                                      disjoint_union(group_groupoid(2), group_groupoid(3))],
+                         ids=["pair3", "z2+z3"])
+def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid):
+    # every cell of the table, set to each other arrow and to -1 (undefined)
+    m, checked = groupoid.m, 0
+    for (g, h), value in np.ndenumerate(groupoid.compose):
+        for wrong in set(range(-1, m)) - {int(value)}:
+            table = groupoid.compose.copy()
+            table[g, h] = wrong
+            pairs = {(x, y): int(k) for (x, y), k in np.ndenumerate(table) if k >= 0}
+            expected = first_groupoid_failure(groupoid.d, groupoid.r, groupoid.inv, pairs,
+                                              groupoid.identities)
+            try:
+                FiniteGroupoid(groupoid.d, groupoid.r, groupoid.inv, table, groupoid.identities)
+                message = None
+            except StructureError as err:
+                message = str(err)
+            assert message == expected, (g, h, wrong)
+            checked += expected is not None
+    assert checked > 0
+
+
+def test_compose_must_be_a_square_integer_table(pair2):
+    for table in (pair2.compose[:, :3], pair2.compose.astype(float), {(0, 0): 0}):
+        with pytest.raises(StructureError, match="compose must be"):
+            FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 
 def test_discrete_certificate(pair2):
@@ -195,11 +234,55 @@ def test_monoid_order_is_inclusion(bm_pair2):
 def test_monoid_meet_is_intersection_join_is_union(bm_pair2):
     s = bm_pair2.monoid
     masks = [b.mask for b in bm_pair2.bisections]
+    index = {mask: i for i, mask in enumerate(masks)}
     for i in range(s.n):
         for j in range(s.n):
-            assert s.meet(i, j) == bm_pair2.index.get(masks[i] & masks[j])
+            assert s.meet(i, j) == index.get(masks[i] & masks[j])
             if s.orthogonal(i, j):
-                assert s.join(i, j) == bm_pair2.index.get(masks[i] | masks[j])
+                assert s.join(i, j) == index.get(masks[i] | masks[j])
+
+
+BISECTION_CASES = {
+    "pair3": lambda: (pair_groupoid(3), Limits()),
+    "z2+z3": lambda: (disjoint_union(group_groupoid(2), group_groupoid(3)), Limits()),
+    "z4+z5+z7": lambda: (disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)),
+                                        group_groupoid(7)), Limits()),
+    "ix3-dual": lambda: (ultrafilter_groupoid(symmetric_inverse_monoid(3)), Limits()),
+    "clifford-dual": lambda: (ultrafilter_groupoid(clifford_monoid()), Limits()),
+    "z100": lambda: (group_groupoid(100), Limits(bisection_bound=100)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_CASES))
+def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
+    groupoid, limits = BISECTION_CASES[name]()
+    calls = {"bisection_product": 0, "is_bisection_set": 0}
+
+    def counted(func):
+        def wrapper(*args):
+            calls[func.__name__] += 1
+            return func(*args)
+        return wrapper
+
+    for func in (bisection_product, is_bisection_set):
+        monkeypatch.setattr(groupoids, func.__name__, counted(func))
+    bm = all_bisections_monoid(groupoid, limits=limits)
+    # no literal product, and the one bisection test runs only at enumeration
+    assert calls == {"bisection_product": 0, "is_bisection_set": len(bm)}
+    monkeypatch.undo()
+    members = [b.members for b in bm.bisections]
+    literal = [[members.index(bisection_product(a, b).members) for b in bm.bisections]
+               for a in bm.bisections]
+    assert bm.monoid.mul.tolist() == literal
+    assert list(bm.monoid.inv) == [members.index(b.inverse().members) for b in bm.bisections]
+    assert members[bm.monoid.zero] == frozenset()
+    assert members[bm.monoid.one] == frozenset(groupoid.identities)
+
+
+def test_bisection_codes_that_overflow_64_bits_are_refused():
+    # 17^16 codes: every bisection code of 16 arrows on 16 identities
+    with pytest.raises(BoundError, match="overflow"):
+        all_bisections_monoid(trivial_groupoid(16))
 
 
 def test_group_bisection_monoid():
