@@ -314,27 +314,34 @@ def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(codes[at] == wanted, at, -1)
 
 
+def image_products(groupoid: FiniteGroupoid, bisections) -> tuple[np.ndarray, np.ndarray]:
+    """The image arrays of the bisections and of their pairwise products:
+    at place p, the arrow whose domain is identity p, or -1 (a last place
+    holds -1, which -1 as a place indexes, as around compose).  The product
+    of a and b is a(r(b(e))) b(e) at each e, one gather; that it meets each
+    range fiber at most once is left to the caller."""
+    ids = groupoid.identities
+    images = np.full((len(bisections), len(ids) + 1), -1, dtype=np.int32)
+    domain_place = np.searchsorted(ids, groupoid.d)
+    for i, b in enumerate(bisections):
+        images[i, domain_place[list(b)]] = list(b)
+    range_place = np.append(np.searchsorted(ids, groupoid.r), len(ids))
+    return images, groupoid._padded[images[:, range_place[images]], images]
+
+
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
                           limits: Limits = DEFAULT_LIMITS) -> BisectionMonoid:
     """Materialize the boolean inverse monoid of all bisections.
 
-    Bisection b is held as its image array: b(e) is its arrow with domain e,
-    or -1.  The product a b at e is a(r(b(e))) b(e), so the whole table is
-    one gather through ``compose``; each product is looked up by its code,
-    and one that is not an enumerated bisection is a StructureError.  The
-    boolean certificate is asserted, since here it is a theorem.
+    Bisection b is held as its image array (see :func:`image_products`), so
+    the whole table is one gather through ``compose``; each product is
+    looked up by its code, and one that is not an enumerated bisection is a
+    StructureError.  The boolean certificate is asserted, since here it is
+    a theorem.
     """
     bisections = enumerate_bisections(groupoid, limits=limits)
     arrow_codes = _arrow_codes(groupoid)
-    ids, k = groupoid.identities, len(groupoid.identities)
-    # place k of every image array holds -1, so that -1 (no arrow) indexes
-    # it, as it indexes the row and column of -1 around compose
-    images = np.full((len(bisections), k + 1), -1, dtype=np.int64)
-    domain_place = np.searchsorted(ids, groupoid.d)
-    for i, b in enumerate(bisections):
-        images[i, domain_place[list(b)]] = list(b)
-    range_place = np.append(np.searchsorted(ids, groupoid.r), k)
-    products = groupoid._padded[images[:, range_place[images]], images]
+    images, products = image_products(groupoid, bisections)
     codes = arrow_codes[images].sum(axis=1)
     mul = _positions(codes, arrow_codes[products].sum(axis=2))
     if (mul < 0).any():
@@ -342,7 +349,8 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
         raise StructureError(f"the product of bisections {i} and {j} is not a bisection")
     inverses = np.append(groupoid.inv, -1)[images]      # the members' inverses
     inv = _positions(codes, arrow_codes[inverses].sum(axis=1)).tolist()
-    zero, one = _positions(codes, np.array([0, arrow_codes[list(ids)].sum()])).tolist()
+    unit = arrow_codes[list(groupoid.identities)].sum()     # the code of every identity
+    zero, one = _positions(codes, np.array([0, unit])).tolist()
     labels = ["{" + ",".join(groupoid.label(a) for a in b) + "}" for b in bisections]
     monoid = InverseMonoid(mul, inv, zero, one, labels, limits=limits)
     monoid.require_boolean()

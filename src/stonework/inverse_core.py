@@ -62,6 +62,14 @@ def as_indices(values, what: str) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
+def as_table(rows) -> np.ndarray:
+    """The rows as a numpy array; ragged rows are a StructureError."""
+    try:
+        return np.asarray(rows)
+    except ValueError:
+        raise StructureError("product table rows are ragged") from None
+
+
 def as_labels(labels, count: int):
     """The labels as a tuple of ``count`` strings, or None when absent;
     anything else is a StructureError."""
@@ -93,9 +101,15 @@ def bound_table(masks, by_mask: dict[int, int]) -> np.ndarray:
                     dtype=np.int64)
 
 
+def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Entry [i, j] says whether boolean row i of ``rows`` lies inside row j
+    of ``others``: an exact float32 product counts the misses (< 2^24)."""
+    return (rows.astype(np.float32) @ (~others).T.astype(np.float32)) == 0
+
+
 @dataclass(frozen=True)
 class OrderData:
-    """The natural partial order, packed as up-set / down-set bitmasks."""
+    """The natural partial order: up-set / down-set bitmasks and a dense matrix."""
 
     up: tuple[int, ...]      # up[s] = bitmask of {t : s <= t}
     down: tuple[int, ...]    # down[t] = bitmask of {s : s <= t}
@@ -104,9 +118,7 @@ class OrderData:
     # antisymmetry makes down- and up-sets unique: mask -> its element
     by_down: dict[int, int] = field(compare=False, repr=False)
     by_up: dict[int, int] = field(compare=False, repr=False)
-
-    def leq(self, s: int, t: int) -> bool:
-        return (self.up[s] >> t) & 1 == 1
+    matrix: np.ndarray = field(compare=False, repr=False)     # read-only; [s, t]: s <= t
 
 
 @dataclass(frozen=True)
@@ -137,10 +149,7 @@ class InverseMonoid:
 
     def __init__(self, mul, inv, zero: int, one: int, labels=None, *,
                  limits: Limits = DEFAULT_LIMITS):
-        try:
-            table = np.asarray(mul)
-        except ValueError:
-            raise StructureError("product table rows are ragged") from None
+        table = as_table(mul)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError(f"product table must be square, got {table.shape}")
         n = table.shape[0]
@@ -300,6 +309,7 @@ class InverseMonoid:
         if np.any(closure & ~leq):
             raise StructureError("natural order is not transitive")
 
+        leq.setflags(write=False)
         up = tuple(mask_of(np.nonzero(leq[s])[0].tolist()) for s in range(n))
         down = tuple(mask_of(np.nonzero(leq[:, t])[0].tolist()) for t in range(n))
         bottom = (1 << self.zero)
@@ -307,10 +317,10 @@ class InverseMonoid:
                       if s != self.zero and down[s] == bottom | (1 << s))
         return OrderData(up=up, down=down, idempotents=tuple(idem), atoms=atoms,
                          by_down={mask: s for s, mask in enumerate(down)},
-                         by_up={mask: s for s, mask in enumerate(up)})
+                         by_up={mask: s for s, mask in enumerate(up)}, matrix=leq)
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order().leq(s, t)
+        return self.order().matrix.item(s, t)
 
     def up_mask(self, s: int) -> int:
         return self.order().up[s]
@@ -321,13 +331,6 @@ class InverseMonoid:
     @property
     def atoms(self) -> tuple[int, ...]:
         return self.order().atoms
-
-    def upward_closure(self, mask: int) -> int:
-        up = self.order().up
-        out = 0
-        for s in iter_bits(mask):
-            out |= up[s]
-        return out
 
     # -- meets, joins, compatibility ------------------------------------------
 

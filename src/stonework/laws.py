@@ -6,16 +6,13 @@ and witnesses.  ``boolean_monoid_suite`` bundles the order/filter laws that
 any verified boolean inverse monoid must satisfy; the CLI exposes the same
 suites through ``check --laws``.
 
-A suite computes what its laws share once per call: the filter suites fill
-one table with the literal ``filter_product`` of every pair of filters, and
-the order suite reads meets off one dense table.  Each law still checks its
+A suite computes what its laws share once per call: both filter suites read
+one table of every literal filter product (``filter_products``), and the
+order suite reads meets off one dense table.  Each law still checks its
 own definition on every instance; none is replaced by the theorem it tests.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import and_
 
 import numpy as np
 
@@ -25,9 +22,10 @@ from .filters import (
     enumerate_ultrafilters,
     filter_dom,
     filter_product,
-    prime_property_check,
+    filter_products,
+    prime_property_holds,
 )
-from .inverse_core import InverseMonoid, bound_table, iter_bits, mask_of
+from .inverse_core import InverseMonoid, bound_table, inclusions, iter_bits
 from .reporting import LawReport
 
 
@@ -36,34 +34,26 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     meet exists with dom/ran splitting; joins split dom/ran; products
     distribute over existing meets."""
     report = LawReport("order-meet laws")
-    n = monoid.n
+    n, mul, inv, rng = monoid.n, monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
+    order = monoid.order()      # the bound tables hold -1 where a bound is absent
+    meet, join = bound_table(order.down, order.by_down), bound_table(order.up, order.by_up)
+    dom, ran, idempotent = mul[inv, rng], mul[rng, inv], mul[rng, rng] == rng
+
+    def fails_to_split(bound):
+        """[s, t]: dom or ran of the bound of s and t is not the bound of their doms or rans."""
+        return (dom[bound] != bound[np.ix_(dom, dom)]) | (ran[bound] != bound[np.ix_(ran, ran)])
 
     law = report.new("compatible-iff-meet-splits")
-    for s in range(n):
-        for t in range(n):
-            law.tick()
-            m = monoid.meet(s, t)
-            splits = (m is not None
-                      and monoid.dom(m) == monoid.meet(monoid.dom(s), monoid.dom(t))
-                      and monoid.ran(m) == monoid.meet(monoid.ran(s), monoid.ran(t)))
-            if splits != monoid.compatible(s, t):
-                law.fail((s, t))
+    law.tick(n * n)
+    splits = (meet >= 0) & ~fails_to_split(meet)
+    compatible = idempotent[mul[inv]] & idempotent[mul[:, inv]]
+    law.fail_where(splits != compatible)
 
     law = report.new("join-splits-dom-ran")
-    for s in range(n):
-        for t in range(n):
-            j = monoid.join(s, t)
-            if j is None:
-                continue
-            law.tick()
-            if (monoid.dom(j) != monoid.join(monoid.dom(s), monoid.dom(t))
-                    or monoid.ran(j) != monoid.join(monoid.ran(s), monoid.ran(t))):
-                law.fail((s, t))
+    law.tick(int(np.count_nonzero(join >= 0)))
+    law.fail_where((join >= 0) & fails_to_split(join))
 
     law = report.new("products-distribute-over-meets")
-    order = monoid.order()
-    meet = bound_table(order.down, order.by_down)     # -1 where the meet is absent
-    mul = monoid.mul
     for s in range(n):
         ts = np.flatnonzero(meet[s] >= 0)
         m = meet[s, ts]
@@ -152,19 +142,7 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     return report
 
 
-def _filter_product_table(filters) -> tuple[np.ndarray, np.ndarray]:
-    """The literal ``filter_product`` of every pair of ``all_filters``, as
-    positions: ``prod[i, j]`` is the position of ``filters[i] * filters[j]``
-    and ``inverse[i]`` that of ``filters[i].inverse()``.  Filter i is the
-    principal filter at element i, so a filter's position is its generator,
-    and ``filter_dom(filters[i])`` is ``filters[prod[inverse[i], i]]``."""
-    prod = np.array([[filter_product(a, b).generator for b in filters] for a in filters],
-                    dtype=np.int64)
-    inverse = np.array([f.inverse().generator for f in filters], dtype=np.int64)
-    return prod, inverse
-
-
-def filter_laws(monoid: InverseMonoid) -> LawReport:
+def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawReport:
     """The filter-level laws: base property, ultrafilter criteria agreement,
     coverage, cosets, product minimality, domain submonoids, idempotent
     filters, rigidity, and the prime property of ultrafilters."""
@@ -172,17 +150,18 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     report = LawReport("filter laws")
     filters = all_filters(monoid)
     ultra = enumerate_ultrafilters(monoid)
-    n = monoid.n
-    prod, inverse = _filter_product_table(filters)
-    dom = prod[inverse, np.arange(n)].tolist()
+    n, mul, inv, order = monoid.n, monoid.mul, np.asarray(monoid.inv), monoid.order()
+    leq = order.matrix
+    sets, prod, inverse = products or filter_products(monoid)
+    dom = prod[inverse, np.arange(n)]
 
     law = report.new("filter-base-pairwise")
     for f in filters:
-        for s in f:
-            for t in f:
-                law.tick()
-                if not any(monoid.leq(z, s) and monoid.leq(z, t) for z in f):
-                    law.fail((f.generator, s, t))
+        members = np.array(list(f))
+        law.tick(len(members) ** 2)
+        below = leq[np.ix_(members, members)].astype(np.float32)    # [z, s]: z <= s
+        for s, t in np.argwhere(below.T @ below == 0).tolist():     # no z below both
+            law.fail((f.generator, int(members[s]), int(members[t])))
 
     law = report.new("ultra-criteria-agree")
     for f in filters:
@@ -190,56 +169,39 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
         if f.is_ultrafilter() != f.is_ultrafilter_by_maximality():
             law.fail((f.generator,))
 
+    in_ultra = leq[[f.generator for f in ultra]]    # row k: the members of ultra[k]
+    nonzero = np.arange(n) != monoid.zero
     law = report.new("nonzero-in-some-ultrafilter")
-    for s in range(n):
-        if s == monoid.zero:
-            continue
-        law.tick()
-        if not any(s in f for f in ultra):
-            law.fail((s,))
+    law.tick(n - 1)
+    law.fail_where(nonzero & ~in_ultra.any(axis=0))
 
     law = report.new("ultrafilter-intersection-principal")
-    for a in range(n):
-        if a == monoid.zero:
-            continue
-        law.tick()
-        acc = None
-        for f in ultra:
-            if a in f:
-                acc = f.members if acc is None else acc & f.members
-        if acc != monoid.up_mask(a):
-            law.fail((a,))
+    law.tick(n - 1)
+    # [a, z]: every ultrafilter that holds a holds z
+    common = inclusions(in_ultra.T, in_ultra.T)
+    law.fail_where(nonzero & (common != leq).any(axis=1))
 
     law = report.new("filters-are-cosets")
-    for f in filters:
+    for i, f in enumerate(filters):
         law.tick()
-        pairs = f.element_product_mask(f.inverse())
-        triple = 0
-        for ab in iter_bits(pairs):
-            for c in f:
-                triple |= 1 << monoid.product(ab, c)
-        if triple != f.members:
+        # F = F F^-1 F, the set product with no closure
+        triple = np.zeros(n, dtype=bool)
+        triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), list(f))]] = True
+        if not np.array_equal(triple, leq[i]):
             law.fail((f.generator,))
 
     law = report.new("product-smallest-filter")
-    # holders[x]: the positions of the filters that contain x
-    holders = [mask_of(i for i, c in enumerate(filters) if x in c) for x in range(n)]
-
-    def containing(mask: int) -> int:
-        """The positions of the filters that contain every member of mask."""
-        return reduce(and_, (holders[x] for x in iter_bits(mask)), (1 << n) - 1)
-
-    containing_filter = [containing(c.members) for c in filters]
+    contains = inclusions(leq, leq)         # contains[x, c]: filter c contains up(x)
     for i, a in enumerate(filters):
-        for j, b in enumerate(filters):
-            law.tick()
-            prod_set = a.element_product_mask(b)
-            p = filters[prod[i, j]]
-            if prod_set & p.members != prod_set:
-                law.fail((a.generator, b.generator, "not containing"))
+        law.tick(n)
+        missing = (sets[i] & ~leq[prod[i]]).any(axis=1)
+        smaller = inclusions(sets[i], leq) & ~contains[prod[i]]
+        for j in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
+            if missing[j]:
+                law.fail((a.generator, j, "not containing"))
                 continue
-            for c in iter_bits(containing(prod_set) & ~containing_filter[p.generator]):
-                law.fail((a.generator, b.generator, filters[c].generator))
+            for c in np.flatnonzero(smaller[j]).tolist():
+                law.fail((a.generator, j, c))
 
     law = report.new("domain-inverse-submonoid")
     for i, f in enumerate(filters):
@@ -247,53 +209,49 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
         h = filters[dom[i]]
         if monoid.one not in h:
             law.fail((f.generator, "one"))
-        for x in h:
-            if monoid.inv[x] not in h:
+        members, inside = np.array(list(h)), leq[dom[i]]
+        closed = inside[mul[np.ix_(members, members)]]
+        for x, row, has_inverse in zip(members.tolist(), closed, inside[inv[members]]):
+            if not has_inverse:
                 law.fail((f.generator, x, "inverse"))
-            for y in h:
-                if monoid.product(x, y) not in h:
-                    law.fail((f.generator, x, y))
-        for a in f:
-            mask = mask_of(monoid.product(a, x) for x in h)
-            if monoid.upward_closure(mask) != f.members:
+            for y in members[~row].tolist():
+                law.fail((f.generator, x, y))
+        for a in f:                 # f is the upward closure of a h
+            if not np.array_equal(leq[mul[a, members]].any(axis=0), leq[i]):
                 law.fail((f.generator, a, "coset-form"))
 
     law = report.new("idempotent-filter-iff-closed")
-    for f in filters:
+    for i, f in enumerate(filters):
         law.tick()
-        closed = (all(monoid.product(x, y) in f for x in f for y in f)
-                  and all(monoid.inv[x] in f for x in f))
+        members = list(f)
+        closed = leq[i][mul[np.ix_(members, members)]].all() and leq[i][inv[members]].all()
         if f.is_idempotent_filter != closed:
             law.fail((f.generator,))
 
     law = report.new("filter-rigidity")
-    same_dom: dict[int, list] = {}
-    for i, b in enumerate(filters):
-        same_dom.setdefault(dom[i], []).append(b)
-    for i, a in enumerate(filters):
-        law.tick(n)
-        for b in same_dom[dom[i]]:
-            if a.members & b.members and a != b:
-                law.fail((a.generator, b.generator))
+    law.tick(n * n)
+    rows = leq.astype(np.float32)
+    law.fail_where((rows @ rows.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool))
 
     law = report.new("ultrafilters-prime")
-    for f in ultra:
+    prime = prime_property_holds(in_ultra, bound_table(order.up, order.by_up))
+    for f, holds in zip(ultra, prime):
         law.tick()
-        if not prime_property_check(f):
+        if not holds:
             law.fail((f.generator,))
     return report
 
 
-def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
+def filter_semigroup_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawReport:
     """The filters form an inverse semigroup under the closed product, whose
     idempotents are the idempotent filters and whose natural order is
-    reverse inclusion."""
+    reverse inclusion.  ``products``, when given, is ``filter_products``."""
     monoid.require_boolean()
     report = LawReport("filter semigroup laws")
     filters = all_filters(monoid)
     n = len(filters)
-    prod, inverse = _filter_product_table(filters)
-    rng = np.arange(n)
+    _, prod, inverse = products or filter_products(monoid)
+    leq, rng = monoid.order().matrix, np.arange(n)
 
     law = report.new("inverse-semigroup")
     law.tick(n)
@@ -301,8 +259,7 @@ def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
     candidates = (prod[prod, rng[:, None]] == rng[:, None]) & (prod[prod.T, rng] == rng)
     expected = np.zeros((n, n), dtype=bool)
     expected[rng, inverse] = True
-    for i in np.flatnonzero((candidates != expected).any(axis=1)).tolist():
-        law.fail((filters[i].generator,))
+    law.fail_where((candidates != expected).any(axis=1))
 
     law = report.new("idempotents-are-idempotent-filters")
     squares = prod[rng, rng] == rng
@@ -312,15 +269,11 @@ def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
             law.fail((f.generator,))
 
     law = report.new("order-is-reverse-inclusion")
+    law.tick(n * n)
     # algebraic[f, g]: f = g e for some idempotent e of the filter semigroup
     algebraic = np.zeros((n, n), dtype=bool)
     algebraic[prod[:, squares], rng[:, None]] = True
-    algebraic = algebraic.tolist()
-    for i, f in enumerate(filters):
-        for j, g in enumerate(filters):
-            law.tick()
-            if algebraic[i][j] != (g.members & f.members == g.members):
-                law.fail((f.generator, g.generator))
+    law.fail_where(algebraic != inclusions(leq, leq).T)
     return report
 
 
@@ -350,8 +303,9 @@ def boolean_monoid_suite(monoid: InverseMonoid) -> LawReport:
     report.extend(order_meet_laws(monoid))
     report.extend(local_complement_laws(monoid))
     report.extend(compatible_join_laws(monoid))
-    report.extend(filter_laws(monoid))
-    report.extend(filter_semigroup_laws(monoid))
+    products = filter_products(monoid)
+    report.extend(filter_laws(monoid, products))
+    report.extend(filter_semigroup_laws(monoid, products))
     report.extend(ultra_equivalence_laws(monoid))
     report.extend(verify_basic_open_laws(monoid))
     return report

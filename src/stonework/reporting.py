@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
@@ -32,6 +34,12 @@ class LawResult:
 
     def fail(self, witness) -> None:
         self.failures.append(witness)
+
+    def fail_where(self, bad) -> None:
+        """One failure per true entry of a boolean array, named by its index
+        tuple, in ascending order."""
+        for index in np.argwhere(bad).tolist():
+            self.fail(tuple(index))
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
-from .inverse_core import InverseMonoid, as_indices
+from .inverse_core import InverseMonoid, as_indices, as_table
 
 
 def _fields(data, *keys) -> list:
@@ -41,9 +41,13 @@ def monoid_to_json(monoid: InverseMonoid) -> dict:
     }
 
 
-def monoid_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def monoid_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS,
+                     bools: bool = True) -> InverseMonoid:
+    """``bools=False`` says the JSON text held no true or false: the table
+    then goes on as an array, which ``InverseMonoid`` does not scan."""
     n, mul, inv, zero, one = _fields(data, "n", "mul", "inv", "zero", "one")
-    monoid = InverseMonoid(mul, inv, zero, one, data.get("labels"), limits=limits)
+    monoid = InverseMonoid(mul if bools else as_table(mul), inv, zero, one,
+                           data.get("labels"), limits=limits)
     if monoid.n != n:
         raise StructureError("declared size disagrees with the table")
     return monoid
@@ -155,11 +159,14 @@ def load_entry(path_or_name, store: Path | None = None, *,
         path = Path(store) / f"{path_or_name}.json"
     if not path.exists():
         raise FileNotFoundError(path_or_name)
-    name, kind, payload = _fields(json.loads(path.read_text()), "name", "kind", "payload")
+    text = path.read_text()
+    bools = "true" in text or "false" in text
+    name, kind, payload = _fields(json.loads(text), "name", "kind", "payload")
+    del text                # not held while the tables are validated
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
     if kind == "monoid":
-        obj = monoid_from_json(payload, limits=limits)
+        obj = monoid_from_json(payload, limits=limits, bools=bools)
     elif kind == "groupoid":
         obj = groupoid_from_json(payload)
     elif kind == "morphism":

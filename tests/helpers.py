@@ -11,7 +11,7 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.duality import MonoidMorphism
-from stonework.inverse_core import partial_bijections
+from stonework.inverse_core import iter_bits, partial_bijections
 
 
 def corpus_monoids():
@@ -28,6 +28,26 @@ def corpus_monoids():
         "z3_zero": group_with_zero_monoid(3),
         "clifford": clifford_monoid(),
     }
+
+
+def element_product_mask(a, b):
+    """Reference set product of two filters: the bitmask of {x y : x in a,
+    y in b}, with no upward closure (the bit loop ``Filter`` ran before the
+    filter products became dense)."""
+    mul = a.monoid.mul
+    out = 0
+    for x in a:
+        for y in b:
+            out |= 1 << int(mul[x, y])
+    return out
+
+
+def upward_closure(monoid, mask):
+    """Reference upward closure: the union of the up-sets of a bitmask's members."""
+    out = 0
+    for s in iter_bits(mask):
+        out |= monoid.up_mask(s)
+    return out
 
 
 def first_associativity_failure(mul, rows=None):

@@ -166,7 +166,11 @@ FULL_SUITE_LAWS = (
     (("bool-algebra", "--atoms", "4"), "bool-algebra-16",
      (1, 256, 256, 4096, 16, 81, 175, 256, 625, 16, 15, 15, 16, 256, 16, 16, 256,
       4, 16, 16, 256, 16, 16, 1, 256, 16, 256, 256, 120, 256, 256, 16)),
-], ids=["ix3", "ba4"])
+    (("ix", "--size", "4"), "ix4",
+     (1, 43681, 5233, 9129329, 209, 1473, 42208, 5233, 66113, 209, 208, 208, 209, 43681, 209,
+      209, 43681, 16, 209, 209, 43681, 209, 209, 1, 43681, 209, 43681, 43681, 21736, 5233,
+      43681, 209)),
+], ids=["ix3", "ba4", "ix4"])
 def test_check_all_report_is_pinned(tmp_path, capsys, build_args, entry, counts):
     """Every law of ``check --laws all`` in order, with its instance count
     and (empty) failure list."""

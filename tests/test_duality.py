@@ -12,6 +12,8 @@ from helpers import (
 )
 from stonework import (
     MorphismError,
+    StructureError,
+    duality,
     boolean_algebra_monoid,
     clifford_monoid,
     group_with_zero_monoid,
@@ -162,6 +164,25 @@ def test_union_probe_agrees_with_the_union_law(factory, clashes, monkeypatch):
     monkeypatch.setattr(monoid, "join", lambda s, t: monoid.zero)
     law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
     assert law.failures == [(*pair, probe[pair][1]) for pair in pairs if not probe[pair][0]]
+
+
+def test_product_law_checks_each_product_is_a_bisection(ix2, sg_ix2, monkeypatch):
+    """The gathered products meet each domain fiber once by construction;
+    that they meet each range fiber at most once is still checked, with the
+    error a Bisection built from the product gives."""
+    real = duality.image_products
+    e0, e1 = sg_ix2.identities
+    swap = next(g for g in range(sg_ix2.m) if (sg_ix2.d[g], sg_ix2.r[g]) == (e1, e0))
+
+    def doubled(groupoid, bisections):
+        images, products = real(groupoid, bisections)
+        products = products.copy()
+        products[ix2.one, ix2.one, 1] = swap        # K(1)K(1) = {e0, swap}: one range twice
+        return images, products
+
+    monkeypatch.setattr(duality, "image_products", doubled)
+    with pytest.raises(StructureError, match="^subset is not a bisection$"):
+        verify_basic_open_laws(ix2, sg_ix2)
 
 
 # -- functors on morphisms --------------------------------------------------------------

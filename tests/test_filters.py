@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import corpus_monoids, relabelled
+from helpers import corpus_monoids, element_product_mask, relabelled, upward_closure
 
 from stonework import (
     NotBooleanError,
@@ -19,7 +19,9 @@ from stonework.filters import (
     enumerate_ultrafilters,
     filter_dom,
     filter_product,
+    filter_products,
     filter_ran,
+    least_members,
     prime_property_check,
     principal_filter,
     ultrafilter_groupoid,
@@ -165,7 +167,7 @@ def test_product_with_principal_one(ix2):
 def test_coset_equation_setwise(ix2):
     # F = F F^-1 F without any closure
     for f in all_filters(ix2):
-        lhs = f.element_product_mask(f.inverse())
+        lhs = element_product_mask(f, f.inverse())
         mask = 0
         mul = ix2.mul
         for ab in iter_bits(lhs):
@@ -191,7 +193,7 @@ def test_product_is_smallest_filter(ix2):
     # filter containing the product set contains the closure
     for a in all_filters(ix2):
         for b in all_filters(ix2):
-            prod_set = a.element_product_mask(b)
+            prod_set = element_product_mask(a, b)
             prod = filter_product(a, b)
             assert prod_set & prod.members == prod_set
             for c in all_filters(ix2):
@@ -210,7 +212,7 @@ def test_domain_is_inverse_submonoid(ix2):
         # f is recovered as the closure of a*H for any member a
         for a in f:
             mask = mask_of(ix2.product(a, x) for x in h)
-            assert ix2.upward_closure(mask) == f.members
+            assert upward_closure(ix2, mask) == f.members
 
 
 def test_idempotent_filter_iff_closed(ix2):
@@ -374,13 +376,50 @@ def test_atom_groupoid_agrees_with_filter_products(corpus, name, seed):
             compose[i, j] = arrow(prod)
             # explicit form: A*B = up(x y dom(B)) for every x in A, y in B
             dom_b = list(ultra[sg.d[j]])
-            for xy in iter_bits(a.element_product_mask(b)):
+            for xy in iter_bits(element_product_mask(a, b)):
                 formed = mask_of(monoid.product(xy, e) for e in dom_b)
-                assert monoid.upward_closure(formed) == prod.members
+                assert upward_closure(monoid, formed) == prod.members
     assert np.array_equal(compose, sg.compose)
 
     maximal = {f.members for f in all_filters(monoid) if f.is_ultrafilter_by_maximality()}
     assert {f.members for f in ultra} == maximal and len(ultra) == len(maximal)
+
+
+@pytest.mark.parametrize("name, seed", CROSS_CHECKED)
+def test_dense_table_is_the_literal_filter_product(corpus, name, seed):
+    """Every cell of filter_products against filter_product, and its set
+    products and closures against the reference bit loops."""
+    monoid = corpus[name]
+    if seed is not None:
+        monoid = monoid_from_json(relabelled(monoid_to_json(monoid), seed))
+    sets, prod, inverse = filter_products(monoid)
+    filters = all_filters(monoid)
+    assert inverse.tolist() == [f.inverse().generator for f in filters]
+    for i, a in enumerate(filters):
+        for j, b in enumerate(filters):
+            product = element_product_mask(a, b)
+            assert mask_of(np.flatnonzero(sets[i, j]).tolist()) == product
+            assert monoid.up_mask(prod[i, j]) == upward_closure(monoid, product)
+            assert prod[i, j] == filter_product(a, b).generator
+
+
+def test_a_set_without_a_least_member_has_no_filter_closure():
+    """Two atoms have no least member, so least_members refuses them, and
+    filter_products refuses a table in which 1 a = b for atoms a != b: the
+    set product up(1) up(a) is then up(a) with a replaced by b."""
+    monoid = symmetric_inverse_monoid(3)
+    monoid.require_boolean()        # the order and certificate of the sound table
+    a, b = monoid.atoms[:2]
+    pair = np.zeros(monoid.n, dtype=bool)
+    pair[[a, b]] = True
+    with pytest.raises(StructureError, match="not the up-set of one of its members"):
+        least_members(monoid, pair)
+    assert least_members(monoid, monoid.order().matrix[[a, b]]).tolist() == [a, b]
+    mul = monoid.mul.copy()
+    mul[monoid.one, a] = b
+    monoid.mul = mul
+    with pytest.raises(StructureError, match="not the up-set of one of its members"):
+        filter_products(monoid)
 
 
 def test_atom_groupoid_of_ix4(corpus):

@@ -1,7 +1,7 @@
-"""The law suites read shared tables: a product table filled from the
-definition under test, and a dense meet table.  These tests show that a
-wrong product or a wrong meet still surfaces, with the witnesses the
-per-instance loops give."""
+"""The law suites read shared tables: a table of every filter product,
+computed from the definition under test, and a dense meet table.  These
+tests show that a wrong product or a wrong meet still surfaces, with the
+witnesses the per-instance loops give."""
 
 import pytest
 
@@ -10,17 +10,20 @@ from stonework.filters import all_filters
 
 
 def test_law_suites_read_the_product_they_check(monkeypatch):
-    """A filter_product that is wrong on one pair, up(1) * up(1), must be
-    reported: the table is built from the product under test."""
+    """A product table that is wrong on one pair, up(1) * up(1), must be
+    reported: the suites read the table they are given."""
     monoid = symmetric_inverse_monoid(3)
     one = monoid.one
     improper = all_filters(monoid)[monoid.zero]
-    real = laws.filter_product
+    real = laws.filter_products
 
-    def wrong(a, b):
-        return improper if a.generator == b.generator == one else real(a, b)
+    def wrong(monoid):
+        sets, prod, inverse = real(monoid)
+        prod = prod.copy()
+        prod[one, one] = improper.generator
+        return sets, prod, inverse
 
-    monkeypatch.setattr(laws, "filter_product", wrong)
+    monkeypatch.setattr(laws, "filter_products", wrong)
     semigroup = laws.filter_semigroup_laws(monoid)
     assert semigroup.get("idempotents-are-idempotent-filters").failures == [(one,)]
     assert (one,) in semigroup.get("inverse-semigroup").failures
@@ -28,8 +31,24 @@ def test_law_suites_read_the_product_they_check(monkeypatch):
     assert filters.get("product-smallest-filter").failures
     assert (one, one, "coset-form") in filters.get("domain-inverse-submonoid").failures
 
-    monkeypatch.setattr(laws, "filter_product", real)
+    monkeypatch.setattr(laws, "filter_products", real)
     assert laws.filter_semigroup_laws(monoid).ok and laws.filter_laws(monoid).ok
+
+
+def test_filter_laws_read_the_monoid_table():
+    """A product table corrupted after validation, an idempotent atom that
+    squares to zero, shows in the filter laws, which read the table."""
+    monoid = symmetric_inverse_monoid(3)
+    monoid.require_boolean()        # the order and certificate of the sound table
+    atom = next(a for a in monoid.atoms if monoid.is_idempotent(a))
+    mul = monoid.mul.copy()
+    mul[atom, atom] = monoid.zero
+    monoid.mul = mul
+    filters = laws.filter_laws(monoid)
+    assert filters.get("filters-are-cosets").failures == [(atom,)]
+    assert (atom, atom, "coset-form") in filters.get("domain-inverse-submonoid").failures
+    semigroup = laws.filter_semigroup_laws(monoid)
+    assert semigroup.get("idempotents-are-idempotent-filters").failures == [(atom,)]
 
 
 def _distribute_by_loops(monoid):

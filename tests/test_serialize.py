@@ -9,6 +9,7 @@ from stonework import (
     StructureError,
     clifford_monoid,
     group_with_zero_monoid,
+    serialize,
     symmetric_inverse_monoid,
 )
 from stonework.cli import main
@@ -41,6 +42,27 @@ def test_monoid_loader_reverifies():
     data["mul"][data["one"]][data["one"]] = data["zero"]  # break the identity law
     with pytest.raises(StructureError):
         monoid_from_json(data)
+
+
+def test_a_table_is_scanned_for_json_booleans_only_when_the_text_has_them(
+        tmp_path, monkeypatch):
+    # InverseMonoid scans a list table for bools, which numpy reads as 1/0;
+    # without a true or false in the entry there is none, and it gets an array
+    lists = []
+    real = serialize.InverseMonoid
+
+    def recording(mul, *args, **kwargs):
+        lists.append(isinstance(mul, list))
+        return real(mul, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "InverseMonoid", recording)
+    data = monoid_to_json(symmetric_inverse_monoid(2))
+    save_entry(tmp_path, "plain", "monoid", data)
+    save_entry(tmp_path, "label-true", "monoid", {**data, "labels": ["true"] * data["n"]})
+    plain, labelled = (load_entry(name, tmp_path)[2] for name in ("plain", "label-true"))
+    assert lists == [False, True]
+    assert monoid_to_json(plain) == data
+    assert labelled.mul.tolist() == data["mul"]
 
 
 def test_groupoid_round_trip():
