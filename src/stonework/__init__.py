@@ -3,7 +3,6 @@ boolean groupoids, plus a symbolic engine for prefix-pair monoids, their
 orthogonal completions, and the groupoid of shift arrows on eventually
 periodic words."""
 
-from .config import DEFAULT_LIMITS, Limits
 from .duality import (
     IsoCertificate,
     MonoidMorphism,
@@ -40,6 +39,7 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
+    BISECTION_BOUND,
     Bisection,
     BisectionMonoid,
     CoveringFunctor,
@@ -57,6 +57,7 @@ from .groupoids import (
     trivial_groupoid,
 )
 from .inverse_core import (
+    MAX_ELEMENTS,
     BooleanCertificate,
     InverseMonoid,
     OrderData,

@@ -3,7 +3,7 @@
 Exit codes form a stable contract: 0 on success, 1 when a law check found
 failures, 2 on input errors (unknown generators, malformed files, size
 bounds).  Global flags can also come from STONEWORK_* environment
-variables.
+variables; a value there that the flag would refuse is an input error too.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_LIMITS, Limits
 from .corpus import GENERATORS, build
 from .duality import round_trip_groupoid, round_trip_monoid, stone_groupoid
 from .errors import MorphismError, NotBooleanError, StoneworkError, StructureError
-from .groupoids import all_bisections_monoid, check_covering
+from .groupoids import BISECTION_BOUND, all_bisections_monoid, check_covering
 from .inverse_core import InverseMonoid
 from .laws import (
     boolean_monoid_suite,
@@ -43,10 +42,17 @@ from .serialize import (
 MONOID_LAW_SETS = ("bm", "order", "filters", "filter-semigroup",
                    "ultra-equivalence", "basic-open", "clifford", "all")
 ALL_LAW_SETS = MONOID_LAW_SETS + ("point-filters", "covering", "axioms")
+FORMATS = ("json", "dot", "text")
 
 
-def _env(name, default):
-    return os.environ.get(f"STONEWORK_{name}", default)
+def _env(name: str, default: str, valid=None) -> str:
+    """STONEWORK_<name>, or the default.  argparse checks the type and the
+    choices of a flag given on the command line, never of its default, so a
+    value from the environment is checked here."""
+    value = os.environ.get(f"STONEWORK_{name}", default)
+    if valid and not valid(value):
+        raise StoneworkError(f"STONEWORK_{name} has a bad value {value!r}")
+    return value
 
 
 def _add_common(parser, *, suppress: bool) -> None:
@@ -57,10 +63,10 @@ def _add_common(parser, *, suppress: bool) -> None:
                         default=d or _env("STORE", "./stonework-store"),
                         help="directory for corpus entries")
     parser.add_argument("--max-size", type=int,
-                        default=d or int(_env("MAX_SIZE", str(DEFAULT_LIMITS.bisection_bound))),
+                        default=d or int(_env("MAX_SIZE", str(BISECTION_BOUND), str.isdecimal)),
                         help="cap on groupoid size when materializing all bisections")
-    parser.add_argument("--format", choices=("json", "dot", "text"),
-                        default=d or _env("FORMAT", "json"))
+    parser.add_argument("--format", choices=FORMATS,
+                        default=d or _env("FORMAT", "json", FORMATS.__contains__))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -97,19 +103,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limits(args) -> Limits:
-    return Limits(bisection_bound=args.max_size)
-
-
 def _build_params(args) -> dict:
     keys = ("size", "atoms", "order", "orders", "length", "points", "n", "expr")
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def cmd_build(args) -> int:
-    limits = _limits(args)
     params = _build_params(args)
-    name, kind, obj, summary = build(args.generator, **params, limits=limits)
+    name, kind, obj, summary = build(args.generator, **params)
     name = args.name or name
     if kind == "monoid":
         payload = monoid_to_json(obj)
@@ -132,7 +133,7 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _monoid_report(monoid: InverseMonoid, law_set: str) -> LawReport:
+def _monoid_report(monoid: InverseMonoid, law_set: str, bisection_bound: int) -> LawReport:
     if law_set == "bm":
         report = LawReport("boolean axioms")
         law = report.new("boolean-axioms")
@@ -144,9 +145,9 @@ def _monoid_report(monoid: InverseMonoid, law_set: str) -> LawReport:
     if law_set == "clifford":
         return clifford_report(monoid)
     if law_set == "all":
-        report = _monoid_report(monoid, "bm")
+        report = _monoid_report(monoid, "bm", bisection_bound)
         if report.ok:
-            report.extend(boolean_monoid_suite(monoid))
+            report.extend(boolean_monoid_suite(monoid, bisection_bound=bisection_bound))
         return report
     try:
         if law_set == "order":
@@ -163,7 +164,7 @@ def _monoid_report(monoid: InverseMonoid, law_set: str) -> LawReport:
         if law_set == "basic-open":
             from .duality import verify_basic_open_laws
 
-            return verify_basic_open_laws(monoid)
+            return verify_basic_open_laws(monoid, bisection_bound=bisection_bound)
     except NotBooleanError as err:
         report = LawReport(f"{law_set} (requires a boolean monoid)")
         law = report.new("boolean-precondition")
@@ -175,14 +176,13 @@ def _monoid_report(monoid: InverseMonoid, law_set: str) -> LawReport:
 
 
 def cmd_check(args) -> int:
-    limits = _limits(args)
-    name, kind, obj = load_entry(args.entry, Path(args.store), limits=limits)
+    name, kind, obj = load_entry(args.entry, Path(args.store))
     if kind == "monoid":
-        report = _monoid_report(obj, args.laws)
+        report = _monoid_report(obj, args.laws, args.max_size)
     elif kind == "groupoid":
         if args.laws not in ("point-filters", "all"):
             raise StructureError(f"law set {args.laws!r} does not apply to a groupoid")
-        report = point_filter_laws(obj, limits=limits)
+        report = point_filter_laws(obj, bisection_bound=args.max_size)
     elif kind == "functor":
         if args.laws not in ("covering", "all"):
             raise StructureError(f"law set {args.laws!r} does not apply to a functor")
@@ -220,11 +220,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    limits = _limits(args)
-    name, kind, obj = load_entry(args.entry, Path(args.store), limits=limits)
+    name, kind, obj = load_entry(args.entry, Path(args.store))
     out: dict = {"entry": name}
     if kind == "monoid":
-        sg = stone_groupoid(obj)
+        sg = dual = stone_groupoid(obj)
         dual_name = f"{name}-dual"
         payload = groupoid_to_json(sg)
         payload["ultrafilters"] = [list(f) for f in sg.ultrafilters]
@@ -232,24 +231,23 @@ def cmd_dualize(args) -> int:
         out.update({"dual": dual_name, "kind": "groupoid", "arrows": sg.m,
                     "path": str(path)})
         if args.round_trip:
-            out["certificate"] = round_trip_monoid(obj, sg, limits=limits).to_json()
+            out["certificate"] = round_trip_monoid(
+                obj, sg, bisection_bound=args.max_size).to_json()
             out["preserved_size"] = obj.n
     elif kind == "groupoid":
-        bm = all_bisections_monoid(obj, limits=limits)
-        dual_name = f"{name}-dual"
-        path = save_entry(Path(args.store), dual_name, "monoid",
-                          monoid_to_json(bm.monoid))
-        out.update({"dual": dual_name, "kind": "monoid", "elements": bm.monoid.n,
+        bm = all_bisections_monoid(obj, bisection_bound=args.max_size)
+        dual, dual_name = bm.monoid, f"{name}-dual"
+        path = save_entry(Path(args.store), dual_name, "monoid", monoid_to_json(dual))
+        out.update({"dual": dual_name, "kind": "monoid", "elements": dual.n,
                     "path": str(path)})
         if args.round_trip:
-            out["certificate"] = round_trip_groupoid(obj, bm, limits=limits).to_json()
+            out["certificate"] = round_trip_groupoid(obj, bm).to_json()
             out["preserved_size"] = obj.m
     else:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")
 
     if args.format == "dot":
-        _, dual_kind, dual_obj = load_entry(out["dual"], Path(args.store), limits=limits)
-        print(render(dual_obj, dual_kind, "dot"))
+        print(render(dual, out["kind"], "dot"))
     elif args.format == "text":
         print(f"{name} -> {out['dual']} ({out['kind']}), stored at {out['path']}")
         if "certificate" in out:
@@ -262,8 +260,8 @@ def cmd_dualize(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "build":
             return cmd_build(args)
         if args.command == "check":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import inspect
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import StructureError
 from .groupoids import (
     disjoint_union,
@@ -46,33 +45,33 @@ def _groupoid_summary(groupoid):
     }
 
 
-def build_ix(size: int = 2, *, limits: Limits = DEFAULT_LIMITS):
-    monoid = symmetric_inverse_monoid(size, limits=limits)
+def build_ix(size: int = 2):
+    monoid = symmetric_inverse_monoid(size)
     return f"ix{size}", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_bool_algebra(atoms: int = 2, *, limits: Limits = DEFAULT_LIMITS):
-    monoid = boolean_algebra_monoid(atoms, limits=limits)
+def build_bool_algebra(atoms: int = 2):
+    monoid = boolean_algebra_monoid(atoms)
     return f"bool-algebra-{1 << atoms}", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_group_zero(order: int = 2, *, limits: Limits = DEFAULT_LIMITS):
-    monoid = group_with_zero_monoid(order, limits=limits)
+def build_group_zero(order: int = 2):
+    monoid = group_with_zero_monoid(order)
     return f"z{order}-zero", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_clifford(*, limits: Limits = DEFAULT_LIMITS):
-    monoid = clifford_monoid(limits=limits)
+def build_clifford():
+    monoid = clifford_monoid()
     return "clifford", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_brandt(*, limits: Limits = DEFAULT_LIMITS):
-    monoid = brandt_monoid(limits=limits)
+def build_brandt():
+    monoid = brandt_monoid()
     return "brandt", "monoid", monoid, _monoid_summary(monoid)
 
 
-def build_chain(length: int = 3, *, limits: Limits = DEFAULT_LIMITS):
-    monoid = chain_monoid(length, limits=limits)
+def build_chain(length: int = 3):
+    monoid = chain_monoid(length)
     return f"chain{length}", "monoid", monoid, _monoid_summary(monoid)
 
 
@@ -127,9 +126,9 @@ GENERATORS = {
 }
 
 
-def build(generator: str, *, limits: Limits = DEFAULT_LIMITS, **params):
+def build(generator: str, **params):
     """Run a named generator.  A parameter the generator does not take is a
-    StructureError; ``limits`` reaches only the generators that take it."""
+    StructureError."""
     if generator not in GENERATORS:
         raise StructureError(f"unknown generator {generator!r}; "
                              f"choose from {sorted(GENERATORS)}")
@@ -138,6 +137,4 @@ def build(generator: str, *, limits: Limits = DEFAULT_LIMITS, **params):
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise StructureError(f"generator {generator!r} takes no parameter {unknown[0]!r}")
-    if "limits" in accepted:
-        params["limits"] = limits
     return func(**params)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import MorphismError, StructureError
 from .filters import (
     Filter,
@@ -35,6 +34,7 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
+    BISECTION_BOUND,
     Bisection,
     BisectionMonoid,
     CoveringFunctor,
@@ -157,7 +157,7 @@ def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
 
 
 def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = None,
-                           *, limits: Limits | None = None) -> LawReport:
+                           *, bisection_bound: int = BISECTION_BOUND) -> LawReport:
     """Exhaustively check the nine laws of the basic-open map s -> K(s):
     bisection-ness, meet/intersection, inverse, product, order embedding,
     injectivity, join/union both ways, and surjectivity onto all bisections
@@ -225,7 +225,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
         law.fail((s, t, fiber_clash(sg, opens[s].members | opens[t].members)))
 
     law = report.new("surjective-on-bisections")
-    all_masks = {b.mask for b in enumerate_bisections(sg, limits=limits or monoid.limits)}
+    all_masks = {b.mask for b in enumerate_bisections(sg, bisection_bound=bisection_bound)}
     law.tick(len(all_masks))
     uncovered = all_masks - {b.mask for b in opens}
     if uncovered:
@@ -313,7 +313,7 @@ class IsoCertificate:
 
 
 def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
-                      limits: Limits | None = None) -> IsoCertificate:
+                      bisection_bound: int = BISECTION_BOUND) -> IsoCertificate:
     """Certify that s -> basic_open(s) is an isomorphism onto the monoid of
     all bisections of the ultrafilter groupoid (``sg``, built when not
     given)."""
@@ -321,7 +321,7 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
     n = monoid.n
     if sg is None:
         sg = stone_groupoid(monoid)
-    bm = all_bisections_monoid(sg, limits=limits or monoid.limits)
+    bm = all_bisections_monoid(sg, bisection_bound=bisection_bound)
     if len(bm) != n:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
     laws = [("cardinality", 1)]
@@ -356,14 +356,14 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
 
 
 def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = None, *,
-                        limits: Limits = DEFAULT_LIMITS) -> IsoCertificate:
+                        bisection_bound: int = BISECTION_BOUND) -> IsoCertificate:
     """Certify that g -> point_ultrafilter(g) is an isomorphism onto the
     ultrafilter groupoid of the bisection monoid (``bm``, built when not
     given), and that it carries each bisection U onto basic_open(U)."""
     start = time.perf_counter()
     m = groupoid.m
     if bm is None:
-        bm = all_bisections_monoid(groupoid, limits=limits)
+        bm = all_bisections_monoid(groupoid, bisection_bound=bisection_bound)
     sg = stone_groupoid(bm.monoid)
     if len(sg) != m:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")

@@ -27,7 +27,7 @@ class MorphismError(StructureError):
 
 
 class BoundError(StoneworkError):
-    """A configured size bound would be exceeded."""
+    """A size bound would be exceeded: MAX_ELEMENTS, or a bisection bound."""
 
 
 class ParseError(StoneworkError):

@@ -145,9 +145,9 @@ def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
     """The least member of each set (a boolean row over the elements): the
     member with the largest up-set.  It generates the set's upward closure,
     a filter, if every member lies above it; else a StructureError."""
-    leq = monoid.order().matrix
-    least = np.where(sets, np.count_nonzero(leq, axis=1), -1).argmax(axis=-1)
-    if (sets & ~leq[least]).any():
+    order = monoid.order()
+    least = np.where(sets, order.up_sizes, -1).argmax(axis=-1)
+    if (sets & ~order.matrix[least]).any():
         raise StructureError("member set is not the up-set of one of its members")
     return least
 

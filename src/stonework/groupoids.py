@@ -21,17 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, StructureError
-from .inverse_core import InverseMonoid, as_indices, as_labels, mask_of, raise_first_failure
+from .inverse_core import (
+    InverseMonoid,
+    as_indices,
+    as_labels,
+    check_size,
+    mask_of,
+    raise_first_failure,
+)
 
-MAX_ARROWS = DEFAULT_LIMITS.order_bound   # most arrows: the composition table is m x m
+BISECTION_BOUND = 16    # most arrows whose bisections are all materialized, by default
 
 
 def _undefined_table(m: int) -> np.ndarray:
-    """An m x m table with no pair composable; past MAX_ARROWS, refused unallocated."""
-    if m > MAX_ARROWS:
-        raise BoundError(f"groupoids are capped at {MAX_ARROWS} arrows, got {m}")
+    """An m x m table with no pair composable; past MAX_ELEMENTS, refused unallocated."""
+    check_size(m, f"a groupoid of {m} arrows")
     return np.full((m, m), -1, dtype=np.int64)
 
 
@@ -253,16 +258,16 @@ def bisection_product(a: Bisection, b: Bisection) -> Bisection:
 
 
 def enumerate_bisections(groupoid: FiniteGroupoid, *,
-                         limits: Limits = DEFAULT_LIMITS) -> list[Bisection]:
+                         bisection_bound: int = BISECTION_BOUND) -> list[Bisection]:
     """All bisections, ordered by member bitmask value.
 
     Chooses, identity by identity, at most one arrow out of it into a range
     not hit yet, which is equivalent to subset filtering but never touches
     non-bisections.
     """
-    if groupoid.m > limits.bisection_bound:
+    if groupoid.m > bisection_bound:
         raise BoundError(
-            f"bisection monoid capped at {limits.bisection_bound} arrows; "
+            f"bisection monoid capped at {bisection_bound} arrows; "
             "dualize the monoid side instead")
     chosen = [((), frozenset())]        # (arrows, the ranges they hit)
     for e in groupoid.identities:       # leave e out of the domain, or add one arrow from e
@@ -330,7 +335,7 @@ def image_products(groupoid: FiniteGroupoid, bisections) -> tuple[np.ndarray, np
 
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
-                          limits: Limits = DEFAULT_LIMITS) -> BisectionMonoid:
+                          bisection_bound: int = BISECTION_BOUND) -> BisectionMonoid:
     """Materialize the boolean inverse monoid of all bisections.
 
     Bisection b is held as its image array (see :func:`image_products`), so
@@ -339,7 +344,7 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     StructureError.  The boolean certificate is asserted, since here it is
     a theorem.
     """
-    bisections = enumerate_bisections(groupoid, limits=limits)
+    bisections = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
     arrow_codes = _arrow_codes(groupoid)
     images, products = image_products(groupoid, bisections)
     codes = arrow_codes[images].sum(axis=1)
@@ -352,7 +357,7 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     unit = arrow_codes[list(groupoid.identities)].sum()     # the code of every identity
     zero, one = _positions(codes, np.array([0, unit])).tolist()
     labels = ["{" + ",".join(groupoid.label(a) for a in b) + "}" for b in bisections]
-    monoid = InverseMonoid(mul, inv, zero, one, labels, limits=limits)
+    monoid = InverseMonoid(mul, inv, zero, one, labels)
     monoid.require_boolean()
     return BisectionMonoid(groupoid, bisections, monoid, codes)
 

@@ -6,6 +6,8 @@ a designated zero and one, and an involution ``s -> s^-1`` satisfying
 involution, uniqueness of inverses, commuting idempotents, absorbing zero,
 neutral one) so that everything downstream can trust the table.  Richer
 carriers such as partial bijections appear only as constructors and labels.
+A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
+arrows); a larger one is refused before its n x n tables are built.
 
 The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
 is computed definitionally.  Because the order is antisymmetric, an element
@@ -23,11 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import BoundError, NotBooleanError, StructureError
+
+MAX_ELEMENTS = 4096     # most elements of a monoid, or arrows of a groupoid: tables are n x n
+
+
+def check_size(count: int, what: str) -> None:
+    """Refuse, before its n x n tables are allocated, an object of more
+    than MAX_ELEMENTS elements or arrows."""
+    if count > MAX_ELEMENTS:
+        raise BoundError(f"{what}: sizes are capped at {MAX_ELEMENTS}")
 
 
 def iter_bits(mask: int):
@@ -119,6 +130,7 @@ class OrderData:
     by_down: dict[int, int] = field(compare=False, repr=False)
     by_up: dict[int, int] = field(compare=False, repr=False)
     matrix: np.ndarray = field(compare=False, repr=False)     # read-only; [s, t]: s <= t
+    up_sizes: np.ndarray = field(compare=False, repr=False)   # up_sizes[s] = |up(s)|
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,14 @@ class BooleanCertificate:
 class InverseMonoid:
     """A finite inverse monoid with zero, held as a verified product table."""
 
-    def __init__(self, mul, inv, zero: int, one: int, labels=None, *,
-                 limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, mul, inv, zero: int, one: int, labels=None):
         table = as_table(mul)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError(f"product table must be square, got {table.shape}")
         n = table.shape[0]
         if n == 0:
             raise StructureError("empty carrier")
+        check_size(n, f"a monoid of {n} elements")
         if table.dtype.kind not in "iu":
             raise StructureError(f"product table has non-integer entries ({table.dtype})")
         table = table.astype(np.int64, copy=False)
@@ -177,7 +189,6 @@ class InverseMonoid:
         self.zero = zero
         self.one = one
         self.labels = labels
-        self.limits = limits
         self._order: OrderData | None = None
         self._certificate: BooleanCertificate | None = None
         self._complements: dict[int, int] | None = None
@@ -285,8 +296,6 @@ class InverseMonoid:
 
     def order(self) -> OrderData:
         if self._order is None:
-            if self.n > self.limits.order_bound:
-                raise BoundError(f"order computation capped at {self.limits.order_bound}")
             self._order = self._compute_order()
         return self._order
 
@@ -303,7 +312,7 @@ class InverseMonoid:
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise StructureError("natural order is not antisymmetric")
         # float32 matmul (BLAS) is exact here: entries are 0/1, so every sum
-        # counts paths and is at most n <= order_bound (4096) < 2^24
+        # counts paths and is at most n <= MAX_ELEMENTS (4096) < 2^24
         square = leq.astype(np.float32)
         closure = (square @ square) > 0
         if np.any(closure & ~leq):
@@ -317,7 +326,8 @@ class InverseMonoid:
                       if s != self.zero and down[s] == bottom | (1 << s))
         return OrderData(up=up, down=down, idempotents=tuple(idem), atoms=atoms,
                          by_down={mask: s for s, mask in enumerate(down)},
-                         by_up={mask: s for s, mask in enumerate(up)}, matrix=leq)
+                         by_up={mask: s for s, mask in enumerate(up)}, matrix=leq,
+                         up_sizes=np.count_nonzero(leq, axis=1))
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().matrix.item(s, t)
@@ -475,8 +485,7 @@ class InverseMonoid:
         mul = [[where[int(self.mul[s, t])] for t in sub] for s in sub]
         inv = [where[self.inv[s]] for s in sub]
         labels = [self.label(s) for s in sub] if self.labels else None
-        return InverseMonoid(mul, inv, where[self.zero], where[self.one],
-                             labels, limits=self.limits)
+        return InverseMonoid(mul, inv, where[self.zero], where[self.one], labels)
 
 
 # -- partial-bijection constructors ------------------------------------------
@@ -504,14 +513,20 @@ def _map_label(pairs) -> str:
     return "{" + ",".join(f"{x + 1}->{y + 1}" for x, y in pairs) + "}"
 
 
-def symmetric_inverse_monoid(x_size: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def symmetric_inverse_monoid(x_size: int) -> InverseMonoid:
     """The symmetric inverse monoid I(X) on |X| = x_size points.
 
     Elements are all partial bijections under composition; zero is the
     empty map and one the identity.  Labels use 1-based points.
     """
-    if not 1 <= x_size <= limits.symmetric_bound:
-        raise BoundError(f"symmetric inverse monoid capped at |X| <= {limits.symmetric_bound}")
+    if x_size < 1:
+        raise BoundError("symmetric inverse monoid needs at least one point")
+    size = 0
+    for k in range(x_size + 1):       # |I(X)| sums C(|X|, k)^2 k!; stop once past the cap
+        size += comb(x_size, k) ** 2 * factorial(k)
+        if size > MAX_ELEMENTS:
+            break
+    check_size(size, f"the symmetric inverse monoid on {x_size} points")
     maps = partial_bijections(x_size)
     index = {m: i for i, m in enumerate(maps)}
     n = len(maps)
@@ -530,35 +545,38 @@ def symmetric_inverse_monoid(x_size: int, *, limits: Limits = DEFAULT_LIMITS) ->
     inv = [index[tuple(sorted((y, x) for x, y in m))] for m in maps]
     identity = tuple((p, p) for p in range(x_size))
     return InverseMonoid(mul, inv, zero=index[()], one=index[identity],
-                         labels=[_map_label(m) for m in maps], limits=limits)
+                         labels=[_map_label(m) for m in maps])
 
 
 # -- other stock monoids -------------------------------------------------------
 
 
-def boolean_algebra_monoid(num_atoms: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def boolean_algebra_monoid(num_atoms: int) -> InverseMonoid:
     """The powerset of num_atoms atoms as an all-idempotent inverse monoid
     (product = intersection)."""
-    if not 0 <= num_atoms <= 12:
-        raise BoundError("boolean algebra monoid capped at 12 atoms")
+    if num_atoms < 0:
+        raise BoundError("boolean algebra needs a non-negative number of atoms")
+    # min() keeps a huge k from building a huge int: 2^64 is refused like 2^k
+    check_size(1 << min(num_atoms, 64), f"the boolean algebra on {num_atoms} atoms")
     n = 1 << num_atoms
     mul = [[s & t for t in range(n)] for s in range(n)]
     labels = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(n)]
-    return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1, labels=labels, limits=limits)
+    return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1, labels=labels)
 
 
-def group_with_zero_monoid(order: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def group_with_zero_monoid(order: int) -> InverseMonoid:
     """Cyclic group of the given order with an adjoined absorbing zero."""
     if order < 1:
         raise BoundError("group order must be positive")
+    check_size(order + 1, f"a group of order {order} with zero")
     mul = np.zeros((order + 1, order + 1), dtype=np.int64)     # element s + 1 is g^s
     mul[1:, 1:] = np.add.outer(np.arange(order), np.arange(order)) % order + 1
     inv = [0] + [(order - (s - 1)) % order + 1 for s in range(1, order + 1)]
     labels = ["0", "1"] + [f"g{i}" if i > 1 else "g" for i in range(1, order)]
-    return InverseMonoid(mul, inv, zero=0, one=1, labels=labels, limits=limits)
+    return InverseMonoid(mul, inv, zero=0, one=1, labels=labels)
 
 
-def chain_monoid(length: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def chain_monoid(length: int) -> InverseMonoid:
     """A chain 0 < e_1 < ... < 1 of idempotents under min.
 
     For length >= 3 the idempotent algebra has no complements, so this is
@@ -566,38 +584,39 @@ def chain_monoid(length: int, *, limits: Limits = DEFAULT_LIMITS) -> InverseMono
     """
     if length < 2:
         raise BoundError("chain needs at least two elements")
+    check_size(length, f"a chain of {length} elements")
     mul = [[min(s, t) for t in range(length)] for s in range(length)]
     labels = ["0"] + [f"e{i}" for i in range(1, length - 1)] + ["1"]
-    return InverseMonoid(mul, list(range(length)), zero=0, one=length - 1,
-                         labels=labels, limits=limits)
+    return InverseMonoid(mul, list(range(length)), zero=0, one=length - 1, labels=labels)
 
 
 def product_monoid(a: InverseMonoid, b: InverseMonoid) -> InverseMonoid:
     """Direct product with componentwise operations; element (s, t) is
     s * |b| + t, zero = (0,0), one = (1,1)."""
     nb, n = b.n, a.n * b.n
+    check_size(n, f"a product of {a.n} by {b.n} elements")
     mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
     inv = [a.inv[s // nb] * nb + b.inv[s % nb] for s in range(n)]
     labels = None
     if a.labels and b.labels:
         labels = [f"({a.label(s // nb)}|{b.label(s % nb)})" for s in range(n)]
     return InverseMonoid(mul, inv, zero=a.zero * nb + b.zero,
-                         one=a.one * nb + b.one, labels=labels, limits=a.limits)
+                         one=a.one * nb + b.one, labels=labels)
 
 
-def clifford_monoid(*, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def clifford_monoid() -> InverseMonoid:
     """A 9-element Clifford specimen: two copies of Z/2-with-zero glued over
     a 4-element idempotent algebra (the direct product of two group-with-zero
     monoids, where every element satisfies dom = ran)."""
-    z2 = group_with_zero_monoid(2, limits=limits)
+    z2 = group_with_zero_monoid(2)
     return product_monoid(z2, z2)
 
 
-def brandt_monoid(*, limits: Limits = DEFAULT_LIMITS) -> InverseMonoid:
+def brandt_monoid() -> InverseMonoid:
     """The 5-element combinatorial Brandt semigroup with an adjoined identity,
     realized inside I({1,2}).  Inverse but not boolean: the two nilpotent
     partial maps are orthogonal yet have no join."""
-    ix = symmetric_inverse_monoid(2, limits=limits)
+    ix = symmetric_inverse_monoid(2)
     maps = partial_bijections(2)
     keep = [i for i, m in enumerate(maps) if m != ((0, 1), (1, 0))]
     return ix.restrict(keep)

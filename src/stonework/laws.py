@@ -23,8 +23,10 @@ from .filters import (
     filter_dom,
     filter_product,
     filter_products,
+    filter_ran,
     prime_property_holds,
 )
+from .groupoids import BISECTION_BOUND, all_bisections_monoid, point_ultrafilter
 from .inverse_core import InverseMonoid, bound_table, inclusions, iter_bits
 from .reporting import LawReport
 
@@ -297,7 +299,8 @@ def ultra_equivalence_laws(monoid: InverseMonoid) -> LawReport:
     return report
 
 
-def boolean_monoid_suite(monoid: InverseMonoid) -> LawReport:
+def boolean_monoid_suite(monoid: InverseMonoid, *,
+                         bisection_bound: int = BISECTION_BOUND) -> LawReport:
     """Everything above plus the basic-open laws, in one report."""
     report = LawReport(f"law suite on {monoid!r}")
     report.extend(order_meet_laws(monoid))
@@ -307,7 +310,7 @@ def boolean_monoid_suite(monoid: InverseMonoid) -> LawReport:
     report.extend(filter_laws(monoid, products))
     report.extend(filter_semigroup_laws(monoid, products))
     report.extend(ultra_equivalence_laws(monoid))
-    report.extend(verify_basic_open_laws(monoid))
+    report.extend(verify_basic_open_laws(monoid, bisection_bound=bisection_bound))
     return report
 
 
@@ -323,16 +326,12 @@ def clifford_report(monoid: InverseMonoid) -> LawReport:
     return report
 
 
-def point_filter_laws(groupoid, *, limits=None) -> LawReport:
+def point_filter_laws(groupoid, *, bisection_bound: int = BISECTION_BOUND) -> LawReport:
     """Laws of the bisections-through-a-point map on a finite groupoid:
     each is ultra, the map intertwines dom and composition, is injective,
     and exhausts the ultrafilters."""
-    from .config import DEFAULT_LIMITS
-    from .filters import filter_ran
-    from .groupoids import all_bisections_monoid, point_ultrafilter
-
     report = LawReport(f"point filter laws on {groupoid!r}")
-    bm = all_bisections_monoid(groupoid, limits=limits or DEFAULT_LIMITS)
+    bm = all_bisections_monoid(groupoid, bisection_bound=bisection_bound)
     points = [point_ultrafilter(bm, g) for g in range(groupoid.m)]
 
     law = report.new("point-filters-ultra")

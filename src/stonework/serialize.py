@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
 from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
@@ -41,13 +40,12 @@ def monoid_to_json(monoid: InverseMonoid) -> dict:
     }
 
 
-def monoid_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS,
-                     bools: bool = True) -> InverseMonoid:
+def monoid_from_json(data: dict, *, bools: bool = True) -> InverseMonoid:
     """``bools=False`` says the JSON text held no true or false: the table
     then goes on as an array, which ``InverseMonoid`` does not scan."""
     n, mul, inv, zero, one = _fields(data, "n", "mul", "inv", "zero", "one")
     monoid = InverseMonoid(mul if bools else as_table(mul), inv, zero, one,
-                           data.get("labels"), limits=limits)
+                           data.get("labels"))
     if monoid.n != n:
         raise StructureError("declared size disagrees with the table")
     return monoid
@@ -86,13 +84,12 @@ def morphism_to_json(theta: MonoidMorphism) -> dict:
     }
 
 
-def morphism_from_json(data: dict, *, limits: Limits = DEFAULT_LIMITS) -> MonoidMorphism:
+def morphism_from_json(data: dict) -> MonoidMorphism:
     source, target, mapping = _fields(data, "source", "target", "map")
     weak = data.get("weak", False)
     if not isinstance(weak, bool):
         raise StructureError("weak must be true or false")
-    return MonoidMorphism(monoid_from_json(source, limits=limits),
-                          monoid_from_json(target, limits=limits),
+    return MonoidMorphism(monoid_from_json(source), monoid_from_json(target),
                           as_indices(mapping, "map"), weak=weak)
 
 
@@ -150,8 +147,7 @@ def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
     return path
 
 
-def load_entry(path_or_name, store: Path | None = None, *,
-               limits: Limits = DEFAULT_LIMITS):
+def load_entry(path_or_name, store: Path | None = None):
     """Load and re-verify an entry by path, or by name inside the store.
     Returns (name, kind, object)."""
     path = Path(path_or_name)
@@ -166,11 +162,11 @@ def load_entry(path_or_name, store: Path | None = None, *,
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
     if kind == "monoid":
-        obj = monoid_from_json(payload, limits=limits, bools=bools)
+        obj = monoid_from_json(payload, bools=bools)
     elif kind == "groupoid":
         obj = groupoid_from_json(payload)
     elif kind == "morphism":
-        obj = morphism_from_json(payload, limits=limits)
+        obj = morphism_from_json(payload)
     elif kind == "functor":
         obj = functor_from_json(payload)
     elif kind == "cn-element":

@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import dataclasses
 import importlib
 import json
 import re
@@ -13,17 +12,17 @@ from pathlib import Path
 import pytest
 from helpers import relabelled
 
-from stonework import BoundError, StructureError, boolean_algebra_monoid
+from stonework import MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli
 from stonework.cli import main, make_parser
-from stonework.config import Limits
 from stonework.duality import identity_morphism
-from stonework.groupoids import MAX_ARROWS, identity_functor, pair_groupoid
+from stonework.groupoids import identity_functor, pair_groupoid
 from stonework.serialize import (
     entry_to_json,
     functor_to_json,
     load_entry,
     monoid_to_json,
     morphism_to_json,
+    render,
     save_entry,
 )
 
@@ -93,13 +92,27 @@ def test_no_option_offers_a_single_choice():
     assert lonely == []
 
 
-def test_every_limits_field_is_read():
-    # a Limits field no code reads is a cap that a caller cannot change
-    source = "".join(path.read_text() for path in
-                     (Path(__file__).parents[1] / "src" / "stonework").glob("*.py"))
-    unread = [f.name for f in dataclasses.fields(Limits)
-              if not re.search(rf"\blimits\.{f.name}\b", source)]
-    assert unread == []
+@pytest.mark.parametrize("argv", [("check", "ix3", "--laws", "basic-open"),
+                                  ("check", "ix3", "--laws", "all"),
+                                  ("check", "pair3", "--laws", "point-filters"),
+                                  ("dualize", "ix3", "--round-trip")])
+def test_max_size_is_honoured_wherever_bisections_are_enumerated(tmp_path, capsys, argv):
+    # ix3's dual and pair3 have 9 arrows: under the default bound, over 4
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    run(capsys, "build", "pair-groupoid", "--points", "3", "--store", str(tmp_path))
+    assert run(capsys, *argv, "--store", str(tmp_path))[0] == 0
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path), "--max-size", "4")
+    assert code == 2 and out == "" and "capped" in err
+
+
+@pytest.mark.parametrize("name, value", [("MAX_SIZE", "abc"), ("FORMAT", "yaml")])
+def test_a_bad_environment_default_exits_2(tmp_path, capsys, monkeypatch, name, value):
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    monkeypatch.setenv(f"STONEWORK_{name}", value)
+    code, out, err = run(capsys, "check", "ix3", "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"STONEWORK_{name}" in err and repr(value) in err
 
 
 def test_every_public_name_is_used():
@@ -241,6 +254,20 @@ def test_dot_format(tmp_path, capsys):
     assert dot.startswith("digraph") and "doublecircle" in dot
 
 
+def test_dualize_dot_renders_the_dual_it_built(tmp_path, capsys, monkeypatch):
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    run(capsys, "build", "pair-groupoid", "--points", "3", "--store", str(tmp_path))
+    loads = []
+    monkeypatch.setattr(cli, "load_entry", lambda *args: loads.append(args) or load_entry(*args))
+    code, out, _ = run(capsys, "dualize", "ix3", "--format", "dot", "--store", str(tmp_path))
+    assert code == 0 and len(loads) == 1                # the dual is not read back
+    dual = load_entry("ix3-dual", tmp_path)[2]
+    assert out == render(dual, "groupoid", "dot") + "\n"
+    code, out, err = run(capsys, "dualize", "pair3", "--format", "dot", "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "dot output is only defined for groupoids" in err
+
+
 def test_global_flags_accepted_before_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "--store", str(tmp_path), "--format", "text",
                        "build", "trivial-groupoid", "--points", "2")
@@ -356,7 +383,7 @@ def test_corrupted_monoid_entry_exits_2(tmp_path, capsys, how):
 
 def test_groupoid_over_the_arrow_cap_is_refused_before_allocating(tmp_path, capsys):
     # a valid trivial groupoid, one arrow too many for its m x m table
-    m = MAX_ARROWS + 1
+    m = MAX_ELEMENTS + 1
     arrows = list(range(m))
     save_entry(tmp_path, "huge", "groupoid", {
         "m": m, "identities": arrows, "d": arrows, "r": arrows, "inv": arrows,
@@ -372,6 +399,20 @@ def test_groupoid_over_the_arrow_cap_is_refused_before_allocating(tmp_path, caps
     code, out, err = run(capsys, "check", "huge", "--laws", "point-filters",
                          "--store", str(tmp_path))
     assert code == 2 and out == "" and "capped" in err
+
+
+@pytest.mark.parametrize("argv", [("chain", "--length", "5000"),
+                                  ("group-zero", "--order", "5000")])
+def test_oversize_build_is_refused_before_allocating(tmp_path, capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "build", *argv, "--store", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "capped" in err
+    assert peak < 5000 * 5000               # a 5000 x 5000 table at one byte a cell
+    assert not any(tmp_path.iterdir())
 
 
 def test_tracer_hooks_resolve():

@@ -6,7 +6,6 @@ from helpers import first_groupoid_failure
 
 from stonework import (
     BoundError,
-    Limits,
     StructureError,
     clifford_monoid,
     groupoids,
@@ -210,7 +209,7 @@ def test_bisection_counts():
 
 def test_bisection_bound():
     with pytest.raises(BoundError):
-        enumerate_bisections(pair_groupoid(5), limits=Limits(bisection_bound=16))
+        enumerate_bisections(pair_groupoid(5), bisection_bound=16)
 
 
 def test_monoid_of_pair2_matches_symmetric_monoid(bm_pair2):
@@ -243,19 +242,19 @@ def test_monoid_meet_is_intersection_join_is_union(bm_pair2):
 
 
 BISECTION_CASES = {
-    "pair3": lambda: (pair_groupoid(3), Limits()),
-    "z2+z3": lambda: (disjoint_union(group_groupoid(2), group_groupoid(3)), Limits()),
+    "pair3": lambda: (pair_groupoid(3), 16),
+    "z2+z3": lambda: (disjoint_union(group_groupoid(2), group_groupoid(3)), 16),
     "z4+z5+z7": lambda: (disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)),
-                                        group_groupoid(7)), Limits()),
-    "ix3-dual": lambda: (ultrafilter_groupoid(symmetric_inverse_monoid(3)), Limits()),
-    "clifford-dual": lambda: (ultrafilter_groupoid(clifford_monoid()), Limits()),
-    "z100": lambda: (group_groupoid(100), Limits(bisection_bound=100)),
+                                        group_groupoid(7)), 16),
+    "ix3-dual": lambda: (ultrafilter_groupoid(symmetric_inverse_monoid(3)), 16),
+    "clifford-dual": lambda: (ultrafilter_groupoid(clifford_monoid()), 16),
+    "z100": lambda: (group_groupoid(100), 100),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
 def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
-    groupoid, limits = BISECTION_CASES[name]()
+    groupoid, bound = BISECTION_CASES[name]()
     calls = {"bisection_product": 0, "is_bisection_set": 0}
 
     def counted(func):
@@ -266,7 +265,7 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
 
     for func in (bisection_product, is_bisection_set):
         monkeypatch.setattr(groupoids, func.__name__, counted(func))
-    bm = all_bisections_monoid(groupoid, limits=limits)
+    bm = all_bisections_monoid(groupoid, bisection_bound=bound)
     # no literal product, and the one bisection test runs only at enumeration
     assert calls == {"bisection_product": 0, "is_bisection_set": len(bm)}
     monkeypatch.undo()

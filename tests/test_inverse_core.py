@@ -6,11 +6,13 @@ not depend on enumeration order.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stonework import (
+    MAX_ELEMENTS,
     BoundError,
     InverseMonoid,
     NotBooleanError,
@@ -21,6 +23,7 @@ from stonework import (
     clifford_monoid,
     group_with_zero_monoid,
     partial_bijections,
+    product_monoid,
     symmetric_inverse_monoid,
 )
 from stonework.inverse_core import iter_bits
@@ -60,6 +63,32 @@ def test_symmetric_monoid_sizes():
 def test_symmetric_bound():
     with pytest.raises(BoundError):
         symmetric_inverse_monoid(6)
+
+
+def refusal_peak(make) -> int:
+    """The tracemalloc peak while make() runs; it must raise a BoundError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundError, match="capped"):
+            make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: symmetric_inverse_monoid(6), 13327),
+    (lambda: boolean_algebra_monoid(13), 1 << 13),
+    (lambda: product_monoid(boolean_algebra_monoid(7), boolean_algebra_monoid(6)), 1 << 13),
+], ids=["I6", "ba13", "ba7xba6"])
+def test_oversize_stock_monoid_is_refused_before_allocating(make, n):
+    assert refusal_peak(make) < n * n      # an n x n table at one byte a cell
+
+
+def test_a_table_over_the_cap_is_refused_before_it_is_validated():
+    table = np.zeros((MAX_ELEMENTS + 1,) * 2, dtype=np.uint8)
+    make = lambda: InverseMonoid(table, [0] * len(table), 0, 1)
+    assert refusal_peak(make) < table.size   # its int64 copy takes 8 x table.size
 
 
 def test_partial_bijection_count_matches():
