@@ -221,33 +221,35 @@ def cmd_check(args) -> int:
 
 def cmd_dualize(args) -> int:
     name, kind, obj = load_entry(args.entry, Path(args.store))
-    out: dict = {"entry": name}
+    dual_name = f"{name}-dual"
+    out: dict = {"entry": name, "dual": dual_name}
+    certified: dict = {}
     if kind == "monoid":
         sg = dual = stone_groupoid(obj)
-        dual_name = f"{name}-dual"
         payload = groupoid_to_json(sg)
         payload["ultrafilters"] = [list(f) for f in sg.ultrafilters]
-        path = save_entry(Path(args.store), dual_name, "groupoid", payload)
-        out.update({"dual": dual_name, "kind": "groupoid", "arrows": sg.m,
-                    "path": str(path)})
+        out.update({"kind": "groupoid", "arrows": sg.m})
         if args.round_trip:
-            out["certificate"] = round_trip_monoid(
-                obj, sg, bisection_bound=args.max_size).to_json()
-            out["preserved_size"] = obj.n
+            certified = {"certificate": round_trip_monoid(
+                obj, sg, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n}
     elif kind == "groupoid":
         bm = all_bisections_monoid(obj, bisection_bound=args.max_size)
-        dual, dual_name = bm.monoid, f"{name}-dual"
-        path = save_entry(Path(args.store), dual_name, "monoid", monoid_to_json(dual))
-        out.update({"dual": dual_name, "kind": "monoid", "elements": dual.n,
-                    "path": str(path)})
+        dual = bm.monoid
+        payload = monoid_to_json(dual)
+        out.update({"kind": "monoid", "elements": dual.n})
         if args.round_trip:
-            out["certificate"] = round_trip_groupoid(obj, bm).to_json()
-            out["preserved_size"] = obj.m
+            certified = {"certificate": round_trip_groupoid(obj, bm).to_json(),
+                         "preserved_size": obj.m}
     else:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")
+    dot = render(dual, out["kind"], "dot") if args.format == "dot" else None
 
-    if args.format == "dot":
-        print(render(dual, out["kind"], "dot"))
+    # saved only once nothing above can refuse
+    out["path"] = str(save_entry(Path(args.store), dual_name, out["kind"], payload))
+    out.update(certified)
+
+    if dot is not None:
+        print(dot)
     elif args.format == "text":
         print(f"{name} -> {out['dual']} ({out['kind']}), stored at {out['path']}")
         if "certificate" in out:

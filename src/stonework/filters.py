@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, bound_table, iter_bits, mask_of, popcount
+from .inverse_core import InverseMonoid, iter_bits, mask_of
 
 
 class Filter:
@@ -62,7 +62,7 @@ class Filter:
         return iter(self._elements)
 
     def __len__(self) -> int:
-        return popcount(self.members)
+        return self.members.bit_count()
 
     def __contains__(self, s: int) -> bool:
         return (self.members >> s) & 1 == 1
@@ -96,27 +96,17 @@ class Filter:
         return self._ultra
 
     def _ultra_by_meet_criterion(self) -> bool:
-        monoid = self.monoid
-        for s in range(monoid.n):
-            if s in self:
-                continue
-            if not any(monoid.meet(s, a) == monoid.zero for a in self):
-                return False
-        return True
+        order = self.monoid.order()
+        members = order.matrix[self.generator]
+        kills = (order.meet[:, members] == self.monoid.zero).any(axis=1)
+        return bool((members | kills).all())
 
     def is_ultrafilter_by_maximality(self) -> bool:
         """Independent route: compare against every proper filter containing
         this one.  In a finite monoid those are the principal filters."""
-        if not self.is_proper:
-            return False
-        monoid = self.monoid
-        for s in range(monoid.n):
-            if s == monoid.zero:
-                continue
-            candidate = monoid.up_mask(s)
-            if candidate & self.members == self.members and candidate != self.members:
-                return False
-        return True
+        leq = self.monoid.order().matrix
+        return self.is_proper and not _under_a_larger_filter(leq, leq[self.generator],
+                                                             self.monoid.zero)
 
     # -- operations ---------------------------------------------------------
 
@@ -195,7 +185,7 @@ def filter_ran(f: Filter) -> Filter:
 
 def prime_property_holds(members: np.ndarray, join: np.ndarray) -> np.ndarray:
     """For each filter (a boolean row): a join s v t in it has s or t in it.
-    ``join`` is the join table of ``bound_table``, -1 where absent."""
+    ``join`` is the join table ``OrderData.join``, -1 where absent."""
     lands = np.pad(members, ((0, 0), (0, 1)))[:, join]     # -1 reads the pad, False
     return ~(lands & ~members[:, :, None] & ~members[:, None, :]).any(axis=(1, 2))
 
@@ -204,8 +194,7 @@ def prime_property_check(f: Filter) -> bool:
     """The prime property of one filter: holds for every ultrafilter of a
     boolean monoid, fails for typical non-maximal filters."""
     order = f.monoid.order()
-    join = bound_table(order.up, order.by_up)
-    return bool(prime_property_holds(order.matrix[[f.generator]], join)[0])
+    return bool(prime_property_holds(order.matrix[[f.generator]], order.join)[0])
 
 
 def enumerate_ultrafilters(monoid: InverseMonoid) -> list[Filter]:
@@ -261,17 +250,18 @@ class StoneGroupoid(FiniteGroupoid):
 
 def _idempotent_ultra_in_e(monoid: InverseMonoid, f: Filter) -> bool:
     """Is E(F) = F intersect E an ultrafilter of the idempotent algebra?"""
-    emask = mask_of(monoid.idempotents)
-    part = f.members & emask
-    if part == 0 or (part >> monoid.zero) & 1:
-        return False
-    for e in monoid.idempotents:
-        if e == monoid.zero:
-            continue
-        candidate = monoid.up_mask(e) & emask
-        if candidate & part == part and candidate != part:
-            return False
-    return True
+    idem = list(monoid.idempotents)
+    part, zero = np.array([e in f for e in idem]), idem.index(monoid.zero)
+    return (bool(part.any() and not part[zero])
+            and not _under_a_larger_filter(monoid.order().matrix[idem][:, idem], part, zero))
+
+
+def _under_a_larger_filter(leq: np.ndarray, members: np.ndarray, zero: int) -> bool:
+    """Whether some proper principal filter up(s) of the order ``leq`` holds
+    every one of ``members`` (a boolean row) and more."""
+    larger = leq[:, members].all(axis=1) & (np.count_nonzero(leq, axis=1) > members.sum())
+    larger[zero] = False
+    return bool(larger.any())
 
 
 def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:

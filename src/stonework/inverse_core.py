@@ -10,14 +10,13 @@ A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
 arrows); a larger one is refused before its n x n tables are built.
 
 The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
-is computed definitionally.  Because the order is antisymmetric, an element
-is determined by its down-set (and by its up-set), so a meet is one lookup:
-the element whose down-set is the intersection of the two down-sets, if
-any; joins use up-sets the same way.  ``meet`` and ``join`` return ``None``
-when the bound does not exist, so diagnostics can run on non-boolean
-monoids; ``check_boolean`` decides the three boolean-monoid axioms on dense
-meet/join tables of the idempotents and reports the first witness (in
-ascending index order) when one fails.
+is computed definitionally, as a dense matrix, and with it one dense meet
+table and one dense join table (:func:`bound_table`, -1 where a bound is
+absent).  ``meet`` and ``join`` read one cell and return ``None`` when the
+bound does not exist, so diagnostics can run on non-boolean monoids;
+``check_boolean`` decides the three boolean-monoid axioms on those tables
+(BM1 on the same builder's tables of the idempotents) and reports the first
+witness (in ascending index order) when one fails.
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ def mask_of(indices) -> int:
     return out
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def as_indices(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple of ints; a non-integer entry (float, bool,
     string) is a StructureError, never truncated."""
@@ -92,24 +87,60 @@ def as_labels(labels, count: int):
     return tuple(labels)
 
 
-def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
-    """Raise a StructureError at the first failing position, in ascending
-    order, of same-shaped failure arrays, worded by the first check (a
-    template filled with the position) that fails there."""
+def first_failure(checks: dict[str, np.ndarray]) -> tuple[str, tuple[int, ...]] | None:
+    """The first failing position, in ascending order, of same-shaped
+    failure arrays, with the name of the first check that fails there; or
+    None when none fails."""
     bad = reduce(np.logical_or, checks.values())
     if bad.any():
         at = tuple(int(x) for x in np.argwhere(bad)[0])
-        raise StructureError(next(text.format(*at) for text, fails in checks.items()
-                                  if fails[at]))
+        return next(name for name, fails in checks.items() if fails[at]), at
+    return None
 
 
-def bound_table(masks, by_mask: dict[int, int]) -> np.ndarray:
-    """Dense table of greatest lower (or least upper) bounds: entry [i, j] is
-    ``by_mask[masks[i] & masks[j]]``, or -1 where no element has that mask.
-    With down-set masks and ``OrderData.by_down`` this is the meet table;
-    with up-set masks and ``by_up``, the join table."""
-    return np.array([[by_mask.get(a & b, -1) for b in masks] for a in masks],
-                    dtype=np.int64)
+def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
+    """Raise a StructureError at :func:`first_failure`, worded by its check
+    (a template filled with the position)."""
+    if hit := first_failure(checks):
+        raise StructureError(hit[0].format(*hit[1]))
+
+
+def bound_table(leq: np.ndarray) -> np.ndarray:
+    """Greatest lower bounds in the partial order ``leq`` ([s, t]: s <= t),
+    an int16 table with -1 where a bound is absent; ``bound_table(leq.T)``
+    gives least upper bounds.  Of the members of down(s) below t, the one
+    with the largest down-set (the largest key |down(m)| * 2^12 + m, as
+    m < MAX_ELEMENTS = 2^12) is the meet if its down-set is all of
+    down(s) & down(t): exact for a transitive, antisymmetric order.  No
+    other n x n array is made."""
+    n = len(leq)
+    sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
+    key = (sizes << 12 | np.arange(n)).astype(np.int32)
+    table = np.empty((n, n), dtype=np.int16)
+    for block, members, below in _member_blocks(leq, sizes):
+        best = (below * key[members][:, :, None]).max(axis=1)
+        count = np.add.reduce(below, axis=1, dtype=np.int32)
+        table[block] = np.where((best >> 12 == count) & (count > 0), best & 4095, -1)
+    table.setflags(write=False)
+    return table
+
+
+def _member_blocks(leq: np.ndarray, sizes: np.ndarray):
+    """Blocks of rows of a bound table as (rows, members, below): below[r, i, t]
+    says members[r, i] <= rows[r] and <= t.  A small order (n^3 <= 2^18) is
+    one block over every m; in a larger one, rows with down-sets of one size
+    share blocks of about 2^20 gathered cells."""
+    n = len(leq)
+    if n ** 3 <= 1 << 18:
+        yield np.arange(n), np.arange(n)[None], leq.T[:, :, None] & leq
+        return
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        step = max(1, (1 << 20) // (size * n))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            members = np.nonzero(leq[:, block].T)[1].reshape(len(block), size)
+            yield block, members, leq[members]
 
 
 def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -120,17 +151,17 @@ def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrderData:
-    """The natural partial order: up-set / down-set bitmasks and a dense matrix."""
+    """The natural partial order: a dense matrix, its meet and join tables,
+    and up-set bitmasks (a filter is an up-set)."""
 
     up: tuple[int, ...]      # up[s] = bitmask of {t : s <= t}
-    down: tuple[int, ...]    # down[t] = bitmask of {s : s <= t}
     idempotents: tuple[int, ...]
     atoms: tuple[int, ...]   # minimal non-zero elements
-    # antisymmetry makes down- and up-sets unique: mask -> its element
-    by_down: dict[int, int] = field(compare=False, repr=False)
-    by_up: dict[int, int] = field(compare=False, repr=False)
     matrix: np.ndarray = field(compare=False, repr=False)     # read-only; [s, t]: s <= t
     up_sizes: np.ndarray = field(compare=False, repr=False)   # up_sizes[s] = |up(s)|
+    # read-only bound_table results: [s, t] the meet / join of s and t, -1 if absent
+    meet: np.ndarray = field(compare=False, repr=False)
+    join: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -303,9 +334,7 @@ class InverseMonoid:
         n, mul = self.n, self.mul
         idem = list(self.idempotents)
         leq = np.zeros((n, n), dtype=bool)    # leq[s, t]  iff  s <= t
-        prods = mul[:, idem]                  # prods[t, j] = t * e_j
-        for t in range(n):
-            leq[prods[t], t] = True
+        leq[mul[:, idem], np.arange(n)[:, None]] = True     # t * e <= t
         # sanity: a genuine partial order with zero at the bottom
         if not leq[self.zero].all():
             raise StructureError("zero is not the order bottom")
@@ -319,24 +348,19 @@ class InverseMonoid:
             raise StructureError("natural order is not transitive")
 
         leq.setflags(write=False)
-        up = tuple(mask_of(np.nonzero(leq[s])[0].tolist()) for s in range(n))
-        down = tuple(mask_of(np.nonzero(leq[:, t])[0].tolist()) for t in range(n))
-        bottom = (1 << self.zero)
-        atoms = tuple(s for s in range(n)
-                      if s != self.zero and down[s] == bottom | (1 << s))
-        return OrderData(up=up, down=down, idempotents=tuple(idem), atoms=atoms,
-                         by_down={mask: s for s, mask in enumerate(down)},
-                         by_up={mask: s for s, mask in enumerate(up)}, matrix=leq,
-                         up_sizes=np.count_nonzero(leq, axis=1))
+        up = tuple(int.from_bytes(row.tobytes(), "little")
+                   for row in np.packbits(leq, axis=1, bitorder="little"))
+        # an atom's down-set is {zero, itself}
+        atoms = tuple(np.flatnonzero(np.count_nonzero(leq, axis=0) == 2).tolist())
+        return OrderData(up=up, idempotents=tuple(idem), atoms=atoms, matrix=leq,
+                         up_sizes=np.count_nonzero(leq, axis=1),
+                         meet=bound_table(leq), join=bound_table(leq.T))
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().matrix.item(s, t)
 
     def up_mask(self, s: int) -> int:
         return self.order().up[s]
-
-    def down_mask(self, s: int) -> int:
-        return self.order().down[s]
 
     @property
     def atoms(self) -> tuple[int, ...]:
@@ -345,16 +369,14 @@ class InverseMonoid:
     # -- meets, joins, compatibility ------------------------------------------
 
     def meet(self, s: int, t: int):
-        """Greatest lower bound in the natural order, or None if absent:
-        the element whose down-set is the common down-set."""
-        order = self.order()
-        return order.by_down.get(order.down[s] & order.down[t])
+        """Greatest lower bound in the natural order, or None if absent."""
+        m = self.order().meet.item(s, t)
+        return None if m < 0 else m
 
     def join(self, s: int, t: int):
-        """Least upper bound in the natural order, or None if absent:
-        the element whose up-set is the common up-set."""
-        order = self.order()
-        return order.by_up.get(order.up[s] & order.up[t])
+        """Least upper bound in the natural order, or None if absent."""
+        j = self.order().join.item(s, t)
+        return None if j < 0 else j
 
     def compatible(self, s: int, t: int) -> bool:
         """True when s^-1 t and s t^-1 are both idempotent."""
@@ -366,6 +388,11 @@ class InverseMonoid:
         return (int(self.mul[self.inv[s], t]) == self.zero
                 and int(self.mul[s, self.inv[t]]) == self.zero)
 
+    def orthogonality(self) -> np.ndarray:
+        """[s, t]: s and t are orthogonal, for every pair at once."""
+        inv = np.asarray(self.inv)
+        return (self.mul[inv] == self.zero) & (self.mul[:, inv] == self.zero)
+
     # -- boolean structure -----------------------------------------------------
 
     def check_boolean(self) -> BooleanCertificate:
@@ -375,32 +402,23 @@ class InverseMonoid:
             self._certificate = self._decide_boolean()
         return self._certificate
 
-    def _idempotent_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense meet and join tables of (E, <=), as positions into
-        ``order().idempotents`` with -1 where the bound is absent in E.
-
-        The same lookup as :meth:`meet`, restricted to E: two idempotents
-        with one down-set inside E are equal, so the mask names the element.
-        """
-        order = self.order()
-        emask = mask_of(order.idempotents)
-        down_e = [order.down[e] & emask for e in order.idempotents]
-        up_e = [order.up[e] & emask for e in order.idempotents]
-        return (bound_table(down_e, {mask: i for i, mask in enumerate(down_e)}),
-                bound_table(up_e, {mask: i for i, mask in enumerate(up_e)}))
-
     def _decide_boolean(self) -> BooleanCertificate:
         order = self.order()
         idem = order.idempotents
         k = len(idem)
-        meet, join = self._idempotent_tables()
+        # the bounds of (E, <=), as positions into idem.  Bound tables and
+        # orthogonality are symmetric, so the first failing pair of a
+        # row-major scan below has s <= t, as in a scan of the upper triangle.
+        # The loops below index with the tables: as intp, numpy need not
+        # convert them on every gather.
+        rows = list(idem)
+        in_e = order.matrix[rows][:, rows]
+        meet, join = (bound_table(leq).astype(np.intp) for leq in (in_e, in_e.T))
 
         # BM1: (E, <=) is a lattice, distributive, complemented.
-        absent = np.triu((meet < 0) | (join < 0), 1)
-        if absent.any():
-            i, j = map(int, np.argwhere(absent)[0])
-            detail = "idempotent meet missing" if meet[i, j] < 0 else "idempotent join missing"
-            return BooleanCertificate(False, "BM1", detail, (idem[i], idem[j]))
+        if hit := first_failure({"idempotent meet missing": meet < 0,
+                                 "idempotent join missing": join < 0}):
+            return BooleanCertificate(False, "BM1", hit[0], tuple(idem[i] for i in hit[1]))
         for i in range(k):
             row = meet[i]
             lhs = row[join]                           # e ^ (f v g)
@@ -409,31 +427,20 @@ class InverseMonoid:
                 f, g = map(int, np.argwhere(lhs != rhs)[0])
                 return BooleanCertificate(False, "BM1", "idempotent lattice not distributive",
                                           (idem[i], idem[f], idem[g]))
-        zero, one = idem.index(self.zero), idem.index(self.one)
-        complements: dict[int, int] = {}
-        for i, e in enumerate(idem):
-            hits = np.flatnonzero((meet[i] == zero) & (join[i] == one))
-            if not len(hits):
-                return BooleanCertificate(False, "BM1", "idempotent has no complement", (e,))
-            complements[e] = idem[int(hits[0])]
+        # [i, j]: idem[j] is a complement of idem[i]; the first one is kept
+        complement = (meet == idem.index(self.zero)) & (join == idem.index(self.one))
+        if not (found := complement.any(axis=1)).all():
+            return BooleanCertificate(False, "BM1", "idempotent has no complement",
+                                      (idem[int(found.argmin())],))
 
-        # BM2: every pair has a meet.
-        n, down, up = self.n, order.down, order.up
-        for s in range(n):
-            ds = down[s]
-            for t in range(s, n):
-                if ds & down[t] not in order.by_down:
-                    return BooleanCertificate(False, "BM2", "meet missing", (s, t))
+        # BM2: every pair has a meet.  BM3: orthogonal pairs have joins.
+        for axiom, missing in (("BM2", {"meet missing": order.meet < 0}),
+                               ("BM3", {"orthogonal join missing":
+                                        self.orthogonality() & (order.join < 0)})):
+            if hit := first_failure(missing):
+                return BooleanCertificate(False, axiom, hit[0], hit[1])
 
-        # BM3: orthogonal pairs have joins.
-        mul, inv = self.mul, np.asarray(self.inv)
-        for s in range(n):
-            orthogonal = (mul[inv[s], s:] == self.zero) & (mul[s, inv[s:]] == self.zero)
-            for t in (np.flatnonzero(orthogonal) + s).tolist():
-                if up[s] & up[t] not in order.by_up:
-                    return BooleanCertificate(False, "BM3", "orthogonal join missing", (s, t))
-
-        self._complements = complements
+        self._complements = dict(zip(idem, (idem[j] for j in complement.argmax(axis=1))))
         return BooleanCertificate(True)
 
     @property
@@ -559,7 +566,7 @@ def boolean_algebra_monoid(num_atoms: int) -> InverseMonoid:
     # min() keeps a huge k from building a huge int: 2^64 is refused like 2^k
     check_size(1 << min(num_atoms, 64), f"the boolean algebra on {num_atoms} atoms")
     n = 1 << num_atoms
-    mul = [[s & t for t in range(n)] for s in range(n)]
+    mul = np.bitwise_and.outer(np.arange(n), np.arange(n))
     labels = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(n)]
     return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1, labels=labels)
 
@@ -585,7 +592,7 @@ def chain_monoid(length: int) -> InverseMonoid:
     if length < 2:
         raise BoundError("chain needs at least two elements")
     check_size(length, f"a chain of {length} elements")
-    mul = [[min(s, t) for t in range(length)] for s in range(length)]
+    mul = np.minimum.outer(np.arange(length), np.arange(length))
     labels = ["0"] + [f"e{i}" for i in range(1, length - 1)] + ["1"]
     return InverseMonoid(mul, list(range(length)), zero=0, one=length - 1, labels=labels)
 

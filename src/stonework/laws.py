@@ -8,8 +8,9 @@ suites through ``check --laws``.
 
 A suite computes what its laws share once per call: both filter suites read
 one table of every literal filter product (``filter_products``), and the
-order suite reads meets off one dense table.  Each law still checks its
-own definition on every instance; none is replaced by the theorem it tests.
+order suites read meets and joins off the order's two dense tables.  Each
+law still checks its own definition on every instance; none is replaced by
+the theorem it tests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .filters import (
     prime_property_holds,
 )
 from .groupoids import BISECTION_BOUND, all_bisections_monoid, point_ultrafilter
-from .inverse_core import InverseMonoid, bound_table, inclusions, iter_bits
+from .inverse_core import InverseMonoid, inclusions
 from .reporting import LawReport
 
 
@@ -38,7 +39,7 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     report = LawReport("order-meet laws")
     n, mul, inv, rng = monoid.n, monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
     order = monoid.order()      # the bound tables hold -1 where a bound is absent
-    meet, join = bound_table(order.down, order.by_down), bound_table(order.up, order.by_up)
+    meet, join = order.meet, order.join
     dom, ran, idempotent = mul[inv, rng], mul[rng, inv], mul[rng, rng] == rng
 
     def fails_to_split(bound):
@@ -75,44 +76,39 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     admit a separating element below."""
     monoid.require_boolean()
     report = LawReport("local complement laws")
-    n = monoid.n
+    n, order = monoid.n, monoid.order()
+    leq, join = order.matrix, order.join
+    dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)]
+    moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
 
     law = report.new("downset-boolean-via-dom")
     for s in range(n):
         law.tick()
-        down = list(iter_bits(monoid.down_mask(s)))
-        image = sorted(monoid.dom(x) for x in down)
-        if image != sorted(iter_bits(monoid.down_mask(monoid.dom(s)))):
+        down = np.flatnonzero(leq[:, s])
+        if sorted(dom[down].tolist()) != np.flatnonzero(leq[:, dom[s]]).tolist():
             law.fail((s,))
             continue
-        for x in down:
-            for y in down:
-                if monoid.leq(x, y) != monoid.leq(monoid.dom(x), monoid.dom(y)):
-                    law.fail((s, x, y))
+        for x, y in np.argwhere(moved[down][:, down]).tolist():
+            law.fail((s, int(down[x]), int(down[y])))
 
     law = report.new("relative-complement-unique")
+    orthogonal = monoid.orthogonality()
     for t in range(n):
-        for s in iter_bits(monoid.down_mask(t)):
+        for s in np.flatnonzero(leq[:, t]).tolist():
             law.tick()
             r = monoid.relative_complement(s, t)
-            candidates = [x for x in range(n)
-                          if monoid.leq(x, t) and monoid.orthogonal(s, x)
-                          and monoid.join(s, x) == t]
+            candidates = np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist()
             if candidates != [r]:
                 law.fail((s, t, candidates))
 
     law = report.new("separation-below")
-    for s in range(n):
-        if s == monoid.zero:
-            continue
-        for t in range(n):
-            if monoid.leq(s, t):
-                continue
-            law.tick()
-            s_prime = monoid.relative_complement(monoid.meet(s, t), s)
-            if (s_prime == monoid.zero or not monoid.leq(s_prime, s)
-                    or monoid.meet(s_prime, t) != monoid.zero):
-                law.fail((s, t))
+    nonzero = np.arange(n) != monoid.zero
+    for s, t in np.argwhere(nonzero[:, None] & ~leq).tolist():     # s != 0, s not <= t
+        law.tick()
+        s_prime = monoid.relative_complement(monoid.meet(s, t), s)
+        if (s_prime == monoid.zero or not leq[s_prime, s]
+                or monoid.meet(s_prime, t) != monoid.zero):
+            law.fail((s, t))
     return report
 
 
@@ -236,7 +232,7 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     law.fail_where((rows @ rows.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool))
 
     law = report.new("ultrafilters-prime")
-    prime = prime_property_holds(in_ultra, bound_table(order.up, order.by_up))
+    prime = prime_property_holds(in_ultra, order.join)
     for f, holds in zip(ultra, prime):
         law.tick()
         if not holds:

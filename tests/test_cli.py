@@ -310,6 +310,22 @@ def test_max_size_flag_guards_dualize(tmp_path, capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dualize", "ix3", "--round-trip", "--max-size", "4"), "capped at 4"),
+    (("dualize", "pair3", "--format", "dot"), "dot output is only defined for groupoids"),
+], ids=["round-trip-capped", "dot-of-a-monoid"])
+def test_a_refused_dualize_writes_nothing(tmp_path, capsys, argv, message):
+    """The dual is saved only after the round trip and the rendering, so a
+    command that exits 2 leaves the store as it found it."""
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    run(capsys, "build", "pair-groupoid", "--points", "3", "--store", str(tmp_path))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # -- malformed entries exit 2 -------------------------------------------------------
 
 GROUPOID_CORRUPTIONS = {

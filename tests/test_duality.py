@@ -1,5 +1,9 @@
 """Morphism axioms, basic-open laws, functors on morphisms, round trips."""
 
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from helpers import (
@@ -92,6 +96,61 @@ def test_non_homomorphism_rejected(ix2):
         MonoidMorphism(ix2, ix2, tuple(mapping))
 
 
+def corrupted_bounds(monoid, bound, landing_on, now):
+    """A fresh copy of a boolean monoid whose bounds (``meet`` or ``join``)
+    that land on ``landing_on`` now say ``now`` (-1: absent)."""
+    copy = monoid.restrict(range(monoid.n))
+    copy.require_boolean()
+    order = copy.order()
+    table = getattr(order, bound).copy()
+    table[table == landing_on] = now
+    copy._order = replace(order, **{bound: table})
+    return copy
+
+
+def first_moved_bound(source, target, f):
+    """M1/M2 as per-pair loops: the first idempotent pair whose meet or join
+    f moves, then the first pair whose meet it moves."""
+    for e in source.idempotents:
+        for g in source.idempotents:
+            for bound in ("meet", "join"):
+                if f[getattr(source, bound)(e, g)] != getattr(target, bound)(f[e], f[g]):
+                    return "M1", (bound, e, g)
+    for a in range(source.n):
+        for b in range(source.n):
+            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
+                return "M2", (a, b)
+    return None
+
+
+@pytest.mark.parametrize("name", ["ix2", "ix3", "clifford"])
+@pytest.mark.parametrize("bound, now", [("meet", 0), ("meet", -1), ("join", 0), ("join", -1)])
+def test_gathered_bound_checks_give_the_loops_first_witness(name, bound, now):
+    """MonoidMorphism M1/M2 and the round trip's meet-and-order law, run as
+    gathers, report the first failure of the per-pair loops."""
+    monoid = corpus_monoids()[name]
+    moved = []
+    for landing_on in (*monoid.atoms, monoid.one):
+        target = corrupted_bounds(monoid, bound, landing_on, monoid.zero if now == 0 else now)
+        try:
+            MonoidMorphism(monoid, target, tuple(range(monoid.n)), weak=True)
+            witness = None
+        except MorphismError as err:
+            witness = err.stage, err.witness
+        assert witness == first_moved_bound(monoid, target, range(monoid.n))
+        moved.append(witness)
+    assert any(moved)
+
+    source = corrupted_bounds(monoid, "meet", monoid.atoms[-1], monoid.zero)
+    sg = stone_groupoid(monoid)
+    dual = all_bisections_monoid(sg).monoid
+    forward = round_trip_monoid(monoid, sg).forward
+    s, t = next((s, t) for s in range(monoid.n) for t in range(monoid.n)
+                if forward[source.meet(s, t)] != dual.meet(forward[s], forward[t]))
+    with pytest.raises(StructureError, match=re.escape(f"does not preserve meets at ({s}, {t})")):
+        round_trip_monoid(source, sg)
+
+
 # -- basic open sets ----------------------------------------------------------------
 
 
@@ -156,12 +215,14 @@ def test_union_probe_agrees_with_the_union_law(factory, clashes, monkeypatch):
     assert all(flag == (monoid.join(*pair) is not None) for pair, (flag, _) in probe.items())
     assert {witness[0] for flag, witness in probe.values() if not flag} == clashes
 
-    monkeypatch.setattr(monoid, "join", lambda s, t: None)
+    order = monoid.order()
+    monkeypatch.setattr(monoid, "_order", replace(order, join=np.full_like(order.join, -1)))
     law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
     assert law.instances == len(pairs)
     assert law.failures == [(*pair, None) for pair in pairs if probe[pair][0]]
 
-    monkeypatch.setattr(monoid, "join", lambda s, t: monoid.zero)
+    monkeypatch.setattr(monoid, "_order",
+                        replace(order, join=np.full_like(order.join, monoid.zero)))
     law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
     assert law.failures == [(*pair, probe[pair][1]) for pair in pairs if not probe[pair][0]]
 

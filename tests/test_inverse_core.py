@@ -26,7 +26,6 @@ from stonework import (
     product_monoid,
     symmetric_inverse_monoid,
 )
-from stonework.inverse_core import iter_bits
 
 from helpers import corpus_monoids, first_associativity_failure
 
@@ -213,7 +212,7 @@ def test_order_restriction_map(ix2):
     assert ix2.leq(e1, one)
     assert not ix2.leq(by_label(ix2, "{1->2}"), one)
     assert ix2.leq(by_label(ix2, "{1->2}"), swap)
-    assert sorted(iter_bits(ix2.down_mask(one))) == sorted(
+    assert sorted(np.flatnonzero(ix2.order().matrix[:, one]).tolist()) == sorted(
         [ix2.zero, e1, by_label(ix2, "{2->2}"), one])
 
 
@@ -266,7 +265,7 @@ def test_relative_complement(ix2):
 
 def test_relative_complement_unique_by_enumeration(ix2):
     for t in range(ix2.n):
-        for s in iter_bits(ix2.down_mask(t)):
+        for s in np.flatnonzero(ix2.order().matrix[:, t]).tolist():
             r = ix2.relative_complement(s, t)
             candidates = [x for x in range(ix2.n)
                           if ix2.leq(x, t) and ix2.orthogonal(s, x)
@@ -360,10 +359,11 @@ def test_products_distribute_over_meets(ix2):
 
 def test_downsets_boolean_via_dom(ix2):
     # x -> dom(x) is an order isomorphism from s-down onto dom(s)-down
+    leq = ix2.order().matrix
     for s in range(ix2.n):
-        down = list(iter_bits(ix2.down_mask(s)))
+        down = np.flatnonzero(leq[:, s]).tolist()
         image = [ix2.dom(x) for x in down]
-        assert sorted(image) == sorted(iter_bits(ix2.down_mask(ix2.dom(s))))
+        assert sorted(image) == np.flatnonzero(leq[:, ix2.dom(s)]).tolist()
         for x in down:
             for y in down:
                 assert ix2.leq(x, y) == ix2.leq(ix2.dom(x), ix2.dom(y))
@@ -403,21 +403,23 @@ def test_compatible_join_formula(ix2):
 
 
 def scan_meet(monoid, s, t):
-    """The definition as a bit scan: the common lower bound whose down-set
-    is the whole common down-set, or None."""
-    down = monoid.order().down
-    lb = down[s] & down[t]
-    for m in iter_bits(lb):
-        if down[m] == lb:
+    """The definition as a brute-force scan over the order matrix's columns
+    (down-sets): the common lower bound whose down-set is the whole common
+    down-set, or None."""
+    leq = monoid.order().matrix
+    lower = leq[:, s] & leq[:, t]
+    for m in np.flatnonzero(lower).tolist():
+        if np.array_equal(leq[:, m], lower):
             return m
     return None
 
 
 def scan_join(monoid, s, t):
-    up = monoid.order().up
-    ub = up[s] & up[t]
-    for m in iter_bits(ub):
-        if up[m] == ub:
+    """The same scan over the matrix's rows (up-sets)."""
+    leq = monoid.order().matrix
+    upper = leq[s] & leq[t]
+    for m in np.flatnonzero(upper).tolist():
+        if np.array_equal(leq[m], upper):
             return m
     return None
 
@@ -435,16 +437,48 @@ def test_indexed_meet_and_join_match_the_scan():
                   two_maximal=two_maximal_lower_bounds())
     absent = {"meet": set(), "join": set()}
     for name, monoid in corpus.items():
+        order = monoid.order()
+        assert order.meet.shape == order.join.shape == (monoid.n, monoid.n)
         for s in range(monoid.n):
             for t in range(monoid.n):
-                assert monoid.meet(s, t) == scan_meet(monoid, s, t), (name, s, t)
-                assert monoid.join(s, t) == scan_join(monoid, s, t), (name, s, t)
+                meet, join = scan_meet(monoid, s, t), scan_join(monoid, s, t)
+                assert monoid.meet(s, t) == meet, (name, s, t)
+                assert monoid.join(s, t) == join, (name, s, t)
+                assert order.meet[s, t] == (-1 if meet is None else meet), (name, s, t)
+                assert order.join[s, t] == (-1 if join is None else join), (name, s, t)
                 if monoid.meet(s, t) is None:
                     absent["meet"].add(name)
                 if monoid.join(s, t) is None:
                     absent["join"].add(name)
     assert absent == {"meet": {"two_maximal"}, "join": {"ix2", "ix3", "clifford", "brandt",
                                                         "z2_zero", "z3_zero", "two_maximal"}}
+
+
+def test_bound_tables_built_in_blocks_match_the_definition(ix5):
+    """ix5's tables are built in blocks, its rows of one down-set size
+    spanning several (the small corpus above is built in one broadcast):
+    spot rows of both against the definition, the element whose down-set
+    (up-set) is the common one."""
+    order = ix5.order()
+    for leq, table in ((order.matrix, order.meet), (order.matrix.T, order.join)):
+        columns = np.ascontiguousarray(leq.T)           # row m: the down-set of m
+        by_down_set = {row.tobytes(): m for m, row in enumerate(columns)}
+        for s in range(0, len(leq), 37):
+            common = columns[s] & columns               # row t: down(s) & down(t)
+            assert table[s].tolist() == [by_down_set.get(row.tobytes(), -1) for row in common]
+    assert (order.join < 0).any() and not (order.meet < 0).any()
+
+
+def test_two_maximal_lower_bounds_fails_bm2():
+    """1 and t have the lower bounds 0, e1 and e2 but no greatest one: the
+    first missing meet of the ascending scan."""
+    monoid = two_maximal_lower_bounds()
+    cert = monoid.check_boolean()
+    assert (cert.is_boolean, cert.axiom, cert.detail, cert.elements) == (
+        False, "BM2", "meet missing", (3, 4))
+    assert [monoid.label(s) for s in cert.elements] == [
+        "{1->1,2->2,3->3,4->4}", "{1->1,2->2,3->4,4->3}"]
+    assert monoid.meet(3, 4) is None
 
 
 # -- BM1 distributivity witness ---------------------------------------------------
