@@ -96,17 +96,17 @@ class Filter:
         return self._ultra
 
     def _ultra_by_meet_criterion(self) -> bool:
-        order = self.monoid.order()
-        members = order.matrix[self.generator]
-        kills = (order.meet[:, members] == self.monoid.zero).any(axis=1)
-        return bool((members | kills).all())
+        monoid = self.monoid
+        return all(any(monoid.meet(s, a) == monoid.zero for a in self)
+                   for s in range(monoid.n) if s not in self)
 
     def is_ultrafilter_by_maximality(self) -> bool:
         """Independent route: compare against every proper filter containing
         this one.  In a finite monoid those are the principal filters."""
-        leq = self.monoid.order().matrix
-        return self.is_proper and not _under_a_larger_filter(leq, leq[self.generator],
-                                                             self.monoid.zero)
+        monoid, members = self.monoid, self.members
+        return self.is_proper and not any(
+            (up := monoid.up_mask(s)) & members == members and up != members
+            for s in range(monoid.n) if s != monoid.zero)
 
     # -- operations ---------------------------------------------------------
 
@@ -250,18 +250,12 @@ class StoneGroupoid(FiniteGroupoid):
 
 def _idempotent_ultra_in_e(monoid: InverseMonoid, f: Filter) -> bool:
     """Is E(F) = F intersect E an ultrafilter of the idempotent algebra?"""
-    idem = list(monoid.idempotents)
-    part, zero = np.array([e in f for e in idem]), idem.index(monoid.zero)
-    return (bool(part.any() and not part[zero])
-            and not _under_a_larger_filter(monoid.order().matrix[idem][:, idem], part, zero))
-
-
-def _under_a_larger_filter(leq: np.ndarray, members: np.ndarray, zero: int) -> bool:
-    """Whether some proper principal filter up(s) of the order ``leq`` holds
-    every one of ``members`` (a boolean row) and more."""
-    larger = leq[:, members].all(axis=1) & (np.count_nonzero(leq, axis=1) > members.sum())
-    larger[zero] = False
-    return bool(larger.any())
+    emask = mask_of(monoid.idempotents)
+    part = f.members & emask
+    if part == 0 or (part >> monoid.zero) & 1:
+        return False
+    return not any((up := monoid.up_mask(e) & emask) & part == part and up != part
+                   for e in monoid.idempotents if e != monoid.zero)
 
 
 def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:

@@ -105,42 +105,51 @@ def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
         raise StructureError(hit[0].format(*hit[1]))
 
 
+BLOCK_CELLS = 1 << 20   # most cells bound_table gathers at once
+
+
 def bound_table(leq: np.ndarray) -> np.ndarray:
     """Greatest lower bounds in the partial order ``leq`` ([s, t]: s <= t),
     an int16 table with -1 where a bound is absent; ``bound_table(leq.T)``
     gives least upper bounds.  Of the members of down(s) below t, the one
     with the largest down-set (the largest key |down(m)| * 2^12 + m, as
     m < MAX_ELEMENTS = 2^12) is the meet if its down-set is all of
-    down(s) & down(t): exact for a transitive, antisymmetric order.  No
-    other n x n array is made."""
+    down(s) & down(t): exact for a transitive, antisymmetric order.
+
+    An order whose n^3 cells fit in BLOCK_CELLS is one gather over every m.
+    A larger one takes the rows with down-sets of one size in blocks, and
+    their members in chunks, of about BLOCK_CELLS cells, so no temporary
+    grows with n^2.  (Blocks cost numpy calls per size: on small orders
+    they made ``dualize`` and ``laws`` p50_s 15-18% slower.)"""
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
     key = (sizes << 12 | np.arange(n)).astype(np.int32)
-    table = np.empty((n, n), dtype=np.int16)
-    for block, members, below in _member_blocks(leq, sizes):
-        best = (below * key[members][:, :, None]).max(axis=1)
-        count = np.add.reduce(below, axis=1, dtype=np.int32)
-        table[block] = np.where((best >> 12 == count) & (count > 0), best & 4095, -1)
+    if n ** 3 <= BLOCK_CELLS:                         # below[s, m, t]: m <= s and m <= t
+        table = _greatest_below([(leq.T[:, :, None] & leq, key)]).astype(np.int16)
+    else:
+        table = np.empty((n, n), dtype=np.int16)
+        for size in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == size)
+            step = max(1, BLOCK_CELLS // (size * n))
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                members = np.nonzero(leq[:, block].T)[1].reshape(len(block), size)
+                width = max(1, BLOCK_CELLS // (len(block) * n))
+                parts = (members[:, at:at + width] for at in range(0, size, width))
+                table[block] = _greatest_below((leq[part], key[part]) for part in parts)
     table.setflags(write=False)
     return table
 
 
-def _member_blocks(leq: np.ndarray, sizes: np.ndarray):
-    """Blocks of rows of a bound table as (rows, members, below): below[r, i, t]
-    says members[r, i] <= rows[r] and <= t.  A small order (n^3 <= 2^18) is
-    one block over every m; in a larger one, rows with down-sets of one size
-    share blocks of about 2^20 gathered cells."""
-    n = len(leq)
-    if n ** 3 <= 1 << 18:
-        yield np.arange(n), np.arange(n)[None], leq.T[:, :, None] & leq
-        return
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        step = max(1, (1 << 20) // (size * n))
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            members = np.nonzero(leq[:, block].T)[1].reshape(len(block), size)
-            yield block, members, leq[members]
+def _greatest_below(chunks) -> np.ndarray:
+    """Rows of bound_table from chunks (below, keys) of their candidate
+    members, below[r, i, t] saying that the i-th lies below row r and t: a
+    running largest key and count of the members below each t."""
+    best = count = 0
+    for below, keys in chunks:
+        best = np.maximum(best, (below * keys[..., None]).max(axis=1))
+        count = count + np.add.reduce(below, axis=1, dtype=np.int32)
+    return np.where((best >> 12 == count) & (count > 0), best & 4095, -1)
 
 
 def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -406,11 +415,9 @@ class InverseMonoid:
         order = self.order()
         idem = order.idempotents
         k = len(idem)
-        # the bounds of (E, <=), as positions into idem.  Bound tables and
-        # orthogonality are symmetric, so the first failing pair of a
-        # row-major scan below has s <= t, as in a scan of the upper triangle.
-        # The loops below index with the tables: as intp, numpy need not
-        # convert them on every gather.
+        # the bounds of (E, <=), as positions into idem (intp: the loops below
+        # index with them).  Bound tables and orthogonality are symmetric, so
+        # a row-major first failing pair has s <= t, as in an upper triangle.
         rows = list(idem)
         in_e = order.matrix[rows][:, rows]
         meet, join = (bound_table(leq).astype(np.intp) for leq in (in_e, in_e.T))

@@ -22,6 +22,7 @@ from stonework import (
     chain_monoid,
     clifford_monoid,
     group_with_zero_monoid,
+    inverse_core,
     partial_bijections,
     product_monoid,
     symmetric_inverse_monoid,
@@ -455,9 +456,8 @@ def test_indexed_meet_and_join_match_the_scan():
 
 
 def test_bound_tables_built_in_blocks_match_the_definition(ix5):
-    """ix5's tables are built in blocks, its rows of one down-set size
-    spanning several (the small corpus above is built in one broadcast):
-    spot rows of both against the definition, the element whose down-set
+    """ix5's rows of one down-set size span several blocks: spot rows of
+    both tables against the definition, the element whose down-set
     (up-set) is the common one."""
     order = ix5.order()
     for leq, table in ((order.matrix, order.meet), (order.matrix.T, order.join)):
@@ -467,6 +467,35 @@ def test_bound_tables_built_in_blocks_match_the_definition(ix5):
             common = columns[s] & columns               # row t: down(s) & down(t)
             assert table[s].tolist() == [by_down_set.get(row.tobytes(), -1) for row in common]
     assert (order.join < 0).any() and not (order.meet < 0).any()
+
+
+def test_bound_tables_built_one_member_at_a_time_are_the_same(monkeypatch):
+    """With a block of one cell, every row is its own block and every
+    down-set is gathered one member at a time: the running largest key and
+    count give the stored tables."""
+    corpus = dict(corpus_monoids(), chain12=chain_monoid(12), brandt=brandt_monoid(),
+                  two_maximal=two_maximal_lower_bounds())
+    orders = {name: monoid.order() for name, monoid in corpus.items()}
+    monkeypatch.setattr(inverse_core, "BLOCK_CELLS", 1)
+    for name, order in orders.items():
+        assert np.array_equal(inverse_core.bound_table(order.matrix), order.meet), name
+        assert np.array_equal(inverse_core.bound_table(order.matrix.T), order.join), name
+
+
+def test_a_large_down_set_is_gathered_in_chunks(monkeypatch):
+    """The top of a 300-chain has all 300 elements below it; gathered in
+    chunks of 2^12 cells, the builder's peak stays well under the n x n
+    int32 cells an unchunked key product would take."""
+    leq = chain_monoid(300).order().matrix
+    monkeypatch.setattr(inverse_core, "BLOCK_CELLS", 1 << 12)
+    tracemalloc.start()
+    try:
+        table = inverse_core.bound_table(leq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[-1].tolist() == list(range(300))      # meet(top, t) = t
+    assert peak < table.nbytes + 300 * 300
 
 
 def test_two_maximal_lower_bounds_fails_bm2():
