@@ -183,7 +183,8 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
 
     law = report.new("meet-is-intersection")
     law.tick(n * n)
-    law.fail_where([(inside[meet[s]] != (inside[s] & inside)).any(axis=1) for s in range(n)])
+    law.fail_where([(meet[s] < 0) | (inside[meet[s]] != (inside[s] & inside)).any(axis=1)
+                    for s in range(n)])
 
     law = report.new("inverse")
     law.tick(n)

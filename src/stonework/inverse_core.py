@@ -120,7 +120,10 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
     A larger one takes the rows with down-sets of one size in blocks, and
     their members in chunks, of about BLOCK_CELLS cells, so no temporary
     grows with n^2.  (Blocks cost numpy calls per size: on small orders
-    they made ``dualize`` and ``laws`` p50_s 15-18% slower.)"""
+    they made ``dualize`` and ``laws`` p50_s 15-18% slower.)  The gathers
+    read a C-contiguous copy of ``leq``: from a transposed view they took
+    several times as long (ba12's join table: 18.6 s against 3.3 s)."""
+    leq = np.ascontiguousarray(leq)
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
     key = (sizes << 12 | np.arange(n)).astype(np.int32)

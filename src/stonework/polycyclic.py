@@ -10,6 +10,10 @@ characters ``'1'..'n'``):
   completion: domains and ranges are antichains under the prefix order,
   canonical form merges every complete sibling family.  Units are exactly
   the pairs of maximal prefix codes (the finitary tree-pair group).
+  Antichains are checked on sorted words (in lexicographic order a prefix
+  of any later word is a prefix of its successor), and a product looks up
+  only the pairs whose ranges are prefix-comparable, so both cost what the
+  families and the product hold, not the number of pairs of pairs.
 * ``CuntzArrow`` — arrows ``(x w, |x|-|y|, y w)`` of the shift groupoid
   over eventually periodic infinite words ``u v^w``, which are the
   finitely-representable points; composition is exact on normal forms.
@@ -22,8 +26,8 @@ cross-checked.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import BoundError, ParseError, StructureError
@@ -107,24 +111,82 @@ def _prefix_incomparable(a: str, b: str) -> bool:
     return not (a.startswith(b) or b.startswith(a))
 
 
+def _prefix_free(words) -> bool:
+    """A sorted word list is an antichain under the prefix order exactly
+    when no word is a prefix of its successor: in lexicographic order, a
+    word that is a prefix of any later word is a prefix of the next one."""
+    for i in range(1, len(words)):
+        if words[i].startswith(words[i - 1]):
+            return False
+    return True
+
+
 def _canonical_pairs(n: int, pairs) -> tuple[tuple[str, str], ...]:
-    """Merge complete sibling families until none remain, then sort."""
+    """Merge complete sibling families until none remain, then sort.
+
+    Each round replaces every family {(sx c, sy c) : c a letter} present in
+    full by its stem (sx, sy), all at once; a stem that is itself a member
+    of another family merged in the same round stays.  A family with a
+    member on a letter outside the alphabet is never complete.  Only the
+    stems of the pairs a round adds can complete in the next round."""
     current = set(pairs)
-    full = set(letters(n))
+    alphabet = letters(n)
+    fresh, blocked = current, set()
     while True:
-        by_stem: dict[tuple[str, str], set] = {}
-        for x, y in current:
+        merged = set()
+        for x, y in fresh:
             if x and y and x[-1] == y[-1]:
-                by_stem.setdefault((x[:-1], y[:-1]), set()).add(x[-1])
-        merged = False
-        for (sx, sy), present in by_stem.items():
-            if present == full:
-                for c in full:
-                    current.discard((sx + c, sy + c))
-                current.add((sx, sy))
-                merged = True
+                stem_x, stem_y = x[:-1], y[:-1]
+                if x[-1] not in alphabet:
+                    blocked.add((stem_x, stem_y))
+                    continue
+                for c in alphabet:
+                    if (stem_x + c, stem_y + c) not in current:
+                        break
+                else:
+                    merged.add((stem_x, stem_y))
+        if merged and blocked:
+            merged -= blocked
         if not merged:
             return tuple(sorted(current))
+        for stem_x, stem_y in merged:
+            for c in alphabet:
+                current.discard((stem_x + c, stem_y + c))
+        current |= merged
+        fresh = merged
+
+
+def _canonical_and_orthogonal(n: int, pairs) -> bool:
+    """The defining checks of a CnElement by sorting: the pairs are sorted
+    with no duplicates, ranges and domains are antichains, and no complete
+    sibling family is present.  Over an antichain of ranges the members of
+    a family are consecutive, so one pass finds them.  On False the literal
+    checks run, to decide and to name the first offending pair."""
+    if type(pairs) is not tuple:
+        return False
+    size = len(pairs)
+    if size < 2:
+        return True         # a family of n >= 2 siblings has two members
+    siblings = letters(n)[1:]
+    domains = []
+    for i in range(size):
+        x, y = pair = pairs[i]
+        if i:
+            before = pairs[i - 1]
+            if not before < pair or x.startswith(before[0]):
+                return False
+        if x[-1:] == y[-1:] == "1":
+            stem_x, stem_y = x[:-1], y[:-1]
+            j = i
+            for c in siblings:
+                j += 1
+                if j == size or pairs[j] != (stem_x + c, stem_y + c):
+                    break
+            else:
+                return False
+        domains.append(y)
+    domains.sort()
+    return _prefix_free(domains)
 
 
 @dataclass(frozen=True)
@@ -132,24 +194,30 @@ class CnElement:
     """A finite orthogonal join of shift pairs, in canonical form.
 
     Use :meth:`make` to build one from an arbitrary pair family; the bare
-    constructor insists the family is already canonical.
+    constructor insists the family is already canonical.  It checks the
+    alphabet, then the canonical form, then orthogonality, and names the
+    first offending pair: a sorted pass accepts a valid family, and only a
+    rejected one is scanned pair by pair for its witness.
     """
 
     n: int
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if not ALPHABET_MIN <= self.n <= ALPHABET_MAX:
+        n, pairs = self.n, self.pairs
+        if not ALPHABET_MIN <= n <= ALPHABET_MAX:
             raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
-        ok = letters(self.n)
-        for x, y in self.pairs:
-            if any(c not in ok for c in x + y):
+        top = ALPHABET[n - 1]
+        for x, y in pairs:
+            word = x + y
+            if word and (min(word) < "1" or max(word) > top):
                 raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
-        if self.pairs != _canonical_pairs(self.n, self.pairs):
+        if _canonical_and_orthogonal(n, pairs):
+            return
+        if pairs != _canonical_pairs(n, pairs):
             raise StructureError("pair family is not canonical")
-        items = list(self.pairs)
-        for i, (x, y) in enumerate(items):
-            for u, v in items[i + 1:]:
+        for i, (x, y) in enumerate(pairs):
+            for u, v in pairs[i + 1:]:
                 if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
                     raise StructureError(
                         f"pairs ({x!r},{y!r}) and ({u!r},{v!r}) are not orthogonal")
@@ -188,15 +256,30 @@ def embed_poly(n: int, a: PolyElement) -> CnElement:
 
 
 def cn_mul(a: CnElement, b: CnElement) -> CnElement:
-    """Pairwise prefix products with zeros dropped, then canonicalized."""
+    """The prefix products of the pairs (x, y) of a with those pairs (u, v)
+    of b whose range u is prefix-comparable with y, canonicalized.  The
+    ranges of b are an antichain, so at most one u is a prefix of y, found
+    among the |y| + 1 prefixes by dict lookup, and only when there is none
+    can some u extend y: those form one bisect range of b's sorted pairs."""
     if a.n != b.n:
         raise StructureError("alphabet mismatch")
-    out = set()
+    right = b.pairs
+    ranges = [u for u, _ in right]
+    size = len(ranges)
+    by_range = dict(right)
+    out = []
     for x, y in a.pairs:
-        for u, v in b.pairs:
-            p = poly_mul(PolyElement(x, y), PolyElement(u, v))
-            if not p.is_zero:
-                out.add((p.x, p.y))
+        for cut in range(len(y) + 1):
+            v = by_range.get(y[:cut])
+            if v is not None:
+                out.append((x, v + y[cut:]))
+                break
+        else:
+            at = bisect_right(ranges, y)
+            while at < size and ranges[at].startswith(y):
+                u, v = right[at]
+                out.append((x + u[len(y):], v))
+                at += 1
     return CnElement.make(a.n, out)
 
 
@@ -241,16 +324,13 @@ def cn_join_all(parts) -> CnElement:
 
 
 def is_maximal_prefix_code(n: int, code) -> bool:
-    """Pairwise prefix-incomparable and complete: the Kraft sum over an
-    n-ary alphabet is exactly one."""
-    code = list(code)
-    if not code:
+    """A non-empty antichain under the prefix order that is complete: with
+    L the longest length, the integer Kraft sum of n^(L - |w|) is n^L."""
+    code = sorted(code)
+    if not code or not _prefix_free(code):
         return False
-    for i, a in enumerate(code):
-        for b in code[i + 1:]:
-            if not _prefix_incomparable(a, b):
-                return False
-    return sum(Fraction(1, n ** len(w)) for w in code) == 1
+    longest = max(map(len, code))
+    return sum(n ** (longest - len(w)) for w in code) == n ** longest
 
 
 def is_unit(a: CnElement) -> bool:

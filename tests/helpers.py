@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the duality and acceptance tests."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from stonework import (
 )
 from stonework.duality import MonoidMorphism
 from stonework.inverse_core import iter_bits, partial_bijections
+from stonework.polycyclic import PolyElement, letters, poly_mul
 
 
 def corpus_monoids():
@@ -159,3 +161,90 @@ def idempotent_embedding_ba2_into_ix2(ba2, ix2):
     images = [by_label["{}"], by_label["{1->1}"], by_label["{2->2}"],
               by_label["{1->1,2->2}"]]
     return MonoidMorphism(ba2, ix2, tuple(images), weak=True)
+
+
+# -- literal definitions of the orthogonal completion ------------------------------
+
+
+def reference_canonical_pairs(n, pairs):
+    """Reference canonical form: the set fixpoint that merges every complete
+    sibling family of a round, then sorts.  A round's stems are merged in
+    sorted order, so a stem that is also a member of another family merged
+    in the same round stays.  (Taken in set order, that outcome would
+    depend on PYTHONHASHSEED: {1/1, 2/2, 11/11, 12/12} would give {e/e}
+    under some seeds and {e/e, 1/1} under others.)"""
+    current = set(pairs)
+    full = set(letters(n))
+    while True:
+        by_stem = {}
+        for x, y in current:
+            if x and y and x[-1] == y[-1]:
+                by_stem.setdefault((x[:-1], y[:-1]), set()).add(x[-1])
+        merged = False
+        for (sx, sy), present in sorted(by_stem.items()):
+            if present == full:
+                for c in full:
+                    current.discard((sx + c, sy + c))
+                current.add((sx, sy))
+                merged = True
+        if not merged:
+            return tuple(sorted(current))
+
+
+def _prefix_incomparable(a, b):
+    return not (a.startswith(b) or b.startswith(a))
+
+
+def first_orthogonality_failure(pairs):
+    """Reference orthogonality scan over every pair of pairs: the message
+    naming the first two whose ranges or domains are prefix-comparable, or
+    None."""
+    for i, (x, y) in enumerate(pairs):
+        for u, v in pairs[i + 1:]:
+            if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
+                return f"pairs ({x!r},{y!r}) and ({u!r},{v!r}) are not orthogonal"
+    return None
+
+
+def reference_cn_error(n, pairs):
+    """The StructureError message the CnElement constructor gives a pair
+    tuple, by the literal checks in order (alphabet, canonical form,
+    orthogonality), or None when it is accepted."""
+    ok = letters(n)
+    for x, y in pairs:
+        if any(c not in ok for c in x + y):
+            return f"letter out of alphabet in ({x!r}, {y!r})"
+    if pairs != reference_canonical_pairs(n, pairs):
+        return "pair family is not canonical"
+    return first_orthogonality_failure(pairs)
+
+
+def reference_cn_mul(a, b):
+    """Reference product: every pairwise polycyclic product, zeros dropped,
+    as the reference canonical pair tuple."""
+    out = set()
+    for x, y in a.pairs:
+        for u, v in b.pairs:
+            p = poly_mul(PolyElement(x, y), PolyElement(u, v))
+            if not p.is_zero:
+                out.add((p.x, p.y))
+    return reference_canonical_pairs(a.n, out)
+
+
+def reference_is_maximal_prefix_code(n, code):
+    """Pairwise prefix-incomparable, and the Kraft sum over an n-ary
+    alphabet is exactly one, in fractions."""
+    code = list(code)
+    if not code:
+        return False
+    for i, a in enumerate(code):
+        for b in code[i + 1:]:
+            if not _prefix_incomparable(a, b):
+                return False
+    return sum(Fraction(1, n ** len(w)) for w in code) == 1
+
+
+def reference_is_unit(a):
+    """Both coordinate families are maximal prefix codes, by the reference test."""
+    return (reference_is_maximal_prefix_code(a.n, [x for x, _ in a.pairs])
+            and reference_is_maximal_prefix_code(a.n, [y for _, y in a.pairs]))

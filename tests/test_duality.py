@@ -183,6 +183,18 @@ def test_basic_open_laws_on_trivial_monoid():
     assert report.ok
 
 
+def test_an_absent_meet_fails_meet_is_intersection(ix2, sg_ix2):
+    """A meet cell forced to -1 is a failure at that cell, whichever element
+    the absent meet would have indexed: the last element's own meets are
+    among the cells forced."""
+    for landing_on in (*ix2.atoms, ix2.n - 1):
+        source = corrupted_bounds(ix2, "meet", landing_on, -1)
+        law = verify_basic_open_laws(source, sg_ix2).get("meet-is-intersection")
+        absent = [tuple(cell) for cell in np.argwhere(source.order().meet < 0).tolist()]
+        assert absent and law.failures == absent, landing_on
+        assert law.instances == ix2.n ** 2
+
+
 def test_union_probe_negative(ix2, sg_ix2):
     s, t = by_label(ix2, "{1->1}"), by_label(ix2, "{1->2}")
     assert ix2.join(s, t) is None

@@ -482,6 +482,20 @@ def test_bound_tables_built_one_member_at_a_time_are_the_same(monkeypatch):
         assert np.array_equal(inverse_core.bound_table(order.matrix.T), order.join), name
 
 
+def test_bound_tables_do_not_depend_on_the_layout_of_the_order():
+    """A transposed view of the order and its contiguous copy give the same
+    join table, the stored one; on ba10, built in blocks, the stored tables
+    are intersection and union of the atom sets."""
+    corpus = dict(corpus_monoids(), ba10=boolean_algebra_monoid(10))
+    for name, monoid in corpus.items():
+        order = monoid.order()
+        for upper in (order.matrix.T, np.ascontiguousarray(order.matrix.T)):
+            assert np.array_equal(inverse_core.bound_table(upper), order.join), name
+    order, sets = corpus["ba10"].order(), np.arange(1 << 10)
+    assert np.array_equal(order.meet, np.bitwise_and.outer(sets, sets))
+    assert np.array_equal(order.join, np.bitwise_or.outer(sets, sets))
+
+
 def test_a_large_down_set_is_gathered_in_chunks(monkeypatch):
     """The top of a 300-chain has all 300 elements below it; gathered in
     chunks of 2^12 cells, the builder's peak stays well under the n x n

@@ -1,16 +1,33 @@
 """Prefix-pair arithmetic, orthogonal families, infinite-word arrows."""
 
 import random
+import re
 from math import lcm
 
+import numpy as np
 import pytest
 
-from stonework import BoundError, ParseError, StructureError
+from helpers import symmetric_to_pair_arrow_map
+from stonework import (
+    BoundError,
+    CoveringFunctor,
+    InverseMonoid,
+    MonoidMorphism,
+    ParseError,
+    StructureError,
+    check_covering,
+    pair_groupoid,
+    partial_bijections,
+    round_trip_monoid,
+    stone_groupoid,
+    symmetric_inverse_monoid,
+)
 from stonework.polycyclic import (
     CnElement,
     CuntzArrow,
     EvPeriodicWord,
     PolyElement,
+    _canonical_pairs,
     all_words,
     arrow_to_ultrafilter,
     cn_join,
@@ -157,6 +174,16 @@ def test_canonicalization_preserves_oracle():
     assert _expand_pairs(2, raw, depth) == finite_depth_oracle(collapsed, depth)
 
 
+def test_families_merged_in_one_round_keep_a_stem_that_is_a_member():
+    """1/1 and 2/2 merge into e/e while 11/11 and 12/12 merge into 1/1, in
+    the same round: 1/1 stays, whatever the hash seed, and the result is
+    rejected as not orthogonal rather than read as the identity."""
+    pairs = [("1", "1"), ("2", "2"), ("11", "11"), ("12", "12")]
+    assert _canonical_pairs(2, pairs) == (("", ""), ("1", "1"))
+    with pytest.raises(StructureError, match="not orthogonal"):
+        CnElement.make(2, pairs)
+
+
 def test_constructor_rejects_non_canonical():
     with pytest.raises(StructureError):
         CnElement(2, (("1", "1"), ("2", "2")))
@@ -164,6 +191,20 @@ def test_constructor_rejects_non_canonical():
         CnElement(2, (("1", "1"), ("1", "2")))
     with pytest.raises(BoundError):
         CnElement(7, ())
+
+
+@pytest.mark.parametrize("n, pairs, message", [
+    (3, (("1", "1"), ("2", "3"), ("3", "11")), "pairs ('1','1') and ('3','11') are not orthogonal"),
+    (2, (("1", "2"), ("11", "1")), "pairs ('1','2') and ('11','1') are not orthogonal"),
+    (2, (("1", "1"), ("11", "2"), ("2", "2")), "pair family is not canonical"),
+    (2, (("1", "3"),), "letter out of alphabet in ('1', '3')"),
+], ids=["domains-apart", "ranges-adjacent", "family-apart", "alphabet"])
+def test_constructor_names_the_first_failure(n, pairs, message):
+    """Comparable domains whose pairs are not neighbours, and a complete
+    family split by a pair with a comparable range, are found as the
+    literal checks find them."""
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        CnElement(n, pairs)
 
 
 # -- products and joins in the completion --------------------------------------------------
@@ -252,6 +293,53 @@ def test_unit_group_closure_seeded():
         assert is_unit(cn_mul(u, v))
         assert is_unit(u.inverse())
         assert cn_mul(u, u.inverse()) == CnElement.one(2)
+
+
+# -- C_n at finite depth ------------------------------------------------------------------
+
+
+def depth_elements(n, depth):
+    """Every partial bijection of the n^depth words of length ``depth``, in
+    ``partial_bijections`` order, as a CnElement: the map p -> q becomes
+    the pair (q, p)."""
+    words = list(all_words(n, depth))
+    return [CnElement.make(n, [(words[q], words[p]) for p, q in m])
+            for m in partial_bijections(len(words))]
+
+
+@pytest.mark.parametrize("n, depth", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_cn_at_finite_depth_is_the_symmetric_inverse_monoid(n, depth):
+    """The elements of C_n built from words of one length d form I_{n^d}:
+    cn_mul tabulates a boolean inverse monoid equal to it element for
+    element, cn_join is its join, and its dual is the pair groupoid, whose
+    arrows (p, q) compose as the shift arrows (p w, 0, q w) on a fixed tail."""
+    elements = depth_elements(n, depth)
+    index = {a: i for i, a in enumerate(elements)}
+    assert len(index) == len(elements)
+    monoid = InverseMonoid([[index[cn_mul(a, b)] for b in elements] for a in elements],
+                           [index[a.inverse()] for a in elements],
+                           zero=index[CnElement.zero(n)], one=index[CnElement.one(n)])
+    assert monoid.check_boolean().is_boolean
+    points = n ** depth
+    MonoidMorphism(monoid, symmetric_inverse_monoid(points), tuple(range(monoid.n)))
+    for s, a in enumerate(elements):
+        for t, b in enumerate(elements):
+            j = monoid.join(s, t)
+            assert cn_join(a, b) == (None if j is None else elements[j]), (a, b)
+
+    sg = stone_groupoid(monoid)
+    pair = pair_groupoid(points)
+    arrow_map = symmetric_to_pair_arrow_map(points, monoid, sg, pair)
+    assert sorted(arrow_map) == list(range(pair.m))
+    assert check_covering(CoveringFunctor(sg, pair, tuple(arrow_map))).ok
+    assert round_trip_monoid(monoid, sg).forward
+
+    words, tail = list(all_words(n, depth)), EvPeriodicWord.make("", "1")
+    arrows = [CuntzArrow.make(words[p], words[q], tail) for p in range(points)
+              for q in range(points)]                   # pair arrow p * points + q is (p, q)
+    for g, h in np.ndindex(pair.m, pair.m):
+        k = pair.compose[g, h]
+        assert cuntz_compose(arrows[g], arrows[h]) == (None if k < 0 else arrows[k])
 
 
 # -- the finite-depth oracle ------------------------------------------------------------

@@ -3,22 +3,34 @@ stored entries."""
 
 import json
 
-from helpers import first_associativity_failure
+from helpers import (
+    first_associativity_failure,
+    reference_canonical_pairs,
+    reference_cn_error,
+    reference_cn_mul,
+    reference_is_maximal_prefix_code,
+    reference_is_unit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonework import StoneworkError, symmetric_inverse_monoid
+from stonework import StoneworkError, StructureError, symmetric_inverse_monoid
 from stonework.duality import identity_morphism
 from stonework.groupoids import identity_functor, pair_groupoid
 from stonework.polycyclic import (
     CnElement,
     EvPeriodicWord,
     PolyElement,
+    _canonical_pairs,
     cn_mul,
     ev_words_agree_to,
     format_cn,
     format_ev,
     format_poly,
+    is_maximal_prefix_code,
+    is_unit,
+    is_unit_definitional,
+    letters,
     parse_cn,
     parse_ev,
     parse_poly,
@@ -107,6 +119,92 @@ def test_ev_equality_is_prefix_agreement(a, b):
 
     horizon = len(a.pre) + len(b.pre) + 2 * lcm(len(a.period), len(b.period))
     assert (a == b) == ev_words_agree_to(a, b, horizon)
+
+
+# -- the orthogonal completion against its literal definitions -------------------
+
+
+@st.composite
+def orthogonal_families(draw, n):
+    """Paired members of two maximal prefix codes grown by the same number
+    of splits: an orthogonal family, complete (a unit) or not."""
+    def code(splits):
+        words = [""]
+        for _ in range(splits):
+            stem = words.pop(draw(st.integers(0, len(words) - 1)))
+            words.extend(stem + c for c in letters(n))
+        return words
+
+    splits = draw(st.integers(0, 4))
+    pairs = list(zip(code(splits), draw(st.permutations(code(splits)))))
+    if not draw(st.booleans()):
+        pairs = pairs[:draw(st.integers(0, len(pairs)))]
+    return pairs
+
+
+@st.composite
+def pair_families(draw):
+    """(n, pairs): an orthogonal family edited a few times, then perhaps
+    inverted, in any order.  An edit splits a member into its sibling
+    family, with or without the member kept, perhaps with a sibling on a
+    letter outside the alphabet; duplicates a member; grafts the domain of
+    one member, extended, onto another, so that two domains are comparable
+    but not the ranges; or adds an arbitrary pair."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    pairs = draw(orthogonal_families(n))
+    wide = letters(n + 1)
+    loose = st.text(alphabet=wide, max_size=3)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["split", "split-keep", "duplicate", "graft", "add"]))
+        if edit == "add" or len(pairs) < (2 if edit == "graft" else 1):
+            pairs.append(draw(st.tuples(loose, loose)))
+            continue
+        at = draw(st.integers(0, len(pairs) - 1))
+        x, y = pairs[at] if edit in ("split-keep", "duplicate", "graft") else pairs.pop(at)
+        if edit == "duplicate":
+            pairs.append((x, y))
+        elif edit == "graft":
+            onto = draw(st.sampled_from([i for i in range(len(pairs)) if i != at]))
+            pairs[onto] = (pairs[onto][0], y + draw(loose))
+        else:
+            pairs.extend((x + c, y + c) for c in draw(st.sampled_from([letters(n), wide])))
+    if draw(st.booleans()):
+        pairs = [(y, x) for x, y in pairs]
+    return n, draw(st.permutations(pairs))
+
+
+@given(pair_families())
+@settings(max_examples=400, deadline=None)
+def test_canonical_form_and_constructor_checks_match_the_literal_definitions(family):
+    n, pairs = family
+    canonical = reference_canonical_pairs(n, pairs)
+    assert _canonical_pairs(n, pairs) == canonical
+    for raw in (tuple(pairs), canonical):
+        try:
+            CnElement(n, raw)
+            message = None
+        except StructureError as err:
+            message = str(err)
+        assert message == reference_cn_error(n, raw)
+    for column in zip(*pairs):
+        assert is_maximal_prefix_code(n, column) == reference_is_maximal_prefix_code(n, column)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    a, b = (CnElement.make(n, draw(orthogonal_families(n))) for _ in range(2))
+    return a, b
+
+
+@given(element_pairs())
+@settings(max_examples=200, deadline=None)
+def test_products_and_units_match_the_literal_definitions(elements):
+    a, b = elements
+    assert cn_mul(a, b).pairs == reference_cn_mul(a, b)
+    assert cn_mul(b, a).pairs == reference_cn_mul(b, a)
+    for x in (a, b):
+        assert is_unit(x) == reference_is_unit(x) == is_unit_definitional(x)
 
 
 # -- stored entries under single-field corruption ---------------------------------
