@@ -131,7 +131,7 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
         table = _greatest_below([(leq.T[:, :, None] & leq, key)]).astype(np.int16)
     else:
         table = np.empty((n, n), dtype=np.int16)
-        for size in np.unique(sizes).tolist():
+        for size in np.flatnonzero(np.bincount(sizes)).tolist():    # np.unique imports numpy.ma
             rows = np.flatnonzero(sizes == size)
             step = max(1, BLOCK_CELLS // (size * n))
             for lo in range(0, len(rows), step):
@@ -234,7 +234,7 @@ class InverseMonoid:
         self.labels = labels
         self._order: OrderData | None = None
         self._certificate: BooleanCertificate | None = None
-        self._complements: dict[int, int] | None = None
+        self._complements: np.ndarray | None = None     # [e]: complement of e in E, -1 off E
         self._validate()
         # numpy read JSON true/false as 1/0: scanned last, so a rejected table skips it
         for row in mul if isinstance(mul, list) else ():
@@ -390,18 +390,13 @@ class InverseMonoid:
         j = self.order().join.item(s, t)
         return None if j < 0 else j
 
-    def compatible(self, s: int, t: int) -> bool:
-        """True when s^-1 t and s t^-1 are both idempotent."""
-        return (self.is_idempotent(int(self.mul[self.inv[s], t]))
-                and self.is_idempotent(int(self.mul[s, self.inv[t]])))
-
-    def orthogonal(self, s: int, t: int) -> bool:
-        """True when s^-1 t and s t^-1 are both zero."""
-        return (int(self.mul[self.inv[s], t]) == self.zero
-                and int(self.mul[s, self.inv[t]]) == self.zero)
+    def compatibility(self) -> np.ndarray:
+        """[s, t]: s^-1 t and s t^-1 are both idempotent."""
+        inv, idempotent = np.asarray(self.inv), np.diagonal(self.mul) == np.arange(self.n)
+        return idempotent[self.mul[inv]] & idempotent[self.mul[:, inv]]
 
     def orthogonality(self) -> np.ndarray:
-        """[s, t]: s and t are orthogonal, for every pair at once."""
+        """[s, t]: s^-1 t and s t^-1 are both zero."""
         inv = np.asarray(self.inv)
         return (self.mul[inv] == self.zero) & (self.mul[:, inv] == self.zero)
 
@@ -450,7 +445,8 @@ class InverseMonoid:
             if hit := first_failure(missing):
                 return BooleanCertificate(False, axiom, hit[0], hit[1])
 
-        self._complements = dict(zip(idem, (idem[j] for j in complement.argmax(axis=1))))
+        self._complements = np.full(self.n, -1, dtype=np.intp)
+        self._complements[rows] = np.asarray(idem)[complement.argmax(axis=1)]
         return BooleanCertificate(True)
 
     @property
@@ -467,22 +463,34 @@ class InverseMonoid:
     def idempotent_complement(self, e: int) -> int:
         """Complement of an idempotent inside the boolean algebra E."""
         self.require_boolean()
-        if not self.is_idempotent(e):
+        if self._complements[e] < 0:
             raise StructureError(f"{e} is not idempotent")
-        return self._complements[e]
+        return int(self._complements[e])
 
     def relative_complement(self, s: int, t: int) -> int:
-        """The unique r = t \\ s with r <= t, r orthogonal to s, s v r = t.
+        """The unique r = t \\ s with r <= t, r orthogonal to s, s v r = t."""
+        return int(self.relative_complements([s], [t])[0])
 
-        Requires s <= t and a boolean idempotent algebra; built as t * e
-        where e is the complement of dom(s) relative to dom(t).
-        """
-        if not self.leq(s, t):
-            raise StructureError(f"relative complement needs {s} <= {t}")
-        e = int(self.mul[self.dom(t), self.idempotent_complement(self.dom(s))])
-        r = int(self.mul[t, e])
-        if not (self.leq(r, t) and self.orthogonal(s, r) and self.join(s, r) == t):
-            raise StructureError(f"relative complement construction broke at ({s}, {t})")
+    def relative_complements(self, s, t) -> np.ndarray:
+        """t \\ s over index arrays: each r is t * e, e the complement of
+        dom(s) relative to dom(t), checked as in relative_complement.  The
+        first pair that breaks s <= t or the check raises; an s of -1 (an
+        absent meet) is below nothing and is never used as an index."""
+        self.require_boolean()
+        mul, inv, order = self.mul, np.asarray(self.inv), self.order()
+        given, t = np.asarray(s, dtype=np.intp), np.asarray(t, dtype=np.intp)
+        s = np.where(given >= 0, given, self.zero)
+        dom = mul[inv, np.arange(self.n)]
+        complement = self._complements[dom[s]]
+        r = mul[t, mul[dom[t], np.maximum(complement, 0)]]
+        if hit := first_failure({
+                "relative complement needs {s} <= {t}": (given < 0) | ~order.matrix[s, t],
+                "{e} is not idempotent": complement < 0,
+                "relative complement construction broke at ({s}, {t})":
+                    ~order.matrix[r, t] | (mul[inv[s], r] != self.zero)
+                    | (mul[s, inv[r]] != self.zero) | (order.join[s, r] != t)}):
+            i = hit[1][0]
+            raise StructureError(hit[0].format(s=int(given[i]), t=int(t[i]), e=int(dom[s[i]])))
         return r
 
     # -- derived monoids ---------------------------------------------------------

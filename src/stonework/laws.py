@@ -8,7 +8,8 @@ suites through ``check --laws``.
 
 A suite computes what its laws share once per call: both filter suites read
 one table of every literal filter product (``filter_products``), and the
-order suites read meets and joins off the order's two dense tables.  Each
+order suites are gathers over the order's dense tables, each complement
+law with one ``relative_complements`` call over all of its pairs.  Each
 law still checks its own definition on every instance; none is replaced by
 the theorem it tests.
 """
@@ -40,7 +41,7 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     n, mul, inv, rng = monoid.n, monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
     order = monoid.order()      # the bound tables hold -1 where a bound is absent
     meet, join = order.meet, order.join
-    dom, ran, idempotent = mul[inv, rng], mul[rng, inv], mul[rng, rng] == rng
+    dom, ran = mul[inv, rng], mul[rng, inv]
 
     def fails_to_split(bound):
         """[s, t]: dom or ran of the bound of s and t is not the bound of their doms or rans."""
@@ -49,23 +50,24 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     law = report.new("compatible-iff-meet-splits")
     law.tick(n * n)
     splits = (meet >= 0) & ~fails_to_split(meet)
-    compatible = idempotent[mul[inv]] & idempotent[mul[:, inv]]
-    law.fail_where(splits != compatible)
+    law.fail_where(splits != monoid.compatibility())
 
     law = report.new("join-splits-dom-ran")
     law.tick(int(np.count_nonzero(join >= 0)))
     law.fail_where((join >= 0) & fails_to_split(join))
 
     law = report.new("products-distribute-over-meets")
+    # meets read by flat int32 codes x * n + y: n^2 <= MAX_ELEMENTS^2 < 2^31
+    by_row, by_col = (np.ascontiguousarray(a, dtype=np.int32) for a in (mul, mul.T))
     for s in range(n):
         ts = np.flatnonzero(meet[s] >= 0)
         m = meet[s, ts]
         law.tick(n * len(ts))
-        # column i is t = ts[i], row u: (us) ^ (ut) = u m and (su) ^ (tu) = m u
-        left = meet[mul[:, s, None], mul[:, ts]]
-        right = meet[mul[s, :, None], mul[ts].T]
-        bad = (left != mul[:, m]) | (right != mul[m].T)
-        for i, u in np.argwhere(bad.T).tolist():
+        # row i is t = ts[i], column u: (us) ^ (ut) = u m and (su) ^ (tu) = m u
+        left = meet.take(by_col[s] * n + by_col[ts])
+        right = meet.take(by_row[s] * n + by_row[ts])
+        bad = (left != by_col[m]) | (right != by_row[m])
+        for i, u in np.argwhere(bad).tolist():
             law.fail((s, int(ts[i]), u))
     return report
 
@@ -77,7 +79,7 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     monoid.require_boolean()
     report = LawReport("local complement laws")
     n, order = monoid.n, monoid.order()
-    leq, join = order.matrix, order.join
+    leq, meet, join = order.matrix, order.meet, order.join
     dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)]
     moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
 
@@ -93,22 +95,25 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
 
     law = report.new("relative-complement-unique")
     orthogonal = monoid.orthogonality()
-    for t in range(n):
-        for s in np.flatnonzero(leq[:, t]).tolist():
-            law.tick()
-            r = monoid.relative_complement(s, t)
-            candidates = np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist()
-            if candidates != [r]:
-                law.fail((s, t, candidates))
+    t, s = np.nonzero(leq.T)                # every s <= t, t-major
+    law.tick(len(s))
+    r = monoid.relative_complements(s, t)
+    # x is a candidate of (s, t) when x <= t, x is orthogonal to s and s v x = t:
+    # a pair (s, x) is one only for t = s v x, so one bincount counts them all
+    rows, xs = np.nonzero(orthogonal & (join >= 0))
+    ups = join[rows, xs]
+    counts = np.bincount((rows * n + ups)[leq[xs, ups]], minlength=n * n)
+    unique = (counts[s * n + t] == 1) & leq[r, t] & orthogonal[s, r] & (join[s, r] == t)
+    for s, t in zip(s[~unique].tolist(), t[~unique].tolist()):
+        law.fail((s, t, np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist()))
 
     law = report.new("separation-below")
-    nonzero = np.arange(n) != monoid.zero
-    for s, t in np.argwhere(nonzero[:, None] & ~leq).tolist():     # s != 0, s not <= t
-        law.tick()
-        s_prime = monoid.relative_complement(monoid.meet(s, t), s)
-        if (s_prime == monoid.zero or not leq[s_prime, s]
-                or monoid.meet(s_prime, t) != monoid.zero):
-            law.fail((s, t))
+    apart = (np.arange(n) != monoid.zero)[:, None] & ~leq     # s != 0, s not <= t
+    s, t = np.nonzero(apart)
+    law.tick(len(s))
+    s_prime = monoid.relative_complements(meet[s, t], s)
+    apart[s, t] = (s_prime == monoid.zero) | ~leq[s_prime, s] | (meet[s_prime, t] != monoid.zero)
+    law.fail_where(apart)
     return report
 
 
@@ -118,25 +123,20 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     monoid.require_boolean()
     report = LawReport("compatible join laws")
     law = report.new("compatible-join-formula")
-    n = monoid.n
-    for s in range(n):
-        for t in range(n):
-            if not monoid.compatible(s, t):
-                continue
-            law.tick()
-            j = monoid.join(s, t)
-            if j is None:
-                law.fail((s, t, "missing"))
-                continue
-            m = monoid.meet(s, t)
-            acc = m
-            for part in (monoid.relative_complement(m, s),
-                         monoid.relative_complement(m, t)):
-                acc = monoid.join(acc, part)
-                if acc is None:
-                    break
-            if acc != j:
-                law.fail((s, t, "formula"))
+    order = monoid.order()
+    s, t = np.nonzero(monoid.compatibility())
+    law.tick(len(s))
+    j = order.join[s, t]
+    joined = j >= 0
+    m = order.meet[s, t][joined]
+    # m v (s \\ m) v (t \\ m), the complements taken pair by pair in loop order
+    parts = monoid.relative_complements(np.repeat(m, 2), np.column_stack((s, t))[joined].ravel())
+    acc = order.join[m, parts[0::2]]
+    acc = np.where(acc >= 0, order.join[np.maximum(acc, 0), parts[1::2]], -1)
+    wrong = ~joined
+    wrong[joined] = acc != j[joined]
+    for s, t, missing in zip(s[wrong].tolist(), t[wrong].tolist(), ~joined[wrong]):
+        law.fail((s, t, "missing" if missing else "formula"))
     return report
 
 

@@ -568,7 +568,7 @@ def parse_word(text: str, n: int | None = None) -> str:
     if not _WORD_RE.match(text):
         raise ParseError(f"malformed word {text!r}")
     word = "" if text == "e" else text[1::2]
-    if n is not None and any(c not in letters(n) for c in word):
+    if n is not None and not set(word) <= set(letters(n)):
         raise ParseError(f"letter out of range in {text!r}")
     return word
 

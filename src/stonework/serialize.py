@@ -42,10 +42,12 @@ def monoid_to_json(monoid: InverseMonoid) -> dict:
 
 def monoid_from_json(data: dict, *, bools: bool = True) -> InverseMonoid:
     """``bools=False`` says the JSON text held no true or false: the table
-    then goes on as an array, which ``InverseMonoid`` does not scan."""
+    then goes on as an array, which ``InverseMonoid`` does not scan, and
+    replaces the decoded rows in ``data``, freed before it is validated."""
     n, mul, inv, zero, one = _fields(data, "n", "mul", "inv", "zero", "one")
-    monoid = InverseMonoid(mul if bools else as_table(mul), inv, zero, one,
-                           data.get("labels"))
+    if not bools:
+        data["mul"] = mul = as_table(mul)
+    monoid = InverseMonoid(mul, inv, zero, one, data.get("labels"))
     if monoid.n != n:
         raise StructureError("declared size disagrees with the table")
     return monoid

@@ -12,6 +12,7 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.duality import MonoidMorphism
+from stonework.errors import StructureError
 from stonework.inverse_core import iter_bits, partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
 
@@ -248,3 +249,86 @@ def reference_is_unit(a):
     """Both coordinate families are maximal prefix codes, by the reference test."""
     return (reference_is_maximal_prefix_code(a.n, [x for x, _ in a.pairs])
             and reference_is_maximal_prefix_code(a.n, [y for _, y in a.pairs]))
+
+
+# -- literal per-pair loops of the local complement and compatible join laws ------
+
+
+def orthogonal(monoid, s, t):
+    """s^-1 t and s t^-1 are both zero, for one pair."""
+    mul, inv = monoid.mul, monoid.inv
+    return int(mul[inv[s], t]) == monoid.zero and int(mul[s, inv[t]]) == monoid.zero
+
+
+def compatible(monoid, s, t):
+    """s^-1 t and s t^-1 are both idempotent, for one pair."""
+    mul, inv = monoid.mul, monoid.inv
+    return monoid.is_idempotent(int(mul[inv[s], t])) and monoid.is_idempotent(int(mul[s, inv[t]]))
+
+
+def reference_relative_complement(monoid, s, t):
+    """The scalar relative complement t \\ s, built as t * e for e the
+    complement of dom(s) relative to dom(t), with its precondition and
+    self-check one call at a time."""
+    if not monoid.leq(s, t):
+        raise StructureError(f"relative complement needs {s} <= {t}")
+    e = int(monoid.mul[monoid.dom(t), monoid.idempotent_complement(monoid.dom(s))])
+    r = int(monoid.mul[t, e])
+    if not (monoid.leq(r, t) and orthogonal(monoid, s, r) and monoid.join(s, r) == t):
+        raise StructureError(f"relative complement construction broke at ({s}, {t})")
+    return r
+
+
+def reference_relative_complement_unique(monoid):
+    """relative-complement-unique one pair at a time, through
+    ``reference_relative_complement``: (instances, failures)."""
+    order = monoid.order()
+    leq, join = order.matrix, order.join
+    orthogonal = monoid.orthogonality()
+    count, failures = 0, []
+    for t in range(monoid.n):
+        for s in np.flatnonzero(leq[:, t]).tolist():
+            count += 1
+            r = reference_relative_complement(monoid, s, t)
+            candidates = np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist()
+            if candidates != [r]:
+                failures.append((s, t, candidates))
+    return count, failures
+
+
+def reference_separation_below(monoid):
+    """separation-below one pair at a time: (instances, failures)."""
+    leq = monoid.order().matrix
+    nonzero = np.arange(monoid.n) != monoid.zero
+    count, failures = 0, []
+    for s, t in np.argwhere(nonzero[:, None] & ~leq).tolist():     # s != 0, s not <= t
+        count += 1
+        s_prime = reference_relative_complement(monoid, monoid.meet(s, t), s)
+        if (s_prime == monoid.zero or not leq[s_prime, s]
+                or monoid.meet(s_prime, t) != monoid.zero):
+            failures.append((s, t))
+    return count, failures
+
+
+def reference_compatible_join_formula(monoid):
+    """compatible-join-formula one pair at a time: (instances, failures)."""
+    count, failures = 0, []
+    for s in range(monoid.n):
+        for t in range(monoid.n):
+            if not compatible(monoid, s, t):
+                continue
+            count += 1
+            j = monoid.join(s, t)
+            if j is None:
+                failures.append((s, t, "missing"))
+                continue
+            m = monoid.meet(s, t)
+            acc = m
+            for part in (reference_relative_complement(monoid, m, s),
+                         reference_relative_complement(monoid, m, t)):
+                acc = monoid.join(acc, part)
+                if acc is None:
+                    break
+            if acc != j:
+                failures.append((s, t, "formula"))
+    return count, failures

@@ -5,7 +5,10 @@ by hand; the element indices are recovered through labels so the tests do
 not depend on enumeration order.
 """
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +31,7 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 
-from helpers import corpus_monoids, first_associativity_failure
+from helpers import compatible, corpus_monoids, first_associativity_failure, orthogonal
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +229,21 @@ def test_atoms_are_singleton_maps(ix3):
 
 
 def test_compatible_orthogonal_trivia(ix2):
+    orthogonal, compatible = ix2.orthogonality(), ix2.compatibility()
     for s in range(ix2.n):
-        assert ix2.orthogonal(s, ix2.zero)
-        assert ix2.compatible(s, s)
+        assert orthogonal[s, ix2.zero]
+        assert compatible[s, s]
     e1, e2 = by_label(ix2, "{1->1}"), by_label(ix2, "{2->2}")
-    assert ix2.orthogonal(e1, e2)
-    assert not ix2.compatible(by_label(ix2, "{1->1}"), by_label(ix2, "{1->2}"))
+    assert orthogonal[e1, e2]
+    assert not compatible[by_label(ix2, "{1->1}"), by_label(ix2, "{1->2}")]
+
+
+@pytest.mark.parametrize("name", ["ix3", "clifford", "z3_zero", "ba3"])
+def test_compatibility_and_orthogonality_tables_match_the_definitions(name):
+    monoid = corpus_monoids()[name]
+    for s, t in exhaustive_pairs(monoid):
+        assert monoid.orthogonality()[s, t] == orthogonal(monoid, s, t)
+        assert monoid.compatibility()[s, t] == compatible(monoid, s, t)
 
 
 def test_meet_examples(ix2):
@@ -264,12 +276,36 @@ def test_relative_complement(ix2):
         ix2.relative_complement(ix2.one, e1)
 
 
+def test_relative_complements_name_the_first_broken_pair(ix2):
+    """The array form checks every pair and raises the scalar message at
+    the first pair, in array order, that breaks: here the second."""
+    e1, e2 = by_label(ix2, "{1->1}"), by_label(ix2, "{2->2}")
+    assert ix2.relative_complements([e1, e2], [ix2.one, ix2.one]).tolist() == [e2, e1]
+    with pytest.raises(StructureError, match=rf"^relative complement needs {ix2.one} <= {e1}$"):
+        ix2.relative_complements([ix2.zero, ix2.one, ix2.one], [e1, e1, ix2.zero])
+    # an absent meet (-1) is below nothing
+    with pytest.raises(StructureError, match=rf"^relative complement needs -1 <= {e1}$"):
+        ix2.relative_complements([e1, -1], [e1, e1])
+
+
+def test_complements_are_one_array_with_minus_one_off_e(ix2):
+    idem = set(ix2.idempotents)
+    for e in range(ix2.n):
+        if e in idem:
+            c = ix2.idempotent_complement(e)
+            assert ix2.meet(e, c) == ix2.zero and ix2.join(e, c) == ix2.one
+        else:
+            assert ix2._complements[e] == -1
+            with pytest.raises(StructureError, match=rf"^{e} is not idempotent$"):
+                ix2.idempotent_complement(e)
+
+
 def test_relative_complement_unique_by_enumeration(ix2):
     for t in range(ix2.n):
         for s in np.flatnonzero(ix2.order().matrix[:, t]).tolist():
             r = ix2.relative_complement(s, t)
             candidates = [x for x in range(ix2.n)
-                          if ix2.leq(x, t) and ix2.orthogonal(s, x)
+                          if ix2.leq(x, t) and orthogonal(ix2, s, x)
                           and ix2.join(s, x) == t]
             assert candidates == [r]
 
@@ -312,7 +348,7 @@ def test_brandt_fails_bm3():
     assert not cert.is_boolean
     assert cert.axiom == "BM3"
     s, t = cert.elements
-    assert b.orthogonal(s, t) and b.join(s, t) is None
+    assert orthogonal(b, s, t) and b.join(s, t) is None
     with pytest.raises(NotBooleanError):
         b.require_boolean()
 
@@ -337,7 +373,7 @@ def test_compatibility_iff_meet_splits(ix2):
         splits = (m is not None
                   and ix2.dom(m) == ix2.meet(ix2.dom(s), ix2.dom(t))
                   and ix2.ran(m) == ix2.meet(ix2.ran(s), ix2.ran(t)))
-        assert splits == ix2.compatible(s, t)
+        assert splits == compatible(ix2, s, t)
 
 
 def test_join_splits_dom_ran(ix2):
@@ -387,7 +423,7 @@ def test_separation_witness(ix2):
 def test_compatible_join_formula(ix2):
     # join of a compatible pair equals the three-way orthogonal decomposition
     for s, t in exhaustive_pairs(ix2):
-        if not ix2.compatible(s, t):
+        if not compatible(ix2, s, t):
             continue
         j = ix2.join(s, t)
         assert j is not None
@@ -395,7 +431,7 @@ def test_compatible_join_formula(ix2):
         parts = [m, ix2.relative_complement(m, s), ix2.relative_complement(m, t)]
         acc = parts[0]
         for p in parts[1:]:
-            assert ix2.orthogonal(acc, p) or p == ix2.zero
+            assert orthogonal(ix2, acc, p) or p == ix2.zero
             acc = ix2.join(acc, p)
         assert acc == j
 
@@ -510,6 +546,17 @@ def test_a_large_down_set_is_gathered_in_chunks(monkeypatch):
         tracemalloc.stop()
     assert table[-1].tolist() == list(range(300))      # meet(top, t) = t
     assert peak < table.nbytes + 300 * 300
+
+
+def test_large_bound_tables_keep_numpy_ma_unimported():
+    """ba7's order is built in blocks, one per down-set size; the sizes are
+    listed without np.unique, whose first call imports numpy.ma."""
+    code = ("import sys; from stonework import boolean_algebra_monoid; "
+            "boolean_algebra_monoid(7).order(); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_two_maximal_lower_bounds_fails_bm2():

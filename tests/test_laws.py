@@ -1,13 +1,28 @@
 """The law suites read shared tables: a table of every filter product,
-computed from the definition under test, and a dense meet table.  These
-tests show that a wrong product or a wrong meet still surfaces, with the
-witnesses the per-instance loops give."""
+computed from the definition under test, and dense meet, join and
+complement tables.  These tests show that a wrong product, meet, join or
+complement still surfaces, with the witnesses the per-instance loops give."""
 
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from stonework import clifford_monoid, laws, symmetric_inverse_monoid
+from helpers import (
+    reference_compatible_join_formula,
+    reference_relative_complement,
+    reference_relative_complement_unique,
+    reference_separation_below,
+)
+from stonework import (
+    StructureError,
+    boolean_algebra_monoid,
+    clifford_monoid,
+    group_with_zero_monoid,
+    laws,
+    symmetric_inverse_monoid,
+)
 from stonework.filters import all_filters
 
 
@@ -89,3 +104,120 @@ def test_meet_table_law_matches_the_loops(factory):
     law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
     assert law.failures
     assert (law.instances, law.failures) == _distribute_by_loops(monoid)
+
+
+GATHERED = [          # each suite, and the laws it gathers with their per-pair loops
+    (laws.local_complement_laws, {"relative-complement-unique": reference_relative_complement_unique,
+                                  "separation-below": reference_separation_below}),
+    (laws.compatible_join_laws, {"compatible-join-formula": reference_compatible_join_formula}),
+]
+
+
+def _outcome(run):
+    """What a call gives: its value, or the message of its StructureError."""
+    try:
+        return run()
+    except StructureError as error:
+        return f"StructureError: {error}"
+
+
+def _gathered_and_looped(monoid):
+    """For each suite, its gathered laws as [(name, instances, failures)],
+    or the error it raises, beside the same from the per-pair loops run in
+    the suite's order."""
+    def gathered(suite, names):
+        report = suite(monoid)
+        return [(name, report.get(name).instances, report.get(name).failures) for name in names]
+
+    return [(_outcome(lambda: gathered(suite, loops)),
+             _outcome(lambda: [(name, *loop(monoid)) for name, loop in loops.items()]))
+            for suite, loops in GATHERED]
+
+
+FACTORIES = {
+    "ix2": lambda: symmetric_inverse_monoid(2),
+    "ix3": lambda: symmetric_inverse_monoid(3),
+    "ix4": lambda: symmetric_inverse_monoid(4),
+    **{f"ba{k}": (lambda k=k: boolean_algebra_monoid(k)) for k in range(3, 8)},
+    "clifford": clifford_monoid,
+    "z2_zero": lambda: group_with_zero_monoid(2),
+    "z3_zero": lambda: group_with_zero_monoid(3),
+}
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_gathered_complement_and_join_laws_match_the_loops(name):
+    """On a sound monoid every gathered law gives the loop's instance count
+    and (empty) failure list."""
+    for gathered, looped in _gathered_and_looped(FACTORIES[name]()):
+        assert gathered == looped
+        assert all(instances and not failures for _, instances, failures in gathered)
+
+
+def _tampered(monoid, rng):
+    """The monoid with one meet cell, one join cell (possibly made absent),
+    one complement entry or one product cell replaced, chosen by ``rng``."""
+    monoid.require_boolean()
+    order, n = monoid.order(), monoid.n
+    s, t = rng.randrange(n), rng.randrange(n)
+    what = rng.choice(["meet", "join", "complement", "product"])
+    if what == "product":
+        monoid.mul = monoid.mul.copy()
+        monoid.mul[s, t] = rng.randrange(n)
+        return monoid
+    if what == "complement":
+        idem = list(monoid.idempotents)
+        monoid._complements = monoid._complements.copy()
+        monoid._complements[rng.choice(idem)] = rng.choice(idem + [-1])
+        return monoid
+    table = getattr(order, what).copy()
+    # an absent meet is never asked of a boolean monoid: the loop would fail on None
+    table[s, t] = rng.choice(range(-1 if what == "join" else 0, n))
+    monoid._order = replace(order, **{what: table})
+    return monoid
+
+
+@pytest.mark.parametrize("name", ["ix2", "ix3", "ba3", "ba4", "clifford", "z3_zero"])
+def test_gathered_laws_match_the_loops_on_tampered_tables(name):
+    """After one meet, join, complement or product entry is corrupted, each
+    gathered law gives the loop's count and failures in loop order, or its
+    suite raises the loop's StructureError; passing, failing and raising
+    all occur."""
+    rng, kinds = random.Random(name), set()
+    for _ in range(40):
+        for gathered, looped in _gathered_and_looped(_tampered(FACTORIES[name](), rng)):
+            assert gathered == looped
+            kinds.add("raised" if isinstance(gathered, str)
+                      else "failed" if any(law[2] for law in gathered) else "passed")
+    assert kinds == {"raised", "failed", "passed"}
+
+
+def test_a_second_candidate_fails_relative_complement_unique():
+    """In ba3, one product cell made zero makes {1} orthogonal to {1,2}, a
+    second candidate for {1,2} minus {1}; the witness lists both, as the
+    loop does."""
+    monoid = boolean_algebra_monoid(3)
+    monoid.require_boolean()
+    monoid.mul = monoid.mul.copy()
+    monoid.mul[1, 3] = monoid.zero
+    law = laws.local_complement_laws(monoid).get("relative-complement-unique")
+    assert law.failures == [(1, 3, [2, 3])]
+    assert (law.instances, law.failures) == reference_relative_complement_unique(monoid)
+    # with their join cell moved to {1,3}, which {1,2} is not below, {1,2}
+    # is a candidate for no pair: x <= t is part of the test
+    order = monoid.order()
+    join = order.join.copy()
+    join[1, 3] = 5
+    monoid._order = replace(order, join=join)
+    law = laws.local_complement_laws(monoid).get("relative-complement-unique")
+    assert law.ok and (law.instances, []) == reference_relative_complement_unique(monoid)
+
+
+def test_array_relative_complements_match_the_scalar_ones():
+    """On every s <= t of ix3 the array form, the scalar wrapper and the
+    literal one-pair construction agree."""
+    monoid = symmetric_inverse_monoid(3)
+    t, s = np.nonzero(monoid.order().matrix.T)
+    looped = [reference_relative_complement(monoid, a, b) for a, b in zip(s.tolist(), t.tolist())]
+    assert monoid.relative_complements(s, t).tolist() == looped
+    assert [monoid.relative_complement(a, b) for a, b in zip(s.tolist(), t.tolist())] == looped

@@ -566,6 +566,15 @@ def test_word_round_trip():
         parse_word("a3", n=2)
 
 
+def test_a_letter_outside_the_alphabet_is_named_in_the_error():
+    assert parse_word("a2a1", n=2) == "21"
+    for text in ("a3", "a1a3", "a2a2a9"):
+        with pytest.raises(ParseError, match=rf"^letter out of range in '{text}'$"):
+            parse_word(text, n=2)
+    with pytest.raises(ParseError, match=r"^letter out of range in 'a1a2'$"):
+        parse_poly("a1a2.e*", n=1)
+
+
 def test_poly_round_trip():
     for p in [ZERO, ONE, pe("1", "2"), pe("12", ""), pe("", "21")]:
         assert parse_poly(format_poly(p)) == p

@@ -1,5 +1,6 @@
 """Lossless JSON round trips with re-verification on load."""
 
+import gc
 import json
 
 import pytest
@@ -63,6 +64,44 @@ def test_a_table_is_scanned_for_json_booleans_only_when_the_text_has_them(
     assert lists == [False, True]
     assert monoid_to_json(plain) == data
     assert labelled.mul.tolist() == data["mul"]
+
+
+def test_the_decoded_rows_are_freed_before_the_table_is_validated(tmp_path, monkeypatch):
+    """Without a true or false in the entry, no list of the decoded rows is
+    alive while InverseMonoid validates the table (for ix5 they were ~86 MB
+    of Python ints)."""
+    data = monoid_to_json(symmetric_inverse_monoid(2))
+    save_entry(tmp_path, "plain", "monoid", data)
+
+    def row_lists():
+        return [o for o in gc.get_objects() if type(o) is list and len(o) == data["n"]
+                and all(type(row) is list for row in o) and o == data["mul"]]
+
+    earlier = row_lists()           # held, so that no new list takes their ids
+    alive = []
+    real = serialize.InverseMonoid
+
+    def recording(mul, *args, **kwargs):
+        alive.append(sum(all(o is not old for old in earlier) for o in row_lists()))
+        return real(mul, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "InverseMonoid", recording)
+    load_entry("plain", tmp_path)
+    assert alive == [0]
+
+
+def test_a_stored_true_cell_is_rejected(tmp_path):
+    """numpy reads a JSON true as 1; the loader still finds it, with the
+    constructor's message, when the table is otherwise sound."""
+    data = monoid_to_json(symmetric_inverse_monoid(2))
+    one = data["one"]
+    row = data["mul"][one]
+    cell = row.index(1)
+    data["mul"][one] = row[:cell] + [True] + row[cell + 1:]
+    save_entry(tmp_path, "true-cell", "monoid", data)
+    assert "true" in (tmp_path / "true-cell.json").read_text()
+    with pytest.raises(StructureError, match=r"^product table has a non-integer entry True$"):
+        load_entry("true-cell", tmp_path)
 
 
 def test_groupoid_round_trip():
