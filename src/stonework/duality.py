@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import MorphismError, StructureError
 from .filters import (
-    Filter,
     StoneGroupoid,
     enumerate_ultrafilters,
     filter_dom,
+    filter_of,
     filter_ran,
     ultrafilter_groupoid,
 )
@@ -47,8 +47,7 @@ from .groupoids import (
     is_bisection_set,
     point_ultrafilter,
 )
-from .inverse_core import (InverseMonoid, first_failure, inclusions, iter_bits, mask_of,
-                           raise_first_failure)
+from .inverse_core import InverseMonoid, first_failure, inclusions, raise_first_failure
 from .reporting import LawReport
 
 
@@ -110,19 +109,12 @@ class MonoidMorphism:
         if weak:
             return
         for u in enumerate_ultrafilters(t_mon):
-            pre = self.preimage_mask(u)
-            if pre == 0:
-                raise MorphismError("M3", (sorted(iter_bits(u.members)),))
-            try:
-                pre_filter = Filter(s_mon, pre)
+            try:        # the preimage, a boolean row, must be an ultrafilter
+                ultra = filter_of(s_mon, u.members[image]).is_ultrafilter()
             except StructureError:
-                raise MorphismError("M3", (sorted(iter_bits(u.members)),)) from None
-            if not pre_filter.is_ultrafilter():
-                raise MorphismError("M3", (sorted(iter_bits(u.members)),))
-
-    def preimage_mask(self, target_filter: Filter) -> int:
-        return mask_of(s for s in range(self.source.n)
-                       if self.mapping[s] in target_filter)
+                ultra = False
+            if not ultra:
+                raise MorphismError("M3", (list(u),))
 
     def then(self, other: "MonoidMorphism") -> "MonoidMorphism":
         if other.source is not self.target:
@@ -225,11 +217,10 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
         law.fail((s, t, fiber_clash(sg, opens[s].members | opens[t].members)))
 
     law = report.new("surjective-on-bisections")
-    all_masks = {b.mask for b in enumerate_bisections(sg, bisection_bound=bisection_bound)}
-    law.tick(len(all_masks))
-    uncovered = all_masks - {b.mask for b in opens}
-    if uncovered:
-        law.fail(tuple(sorted(uncovered)))
+    everything = enumerate_bisections(sg, bisection_bound=bisection_bound)
+    law.tick(len(everything))
+    if uncovered := set(everything) - set(opens):   # named by their arrow bitmasks
+        law.fail(tuple(sorted(sum(1 << a for a in b) for b in uncovered)))
 
     return report
 
@@ -249,16 +240,14 @@ def functor_on_morphism(theta: MonoidMorphism,
     """
     sg_t = stone_groupoid(theta.target) if sg_target is None else sg_target
     sg_s = stone_groupoid(theta.source) if sg_source is None else sg_source
-    arrow_map = []
+    arrow_map, image = [], np.asarray(theta.mapping)
     for a in sg_t.ultrafilters:
-        pre = Filter(theta.source, theta.preimage_mask(a))
+        pre = filter_of(theta.source, a.members[image])
         if not pre.is_ultrafilter():
-            raise MorphismError("M3", (sorted(iter_bits(a.members)),))
+            raise MorphismError("M3", (list(a),))
         arrow_map.append(sg_s.arrow_of(pre))
         # dom(theta^-1 A) = theta^-1(dom A)
-        lhs = filter_dom(pre).members
-        rhs = theta.preimage_mask(filter_dom(a))
-        if lhs != rhs:
+        if not np.array_equal(filter_dom(pre).members, filter_dom(a).members[image]):
             raise StructureError("preimage does not intertwine dom")
     functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
     report = check_covering(functor)
@@ -454,19 +443,18 @@ class WeakPullbackReport:
 
 
 def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
-    idem_failures = []
-    flagged = []
+    idem_failures, flagged, image = [], [], np.asarray(theta.mapping)
     for u in enumerate_ultrafilters(theta.target):
-        pre, kind, idempotent = theta.preimage_mask(u), "empty", False
-        if pre:
+        pre, kind, idempotent = u.members[image], "empty", False
+        if pre.any():
             try:
-                f = Filter(theta.source, pre)
+                f = filter_of(theta.source, pre)
                 kind = "ultrafilter" if f.is_ultrafilter() else "filter-not-ultra"
                 idempotent = f.is_idempotent_filter
             except StructureError:
                 kind = "not-a-filter"
         if u.is_idempotent_filter and not (kind == "ultrafilter" and idempotent):
-            idem_failures.append(sorted(iter_bits(u.members)))
+            idem_failures.append(list(u))
         elif not u.is_idempotent_filter and kind != "ultrafilter":
-            flagged.append((sorted(iter_bits(u.members)), kind))
+            flagged.append((list(u), kind))
     return WeakPullbackReport(not idem_failures, idem_failures, flagged)

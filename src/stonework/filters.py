@@ -1,15 +1,18 @@
 """Filters, ultrafilters and the ultrafilter groupoid of an inverse monoid.
 
-A filter is an upward-closed, downward-directed subset, stored as a bitmask
-over element indices.  In a finite monoid every filter is the up-set of its
-least member, so validation looks for that member; the pairwise filter-base
-property is equivalent and is exercised by the law suite.  The product of
-filters ``A * B`` is the upward closure of the elementwise product set, and
-the ultrafilters form a groupoid under it with ``dom(A) = A^-1 * A``.  In a
-finite boolean monoid the ultrafilters are the principal filters at atoms,
-so that groupoid is built on the atoms; the filter-product route is kept
-for the law suites that cross-check it, which read every product at once
-from :func:`filter_products`.
+A filter is an upward-closed, downward-directed subset.  In a finite monoid
+every filter is the up-set of its least member, so a :class:`Filter` is held
+as that generator g and its members are row g of the order matrix;
+:func:`filter_of` finds the generator of a member set or rejects it.  The
+pairwise filter-base property is equivalent and is exercised by the law
+suite.  The product of filters ``A * B`` is the upward closure of the
+elementwise product set, and the ultrafilters form a groupoid under it with
+``dom(A) = A^-1 * A``.  In a finite boolean monoid the ultrafilters are the
+principal filters at atoms, so that groupoid is built on the atoms; the
+filter-product route is kept for the law suites that cross-check it, which
+read every product at once from :func:`filter_products`.  The ultrafilter
+criteria are array functions over generators, of which each ``Filter``
+method is the one-row case.
 """
 
 from __future__ import annotations
@@ -18,65 +21,48 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, iter_bits, mask_of
+from .inverse_core import InverseMonoid, inclusions
 
 
 class Filter:
-    """An upward-closed directed subset of a fixed inverse monoid."""
+    """The filter up(generator) of a fixed inverse monoid."""
 
-    __slots__ = ("monoid", "members", "_generator", "_ultra", "_elements")
+    __slots__ = ("monoid", "generator", "members")
 
-    def __init__(self, monoid: InverseMonoid, members: int):
-        if members == 0:
-            raise StructureError("a filter cannot be empty")
+    def __init__(self, monoid: InverseMonoid, generator: int):
+        if not 0 <= generator < monoid.n:
+            raise StructureError(f"filter generator {generator} is not an element")
         self.monoid = monoid
-        self.members = members
-        self._generator = self._find_generator()
-        self._ultra: bool | None = None
-        self._elements: tuple[int, ...] | None = None
-
-    def _find_generator(self) -> int:
-        # a finite filter is the up-set of its least member
-        up = self.monoid.order().up
-        for m in iter_bits(self.members):
-            if up[m] == self.members:
-                return m
-        raise StructureError("member set is not the up-set of one of its members")
+        self.generator = int(generator)     # the least member
+        self.members = monoid.order().matrix[generator]     # read-only boolean row
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Filter) and other.monoid is self.monoid
-                and other.members == self.members)
+                and other.generator == self.generator)
 
     def __hash__(self) -> int:
-        return hash((id(self.monoid), self.members))
+        return hash((id(self.monoid), self.generator))
 
     def __repr__(self) -> str:
         names = ",".join(self.monoid.label(s) for s in self)
         return f"Filter({{{names}}})"
 
     def __iter__(self):
-        if self._elements is None:      # members are listed once, on first use
-            self._elements = tuple(iter_bits(self.members))
-        return iter(self._elements)
+        return iter(np.flatnonzero(self.members).tolist())
 
     def __len__(self) -> int:
-        return self.members.bit_count()
+        return int(self.monoid.order().up_sizes[self.generator])
 
     def __contains__(self, s: int) -> bool:
-        return (self.members >> s) & 1 == 1
+        return self.members.item(s)
 
     # -- kinds ---------------------------------------------------------------
 
     @property
-    def generator(self) -> int:
-        """The least member; every finite filter is principal."""
-        return self._generator
-
-    @property
     def min_index(self) -> int:
-        return (self.members & -self.members).bit_length() - 1
+        return int(self.members.argmax())
 
     @property
     def is_proper(self) -> bool:
@@ -85,50 +71,85 @@ class Filter:
     @property
     def is_idempotent_filter(self) -> bool:
         """True when the filter contains an idempotent."""
-        return any(self.monoid.is_idempotent(s) for s in self)
+        return bool(contains_idempotent(self.monoid, [self.generator])[0])
 
     def is_ultrafilter(self) -> bool:
-        """Maximal proper filter, decided by the meet criterion:
-        proper F is ultra iff every s outside F kills some member
-        (meet zero).  Cached."""
-        if self._ultra is None:
-            self._ultra = self.is_proper and self._ultra_by_meet_criterion()
-        return self._ultra
-
-    def _ultra_by_meet_criterion(self) -> bool:
-        monoid = self.monoid
-        return all(any(monoid.meet(s, a) == monoid.zero for a in self)
-                   for s in range(monoid.n) if s not in self)
+        """Maximal proper filter, decided by :func:`ultra_by_meet`."""
+        return bool(ultra_by_meet(self.monoid, [self.generator])[0])
 
     def is_ultrafilter_by_maximality(self) -> bool:
-        """Independent route: compare against every proper filter containing
-        this one.  In a finite monoid those are the principal filters."""
-        monoid, members = self.monoid, self.members
-        return self.is_proper and not any(
-            (up := monoid.up_mask(s)) & members == members and up != members
-            for s in range(monoid.n) if s != monoid.zero)
+        """Maximal proper filter, decided by :func:`ultra_by_maximality`."""
+        return bool(ultra_by_maximality(self.monoid, [self.generator])[0])
 
     # -- operations ---------------------------------------------------------
 
     def inverse(self) -> "Filter":
-        return Filter(self.monoid, mask_of(self.monoid.inv[s] for s in self))
+        return filter_of(self.monoid, self.members[list(self.monoid.inv)])
+
+
+def filter_of(monoid: InverseMonoid, members: np.ndarray) -> Filter:
+    """The filter with the given member set (a boolean row over the
+    elements), which must be the up-set of one of its members."""
+    if not members.any():
+        raise StructureError("a filter cannot be empty")
+    generator = int(least_members(monoid, members))
+    if not np.array_equal(monoid.order().matrix[generator], members):
+        raise StructureError("member set is not the up-set of one of its members")
+    return Filter(monoid, generator)
 
 
 def principal_filter(monoid: InverseMonoid, s: int) -> Filter:
     """The proper filter of everything above a non-zero element."""
     if s == monoid.zero:
         raise StructureError("the principal filter at zero is not proper")
-    return Filter(monoid, monoid.up_mask(s))
-
-
-def _principal(monoid: InverseMonoid, s: int) -> Filter:
-    # internal variant that admits the improper filter at zero
-    return Filter(monoid, monoid.up_mask(s))
+    return Filter(monoid, s)
 
 
 def all_filters(monoid: InverseMonoid) -> list[Filter]:
     """Every filter of a finite monoid: the principal ones, improper included."""
-    return [_principal(monoid, s) for s in range(monoid.n)]
+    return [Filter(monoid, s) for s in range(monoid.n)]
+
+
+def contains_idempotent(monoid: InverseMonoid, generators) -> np.ndarray:
+    """For each filter up(g) of ``generators``: does it hold an idempotent?"""
+    order = monoid.order()
+    return order.matrix[generators][:, list(order.idempotents)].any(axis=1)
+
+
+def ultra_by_meet(monoid: InverseMonoid, generators) -> np.ndarray:
+    """For each filter up(g) of ``generators``, the meet criterion: it is
+    ultra when it is proper and every s outside it meets some member in
+    zero."""
+    order = monoid.order()
+    members = order.matrix[generators]
+    # [f, s]: every member of f meets s in something other than zero
+    spared = inclusions(members, order.meet != monoid.zero)
+    return ~members[:, monoid.zero] & ~(spared & ~members).any(axis=1)
+
+
+def ultra_by_maximality(monoid: InverseMonoid, generators) -> np.ndarray:
+    """For each filter up(g) of ``generators``, the independent route: it is
+    ultra when it is proper and no proper filter strictly contains it.  In a
+    finite monoid those are the up(s), s non-zero."""
+    order = monoid.order()
+    members = order.matrix[generators]
+    # [f, s]: up(s) holds f and has more members
+    larger = inclusions(members, order.matrix) & (order.up_sizes > members.sum(axis=1)[:, None])
+    larger[:, monoid.zero] = False
+    return ~members[:, monoid.zero] & ~larger.any(axis=1)
+
+
+def idempotent_part_ultra(monoid: InverseMonoid, generators) -> np.ndarray:
+    """For each filter F = up(g) of ``generators``: is E(F) = F & E an
+    ultrafilter of the idempotent algebra E, that is non-empty, without
+    zero, and strictly inside no up(e) & E for a non-zero idempotent e?"""
+    leq, rng = monoid.order().matrix, np.arange(monoid.n)
+    in_e = np.diagonal(monoid.mul) == rng
+    part = leq[generators] & in_e
+    ups = leq[in_e & (rng != monoid.zero)] & in_e
+    # [f, e]: up(e) & E holds E(f) and has more members
+    larger = inclusions(part, ups) & (ups.sum(axis=1) > part.sum(axis=1)[:, None])
+    return part.any(axis=1) & ~part[:, monoid.zero] & ~larger.any(axis=1)
 
 
 def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
@@ -148,8 +169,8 @@ def filter_product(a: Filter, b: Filter) -> Filter:
         raise StructureError("filter product needs a common carrier")
     monoid = a.monoid
     product = np.zeros(monoid.n, dtype=bool)
-    product[monoid.mul[np.ix_(list(a), list(b))]] = True
-    return _principal(monoid, int(least_members(monoid, product)))
+    product[monoid.mul[np.ix_(a.members, b.members)]] = True
+    return Filter(monoid, int(least_members(monoid, product)))
 
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,7 +192,7 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.n
         np.greater(square @ reach, 0, out=sets[i])
         reach[columns, cells] = 0
         prod[i] = least_members(monoid, sets[i])
-    inverse = np.array([_principal(monoid, i).inverse().generator for i in range(n)])
+    inverse = least_members(monoid, leq[:, list(monoid.inv)])     # row i: up(i)^-1
     return sets, prod, inverse
 
 
@@ -200,13 +221,14 @@ def prime_property_check(f: Filter) -> bool:
 def enumerate_ultrafilters(monoid: InverseMonoid) -> list[Filter]:
     """All ultrafilters: in a finite boolean monoid, the principal filters at
     atoms.  Ordered by minimum member index (ties, which a relabelled table
-    can have, broken by the member mask).  That no ultrafilter is missed is
+    can have, broken by the member set read as a binary number, bit s for
+    element s).  That no ultrafilter is missed is
     checked by the laws ``nonzero-in-some-ultrafilter`` and
     ``ultra-criteria-agree``.
     """
     monoid.require_boolean()
     return sorted((principal_filter(monoid, a) for a in monoid.atoms),
-                  key=lambda f: (f.min_index, f.members))
+                  key=lambda f: (f.min_index, f.members[::-1].tobytes()))
 
 
 class StoneGroupoid(FiniteGroupoid):
@@ -246,16 +268,6 @@ class StoneGroupoid(FiniteGroupoid):
         """The arrow that is the ultrafilter f (every finite filter is up of
         its generator)."""
         return self._arrow_at(f.generator)
-
-
-def _idempotent_ultra_in_e(monoid: InverseMonoid, f: Filter) -> bool:
-    """Is E(F) = F intersect E an ultrafilter of the idempotent algebra?"""
-    emask = mask_of(monoid.idempotents)
-    part = f.members & emask
-    if part == 0 or (part >> monoid.zero) & 1:
-        return False
-    return not any((up := monoid.up_mask(e) & emask) & part == part and up != part
-                   for e in monoid.idempotents if e != monoid.zero)
 
 
 def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:

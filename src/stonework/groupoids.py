@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundError, StructureError
-from .inverse_core import (
-    InverseMonoid,
-    as_indices,
-    as_labels,
-    check_size,
-    mask_of,
-    raise_first_failure,
-)
+from .inverse_core import InverseMonoid, as_indices, as_labels, check_size, raise_first_failure
 
 BISECTION_BOUND = 16    # most arrows whose bisections are all materialized, by default
 
@@ -212,10 +205,6 @@ class Bisection:
         if not is_bisection_set(self.groupoid, self.members):
             raise StructureError("subset is not a bisection")
 
-    @property
-    def mask(self) -> int:
-        return mask_of(self.members)
-
     def __iter__(self):
         return iter(sorted(self.members))
 
@@ -259,7 +248,8 @@ def bisection_product(a: Bisection, b: Bisection) -> Bisection:
 
 def enumerate_bisections(groupoid: FiniteGroupoid, *,
                          bisection_bound: int = BISECTION_BOUND) -> list[Bisection]:
-    """All bisections, ordered by member bitmask value.
+    """All bisections, ordered by their member sets read as binary numbers
+    (bit a for arrow a), that is by their members in descending order.
 
     Chooses, identity by identity, at most one arrow out of it into a range
     not hit yet, which is equivalent to subset filtering but never touches
@@ -274,7 +264,8 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
         chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
                    for a in groupoid.star(e) if groupoid.r[a] not in hit]
     return [Bisection(groupoid, frozenset(arrows))
-            for arrows in sorted((arrows for arrows, _ in chosen), key=mask_of)]
+            for arrows in sorted((arrows for arrows, _ in chosen),
+                                 key=lambda arrows: sorted(arrows, reverse=True))]
 
 
 @dataclass
@@ -365,10 +356,9 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
 def point_ultrafilter(bm: BisectionMonoid, g: int):
     """The filter of all bisections through a fixed arrow g.  That it is an
     ultrafilter is the law ``point-filters-ultra``."""
-    from .filters import Filter  # filters builds on FiniteGroupoid
+    from .filters import filter_of  # filters builds on FiniteGroupoid
 
-    return Filter(bm.monoid, mask_of(i for i, b in enumerate(bm.bisections)
-                                     if g in b.members))
+    return filter_of(bm.monoid, np.array([g in b.members for b in bm.bisections]))
 
 
 # -- covering functors --------------------------------------------------------------

@@ -40,21 +40,6 @@ def check_size(count: int, what: str) -> None:
         raise BoundError(f"{what}: sizes are capped at {MAX_ELEMENTS}")
 
 
-def iter_bits(mask: int):
-    """Yield the set bit positions of an int bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def mask_of(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
 def as_indices(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple of ints; a non-integer entry (float, bool,
     string) is a StructureError, never truncated."""
@@ -163,10 +148,9 @@ def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrderData:
-    """The natural partial order: a dense matrix, its meet and join tables,
-    and up-set bitmasks (a filter is an up-set)."""
+    """The natural partial order: a dense matrix, whose row s is the up-set
+    of s (the filter it generates), and its meet and join tables."""
 
-    up: tuple[int, ...]      # up[s] = bitmask of {t : s <= t}
     idempotents: tuple[int, ...]
     atoms: tuple[int, ...]   # minimal non-zero elements
     matrix: np.ndarray = field(compare=False, repr=False)     # read-only; [s, t]: s <= t
@@ -360,19 +344,14 @@ class InverseMonoid:
             raise StructureError("natural order is not transitive")
 
         leq.setflags(write=False)
-        up = tuple(int.from_bytes(row.tobytes(), "little")
-                   for row in np.packbits(leq, axis=1, bitorder="little"))
         # an atom's down-set is {zero, itself}
         atoms = tuple(np.flatnonzero(np.count_nonzero(leq, axis=0) == 2).tolist())
-        return OrderData(up=up, idempotents=tuple(idem), atoms=atoms, matrix=leq,
+        return OrderData(idempotents=tuple(idem), atoms=atoms, matrix=leq,
                          up_sizes=np.count_nonzero(leq, axis=1),
                          meet=bound_table(leq), join=bound_table(leq.T))
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().matrix.item(s, t)
-
-    def up_mask(self, s: int) -> int:
-        return self.order().up[s]
 
     @property
     def atoms(self) -> tuple[int, ...]:
@@ -585,7 +564,8 @@ def boolean_algebra_monoid(num_atoms: int) -> InverseMonoid:
     check_size(1 << min(num_atoms, 64), f"the boolean algebra on {num_atoms} atoms")
     n = 1 << num_atoms
     mul = np.bitwise_and.outer(np.arange(n), np.arange(n))
-    labels = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(n)]
+    labels = ["{" + ",".join(str(i + 1) for i in range(num_atoms) if s >> i & 1) + "}"
+              for s in range(n)]
     return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1, labels=labels)
 
 

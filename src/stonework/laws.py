@@ -21,12 +21,16 @@ import numpy as np
 from .duality import clifford_check, verify_basic_open_laws
 from .filters import (
     all_filters,
+    contains_idempotent,
     enumerate_ultrafilters,
     filter_dom,
     filter_product,
     filter_products,
     filter_ran,
+    idempotent_part_ultra,
     prime_property_holds,
+    ultra_by_maximality,
+    ultra_by_meet,
 )
 from .groupoids import BISECTION_BOUND, all_bisections_monoid, point_ultrafilter
 from .inverse_core import InverseMonoid, inclusions
@@ -149,9 +153,9 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     filters = all_filters(monoid)
     ultra = enumerate_ultrafilters(monoid)
     n, mul, inv, order = monoid.n, monoid.mul, np.asarray(monoid.inv), monoid.order()
-    leq = order.matrix
+    leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
     sets, prod, inverse = products or filter_products(monoid)
-    dom = prod[inverse, np.arange(n)]
+    dom = prod[inverse, rng]
 
     law = report.new("filter-base-pairwise")
     for f in filters:
@@ -162,13 +166,11 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
             law.fail((f.generator, int(members[s]), int(members[t])))
 
     law = report.new("ultra-criteria-agree")
-    for f in filters:
-        law.tick()
-        if f.is_ultrafilter() != f.is_ultrafilter_by_maximality():
-            law.fail((f.generator,))
+    law.tick(n)
+    law.fail_where(ultra_by_meet(monoid, rng) != ultra_by_maximality(monoid, rng))
 
     in_ultra = leq[[f.generator for f in ultra]]    # row k: the members of ultra[k]
-    nonzero = np.arange(n) != monoid.zero
+    nonzero = rng != monoid.zero
     law = report.new("nonzero-in-some-ultrafilter")
     law.tick(n - 1)
     law.fail_where(nonzero & ~in_ultra.any(axis=0))
@@ -219,11 +221,12 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
                 law.fail((f.generator, a, "coset-form"))
 
     law = report.new("idempotent-filter-iff-closed")
+    idempotent = contains_idempotent(monoid, rng)
     for i, f in enumerate(filters):
         law.tick()
         members = list(f)
         closed = leq[i][mul[np.ix_(members, members)]].all() and leq[i][inv[members]].all()
-        if f.is_idempotent_filter != closed:
+        if idempotent[i] != closed:
             law.fail((f.generator,))
 
     law = report.new("filter-rigidity")
@@ -246,8 +249,7 @@ def filter_semigroup_laws(monoid: InverseMonoid, products: tuple | None = None) 
     reverse inclusion.  ``products``, when given, is ``filter_products``."""
     monoid.require_boolean()
     report = LawReport("filter semigroup laws")
-    filters = all_filters(monoid)
-    n = len(filters)
+    n = monoid.n                # filter i is up(i)
     _, prod, inverse = products or filter_products(monoid)
     leq, rng = monoid.order().matrix, np.arange(n)
 
@@ -260,11 +262,9 @@ def filter_semigroup_laws(monoid: InverseMonoid, products: tuple | None = None) 
     law.fail_where((candidates != expected).any(axis=1))
 
     law = report.new("idempotents-are-idempotent-filters")
+    law.tick(n)
     squares = prod[rng, rng] == rng
-    for i, f in enumerate(filters):
-        law.tick()
-        if bool(squares[i]) != f.is_idempotent_filter:
-            law.fail((f.generator,))
+    law.fail_where(squares != contains_idempotent(monoid, rng))
 
     law = report.new("order-is-reverse-inclusion")
     law.tick(n * n)
@@ -279,19 +279,16 @@ def ultra_equivalence_laws(monoid: InverseMonoid) -> LawReport:
     """For every filter, being ultra, having an idempotent-ultrafilter
     domain, and having an idempotent part that is ultra among idempotents
     are equivalent."""
-    from .filters import _idempotent_ultra_in_e
-
     monoid.require_boolean()
     report = LawReport("ultrafilter equivalence laws")
     law = report.new("three-way-equivalence")
-    for f in all_filters(monoid):
-        law.tick()
-        d = filter_dom(f)
-        first = f.is_ultrafilter()
-        second = d.is_idempotent_filter and d.is_ultrafilter()
-        third = _idempotent_ultra_in_e(monoid, d)
-        if not (first == second == third):
-            law.fail((f.generator,))
+    filters = all_filters(monoid)
+    law.tick(len(filters))
+    dom = [filter_dom(f).generator for f in filters]
+    first = ultra_by_meet(monoid, np.arange(len(filters)))
+    second = contains_idempotent(monoid, dom) & ultra_by_meet(monoid, dom)
+    third = idempotent_part_ultra(monoid, dom)
+    law.fail_where((first != second) | (second != third))
     return report
 
 
@@ -348,12 +345,11 @@ def point_filter_laws(groupoid, *, bisection_bound: int = BISECTION_BOUND) -> La
 
     law = report.new("point-filters-injective")
     law.tick(len(points))
-    if len({f.members for f in points}) != len(points):
+    if len(set(points)) != len(points):
         law.fail(("collision",))
 
     law = report.new("point-filters-exhaust-ultrafilters")
     law.tick()
-    enumerated = {f.members for f in enumerate_ultrafilters(bm.monoid)}
-    if {f.members for f in points} != enumerated:
+    if set(points) != set(enumerate_ultrafilters(bm.monoid)):
         law.fail(("mismatch",))
     return report

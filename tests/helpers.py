@@ -13,7 +13,8 @@ from stonework import (
 )
 from stonework.duality import MonoidMorphism
 from stonework.errors import StructureError
-from stonework.inverse_core import iter_bits, partial_bijections
+from stonework.filters import principal_filter
+from stonework.inverse_core import partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
 
 
@@ -33,6 +34,30 @@ def corpus_monoids():
     }
 
 
+# -- filters as int bitmasks: bit s for element s ---------------------------------
+
+
+def iter_bits(mask):
+    """Yield the set bit positions of an int bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(indices):
+    """The int bitmask with the given bits set."""
+    out = 0
+    for i in indices:
+        out |= 1 << int(i)
+    return out
+
+
+def up_mask(monoid, s):
+    """The bitmask of up(s), read off the order matrix."""
+    return mask_of(np.flatnonzero(monoid.order().matrix[s]))
+
+
 def element_product_mask(a, b):
     """Reference set product of two filters: the bitmask of {x y : x in a,
     y in b}, with no upward closure (the bit loop ``Filter`` ran before the
@@ -49,8 +74,49 @@ def upward_closure(monoid, mask):
     """Reference upward closure: the union of the up-sets of a bitmask's members."""
     out = 0
     for s in iter_bits(mask):
-        out |= monoid.up_mask(s)
+        out |= up_mask(monoid, s)
     return out
+
+
+def reference_ultrafilters(monoid):
+    """The ultrafilters in the order enumerate_ultrafilters gave them when
+    filters were bitmasks: by least member, ties by the member bitmask."""
+    return sorted((principal_filter(monoid, a) for a in monoid.atoms),
+                  key=lambda f: (min(f), mask_of(f)))
+
+
+def reference_ultra_by_meet(f):
+    """The meet criterion, one filter at a time: proper, and every s outside
+    the filter meets some member in zero."""
+    monoid = f.monoid
+    return f.is_proper and all(any(monoid.meet(s, a) == monoid.zero for a in f)
+                               for s in range(monoid.n) if s not in f)
+
+
+def reference_ultra_by_maximality(f):
+    """Maximality, one filter at a time: proper, and no principal filter
+    up(s), s non-zero, strictly contains it."""
+    monoid, members = f.monoid, mask_of(f)
+    return f.is_proper and not any(
+        (up := up_mask(monoid, s)) & members == members and up != members
+        for s in range(monoid.n) if s != monoid.zero)
+
+
+def reference_idempotent_part_ultra(f):
+    """Is E(F) = F & E an ultrafilter of the idempotent algebra?  One filter
+    at a time, by bitmasks."""
+    monoid = f.monoid
+    emask = mask_of(monoid.idempotents)
+    part = mask_of(f) & emask
+    if part == 0 or (part >> monoid.zero) & 1:
+        return False
+    return not any((up := up_mask(monoid, e) & emask) & part == part and up != part
+                   for e in monoid.idempotents if e != monoid.zero)
+
+
+def reference_contains_idempotent(f):
+    """Does the filter hold an idempotent?  One member at a time."""
+    return any(f.monoid.is_idempotent(s) for s in f)
 
 
 def first_associativity_failure(mul, rows=None):

@@ -134,6 +134,17 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
+def test_no_bitmask_twin_of_the_order_in_src():
+    # a filter is its generator and its members a row of the order matrix:
+    # no int-bitmask copy of the order, or helpers for one, may return
+    pattern = re.compile(r"iter_bits|mask_of|up_mask|\.up\b|preimage_mask")
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
 def test_check_boolean_pass_and_fail(tmp_path, capsys):
     run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
     code, out, _ = run(capsys, "check", "ix2", "--laws", "bm", "--store", str(tmp_path))

@@ -86,6 +86,7 @@ def test_weak_embedding_fails_m3(ix2):
     with pytest.raises(MorphismError) as err:
         weak.validate(weak=False)
     assert err.value.stage == "M3"
+    assert err.value.witness == ([2, 6],)
 
 
 def test_non_homomorphism_rejected(ix2):
@@ -424,6 +425,7 @@ def test_weak_pullback_of_idempotent_embedding(ix2):
     assert report.idempotent_ok
     # the two ultrafilters through non-idempotent atoms pull back to nothing
     assert sorted(kind for _, kind in report.flagged) == ["empty", "empty"]
+    assert report.to_json()["flagged"] == [[[2, 6], "empty"], [[3, 6], "empty"]]
 
 
 def test_cardinality_mismatch_raises():

@@ -2,13 +2,27 @@
 
 import numpy as np
 import pytest
-from helpers import corpus_monoids, element_product_mask, relabelled, upward_closure
+from helpers import (
+    corpus_monoids,
+    element_product_mask,
+    iter_bits,
+    mask_of,
+    reference_contains_idempotent,
+    reference_idempotent_part_ultra,
+    reference_ultra_by_maximality,
+    reference_ultra_by_meet,
+    reference_ultrafilters,
+    relabelled,
+    up_mask,
+    upward_closure,
+)
 
 from stonework import (
     NotBooleanError,
     StructureError,
     boolean_algebra_monoid,
     brandt_monoid,
+    chain_monoid,
     clifford_monoid,
     group_with_zero_monoid,
     symmetric_inverse_monoid,
@@ -16,18 +30,22 @@ from stonework import (
 from stonework.filters import (
     Filter,
     all_filters,
+    contains_idempotent,
     enumerate_ultrafilters,
     filter_dom,
+    filter_of,
     filter_product,
     filter_products,
     filter_ran,
+    idempotent_part_ultra,
     least_members,
     prime_property_check,
     principal_filter,
+    ultra_by_maximality,
+    ultra_by_meet,
     ultrafilter_groupoid,
 )
 from stonework.groupoids import FiniteGroupoid
-from stonework.inverse_core import iter_bits, mask_of
 from stonework.serialize import groupoid_to_json, monoid_from_json, monoid_to_json
 
 
@@ -64,15 +82,33 @@ def test_principal_filter_rejects_zero(ix2):
 
 
 def test_filter_validation(ix2):
-    with pytest.raises(StructureError):
-        Filter(ix2, 0)
+    leq = ix2.order().matrix
+    with pytest.raises(StructureError, match="a filter cannot be empty"):
+        filter_of(ix2, np.zeros(ix2.n, dtype=bool))
     e1 = by_label(ix2, "{1->1}")
-    with pytest.raises(StructureError):
-        Filter(ix2, 1 << e1)  # not upward closed (misses one)
+    with pytest.raises(StructureError, match="not the up-set of one of its members"):
+        filter_of(ix2, np.arange(ix2.n) == e1)  # not upward closed (misses one)
     e2 = by_label(ix2, "{2->2}")
-    undirected = ix2.up_mask(e1) | ix2.up_mask(e2)
-    with pytest.raises(StructureError):
-        Filter(ix2, undirected)  # e1, e2 have no common lower bound inside
+    with pytest.raises(StructureError, match="not the up-set of one of its members"):
+        filter_of(ix2, leq[e1] | leq[e2])  # e1, e2 have no common lower bound inside
+    assert filter_of(ix2, leq[e1]) == principal_filter(ix2, e1)
+
+
+@pytest.mark.parametrize("generator", [-1, 7, 8])
+def test_a_generator_outside_the_carrier_is_refused(ix2, generator):
+    with pytest.raises(StructureError, match=f"filter generator {generator} is not an element"):
+        Filter(ix2, generator)
+
+
+def test_members_are_the_read_only_row_of_the_order(ix2):
+    leq = ix2.order().matrix
+    for s in range(ix2.n):
+        f = Filter(ix2, s)
+        assert np.array_equal(f.members, leq[s]) and not f.members.flags.writeable
+        assert list(f) == np.flatnonzero(leq[s]).tolist() == list(iter_bits(up_mask(ix2, s)))
+        assert len(f) == len(list(f)) and f.min_index == min(f)
+        assert all((t in f) == leq[s, t] for t in range(ix2.n))
+        assert hash(f) == hash(Filter(ix2, s)) and f != Filter(ix2, (s + 1) % ix2.n)
 
 
 def test_filter_base_property_pairwise(ix2):
@@ -100,9 +136,7 @@ def test_atom_filters_are_ultra(ix2):
 
 
 def test_improper_filter_is_not_ultra(ix2):
-    from stonework.filters import _principal
-
-    f = _principal(ix2, ix2.zero)
+    f = Filter(ix2, ix2.zero)
     assert not f.is_proper
     assert not f.is_ultrafilter()
 
@@ -129,6 +163,18 @@ def test_enumeration_sorted_by_min_index(ix2):
     assert [f.min_index for f in ultra] == sorted(f.min_index for f in ultra)
 
 
+def test_ultrafilter_ties_keep_the_bitmask_order():
+    """On a relabelled table several ultrafilters can share a least member;
+    the order among them is that of their member bitmasks."""
+    ix3, ties = symmetric_inverse_monoid(3), 0
+    for seed in (1, 2, 3):
+        monoid = monoid_from_json(relabelled(monoid_to_json(ix3), seed))
+        ultra = enumerate_ultrafilters(monoid)
+        assert ultra == reference_ultrafilters(monoid)
+        ties += len(ultra) - len({f.min_index for f in ultra})
+    assert ties > 0
+
+
 def test_enumeration_requires_boolean():
     with pytest.raises(NotBooleanError):
         enumerate_ultrafilters(brandt_monoid())
@@ -147,11 +193,11 @@ def test_ultrafilter_intersection_is_principal(ix2):
     for a in range(ix2.n):
         if a == ix2.zero:
             continue
-        masks = [f.members for f in ultra if a in f]
+        masks = [mask_of(f) for f in ultra if a in f]
         acc = masks[0]
         for m in masks[1:]:
             acc &= m
-        assert acc == ix2.up_mask(a)
+        assert acc == up_mask(ix2, a)
 
 
 # -- filter products ----------------------------------------------------------------
@@ -173,7 +219,7 @@ def test_coset_equation_setwise(ix2):
         for ab in iter_bits(lhs):
             for c in f:
                 mask |= 1 << int(mul[ab, c])
-        assert mask == f.members
+        assert mask == mask_of(f)
 
 
 def test_product_of_atom_filter_with_inverse(ix2):
@@ -194,11 +240,11 @@ def test_product_is_smallest_filter(ix2):
     for a in all_filters(ix2):
         for b in all_filters(ix2):
             prod_set = element_product_mask(a, b)
-            prod = filter_product(a, b)
-            assert prod_set & prod.members == prod_set
-            for c in all_filters(ix2):
-                if c.members & prod_set == prod_set:
-                    assert c.members & prod.members == prod.members
+            prod = mask_of(filter_product(a, b))
+            assert prod_set & prod == prod_set
+            for c in map(mask_of, all_filters(ix2)):
+                if c & prod_set == prod_set:
+                    assert c & prod == prod
 
 
 def test_domain_is_inverse_submonoid(ix2):
@@ -212,7 +258,7 @@ def test_domain_is_inverse_submonoid(ix2):
         # f is recovered as the closure of a*H for any member a
         for a in f:
             mask = mask_of(ix2.product(a, x) for x in h)
-            assert upward_closure(ix2, mask) == f.members
+            assert upward_closure(ix2, mask) == mask_of(f)
 
 
 def test_idempotent_filter_iff_closed(ix2):
@@ -226,7 +272,7 @@ def test_filters_with_common_point_and_domain_agree(ix2):
     filters = all_filters(ix2)
     for a in filters:
         for b in filters:
-            if a.members & b.members and filter_dom(a) == filter_dom(b):
+            if mask_of(a) & mask_of(b) and filter_dom(a) == filter_dom(b):
                 assert a == b
 
 
@@ -255,7 +301,7 @@ def test_filter_order_is_reverse_inclusion(ix2):
     for f in filters:
         for g in filters:
             algebraic = any(filter_product(g, e) == f for e in idempotent)
-            assert algebraic == (g.members & f.members == g.members)
+            assert algebraic == (mask_of(g) & mask_of(f) == mask_of(g))
 
 
 # -- prime property ----------------------------------------------------------------
@@ -271,11 +317,8 @@ def test_prime_property_fails_for_one_up(ix2):
 
 
 def test_prime_property_vacuous_on_trivial_monoid():
-    from stonework import chain_monoid
-    from stonework.filters import _principal
-
     two = chain_monoid(2)
-    assert prime_property_check(_principal(two, two.one))
+    assert prime_property_check(Filter(two, two.one))
 
 
 # -- ultrafilter groupoid -------------------------------------------------------------
@@ -305,13 +348,11 @@ def test_groupoid_of_group_with_zero_is_the_group():
 
 def test_groupoid_equivalences_for_all_filters(ix2):
     # ultra <=> dom is an idempotent ultrafilter <=> E(dom) ultra in E
-    from stonework.filters import _idempotent_ultra_in_e
-
     for f in all_filters(ix2):
         d = filter_dom(f)
         first = f.is_ultrafilter()
         second = d.is_idempotent_filter and d.is_ultrafilter()
-        third = _idempotent_ultra_in_e(ix2, d)
+        third = bool(idempotent_part_ultra(ix2, [d.generator])[0])
         assert first == second == third
 
 
@@ -378,11 +419,31 @@ def test_atom_groupoid_agrees_with_filter_products(corpus, name, seed):
             dom_b = list(ultra[sg.d[j]])
             for xy in iter_bits(element_product_mask(a, b)):
                 formed = mask_of(monoid.product(xy, e) for e in dom_b)
-                assert upward_closure(monoid, formed) == prod.members
+                assert upward_closure(monoid, formed) == mask_of(prod)
     assert np.array_equal(compose, sg.compose)
 
-    maximal = {f.members for f in all_filters(monoid) if f.is_ultrafilter_by_maximality()}
-    assert {f.members for f in ultra} == maximal and len(ultra) == len(maximal)
+    maximal = {mask_of(f) for f in all_filters(monoid) if f.is_ultrafilter_by_maximality()}
+    assert {mask_of(f) for f in ultra} == maximal and len(ultra) == len(maximal)
+
+
+@pytest.mark.parametrize("name, seed", CROSS_CHECKED + [("brandt", None), ("chain3", None)])
+def test_batched_criteria_are_the_per_filter_loops(corpus, name, seed):
+    """The array criteria over every filter, ultra or not, against the
+    per-filter loops, and each Filter method as their one-row case."""
+    monoid = (corpus | {"brandt": brandt_monoid(), "chain3": chain_monoid(3)})[name]
+    if seed is not None:
+        monoid = monoid_from_json(relabelled(monoid_to_json(monoid), seed))
+    filters, every = all_filters(monoid), np.arange(monoid.n)
+    for criterion, reference in ((ultra_by_meet, reference_ultra_by_meet),
+                                 (ultra_by_maximality, reference_ultra_by_maximality),
+                                 (idempotent_part_ultra, reference_idempotent_part_ultra),
+                                 (contains_idempotent, reference_contains_idempotent)):
+        assert criterion(monoid, every).tolist() == [reference(f) for f in filters]
+    for f in filters:
+        assert f.is_ultrafilter() == reference_ultra_by_meet(f)
+        assert f.is_ultrafilter_by_maximality() == reference_ultra_by_maximality(f)
+        assert f.is_idempotent_filter == reference_contains_idempotent(f)
+    assert not all(reference_ultra_by_meet(f) for f in filters)
 
 
 @pytest.mark.parametrize("name, seed", CROSS_CHECKED)
@@ -399,7 +460,7 @@ def test_dense_table_is_the_literal_filter_product(corpus, name, seed):
         for j, b in enumerate(filters):
             product = element_product_mask(a, b)
             assert mask_of(np.flatnonzero(sets[i, j]).tolist()) == product
-            assert monoid.up_mask(prod[i, j]) == upward_closure(monoid, product)
+            assert up_mask(monoid, prod[i, j]) == upward_closure(monoid, product)
             assert prod[i, j] == filter_product(a, b).generator
 
 

@@ -52,6 +52,31 @@ def test_law_suites_read_the_product_they_check(monkeypatch):
     assert laws.filter_semigroup_laws(monoid).ok and laws.filter_laws(monoid).ok
 
 
+@pytest.mark.parametrize("criterion, suite, law", [
+    ("ultra_by_meet", "filter_laws", "ultra-criteria-agree"),
+    ("ultra_by_maximality", "filter_laws", "ultra-criteria-agree"),
+    ("contains_idempotent", "filter_laws", "idempotent-filter-iff-closed"),
+    ("contains_idempotent", "filter_semigroup_laws", "idempotents-are-idempotent-filters"),
+    ("ultra_by_meet", "ultra_equivalence_laws", "three-way-equivalence"),
+    ("contains_idempotent", "ultra_equivalence_laws", "three-way-equivalence"),
+    ("idempotent_part_ultra", "ultra_equivalence_laws", "three-way-equivalence"),
+])
+def test_ultrafilter_laws_read_each_criterion(monkeypatch, criterion, suite, law):
+    """A criterion that is wrong for one filter, up(a) at an atom a, fails
+    the law that compares it, at that filter alone."""
+    monoid = symmetric_inverse_monoid(3)
+    atom = monoid.atoms[0]
+    real = getattr(laws, criterion)
+
+    def wrong(monoid, generators):
+        out = real(monoid, generators).copy()
+        out[atom] = ~out[atom]
+        return out
+
+    monkeypatch.setattr(laws, criterion, wrong)
+    assert getattr(laws, suite)(monoid).get(law).failures == [(atom,)]
+
+
 def test_filter_laws_read_the_monoid_table():
     """A product table corrupted after validation, an idempotent atom that
     squares to zero, shows in the filter laws, which read the table."""
