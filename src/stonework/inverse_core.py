@@ -14,9 +14,14 @@ is computed definitionally, as a dense matrix, and with it one dense meet
 table and one dense join table (:func:`bound_table`, -1 where a bound is
 absent).  ``meet`` and ``join`` read one cell and return ``None`` when the
 bound does not exist, so diagnostics can run on non-boolean monoids;
-``check_boolean`` decides the three boolean-monoid axioms on those tables
-(BM1 on the same builder's tables of the idempotents) and reports the first
-witness (in ascending index order) when one fails.
+``check_boolean`` decides the three boolean-monoid axioms and reports the
+first witness (in ascending index order) when one fails.  BM1 is decided by
+the atoms of E: a finite poset with a bottom is a boolean lattice exactly
+when x -> {atoms below x} is an order isomorphism onto the subsets of its
+atoms.  Only when that fails do the literal lattice, distributivity and
+complement scans run, on tables of the idempotents from the same
+:func:`bound_table`, to name the witness.  BM2 and BM3 read the meet and
+join tables.
 """
 
 from __future__ import annotations
@@ -144,6 +149,55 @@ def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Entry [i, j] says whether boolean row i of ``rows`` lies inside row j
     of ``others``: an exact float32 product counts the misses (< 2^24)."""
     return (rows.astype(np.float32) @ (~others).T.astype(np.float32)) == 0
+
+
+def bm1_by_atoms(in_e: np.ndarray) -> np.ndarray | None:
+    """BM1 by the atom criterion on the order ``in_e`` of E ([x, y]: x <= y,
+    the bottom in every down-set): E is a boolean lattice exactly when
+    phi(x) = {atoms below x} is an order isomorphism onto the subsets of its
+    a atoms, that is when k = 2^a, the codes of phi hit every subset once
+    and x <= y iff phi(x) is inside phi(y).  Returns the position of each
+    complement (the one whose code is the other atoms), or None when E is
+    not boolean."""
+    k = len(in_e)
+    atoms = np.flatnonzero(np.count_nonzero(in_e, axis=0) == 2)    # down-set {0, a}
+    if k != 1 << len(atoms):
+        return None
+    phi = in_e[atoms].T                               # [x, j]: atoms[j] <= x
+    codes = phi @ (1 << np.arange(len(atoms)))
+    if (np.count_nonzero(np.bincount(codes, minlength=k)) != k
+            or not np.array_equal(in_e, inclusions(phi, phi))):
+        return None
+    by_code = np.empty(k, dtype=np.intp)
+    by_code[codes] = np.arange(k)
+    return by_code[(k - 1) ^ codes]
+
+
+def bm1_by_scan(in_e: np.ndarray, zero: int, one: int) -> tuple:
+    """BM1 by its literal definition on the order ``in_e`` of E, with bottom
+    and top at positions ``zero`` and ``one``: E's meet and join tables from
+    bound_table, then a lattice check, a k^3 distributivity scan and a
+    complement check.  Returns (None, complement) when E is a boolean
+    lattice, the complement as in bm1_by_atoms; otherwise ((detail,
+    positions), None) at the first failure of an ascending scan."""
+    # intp: the loops below index with them.  Bound tables are symmetric, so
+    # a row-major first failing pair has s <= t, as in an upper triangle.
+    meet, join = (bound_table(leq).astype(np.intp) for leq in (in_e, in_e.T))
+    if hit := first_failure({"idempotent meet missing": meet < 0,
+                             "idempotent join missing": join < 0}):
+        return hit, None
+    for i in range(len(in_e)):
+        row = meet[i]
+        lhs = row[join]                           # e ^ (f v g)
+        rhs = join[row[:, None], row[None, :]]    # (e ^ f) v (e ^ g)
+        if not np.array_equal(lhs, rhs):
+            f, g = map(int, np.argwhere(lhs != rhs)[0])
+            return ("idempotent lattice not distributive", (i, f, g)), None
+    # [i, j]: j is a complement of i; the first one is kept
+    complement = (meet == zero) & (join == one)
+    if not (found := complement.any(axis=1)).all():
+        return ("idempotent has no complement", (int(found.argmin()),)), None
+    return None, complement.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -336,11 +390,10 @@ class InverseMonoid:
             raise StructureError("zero is not the order bottom")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise StructureError("natural order is not antisymmetric")
-        # float32 matmul (BLAS) is exact here: entries are 0/1, so every sum
-        # counts paths and is at most n <= MAX_ELEMENTS (4096) < 2^24
-        square = leq.astype(np.float32)
-        closure = (square @ square) > 0
-        if np.any(closure & ~leq):
+        # s = t e and t = u f give s = u (f e): with associativity verified,
+        # the order is transitive when every product of idempotents is one
+        products = mul[np.ix_(idem, idem)]
+        if np.any(mul[products, products] != products):
             raise StructureError("natural order is not transitive")
 
         leq.setflags(write=False)
@@ -391,33 +444,17 @@ class InverseMonoid:
     def _decide_boolean(self) -> BooleanCertificate:
         order = self.order()
         idem = order.idempotents
-        k = len(idem)
-        # the bounds of (E, <=), as positions into idem (intp: the loops below
-        # index with them).  Bound tables and orthogonality are symmetric, so
-        # a row-major first failing pair has s <= t, as in an upper triangle.
-        rows = list(idem)
-        in_e = order.matrix[rows][:, rows]
-        meet, join = (bound_table(leq).astype(np.intp) for leq in (in_e, in_e.T))
+        in_e = order.matrix[np.ix_(idem, idem)]       # the order of E, by position in idem
+        # BM1: (E, <=) is a boolean lattice.  The atom criterion decides it;
+        # the literal scans run only when it fails, to name the first witness.
+        complement = bm1_by_atoms(in_e)
+        if complement is None:
+            hit, complement = bm1_by_scan(in_e, idem.index(self.zero), idem.index(self.one))
+            if hit:
+                return BooleanCertificate(False, "BM1", hit[0], tuple(idem[i] for i in hit[1]))
 
-        # BM1: (E, <=) is a lattice, distributive, complemented.
-        if hit := first_failure({"idempotent meet missing": meet < 0,
-                                 "idempotent join missing": join < 0}):
-            return BooleanCertificate(False, "BM1", hit[0], tuple(idem[i] for i in hit[1]))
-        for i in range(k):
-            row = meet[i]
-            lhs = row[join]                           # e ^ (f v g)
-            rhs = join[row[:, None], row[None, :]]    # (e ^ f) v (e ^ g)
-            if not np.array_equal(lhs, rhs):
-                f, g = map(int, np.argwhere(lhs != rhs)[0])
-                return BooleanCertificate(False, "BM1", "idempotent lattice not distributive",
-                                          (idem[i], idem[f], idem[g]))
-        # [i, j]: idem[j] is a complement of idem[i]; the first one is kept
-        complement = (meet == idem.index(self.zero)) & (join == idem.index(self.one))
-        if not (found := complement.any(axis=1)).all():
-            return BooleanCertificate(False, "BM1", "idempotent has no complement",
-                                      (idem[int(found.argmin())],))
-
-        # BM2: every pair has a meet.  BM3: orthogonal pairs have joins.
+        # BM2: every pair has a meet.  BM3: orthogonal pairs have joins.  The
+        # tables and orthogonality are symmetric: a first failing pair has s <= t.
         for axiom, missing in (("BM2", {"meet missing": order.meet < 0}),
                                ("BM3", {"orthogonal join missing":
                                         self.orthogonality() & (order.join < 0)})):
@@ -425,7 +462,7 @@ class InverseMonoid:
                 return BooleanCertificate(False, axiom, hit[0], hit[1])
 
         self._complements = np.full(self.n, -1, dtype=np.intp)
-        self._complements[rows] = np.asarray(idem)[complement.argmax(axis=1)]
+        self._complements[list(idem)] = np.asarray(idem)[complement]
         return BooleanCertificate(True)
 
     @property

@@ -5,14 +5,18 @@ by hand; the element indices are recovered through labels so the tests do
 not depend on enumeration order.
 """
 
+import operator
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonework import (
     MAX_ELEMENTS,
@@ -620,6 +624,118 @@ def test_bm1_distributivity_witness_is_first_ascending_triple(down):
     assert (cert.axiom, cert.detail, cert.elements) == (
         "BM1", "idempotent lattice not distributive", witness)
     assert not cert.is_boolean
+
+
+# -- BM1 by atoms against the literal scan ------------------------------------------
+
+
+def both_bm1_paths(build):
+    """The atom criterion and the literal scan called directly on E's order
+    of a fresh monoid, then its certificate and complement array, decided
+    with the criterion and again with it switched off."""
+    monoid = build()
+    idem = monoid.order().idempotents
+    in_e = monoid.order().matrix[np.ix_(idem, idem)]
+    fast = inverse_core.bm1_by_atoms(in_e)
+    hit, literal = inverse_core.bm1_by_scan(in_e, idem.index(monoid.zero),
+                                            idem.index(monoid.one))
+    assert (fast is None) == (hit is not None)
+    if fast is not None:
+        assert fast.tolist() == literal.tolist()
+    decided = monoid.check_boolean(), monoid._complements
+    with patch.object(inverse_core, "bm1_by_atoms", lambda in_e: None):
+        again = build()
+        scanned = again.check_boolean(), again._complements
+    assert decided[0] == scanned[0]
+    assert (decided[1] is None) == (scanned[1] is None)
+    if decided[1] is not None:
+        assert decided[1].tolist() == scanned[1].tolist()
+    return fast is not None, decided[0]
+
+
+BM1_CASES = dict(
+    {name: (lambda name=name: corpus_monoids()[name]) for name in corpus_monoids()},
+    ix4=lambda: symmetric_inverse_monoid(4),
+    **{f"ba{k}": (lambda k=k: boolean_algebra_monoid(k)) for k in (0, 5, 6, 7, 8)},
+    chain3=lambda: chain_monoid(3), chain4=lambda: chain_monoid(4), brandt=brandt_monoid,
+    two_maximal=two_maximal_lower_bounds, N5=lambda: lattice_monoid(N5),
+    M3=lambda: lattice_monoid(M3))
+
+
+@pytest.mark.parametrize("name", sorted(BM1_CASES))
+def test_atom_criterion_is_the_literal_bm1_scan(name):
+    """chain4 has 4 = 2^2 idempotents but one atom."""
+    boolean_e, cert = both_bm1_paths(BM1_CASES[name])
+    assert boolean_e == (name not in {"chain3", "chain4", "N5", "M3"})
+    assert cert.is_boolean == (name not in {"chain3", "chain4", "N5", "M3", "brandt",
+                                            "two_maximal"})
+
+
+def test_the_atom_criterion_needs_a_bijection_that_reflects_the_order():
+    """The subsets of {0..3} by inclusion are boolean, complement 15 ^ x.
+    Without the cover {0,1} <= {0,1,2} the codes still hit every subset
+    once, but 1 and 2 have two minimal upper bounds: not a lattice.  A
+    preorder coded by inclusion reflects itself, but two of its eight
+    elements share a code and none has the code {1, 2}."""
+    masks = np.arange(16)
+    in_e = (masks[:, None] & masks) == masks[:, None]      # [x, y]: x inside y
+    assert inverse_core.bm1_by_atoms(in_e).tolist() == (15 ^ masks).tolist()
+    in_e[0b0011, 0b0111] = False
+    assert inverse_core.bm1_by_atoms(in_e) is None
+    assert inverse_core.bm1_by_scan(in_e, 0, 15) == (("idempotent join missing", (1, 2)), None)
+    codes = np.array([0, 1, 2, 4, 3, 3, 5, 7])
+    assert inverse_core.bm1_by_atoms((codes[:, None] & codes) == codes[:, None]) is None
+
+
+def closure(masks, op):
+    masks = set(masks)
+    while not (new := {op(a, b) for a in masks for b in masks}) <= masks:
+        masks |= new
+    return masks
+
+
+@st.composite
+def small_lattices(draw):
+    """Down-sets of a lattice of subsets of {0..3}: the unions of the blocks
+    of a partition (a boolean lattice), or the closure under intersection of
+    a few subsets and the whole set (any lattice of closed sets).  Sorted
+    by size, the bottom comes first and the top last."""
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        masks = closure([0] + [sum(1 << p for p in range(4) if blocks[p] == b)
+                               for b in blocks], operator.or_)
+    else:
+        masks = closure(draw(st.lists(st.integers(0, 15), max_size=6)) + [15], operator.and_)
+    sets = sorted(masks, key=lambda s: (bin(s).count("1"), s))
+    return [{i for i, a in enumerate(sets) if a & b == a} for b in sets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lattices())
+def test_atom_criterion_is_the_literal_scan_on_small_lattices(down):
+    boolean_e, cert = both_bm1_paths(lambda: lattice_monoid(down))
+    assert boolean_e == cert.is_boolean
+
+
+# -- the natural order ---------------------------------------------------------------
+
+
+def test_natural_order_is_its_own_transitive_closure():
+    """The n^3 check the order build no longer runs: a float32 product of
+    the 0/1 matrix counts paths exactly (n <= 4096 < 2^24)."""
+    for name, monoid in dict(corpus_monoids(), ba9=boolean_algebra_monoid(9)).items():
+        square = monoid.order().matrix.astype(np.float32)
+        assert np.array_equal((square @ square) > 0, monoid.order().matrix), name
+
+
+def test_a_product_of_idempotents_that_is_not_idempotent_breaks_transitivity(monkeypatch):
+    """With the axiom checks skipped, idempotents 2 and 3 multiply to the
+    nilpotent 4: then 4 <= 2 <= 1 but not 4 <= 1."""
+    monkeypatch.setattr(InverseMonoid, "_validate", lambda self: None)
+    mul = [[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 2, 4, 0], [0, 3, 4, 3, 0], [0, 4, 0, 0, 0]]
+    monoid = InverseMonoid(mul, list(range(5)), zero=0, one=1)
+    with pytest.raises(StructureError, match="natural order is not transitive"):
+        monoid.order()
 
 
 # -- misc ------------------------------------------------------------------------
