@@ -32,6 +32,7 @@ from .laws import (
 )
 from .reporting import LawReport
 from .serialize import (
+    KINDS,
     groupoid_to_json,
     load_entry,
     monoid_to_json,
@@ -112,15 +113,7 @@ def cmd_build(args) -> int:
     params = _build_params(args)
     name, kind, obj, summary = build(args.generator, **params)
     name = args.name or name
-    if kind == "monoid":
-        payload = monoid_to_json(obj)
-    elif kind == "groupoid":
-        payload = groupoid_to_json(obj)
-    else:
-        from .polycyclic import format_cn
-
-        payload = {"n": obj.n, "expr": format_cn(obj)}
-    path = save_entry(Path(args.store), name, kind, payload)
+    path = save_entry(Path(args.store), name, kind, KINDS[kind][0](obj))
     out = {"entry": name, "kind": kind, "path": str(path), "summary": summary}
     if args.format == "dot":
         print(render(obj, kind, "dot"))

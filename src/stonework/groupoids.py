@@ -9,20 +9,28 @@ boolean-groupoid conditions reduce to finiteness; the certificate of that
 reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 
 A bisection is a subset hitting each identity at most once on the domain
-side and at most once on the range side.  The set of all bisections under
-the arrow-wise product is a boolean inverse monoid, materialized by
-:func:`all_bisections_monoid` (capped, since the candidate space is
-exponential).
+side and at most once on the range side (:func:`fiber_clash`).  The set of
+all bisections under the arrow-wise product is a boolean inverse monoid,
+materialized by :func:`all_bisections_monoid` (capped, since the candidate
+space is exponential).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial
 
 import numpy as np
 
 from .errors import BoundError, StructureError
-from .inverse_core import InverseMonoid, as_indices, as_labels, check_size, raise_first_failure
+from .inverse_core import (
+    MAX_ELEMENTS,
+    InverseMonoid,
+    as_indices,
+    as_labels,
+    check_size,
+    raise_first_failure,
+)
 
 BISECTION_BOUND = 16    # most arrows whose bisections are all materialized, by default
 
@@ -171,6 +179,8 @@ def group_groupoid(order: int) -> FiniteGroupoid:
 
 def trivial_groupoid(points: int) -> FiniteGroupoid:
     """Identities only."""
+    if points < 0:
+        raise BoundError("trivial groupoid needs a non-negative number of points")
     compose = _undefined_table(points)
     rng = list(range(points))
     compose[rng, rng] = rng
@@ -202,7 +212,7 @@ class Bisection:
     members: frozenset = field(compare=True)
 
     def __post_init__(self):
-        if not is_bisection_set(self.groupoid, self.members):
+        if fiber_clash(self.groupoid, self.members):
             raise StructureError("subset is not a bisection")
 
     def __iter__(self):
@@ -230,11 +240,6 @@ def fiber_clash(groupoid: FiniteGroupoid, arrows) -> tuple | None:
     return None
 
 
-def is_bisection_set(groupoid: FiniteGroupoid, members) -> bool:
-    """Does the arrow set meet every domain and every range fiber at most once?"""
-    return fiber_clash(groupoid, members) is None
-
-
 def bisection_product(a: Bisection, b: Bisection) -> Bisection:
     """Arrow-wise product {xy : composable}; the result is again a bisection
     (validated by the Bisection constructor, not assumed)."""
@@ -253,12 +258,24 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
 
     Chooses, identity by identity, at most one arrow out of it into a range
     not hit yet, which is equivalent to subset filtering but never touches
-    non-bisections.
+    non-bisections.  More than MAX_ELEMENTS bisections are refused before
+    any is built: a component with k identities and isotropy groups of
+    order g has sum_j C(k, j)^2 j! g^j of them.
     """
     if groupoid.m > bisection_bound:
         raise BoundError(
             f"bisection monoid capped at {bisection_bound} arrows; "
             "dualize the monoid side instead")
+    count, d, r = 1, np.array(groupoid.d), np.array(groupoid.r)
+    for e in groupoid.identities:
+        ranges = r[d == e]              # g arrows into each of the k identities of e's component
+        if ranges.min() == e:           # e comes first in its component
+            g = int(np.count_nonzero(ranges == e))
+            k = len(ranges) // g
+            count *= sum(comb(k, j) ** 2 * factorial(j) * g ** j for j in range(k + 1))
+            if count > MAX_ELEMENTS:
+                break
+    check_size(count, f"the bisections of a groupoid of {groupoid.m} arrows")
     chosen = [((), frozenset())]        # (arrows, the ranges they hit)
     for e in groupoid.identities:       # leave e out of the domain, or add one arrow from e
         chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
@@ -294,11 +311,10 @@ class BisectionMonoid:
 def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
     """Entry a is arrow a's share of the code of an arrow set meeting each
     domain fiber at most once: the digit a + 1, base m + 1, at the place of
-    its domain.  Exact while (m + 1)^identities fits in int64; -1 adds 0."""
-    base, places = groupoid.m + 1, len(groupoid.identities)
-    if base ** places > np.iinfo(np.int64).max:
-        raise BoundError(f"bisection codes of {groupoid.m} arrows on {places} "
-                         "identities overflow 64 bits")
+    its domain; -1 adds 0.  A groupoid with at most MAX_ELEMENTS bisections
+    has (m + 1)^identities < 2^45 (13^12 on 12 identities), so codes fit
+    int64."""
+    base = groupoid.m + 1
     place = np.searchsorted(groupoid.identities, groupoid.d)
     return np.append((np.arange(groupoid.m) + 1) * base ** place, 0)
 
@@ -310,17 +326,17 @@ def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(codes[at] == wanted, at, -1)
 
 
-def image_products(groupoid: FiniteGroupoid, bisections) -> tuple[np.ndarray, np.ndarray]:
-    """The image arrays of the bisections and of their pairwise products:
-    at place p, the arrow whose domain is identity p, or -1 (a last place
-    holds -1, which -1 as a place indexes, as around compose).  The product
-    of a and b is a(r(b(e))) b(e) at each e, one gather; that it meets each
-    range fiber at most once is left to the caller."""
+def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image arrays of bisections given as membership rows ([i, a]:
+    arrow a is in bisection i) and of their pairwise products: at place p,
+    the arrow whose domain is identity p, or -1 (a last place holds -1,
+    which -1 as a place indexes, as around compose).  The product of a and
+    b is a(r(b(e))) b(e) at each e, one gather; that it meets each range
+    fiber at most once is left to the caller."""
     ids = groupoid.identities
-    images = np.full((len(bisections), len(ids) + 1), -1, dtype=np.int32)
-    domain_place = np.searchsorted(ids, groupoid.d)
-    for i, b in enumerate(bisections):
-        images[i, domain_place[list(b)]] = list(b)
+    images = np.full((len(rows), len(ids) + 1), -1, dtype=np.int32)
+    i, arrows = np.nonzero(rows)
+    images[i, np.searchsorted(ids, groupoid.d)[arrows]] = arrows
     range_place = np.append(np.searchsorted(ids, groupoid.r), len(ids))
     return images, groupoid._padded[images[:, range_place[images]], images]
 
@@ -332,25 +348,27 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     Bisection b is held as its image array (see :func:`image_products`), so
     the whole table is one gather through ``compose``; each product is
     looked up by its code, and one that is not an enumerated bisection is a
-    StructureError.  The boolean certificate is asserted, since here it is
-    a theorem.
+    StructureError.  That the monoid is boolean is a theorem, which the
+    round trips and the law suites check.
     """
     bisections = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
     arrow_codes = _arrow_codes(groupoid)
-    images, products = image_products(groupoid, bisections)
+    rows = np.zeros((len(bisections), groupoid.m), dtype=bool)
+    for i, b in enumerate(bisections):
+        rows[i, list(b)] = True
+    images, products = image_products(groupoid, rows)
     codes = arrow_codes[images].sum(axis=1)
     mul = _positions(codes, arrow_codes[products].sum(axis=2))
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
         raise StructureError(f"the product of bisections {i} and {j} is not a bisection")
-    inverses = np.append(groupoid.inv, -1)[images]      # the members' inverses
+    inverses = np.array((*groupoid.inv, -1))[images]    # the members' inverses
     inv = _positions(codes, arrow_codes[inverses].sum(axis=1)).tolist()
     unit = arrow_codes[list(groupoid.identities)].sum()     # the code of every identity
     zero, one = _positions(codes, np.array([0, unit])).tolist()
     labels = ["{" + ",".join(groupoid.label(a) for a in b) + "}" for b in bisections]
-    monoid = InverseMonoid(mul, inv, zero, one, labels)
-    monoid.require_boolean()
-    return BisectionMonoid(groupoid, bisections, monoid, codes)
+    return BisectionMonoid(groupoid, bisections, InverseMonoid(mul, inv, zero, one, labels),
+                           codes)
 
 
 def point_ultrafilter(bm: BisectionMonoid, g: int):

@@ -2,9 +2,11 @@
 
 An inverse monoid lives on indices ``0..n-1`` with a total product table,
 a designated zero and one, and an involution ``s -> s^-1`` satisfying
-``s s^-1 s = s``.  Construction verifies the axioms (associativity,
-involution, uniqueness of inverses, commuting idempotents, absorbing zero,
-neutral one) so that everything downstream can trust the table.  Richer
+``s s^-1 s = s``.  Construction verifies the defining axioms (neutral
+one, absorbing zero, associativity, an involution with s s^-1 s = s and
+s^-1 s s^-1 = s^-1, commuting idempotents) so that everything downstream
+can trust the table; their consequences (inverses are unique, the natural
+order is a partial order) are theorems, checked by the tests.  Richer
 carriers such as partial bijections appear only as constructors and labels.
 A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
 arrows); a larger one is refused before its n x n tables are built.
@@ -299,17 +301,10 @@ class InverseMonoid:
         raise_first_failure({"s s^-1 s != s at {}": mul[s_si, rng] != rng})
         raise_first_failure({"s^-1 s s^-1 != s^-1 at {}": mul[si_s, inv_arr] != inv_arr})
 
-        # uniqueness of generalized inverses (with commuting idempotents this
-        # is the inverse-semigroup characterization; both are verified).
-        for s in range(n):
-            row = mul[s]                      # s*t over t
-            col = mul[:, s]                   # t*s over t
-            sts = mul[row, s]                 # (s t) s
-            tst = mul[col, rng]               # (t s) t
-            witnesses = np.nonzero((sts == s) & (tst == rng))[0]
-            if len(witnesses) != 1 or int(witnesses[0]) != self.inv[s]:
-                raise StructureError(f"inverse of {s} is not unique: {witnesses.tolist()}")
-
+        # A regular monoid whose idempotents commute is inverse: s^-1 is then
+        # the only inverse of s (Howie, Fundamentals of Semigroup Theory,
+        # Thm 5.1.1).  That theorem is not re-proved here; the tests keep the
+        # uniqueness scan as a reference that accepts the same tables.
         idem = self.idempotents
         sub = mul[np.ix_(idem, idem)]
         if not np.array_equal(sub, sub.T):
@@ -385,17 +380,7 @@ class InverseMonoid:
         idem = list(self.idempotents)
         leq = np.zeros((n, n), dtype=bool)    # leq[s, t]  iff  s <= t
         leq[mul[:, idem], np.arange(n)[:, None]] = True     # t * e <= t
-        # sanity: a genuine partial order with zero at the bottom
-        if not leq[self.zero].all():
-            raise StructureError("zero is not the order bottom")
-        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
-            raise StructureError("natural order is not antisymmetric")
-        # s = t e and t = u f give s = u (f e): with associativity verified,
-        # the order is transitive when every product of idempotents is one
-        products = mul[np.ix_(idem, idem)]
-        if np.any(mul[products, products] != products):
-            raise StructureError("natural order is not transitive")
-
+        # on a validated table this is a partial order with zero at the bottom
         leq.setflags(write=False)
         # an atom's down-set is {zero, itself}
         atoms = tuple(np.flatnonzero(np.count_nonzero(leq, axis=0) == 2).tolist())

@@ -16,6 +16,7 @@ from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
 from .inverse_core import InverseMonoid, as_indices, as_table
+from .polycyclic import CnElement, format_cn, parse_cn
 
 
 def _fields(data, *keys) -> list:
@@ -109,15 +110,42 @@ def functor_from_json(data: dict) -> CoveringFunctor:
                            as_indices(mapping, "map"))
 
 
+def _cn_to_json(element: CnElement) -> dict:
+    return {"n": element.n, "expr": format_cn(element)}
+
+
+def _cn_from_json(data: dict) -> CnElement:
+    expr, n = _fields(data, "expr", "n")
+    if not isinstance(expr, str) or isinstance(n, bool) or not isinstance(n, int):
+        raise StructureError("a cn-element needs a string expr and an integer n")
+    return parse_cn(expr, n)
+
+
 # -- corpus entries --------------------------------------------------------------
 
 
-KINDS = ("monoid", "groupoid", "morphism", "functor", "cn-element")
+# entry kind -> (payload writer, payload reader, one-line text summary)
+KINDS = {
+    "monoid": (monoid_to_json, monoid_from_json,
+               lambda m: f"monoid with {m.n} elements, zero={m.zero}, one={m.one}"),
+    "groupoid": (groupoid_to_json, groupoid_from_json,
+                 lambda g: f"groupoid with {g.m} arrows, {len(g.identities)} identities"),
+    "morphism": (morphism_to_json, morphism_from_json,
+                 lambda f: f"morphism on {f.source.n} elements"),
+    "functor": (functor_to_json, functor_from_json, lambda f: f"functor on {f.source.m} arrows"),
+    "cn-element": (_cn_to_json, _cn_from_json, lambda a: f"element of C_{a.n}: {format_cn(a)}"),
+}
+
+
+def _codec(kind) -> tuple:
+    """The KINDS entry of an entry kind; anything else is a StructureError."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise StructureError(f"unknown entry kind {kind!r}")
+    return KINDS[kind]
 
 
 def entry_to_json(name: str, kind: str, payload: dict) -> dict:
-    if kind not in KINDS:
-        raise StructureError(f"unknown entry kind {kind!r}")
+    _codec(kind)
     return {"name": name, "kind": kind, "payload": payload}
 
 
@@ -163,23 +191,8 @@ def load_entry(path_or_name, store: Path | None = None):
     del text                # not held while the tables are validated
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
-    if kind == "monoid":
-        obj = monoid_from_json(payload, bools=bools)
-    elif kind == "groupoid":
-        obj = groupoid_from_json(payload)
-    elif kind == "morphism":
-        obj = morphism_from_json(payload)
-    elif kind == "functor":
-        obj = functor_from_json(payload)
-    elif kind == "cn-element":
-        from .polycyclic import parse_cn
-
-        expr, n = _fields(payload, "expr", "n")
-        if not isinstance(expr, str) or isinstance(n, bool) or not isinstance(n, int):
-            raise StructureError("a cn-element needs a string expr and an integer n")
-        obj = parse_cn(expr, n)
-    else:
-        raise StructureError(f"unknown entry kind {kind!r}")
+    from_json = _codec(kind)[1]
+    obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
     return name, kind, obj
 
 
@@ -189,27 +202,5 @@ def render(obj, kind: str, fmt: str) -> str:
         if kind != "groupoid":
             raise StructureError("dot output is only defined for groupoids")
         return groupoid_to_dot(obj)
-    if kind == "monoid":
-        data = monoid_to_json(obj)
-    elif kind == "groupoid":
-        data = groupoid_to_json(obj)
-    elif kind == "morphism":
-        data = morphism_to_json(obj)
-    elif kind == "functor":
-        data = functor_to_json(obj)
-    else:
-        from .polycyclic import format_cn
-
-        data = {"n": obj.n, "expr": format_cn(obj)}
-    if fmt == "json":
-        return json.dumps(data, indent=2)
-    # text: a short human summary
-    if kind == "monoid":
-        return f"monoid with {obj.n} elements, zero={obj.zero}, one={obj.one}"
-    if kind == "groupoid":
-        return f"groupoid with {obj.m} arrows, {len(obj.identities)} identities"
-    if kind == "morphism":
-        return f"morphism on {obj.source.n} elements"
-    if kind == "functor":
-        return f"functor on {obj.source.m} arrows"
-    return f"element of C_{obj.n}: {data['expr']}"
+    to_json, _, summary = _codec(kind)
+    return json.dumps(to_json(obj), indent=2) if fmt == "json" else summary(obj)

@@ -132,6 +132,22 @@ def first_associativity_failure(mul, rows=None):
     return None
 
 
+def reference_inverse_uniqueness_failure(mul, inv):
+    """The uniqueness scan ``InverseMonoid`` ran before its definition check
+    sufficed: the message naming the first s whose inverses (the t with
+    s t s = s and t s t = t) are not exactly ``[inv[s]]``, or None.  On a
+    table that passes the definition it always passes (Howie, Thm 5.1.1)."""
+    mul = np.asarray(mul)
+    rng = np.arange(len(mul))
+    for s in rng.tolist():
+        sts = mul[mul[s], s]                # (s t) s over t
+        tst = mul[mul[:, s], rng]           # (t s) t over t
+        witnesses = np.nonzero((sts == s) & (tst == rng))[0]
+        if len(witnesses) != 1 or int(witnesses[0]) != inv[s]:
+            return f"inverse of {s} is not unique: {witnesses.tolist()}"
+    return None
+
+
 def first_groupoid_failure(d, r, inv, compose, identities):
     """Reference groupoid validation: the Python loops over a dict of
     composable pairs ``{(g, h): k}`` that ``FiniteGroupoid`` ran before its

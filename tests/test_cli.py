@@ -442,6 +442,48 @@ def test_oversize_build_is_refused_before_allocating(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_groupoid_with_too_many_bisections_is_refused_before_enumerating(tmp_path, capsys):
+    """trivial13 has 13 arrows, inside the arrow bound, but 2^13 bisections:
+    their pairwise image arrays alone would take 8192 x 14 x 8192 int32s."""
+    run(capsys, "build", "trivial-groupoid", "--points", "13", "--store", str(tmp_path))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "dualize", "trivial13", "--store", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "capped" in err
+    assert peak < 8192 * 8192 // 8          # not even an 8192 x 8192 table of bits
+
+
+def test_the_empty_groupoid_and_the_one_element_monoid_dualize(tmp_path, capsys):
+    store = ("--store", str(tmp_path))
+    for argv in (("build", "bool-algebra", "--atoms", "0"),
+                 ("dualize", "bool-algebra-1", "--round-trip"),
+                 ("check", "bool-algebra-1-dual", "--laws", "point-filters"),
+                 ("dualize", "bool-algebra-1-dual", "--round-trip"),
+                 ("build", "trivial-groupoid", "--points", "0"),
+                 ("dualize", "trivial0", "--round-trip"),
+                 ("check", "trivial0-dual", "--laws", "all")):
+        code, out, err = run(capsys, *argv, *store)
+        assert (code, err) == (0, ""), argv
+    assert json.loads(out)["ok"] is True
+    code, out, err = run(capsys, "build", "trivial-groupoid", "--points", "-1", *store)
+    assert code == 2 and out == "" and "non-negative" in err
+
+
+def test_no_reproved_theorem_in_src():
+    # constructors check their definitions; theorems such as unique inverses,
+    # the order being partial, and bisection-ness of products or of basic
+    # opens are checked by tests and law suites, with one bisection test
+    pattern = re.compile(r"is_bisection_set|is not unique|natural order is not")
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
 def test_tracer_hooks_resolve():
     # perfbench/tracer.py wraps these names at run time; a refactor that drops
     # one would break traced benchmark runs without failing anything else

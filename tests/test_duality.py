@@ -42,6 +42,7 @@ from stonework.groupoids import (
     all_bisections_monoid,
     check_covering,
     disjoint_union,
+    fiber_clash,
     group_groupoid,
     pair_groupoid,
     trivial_groupoid,
@@ -241,22 +242,41 @@ def test_union_probe_agrees_with_the_union_law(factory, clashes, monkeypatch):
 
 
 def test_product_law_checks_each_product_is_a_bisection(ix2, sg_ix2, monkeypatch):
-    """The gathered products meet each domain fiber once by construction;
-    that they meet each range fiber at most once is still checked, with the
-    error a Bisection built from the product gives."""
+    """The gathered products meet each domain fiber once by construction.
+    One that meets a range fiber twice is not a bisection, so it is not
+    K(st) either: the product law reports it at (s, t)."""
     real = duality.image_products
     e0, e1 = sg_ix2.identities
     swap = next(g for g in range(sg_ix2.m) if (sg_ix2.d[g], sg_ix2.r[g]) == (e1, e0))
 
-    def doubled(groupoid, bisections):
-        images, products = real(groupoid, bisections)
+    def doubled(groupoid, rows):
+        images, products = real(groupoid, rows)
         products = products.copy()
         products[ix2.one, ix2.one, 1] = swap        # K(1)K(1) = {e0, swap}: one range twice
         return images, products
 
     monkeypatch.setattr(duality, "image_products", doubled)
-    with pytest.raises(StructureError, match="^subset is not a bisection$"):
-        verify_basic_open_laws(ix2, sg_ix2)
+    report = verify_basic_open_laws(ix2, sg_ix2)
+    assert report.get("product").failures == [(ix2.one, ix2.one)]
+    assert report.failure_count == 1
+
+
+def test_a_tampered_order_fails_is_bisection_with_a_witness(ix2, sg_ix2):
+    """K(s) is read off the order: with the atom {2->1} put below the one,
+    K(1) gains the arrow from e1 to e0, which shares a domain fiber with e1
+    and a range fiber with e0.  The witness is fiber_clash's first pair."""
+    e0, e1 = sg_ix2.identities
+    swap = next(g for g in range(sg_ix2.m) if (sg_ix2.d[g], sg_ix2.r[g]) == (e1, e0))
+    source = ix2.restrict(range(ix2.n))
+    order = source.order()
+    matrix = order.matrix.copy()
+    matrix[sg_ix2.ultrafilters[swap].generator, source.one] = True
+    source._order = replace(order, matrix=matrix)
+    law = verify_basic_open_laws(source, sg_ix2).get("is-bisection")
+    clash = fiber_clash(sg_ix2, [e0, e1, swap])
+    assert clash[0] in ("domain-fiber", "range-fiber") and swap in clash[1:]
+    assert law.instances == ix2.n
+    assert law.failures == [(source.one, clash)]
 
 
 # -- functors on morphisms --------------------------------------------------------------

@@ -7,8 +7,10 @@ from helpers import first_groupoid_failure, iter_bits, mask_of
 from stonework import (
     BoundError,
     StructureError,
+    boolean_algebra_monoid,
     clifford_monoid,
     groupoids,
+    inverse_core,
     symmetric_inverse_monoid,
 )
 from stonework.groupoids import (
@@ -20,15 +22,20 @@ from stonework.groupoids import (
     check_covering,
     disjoint_union,
     enumerate_bisections,
+    fiber_clash,
     group_groupoid,
     groupoid_to_dot,
     identity_functor,
-    is_bisection_set,
     pair_groupoid,
     point_ultrafilter,
     trivial_groupoid,
 )
-from stonework.duality import pullback_morphism
+from stonework.duality import (
+    pullback_morphism,
+    round_trip_groupoid,
+    round_trip_monoid,
+    stone_groupoid,
+)
 from stonework.filters import enumerate_ultrafilters, ultrafilter_groupoid
 
 
@@ -51,7 +58,7 @@ def enumerate_bisections_by_subsets(groupoid):
     out = []
     for mask in range(1 << groupoid.m):
         members = frozenset(iter_bits(mask))
-        if is_bisection_set(groupoid, members):
+        if fiber_clash(groupoid, members) is None:
             out.append(members)
     return out
 
@@ -159,7 +166,7 @@ def test_bisection_tests_agree(pair2):
     # and the definitional filter catches exactly the same subsets
     for mask in range(1 << pair2.m):
         members = frozenset(iter_bits(mask))
-        definitional = is_bisection_set(pair2, members)
+        definitional = fiber_clash(pair2, members) is None
         if definitional:
             assert satisfies_algebraic_test(Bisection(pair2, members))
 
@@ -256,7 +263,7 @@ BISECTION_CASES = {
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
 def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
     groupoid, bound = BISECTION_CASES[name]()
-    calls = {"bisection_product": 0, "is_bisection_set": 0}
+    calls = {"bisection_product": 0, "fiber_clash": 0}
 
     def counted(func):
         def wrapper(*args):
@@ -264,11 +271,11 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
             return func(*args)
         return wrapper
 
-    for func in (bisection_product, is_bisection_set):
+    for func in (bisection_product, fiber_clash):
         monkeypatch.setattr(groupoids, func.__name__, counted(func))
     bm = all_bisections_monoid(groupoid, bisection_bound=bound)
     # no literal product, and the one bisection test runs only at enumeration
-    assert calls == {"bisection_product": 0, "is_bisection_set": len(bm)}
+    assert calls == {"bisection_product": 0, "fiber_clash": len(bm)}
     monkeypatch.undo()
     members = [b.members for b in bm.bisections]
     literal = [[members.index(bisection_product(a, b).members) for b in bm.bisections]
@@ -279,10 +286,60 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
     assert members[bm.monoid.one] == frozenset(groupoid.identities)
 
 
-def test_bisection_codes_that_overflow_64_bits_are_refused():
-    # 17^16 codes: every bisection code of 16 arrows on 16 identities
-    with pytest.raises(BoundError, match="overflow"):
+def test_more_bisections_than_the_cap_are_refused_by_their_count():
+    # 16 arrows pass the arrow bound, but 2^16 bisections are past the cap
+    with pytest.raises(BoundError, match="capped at 4096"):
         all_bisections_monoid(trivial_groupoid(16))
+
+
+def pair_times_group(points, order):
+    """The pair groupoid on the points times the cyclic group of the order:
+    arrow (i, j, x), index (i * points + j) * order + x, from j to i."""
+    i, j, x = np.unravel_index(np.arange(points * points * order), (points, points, order))
+    idx = lambda i, j, x: (i * points + j) * order + x
+    compose = np.full((len(i),) * 2, -1)
+    for g, h in np.argwhere(j[:, None] == i[None, :]).tolist():
+        compose[g, h] = idx(i[g], j[h], (x[g] + x[h]) % order)
+    return FiniteGroupoid(idx(j, j, 0), idx(i, i, 0), idx(j, i, -x % order), compose,
+                          [idx(e, e, 0) for e in range(points)])
+
+
+COUNTED_GROUPOIDS = {
+    "trivial3": lambda: trivial_groupoid(3),
+    "pair3": lambda: pair_groupoid(3),
+    "z2+z3": lambda: disjoint_union(group_groupoid(2), group_groupoid(3)),
+    "pair2+z3": lambda: disjoint_union(pair_groupoid(2), group_groupoid(3)),
+    "pair2xz2": lambda: pair_times_group(2, 2),
+    "pair2xz3+z2": lambda: disjoint_union(pair_times_group(2, 3), group_groupoid(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_GROUPOIDS))
+def test_bisections_are_counted_before_they_are_enumerated(monkeypatch, name):
+    """With the cap set to the literal number of bisections the enumeration
+    runs; one below it, the closed-form count refuses it."""
+    groupoid = COUNTED_GROUPOIDS[name]()
+    count = len(enumerate_bisections_by_subsets(groupoid))
+    for cap, accepted in ((count, True), (count - 1, False)):
+        for module in (groupoids, inverse_core):
+            monkeypatch.setattr(module, "MAX_ELEMENTS", cap)
+        if accepted:
+            assert len(enumerate_bisections(groupoid, bisection_bound=groupoid.m)) == count
+        else:
+            with pytest.raises(BoundError, match=f"capped at {cap}$"):
+                enumerate_bisections(groupoid, bisection_bound=groupoid.m)
+
+
+def test_the_empty_groupoid_and_its_dual_round_trip():
+    empty = trivial_groupoid(0)
+    bm = all_bisections_monoid(empty)
+    assert (bm.monoid.n, bm.monoid.zero, bm.monoid.one) == (1, 0, 0)
+    assert round_trip_groupoid(empty).size == 0
+    ba0 = boolean_algebra_monoid(0)
+    assert len(stone_groupoid(ba0)) == 0
+    assert round_trip_monoid(ba0).forward == (0,)
+    with pytest.raises(BoundError, match="non-negative"):
+        trivial_groupoid(-1)
 
 
 def test_group_bisection_monoid():

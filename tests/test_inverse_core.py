@@ -35,7 +35,13 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 
-from helpers import compatible, corpus_monoids, first_associativity_failure, orthogonal
+from helpers import (
+    compatible,
+    corpus_monoids,
+    first_associativity_failure,
+    orthogonal,
+    reference_inverse_uniqueness_failure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +180,60 @@ def test_rejects_bad_inverse_table(ix2):
     with pytest.raises(StructureError):
         InverseMonoid(ix2.mul, inv, ix2.zero, ix2.one)
     del b
+
+
+def test_a_left_zero_band_is_rejected_for_idempotents_that_do_not_commute():
+    """2 and 3 are idempotents with 2 3 = 2 and 3 2 = 3: each is an inverse
+    of the other as well as of itself, the uniqueness the definition's last
+    check stands for."""
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 2], [0, 3, 3, 3]]
+    assert reference_inverse_uniqueness_failure(mul, [0, 1, 2, 3]) == (
+        "inverse of 2 is not unique: [2, 3]")
+    with pytest.raises(StructureError, match="^idempotents 2 and 3 do not commute$"):
+        InverseMonoid(mul, [0, 1, 2, 3], zero=0, one=1)
+
+
+def small_tables():
+    """Every table on a zero, a one and two more elements (any inner
+    products, inverse the identity or the swap), and every table on a zero,
+    a one and three idempotents (inverse the identity)."""
+    for inner in np.ndindex(*(4,) * 4):
+        for inv in ([0, 1, 2, 3], [0, 1, 3, 2]):
+            mul = np.minimum.outer(np.arange(4), np.arange(4))
+            mul[:, 1], mul[1] = np.arange(4), np.arange(4)
+            mul[2:, 2:] = np.reshape(inner, (2, 2))
+            yield mul, inv
+    cells = [(i, j) for i in range(2, 5) for j in range(2, 5) if i != j]
+    for values in np.ndindex(*(4,) * len(cells)):
+        mul = np.minimum.outer(np.arange(5), np.arange(5))
+        mul[:, 1], mul[1] = np.arange(5), np.arange(5)
+        for (i, j), v in zip(cells, values):
+            mul[i, j] = (0, 2, 3, 4)[v]
+        yield mul, list(range(5))
+
+
+def test_the_definition_accepts_exactly_the_tables_with_unique_inverses():
+    """Construction checks the definition, not that inverses are unique: a
+    table passes exactly when it would also pass the uniqueness scan, and
+    one that passes the rest of the definition but not the scan is refused
+    for idempotents that do not commute."""
+    outcomes = {"accepted": 0, "do not commute": 0}
+    for mul, inv in small_tables():
+        try:
+            monoid = InverseMonoid(mul, inv, zero=0, one=1)
+            refusal = None
+            assert is_partial_order_with_zero_at_the_bottom(monoid), mul.tolist()
+        except StructureError as err:
+            refusal = str(err)
+        if refusal is None or "do not commute" in refusal:
+            unique = reference_inverse_uniqueness_failure(mul, inv) is None
+            assert unique == (refusal is None), (mul.tolist(), inv, refusal)
+            outcomes["accepted" if unique else "do not commute"] += 1
+    assert outcomes["accepted"] > 10 and outcomes["do not commute"] > 10, outcomes
+    for name, monoid in dict(corpus_monoids(), ix4=symmetric_inverse_monoid(4),
+                             ba6=boolean_algebra_monoid(6), brandt=brandt_monoid(),
+                             chain4=chain_monoid(4)).items():
+        assert reference_inverse_uniqueness_failure(monoid.mul, monoid.inv) is None, name
 
 
 def test_rejects_fake_identity(ix2):
@@ -720,22 +780,23 @@ def test_atom_criterion_is_the_literal_scan_on_small_lattices(down):
 # -- the natural order ---------------------------------------------------------------
 
 
+def is_partial_order_with_zero_at_the_bottom(monoid) -> bool:
+    """The checks the order build does not run, which no validated table
+    can fail: reflexive, antisymmetric, zero below everything, and its own
+    transitive closure (a float32 product of the 0/1 matrix counts paths
+    exactly, n <= 4096 < 2^24)."""
+    leq = monoid.order().matrix
+    square = leq.astype(np.float32)
+    return bool(leq[monoid.zero].all()
+                and np.array_equal(leq & leq.T, np.eye(monoid.n, dtype=bool))
+                and np.array_equal((square @ square) > 0, leq))
+
+
 def test_natural_order_is_its_own_transitive_closure():
-    """The n^3 check the order build no longer runs: a float32 product of
-    the 0/1 matrix counts paths exactly (n <= 4096 < 2^24)."""
-    for name, monoid in dict(corpus_monoids(), ba9=boolean_algebra_monoid(9)).items():
-        square = monoid.order().matrix.astype(np.float32)
-        assert np.array_equal((square @ square) > 0, monoid.order().matrix), name
-
-
-def test_a_product_of_idempotents_that_is_not_idempotent_breaks_transitivity(monkeypatch):
-    """With the axiom checks skipped, idempotents 2 and 3 multiply to the
-    nilpotent 4: then 4 <= 2 <= 1 but not 4 <= 1."""
-    monkeypatch.setattr(InverseMonoid, "_validate", lambda self: None)
-    mul = [[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 2, 4, 0], [0, 3, 4, 3, 0], [0, 4, 0, 0, 0]]
-    monoid = InverseMonoid(mul, list(range(5)), zero=0, one=1)
-    with pytest.raises(StructureError, match="natural order is not transitive"):
-        monoid.order()
+    for name, monoid in dict(corpus_monoids(), ba9=boolean_algebra_monoid(9),
+                             ix4=symmetric_inverse_monoid(4), brandt=brandt_monoid(),
+                             chain4=chain_monoid(4)).items():
+        assert is_partial_order_with_zero_at_the_bottom(monoid), name
 
 
 # -- misc ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from helpers import (
     reference_canonical_pairs,
     reference_cn_error,
     reference_cn_mul,
+    reference_inverse_uniqueness_failure,
     reference_is_maximal_prefix_code,
     reference_is_unit,
 )
@@ -268,7 +269,9 @@ def test_a_corrupted_entry_is_rejected_or_loads_valid(tmp_path_factory, entry):
     except StoneworkError:
         return
     # what loads passed its constructor; its tables are also re-checked by
-    # the reference associativity scan, which the constructor does not share
+    # the reference associativity and inverse-uniqueness scans, which the
+    # constructor does not share
     monoids = [obj] if kind == "monoid" else [obj.source, obj.target] if kind == "morphism" else []
     for monoid in monoids:
         assert first_associativity_failure(monoid.mul) is None
+        assert reference_inverse_uniqueness_failure(monoid.mul, monoid.inv) is None
