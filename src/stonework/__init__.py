@@ -39,7 +39,6 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
-    BISECTION_BOUND,
     Bisection,
     BisectionMonoid,
     CoveringFunctor,

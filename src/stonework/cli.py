@@ -17,8 +17,8 @@ from pathlib import Path
 from .corpus import GENERATORS, build
 from .duality import round_trip_groupoid, round_trip_monoid, stone_groupoid
 from .errors import MorphismError, NotBooleanError, StoneworkError, StructureError
-from .groupoids import BISECTION_BOUND, all_bisections_monoid, check_covering
-from .inverse_core import InverseMonoid
+from .groupoids import all_bisections_monoid, check_covering
+from .inverse_core import MAX_ELEMENTS, InverseMonoid
 from .laws import (
     boolean_monoid_suite,
     clifford_report,
@@ -46,14 +46,24 @@ ALL_LAW_SETS = MONOID_LAW_SETS + ("point-filters", "covering", "axioms")
 FORMATS = ("json", "dot", "text")
 
 
-def _env(name: str, default: str, valid=None) -> str:
-    """STONEWORK_<name>, or the default.  argparse checks the type and the
-    choices of a flag given on the command line, never of its default, so a
-    value from the environment is checked here."""
+def _env(name: str, default: str, type=str, choices=None):
+    """STONEWORK_<name>, or the default, read as its flag would be.  argparse
+    checks the type and the choices of a flag given on the command line,
+    never of its default, so a value from the environment is checked here."""
     value = os.environ.get(f"STONEWORK_{name}", default)
-    if valid and not valid(value):
-        raise StoneworkError(f"STONEWORK_{name} has a bad value {value!r}")
-    return value
+    try:
+        if choices is None or type(value) in choices:
+            return type(value)
+    except argparse.ArgumentTypeError:
+        pass
+    raise StoneworkError(f"STONEWORK_{name} has a bad value {value!r}")
+
+
+def _size(text: str) -> int:
+    """The type of --max-size, and of STONEWORK_MAX_SIZE."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _add_common(parser, *, suppress: bool) -> None:
@@ -63,11 +73,11 @@ def _add_common(parser, *, suppress: bool) -> None:
     parser.add_argument("--store",
                         default=d or _env("STORE", "./stonework-store"),
                         help="directory for corpus entries")
-    parser.add_argument("--max-size", type=int,
-                        default=d or int(_env("MAX_SIZE", str(BISECTION_BOUND), str.isdecimal)),
-                        help="cap on groupoid size when materializing all bisections")
+    parser.add_argument("--max-size", type=_size,
+                        default=d or _env("MAX_SIZE", str(MAX_ELEMENTS), _size),
+                        help=f"most bisections to materialize (at most {MAX_ELEMENTS})")
     parser.add_argument("--format", choices=FORMATS,
-                        default=d or _env("FORMAT", "json", FORMATS.__contains__))
+                        default=d or _env("FORMAT", "json", choices=FORMATS))
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ class MorphismError(StructureError):
 
 
 class BoundError(StoneworkError):
-    """A size bound would be exceeded: MAX_ELEMENTS, or a bisection bound."""
+    """A size bound would be exceeded: MAX_ELEMENTS, or the bisection bound."""
 
 
 class ParseError(StoneworkError):

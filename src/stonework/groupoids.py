@@ -11,14 +11,14 @@ reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 A bisection is a subset hitting each identity at most once on the domain
 side and at most once on the range side (:func:`fiber_clash`).  The set of
 all bisections under the arrow-wise product is a boolean inverse monoid,
-materialized by :func:`all_bisections_monoid` (capped, since the candidate
-space is exponential).
+materialized by :func:`all_bisections_monoid` up to a bound on their
+number (MAX_ELEMENTS, or lower), counted in closed form before any is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from math import comb, factorial
 
 import numpy as np
 
@@ -26,13 +26,12 @@ from .errors import BoundError, StructureError
 from .inverse_core import (
     MAX_ELEMENTS,
     InverseMonoid,
+    _partial_bijection_count,
     as_indices,
     as_labels,
     check_size,
     raise_first_failure,
 )
-
-BISECTION_BOUND = 16    # most arrows whose bisections are all materialized, by default
 
 
 def _undefined_table(m: int) -> np.ndarray:
@@ -252,30 +251,25 @@ def bisection_product(a: Bisection, b: Bisection) -> Bisection:
 
 
 def enumerate_bisections(groupoid: FiniteGroupoid, *,
-                         bisection_bound: int = BISECTION_BOUND) -> list[Bisection]:
+                         bisection_bound: int = MAX_ELEMENTS) -> list[Bisection]:
     """All bisections, ordered by their member sets read as binary numbers
     (bit a for arrow a), that is by their members in descending order.
 
     Chooses, identity by identity, at most one arrow out of it into a range
     not hit yet, which is equivalent to subset filtering but never touches
-    non-bisections.  More than MAX_ELEMENTS bisections are refused before
-    any is built: a component with k identities and isotropy groups of
-    order g has sum_j C(k, j)^2 j! g^j of them.
+    non-bisections.  More than min(bisection_bound, MAX_ELEMENTS) are
+    refused before any is built: a component with k identities and isotropy
+    groups of order g has sum_j C(k, j)^2 j! g^j of them.
     """
-    if groupoid.m > bisection_bound:
-        raise BoundError(
-            f"bisection monoid capped at {bisection_bound} arrows; "
-            "dualize the monoid side instead")
+    bound = min(bisection_bound, MAX_ELEMENTS)
     count, d, r = 1, np.array(groupoid.d), np.array(groupoid.r)
     for e in groupoid.identities:
         ranges = r[d == e]              # g arrows into each of the k identities of e's component
-        if ranges.min() == e:           # e comes first in its component
+        if ranges.min() == e and count <= bound:        # e comes first in its component
             g = int(np.count_nonzero(ranges == e))
-            k = len(ranges) // g
-            count *= sum(comb(k, j) ** 2 * factorial(j) * g ** j for j in range(k + 1))
-            if count > MAX_ELEMENTS:
-                break
-    check_size(count, f"the bisections of a groupoid of {groupoid.m} arrows")
+            count *= _partial_bijection_count(len(ranges) // g, bound, g)
+    check_size(count, f"a groupoid of {groupoid.m} arrows has at least {count} bisections",
+               bound)
     chosen = [((), frozenset())]        # (arrows, the ranges they hit)
     for e in groupoid.identities:       # leave e out of the domain, or add one arrow from e
         chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
@@ -311,9 +305,9 @@ class BisectionMonoid:
 def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
     """Entry a is arrow a's share of the code of an arrow set meeting each
     domain fiber at most once: the digit a + 1, base m + 1, at the place of
-    its domain; -1 adds 0.  A groupoid with at most MAX_ELEMENTS bisections
-    has (m + 1)^identities < 2^45 (13^12 on 12 identities), so codes fit
-    int64."""
+    its domain; -1 adds 0.  A groupoid with at most MAX_ELEMENTS bisections,
+    the most enumerate_bisections admits under any bound, has
+    (m + 1)^identities < 2^45 (13^12 on 12 identities), so codes fit int64."""
     base = groupoid.m + 1
     place = np.searchsorted(groupoid.identities, groupoid.d)
     return np.append((np.arange(groupoid.m) + 1) * base ** place, 0)
@@ -326,27 +320,28 @@ def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(codes[at] == wanted, at, -1)
 
 
-def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarray, Iterator]:
     """The image arrays of bisections given as membership rows ([i, a]:
-    arrow a is in bisection i) and of their pairwise products: at place p,
-    the arrow whose domain is identity p, or -1 (a last place holds -1,
-    which -1 as a place indexes, as around compose).  The product of a and
-    b is a(r(b(e))) b(e) at each e, one gather; that it meets each range
-    fiber at most once is left to the caller."""
+    arrow a is in bisection i), and their pairwise products place by place:
+    at place p, the arrow whose domain is identity p, or -1 (a last place
+    holds -1, which -1 as a place indexes, as around compose).  The product
+    of a and b is a(r(b(e))) b(e) at each e; each place is an n x n gather,
+    made on demand.  That it meets each range fiber once is the caller's."""
     ids = groupoid.identities
     images = np.full((len(rows), len(ids) + 1), -1, dtype=np.int32)
     i, arrows = np.nonzero(rows)
     images[i, np.searchsorted(ids, groupoid.d)[arrows]] = arrows
     range_place = np.append(np.searchsorted(ids, groupoid.r), len(ids))
-    return images, groupoid._padded[images[:, range_place[images]], images]
+    return images, (groupoid._padded[images[:, range_place[right]], right]
+                    for right in images.T)
 
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
-                          bisection_bound: int = BISECTION_BOUND) -> BisectionMonoid:
+                          bisection_bound: int = MAX_ELEMENTS) -> BisectionMonoid:
     """Materialize the boolean inverse monoid of all bisections.
 
     Bisection b is held as its image array (see :func:`image_products`), so
-    the whole table is one gather through ``compose``; each product is
+    the table is one gather through ``compose`` per place; each product is
     looked up by its code, and one that is not an enumerated bisection is a
     StructureError.  That the monoid is boolean is a theorem, which the
     round trips and the law suites check.
@@ -358,7 +353,7 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
         rows[i, list(b)] = True
     images, products = image_products(groupoid, rows)
     codes = arrow_codes[images].sum(axis=1)
-    mul = _positions(codes, arrow_codes[products].sum(axis=2))
+    mul = _positions(codes, sum(arrow_codes[product] for product in products))
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
         raise StructureError(f"the product of bisections {i} and {j} is not a bisection")

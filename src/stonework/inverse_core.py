@@ -40,11 +40,11 @@ from .errors import BoundError, NotBooleanError, StructureError
 MAX_ELEMENTS = 4096     # most elements of a monoid, or arrows of a groupoid: tables are n x n
 
 
-def check_size(count: int, what: str) -> None:
+def check_size(count: int, what: str, cap: int = MAX_ELEMENTS) -> None:
     """Refuse, before its n x n tables are allocated, an object of more
-    than MAX_ELEMENTS elements or arrows."""
-    if count > MAX_ELEMENTS:
-        raise BoundError(f"{what}: sizes are capped at {MAX_ELEMENTS}")
+    than ``cap`` elements, arrows or bisections."""
+    if count > cap:
+        raise BoundError(f"{what}: sizes are capped at {cap}")
 
 
 def as_indices(values, what: str) -> tuple[int, ...]:
@@ -533,6 +533,17 @@ def partial_bijections(x_size: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def _partial_bijection_count(points: int, limit: int, order: int = 1) -> int:
+    """sum_j C(points, j)^2 j! order^j, summed only until past ``limit``: at
+    order 1 |I(X)| on the points, and in general the bisections of a connected
+    groupoid with that many identities and isotropy groups of that order."""
+    count = j = 0
+    while j <= points and count <= limit:
+        count += comb(points, j) ** 2 * factorial(j) * order ** j
+        j += 1
+    return count
+
+
 def _map_label(pairs) -> str:
     if not pairs:
         return "{}"
@@ -547,12 +558,8 @@ def symmetric_inverse_monoid(x_size: int) -> InverseMonoid:
     """
     if x_size < 1:
         raise BoundError("symmetric inverse monoid needs at least one point")
-    size = 0
-    for k in range(x_size + 1):       # |I(X)| sums C(|X|, k)^2 k!; stop once past the cap
-        size += comb(x_size, k) ** 2 * factorial(k)
-        if size > MAX_ELEMENTS:
-            break
-    check_size(size, f"the symmetric inverse monoid on {x_size} points")
+    check_size(_partial_bijection_count(x_size, MAX_ELEMENTS),
+               f"the symmetric inverse monoid on {x_size} points")
     maps = partial_bijections(x_size)
     index = {m: i for i, m in enumerate(maps)}
     n = len(maps)

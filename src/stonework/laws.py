@@ -32,8 +32,8 @@ from .filters import (
     ultra_by_maximality,
     ultra_by_meet,
 )
-from .groupoids import BISECTION_BOUND, all_bisections_monoid, point_ultrafilter
-from .inverse_core import InverseMonoid, inclusions
+from .groupoids import all_bisections_monoid, point_ultrafilter
+from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions
 from .reporting import LawReport
 
 
@@ -294,7 +294,7 @@ def ultra_equivalence_laws(monoid: InverseMonoid) -> LawReport:
 
 
 def boolean_monoid_suite(monoid: InverseMonoid, *,
-                         bisection_bound: int = BISECTION_BOUND) -> LawReport:
+                         bisection_bound: int = MAX_ELEMENTS) -> LawReport:
     """Everything above plus the basic-open laws, in one report."""
     report = LawReport(f"law suite on {monoid!r}")
     report.extend(order_meet_laws(monoid))
@@ -320,7 +320,7 @@ def clifford_report(monoid: InverseMonoid) -> LawReport:
     return report
 
 
-def point_filter_laws(groupoid, *, bisection_bound: int = BISECTION_BOUND) -> LawReport:
+def point_filter_laws(groupoid, *, bisection_bound: int = MAX_ELEMENTS) -> LawReport:
     """Laws of the bisections-through-a-point map on a finite groupoid:
     each is ultra, the map intertwines dom and composition, is injective,
     and exhausts the ultrafilters."""

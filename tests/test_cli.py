@@ -97,15 +97,16 @@ def test_no_option_offers_a_single_choice():
                                   ("check", "pair3", "--laws", "point-filters"),
                                   ("dualize", "ix3", "--round-trip")])
 def test_max_size_is_honoured_wherever_bisections_are_enumerated(tmp_path, capsys, argv):
-    # ix3's dual and pair3 have 9 arrows: under the default bound, over 4
+    # ix3's dual and pair3 have 34 bisections: a bound of 34 admits them, 33 does not
     run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
     run(capsys, "build", "pair-groupoid", "--points", "3", "--store", str(tmp_path))
-    assert run(capsys, *argv, "--store", str(tmp_path))[0] == 0
-    code, out, err = run(capsys, *argv, "--store", str(tmp_path), "--max-size", "4")
-    assert code == 2 and out == "" and "capped" in err
+    assert run(capsys, *argv, "--store", str(tmp_path), "--max-size", "34")[0] == 0
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path), "--max-size", "33")
+    assert code == 2 and out == "" and "capped at 33" in err
 
 
-@pytest.mark.parametrize("name, value", [("MAX_SIZE", "abc"), ("FORMAT", "yaml")])
+@pytest.mark.parametrize("name, value", [("MAX_SIZE", "abc"), ("MAX_SIZE", "-1"),
+                                         ("FORMAT", "yaml")])
 def test_a_bad_environment_default_exits_2(tmp_path, capsys, monkeypatch, name, value):
     run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
     monkeypatch.setenv(f"STONEWORK_{name}", value)
@@ -113,6 +114,18 @@ def test_a_bad_environment_default_exits_2(tmp_path, capsys, monkeypatch, name, 
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"STONEWORK_{name}" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_a_bad_max_size_flag_exits_2(tmp_path, capsys, value):
+    # the flag takes exactly what STONEWORK_MAX_SIZE takes: a non-negative integer
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    with pytest.raises(SystemExit) as exit_:
+        main(["dualize", "ix3", "--round-trip", "--max-size", value, "--store", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert "--max-size" in err and repr(value) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ix3.json"]
 
 
 def test_every_public_name_is_used():
@@ -314,15 +327,16 @@ def test_store_round_trip_lossless(tmp_path, capsys):
 
 
 def test_max_size_flag_guards_dualize(tmp_path, capsys):
+    # pair3 has 34 bisections
     run(capsys, "build", "pair-groupoid", "--points", "3", "--store", str(tmp_path))
     code, _, err = run(capsys, "dualize", "pair3", "--store", str(tmp_path),
-                       "--max-size", "4")
+                       "--max-size", "33")
     assert code == 2
-    assert "capped" in err
+    assert "has at least 34 bisections" in err and "capped at 33" in err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("dualize", "ix3", "--round-trip", "--max-size", "4"), "capped at 4"),
+    (("dualize", "ix3", "--round-trip", "--max-size", "33"), "capped at 33"),
     (("dualize", "pair3", "--format", "dot"), "dot output is only defined for groupoids"),
 ], ids=["round-trip-capped", "dot-of-a-monoid"])
 def test_a_refused_dualize_writes_nothing(tmp_path, capsys, argv, message):
@@ -443,17 +457,20 @@ def test_oversize_build_is_refused_before_allocating(tmp_path, capsys, argv):
 
 
 def test_a_groupoid_with_too_many_bisections_is_refused_before_enumerating(tmp_path, capsys):
-    """trivial13 has 13 arrows, inside the arrow bound, but 2^13 bisections:
-    their pairwise image arrays alone would take 8192 x 14 x 8192 int32s."""
+    """trivial13 has 13 arrows but 2^13 bisections, past the cap that a
+    larger --max-size cannot raise: one place of their pairwise products
+    alone would take 8192 x 8192 int64s."""
     run(capsys, "build", "trivial-groupoid", "--points", "13", "--store", str(tmp_path))
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "dualize", "trivial13", "--store", str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and out == "" and "capped" in err
-    assert peak < 8192 * 8192 // 8          # not even an 8192 x 8192 table of bits
+    for bound in ((), ("--max-size", "100000")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "dualize", "trivial13", "--store", str(tmp_path),
+                                 *bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and "capped at 4096" in err
+        assert peak < 8192 * 8192 // 8          # not even an 8192 x 8192 table of bits
 
 
 def test_the_empty_groupoid_and_the_one_element_monoid_dualize(tmp_path, capsys):
@@ -470,6 +487,17 @@ def test_the_empty_groupoid_and_the_one_element_monoid_dualize(tmp_path, capsys)
     assert json.loads(out)["ok"] is True
     code, out, err = run(capsys, "build", "trivial-groupoid", "--points", "-1", *store)
     assert code == 2 and out == "" and "non-negative" in err
+
+
+def test_one_bisection_bound_in_src():
+    # the bisection bound counts bisections, and it is the keyword, the flag
+    # and the environment variable: no arrow bound, or advice from one, may return
+    pattern = re.compile(r"BISECTION_BOUND|dualize the monoid side")
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 def test_no_reproved_theorem_in_src():

@@ -10,7 +10,6 @@ from stonework import (
     boolean_algebra_monoid,
     clifford_monoid,
     groupoids,
-    inverse_core,
     symmetric_inverse_monoid,
 )
 from stonework.groupoids import (
@@ -215,8 +214,13 @@ def test_bisection_counts():
 
 
 def test_bisection_bound():
-    with pytest.raises(BoundError):
-        enumerate_bisections(pair_groupoid(5), bisection_bound=16)
+    # the bound counts bisections (pair5 has 1,546), and the element cap
+    # bounds it from above
+    assert len(enumerate_bisections(pair_groupoid(5), bisection_bound=1546)) == 1546
+    with pytest.raises(BoundError, match="capped at 1545$"):
+        enumerate_bisections(pair_groupoid(5), bisection_bound=1545)
+    with pytest.raises(BoundError, match="capped at 4096$"):
+        enumerate_bisections(trivial_groupoid(13), bisection_bound=10**6)
 
 
 def test_monoid_of_pair2_matches_symmetric_monoid(bm_pair2):
@@ -250,19 +254,19 @@ def test_monoid_meet_is_intersection_join_is_union(bm_pair2):
 
 
 BISECTION_CASES = {
-    "pair3": lambda: (pair_groupoid(3), 16),
-    "z2+z3": lambda: (disjoint_union(group_groupoid(2), group_groupoid(3)), 16),
-    "z4+z5+z7": lambda: (disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)),
-                                        group_groupoid(7)), 16),
-    "ix3-dual": lambda: (ultrafilter_groupoid(symmetric_inverse_monoid(3)), 16),
-    "clifford-dual": lambda: (ultrafilter_groupoid(clifford_monoid()), 16),
-    "z100": lambda: (group_groupoid(100), 100),
+    "pair3": lambda: pair_groupoid(3),
+    "z2+z3": lambda: disjoint_union(group_groupoid(2), group_groupoid(3)),
+    "z4+z5+z7": lambda: disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)),
+                                       group_groupoid(7)),
+    "ix3-dual": lambda: ultrafilter_groupoid(symmetric_inverse_monoid(3)),
+    "clifford-dual": lambda: ultrafilter_groupoid(clifford_monoid()),
+    "z100": lambda: group_groupoid(100),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
 def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
-    groupoid, bound = BISECTION_CASES[name]()
+    groupoid = BISECTION_CASES[name]()
     calls = {"bisection_product": 0, "fiber_clash": 0}
 
     def counted(func):
@@ -273,7 +277,7 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
 
     for func in (bisection_product, fiber_clash):
         monkeypatch.setattr(groupoids, func.__name__, counted(func))
-    bm = all_bisections_monoid(groupoid, bisection_bound=bound)
+    bm = all_bisections_monoid(groupoid)
     # no literal product, and the one bisection test runs only at enumeration
     assert calls == {"bisection_product": 0, "fiber_clash": len(bm)}
     monkeypatch.undo()
@@ -287,7 +291,7 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
 
 
 def test_more_bisections_than_the_cap_are_refused_by_their_count():
-    # 16 arrows pass the arrow bound, but 2^16 bisections are past the cap
+    # 2^16 bisections are past the cap
     with pytest.raises(BoundError, match="capped at 4096"):
         all_bisections_monoid(trivial_groupoid(16))
 
@@ -315,19 +319,14 @@ COUNTED_GROUPOIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(COUNTED_GROUPOIDS))
-def test_bisections_are_counted_before_they_are_enumerated(monkeypatch, name):
-    """With the cap set to the literal number of bisections the enumeration
-    runs; one below it, the closed-form count refuses it."""
+def test_bisections_are_counted_before_they_are_enumerated(name):
+    """With the bound set to the literal number of bisections the
+    enumeration runs; one below it, the closed-form count refuses it."""
     groupoid = COUNTED_GROUPOIDS[name]()
     count = len(enumerate_bisections_by_subsets(groupoid))
-    for cap, accepted in ((count, True), (count - 1, False)):
-        for module in (groupoids, inverse_core):
-            monkeypatch.setattr(module, "MAX_ELEMENTS", cap)
-        if accepted:
-            assert len(enumerate_bisections(groupoid, bisection_bound=groupoid.m)) == count
-        else:
-            with pytest.raises(BoundError, match=f"capped at {cap}$"):
-                enumerate_bisections(groupoid, bisection_bound=groupoid.m)
+    assert len(enumerate_bisections(groupoid, bisection_bound=count)) == count
+    with pytest.raises(BoundError, match=f"capped at {count - 1}$"):
+        enumerate_bisections(groupoid, bisection_bound=count - 1)
 
 
 def test_the_empty_groupoid_and_its_dual_round_trip():
@@ -340,6 +339,12 @@ def test_the_empty_groupoid_and_its_dual_round_trip():
     assert round_trip_monoid(ba0).forward == (0,)
     with pytest.raises(BoundError, match="non-negative"):
         trivial_groupoid(-1)
+
+
+def test_pair5_and_ix5_round_trip_under_the_default_bound():
+    # 25 arrows and 1,546 bisections on either side: inside MAX_ELEMENTS
+    assert round_trip_groupoid(pair_groupoid(5)).size == 25
+    assert round_trip_monoid(symmetric_inverse_monoid(5)).size == 1546
 
 
 def test_group_bisection_monoid():

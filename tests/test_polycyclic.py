@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import reduce
 from math import lcm
 
 import numpy as np
@@ -293,6 +294,42 @@ def test_unit_group_closure_seeded():
         assert is_unit(cn_mul(u, v))
         assert is_unit(u.inverse())
         assert cn_mul(u, u.inverse()) == CnElement.one(2)
+
+
+def product(*units):
+    return reduce(cn_mul, units)
+
+
+def commute(a, b):
+    return product(a.inverse(), b.inverse(), a, b) == CnElement.one(a.n)
+
+
+def test_thompson_f_and_its_torsion_inside_c2():
+    """x0 and x1 generate Thompson's F inside the units of C_2: both
+    defining relations hold and F is not abelian, and every proper quotient
+    of F is abelian (Cannon, Floyd & Parry 1996, Thm 4.3).  With the
+    generators inverted both relations fail, so the check sees the order
+    of composition.  T and V add torsion: a rotation of order 3 and a
+    transposition."""
+    x0 = CnElement.make(2, [("11", "1"), ("12", "21"), ("2", "22")])
+    x1 = CnElement.make(2, [("1", "1"), ("211", "21"), ("212", "221"), ("22", "222")])
+    assert is_unit(x0) and is_unit(x1)
+
+    def relations(x0, x1):
+        a, back = product(x0, x1.inverse()), x0.inverse()
+        return (commute(a, product(back, x1, x0)),
+                commute(a, product(back, back, x1, x0, x0)))
+
+    assert relations(x0, x1) == (True, True)
+    assert not commute(x0, x1)
+    assert relations(x0.inverse(), x1.inverse()) == (False, False)
+
+    one = CnElement.one(2)
+    rotation = CnElement.make(2, [("11", "2"), ("12", "11"), ("2", "12")])
+    assert rotation != one and product(rotation, rotation) != one
+    assert product(rotation, rotation, rotation) == one
+    transposition = CnElement.make(2, [("1", "2"), ("2", "1")])
+    assert transposition != one and product(transposition, transposition) == one
 
 
 # -- C_n at finite depth ------------------------------------------------------------------
