@@ -2,8 +2,9 @@
 
 Exit codes form a stable contract: 0 on success, 1 when a law check found
 failures, 2 on input errors (unknown generators, malformed files, size
-bounds).  Global flags can also come from STONEWORK_* environment
-variables; a value there that the flag would refuse is an input error too.
+bounds, unreadable paths).  A global flag that is not given comes from its
+STONEWORK_* environment variable; a value there that the flag would refuse
+is an input error too, whether or not the flag is given.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import sys
 from pathlib import Path
 
 from .corpus import GENERATORS, build
-from .duality import round_trip_groupoid, round_trip_monoid, stone_groupoid
+from .duality import (round_trip_groupoid, round_trip_monoid, stone_groupoid,
+                      verify_basic_open_laws)
 from .errors import MorphismError, NotBooleanError, StoneworkError, StructureError
 from .groupoids import all_bisections_monoid, check_covering
-from .inverse_core import MAX_ELEMENTS, InverseMonoid
+from .inverse_core import MAX_ELEMENTS
 from .laws import (
     boolean_monoid_suite,
     clifford_report,
@@ -31,32 +33,9 @@ from .laws import (
     ultra_equivalence_laws,
 )
 from .reporting import LawReport
-from .serialize import (
-    KINDS,
-    groupoid_to_json,
-    load_entry,
-    monoid_to_json,
-    render,
-    save_entry,
-)
+from .serialize import KINDS, groupoid_to_json, load_entry, monoid_to_json, render, save_entry
 
-MONOID_LAW_SETS = ("bm", "order", "filters", "filter-semigroup",
-                   "ultra-equivalence", "basic-open", "clifford", "all")
-ALL_LAW_SETS = MONOID_LAW_SETS + ("point-filters", "covering", "axioms")
 FORMATS = ("json", "dot", "text")
-
-
-def _env(name: str, default: str, type=str, choices=None):
-    """STONEWORK_<name>, or the default, read as its flag would be.  argparse
-    checks the type and the choices of a flag given on the command line,
-    never of its default, so a value from the environment is checked here."""
-    value = os.environ.get(f"STONEWORK_{name}", default)
-    try:
-        if choices is None or type(value) in choices:
-            return type(value)
-    except argparse.ArgumentTypeError:
-        pass
-    raise StoneworkError(f"STONEWORK_{name} has a bad value {value!r}")
 
 
 def _size(text: str) -> int:
@@ -66,27 +45,107 @@ def _size(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser, *, suppress: bool) -> None:
-    # shared flags work both before and after the subcommand; the subparser
-    # copy must not clobber an already-parsed value with its default
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--store",
-                        default=d or _env("STORE", "./stonework-store"),
-                        help="directory for corpus entries")
-    parser.add_argument("--max-size", type=_size,
-                        default=d or _env("MAX_SIZE", str(MAX_ELEMENTS), _size),
-                        help=f"most bisections to materialize (at most {MAX_ELEMENTS})")
-    parser.add_argument("--format", choices=FORMATS,
-                        default=d or _env("FORMAT", "json", choices=FORMATS))
+# dest -> (default, type, choices, help) of each global flag; --max-size
+# falls back on STONEWORK_MAX_SIZE, then on its default
+GLOBAL_FLAGS = {
+    "store": ("./stonework-store", str, None, "directory for corpus entries"),
+    "max_size": (str(MAX_ELEMENTS), _size, None,
+                 f"most bisections to materialize (at most {MAX_ELEMENTS})"),
+    "format": ("json", str, FORMATS, None),
+}
+
+
+def _with_environment(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill in each global flag not given.  argparse checks only what is on
+    the command line, so every STONEWORK_* value is checked here, as its
+    flag would be, on every call."""
+    for dest, (default, type, choices, _) in GLOBAL_FLAGS.items():
+        name = f"STONEWORK_{dest.upper()}"
+        text = os.environ.get(name, default)
+        try:
+            value = type(text)
+            ok = choices is None or value in choices
+        except argparse.ArgumentTypeError:
+            ok = False
+        if not ok:
+            raise StoneworkError(f"{name} has a bad value {text!r}")
+        vars(args).setdefault(dest, value)
+    return args
+
+
+# -- law sets: entry kind -> law set -> report of (entry, bisection bound) ----------
+
+
+def _one_law(subject: str, name: str, witness) -> LawReport:
+    """A report of one law instance, failed with ``witness`` unless it is None."""
+    report = LawReport(subject)
+    law = report.new(name)
+    law.tick()
+    if witness is not None:
+        law.fail(witness)
+    return report
+
+
+def _boolean_witness(cert):
+    return None if cert.is_boolean else (cert.axiom, cert.detail, tuple(cert.elements))
+
+
+def _boolean_axioms(monoid, bound) -> LawReport:
+    return _one_law("boolean axioms", "boolean-axioms", _boolean_witness(monoid.check_boolean()))
+
+
+def _order_laws(monoid, bound) -> LawReport:
+    report = order_meet_laws(monoid)
+    report.extend(local_complement_laws(monoid))
+    report.extend(compatible_join_laws(monoid))
+    return report
+
+
+def _all_monoid_laws(monoid, bound) -> LawReport:
+    report = _boolean_axioms(monoid, bound)
+    if report.ok:
+        report.extend(boolean_monoid_suite(monoid, bisection_bound=bound))
+    return report
+
+
+def _morphism_axioms(morphism, bound) -> LawReport:
+    try:
+        morphism.validate(weak=False)
+    except MorphismError as err:
+        return _one_law("morphism axioms", "axioms", (err.stage, err.witness))
+    return _one_law("morphism axioms", "axioms", None)
+
+
+# `all` runs a kind's one law set; every monoid law set but `bm` and `all`
+# needs a boolean monoid, and reports the failed precondition otherwise
+LAW_SETS = {
+    "monoid": {
+        "bm": _boolean_axioms,
+        "order": _order_laws,
+        "filters": lambda monoid, _: filter_laws(monoid),
+        "filter-semigroup": lambda monoid, _: filter_semigroup_laws(monoid),
+        "ultra-equivalence": lambda monoid, _: ultra_equivalence_laws(monoid),
+        "basic-open": lambda monoid, bound: verify_basic_open_laws(
+            monoid, bisection_bound=bound),
+        "clifford": lambda monoid, _: clifford_report(monoid),
+        "all": _all_monoid_laws,
+    },
+    "groupoid": {"point-filters": lambda groupoid, bound: point_filter_laws(
+        groupoid, bisection_bound=bound)},
+    "functor": {"covering": lambda functor, _: _one_law(
+        "covering functor", "covering", check_covering(functor).witness)},
+    "morphism": {"axioms": _morphism_axioms},
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for dest, (_, type, choices, help) in GLOBAL_FLAGS.items():
+        common.add_argument(f"--{dest.replace('_', '-')}", type=type, choices=choices,
+                            help=help)
     parser = argparse.ArgumentParser(
-        prog="stonework",
+        prog="stonework", parents=[common],
         description="finite duality between boolean inverse monoids and groupoids")
-    _add_common(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     build_p = sub.add_parser("build", help="generate a corpus entry", parents=[common])
@@ -104,7 +163,8 @@ def make_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run a law suite against an entry",
                              parents=[common])
     check_p.add_argument("entry", help="entry name in the store, or a path")
-    check_p.add_argument("--laws", default="all", choices=ALL_LAW_SETS)
+    check_p.add_argument("--laws", default="all", choices=tuple(dict.fromkeys(
+        law_set for law_sets in LAW_SETS.values() for law_set in law_sets)))
 
     dual_p = sub.add_parser("dualize", help="map an entry across the duality",
                             parents=[common])
@@ -114,169 +174,106 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_params(args) -> dict:
-    keys = ("size", "atoms", "order", "orders", "length", "points", "n", "expr")
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+def _output(args, out: dict, text, shown: tuple, saved: tuple | None = None) -> None:
+    """Print a command's result in the --format asked for: ``out`` as JSON,
+    the lines ``text(out)``, or ``shown`` = (object, kind) as dot, which
+    only a groupoid has.  ``saved`` = (name, kind, payload) is stored, and
+    its path put in ``out``, only once the rendering has not been refused."""
+    dot = render(*shown, "dot") if args.format == "dot" else None
+    if saved is not None:
+        out["path"] = str(save_entry(Path(args.store), *saved))
+    if dot is not None:
+        print(dot)
+    elif args.format == "text":
+        print("\n".join(text(out)))
+    else:
+        print(json.dumps(out, indent=2))
 
 
 def cmd_build(args) -> int:
-    params = _build_params(args)
-    name, kind, obj, summary = build(args.generator, **params)
+    keys = ("size", "atoms", "order", "orders", "length", "points", "n", "expr")
+    name, kind, obj, summary = build(args.generator, **{
+        k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     name = args.name or name
-    path = save_entry(Path(args.store), name, kind, KINDS[kind][0](obj))
-    out = {"entry": name, "kind": kind, "path": str(path), "summary": summary}
-    if args.format == "dot":
-        print(render(obj, kind, "dot"))
-    elif args.format == "text":
-        lines = [f"{name} ({kind}) -> {path}"]
-        lines += [f"  {k}: {v}" for k, v in summary.items()]
-        print("\n".join(lines))
-    else:
-        print(json.dumps(out, indent=2))
+    out = {"entry": name, "kind": kind, "path": None, "summary": summary}
+    _output(args, out, lambda out: [f"{name} ({kind}) -> {out['path']}",
+                                    *(f"  {k}: {v}" for k, v in summary.items())],
+            (obj, kind), (name, kind, KINDS[kind][0](obj)))
     return 0
 
 
-def _monoid_report(monoid: InverseMonoid, law_set: str, bisection_bound: int) -> LawReport:
-    if law_set == "bm":
-        report = LawReport("boolean axioms")
-        law = report.new("boolean-axioms")
-        law.tick()
-        cert = monoid.check_boolean()
-        if not cert.is_boolean:
-            law.fail((cert.axiom, cert.detail, tuple(cert.elements)))
-        return report
-    if law_set == "clifford":
-        return clifford_report(monoid)
-    if law_set == "all":
-        report = _monoid_report(monoid, "bm", bisection_bound)
-        if report.ok:
-            report.extend(boolean_monoid_suite(monoid, bisection_bound=bisection_bound))
-        return report
-    try:
-        if law_set == "order":
-            report = order_meet_laws(monoid)
-            report.extend(local_complement_laws(monoid))
-            report.extend(compatible_join_laws(monoid))
-            return report
-        if law_set == "filters":
-            return filter_laws(monoid)
-        if law_set == "filter-semigroup":
-            return filter_semigroup_laws(monoid)
-        if law_set == "ultra-equivalence":
-            return ultra_equivalence_laws(monoid)
-        if law_set == "basic-open":
-            from .duality import verify_basic_open_laws
-
-            return verify_basic_open_laws(monoid, bisection_bound=bisection_bound)
-    except NotBooleanError as err:
-        report = LawReport(f"{law_set} (requires a boolean monoid)")
-        law = report.new("boolean-precondition")
-        law.tick()
-        cert = err.certificate
-        law.fail((cert.axiom, cert.detail, tuple(cert.elements)))
-        return report
-    raise StructureError(f"law set {law_set!r} does not apply to a monoid")
+def _report_lines(name: str, report: LawReport) -> list[str]:
+    lines = [f"{name}: {'ok' if report.ok else 'FAIL'} ({report.failure_count} failures)"]
+    for result in report.results:
+        status = "ok " if result.ok else "FAIL"
+        lines.append(f"  [{status}] {result.name} ({result.instances} instances)")
+        lines += [f"         witness: {witness}" for witness in result.failures]
+    return lines
 
 
 def cmd_check(args) -> int:
     name, kind, obj = load_entry(args.entry, Path(args.store))
-    if kind == "monoid":
-        report = _monoid_report(obj, args.laws, args.max_size)
-    elif kind == "groupoid":
-        if args.laws not in ("point-filters", "all"):
-            raise StructureError(f"law set {args.laws!r} does not apply to a groupoid")
-        report = point_filter_laws(obj, bisection_bound=args.max_size)
-    elif kind == "functor":
-        if args.laws not in ("covering", "all"):
-            raise StructureError(f"law set {args.laws!r} does not apply to a functor")
-        report = LawReport("covering functor")
-        law = report.new("covering")
-        law.tick()
-        result = check_covering(obj)
-        if not result.ok:
-            law.fail(result.witness)
-    elif kind == "morphism":
-        if args.laws not in ("axioms", "all"):
-            raise StructureError(f"law set {args.laws!r} does not apply to a morphism")
-        report = LawReport("morphism axioms")
-        law = report.new("axioms")
-        law.tick()
-        try:
-            obj.validate(weak=False)
-        except MorphismError as err:
-            law.fail((err.stage, err.witness))
-    else:
+    if kind not in LAW_SETS:
         raise StructureError(f"no law sets for entries of kind {kind!r}")
-
-    payload = {"entry": name, **report.to_json()}
-    if args.format == "text":
-        print(f"{name}: {'ok' if report.ok else 'FAIL'} "
-              f"({report.failure_count} failures)")
-        for result in report.results:
-            status = "ok " if result.ok else "FAIL"
-            print(f"  [{status}] {result.name} ({result.instances} instances)")
-            for witness in result.failures:
-                print(f"         witness: {witness}")
-    else:
-        print(json.dumps(payload, indent=2))
+    law_sets = LAW_SETS[kind]
+    law_set = next(iter(law_sets)) if len(law_sets) == 1 and args.laws == "all" else args.laws
+    if law_set not in law_sets:
+        raise StructureError(f"law set {law_set!r} does not apply to a {kind}")
+    try:
+        report = law_sets[law_set](obj, args.max_size)
+    except NotBooleanError as err:
+        report = _one_law(f"{law_set} (requires a boolean monoid)", "boolean-precondition",
+                          _boolean_witness(err.certificate))
+    _output(args, {"entry": name, **report.to_json()}, lambda _: _report_lines(name, report),
+            (report, "law report"))
     return 0 if report.ok else 1
 
 
 def cmd_dualize(args) -> int:
     name, kind, obj = load_entry(args.entry, Path(args.store))
-    dual_name = f"{name}-dual"
-    out: dict = {"entry": name, "dual": dual_name}
-    certified: dict = {}
+    out: dict = {"entry": name, "dual": f"{name}-dual"}
     if kind == "monoid":
-        sg = dual = stone_groupoid(obj)
-        payload = groupoid_to_json(sg)
-        payload["ultrafilters"] = [list(f) for f in sg.ultrafilters]
-        out.update({"kind": "groupoid", "arrows": sg.m})
+        dual = stone_groupoid(obj)
+        payload = groupoid_to_json(dual)
+        payload["ultrafilters"] = [list(f) for f in dual.ultrafilters]
+        out.update({"kind": "groupoid", "arrows": dual.m, "path": None})
         if args.round_trip:
-            certified = {"certificate": round_trip_monoid(
-                obj, sg, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n}
+            out.update({"certificate": round_trip_monoid(
+                obj, dual, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n})
     elif kind == "groupoid":
         bm = all_bisections_monoid(obj, bisection_bound=args.max_size)
         dual = bm.monoid
         payload = monoid_to_json(dual)
-        out.update({"kind": "monoid", "elements": dual.n})
+        out.update({"kind": "monoid", "elements": dual.n, "path": None})
         if args.round_trip:
-            certified = {"certificate": round_trip_groupoid(obj, bm).to_json(),
-                         "preserved_size": obj.m}
+            out.update({"certificate": round_trip_groupoid(obj, bm).to_json(),
+                        "preserved_size": obj.m})
     else:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")
-    dot = render(dual, out["kind"], "dot") if args.format == "dot" else None
 
-    # saved only once nothing above can refuse
-    out["path"] = str(save_entry(Path(args.store), dual_name, out["kind"], payload))
-    out.update(certified)
-
-    if dot is not None:
-        print(dot)
-    elif args.format == "text":
-        print(f"{name} -> {out['dual']} ({out['kind']}), stored at {out['path']}")
+    def text(out):
+        lines = [f"{name} -> {out['dual']} ({out['kind']}), stored at {out['path']}"]
         if "certificate" in out:
             laws = ", ".join(f"{law['law']}x{law['instances']}"
                              for law in out["certificate"]["checked_laws"])
-            print(f"  round trip certified: {laws}")
-    else:
-        print(json.dumps(out, indent=2))
+            lines.append(f"  round trip certified: {laws}")
+        return lines
+
+    _output(args, out, text, (dual, out["kind"]), (out["dual"], out["kind"], payload))
     return 0
+
+
+COMMANDS = {"build": cmd_build, "check": cmd_check, "dualize": cmd_dualize}
+PARSER = make_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = make_parser().parse_args(argv)
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "dualize":
-            return cmd_dualize(args)
-    except (StoneworkError, FileNotFoundError, ValueError) as err:
+        args = _with_environment(PARSER.parse_args(argv))
+        return COMMANDS[args.command](args)
+    except (StoneworkError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

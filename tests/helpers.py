@@ -190,6 +190,30 @@ def first_groupoid_failure(d, r, inv, compose, identities):
     return None
 
 
+def reference_star_bijective(f):
+    """Is the functor f bijective from each star(e) onto star(f(e))?"""
+    src, tgt = f.source, f.target
+    return all(sorted(f.arrow_map[g] for g in src.star(e)) == sorted(tgt.star(f.arrow_map[e]))
+               for e in src.identities)
+
+
+def reference_lifting_failure(f):
+    """The factorization lifting property, checked directly: every a b = f(x)
+    in the target lifts to some u v = x with f(u) = a and f(v) = b.  Returns
+    the first unlifted (x, a, b), or None."""
+    src, tgt = f.source, f.target
+    arrows = np.array(f.arrow_map, dtype=np.int64)
+    for x in range(src.m):
+        lifted = np.zeros((tgt.m, tgt.m), dtype=bool)
+        u, v = np.nonzero(src.compose == x)
+        lifted[arrows[u], arrows[v]] = True
+        unlifted = (tgt.compose == arrows[x]) & ~lifted
+        if unlifted.any():
+            a, b = map(int, np.argwhere(unlifted)[0])
+            return x, a, b
+    return None
+
+
 def relabelled(payload, seed):
     """The same monoid with its indices permuted by a seeded shuffle."""
     n = payload["n"]

@@ -351,6 +351,106 @@ def test_a_refused_dualize_writes_nothing(tmp_path, capsys, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("build", "ix", "--size", "2", "--format", "dot"), "dot output is only defined for groupoids"),
+    (("check", "ix3", "--format", "dot"), "dot output is only defined for groupoids"),
+], ids=["build-dot-of-a-monoid", "check-dot"])
+def test_a_refused_build_or_check_writes_nothing(tmp_path, capsys, argv, message):
+    """build renders before it saves, as dualize does, and a law report has
+    no dot rendering: both exit 2 with no output and the store unchanged."""
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("entry", ["chain3", "brandt"])
+def test_clifford_on_a_non_boolean_monoid_reports_the_precondition(tmp_path, capsys, entry):
+    # every monoid law set reports a failed boolean precondition the same way
+    run(capsys, "build", "chain", "--length", "3", "--store", str(tmp_path))
+    run(capsys, "build", "brandt", "--store", str(tmp_path))
+    reports = {}
+    for law_set in ("clifford", "order", "filters", "basic-open", "ultra-equivalence"):
+        code, out, err = run(capsys, "check", entry, "--laws", law_set, "--store", str(tmp_path))
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["subject"] == f"{law_set} (requires a boolean monoid)"
+        reports[law_set] = report["laws"]
+    assert [law["name"] for law in reports["clifford"]] == ["boolean-precondition"]
+    assert reports["clifford"][0]["failures"][0][0] == {"chain3": "BM1", "brandt": "BM3"}[entry]
+    assert all(laws == reports["clifford"] for laws in reports.values())
+
+
+@pytest.mark.parametrize("case", ["check-a-directory", "store-is-a-file", "entry-is-a-directory"])
+def test_an_os_error_exits_2(tmp_path, capsys, case):
+    (tmp_path / "file").write_text("not a store\n")
+    (tmp_path / "ghost.json").mkdir()
+    argv = {"check-a-directory": ("check", str(tmp_path / "ghost.json")),
+            "store-is-a-file": ("build", "ix", "--size", "2", "--store", str(tmp_path / "file")),
+            "entry-is-a-directory": ("check", "ghost", "--store", str(tmp_path))}[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "not a store\n"
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # the parser does not read the environment, so it is built once, on import
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    store = ("--store", str(tmp_path))
+    for argv in (("build", "ix", "--size", "2"), ("check", "ix2", "--format", "text"),
+                 ("dualize", "ix2", "--round-trip"), ("check", "ghost")):
+        run(capsys, *argv, *store)
+    with pytest.raises(SystemExit):
+        main(["check", "ix2", "--laws", "nope", *store])
+    assert built == []
+
+
+def test_each_call_reads_the_environment_anew(tmp_path, capsys, monkeypatch):
+    run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
+    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path))
+    monkeypatch.setenv("STONEWORK_FORMAT", "text")
+    assert run(capsys, "check", "ix2", "--laws", "bm") == (0, "ix2: ok (0 failures)\n"
+                                                          "  [ok ] boolean-axioms (1 instances)\n", "")
+    monkeypatch.setenv("STONEWORK_FORMAT", "json")
+    code, out, _ = run(capsys, "check", "ix2", "--laws", "bm")
+    assert code == 0 and json.loads(out)["ok"] is True
+    # a flag beats its environment variable, before or after the subcommand
+    assert run(capsys, "--format", "text", "check", "ix2", "--laws", "bm")[1].startswith("ix2: ok")
+    assert run(capsys, "check", "ix2", "--laws", "bm", "--format", "text")[1].startswith("ix2: ok")
+    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path / "elsewhere"))
+    assert run(capsys, "check", "ix2")[0] == 2
+
+
+@pytest.mark.parametrize("name, value, flag", [("FORMAT", "yaml", ("--format", "json")),
+                                               ("MAX_SIZE", "-1", ("--max-size", "5"))])
+def test_a_bad_environment_value_exits_2_though_its_flag_is_given(tmp_path, capsys, monkeypatch,
+                                                                  name, value, flag):
+    run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
+    monkeypatch.setenv(f"STONEWORK_{name}", value)
+    code, out, err = run(capsys, "check", "ix2", *flag, "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: STONEWORK_{name} has a bad value {value!r}\n"
+    # a usage error comes first: argparse reports it before the environment is read
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "ix2", "--laws", "nope", "--store", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == "" and "invalid choice: 'nope'" in err
+
+
+def test_law_set_choices_come_from_one_table():
+    sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    laws = next(a for a in sub.choices["check"]._actions if a.dest == "laws")
+    assert laws.choices == ("bm", "order", "filters", "filter-semigroup", "ultra-equivalence",
+                            "basic-open", "clifford", "all", "point-filters", "covering", "axioms")
+    assert laws.default == "all"
+
+
 # -- malformed entries exit 2 -------------------------------------------------------
 
 GROUPOID_CORRUPTIONS = {
@@ -502,9 +602,10 @@ def test_one_bisection_bound_in_src():
 
 def test_no_reproved_theorem_in_src():
     # constructors check their definitions; theorems such as unique inverses,
-    # the order being partial, and bisection-ness of products or of basic
-    # opens are checked by tests and law suites, with one bisection test
-    pattern = re.compile(r"is_bisection_set|is not unique|natural order is not")
+    # the order being partial, bisection-ness of products or of basic opens,
+    # and the lifting of factorizations along a star-bijective functor are
+    # checked by tests and law suites, with one bisection test
+    pattern = re.compile(r"is_bisection_set|is not unique|natural order is not|lifting")
     root = Path(__file__).parents[1] / "src"
     hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)

@@ -1,8 +1,16 @@
 """Groupoid structure, bisection enumeration, A(G), point filters, coverings."""
 
+import itertools
+
 import numpy as np
 import pytest
-from helpers import first_groupoid_failure, iter_bits, mask_of
+from helpers import (
+    first_groupoid_failure,
+    iter_bits,
+    mask_of,
+    reference_lifting_failure,
+    reference_star_bijective,
+)
 
 from stonework import (
     BoundError,
@@ -425,6 +433,34 @@ def test_inclusion_of_component_is_covering():
     union = disjoint_union(z2, z3)
     incl = CoveringFunctor(z2, union, (0, 1))
     assert check_covering(incl).ok
+
+
+@pytest.mark.parametrize("source, target", [
+    ("pair2", "pair2"), ("pair2", "trivial1"), ("trivial2", "pair2"), ("pair2", "z2"),
+    ("z2", "z2+z3"), ("z2+z3", "z2"), ("z2+z3", "z2+z3"), ("z2+z2", "z2+z3"),
+    ("pair2+z2", "pair2"), ("trivial2", "z2+z3")])
+def test_star_bijectivity_decides_covering(source, target):
+    """check_covering decides star bijectivity alone, because it implies the
+    lifting of factorizations.  On every arrow map that is a functor between
+    the two groupoids, its verdict equals star bijectivity plus the lifting
+    property checked directly."""
+    stock = {"pair2": pair_groupoid(2), "trivial1": trivial_groupoid(1),
+             "trivial2": trivial_groupoid(2), "z2": group_groupoid(2),
+             "z2+z3": disjoint_union(group_groupoid(2), group_groupoid(3)),
+             "z2+z2": disjoint_union(group_groupoid(2), group_groupoid(2)),
+             "pair2+z2": disjoint_union(pair_groupoid(2), group_groupoid(2))}
+    src, tgt = stock[source], stock[target]
+    functors = []
+    for arrow_map in itertools.product(range(tgt.m), repeat=src.m):
+        try:
+            functors.append(CoveringFunctor(src, tgt, arrow_map))
+        except StructureError:
+            pass
+    verdicts = [(check_covering(f).ok, reference_star_bijective(f),
+                 reference_lifting_failure(f) is None) for f in functors]
+    assert functors
+    assert [ok for ok, *_ in verdicts] == [star and lifts for _, star, lifts in verdicts]
+    assert all(lifts for _, star, lifts in verdicts if star)
 
 
 def test_functor_validation_rejects_non_functor(pair2):
