@@ -33,7 +33,7 @@ from .laws import (
     ultra_equivalence_laws,
 )
 from .reporting import LawReport
-from .serialize import KINDS, groupoid_to_json, load_entry, monoid_to_json, render, save_entry
+from .serialize import KINDS, check_dot, groupoid_to_json, load_entry, render, save_entry
 
 FORMATS = ("json", "dot", "text")
 
@@ -219,6 +219,7 @@ def cmd_check(args) -> int:
     law_set = next(iter(law_sets)) if len(law_sets) == 1 and args.laws == "all" else args.laws
     if law_set not in law_sets:
         raise StructureError(f"law set {law_set!r} does not apply to a {kind}")
+    check_dot(args.format, "law report")        # refused before the work
     try:
         report = law_sets[law_set](obj, args.max_size)
     except NotBooleanError as err:
@@ -241,9 +242,10 @@ def cmd_dualize(args) -> int:
             out.update({"certificate": round_trip_monoid(
                 obj, dual, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n})
     elif kind == "groupoid":
+        check_dot(args.format, "monoid")
         bm = all_bisections_monoid(obj, bisection_bound=args.max_size)
         dual = bm.monoid
-        payload = monoid_to_json(dual)
+        payload = KINDS["monoid"][0](dual)
         out.update({"kind": "monoid", "elements": dual.n, "path": None})
         if args.round_trip:
             out.update({"certificate": round_trip_groupoid(obj, bm).to_json(),

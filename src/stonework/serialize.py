@@ -8,6 +8,8 @@ in-memory table.
 from __future__ import annotations
 
 import json
+import re
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,14 @@ def _fields(data, *keys) -> list:
     return [data[key] for key in keys]
 
 
-def monoid_to_json(monoid: InverseMonoid) -> dict:
+def monoid_to_json(monoid: InverseMonoid, *, rows: bool = True) -> dict:
+    """``rows=False`` leaves the product table an array, for ``save_entry``."""
     return {
         "n": monoid.n,
         "zero": monoid.zero,
         "one": monoid.one,
         "inv": list(monoid.inv),
-        "mul": monoid.mul.tolist(),
+        "mul": monoid.mul.tolist() if rows else monoid.mul,
         "labels": list(monoid.labels) if monoid.labels else None,
     }
 
@@ -126,7 +129,7 @@ def _cn_from_json(data: dict) -> CnElement:
 
 # entry kind -> (payload writer, payload reader, one-line text summary)
 KINDS = {
-    "monoid": (monoid_to_json, monoid_from_json,
+    "monoid": (lambda m: monoid_to_json(m, rows=False), monoid_from_json,
                lambda m: f"monoid with {m.n} elements, zero={m.zero}, one={m.one}"),
     "groupoid": (groupoid_to_json, groupoid_from_json,
                  lambda g: f"groupoid with {g.m} arrows, {len(g.identities)} identities"),
@@ -149,10 +152,80 @@ def entry_to_json(name: str, kind: str, payload: dict) -> dict:
     return {"name": name, "kind": kind, "payload": payload}
 
 
+_TABLE_KEY = re.compile(rb'"mul": (?=\[)')
+# a table's head, first row and row break; its tail and end (\s would also take \f, \v)
+_TABLE_LAYOUT = re.compile(rb"\[([ \t\n\r]*)\[[\d, ]*\](?:([ \t\n\r]*,[ \t\n\r]*)\[)?")
+_TABLE_END = re.compile(rb"\]([ \t\n\r]*)\]")
+
+
+def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
+    """Yield as bytes the JSON text of a table of ints in 0..2^15-1, ``head``/``tail`` in its
+    brackets, ``mid`` from "]" to "[", gathering NUL-padded words per row block, unpadded."""
+    end = b"]" + mid + b"["
+    words = np.array([(b"%d, " % v, b"%d" % v + end) for v in range(int(table.max()) + 1)])
+    yield b"[" + head + b"["
+    step = max(1, (1 << 20) // (table.shape[1] * words.itemsize))     # blocks of about 1 MiB
+    for lo in range(0, len(table), step):
+        block = words[table[lo:lo + step], 0]
+        block[:, -1] = words[table[lo:lo + step, -1], 1]
+        raw = block.view(np.uint8).ravel()
+        piece = raw[raw != 0]
+        yield (piece if lo + step < len(table) else piece[:len(piece) - len(end) + 1]).tobytes()
+    yield tail + b"]"
+
+
+def _read_table(data: bytes, start: int):
+    """(array, end) of the table whose text starts at ``data[start]``, or None: read in row
+    blocks by ``np.fromstring``, whose values count only if ``table_text`` renders them back."""
+    layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
+    if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
+        return None
+    rows = data.count(b"[", start, end.end()) - 1
+    cols = data.count(b",", start, data.find(b"]", start)) + 1      # of the first row
+    if rows * cols > end.end() - start:                 # a cell takes two bytes or more
+        return None
+    table, close, step = np.empty((rows, cols), np.int64), start, max(1, (1 << 18) // cols)
+    with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
+        for lo in range(0, rows, step):
+            first = data.find(b"[", close + 1) + 1
+            for _ in range(min(step, rows - lo)):
+                close = data.find(b"]", close + 1)
+            cells = data[first:close].translate(None, b"[]")
+            table[lo:lo + step] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
+        if table.min() >= 0:                            # an int over 2^15-1 wraps
+            at = start
+            for piece in table_text(table, layout[1], layout[2] or b",", end[1]):
+                if not data.startswith(piece, at):
+                    return None
+                at += len(piece)
+            return table, end.end()
+    return None
+
+
+def _loads(data: bytes):
+    """``json.loads(data.decode())``, each table ``_read_table`` accepts spliced out as NaN,
+    which ``parse_constant`` hands back, unless the rest has NaN or Infinity or fails."""
+    tables, parts, pos = [], [], 0
+    for key in _TABLE_KEY.finditer(data):       # a table's text holds no '"'
+        if (found := _read_table(data, key.end())) is not None:
+            tables.append(found[0])
+            parts.append(data[pos:key.end()])
+            pos = found[1]
+    rest = b"NaN".join([*parts, data[pos:]])
+    if tables and rest.count(b"NaN") == len(tables) and b"Infinity" not in rest:
+        handed = iter(tables)
+        with suppress(ValueError, RecursionError):
+            return json.loads(rest.decode(), parse_constant=lambda _: next(handed))
+    return json.loads(data.decode())
+
+
 def _write_json(out, value) -> None:
     """Stream ``value`` as JSON, one key or table row per line.  Pieces go
     through ``json.dumps``, the C encoder (``json.dump`` and ``indent`` use
-    the pure-Python one), and a large table is never held as text at once."""
+    the pure-Python one), or ``table_text``: a table is never held as text."""
+    if isinstance(value, np.ndarray):
+        out.writelines(piece.decode() for piece in table_text(value))
+        return
     if isinstance(value, dict):
         items, brackets = [(json.dumps(key) + ": ", item) for key, item in value.items()], "{}"
     elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
@@ -178,17 +251,15 @@ def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
 
 
 def load_entry(path_or_name, store: Path | None = None):
-    """Load and re-verify an entry by path, or by name inside the store.
-    Returns (name, kind, object)."""
-    path = Path(path_or_name)
-    if not path.exists() and store is not None:
-        path = Path(store) / f"{path_or_name}.json"
+    """Load and re-verify an entry, by name in the store or else by path: (name, kind, obj)."""
+    path = store is not None and Path(store) / f"{path_or_name}.json"
+    path = path if path and path.exists() else Path(path_or_name)
     if not path.exists():
         raise FileNotFoundError(path_or_name)
-    text = path.read_text()
-    bools = "true" in text or "false" in text
-    name, kind, payload = _fields(json.loads(text), "name", "kind", "payload")
-    del text                # not held while the tables are validated
+    data = path.read_text().encode()        # no str of the text is held beside it
+    bools = b"true" in data or b"false" in data
+    name, kind, payload = _fields(_loads(data), "name", "kind", "payload")
+    del data                # not held while the tables are validated
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
     from_json = _codec(kind)[1]
@@ -196,11 +267,17 @@ def load_entry(path_or_name, store: Path | None = None):
     return name, kind, obj
 
 
+def check_dot(fmt: str, kind: str) -> None:
+    """Only a groupoid has a dot rendering."""
+    if fmt == "dot" and kind != "groupoid":
+        raise StructureError("dot output is only defined for groupoids")
+
+
 def render(obj, kind: str, fmt: str) -> str:
     """Render a loaded object in the requested output format."""
     if fmt == "dot":
-        if kind != "groupoid":
-            raise StructureError("dot output is only defined for groupoids")
+        check_dot(fmt, kind)
         return groupoid_to_dot(obj)
     to_json, _, summary = _codec(kind)
-    return json.dumps(to_json(obj), indent=2) if fmt == "json" else summary(obj)
+    return (json.dumps(to_json(obj), indent=2, default=np.ndarray.tolist) if fmt == "json"
+            else summary(obj))

@@ -1,7 +1,9 @@
 """Shared fixtures-by-hand for the duality and acceptance tests."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from stonework.errors import StructureError
 from stonework.filters import principal_filter
 from stonework.inverse_core import partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
+from stonework.serialize import _codec, _fields
 
 
 def corpus_monoids():
@@ -438,3 +441,37 @@ def reference_compatible_join_formula(monoid):
             if acc != j:
                 failures.append((s, t, "formula"))
     return count, failures
+
+
+# -- the JSON route of the entry store, before its table codec ----------------------
+
+
+def reference_write_json(out, value):
+    """Stream ``value`` as JSON, one key or table row per line, every piece
+    through ``json.dumps`` (``save_entry`` wrote entries so)."""
+    if isinstance(value, dict):
+        items, brackets = [(json.dumps(key) + ": ", item) for key, item in value.items()], "{}"
+    elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        items, brackets = [("", row) for row in value], "[]"
+    else:
+        out.write(json.dumps(value))
+        return
+    out.write(brackets[0])
+    for i, (prefix, item) in enumerate(items):
+        out.write(("," if i else "") + "\n" + prefix)
+        reference_write_json(out, item)
+    out.write("\n" + brackets[1])
+
+
+def reference_load_entry(path):
+    """Load an entry by ``json.loads`` alone, every table as rows of Python
+    ints: (name, kind, object), or the loader's error."""
+    text = Path(path).read_text()
+    bools = "true" in text or "false" in text
+    name, kind, payload = _fields(json.loads(text), "name", "kind", "payload")
+    del text
+    if not isinstance(name, str):
+        raise StructureError("entry name must be a string")
+    from_json = _codec(kind)[1]
+    obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
+    return name, kind, obj

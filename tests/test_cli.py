@@ -706,3 +706,43 @@ def test_dualize_round_trip_output_is_deterministic(tmp_path, capsys, seed):
         outputs.append(data)
     assert outputs[0]["preserved_size"] == 34
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_the_store_is_searched_before_the_working_directory(tmp_path, capsys, monkeypatch):
+    """An entry name is looked up as <store>/<name>.json first; only then is
+    it taken as a path."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "ix", "--size", "2", "--store", "st")
+
+    def check(entry, store):
+        code, out, err = run(capsys, "check", entry, "--laws", "bm", "--store", store)
+        return code, err, json.loads(out)["entry"] if code == 0 else out
+
+    (tmp_path / "ix2").mkdir()                          # a directory named like the entry
+    assert check("ix2", "st") == (0, "", "ix2")
+    (tmp_path / "ix2").rmdir()
+    (tmp_path / "ix2").write_text("not an entry\n")     # nor is a file read in its place
+    assert check("ix2", "st") == (0, "", "ix2")
+    assert check("st/ix2.json", "elsewhere") == (0, "", "ix2")      # a path still loads
+
+
+def test_dot_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    """check refuses --format dot once the entry is loaded and the law set
+    resolved, before any suite runs; dualize of a groupoid refuses it before
+    the bisection monoid is built."""
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    run(capsys, "build", "pair-groupoid", "--points", "2", "--store", str(tmp_path))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for law_sets in cli.LAW_SETS.values():
+        for law_set in law_sets:
+            monkeypatch.setitem(law_sets, law_set, forbidden)
+    monkeypatch.setattr(cli, "all_bisections_monoid", forbidden)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for argv in (("check", "ix3"), ("check", "ix3", "--laws", "order"), ("check", "pair2"),
+                 ("dualize", "pair2"), ("dualize", "pair2", "--round-trip")):
+        code, out, err = run(capsys, *argv, "--format", "dot", "--store", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: dot output is only defined for groupoids\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,22 +1,32 @@
 """Lossless JSON round trips with re-verification on load."""
 
 import gc
+import io
 import json
+import random
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from helpers import projection_first
+from helpers import projection_first, reference_load_entry, reference_write_json
 from stonework import (
     StructureError,
+    boolean_algebra_monoid,
     clifford_monoid,
     group_with_zero_monoid,
     serialize,
     symmetric_inverse_monoid,
 )
 from stonework.cli import main
-from stonework.duality import stone_groupoid
-from stonework.groupoids import CoveringFunctor, pair_groupoid, trivial_groupoid
+from stonework.corpus import GENERATORS, build
+from stonework.duality import identity_morphism, stone_groupoid
+from stonework.groupoids import (CoveringFunctor, all_bisections_monoid, pair_groupoid,
+                                 trivial_groupoid)
 from stonework.serialize import (
+    KINDS,
+    entry_to_json,
     functor_from_json,
     functor_to_json,
     groupoid_from_json,
@@ -47,23 +57,45 @@ def test_monoid_loader_reverifies():
 
 def test_a_table_is_scanned_for_json_booleans_only_when_the_text_has_them(
         tmp_path, monkeypatch):
-    # InverseMonoid scans a list table for bools, which numpy reads as 1/0;
-    # without a true or false in the entry there is none, and it gets an array
-    lists = []
-    real = serialize.InverseMonoid
+    # InverseMonoid scans a list table for bools, which numpy reads as 1/0.
+    # A table of 2 KiB or more in the stored layout is read as an array
+    # whatever the labels say; a table in another layout, or a shorter one,
+    # goes through json, and on as an array unless the entry holds a true or
+    # false
+    lists, read = [], []
+    real, real_read = serialize.InverseMonoid, serialize._read_table
 
     def recording(mul, *args, **kwargs):
         lists.append(isinstance(mul, list))
         return real(mul, *args, **kwargs)
 
+    def recording_read(*args):
+        found = real_read(*args)
+        read.append(found is not None)
+        return found
+
     monkeypatch.setattr(serialize, "InverseMonoid", recording)
-    data = monoid_to_json(symmetric_inverse_monoid(2))
+    monkeypatch.setattr(serialize, "_read_table", recording_read)
+    data = monoid_to_json(symmetric_inverse_monoid(3))
     save_entry(tmp_path, "plain", "monoid", data)
     save_entry(tmp_path, "label-true", "monoid", {**data, "labels": ["true"] * data["n"]})
-    plain, labelled = (load_entry(name, tmp_path)[2] for name in ("plain", "label-true"))
-    assert lists == [False, True]
+    (tmp_path / "compact.json").write_text(
+        json.dumps(entry_to_json("compact", "monoid", data)).replace(", ", ","))
+    assert '"mul": [[0,0,' in (tmp_path / "compact.json").read_text()
+    small = monoid_to_json(symmetric_inverse_monoid(2))
+    save_entry(tmp_path, "small", "monoid", small)
+    true_cell = [row[:] for row in data["mul"]]
+    true_cell[data["one"]][1] = True
+    save_entry(tmp_path, "true-cell", "monoid", {**data, "mul": true_cell})
+    plain, labelled, compact, small_loaded = (
+        load_entry(name, tmp_path)[2] for name in ("plain", "label-true", "compact", "small"))
+    with pytest.raises(StructureError, match="non-integer entry True"):
+        load_entry("true-cell", tmp_path)
+    assert lists == [False, False, False, False, True]
+    assert read == [True, True, False, False, False]
     assert monoid_to_json(plain) == data
-    assert labelled.mul.tolist() == data["mul"]
+    assert labelled.mul.tolist() == compact.mul.tolist() == data["mul"]
+    assert monoid_to_json(small_loaded) == small
 
 
 def test_the_decoded_rows_are_freed_before_the_table_is_validated(tmp_path, monkeypatch):
@@ -162,3 +194,183 @@ def test_morphism_entry_checked_via_cli(tmp_path, capsys):
     assert code == 0
     name, kind, obj = load_entry("pi1", tmp_path)
     assert kind == "morphism" and obj.mapping == theta.mapping
+
+
+# -- the table codec against the json route -------------------------------------------
+
+
+def _tables(text):
+    """The (start, stop) of each product table's text."""
+    starts = [m.end() - 1 for m in re.finditer(r'"mul": \[', text)]
+    return [(start, text.index("]\n]", start) + 3) for start in starts]
+
+
+def _cell(text, rng):
+    """The (start, stop) of a random cell of a random table."""
+    start, stop = rng.choice(_tables(text))
+    cell = rng.choice(list(re.finditer(r"\d+", text[start:stop])))
+    return start + cell.start(), start + cell.end()
+
+
+def _replace_cell(by):
+    def mutate(text, rng):
+        a, b = _cell(text, rng)
+        return text[:a] + by(text[a:b], rng) + text[b:]
+    return mutate
+
+
+def _ragged(text, rng):
+    a, b = _cell(text, rng)
+    return text[:a] + text[b + 2:] if text[b] == "," else text[:a - 2] + text[b:]
+
+
+def _compact(text, rng):
+    start, stop = rng.choice(_tables(text))
+    return text[:start] + text[start:stop].replace(", ", ",") + text[stop:]
+
+
+def _extra_whitespace(text, rng):
+    start, stop = rng.choice(_tables(text))
+    breaks = [start + m.end() for m in re.finditer(r"\],", text[start:stop])]
+    commas = [start + m.end() for m in re.finditer(r"\d,", text[start:stop])]
+    # the head, the first or any row break, the tail, or between two cells
+    at = rng.choice([start + 1, breaks[0], rng.choice(breaks), stop - 1, rng.choice(commas)])
+    # "\f" and "\v" are whitespace to Python, not to JSON
+    return text[:at] + rng.choice([" ", "\n", "\t", " \n  ", "\f", "\v"]) + text[at:]
+
+
+def _constant_elsewhere(text, rng):
+    token = rng.choice(["NaN", "Infinity", "-Infinity"])
+    where = rng.randrange(3)
+    if where == 0:                                      # a number of the payload
+        return re.sub(r'"(n|zero|one)": \d+', f'"\\1": {token}', text, count=1)
+    if where == 1:                                      # an extra key
+        return text.replace('"payload": {', f'"payload": {{"x": {token},', 1)
+    return text.replace('"labels": ["', f'"labels": ["{token}', 1)    # inside a label
+
+
+def _table_in_a_label(text, rng):
+    return re.sub(r'"labels": \["[^"]*"', '"labels": ["\\\\"mul\\\\": [[0]]"', text, count=1)
+
+
+def _second_table(text, rng):
+    if rng.random() < 0.5:                              # before the table, which wins
+        return text.replace('"payload": {\n', '"payload": {\n"mul": [\n[0]\n],\n', 1)
+    start, stop = _tables(text)[0]                      # after it, and wins
+    return text[:stop] + ',\n"mul": [[0]]' + text[stop:]
+
+
+MUTATIONS = {
+    "true-cell": _replace_cell(lambda cell, rng: "true"),
+    "float-cell": _replace_cell(lambda cell, rng: cell + rng.choice([".0", ".5", "e0"])),
+    "leading-zero": _replace_cell(lambda cell, rng: "0" + cell),
+    "negative-cell": _replace_cell(lambda cell, rng: rng.choice(["-1", "-0", "-" + cell, "-99"])),
+    "ragged-row": _ragged,
+    "whitespace-cell": _replace_cell(lambda cell, rng: " "),
+    "compact": _compact,
+    "extra-whitespace": _extra_whitespace,
+    "constant-elsewhere": _constant_elsewhere,
+    "table-in-a-label": _table_in_a_label,
+    "second-table": _second_table,
+    "truncated": lambda text, rng: text[:rng.randrange(len(text))],
+}
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: the object as JSON with its table's
+    dtype, or the error's type and message."""
+    try:
+        name, kind, obj = load(path)
+    except Exception as err:        # every error, compared by type and message
+        return type(err), str(err)
+    dtype = str(obj.mul.dtype) if kind == "monoid" else None
+    return name, kind, dtype, json.dumps(KINDS[kind][0](obj), default=np.ndarray.tolist)
+
+
+def test_the_table_codec_loads_what_json_loads(tmp_path):
+    """300 seeded mutations of canonical entries: the loader gives the same
+    object, or the same error, as json.loads alone."""
+    # ix3's table and the morphism's two are read by the codec, ba4's (under
+    # 2 KiB) by json
+    theta = identity_morphism(symmetric_inverse_monoid(3))
+    bases = [save_entry(tmp_path, name, kind, payload).read_text() for name, kind, payload in (
+        ("ix3", "monoid", monoid_to_json(symmetric_inverse_monoid(3))),
+        ("ba4", "monoid", monoid_to_json(boolean_algebra_monoid(4))),
+        ("id-ix3", "morphism", morphism_to_json(theta)))]
+    mutations = list(MUTATIONS.items())
+    results = {"loaded": 0, "refused": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        how, mutate = mutations[seed % len(mutations)]
+        text = mutate(bases[seed // len(mutations) % len(bases)], rng)
+        path = tmp_path / f"mutant-{seed}.json"
+        path.write_text(text)
+        outcome = _outcome(load_entry, path)
+        assert outcome == _outcome(reference_load_entry, path), (seed, how)
+        results["loaded" if len(outcome) == 4 else "refused"] += 1
+    assert results["loaded"] > 50 and results["refused"] > 50, results
+
+
+@pytest.mark.parametrize("char", [" ", "\t", "\n", "\r", "\f", "\v"])
+def test_only_json_whitespace_is_read_around_a_table(tmp_path, char):
+    """After the opening bracket, at every row break and before the closing
+    one, the codec reads what json.loads reads: "\f" and "\v" are refused."""
+    text = save_entry(tmp_path, "ix3", "monoid", monoid_to_json(symmetric_inverse_monoid(3))
+                      ).read_text()
+    (start, stop), = _tables(text)
+    table = text[start:stop]
+    for spaced in (char + table, table.replace("],\n[", f"],{char}\n["), table[:-1] + char + "]"):
+        path = tmp_path / "spaced.json"
+        path.write_bytes((text[:start] + spaced + text[stop:]).encode())
+        assert _outcome(load_entry, path) == _outcome(reference_load_entry, path), spaced[:9]
+
+
+def test_a_malformed_table_is_left_to_json_without_a_large_allocation(tmp_path):
+    """A cell over 2^15-1 (which int16 parsing wraps) and a ragged table whose
+    first row and row count span 3000 x 3000 cells load as through json, and
+    the codec allocates no array of that bounding box (72 MB)."""
+    text = save_entry(tmp_path, "ix3", "monoid", monoid_to_json(symmetric_inverse_monoid(3))
+                      ).read_text()
+    (start, stop), = _tables(text)
+    ragged = "[\n[" + ", ".join(["0"] * 3000) + "]" + ",\n[0]" * 2999 + "\n]"
+    for table in (text[start:stop].replace("[0, 0,", "[70000, 0,", 1), ragged):
+        path = tmp_path / "bad.json"
+        path.write_text(text[:start] + table + text[stop:])
+        tracemalloc.start()
+        try:
+            outcome = _outcome(load_entry, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == _outcome(reference_load_entry, path) and outcome[0] is StructureError
+        assert peak < 20 * 2 ** 20, peak
+
+
+def test_stored_entries_are_the_json_route_byte_for_byte(tmp_path, capsys):
+    """Each corpus generator, ix4, ba6, a morphism and a groupoid's dual are
+    stored exactly as json.dumps of each row would write them."""
+    builds = [("ix", {}), ("bool-algebra", {}), ("group-zero", {"order": 3}), ("clifford", {}),
+              ("brandt", {}), ("chain", {}), ("pair-groupoid", {"points": 3}),
+              ("group-groupoid", {"order": 3}), ("union-groupoid", {}),
+              ("trivial-groupoid", {"points": 2}),
+              ("cn-element", {"expr": "{a1/a1a1, a2a1/a1a2, a2a2/a2}"}),
+              ("ix", {"size": 4}), ("bool-algebra", {"atoms": 6})]
+    assert {generator for generator, _ in builds} == set(GENERATORS)
+    lists = {**{kind: codec[0] for kind, codec in KINDS.items()}, "monoid": monoid_to_json}
+    expected = {}
+    for generator, params in builds:
+        name, kind, obj, _ = build(generator, **params)
+        expected[name] = entry_to_json(name, kind, lists[kind](obj))
+        flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+        assert main(["build", generator, *flags, "--store", str(tmp_path)]) == 0
+    theta = projection_first(clifford_monoid(), group_with_zero_monoid(2))
+    save_entry(tmp_path, "pi1", "morphism", morphism_to_json(theta))
+    expected["pi1"] = entry_to_json("pi1", "morphism", morphism_to_json(theta))
+    assert main(["dualize", "pair3", "--store", str(tmp_path)]) == 0
+    dual = all_bisections_monoid(pair_groupoid(3)).monoid
+    expected["pair3-dual"] = entry_to_json("pair3-dual", "monoid", monoid_to_json(dual))
+    capsys.readouterr()
+    for name, entry in expected.items():
+        out = io.StringIO()
+        reference_write_json(out, entry)
+        assert (tmp_path / f"{name}.json").read_bytes() == (out.getvalue() + "\n").encode(), name
