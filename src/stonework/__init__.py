@@ -7,7 +7,7 @@ from .duality import (
     IsoCertificate,
     MonoidMorphism,
     StoneGroupoid,
-    basic_open,
+    basic_opens,
     clifford_check,
     functor_on_morphism,
     identity_morphism,
@@ -39,7 +39,6 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
-    Bisection,
     BisectionMonoid,
     CoveringFunctor,
     FiniteGroupoid,

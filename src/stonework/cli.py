@@ -179,7 +179,7 @@ def _output(args, out: dict, text, shown: tuple, saved: tuple | None = None) -> 
     the lines ``text(out)``, or ``shown`` = (object, kind) as dot, which
     only a groupoid has.  ``saved`` = (name, kind, payload) is stored, and
     its path put in ``out``, only once the rendering has not been refused."""
-    dot = render(*shown, "dot") if args.format == "dot" else None
+    dot = render(*shown) if args.format == "dot" else None
     if saved is not None:
         out["path"] = str(save_entry(Path(args.store), *saved))
     if dot is not None:

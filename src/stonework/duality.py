@@ -4,12 +4,15 @@ One direction sends a boolean inverse monoid S to its groupoid of
 ultrafilters; the other sends a finite groupoid G to the monoid of all its
 bisections.  The canonical comparison maps are
 
-* ``s -> basic_open(s)``, the set of ultrafilters through s, and
-* ``g -> point_ultrafilter(g)``, the set of bisections through g,
+* ``s -> K(s)``, the set of ultrafilters through s, and
+* ``g -> point_ultrafilter(g)``, the set of bisections through g.
 
-and both round trips are certified element by element: the certificates
-store the explicit maps (never searched for) together with every law that
-was checked and how many instances ran.
+A bisection is a boolean membership row over the arrows, so K is one gather
+of the order matrix (:func:`basic_opens`, row s is K(s)) and the bisections
+through g are a column of the bisection monoid's rows.  Both round trips
+are certified element by element: the certificates store the explicit maps
+(never searched for) together with every law that was checked and how many
+instances ran.
 
 Morphisms of monoids carry three extra axioms beyond being a semigroup
 homomorphism: restriction to idempotents is a homomorphism of boolean
@@ -34,7 +37,6 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
-    Bisection,
     BisectionMonoid,
     CoveringFunctor,
     FiniteGroupoid,
@@ -42,6 +44,7 @@ from .groupoids import (
     check_covering,
     enumerate_bisections,
     fiber_clash,
+    fiber_clashes,
     image_products,
     point_ultrafilter,
 )
@@ -135,26 +138,20 @@ def stone_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
     return ultrafilter_groupoid(monoid)
 
 
-def basic_open(s: int, sg: StoneGroupoid) -> Bisection:
-    """The bisection of all ultrafilters through s (empty at zero)."""
-    members = frozenset(i for i, f in enumerate(sg.ultrafilters) if s in f)
-    return Bisection(sg, members)
+def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
+    """K(s) for every element s, as membership rows over the arrows of
+    ``sg``: [s, g] is s in ultrafilter g, read off the order of ``monoid``
+    (the monoid ``sg`` is built from, unless a law suite probes another).
+    K(zero) is empty."""
+    return monoid.order().matrix[[f.generator for f in sg.ultrafilters]].T
 
 
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
-    """Is basic_open(s) | basic_open(t) a bisection?  Returns (flag, witness)
-    where the witness names two arrows sharing a domain or range fiber."""
-    clash = fiber_clash(sg, basic_open(s, sg).members | basic_open(t, sg).members)
+    """Is K(s) | K(t) a bisection?  Returns (flag, witness) where the
+    witness names two arrows sharing a domain or range fiber."""
+    opens = basic_opens(sg.monoid, sg)
+    clash = fiber_clash(sg, np.flatnonzero(opens[s] | opens[t]).tolist())
     return clash is None, clash
-
-
-def _fiber_clashes(groupoid: FiniteGroupoid, rows: np.ndarray) -> np.ndarray:
-    """[i]: the arrows of boolean row i are not a bisection, that is, two of
-    them share a domain or a range fiber: :func:`fiber_clash` over many rows,
-    by an exact float32 count of each row's arrows in each fiber."""
-    fibers = np.hstack([np.equal.outer(groupoid.d, groupoid.identities),
-                        np.equal.outer(groupoid.r, groupoid.identities)]).astype(np.float32)
-    return (rows.astype(np.float32) @ fibers > 1).any(axis=-1)
 
 
 def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = None,
@@ -162,14 +159,13 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
     """Exhaustively check the nine laws of the basic-open map s -> K(s):
     bisection-ness, meet/intersection, inverse, product, order embedding,
     injectivity, join/union both ways, and surjectivity onto all bisections
-    of the ultrafilter groupoid.  K(s) is row s of ``inside``; pairwise laws
-    run as numpy comparisons."""
+    of the ultrafilter groupoid.  K(s) is row s of :func:`basic_opens`;
+    pairwise laws run as numpy comparisons."""
     if sg is None:
         sg = stone_groupoid(monoid)
     report = LawReport(subject=f"basic-open laws on {monoid!r}")
     n, order = monoid.n, monoid.order()
-    # inside[s, g]: ultrafilter g holds s, that is, arrow g is in K(s)
-    inside = order.matrix[[f.generator for f in sg.ultrafilters]].T
+    inside = basic_opens(monoid, sg)       # inside[s, g]: arrow g is in K(s)
     meet, join = order.meet, order.join     # -1 where a bound is absent
 
     def clash(row) -> tuple | None:
@@ -177,7 +173,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
 
     law = report.new("is-bisection")
     law.tick(n)
-    for s in np.flatnonzero(_fiber_clashes(sg, inside)).tolist():
+    for s in np.flatnonzero(fiber_clashes(sg, inside)).tolist():
         law.fail((s, clash(inside[s])))
 
     law = report.new("zero-is-empty")
@@ -217,17 +213,18 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
 
     law = report.new("union-bisection-iff-join")
     law.tick(n * n)
-    unions = np.array([_fiber_clashes(sg, inside[s] | inside) for s in range(n)])
+    unions = np.array([fiber_clashes(sg, inside[s] | inside) for s in range(n)])
     for s, t in np.argwhere(unions == (join >= 0)).tolist():
         law.fail((s, t, clash(inside[s] | inside[t])))
 
     law = report.new("surjective-on-bisections")
     everything = enumerate_bisections(sg, bisection_bound=bisection_bound)
     law.tick(len(everything))
-    opens = {frozenset(np.flatnonzero(row).tolist()) for row in inside}
-    if uncovered := [b for b in everything if b.members not in opens]:
+    opens = {row.tobytes() for row in inside}
+    if uncovered := [row for row in everything if row.tobytes() not in opens]:
         # named by their arrow bitmasks
-        law.fail(tuple(sorted(sum(1 << a for a in b) for b in uncovered)))
+        law.fail(tuple(sorted(sum(1 << a for a in np.flatnonzero(row).tolist())
+                              for row in uncovered)))
 
     return report
 
@@ -268,16 +265,14 @@ def pullback_morphism(f: CoveringFunctor,
                       bm_target: BisectionMonoid) -> MonoidMorphism:
     """The contravariant bisection functor on a covering functor f: G -> H:
     the preimage map A(H) -> A(G), where ``bm_source`` is A(G) and
-    ``bm_target`` is A(H).  Each preimage is built as a Bisection, and the
-    morphism axioms (homomorphism, boolean algebra map, meets, ultrafilter
-    preimages) are verified by MonoidMorphism."""
+    ``bm_target`` is A(H).  The preimages are one gather of the rows of
+    A(H) through the arrow map, and the morphism axioms (homomorphism,
+    boolean algebra map, meets, ultrafilter preimages) are verified by
+    MonoidMorphism."""
     report = check_covering(f)
     if not report.ok:
         raise StructureError(f"pullback requires a covering functor: {report.witness}")
-    src = f.source
-    mapping = tuple(bm_source.indices_of([
-        Bisection(src, frozenset(g for g in range(src.m) if f.arrow_map[g] in b.members))
-        for b in bm_target.bisections]))
+    mapping = tuple(bm_source.indices_of(bm_target.rows[:, list(f.arrow_map)]))
     return MonoidMorphism(bm_target.monoid, bm_source.monoid, mapping)
 
 
@@ -310,7 +305,7 @@ class IsoCertificate:
 
 def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
                       bisection_bound: int = MAX_ELEMENTS) -> IsoCertificate:
-    """Certify that s -> basic_open(s) is an isomorphism onto the monoid of
+    """Certify that s -> K(s) is an isomorphism onto the monoid of
     all bisections of the ultrafilter groupoid (``sg``, built when not
     given)."""
     start = time.perf_counter()
@@ -322,7 +317,7 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
     laws = [("cardinality", 1)]
 
-    forward = tuple(bm.indices_of([basic_open(s, sg) for s in range(n)]))
+    forward = tuple(bm.indices_of(basic_opens(monoid, sg)))
     if len(set(forward)) != n:
         raise StructureError("basic-open map is not injective")
     backward = np.argsort(forward).tolist()      # the inverse permutation
@@ -355,7 +350,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
                         bisection_bound: int = MAX_ELEMENTS) -> IsoCertificate:
     """Certify that g -> point_ultrafilter(g) is an isomorphism onto the
     ultrafilter groupoid of the bisection monoid (``bm``, built when not
-    given), and that it carries each bisection U onto basic_open(U)."""
+    given), and that it carries each bisection U onto K(U)."""
     start = time.perf_counter()
     m = groupoid.m
     if bm is None:
@@ -390,11 +385,11 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
     laws.append(("identities", len(groupoid.identities)))
 
     # each bisection U maps onto the basic open set of U's monoid element
-    for i, u in enumerate(bm.bisections):
-        image = frozenset(forward[g] for g in u.members)
-        if image != basic_open(i, sg).members:
-            raise StructureError(f"image of bisection {i} is not its basic open set")
-    laws.append(("bisection-transport", len(bm.bisections)))
+    image = np.zeros((len(bm), m), dtype=bool)
+    image[:, fwd] = bm.rows
+    raise_first_failure({"image of bisection {} is not its basic open set":
+                         (image != basic_opens(bm.monoid, sg)).any(axis=1)})
+    laws.append(("bisection-transport", len(bm)))
 
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)
 

@@ -9,10 +9,11 @@ boolean-groupoid conditions reduce to finiteness; the certificate of that
 reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 
 A bisection is a subset hitting each identity at most once on the domain
-side and at most once on the range side (:func:`fiber_clash`).  The set of
-all bisections under the arrow-wise product is a boolean inverse monoid,
-materialized by :func:`all_bisections_monoid` up to a bound on their
-number (MAX_ELEMENTS, or lower), counted in closed form before any is built.
+side and at most once on the range side (:func:`fiber_clash`), held as a
+boolean membership row over the arrows.  The set of all bisections under
+the arrow-wise product is a boolean inverse monoid, materialized by
+:func:`all_bisections_monoid` up to a bound on their number (MAX_ELEMENTS,
+or lower), counted in closed form before any is built.
 """
 
 from __future__ import annotations
@@ -203,28 +204,6 @@ def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
 # -- bisections ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bisection:
-    """A subset meeting every domain fiber and every range fiber at most once."""
-
-    groupoid: FiniteGroupoid = field(compare=False)
-    members: frozenset = field(compare=True)
-
-    def __post_init__(self):
-        if fiber_clash(self.groupoid, self.members):
-            raise StructureError("subset is not a bisection")
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def inverse(self) -> "Bisection":
-        g = self.groupoid
-        return Bisection(g, frozenset(g.inv[a] for a in self.members))
-
-
 def fiber_clash(groupoid: FiniteGroupoid, arrows) -> tuple | None:
     """The first pair of arrows, in ascending order, sharing a domain or a
     range fiber, as ("domain-fiber" or "range-fiber", a, b); None when the
@@ -239,21 +218,29 @@ def fiber_clash(groupoid: FiniteGroupoid, arrows) -> tuple | None:
     return None
 
 
-def bisection_product(a: Bisection, b: Bisection) -> Bisection:
-    """Arrow-wise product {xy : composable}; the result is again a bisection
-    (validated by the Bisection constructor, not assumed)."""
-    if a.groupoid is not b.groupoid:
-        raise StructureError("bisection product needs a common carrier")
-    compose = a.groupoid.compose_maybe
-    out = {compose(x, y) for x in a.members for y in b.members}
-    out.discard(None)
-    return Bisection(a.groupoid, frozenset(out))
+def fiber_clashes(groupoid: FiniteGroupoid, rows: np.ndarray) -> np.ndarray:
+    """[i]: the arrows of membership row i are not a bisection, that is, two
+    of them share a domain or a range fiber: :func:`fiber_clash` over many
+    rows, by an exact float32 count of each row's arrows in each fiber."""
+    fibers = np.hstack([np.equal.outer(groupoid.d, groupoid.identities),
+                        np.equal.outer(groupoid.r, groupoid.identities)]).astype(np.float32)
+    return (rows.astype(np.float32) @ fibers > 1).any(axis=-1)
+
+
+def bisection_product(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The arrow-wise product {x y : x in a, y in b, composable} of two
+    membership rows, as a row: the literal definition, against which the
+    tests check the gathered table of :func:`all_bisections_monoid`."""
+    out, products = np.zeros(groupoid.m, dtype=bool), groupoid.compose[np.ix_(a, b)]
+    out[products[products >= 0]] = True
+    return out
 
 
 def enumerate_bisections(groupoid: FiniteGroupoid, *,
-                         bisection_bound: int = MAX_ELEMENTS) -> list[Bisection]:
-    """All bisections, ordered by their member sets read as binary numbers
-    (bit a for arrow a), that is by their members in descending order.
+                         bisection_bound: int = MAX_ELEMENTS) -> np.ndarray:
+    """All bisections, as the read-only rows of one membership array,
+    ordered by the rows read as binary numbers (bit a for arrow a), that is
+    by their members in descending order.
 
     Chooses, identity by identity, at most one arrow out of it into a range
     not hit yet, which is equivalent to subset filtering but never touches
@@ -270,36 +257,40 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
             count *= _partial_bijection_count(len(ranges) // g, bound, g)
     check_size(count, f"a groupoid of {groupoid.m} arrows has at least {count} bisections",
                bound)
-    chosen = [((), frozenset())]        # (arrows, the ranges they hit)
+    rows, arrows = np.zeros((1, groupoid.m), dtype=bool), np.arange(groupoid.m)
     for e in groupoid.identities:       # leave e out of the domain, or add one arrow from e
-        chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
-                   for a in groupoid.star(e) if groupoid.r[a] not in hit]
-    return [Bisection(groupoid, frozenset(arrows))
-            for arrows in sorted((arrows for arrows, _ in chosen),
-                                 key=lambda arrows: sorted(arrows, reverse=True))]
+        star = arrows[d == e]
+        i, a = np.nonzero(~(rows @ np.equal.outer(r, r[star])))    # row i misses a's range
+        rows = np.vstack([rows, rows[i] | (arrows == star[a, None])])
+    rows = rows[np.lexsort(rows.T)] if groupoid.m else rows     # the last arrow sorts first
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass
 class BisectionMonoid:
     """The inverse monoid of all bisections of a finite groupoid: element i
-    is ``bisections[i]``, and ``codes[i]`` is its code (see _arrow_codes)."""
+    is membership row ``rows[i]``, and ``codes[i]`` is its code (see
+    _arrow_codes)."""
 
     groupoid: FiniteGroupoid
-    bisections: list[Bisection]
+    rows: np.ndarray
     monoid: InverseMonoid
     codes: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.bisections)
+        return len(self.rows)
 
-    def indices_of(self, bisections) -> list[int]:
-        """The elements that are the given Bisections of the groupoid."""
-        arrow_codes = _arrow_codes(self.groupoid)
-        wanted = np.array([arrow_codes[list(b)].sum() for b in bisections], dtype=np.int64)
-        found = _positions(self.codes, wanted)
-        if (found < 0).any():
-            raise StructureError("not a bisection of this groupoid")
-        return found.tolist()
+    def indices_of(self, rows: np.ndarray) -> list[int]:
+        """The elements whose membership rows are the given rows.  A row
+        that is not a bisection is refused before its code, which may be a
+        bisection's, is looked up."""
+        rows = np.asarray(rows, dtype=bool)
+        if rows.shape[1:] == (self.groupoid.m,) and not fiber_clashes(self.groupoid, rows).any():
+            found = _positions(self.codes, rows @ _arrow_codes(self.groupoid)[:-1])
+            if (found >= 0).all():
+                return found.tolist()
+        raise StructureError("not a bisection of this groupoid")
 
 
 def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
@@ -314,10 +305,16 @@ def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
 
 
 def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where each wanted code is in ``codes`` (which has no repeats), or -1."""
-    order = np.argsort(codes)
-    at = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(codes) - 1)]
-    return np.where(codes[at] == wanted, at, -1)
+    """Where each wanted code is in ``codes`` (which has no repeats), or -1.
+    Looked up in blocks of rows, each clipped, gathered and marked in place
+    in the answer, so no other array is as large as ``wanted``."""
+    order, at = np.argsort(codes), np.empty(wanted.shape, dtype=np.intp)
+    step = max(1, (1 << 16) // max(1, wanted[:1].size))
+    for lo in range(0, len(wanted), step):
+        part, want = at[lo:lo + step], wanted[lo:lo + step]
+        np.take(order, np.searchsorted(codes, want, sorter=order), mode="clip", out=part)
+        part[codes[part] != want] = -1
+    return at
 
 
 def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarray, Iterator]:
@@ -340,17 +337,14 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
                           bisection_bound: int = MAX_ELEMENTS) -> BisectionMonoid:
     """Materialize the boolean inverse monoid of all bisections.
 
-    Bisection b is held as its image array (see :func:`image_products`), so
+    The products are taken on image arrays (see :func:`image_products`), so
     the table is one gather through ``compose`` per place; each product is
     looked up by its code, and one that is not an enumerated bisection is a
     StructureError.  That the monoid is boolean is a theorem, which the
     round trips and the law suites check.
     """
-    bisections = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
+    rows = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
     arrow_codes = _arrow_codes(groupoid)
-    rows = np.zeros((len(bisections), groupoid.m), dtype=bool)
-    for i, b in enumerate(bisections):
-        rows[i, list(b)] = True
     images, products = image_products(groupoid, rows)
     codes = arrow_codes[images].sum(axis=1)
     mul = _positions(codes, sum(arrow_codes[product] for product in products))
@@ -361,17 +355,19 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     inv = _positions(codes, arrow_codes[inverses].sum(axis=1)).tolist()
     unit = arrow_codes[list(groupoid.identities)].sum()     # the code of every identity
     zero, one = _positions(codes, np.array([0, unit])).tolist()
-    labels = ["{" + ",".join(groupoid.label(a) for a in b) + "}" for b in bisections]
-    return BisectionMonoid(groupoid, bisections, InverseMonoid(mul, inv, zero, one, labels),
-                           codes)
+    i, arrows = np.nonzero(rows)        # row by row, each row's arrows ascending
+    names = [groupoid.label(a) for a in arrows.tolist()]
+    ends = np.searchsorted(i, np.arange(len(rows) + 1)).tolist()
+    labels = ["{" + ",".join(names[lo:hi]) + "}" for lo, hi in zip(ends, ends[1:])]
+    return BisectionMonoid(groupoid, rows, InverseMonoid(mul, inv, zero, one, labels), codes)
 
 
 def point_ultrafilter(bm: BisectionMonoid, g: int):
-    """The filter of all bisections through a fixed arrow g.  That it is an
-    ultrafilter is the law ``point-filters-ultra``."""
+    """The filter of all bisections through a fixed arrow g, column g of the
+    rows.  That it is an ultrafilter is the law ``point-filters-ultra``."""
     from .filters import filter_of  # filters builds on FiniteGroupoid
 
-    return filter_of(bm.monoid, np.array([g in b.members for b in bm.bisections]))
+    return filter_of(bm.monoid, bm.rows[:, g])
 
 
 # -- covering functors --------------------------------------------------------------

@@ -52,7 +52,7 @@ def monoid_from_json(data: dict, *, bools: bool = True) -> InverseMonoid:
     if not bools:
         data["mul"] = mul = as_table(mul)
     monoid = InverseMonoid(mul, inv, zero, one, data.get("labels"))
-    if monoid.n != n:
+    if (monoid.n,) != as_indices([n], "n"):
         raise StructureError("declared size disagrees with the table")
     return monoid
 
@@ -76,7 +76,7 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     d = as_indices(d, "d")
     groupoid = FiniteGroupoid(d, r, inv, compose_table(compose, len(d)), identities,
                               data.get("labels"))
-    if groupoid.m != m:
+    if (groupoid.m,) != as_indices([m], "m"):
         raise StructureError("declared size disagrees with the tables")
     return groupoid
 
@@ -127,16 +127,13 @@ def _cn_from_json(data: dict) -> CnElement:
 # -- corpus entries --------------------------------------------------------------
 
 
-# entry kind -> (payload writer, payload reader, one-line text summary)
+# entry kind -> (payload writer, payload reader)
 KINDS = {
-    "monoid": (lambda m: monoid_to_json(m, rows=False), monoid_from_json,
-               lambda m: f"monoid with {m.n} elements, zero={m.zero}, one={m.one}"),
-    "groupoid": (groupoid_to_json, groupoid_from_json,
-                 lambda g: f"groupoid with {g.m} arrows, {len(g.identities)} identities"),
-    "morphism": (morphism_to_json, morphism_from_json,
-                 lambda f: f"morphism on {f.source.n} elements"),
-    "functor": (functor_to_json, functor_from_json, lambda f: f"functor on {f.source.m} arrows"),
-    "cn-element": (_cn_to_json, _cn_from_json, lambda a: f"element of C_{a.n}: {format_cn(a)}"),
+    "monoid": (lambda m: monoid_to_json(m, rows=False), monoid_from_json),
+    "groupoid": (groupoid_to_json, groupoid_from_json),
+    "morphism": (morphism_to_json, morphism_from_json),
+    "functor": (functor_to_json, functor_from_json),
+    "cn-element": (_cn_to_json, _cn_from_json),
 }
 
 
@@ -273,11 +270,7 @@ def check_dot(fmt: str, kind: str) -> None:
         raise StructureError("dot output is only defined for groupoids")
 
 
-def render(obj, kind: str, fmt: str) -> str:
-    """Render a loaded object in the requested output format."""
-    if fmt == "dot":
-        check_dot(fmt, kind)
-        return groupoid_to_dot(obj)
-    to_json, _, summary = _codec(kind)
-    return (json.dumps(to_json(obj), indent=2, default=np.ndarray.tolist) if fmt == "json"
-            else summary(obj))
+def render(obj, kind: str) -> str:
+    """The dot rendering of an object of the given kind: a groupoid's."""
+    check_dot("dot", kind)
+    return groupoid_to_dot(obj)

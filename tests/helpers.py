@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,14 @@ from stonework import (
 )
 from stonework.duality import MonoidMorphism
 from stonework.errors import StructureError
-from stonework.filters import principal_filter
+from stonework.filters import principal_filter, ultrafilter_groupoid
+from stonework.groupoids import (
+    disjoint_union,
+    fiber_clash,
+    group_groupoid,
+    pair_groupoid,
+    trivial_groupoid,
+)
 from stonework.inverse_core import partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
 from stonework.serialize import _codec, _fields
@@ -475,3 +483,102 @@ def reference_load_entry(path):
     from_json = _codec(kind)[1]
     obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
     return name, kind, obj
+
+
+# -- the object form of a bisection, before membership rows ------------------------
+
+
+@dataclass(frozen=True)
+class Bisection:
+    """A subset meeting every domain fiber and every range fiber at most
+    once, held as a frozenset of arrows and checked on construction: the
+    form bisections had before they became membership rows."""
+
+    groupoid: object = field(compare=False)
+    members: frozenset = field(compare=True)
+
+    def __post_init__(self):
+        if fiber_clash(self.groupoid, self.members):
+            raise StructureError("subset is not a bisection")
+
+    def __iter__(self):
+        return iter(sorted(self.members))
+
+    def __len__(self):
+        return len(self.members)
+
+    def inverse(self):
+        g = self.groupoid
+        return Bisection(g, frozenset(g.inv[a] for a in self.members))
+
+    def row(self):
+        """The membership row."""
+        out = np.zeros(self.groupoid.m, dtype=bool)
+        out[list(self.members)] = True
+        return out
+
+
+def object_form_groupoids():
+    """The groupoids whose bisections are compared with the object form:
+    name -> factory."""
+    def union(*groupoids):
+        out = groupoids[0]
+        for g in groupoids[1:]:
+            out = disjoint_union(out, g)
+        return out
+
+    return {
+        **{f"pair{k}": (lambda k=k: pair_groupoid(k)) for k in range(1, 5)},
+        "z2+z3": lambda: union(group_groupoid(2), group_groupoid(3)),
+        "z4+z5+z7": lambda: union(group_groupoid(4), group_groupoid(5), group_groupoid(7)),
+        "pair2+z3": lambda: union(pair_groupoid(2), group_groupoid(3)),
+        "trivial0": lambda: trivial_groupoid(0),
+        "trivial3": lambda: trivial_groupoid(3),
+        **{f"ix{k}-dual": (lambda k=k: ultrafilter_groupoid(symmetric_inverse_monoid(k)))
+           for k in range(2, 5)},
+        **{f"ba{k}-dual": (lambda k=k: ultrafilter_groupoid(boolean_algebra_monoid(k)))
+           for k in (1, 4, 6)},
+        "clifford-dual": lambda: ultrafilter_groupoid(clifford_monoid()),
+        "z3-zero-dual": lambda: ultrafilter_groupoid(group_with_zero_monoid(3)),
+    }
+
+
+def reference_bisection_product(a, b):
+    """Arrow-wise product {xy : composable}, validated as a Bisection."""
+    compose = a.groupoid.compose_maybe
+    out = {compose(x, y) for x in a.members for y in b.members}
+    out.discard(None)
+    return Bisection(a.groupoid, frozenset(out))
+
+
+def reference_bisections(groupoid):
+    """All bisections as objects, in the order of their members descending:
+    one arrow or none out of each identity, into a range not hit yet."""
+    chosen = [((), frozenset())]        # (arrows, the ranges they hit)
+    for e in groupoid.identities:
+        chosen += [(arrows + (a,), hit | {groupoid.r[a]}) for arrows, hit in chosen
+                   for a in groupoid.star(e) if groupoid.r[a] not in hit]
+    return [Bisection(groupoid, frozenset(arrows))
+            for arrows in sorted((arrows for arrows, _ in chosen),
+                                 key=lambda arrows: sorted(arrows, reverse=True))]
+
+
+def reference_basic_open(s, sg):
+    """The bisection of all ultrafilters through s, one ultrafilter at a time."""
+    return Bisection(sg, frozenset(i for i, f in enumerate(sg.ultrafilters) if s in f))
+
+
+def reference_transport_failure(bisections, forward, sg):
+    """The first bisection U (by index) that ``forward`` does not carry onto
+    the basic open set of U's element, or None: the round trip's loop."""
+    for i, u in enumerate(bisections):
+        if frozenset(forward[g] for g in u.members) != reference_basic_open(i, sg).members:
+            return i
+    return None
+
+
+def reference_pullback_preimages(f, bisections):
+    """The preimage of each bisection of f's target, as a Bisection of its source."""
+    src = f.source
+    return [Bisection(src, frozenset(g for g in range(src.m) if f.arrow_map[g] in b.members))
+            for b in bisections]

@@ -274,7 +274,7 @@ def test_dot_format(tmp_path, capsys):
     from stonework.serialize import render
 
     _, _, g = load_entry("pair2", tmp_path)
-    dot = render(g, "groupoid", "dot")
+    dot = render(g, "groupoid")
     assert dot.startswith("digraph") and "doublecircle" in dot
 
 
@@ -286,7 +286,7 @@ def test_dualize_dot_renders_the_dual_it_built(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "dualize", "ix3", "--format", "dot", "--store", str(tmp_path))
     assert code == 0 and len(loads) == 1                # the dual is not read back
     dual = load_entry("ix3-dual", tmp_path)[2]
-    assert out == render(dual, "groupoid", "dot") + "\n"
+    assert out == render(dual, "groupoid") + "\n"
     code, out, err = run(capsys, "dualize", "pair3", "--format", "dot", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert "dot output is only defined for groupoids" in err
@@ -518,6 +518,21 @@ def test_corrupted_groupoid_entry_exits_2(tmp_path, capsys, how):
 def test_corrupted_monoid_entry_exits_2(tmp_path, capsys, how):
     write_corrupted(tmp_path, capsys, ("ix", "--size", "2"), "ix2", MONOID_CORRUPTIONS[how])
     code, out, err = run(capsys, "check", "bad", "--laws", "bm", "--store", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("build_argv, entry, key, value", [
+    (("ix", "--size", "3"), "ix3", "n", 34.0),
+    (("bool-algebra", "--atoms", "0"), "bool-algebra-1", "n", True),
+    (("trivial-groupoid", "--points", "1"), "trivial1", "m", True),
+], ids=["float-n-ix3", "true-n-ba0", "true-m-trivial1"])
+def test_a_declared_size_must_be_an_integer(tmp_path, capsys, build_argv, entry, key, value):
+    """A declared size equal to the true size, but stored as a float or a
+    bool, is refused like any other non-integer index."""
+    write_corrupted(tmp_path, capsys, build_argv, entry,
+                    lambda payload: payload.__setitem__(key, value))
+    code, out, err = run(capsys, "check", "bad", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

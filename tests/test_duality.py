@@ -10,7 +10,11 @@ from helpers import (
     corpus_monoids,
     diagonal_embedding,
     idempotent_embedding_ba2_into_ix2,
+    object_form_groupoids,
     projection_first,
+    reference_basic_open,
+    reference_bisections,
+    reference_transport_failure,
     restriction_ba2_to_ba1,
     symmetric_to_pair_arrow_map,
 )
@@ -18,6 +22,7 @@ from stonework import (
     MorphismError,
     StructureError,
     duality,
+    laws,
     boolean_algebra_monoid,
     clifford_monoid,
     group_with_zero_monoid,
@@ -25,7 +30,7 @@ from stonework import (
 )
 from stonework.duality import (
     MonoidMorphism,
-    basic_open,
+    basic_opens,
     clifford_check,
     functor_on_morphism,
     identity_morphism,
@@ -47,6 +52,8 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
+from stonework.filters import filter_of
+from stonework.laws import point_filter_laws
 
 
 @pytest.fixture(scope="module")
@@ -157,17 +164,18 @@ def test_gathered_bound_checks_give_the_loops_first_witness(name, bound, now):
 
 
 def test_basic_open_at_zero_and_atom(ix2, sg_ix2):
-    assert basic_open(ix2.zero, sg_ix2).members == frozenset()
+    opens = basic_opens(ix2, sg_ix2)
+    assert np.flatnonzero(opens[ix2.zero]).tolist() == []
     for a in ix2.atoms:
-        k = basic_open(a, sg_ix2)
+        k = np.flatnonzero(opens[a]).tolist()
         assert len(k) == 1
-        (i,) = k.members
+        (i,) = k
         assert sg_ix2.ultrafilters[i].generator == a
 
 
 def test_basic_open_at_one_is_identities(ix2, sg_ix2):
-    k = basic_open(ix2.one, sg_ix2)
-    assert k.members == frozenset(sg_ix2.identities)
+    k = np.flatnonzero(basic_opens(ix2, sg_ix2)[ix2.one]).tolist()
+    assert k == list(sg_ix2.identities)
     assert len(k) == 2
 
 
@@ -282,6 +290,95 @@ def test_a_tampered_order_fails_is_bisection_with_a_witness(ix2, sg_ix2):
     assert clash[0] in ("domain-fiber", "range-fiber") and swap in clash[1:]
     assert law.instances == ix2.n
     assert law.failures == [(source.one, clash)]
+
+
+DUAL_CASES = {
+    **{f"ix{k}": (lambda k=k: symmetric_inverse_monoid(k)) for k in range(2, 5)},
+    **{f"ba{k}": (lambda k=k: boolean_algebra_monoid(k)) for k in (1, 4, 6)},
+    "clifford": clifford_monoid,
+    "z3-zero": lambda: group_with_zero_monoid(3),
+}
+
+
+def reference_rows(bisections):
+    return np.array([b.row() for b in bisections])
+
+
+@pytest.mark.parametrize("name", list(DUAL_CASES))
+def test_basic_opens_and_their_laws_match_the_object_form(name, monkeypatch):
+    """K(s) is the Bisection of the ultrafilters through s; the union probes,
+    the round-trip certificate and the basic-open law report are the ones
+    the object form gives."""
+    monoid = DUAL_CASES[name]()
+    n, sg = monoid.n, stone_groupoid(monoid)
+    reference = [reference_basic_open(s, sg) for s in range(n)]
+    opens = basic_opens(monoid, sg)
+    assert opens.tolist() == reference_rows(reference).tolist()
+    for s, t in np.ndindex(n, n):
+        clash = fiber_clash(sg, reference[s].members | reference[t].members)
+        assert union_bisection_probe(sg, s, t) == (clash is None, clash)
+
+    everything = [b.members for b in reference_bisections(sg)]
+    forward = [everything.index(k.members) for k in reference]
+    cert = round_trip_monoid(monoid, sg).to_json()
+    del cert["elapsed_s"]
+    assert cert == {"forward": forward, "backward": np.argsort(forward).tolist(),
+                    "checked_laws": [{"law": law, "instances": count} for law, count in (
+                        ("cardinality", 1), ("bijective", n), ("multiplicative", n * n),
+                        ("inverse-preserving", n), ("zero-one", 2), ("meet-and-order", n * n))]}
+
+    report = verify_basic_open_laws(monoid, sg).to_json()
+    monkeypatch.setattr(duality, "basic_opens",
+                        lambda monoid, sg: reference_rows(reference))
+    monkeypatch.setattr(duality, "enumerate_bisections", lambda sg, bisection_bound:
+                        reference_rows(reference_bisections(sg)))
+    assert report == verify_basic_open_laws(monoid, sg).to_json()
+
+
+@pytest.mark.parametrize("name", list(object_form_groupoids()))
+def test_groupoid_round_trip_and_point_laws_match_the_object_form(name, monkeypatch):
+    """The point filters are the Bisections through each arrow, the
+    certificate is the one the object form's transport loop accepts, and
+    the point-filter law report is the one the object form gives."""
+    groupoid = object_form_groupoids()[name]()
+    m, reference = groupoid.m, reference_bisections(groupoid)
+    bm = all_bisections_monoid(groupoid)
+    cert = round_trip_groupoid(groupoid, bm).to_json()
+    del cert["elapsed_s"]
+    sg = stone_groupoid(bm.monoid)
+    forward = [sg.arrow_of(filter_of(bm.monoid, np.array([g in b.members for b in reference])))
+               for g in range(m)]
+    assert reference_transport_failure(reference, forward, sg) is None
+    assert cert == {"forward": forward, "backward": np.argsort(forward).tolist(),
+                    "checked_laws": [{"law": law, "instances": count} for law, count in (
+                        ("cardinality", 1), ("bijective", m), ("dom-ran-inverse", 3 * m),
+                        ("composition", m * m), ("identities", len(groupoid.identities)),
+                        ("bisection-transport", len(reference)))]}
+
+    report = point_filter_laws(groupoid).to_json()
+    monkeypatch.setattr(laws, "point_ultrafilter", lambda bm, g: filter_of(
+        bm.monoid, np.array([g in b.members for b in reference])))
+    assert report == point_filter_laws(groupoid).to_json()
+
+
+def test_a_transport_failure_names_the_first_bisection(monkeypatch):
+    """With the basic open sets of two elements swapped, the round trip
+    refuses the first bisection whose image is not its basic open set: the
+    one the object form's loop stopped at."""
+    pair = pair_groupoid(2)
+    bm = all_bisections_monoid(pair)
+    sg = stone_groupoid(bm.monoid)
+    forward = round_trip_groupoid(pair, bm).forward
+    swapped = list(range(bm.monoid.n))
+    swapped[3], swapped[5] = 5, 3
+    opens = [reference_basic_open(s, sg).members for s in swapped]
+    first = next(i for i, u in enumerate(reference_bisections(pair))
+                 if frozenset(forward[g] for g in u.members) != opens[i])
+    assert first == 3
+    real = duality.basic_opens
+    monkeypatch.setattr(duality, "basic_opens", lambda monoid, sg: real(monoid, sg)[swapped])
+    with pytest.raises(StructureError, match=f"^image of bisection {first} is not its basic"):
+        round_trip_groupoid(pair, bm)
 
 
 # -- functors on morphisms --------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Groupoid structure, bisection enumeration, A(G), point filters, coverings."""
 
 import itertools
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,11 @@ from helpers import (
     first_groupoid_failure,
     iter_bits,
     mask_of,
+    object_form_groupoids,
+    reference_bisection_product,
+    reference_bisections,
     reference_lifting_failure,
+    reference_pullback_preimages,
     reference_star_bijective,
 )
 
@@ -21,7 +28,6 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.groupoids import (
-    Bisection,
     CoveringFunctor,
     FiniteGroupoid,
     all_bisections_monoid,
@@ -43,7 +49,7 @@ from stonework.duality import (
     round_trip_monoid,
     stone_groupoid,
 )
-from stonework.filters import enumerate_ultrafilters, ultrafilter_groupoid
+from stonework.filters import enumerate_ultrafilters, filter_of, ultrafilter_groupoid
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +76,19 @@ def enumerate_bisections_by_subsets(groupoid):
     return out
 
 
-def satisfies_algebraic_test(b):
+def row_of(groupoid, members):
+    """The membership row of the given arrows."""
+    row = np.zeros(groupoid.m, dtype=bool)
+    row[list(members)] = True
+    return row
+
+
+def satisfies_algebraic_test(g, members):
     """The equivalent characterization of a bisection: A^-1 A and A A^-1
     land in the identities."""
-    g = b.groupoid
     ids = set(g.identities)
-    for x in b.members:
-        for y in b.members:
+    for x in members:
+        for y in members:
             for s, t in ((g.inv[x], y), (x, g.inv[y])):
                 k = g.compose_maybe(s, t)
                 if k is not None and k not in ids:
@@ -162,34 +174,36 @@ def test_discrete_certificate(pair2):
 # -- bisections -------------------------------------------------------------------
 
 
-def test_bisection_rejects_double_domain(pair2):
-    with pytest.raises(StructureError):
-        Bisection(pair2, frozenset({arrow(pair2, 1, 1), arrow(pair2, 2, 1)}))
+def test_bisection_rejects_double_domain(pair2, bm_pair2):
+    members = [arrow(pair2, 1, 1), arrow(pair2, 2, 1)]
+    assert fiber_clash(pair2, members) == ("domain-fiber", *sorted(members))
+    with pytest.raises(StructureError, match="not a bisection"):
+        bm_pair2.indices_of([row_of(pair2, members)])
 
 
 def test_bisection_tests_agree(pair2):
-    for b in enumerate_bisections(pair2):
-        assert satisfies_algebraic_test(b)
+    for row in enumerate_bisections(pair2):
+        assert satisfies_algebraic_test(pair2, np.flatnonzero(row).tolist())
     # and the definitional filter catches exactly the same subsets
     for mask in range(1 << pair2.m):
         members = frozenset(iter_bits(mask))
         definitional = fiber_clash(pair2, members) is None
         if definitional:
-            assert satisfies_algebraic_test(Bisection(pair2, members))
+            assert satisfies_algebraic_test(pair2, members)
 
 
 def test_bisection_product_single_pair(pair2):
-    a = Bisection(pair2, frozenset({arrow(pair2, 1, 2)}))
-    b = Bisection(pair2, frozenset({arrow(pair2, 2, 1)}))
-    assert bisection_product(a, b).members == frozenset({arrow(pair2, 1, 1)})
+    a = row_of(pair2, [arrow(pair2, 1, 2)])
+    b = row_of(pair2, [arrow(pair2, 2, 1)])
+    assert np.flatnonzero(bisection_product(pair2, a, b)).tolist() == [arrow(pair2, 1, 1)]
 
 
 def test_bisection_product_with_empty_and_domain(pair2, bm_pair2):
-    empty = Bisection(pair2, frozenset())
-    for b in bm_pair2.bisections:
-        assert bisection_product(b, empty).members == frozenset()
-        dom_image = bisection_product(b.inverse(), b)
-        assert bisection_product(b, dom_image).members == b.members
+    empty = row_of(pair2, [])
+    for b in bm_pair2.rows:
+        assert not bisection_product(pair2, b, empty).any()
+        dom_image = bisection_product(pair2, b[list(pair2.inv)], b)    # b^-1 b
+        assert np.array_equal(bisection_product(pair2, b, dom_image), b)
 
 
 def test_product_of_random_bisections_is_bisection(pair2):
@@ -198,8 +212,9 @@ def test_product_of_random_bisections_is_bisection(pair2):
     gen = random.Random(7)
     pool = enumerate_bisections(pair2)
     for _ in range(200):
-        a, b = gen.choice(pool), gen.choice(pool)
-        bisection_product(a, b)  # constructor re-validates
+        a, b = pool[gen.randrange(len(pool))], pool[gen.randrange(len(pool))]
+        product = bisection_product(pair2, a, b)
+        assert fiber_clash(pair2, np.flatnonzero(product).tolist()) is None
 
 
 # -- the monoid of bisections --------------------------------------------------------
@@ -209,7 +224,7 @@ def test_two_enumeration_paths_agree():
     # the same bisections in the same order: the subsets ascend as bitmasks
     for g in [pair_groupoid(2), pair_groupoid(3), group_groupoid(2), trivial_groupoid(3),
               disjoint_union(group_groupoid(2), group_groupoid(3))]:
-        fast = [b.members for b in enumerate_bisections(g)]
+        fast = [frozenset(np.flatnonzero(row).tolist()) for row in enumerate_bisections(g)]
         slow = enumerate_bisections_by_subsets(g)
         assert fast == slow
 
@@ -243,7 +258,7 @@ def test_monoid_of_pair2_matches_symmetric_monoid(bm_pair2):
 
 def test_monoid_order_is_inclusion(bm_pair2):
     s = bm_pair2.monoid
-    masks = [mask_of(b) for b in bm_pair2.bisections]
+    masks = [mask_of(np.flatnonzero(row)) for row in bm_pair2.rows]
     for i in range(s.n):
         for j in range(s.n):
             assert s.leq(i, j) == (masks[i] & masks[j] == masks[i])
@@ -251,7 +266,7 @@ def test_monoid_order_is_inclusion(bm_pair2):
 
 def test_monoid_meet_is_intersection_join_is_union(bm_pair2):
     s = bm_pair2.monoid
-    masks = [mask_of(b) for b in bm_pair2.bisections]
+    masks = [mask_of(np.flatnonzero(row)) for row in bm_pair2.rows]
     index = {mask: i for i, mask in enumerate(masks)}
     orthogonal = s.orthogonality()
     for i in range(s.n):
@@ -286,16 +301,115 @@ def test_gathered_table_is_the_literal_bisection_product(monkeypatch, name):
     for func in (bisection_product, fiber_clash):
         monkeypatch.setattr(groupoids, func.__name__, counted(func))
     bm = all_bisections_monoid(groupoid)
-    # no literal product, and the one bisection test runs only at enumeration
-    assert calls == {"bisection_product": 0, "fiber_clash": len(bm)}
+    # no literal product, and no literal bisection test: the rows are
+    # bisections by construction
+    assert calls == {"bisection_product": 0, "fiber_clash": 0}
     monkeypatch.undo()
-    members = [b.members for b in bm.bisections]
-    literal = [[members.index(bisection_product(a, b).members) for b in bm.bisections]
-               for a in bm.bisections]
+    index = {row.tobytes(): i for i, row in enumerate(bm.rows)}
+    literal = [[index[bisection_product(groupoid, a, b).tobytes()] for b in bm.rows]
+               for a in bm.rows]
     assert bm.monoid.mul.tolist() == literal
-    assert list(bm.monoid.inv) == [members.index(b.inverse().members) for b in bm.bisections]
-    assert members[bm.monoid.zero] == frozenset()
-    assert members[bm.monoid.one] == frozenset(groupoid.identities)
+    assert list(bm.monoid.inv) == [index[row[list(groupoid.inv)].tobytes()] for row in bm.rows]
+    assert np.flatnonzero(bm.rows[bm.monoid.zero]).tolist() == []
+    assert np.flatnonzero(bm.rows[bm.monoid.one]).tolist() == list(groupoid.identities)
+
+
+OBJECT_FORM_CASES = object_form_groupoids()
+
+
+@pytest.mark.parametrize("name", list(OBJECT_FORM_CASES))
+def test_membership_rows_match_the_object_form(name):
+    """The rows, the table, the labels, the codes, the point filters and the
+    pullback along the identity are those of the Bisection objects: the
+    enumeration order, the literal product and inverse, and the preimages."""
+    groupoid = OBJECT_FORM_CASES[name]()
+    reference = reference_bisections(groupoid)
+    bm = all_bisections_monoid(groupoid)
+    rows = enumerate_bisections(groupoid)
+    assert not rows.flags.writeable and len(rows) == len(reference)
+    assert rows.tolist() == bm.rows.tolist() == [b.row().tolist() for b in reference]
+
+    members = [b.members for b in reference]
+    assert bm.monoid.mul.tolist() == [[members.index(reference_bisection_product(a, b).members)
+                                       for b in reference] for a in reference]
+    assert list(bm.monoid.inv) == [members.index(b.inverse().members) for b in reference]
+    assert (members[bm.monoid.zero], members[bm.monoid.one]) == (
+        frozenset(), frozenset(groupoid.identities))
+    assert list(bm.monoid.labels) == [
+        "{" + ",".join(groupoid.label(a) for a in b) + "}" for b in reference]
+    place = {e: p for p, e in enumerate(groupoid.identities)}
+    assert bm.codes.tolist() == [sum((a + 1) * (groupoid.m + 1) ** place[groupoid.d[a]]
+                                     for a in b) for b in reference]
+
+    through = [np.array([g in b.members for b in reference]) for g in range(groupoid.m)]
+    assert [point_ultrafilter(bm, g) for g in range(groupoid.m)] == [
+        filter_of(bm.monoid, column) for column in through]
+    preimages = reference_pullback_preimages(identity_functor(groupoid), reference)
+    assert pullback_morphism(identity_functor(groupoid), bm, bm).mapping == tuple(
+        members.index(b.members) for b in preimages)
+
+
+@pytest.mark.parametrize("left, right", [(group_groupoid(2), group_groupoid(3)),
+                                         (pair_groupoid(2), group_groupoid(3))],
+                         ids=["z2+z3", "pair2+z3"])
+def test_pullbacks_match_the_object_form(left, right):
+    """Along a component inclusion and along the fold of two copies."""
+    union, twice = disjoint_union(left, right), disjoint_union(left, left)
+    for f in (CoveringFunctor(left, union, tuple(range(left.m))),
+              CoveringFunctor(twice, left, tuple(range(left.m)) * 2)):
+        source, target = reference_bisections(f.source), reference_bisections(f.target)
+        members = [b.members for b in source]
+        mapping = pullback_morphism(f, all_bisections_monoid(f.source),
+                                    all_bisections_monoid(f.target)).mapping
+        assert mapping == tuple(members.index(b.members)
+                                for b in reference_pullback_preimages(f, target))
+
+
+def test_indices_of_refuses_a_row_whose_code_aliases_a_bisection():
+    """In Z/3 every arrow has the one domain, so the code of {0, 1} is
+    1 + 2, the code of {2}; the fiber test refuses it first."""
+    z3 = group_groupoid(3)
+    bm = all_bisections_monoid(z3)
+    alias, two = row_of(z3, [0, 1]), row_of(z3, [2])
+    codes = groupoids._arrow_codes(z3)
+    assert codes[[0, 1]].sum() == codes[2] == bm.codes[bm.indices_of([two])[0]]
+    with pytest.raises(StructureError, match="not a bisection"):
+        bm.indices_of([alias])
+
+
+def test_no_object_form_of_a_bisection_in_src():
+    # a bisection is its membership row: no Bisection class, frozenset of
+    # arrows or per-object basic open set may return
+    pattern = re.compile(r"\bBisection\b|\bbasic_open\b|\.bisections\b")
+    root = Path(__file__).parents[1] / "src" / "stonework"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line) or ("frozenset" in line and path.name in
+                                        ("groupoids.py", "duality.py"))]
+    assert hits == []
+
+
+def test_code_lookup_makes_no_array_as_large_as_its_input_beside_the_answer():
+    """The product codes of trivial11's 2,048 bisections take 32 MiB.  The
+    lookup makes its 32 MiB answer and only blocks of rows besides, and
+    gives the answers of the one-shot lookup."""
+    groupoid = trivial_groupoid(11)
+    arrow_codes = groupoids._arrow_codes(groupoid)
+    images, products = groupoids.image_products(groupoid, enumerate_bisections(groupoid))
+    codes = arrow_codes[images].sum(axis=1)
+    wanted = sum(arrow_codes[product] for product in products)
+    tracemalloc.start()
+    try:
+        found = groupoids._positions(codes, wanted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wanted.nbytes == 32 << 20 and peak < 1.25 * wanted.nbytes
+    order = np.argsort(codes)
+    at = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(codes) - 1)]
+    assert np.array_equal(found, np.where(codes[at] == wanted, at, -1))
+    absent = np.array([codes[5], codes.max() + 1, -7, codes.min()])
+    assert groupoids._positions(codes, absent).tolist() == [5, -1, -1, int(codes.argmin())]
 
 
 def test_more_bisections_than_the_cap_are_refused_by_their_count():
@@ -379,7 +493,7 @@ def test_point_filter_of_identity_is_idempotent(pair2, bm_pair2):
 def test_point_filter_count_for_fixed_arrow(pair2, bm_pair2):
     g = arrow(pair2, 1, 2)
     f = point_ultrafilter(bm_pair2, g)
-    expected = sum(1 for b in bm_pair2.bisections if g in b.members)
+    expected = int(np.count_nonzero(bm_pair2.rows[:, g]))
     assert len(f) == expected == 2
 
 
