@@ -83,7 +83,7 @@ class MonoidMorphism:
         t_mon.require_boolean()
 
         image = np.array(f, dtype=np.int64)
-        moved = image[s_mon.mul] != t_mon.mul[np.ix_(image, image)]
+        moved = image.take(s_mon.mul) != t_mon.mul[np.ix_(image, image)]
         if moved.any():
             raise MorphismError("homomorphism", tuple(int(x) for x in np.argwhere(moved)[0]))
 
@@ -325,7 +325,7 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
 
     dual, fwd = bm.monoid, np.array(forward, dtype=np.int64)
     raise_first_failure({"not multiplicative at ({}, {})":
-                         fwd[monoid.mul] != dual.mul[np.ix_(fwd, fwd)]})
+                         fwd.take(monoid.mul) != dual.mul[np.ix_(fwd, fwd)]})
     laws.append(("multiplicative", n * n))
     raise_first_failure({"does not preserve inversion at {}":
                          fwd[list(monoid.inv)] != np.take(dual.inv, fwd)})

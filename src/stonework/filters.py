@@ -169,7 +169,7 @@ def filter_product(a: Filter, b: Filter) -> Filter:
         raise StructureError("filter product needs a common carrier")
     monoid = a.monoid
     product = np.zeros(monoid.n, dtype=bool)
-    product[monoid.mul[np.ix_(a.members, b.members)]] = True
+    product[monoid.mul[np.ix_(a.members, b.members)].astype(np.intp)] = True
     return Filter(monoid, int(least_members(monoid, product)))
 
 
@@ -187,7 +187,7 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.n
     sets = np.empty((n, n, n), dtype=bool)
     prod = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        cells = mul[leq[i]]                         # row a, column b: a b, a in up(i)
+        cells = mul[leq[i]].astype(np.intp)         # row a, column b: a b, a in up(i)
         reach[columns, cells] = 1
         np.greater(square @ reach, 0, out=sets[i])
         reach[columns, cells] = 0

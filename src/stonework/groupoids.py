@@ -347,7 +347,11 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     arrow_codes = _arrow_codes(groupoid)
     images, products = image_products(groupoid, rows)
     codes = arrow_codes[images].sum(axis=1)
-    mul = _positions(codes, sum(arrow_codes[product] for product in products))
+    total = np.zeros((len(rows), len(rows)), dtype=np.int64)    # the product codes
+    for product in products:        # dropped before the next place is gathered
+        np.add(total, arrow_codes[product], out=total)
+        del product
+    mul = _positions(codes, total)
     if (mul < 0).any():
         i, j = map(int, np.argwhere(mul < 0)[0])
         raise StructureError(f"the product of bisections {i} and {j} is not a bisection")

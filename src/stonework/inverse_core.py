@@ -9,7 +9,12 @@ can trust the table; their consequences (inverses are unique, the natural
 order is a partial order) are theorems, checked by the tests.  Richer
 carriers such as partial bijections appear only as constructors and labels.
 A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
-arrows); a larger one is refused before its n x n tables are built.
+arrows); a larger one is refused before its n x n tables are built.  The
+product table is range-checked as given and then held as a read-only int16
+array (n <= 2^12 < 2^15), so each n x n gather moves two bytes a cell.  Code
+that combines entries into codes or sums widens them first, and a hot gather
+indexed by entries reads them as intp (``take``, or a widened index vector):
+numpy gathers by an int16 index array several times slower.
 
 The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
 is computed definitionally, as a dense matrix, and with it one dense meet
@@ -104,9 +109,10 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
     """Greatest lower bounds in the partial order ``leq`` ([s, t]: s <= t),
     an int16 table with -1 where a bound is absent; ``bound_table(leq.T)``
     gives least upper bounds.  Of the members of down(s) below t, the one
-    with the largest down-set (the largest key |down(m)| * 2^12 + m, as
-    m < MAX_ELEMENTS = 2^12) is the meet if its down-set is all of
-    down(s) & down(t): exact for a transitive, antisymmetric order.
+    with the largest down-set (ties to the larger index) is the meet if its
+    down-set is all of down(s) & down(t): exact for a transitive,
+    antisymmetric order.  Each element is keyed by its rank 1..n in that
+    order, and the members are counted, both in int16 (n <= 2^12).
 
     An order whose n^3 cells fit in BLOCK_CELLS is one gather over every m.
     A larger one takes the rows with down-sets of one size in blocks, and
@@ -118,9 +124,13 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
     leq = np.ascontiguousarray(leq)
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
-    key = (sizes << 12 | np.arange(n)).astype(np.int32)
+    ranked = np.argsort(sizes, kind="stable")         # by (|down(m)|, m)
+    key = np.empty(n, dtype=np.int16)
+    key[ranked] = np.arange(1, n + 1)
+    # rank -> element and its down-set size; rank 0 (no member) matches no count
+    element, down = np.concatenate(([-1], ranked)), np.concatenate(([-1], sizes[ranked]))
     if n ** 3 <= BLOCK_CELLS:                         # below[s, m, t]: m <= s and m <= t
-        table = _greatest_below([(leq.T[:, :, None] & leq, key)]).astype(np.int16)
+        table = _greatest_below([(leq.T[:, :, None] & leq, key)], element, down).astype(np.int16)
     else:
         table = np.empty((n, n), dtype=np.int16)
         for size in np.flatnonzero(np.bincount(sizes)).tolist():    # np.unique imports numpy.ma
@@ -131,20 +141,23 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
                 members = np.nonzero(leq[:, block].T)[1].reshape(len(block), size)
                 width = max(1, BLOCK_CELLS // (len(block) * n))
                 parts = (members[:, at:at + width] for at in range(0, size, width))
-                table[block] = _greatest_below((leq[part], key[part]) for part in parts)
+                table[block] = _greatest_below(((leq[part], key[part]) for part in parts),
+                                               element, down)
     table.setflags(write=False)
     return table
 
 
-def _greatest_below(chunks) -> np.ndarray:
+def _greatest_below(chunks, element: np.ndarray, down: np.ndarray) -> np.ndarray:
     """Rows of bound_table from chunks (below, keys) of their candidate
     members, below[r, i, t] saying that the i-th lies below row r and t: a
-    running largest key and count of the members below each t."""
+    running largest rank and count of the members below each t; the member
+    of that rank is the bound when its down-set size is the count."""
     best = count = 0
     for below, keys in chunks:
         best = np.maximum(best, (below * keys[..., None]).max(axis=1))
-        count = count + np.add.reduce(below, axis=1, dtype=np.int32)
-    return np.where((best >> 12 == count) & (count > 0), best & 4095, -1)
+        count = count + np.add.reduce(below, axis=1, dtype=np.int16)
+    best = best.astype(np.intp)         # an intp index takes numpy's fast gather
+    return np.where(down[best] == count, element[best], -1)
 
 
 def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -252,9 +265,10 @@ class InverseMonoid:
         check_size(n, f"a monoid of {n} elements")
         if table.dtype.kind not in "iu":
             raise StructureError(f"product table has non-integer entries ({table.dtype})")
-        table = table.astype(np.int64, copy=False)
+        # range-checked as given, then narrowed: n <= MAX_ELEMENTS < 2^15
         if table.min() < 0 or table.max() >= n:
             raise StructureError("product table entry out of range")
+        table = table.astype(np.int16, copy=False)
         inv = as_indices(inv, "inverse table")
         if len(inv) != n or any(not 0 <= i < n for i in inv):
             raise StructureError("inverse table malformed")
@@ -410,7 +424,7 @@ class InverseMonoid:
     def compatibility(self) -> np.ndarray:
         """[s, t]: s^-1 t and s t^-1 are both idempotent."""
         inv, idempotent = np.asarray(self.inv), np.diagonal(self.mul) == np.arange(self.n)
-        return idempotent[self.mul[inv]] & idempotent[self.mul[:, inv]]
+        return idempotent.take(self.mul[inv]) & idempotent.take(self.mul[:, inv])
 
     def orthogonality(self) -> np.ndarray:
         """[s, t]: s^-1 t and s t^-1 are both zero."""
@@ -481,9 +495,10 @@ class InverseMonoid:
         mul, inv, order = self.mul, np.asarray(self.inv), self.order()
         given, t = np.asarray(s, dtype=np.intp), np.asarray(t, dtype=np.intp)
         s = np.where(given >= 0, given, self.zero)
-        dom = mul[inv, np.arange(self.n)]
+        dom = mul[inv, np.arange(self.n)].astype(np.intp)
         complement = self._complements[dom[s]]
-        r = mul[t, mul[dom[t], np.maximum(complement, 0)]]
+        e = mul[dom[t], np.maximum(complement, 0)].astype(np.intp)
+        r = mul[t, e].astype(np.intp)
         if hit := first_failure({
                 "relative complement needs {s} <= {t}": (given < 0) | ~order.matrix[s, t],
                 "{e} is not idempotent": complement < 0,
@@ -572,9 +587,11 @@ def symmetric_inverse_monoid(x_size: int) -> InverseMonoid:
         for x, y in m:
             image[i, x] = y
     weights = np.append((x_size + 1) ** np.arange(x_size), 0)
-    by_code = np.empty((x_size + 1) ** x_size, dtype=np.int64)
+    by_code = np.empty((x_size + 1) ** x_size, dtype=np.int16)
     by_code[image @ weights] = np.arange(n)
-    mul = np.array([by_code[image[s][image] @ weights] for s in range(n)])
+    mul = np.empty((n, n), dtype=np.int16)
+    for s in range(n):
+        mul[s] = by_code[image[s][image] @ weights]
     inv = [index[tuple(sorted((y, x) for x, y in m))] for m in maps]
     identity = tuple((p, p) for p in range(x_size))
     return InverseMonoid(mul, inv, zero=index[()], one=index[identity],
@@ -592,7 +609,7 @@ def boolean_algebra_monoid(num_atoms: int) -> InverseMonoid:
     # min() keeps a huge k from building a huge int: 2^64 is refused like 2^k
     check_size(1 << min(num_atoms, 64), f"the boolean algebra on {num_atoms} atoms")
     n = 1 << num_atoms
-    mul = np.bitwise_and.outer(np.arange(n), np.arange(n))
+    mul = np.bitwise_and.outer(np.arange(n, dtype=np.int16), np.arange(n, dtype=np.int16))
     labels = ["{" + ",".join(str(i + 1) for i in range(num_atoms) if s >> i & 1) + "}"
               for s in range(n)]
     return InverseMonoid(mul, list(range(n)), zero=0, one=n - 1, labels=labels)
@@ -603,7 +620,7 @@ def group_with_zero_monoid(order: int) -> InverseMonoid:
     if order < 1:
         raise BoundError("group order must be positive")
     check_size(order + 1, f"a group of order {order} with zero")
-    mul = np.zeros((order + 1, order + 1), dtype=np.int64)     # element s + 1 is g^s
+    mul = np.zeros((order + 1, order + 1), dtype=np.int16)     # element s + 1 is g^s
     mul[1:, 1:] = np.add.outer(np.arange(order), np.arange(order)) % order + 1
     inv = [0] + [(order - (s - 1)) % order + 1 for s in range(1, order + 1)]
     labels = ["0", "1"] + [f"g{i}" if i > 1 else "g" for i in range(1, order)]
@@ -619,7 +636,7 @@ def chain_monoid(length: int) -> InverseMonoid:
     if length < 2:
         raise BoundError("chain needs at least two elements")
     check_size(length, f"a chain of {length} elements")
-    mul = np.minimum.outer(np.arange(length), np.arange(length))
+    mul = np.minimum.outer(np.arange(length, dtype=np.int16), np.arange(length, dtype=np.int16))
     labels = ["0"] + [f"e{i}" for i in range(1, length - 1)] + ["1"]
     return InverseMonoid(mul, list(range(length)), zero=0, one=length - 1, labels=labels)
 
@@ -629,7 +646,8 @@ def product_monoid(a: InverseMonoid, b: InverseMonoid) -> InverseMonoid:
     s * |b| + t, zero = (0,0), one = (1,1)."""
     nb, n = b.n, a.n * b.n
     check_size(n, f"a product of {a.n} by {b.n} elements")
-    mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
+    # codes s * |b| + t of int16 entries, widened on purpose (each is < n, checked above)
+    mul = (a.mul.astype(np.int32)[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
     inv = [a.inv[s // nb] * nb + b.inv[s % nb] for s in range(n)]
     labels = None
     if a.labels and b.labels:

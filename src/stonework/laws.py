@@ -45,7 +45,7 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     n, mul, inv, rng = monoid.n, monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
     order = monoid.order()      # the bound tables hold -1 where a bound is absent
     meet, join = order.meet, order.join
-    dom, ran = mul[inv, rng], mul[rng, inv]
+    dom, ran = mul[inv, rng].astype(np.intp), mul[rng, inv].astype(np.intp)
 
     def fails_to_split(bound):
         """[s, t]: dom or ran of the bound of s and t is not the bound of their doms or rans."""
@@ -84,7 +84,7 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     report = LawReport("local complement laws")
     n, order = monoid.n, monoid.order()
     leq, meet, join = order.matrix, order.meet, order.join
-    dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)]
+    dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)].astype(np.intp)
     moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
 
     law = report.new("downset-boolean-via-dom")
@@ -103,7 +103,8 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     law.tick(len(s))
     r = monoid.relative_complements(s, t)
     # x is a candidate of (s, t) when x <= t, x is orthogonal to s and s v x = t:
-    # a pair (s, x) is one only for t = s v x, so one bincount counts them all
+    # a pair (s, x) is one only for t = s v x, so one bincount counts them all;
+    # the codes s * n + t are intp, as np.nonzero's rows are (join is int16)
     rows, xs = np.nonzero(orthogonal & (join >= 0))
     ups = join[rows, xs]
     counts = np.bincount((rows * n + ups)[leq[xs, ups]], minlength=n * n)
@@ -152,7 +153,8 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     report = LawReport("filter laws")
     filters = all_filters(monoid)
     ultra = enumerate_ultrafilters(monoid)
-    n, mul, inv, order = monoid.n, monoid.mul, np.asarray(monoid.inv), monoid.order()
+    n, inv, order = monoid.n, np.asarray(monoid.inv), monoid.order()
+    mul = monoid.mul.astype(np.intp)    # the loops below index by products; n^2 beside n^3 sets
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
     sets, prod, inverse = products or filter_products(monoid)
     dom = prod[inverse, rng]

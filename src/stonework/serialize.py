@@ -172,8 +172,9 @@ def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
 
 
 def _read_table(data: bytes, start: int):
-    """(array, end) of the table whose text starts at ``data[start]``, or None: read in row
-    blocks by ``np.fromstring``, whose values count only if ``table_text`` renders them back."""
+    """(int16 array, end) of the table whose text starts at ``data[start]``, or None: read in
+    row blocks by ``np.fromstring``, whose values count only if ``table_text`` renders them
+    back (an int over 2^15 - 1 wraps, and renders as another)."""
     layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
     if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
         return None
@@ -181,7 +182,7 @@ def _read_table(data: bytes, start: int):
     cols = data.count(b",", start, data.find(b"]", start)) + 1      # of the first row
     if rows * cols > end.end() - start:                 # a cell takes two bytes or more
         return None
-    table, close, step = np.empty((rows, cols), np.int64), start, max(1, (1 << 18) // cols)
+    table, close, step = np.empty((rows, cols), np.int16), start, max(1, (1 << 18) // cols)
     with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
         for lo in range(0, rows, step):
             first = data.find(b"[", close + 1) + 1

@@ -24,7 +24,7 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
-from stonework.inverse_core import partial_bijections
+from stonework.inverse_core import InverseMonoid, OrderData, partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
 from stonework.serialize import _codec, _fields
 
@@ -449,6 +449,49 @@ def reference_compatible_join_formula(monoid):
             if acc != j:
                 failures.append((s, t, "formula"))
     return count, failures
+
+
+# -- product tables as int64: the reference for the int16 tables ---------------------
+
+
+def reference_bound_table(leq):
+    """``bound_table`` one row at a time with int64 keys |down(m)| * n + m:
+    of the members of down(s) below t, the one with the largest key is the
+    bound of s and t when its down-set is all of down(s) & down(t); else -1."""
+    n = len(leq)
+    sizes = np.count_nonzero(leq, axis=0).astype(np.int64)
+    key = sizes * n + np.arange(n)
+    table = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        members = np.flatnonzero(leq[:, s])
+        below = leq[members]                # [i, t]: members[i] <= t
+        best = np.where(below, key[members, None], -1).max(axis=0)
+        m = best % n
+        table[s] = np.where((best >= 0) & (sizes[m] == below.sum(axis=0)), m, -1)
+    return table
+
+
+def int64_reference(monoid):
+    """A copy of ``monoid`` whose product table is an int64 copy of ``mul``,
+    with the natural order rebuilt from that copy (bound tables by
+    ``reference_bound_table``) and nothing else computed: its methods and
+    the law suites then do every gather and every code in int64."""
+    wide = object.__new__(InverseMonoid)
+    mul = monoid.mul.astype(np.int64)
+    mul.setflags(write=False)
+    n, rng = monoid.n, np.arange(monoid.n)
+    idempotents = np.flatnonzero(mul[rng, rng] == rng)
+    leq = np.zeros((n, n), dtype=bool)      # s <= t iff s = t e, e idempotent
+    for e in idempotents:
+        leq[mul[:, e], rng] = True
+    leq.setflags(write=False)
+    order = OrderData(idempotents=tuple(idempotents.tolist()),
+                      atoms=tuple(np.flatnonzero(leq.sum(axis=0) == 2).tolist()),
+                      matrix=leq, up_sizes=leq.sum(axis=1),
+                      meet=reference_bound_table(leq), join=reference_bound_table(leq.T))
+    vars(wide).update(vars(monoid), mul=mul, _order=order, _certificate=None,
+                      _complements=None)
+    return wide
 
 
 # -- the JSON route of the entry store, before its table codec ----------------------

@@ -101,7 +101,7 @@ def test_oversize_stock_monoid_is_refused_before_allocating(make, n):
 def test_a_table_over_the_cap_is_refused_before_it_is_validated():
     table = np.zeros((MAX_ELEMENTS + 1,) * 2, dtype=np.uint8)
     make = lambda: InverseMonoid(table, [0] * len(table), 0, 1)
-    assert refusal_peak(make) < table.size   # its int64 copy takes 8 x table.size
+    assert refusal_peak(make) < table.size   # its int16 copy takes 2 x table.size
 
 
 def test_partial_bijection_count_matches():
