@@ -28,14 +28,8 @@ from .errors import (
     StructureError,
 )
 from .filters import (
-    Filter,
-    all_filters,
     enumerate_ultrafilters,
-    filter_dom,
     filter_product,
-    filter_ran,
-    prime_property_check,
-    principal_filter,
     ultrafilter_groupoid,
 )
 from .groupoids import (

@@ -236,7 +236,8 @@ def cmd_dualize(args) -> int:
     if kind == "monoid":
         dual = stone_groupoid(obj)
         payload = groupoid_to_json(dual)
-        payload["ultrafilters"] = [list(f) for f in dual.ultrafilters]
+        payload["ultrafilters"] = [row.nonzero()[0].tolist()
+                                   for row in obj.order().matrix[dual.ultrafilters]]
         out.update({"kind": "groupoid", "arrows": dual.m, "path": None})
         if args.round_trip:
             out.update({"certificate": round_trip_monoid(

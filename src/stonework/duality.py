@@ -30,10 +30,12 @@ import numpy as np
 from .errors import MorphismError, StructureError
 from .filters import (
     StoneGroupoid,
+    contains_idempotent,
     enumerate_ultrafilters,
-    filter_dom,
+    filter_doms,
     filter_of,
-    filter_ran,
+    filter_rans,
+    ultra_by_meet,
     ultrafilter_groupoid,
 )
 from .groupoids import (
@@ -110,13 +112,13 @@ class MonoidMorphism:
 
         if weak:
             return
-        for u in enumerate_ultrafilters(t_mon):
+        for u in enumerate_ultrafilters(t_mon).tolist():
             try:        # the preimage, a boolean row, must be an ultrafilter
-                ultra = filter_of(s_mon, u.members[image]).is_ultrafilter()
+                ultra = ultra_by_meet(s_mon, [filter_of(s_mon, theirs.matrix[u][image])])[0]
             except StructureError:
                 ultra = False
             if not ultra:
-                raise MorphismError("M3", (list(u),))
+                raise MorphismError("M3", (np.flatnonzero(theirs.matrix[u]).tolist(),))
 
     def then(self, other: "MonoidMorphism") -> "MonoidMorphism":
         if other.source is not self.target:
@@ -143,7 +145,7 @@ def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
     ``sg``: [s, g] is s in ultrafilter g, read off the order of ``monoid``
     (the monoid ``sg`` is built from, unless a law suite probes another).
     K(zero) is empty."""
-    return monoid.order().matrix[[f.generator for f in sg.ultrafilters]].T
+    return monoid.order().matrix[sg.ultrafilters].T
 
 
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
@@ -242,16 +244,19 @@ def functor_on_morphism(theta: MonoidMorphism,
     preimage(dom) explicitly; functoriality and the covering conditions are
     re-checked structurally.
     """
-    sg_t = stone_groupoid(theta.target) if sg_target is None else sg_target
-    sg_s = stone_groupoid(theta.source) if sg_source is None else sg_source
+    source, target = theta.source, theta.target
+    sg_t = stone_groupoid(target) if sg_target is None else sg_target
+    sg_s = stone_groupoid(source) if sg_source is None else sg_source
     arrow_map, image = [], np.asarray(theta.mapping)
-    for a in sg_t.ultrafilters:
-        pre = filter_of(theta.source, a.members[image])
-        if not pre.is_ultrafilter():
-            raise MorphismError("M3", (list(a),))
-        arrow_map.append(sg_s.arrow_of(pre))
+    s_leq, t_leq = source.order().matrix, target.order().matrix
+    doms = filter_doms(target, sg_t.ultrafilters).tolist()
+    for a, a_dom in zip(sg_t.ultrafilters.tolist(), doms):
+        pre = filter_of(source, t_leq[a][image])
+        if not ultra_by_meet(source, [pre])[0]:
+            raise MorphismError("M3", (np.flatnonzero(t_leq[a]).tolist(),))
+        arrow_map.append(sg_s.arrow_at(pre))
         # dom(theta^-1 A) = theta^-1(dom A)
-        if not np.array_equal(filter_dom(pre).members, filter_dom(a).members[image]):
+        if not np.array_equal(s_leq[filter_doms(source, [pre])[0]], t_leq[a_dom][image]):
             raise StructureError("preimage does not intertwine dom")
     functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
     report = check_covering(functor)
@@ -360,8 +365,8 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = N
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")
     laws = [("cardinality", 1)]
 
-    # arrow_of rejects a point filter that is not an ultrafilter
-    forward = tuple(sg.arrow_of(point_ultrafilter(bm, g)) for g in range(m))
+    # arrow_at rejects a point filter that is not an ultrafilter
+    forward = tuple(sg.arrow_at(point_ultrafilter(bm, np.arange(m))).tolist())
     if len(set(forward)) != m:
         raise StructureError("point-ultrafilter map is not injective")
     backward = np.argsort(forward).tolist()      # the inverse permutation
@@ -421,7 +426,8 @@ def clifford_check(monoid: InverseMonoid) -> CliffordReport:
         if monoid.dom(s) != monoid.ran(s):
             return CliffordReport(False, s, None, None)
     sg = stone_groupoid(monoid)
-    balanced = all(filter_dom(f) == filter_ran(f) for f in sg.ultrafilters)
+    balanced = bool((filter_doms(monoid, sg.ultrafilters)
+                     == filter_rans(monoid, sg.ultrafilters)).all())
     loops = all(sg.d[g] == sg.r[g] for g in range(sg.m))
     return CliffordReport(True, None, loops, balanced)
 
@@ -446,17 +452,20 @@ class WeakPullbackReport:
 
 def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
     idem_failures, flagged, image = [], [], np.asarray(theta.mapping)
-    for u in enumerate_ultrafilters(theta.target):
-        pre, kind, idempotent = u.members[image], "empty", False
+    source, target = theta.source, theta.target
+    t_leq, ultra = target.order().matrix, enumerate_ultrafilters(target)
+    for u, u_idempotent in zip(ultra.tolist(), contains_idempotent(target, ultra)):
+        pre, kind, idempotent = t_leq[u][image], "empty", False
         if pre.any():
             try:
-                f = filter_of(theta.source, pre)
-                kind = "ultrafilter" if f.is_ultrafilter() else "filter-not-ultra"
-                idempotent = f.is_idempotent_filter
+                gen = [filter_of(source, pre)]
+                kind = "ultrafilter" if ultra_by_meet(source, gen)[0] else "filter-not-ultra"
+                idempotent = contains_idempotent(source, gen)[0]
             except StructureError:
                 kind = "not-a-filter"
-        if u.is_idempotent_filter and not (kind == "ultrafilter" and idempotent):
-            idem_failures.append(list(u))
-        elif not u.is_idempotent_filter and kind != "ultrafilter":
-            flagged.append((list(u), kind))
+        members = np.flatnonzero(t_leq[u]).tolist()
+        if u_idempotent and not (kind == "ultrafilter" and idempotent):
+            idem_failures.append(members)
+        elif not u_idempotent and kind != "ultrafilter":
+            flagged.append((members, kind))
     return WeakPullbackReport(not idem_failures, idem_failures, flagged)

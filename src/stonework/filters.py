@@ -1,18 +1,18 @@
 """Filters, ultrafilters and the ultrafilter groupoid of an inverse monoid.
 
 A filter is an upward-closed, downward-directed subset.  In a finite monoid
-every filter is the up-set of its least member, so a :class:`Filter` is held
-as that generator g and its members are row g of the order matrix;
-:func:`filter_of` finds the generator of a member set or rejects it.  The
-pairwise filter-base property is equivalent and is exercised by the law
-suite.  The product of filters ``A * B`` is the upward closure of the
-elementwise product set, and the ultrafilters form a groupoid under it with
+every filter is the up-set of its least member g, so a filter is that int
+generator and its members are row g of the order matrix; :func:`filter_of`
+finds the generator of a member set (or of each of an array of them) or
+rejects it.  The pairwise filter-base property is equivalent and is
+exercised by the law suite.  The product of filters ``A * B`` is the upward
+closure of the elementwise product set (:func:`filter_product`, the literal
+one-pair definition), and the ultrafilters form a groupoid under it with
 ``dom(A) = A^-1 * A``.  In a finite boolean monoid the ultrafilters are the
 principal filters at atoms, so that groupoid is built on the atoms; the
 filter-product route is kept for the law suites that cross-check it, which
-read every product at once from :func:`filter_products`.  The ultrafilter
-criteria are array functions over generators, of which each ``Filter``
-method is the one-row case.
+read every product at once from :func:`filter_products`.  The inverse, dom,
+ran and the ultrafilter criteria are array functions over generators.
 """
 
 from __future__ import annotations
@@ -21,93 +21,20 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, inclusions
+from .inverse_core import InverseMonoid, in_range, inclusions
 
 
-class Filter:
-    """The filter up(generator) of a fixed inverse monoid."""
-
-    __slots__ = ("monoid", "generator", "members")
-
-    def __init__(self, monoid: InverseMonoid, generator: int):
-        if not 0 <= generator < monoid.n:
-            raise StructureError(f"filter generator {generator} is not an element")
-        self.monoid = monoid
-        self.generator = int(generator)     # the least member
-        self.members = monoid.order().matrix[generator]     # read-only boolean row
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Filter) and other.monoid is self.monoid
-                and other.generator == self.generator)
-
-    def __hash__(self) -> int:
-        return hash((id(self.monoid), self.generator))
-
-    def __repr__(self) -> str:
-        names = ",".join(self.monoid.label(s) for s in self)
-        return f"Filter({{{names}}})"
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self.members).tolist())
-
-    def __len__(self) -> int:
-        return int(self.monoid.order().up_sizes[self.generator])
-
-    def __contains__(self, s: int) -> bool:
-        return self.members.item(s)
-
-    # -- kinds ---------------------------------------------------------------
-
-    @property
-    def min_index(self) -> int:
-        return int(self.members.argmax())
-
-    @property
-    def is_proper(self) -> bool:
-        return self.monoid.zero not in self
-
-    @property
-    def is_idempotent_filter(self) -> bool:
-        """True when the filter contains an idempotent."""
-        return bool(contains_idempotent(self.monoid, [self.generator])[0])
-
-    def is_ultrafilter(self) -> bool:
-        """Maximal proper filter, decided by :func:`ultra_by_meet`."""
-        return bool(ultra_by_meet(self.monoid, [self.generator])[0])
-
-    def is_ultrafilter_by_maximality(self) -> bool:
-        """Maximal proper filter, decided by :func:`ultra_by_maximality`."""
-        return bool(ultra_by_maximality(self.monoid, [self.generator])[0])
-
-    # -- operations ---------------------------------------------------------
-
-    def inverse(self) -> "Filter":
-        return filter_of(self.monoid, self.members[list(self.monoid.inv)])
-
-
-def filter_of(monoid: InverseMonoid, members: np.ndarray) -> Filter:
-    """The filter with the given member set (a boolean row over the
-    elements), which must be the up-set of one of its members."""
-    if not members.any():
+def filter_of(monoid: InverseMonoid, rows):
+    """The generator of a member set (a boolean row over the elements), or
+    the array of generators of a 2-D array of rows.  Each set must be the
+    up-set of one of its members."""
+    rows = np.asarray(rows, dtype=bool)
+    if not rows.any(axis=-1).all():
         raise StructureError("a filter cannot be empty")
-    generator = int(least_members(monoid, members))
-    if not np.array_equal(monoid.order().matrix[generator], members):
+    generators = least_members(monoid, rows)
+    if not np.array_equal(monoid.order().matrix[generators], rows):
         raise StructureError("member set is not the up-set of one of its members")
-    return Filter(monoid, generator)
-
-
-def principal_filter(monoid: InverseMonoid, s: int) -> Filter:
-    """The proper filter of everything above a non-zero element."""
-    if s == monoid.zero:
-        raise StructureError("the principal filter at zero is not proper")
-    return Filter(monoid, s)
-
-
-def all_filters(monoid: InverseMonoid) -> list[Filter]:
-    """Every filter of a finite monoid: the principal ones, improper included."""
-    return [Filter(monoid, s) for s in range(monoid.n)]
+    return int(generators) if rows.ndim == 1 else generators
 
 
 def contains_idempotent(monoid: InverseMonoid, generators) -> np.ndarray:
@@ -163,14 +90,36 @@ def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
     return least
 
 
-def filter_product(a: Filter, b: Filter) -> Filter:
-    """The smallest filter containing the set product: upward closure of {xy}."""
-    if a.monoid is not b.monoid:
-        raise StructureError("filter product needs a common carrier")
-    monoid = a.monoid
+def filter_product(monoid: InverseMonoid, a: int, b: int) -> int:
+    """The smallest filter containing the set product up(a) up(b): the
+    generator of the upward closure of {xy}."""
+    a, b = in_range((a, b), monoid.n, "filter generator").tolist()
+    leq = monoid.order().matrix
     product = np.zeros(monoid.n, dtype=bool)
-    product[monoid.mul[np.ix_(a.members, b.members)].astype(np.intp)] = True
-    return Filter(monoid, int(least_members(monoid, product)))
+    product[monoid.mul[np.ix_(leq[a], leq[b])].astype(np.intp)] = True
+    return int(least_members(monoid, product))
+
+
+def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
+    """up(g)^-1 for each generator g: the least member of the inverted row."""
+    rows = monoid.order().matrix[in_range(generators, monoid.n, "filter generator")]
+    return least_members(monoid, rows[..., list(monoid.inv)])
+
+
+def filter_doms(monoid: InverseMonoid, generators) -> np.ndarray:
+    """dom(up(g)) = up(g)^-1 up(g) for each generator g, the closed product
+    (never up(g^-1 g): that identity is a law the suites check)."""
+    return _closed_products(monoid, filter_inverses(monoid, generators), generators)
+
+
+def filter_rans(monoid: InverseMonoid, generators) -> np.ndarray:
+    """ran(up(g)) = up(g) up(g)^-1 for each generator g, the closed product."""
+    return _closed_products(monoid, generators, filter_inverses(monoid, generators))
+
+
+def _closed_products(monoid: InverseMonoid, lefts, rights) -> np.ndarray:
+    pairs = zip(np.asarray(lefts).tolist(), np.asarray(rights).tolist())
+    return np.array([filter_product(monoid, a, b) for a, b in pairs], dtype=np.intp)
 
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,16 +141,7 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.n
         np.greater(square @ reach, 0, out=sets[i])
         reach[columns, cells] = 0
         prod[i] = least_members(monoid, sets[i])
-    inverse = least_members(monoid, leq[:, list(monoid.inv)])     # row i: up(i)^-1
-    return sets, prod, inverse
-
-
-def filter_dom(f: Filter) -> Filter:
-    return filter_product(f.inverse(), f)
-
-
-def filter_ran(f: Filter) -> Filter:
-    return filter_product(f, f.inverse())
+    return sets, prod, filter_inverses(monoid, columns)
 
 
 def prime_property_holds(members: np.ndarray, join: np.ndarray) -> np.ndarray:
@@ -211,63 +151,54 @@ def prime_property_holds(members: np.ndarray, join: np.ndarray) -> np.ndarray:
     return ~(lands & ~members[:, :, None] & ~members[:, None, :]).any(axis=(1, 2))
 
 
-def prime_property_check(f: Filter) -> bool:
-    """The prime property of one filter: holds for every ultrafilter of a
-    boolean monoid, fails for typical non-maximal filters."""
-    order = f.monoid.order()
-    return bool(prime_property_holds(order.matrix[[f.generator]], order.join)[0])
-
-
-def enumerate_ultrafilters(monoid: InverseMonoid) -> list[Filter]:
-    """All ultrafilters: in a finite boolean monoid, the principal filters at
-    atoms.  Ordered by minimum member index (ties, which a relabelled table
-    can have, broken by the member set read as a binary number, bit s for
-    element s).  That no ultrafilter is missed is
-    checked by the laws ``nonzero-in-some-ultrafilter`` and
-    ``ultra-criteria-agree``.
+def enumerate_ultrafilters(monoid: InverseMonoid) -> np.ndarray:
+    """All ultrafilters, as their generators: in a finite boolean monoid,
+    the atoms.  Ordered by least member index (ties, which a relabelled
+    table can have, broken by the member set read as a binary number, bit s
+    for element s).  That no ultrafilter is missed is checked by the laws
+    ``nonzero-in-some-ultrafilter`` and ``ultra-criteria-agree``.
     """
     monoid.require_boolean()
-    return sorted((principal_filter(monoid, a) for a in monoid.atoms),
-                  key=lambda f: (f.min_index, f.members[::-1].tobytes()))
+    leq = monoid.order().matrix
+    return np.array(sorted(monoid.atoms, key=lambda a: (leq[a].argmax(), leq[a, ::-1].tobytes())),
+                    dtype=np.intp)
 
 
 class StoneGroupoid(FiniteGroupoid):
     """The groupoid of ultrafilters of a boolean inverse monoid under the
-    filter product.  Arrow i is ``ultrafilters[i]``, the principal filter
-    at an atom, and its structure is read off those atoms; the groupoid
-    axioms are verified by :class:`FiniteGroupoid` like any other
-    groupoid's.  Built by :func:`ultrafilter_groupoid`.
+    filter product.  Arrow i is the ultrafilter ``ultrafilters[i]``, the
+    principal filter at an atom, and its structure is read off those atoms;
+    the groupoid axioms are verified by :class:`FiniteGroupoid` like any
+    other groupoid's.  Built by :func:`ultrafilter_groupoid`.
     """
 
-    def __init__(self, monoid: InverseMonoid, ultrafilters: list[Filter]):
+    def __init__(self, monoid: InverseMonoid, ultrafilters: np.ndarray):
         self.monoid = monoid
-        self.ultrafilters = ultrafilters
-        atoms = [f.generator for f in ultrafilters]
+        self.ultrafilters = atoms = np.asarray(ultrafilters, dtype=np.intp)
         self._arrow = np.full(monoid.n, -1, dtype=np.int64)     # atom s -> arrow up(s)
         self._arrow[atoms] = np.arange(len(atoms))
-        d = [self._arrow_at(monoid.dom(a)) for a in atoms]
-        r = [self._arrow_at(monoid.ran(a)) for a in atoms]
+        mul, inv = monoid.mul, np.asarray(monoid.inv)[atoms]
+        d, r = self.arrow_at(mul[inv, atoms]), self.arrow_at(mul[atoms, inv])
         # up(a) up(b) = up(ab) where dom a = ran b: one gather of mul
-        products = monoid.mul[np.ix_(atoms, atoms)]
+        products = mul[np.ix_(atoms, atoms)]
         composable = np.equal.outer(d, r)
         compose = np.where(composable, self._arrow[products], -1)
         if (stray := composable & (compose < 0)).any():
-            self._arrow_at(int(products[tuple(np.argwhere(stray)[0])]))
-        super().__init__(d, r, [self._arrow_at(monoid.inv[a]) for a in atoms], compose,
-                         [i for i, a in enumerate(atoms) if monoid.is_idempotent(a)],
-                         [monoid.label(a) + "^" for a in atoms])
+            self.arrow_at(products[tuple(np.argwhere(stray)[0])])
+        super().__init__(d, r, self.arrow_at(inv), compose,
+                         [i for i, a in enumerate(atoms.tolist()) if monoid.is_idempotent(a)],
+                         [monoid.label(a) + "^" for a in atoms.tolist()])
 
-    def _arrow_at(self, s: int) -> int:
-        """The arrow up(s); s must be an atom."""
-        if self._arrow[s] < 0:
+    def arrow_at(self, generators):
+        """The arrow that is the ultrafilter up(g), for a generator g or each
+        of an array of them; g must be an atom."""
+        gens = in_range(generators, self.monoid.n, "filter generator")
+        arrows = self._arrow[gens]
+        if (missing := np.flatnonzero(arrows < 0)).size:
+            s = int(gens.flat[missing[0]])
             raise StructureError(f"{self.monoid.label(s)} is not an atom, "
                                  f"so its filter is not an arrow")
-        return int(self._arrow[s])
-
-    def arrow_of(self, f: Filter) -> int:
-        """The arrow that is the ultrafilter f (every finite filter is up of
-        its generator)."""
-        return self._arrow_at(f.generator)
+        return int(arrows) if arrows.ndim == 0 else arrows
 
 
 def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:

@@ -31,6 +31,7 @@ from .inverse_core import (
     as_indices,
     as_labels,
     check_size,
+    in_range,
     raise_first_failure,
 )
 
@@ -366,12 +367,13 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     return BisectionMonoid(groupoid, rows, InverseMonoid(mul, inv, zero, one, labels), codes)
 
 
-def point_ultrafilter(bm: BisectionMonoid, g: int):
-    """The filter of all bisections through a fixed arrow g, column g of the
-    rows.  That it is an ultrafilter is the law ``point-filters-ultra``."""
+def point_ultrafilter(bm: BisectionMonoid, g):
+    """The generator of the filter of all bisections through the arrow g,
+    column g of the rows, or the array of them for an array of arrows.
+    That it is an ultrafilter is the law ``point-filters-ultra``."""
     from .filters import filter_of  # filters builds on FiniteGroupoid
 
-    return filter_of(bm.monoid, bm.rows[:, g])
+    return filter_of(bm.monoid, bm.rows[:, in_range(g, bm.groupoid.m, "arrow")].T)
 
 
 # -- covering functors --------------------------------------------------------------

@@ -73,6 +73,15 @@ def as_table(rows) -> np.ndarray:
         raise StructureError("product table rows are ragged") from None
 
 
+def in_range(values, size: int, what: str) -> np.ndarray:
+    """``values`` as an intp array, each in 0..size-1: one outside is a
+    StructureError naming it, never read as an index from the end."""
+    values = np.asarray(values, dtype=np.intp)
+    if (outside := np.flatnonzero((values < 0) | (values >= size))).size:
+        raise StructureError(f"{what} {values.flat[outside[0]]} is outside 0..{size - 1}")
+    return values
+
+
 def as_labels(labels, count: int):
     """The labels as a tuple of ``count`` strings, or None when absent;
     anything else is a StructureError."""

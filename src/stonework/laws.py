@@ -20,13 +20,12 @@ import numpy as np
 
 from .duality import clifford_check, verify_basic_open_laws
 from .filters import (
-    all_filters,
     contains_idempotent,
     enumerate_ultrafilters,
-    filter_dom,
+    filter_doms,
     filter_product,
     filter_products,
-    filter_ran,
+    filter_rans,
     idempotent_part_ultra,
     prime_property_holds,
     ultra_by_maximality,
@@ -151,27 +150,26 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     filters, rigidity, and the prime property of ultrafilters."""
     monoid.require_boolean()
     report = LawReport("filter laws")
-    filters = all_filters(monoid)
     ultra = enumerate_ultrafilters(monoid)
     n, inv, order = monoid.n, np.asarray(monoid.inv), monoid.order()
     mul = monoid.mul.astype(np.intp)    # the loops below index by products; n^2 beside n^3 sets
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
+    up = [np.flatnonzero(row) for row in leq]   # up[i]: the members of filter i
     sets, prod, inverse = products or filter_products(monoid)
     dom = prod[inverse, rng]
 
     law = report.new("filter-base-pairwise")
-    for f in filters:
-        members = np.array(list(f))
+    for i, members in enumerate(up):
         law.tick(len(members) ** 2)
         below = leq[np.ix_(members, members)].astype(np.float32)    # [z, s]: z <= s
         for s, t in np.argwhere(below.T @ below == 0).tolist():     # no z below both
-            law.fail((f.generator, int(members[s]), int(members[t])))
+            law.fail((i, int(members[s]), int(members[t])))
 
     law = report.new("ultra-criteria-agree")
     law.tick(n)
     law.fail_where(ultra_by_meet(monoid, rng) != ultra_by_maximality(monoid, rng))
 
-    in_ultra = leq[[f.generator for f in ultra]]    # row k: the members of ultra[k]
+    in_ultra = leq[ultra]                   # row k: the members of ultra[k]
     nonzero = rng != monoid.zero
     law = report.new("nonzero-in-some-ultrafilter")
     law.tick(n - 1)
@@ -184,53 +182,51 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     law.fail_where(nonzero & (common != leq).any(axis=1))
 
     law = report.new("filters-are-cosets")
-    for i, f in enumerate(filters):
+    for i in range(n):
         law.tick()
         # F = F F^-1 F, the set product with no closure
         triple = np.zeros(n, dtype=bool)
-        triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), list(f))]] = True
+        triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), up[i])]] = True
         if not np.array_equal(triple, leq[i]):
-            law.fail((f.generator,))
+            law.fail((i,))
 
     law = report.new("product-smallest-filter")
     contains = inclusions(leq, leq)         # contains[x, c]: filter c contains up(x)
     outside = (~leq).T.astype(np.float32)   # inclusions(sets[i], leq)'s right factor, once
-    for i, a in enumerate(filters):
+    for i in range(n):
         law.tick(n)
         missing = (sets[i] & ~leq[prod[i]]).any(axis=1)
         smaller = (sets[i].astype(np.float32) @ outside == 0) & ~contains[prod[i]]
         for j in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
             if missing[j]:
-                law.fail((a.generator, j, "not containing"))
+                law.fail((i, j, "not containing"))
                 continue
             for c in np.flatnonzero(smaller[j]).tolist():
-                law.fail((a.generator, j, c))
+                law.fail((i, j, c))
 
     law = report.new("domain-inverse-submonoid")
-    for i, f in enumerate(filters):
+    for i in range(n):
         law.tick()
-        h = filters[dom[i]]
-        if monoid.one not in h:
-            law.fail((f.generator, "one"))
-        members, inside = np.array(list(h)), leq[dom[i]]
+        members, inside = up[dom[i]], leq[dom[i]]
+        if not inside[monoid.one]:
+            law.fail((i, "one"))
         closed = inside[mul[np.ix_(members, members)]]
         for x, row, has_inverse in zip(members.tolist(), closed, inside[inv[members]]):
             if not has_inverse:
-                law.fail((f.generator, x, "inverse"))
+                law.fail((i, x, "inverse"))
             for y in members[~row].tolist():
-                law.fail((f.generator, x, y))
-        for a in f:                 # f is the upward closure of a h
+                law.fail((i, x, y))
+        for a in up[i].tolist():        # filter i is the upward closure of a dom(i)
             if not np.array_equal(leq[mul[a, members]].any(axis=0), leq[i]):
-                law.fail((f.generator, a, "coset-form"))
+                law.fail((i, a, "coset-form"))
 
     law = report.new("idempotent-filter-iff-closed")
     idempotent = contains_idempotent(monoid, rng)
-    for i, f in enumerate(filters):
+    for i, members in enumerate(up):
         law.tick()
-        members = list(f)
         closed = leq[i][mul[np.ix_(members, members)]].all() and leq[i][inv[members]].all()
         if idempotent[i] != closed:
-            law.fail((f.generator,))
+            law.fail((i,))
 
     law = report.new("filter-rigidity")
     law.tick(n * n)
@@ -239,10 +235,10 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
 
     law = report.new("ultrafilters-prime")
     prime = prime_property_holds(in_ultra, order.join)
-    for f, holds in zip(ultra, prime):
+    for g, holds in zip(ultra.tolist(), prime):
         law.tick()
         if not holds:
-            law.fail((f.generator,))
+            law.fail((g,))
     return report
 
 
@@ -285,10 +281,10 @@ def ultra_equivalence_laws(monoid: InverseMonoid) -> LawReport:
     monoid.require_boolean()
     report = LawReport("ultrafilter equivalence laws")
     law = report.new("three-way-equivalence")
-    filters = all_filters(monoid)
-    law.tick(len(filters))
-    dom = [filter_dom(f).generator for f in filters]
-    first = ultra_by_meet(monoid, np.arange(len(filters)))
+    rng = np.arange(monoid.n)               # filter i is up(i)
+    law.tick(monoid.n)
+    dom = filter_doms(monoid, rng)
+    first = ultra_by_meet(monoid, rng)
     second = contains_idempotent(monoid, dom) & ultra_by_meet(monoid, dom)
     third = idempotent_part_ultra(monoid, dom)
     law.fail_where((first != second) | (second != third))
@@ -328,22 +324,22 @@ def point_filter_laws(groupoid, *, bisection_bound: int = MAX_ELEMENTS) -> LawRe
     and exhausts the ultrafilters."""
     report = LawReport(f"point filter laws on {groupoid!r}")
     bm = all_bisections_monoid(groupoid, bisection_bound=bisection_bound)
-    points = [point_ultrafilter(bm, g) for g in range(groupoid.m)]
+    monoid = bm.monoid
+    points = point_ultrafilter(bm, np.arange(groupoid.m)).tolist()     # g -> its filter
 
     law = report.new("point-filters-ultra")
-    for g, f in enumerate(points):
-        law.tick()
-        if not f.is_ultrafilter():
-            law.fail((g,))
+    law.tick(len(points))
+    law.fail_where(~ultra_by_meet(monoid, points))
 
     law = report.new("point-filters-intertwine")
+    doms, rans = filter_doms(monoid, points).tolist(), filter_rans(monoid, points).tolist()
     for g, f in enumerate(points):
         law.tick()
-        if filter_dom(f) != points[groupoid.d[g]] or filter_ran(f) != points[groupoid.r[g]]:
+        if doms[g] != points[groupoid.d[g]] or rans[g] != points[groupoid.r[g]]:
             law.fail((g,))
         for h in range(groupoid.m):
             gh = groupoid.compose_maybe(g, h)
-            if gh is not None and filter_product(f, points[h]) != points[gh]:
+            if gh is not None and filter_product(monoid, f, points[h]) != points[gh]:
                 law.fail((g, h))
 
     law = report.new("point-filters-injective")
@@ -353,6 +349,6 @@ def point_filter_laws(groupoid, *, bisection_bound: int = MAX_ELEMENTS) -> LawRe
 
     law = report.new("point-filters-exhaust-ultrafilters")
     law.tick()
-    if set(points) != set(enumerate_ultrafilters(bm.monoid)):
+    if set(points) != set(enumerate_ultrafilters(monoid).tolist()):
         law.fail(("mismatch",))
     return report

@@ -16,7 +16,7 @@ from stonework import (
 )
 from stonework.duality import MonoidMorphism
 from stonework.errors import StructureError
-from stonework.filters import principal_filter, ultrafilter_groupoid
+from stonework.filters import ultrafilter_groupoid
 from stonework.groupoids import (
     disjoint_union,
     fiber_clash,
@@ -69,15 +69,15 @@ def up_mask(monoid, s):
     return mask_of(np.flatnonzero(monoid.order().matrix[s]))
 
 
-def element_product_mask(a, b):
-    """Reference set product of two filters: the bitmask of {x y : x in a,
-    y in b}, with no upward closure (the bit loop ``Filter`` ran before the
-    filter products became dense)."""
-    mul = a.monoid.mul
-    out = 0
-    for x in a:
-        for y in b:
-            out |= 1 << int(mul[x, y])
+def element_product_mask(monoid, a, b):
+    """Reference set product of the filters up(a) and up(b): the bitmask of
+    {x y : x in up(a), y in up(b)}, with no upward closure (the bit loop
+    filter products ran before they became dense)."""
+    leq, out = monoid.order().matrix, 0
+    ys = np.flatnonzero(leq[b]).tolist()
+    for x in np.flatnonzero(leq[a]).tolist():
+        for y in ys:
+            out |= 1 << int(monoid.mul[x, y])
     return out
 
 
@@ -90,44 +90,45 @@ def upward_closure(monoid, mask):
 
 
 def reference_ultrafilters(monoid):
-    """The ultrafilters in the order enumerate_ultrafilters gave them when
-    filters were bitmasks: by least member, ties by the member bitmask."""
-    return sorted((principal_filter(monoid, a) for a in monoid.atoms),
-                  key=lambda f: (min(f), mask_of(f)))
+    """The ultrafilters, as their generators, in the order
+    enumerate_ultrafilters gave them when filters were bitmasks: by least
+    member index, ties by the member bitmask."""
+    return sorted(monoid.atoms, key=lambda a: (min(iter_bits(up_mask(monoid, a))),
+                                               up_mask(monoid, a)))
 
 
-def reference_ultra_by_meet(f):
-    """The meet criterion, one filter at a time: proper, and every s outside
-    the filter meets some member in zero."""
-    monoid = f.monoid
-    return f.is_proper and all(any(monoid.meet(s, a) == monoid.zero for a in f)
-                               for s in range(monoid.n) if s not in f)
+def reference_ultra_by_meet(monoid, g):
+    """The meet criterion, one filter up(g) at a time: proper, and every s
+    outside the filter meets some member in zero."""
+    members = up_mask(monoid, g)
+    return not (members >> monoid.zero) & 1 and all(
+        any(monoid.meet(s, a) == monoid.zero for a in iter_bits(members))
+        for s in range(monoid.n) if not (members >> s) & 1)
 
 
-def reference_ultra_by_maximality(f):
-    """Maximality, one filter at a time: proper, and no principal filter
-    up(s), s non-zero, strictly contains it."""
-    monoid, members = f.monoid, mask_of(f)
-    return f.is_proper and not any(
+def reference_ultra_by_maximality(monoid, g):
+    """Maximality, one filter up(g) at a time: proper, and no principal
+    filter up(s), s non-zero, strictly contains it."""
+    members = up_mask(monoid, g)
+    return not (members >> monoid.zero) & 1 and not any(
         (up := up_mask(monoid, s)) & members == members and up != members
         for s in range(monoid.n) if s != monoid.zero)
 
 
-def reference_idempotent_part_ultra(f):
-    """Is E(F) = F & E an ultrafilter of the idempotent algebra?  One filter
-    at a time, by bitmasks."""
-    monoid = f.monoid
+def reference_idempotent_part_ultra(monoid, g):
+    """Is E(F) = F & E an ultrafilter of the idempotent algebra, for
+    F = up(g)?  One filter at a time, by bitmasks."""
     emask = mask_of(monoid.idempotents)
-    part = mask_of(f) & emask
+    part = up_mask(monoid, g) & emask
     if part == 0 or (part >> monoid.zero) & 1:
         return False
     return not any((up := up_mask(monoid, e) & emask) & part == part and up != part
                    for e in monoid.idempotents if e != monoid.zero)
 
 
-def reference_contains_idempotent(f):
-    """Does the filter hold an idempotent?  One member at a time."""
-    return any(f.monoid.is_idempotent(s) for s in f)
+def reference_contains_idempotent(monoid, g):
+    """Does the filter up(g) hold an idempotent?  One member at a time."""
+    return any(monoid.is_idempotent(s) for s in iter_bits(up_mask(monoid, g)))
 
 
 def first_associativity_failure(mul, rows=None):
@@ -247,8 +248,7 @@ def symmetric_to_pair_arrow_map(x_size, ix, sg, pair):
     arrow (i, j).  Returns a list indexed by stone-groupoid arrows."""
     maps = partial_bijections(x_size)
     out = []
-    for f in sg.ultrafilters:
-        atom = f.generator
+    for atom in sg.ultrafilters.tolist():
         ((src, dst),) = maps[atom]
         out.append(dst * x_size + src)
     del ix
@@ -608,7 +608,8 @@ def reference_bisections(groupoid):
 
 def reference_basic_open(s, sg):
     """The bisection of all ultrafilters through s, one ultrafilter at a time."""
-    return Bisection(sg, frozenset(i for i, f in enumerate(sg.ultrafilters) if s in f))
+    return Bisection(sg, frozenset(i for i, g in enumerate(sg.ultrafilters.tolist())
+                                   if (up_mask(sg.monoid, g) >> s) & 1))
 
 
 def reference_transport_failure(bisections, forward, sg):

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from helpers import relabelled
 
-from stonework import MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli
+from stonework import (MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli,
+                       filters)
 from stonework.cli import main, make_parser
 from stonework.duality import identity_morphism
 from stonework.groupoids import identity_functor, pair_groupoid
@@ -640,6 +641,31 @@ def test_tracer_hooks_resolve():
                 if method not in vars(getattr(module(name), cls, object))]
     assert tracer["SPAN_FUNCTIONS"] and tracer["HOT_FUNCTIONS"] and tracer["SPAN_METHODS"]
     assert missing == []
+
+
+def test_tracer_reads_the_filter_layer_off_the_results(tmp_path, capsys):
+    # the tracer counts ultrafilters as len() of what enumerate_ultrafilters
+    # returns, and filter_product calls through the module attribute: run it
+    # in process around a dualize and a point-filter check, then require
+    # every traced name back as it was
+    tracer_module = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    names = ("enumerate_ultrafilters", "filter_product", "ultrafilter_groupoid")
+    originals = {name: getattr(filters, name) for name in names}
+    store = ["--store", str(tmp_path)]
+    assert main(["build", "ix", "--size", "3", "--name", "ix3", *store]) == 0
+    assert main(["build", "pair-groupoid", "--points", "3", "--name", "pair3", *store]) == 0
+    tracer = tracer_module["Tracer"]().install()
+    try:
+        assert main(["dualize", "ix3", *store]) == 0
+        assert main(["check", "pair3", "--laws", "point-filters", *store]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    # 9 ultrafilters of ix3, and 9 of the bisection monoid of pair3
+    assert layers["filters.ultrafilters"] == 9 + 9
+    # point filters on pair3: a dom and a ran per arrow, and 27 composable pairs
+    assert layers["filters.filter_product_calls"] == 9 + 9 + 27
+    assert all(getattr(filters, name) is originals[name] for name in names)
 
 
 def valid_entry(kind):

@@ -170,7 +170,7 @@ def test_basic_open_at_zero_and_atom(ix2, sg_ix2):
         k = np.flatnonzero(opens[a]).tolist()
         assert len(k) == 1
         (i,) = k
-        assert sg_ix2.ultrafilters[i].generator == a
+        assert sg_ix2.ultrafilters[i] == a
 
 
 def test_basic_open_at_one_is_identities(ix2, sg_ix2):
@@ -283,7 +283,7 @@ def test_a_tampered_order_fails_is_bisection_with_a_witness(ix2, sg_ix2):
     source = ix2.restrict(range(ix2.n))
     order = source.order()
     matrix = order.matrix.copy()
-    matrix[sg_ix2.ultrafilters[swap].generator, source.one] = True
+    matrix[sg_ix2.ultrafilters[swap], source.one] = True
     source._order = replace(order, matrix=matrix)
     law = verify_basic_open_laws(source, sg_ix2).get("is-bisection")
     clash = fiber_clash(sg_ix2, [e0, e1, swap])
@@ -346,8 +346,9 @@ def test_groupoid_round_trip_and_point_laws_match_the_object_form(name, monkeypa
     cert = round_trip_groupoid(groupoid, bm).to_json()
     del cert["elapsed_s"]
     sg = stone_groupoid(bm.monoid)
-    forward = [sg.arrow_of(filter_of(bm.monoid, np.array([g in b.members for b in reference])))
-               for g in range(m)]
+    through = np.array([[g in b.members for b in reference] for g in range(m)],
+                       dtype=bool).reshape(m, len(reference))     # row g: the bisections through g
+    forward = [sg.arrow_at(filter_of(bm.monoid, row)) for row in through]
     assert reference_transport_failure(reference, forward, sg) is None
     assert cert == {"forward": forward, "backward": np.argsort(forward).tolist(),
                     "checked_laws": [{"law": law, "instances": count} for law, count in (
@@ -356,8 +357,8 @@ def test_groupoid_round_trip_and_point_laws_match_the_object_form(name, monkeypa
                         ("bisection-transport", len(reference)))]}
 
     report = point_filter_laws(groupoid).to_json()
-    monkeypatch.setattr(laws, "point_ultrafilter", lambda bm, g: filter_of(
-        bm.monoid, np.array([g in b.members for b in reference])))
+    monkeypatch.setattr(laws, "point_ultrafilter", lambda bm, arrows: filter_of(
+        bm.monoid, through[arrows]))
     assert report == point_filter_laws(groupoid).to_json()
 
 

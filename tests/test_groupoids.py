@@ -49,7 +49,15 @@ from stonework.duality import (
     round_trip_monoid,
     stone_groupoid,
 )
-from stonework.filters import enumerate_ultrafilters, filter_of, ultrafilter_groupoid
+from stonework.filters import (
+    contains_idempotent,
+    enumerate_ultrafilters,
+    filter_doms,
+    filter_of,
+    filter_product,
+    ultra_by_meet,
+    ultrafilter_groupoid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -342,8 +350,9 @@ def test_membership_rows_match_the_object_form(name):
                                      for a in b) for b in reference]
 
     through = [np.array([g in b.members for b in reference]) for g in range(groupoid.m)]
-    assert [point_ultrafilter(bm, g) for g in range(groupoid.m)] == [
-        filter_of(bm.monoid, column) for column in through]
+    points = [filter_of(bm.monoid, column) for column in through]
+    assert [point_ultrafilter(bm, g) for g in range(groupoid.m)] == points
+    assert point_ultrafilter(bm, np.arange(groupoid.m)).tolist() == points
     preimages = reference_pullback_preimages(identity_functor(groupoid), reference)
     assert pullback_morphism(identity_functor(groupoid), bm, bm).mapping == tuple(
         members.index(b.members) for b in preimages)
@@ -478,41 +487,54 @@ def test_group_bisection_monoid():
 # -- point ultrafilters -----------------------------------------------------------------
 
 
+def point_members(bm, g):
+    """The members of the point filter through g, as a bitmask."""
+    return mask_of(np.flatnonzero(bm.monoid.order().matrix[point_ultrafilter(bm, g)]))
+
+
 def test_point_filters_are_ultra_and_distinct(pair2, bm_pair2):
-    filters = [point_ultrafilter(bm_pair2, g) for g in range(pair2.m)]
-    assert len({mask_of(f) for f in filters}) == pair2.m
-    for f in filters:
-        assert f.is_ultrafilter()
+    filters = point_ultrafilter(bm_pair2, np.arange(pair2.m))
+    assert len({point_members(bm_pair2, g) for g in range(pair2.m)}) == pair2.m
+    assert ultra_by_meet(bm_pair2.monoid, filters).all()
 
 
 def test_point_filter_of_identity_is_idempotent(pair2, bm_pair2):
     e = arrow(pair2, 1, 1)
-    assert point_ultrafilter(bm_pair2, e).is_idempotent_filter
+    assert contains_idempotent(bm_pair2.monoid, [point_ultrafilter(bm_pair2, e)])[0]
 
 
 def test_point_filter_count_for_fixed_arrow(pair2, bm_pair2):
     g = arrow(pair2, 1, 2)
     f = point_ultrafilter(bm_pair2, g)
     expected = int(np.count_nonzero(bm_pair2.rows[:, g]))
-    assert len(f) == expected == 2
+    assert bm_pair2.monoid.order().up_sizes[f] == expected == 2
 
 
 def test_point_filter_dom_and_products(pair2, bm_pair2):
-    from stonework.filters import filter_dom, filter_product
-
+    monoid = bm_pair2.monoid
     for g in range(pair2.m):
         fg = point_ultrafilter(bm_pair2, g)
-        assert filter_dom(fg) == point_ultrafilter(bm_pair2, pair2.d[g])
+        assert filter_doms(monoid, [fg]).tolist() == [point_ultrafilter(bm_pair2, pair2.d[g])]
         for h in range(pair2.m):
             gh = pair2.compose_maybe(g, h)
             if gh is not None:
                 fh = point_ultrafilter(bm_pair2, h)
-                assert filter_product(fg, fh) == point_ultrafilter(bm_pair2, gh)
+                assert filter_product(monoid, fg, fh) == point_ultrafilter(bm_pair2, gh)
+
+
+@pytest.mark.parametrize("g", [-1, 4])
+def test_point_filter_refuses_an_arrow_outside_the_groupoid(pair2, bm_pair2, g):
+    # pair2 has 4 arrows: -1 must not be read as the last one, nor 4 wrap
+    assert pair2.m == 4
+    for arrows in (g, [0, g]):
+        with pytest.raises(StructureError, match=f"arrow {g} is outside 0..3"):
+            point_ultrafilter(bm_pair2, arrows)
 
 
 def test_every_ultrafilter_is_a_point_filter(pair2, bm_pair2):
-    points = {mask_of(point_ultrafilter(bm_pair2, g)) for g in range(pair2.m)}
-    enumerated = {mask_of(f) for f in enumerate_ultrafilters(bm_pair2.monoid)}
+    points = {point_members(bm_pair2, g) for g in range(pair2.m)}
+    enumerated = {mask_of(np.flatnonzero(bm_pair2.monoid.order().matrix[f]))
+                  for f in enumerate_ultrafilters(bm_pair2.monoid)}
     assert points == enumerated
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import projection_first, reference_load_entry, reference_write_json
+from helpers import projection_first, reference_load_entry, reference_write_json, relabelled
 from stonework import (
     StructureError,
     boolean_algebra_monoid,
@@ -173,7 +173,25 @@ def test_stone_export_shape(tmp_path, capsys):
                          "ultrafilters"}
     assert len(data["ultrafilters"]) == 4
     sg = stone_groupoid(symmetric_inverse_monoid(2))
-    assert data["ultrafilters"] == [sorted(f) for f in sg.ultrafilters]
+    leq = sg.monoid.order().matrix
+    assert data["ultrafilters"] == [np.flatnonzero(leq[g]).tolist() for g in sg.ultrafilters]
+
+
+@pytest.mark.parametrize("seed, ultrafilters", [
+    (None, [[1, 5], [2, 6], [3, 6], [4, 5]]),
+    # relabelled: {0, 3} and {0, 5} tie on their least index, and the
+    # enumeration order is not that of the atoms' indices
+    (2, [[0, 3], [0, 5], [1, 6], [4, 6]]),
+])
+def test_dualize_ultrafilters_are_pinned(tmp_path, capsys, seed, ultrafilters):
+    # each arrow's ultrafilter as its member list, in enumeration order
+    payload = monoid_to_json(symmetric_inverse_monoid(2))
+    if seed is not None:
+        payload = relabelled(payload, seed)
+    save_entry(tmp_path, "ix2", "monoid", payload)
+    assert main(["dualize", "ix2", "--store", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "ix2-dual.json").read_text())["payload"]
+    assert data["ultrafilters"] == ultrafilters
 
 
 def test_functor_entry_checked_via_cli(tmp_path, capsys):
