@@ -456,13 +456,10 @@ def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
     t_leq, ultra = target.order().matrix, enumerate_ultrafilters(target)
     for u, u_idempotent in zip(ultra.tolist(), contains_idempotent(target, ultra)):
         pre, kind, idempotent = t_leq[u][image], "empty", False
-        if pre.any():
-            try:
-                gen = [filter_of(source, pre)]
-                kind = "ultrafilter" if ultra_by_meet(source, gen)[0] else "filter-not-ultra"
-                idempotent = contains_idempotent(source, gen)[0]
-            except StructureError:
-                kind = "not-a-filter"
+        if pre.any():       # a filter: M1 and M2 keep the order and the meets
+            gen = [filter_of(source, pre)]
+            kind = "ultrafilter" if ultra_by_meet(source, gen)[0] else "filter-not-ultra"
+            idempotent = contains_idempotent(source, gen)[0]
         members = np.flatnonzero(t_leq[u]).tolist()
         if u_idempotent and not (kind == "ultrafilter" and idempotent):
             idem_failures.append(members)

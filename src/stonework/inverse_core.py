@@ -29,10 +29,16 @@ atoms.  Only when that fails do the literal lattice, distributivity and
 complement scans run, on tables of the idempotents from the same
 :func:`bound_table`, to name the witness.  BM2 and BM3 read the meet and
 join tables.
+
+A table of more than BLOCK_CELLS cells is worked in blocks of about that
+many cells, and its independent blocks (and its meet and join tables) run
+on up to two threads: :func:`table_map`.  Nothing sets this; a smaller
+table never leaves the calling thread.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations
@@ -111,7 +117,32 @@ def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
         raise StructureError(hit[0].format(*hit[1]))
 
 
-BLOCK_CELLS = 1 << 20   # most cells bound_table gathers at once
+BLOCK_CELLS = 1 << 18   # cells of one block of table work; a larger table uses two threads
+_pool = None            # the table_map thread pool, made on the first larger table
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so none of its pool."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def table_map(cells: int, fn, *items):
+    """``map(fn, *items)``, on up to two worker threads (as many as this
+    process may run on) when the table worked on has more than BLOCK_CELLS
+    cells: only numpy's large parses, gathers and reductions release the
+    GIL, and on a smaller table the hand-off costs more than they gain.
+    ``fn`` must do nothing but such table work (no tracing, no I/O)."""
+    global _pool
+    if cells <= BLOCK_CELLS or len(os.sched_getaffinity(0)) < 2:
+        return map(fn, *items)
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(2)
+    return _pool.map(fn, *items)
 
 
 def bound_table(leq: np.ndarray) -> np.ndarray:
@@ -123,13 +154,15 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
     antisymmetric order.  Each element is keyed by its rank 1..n in that
     order, and the members are counted, both in int16 (n <= 2^12).
 
-    An order whose n^3 cells fit in BLOCK_CELLS is one gather over every m.
-    A larger one takes the rows with down-sets of one size in blocks, and
-    their members in chunks, of about BLOCK_CELLS cells, so no temporary
-    grows with n^2.  (Blocks cost numpy calls per size: on small orders
-    they made ``dualize`` and ``laws`` p50_s 15-18% slower.)  The gathers
-    read a C-contiguous copy of ``leq``: from a transposed view they took
-    several times as long (ba12's join table: 18.6 s against 3.3 s)."""
+    An order whose n^3 cells fit in BLOCK_CELLS (n <= 64) is one gather
+    over every m.  A larger one takes the rows with down-sets of one size in
+    blocks, and their members in chunks, of about BLOCK_CELLS cells, so no
+    temporary grows with n^2.  (Blocks cost numpy calls per size: on small
+    orders they made ``dualize`` and ``laws`` p50_s 15-18% slower.)  The
+    gathers read a C-contiguous copy of ``leq``: from a transposed view they
+    took several times as long (ba12's join table: 18.6 s against 3.3 s).
+    ``InverseMonoid.order`` builds an order's meet and join tables side by
+    side through :func:`table_map`: on two threads when n^2 > BLOCK_CELLS."""
     leq = np.ascontiguousarray(leq)
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
@@ -407,9 +440,10 @@ class InverseMonoid:
         leq.setflags(write=False)
         # an atom's down-set is {zero, itself}
         atoms = tuple(np.flatnonzero(np.count_nonzero(leq, axis=0) == 2).tolist())
+        meet, join = table_map(leq.size, bound_table, (leq, leq.T))
         return OrderData(idempotents=tuple(idem), atoms=atoms, matrix=leq,
                          up_sizes=np.count_nonzero(leq, axis=1),
-                         meet=bound_table(leq), join=bound_table(leq.T))
+                         meet=meet, join=join)
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().matrix.item(s, t)

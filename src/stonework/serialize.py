@@ -17,7 +17,7 @@ import numpy as np
 from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
-from .inverse_core import InverseMonoid, as_indices, as_table
+from .inverse_core import BLOCK_CELLS, InverseMonoid, as_indices, as_table, table_map
 from .polycyclic import CnElement, format_cn, parse_cn
 
 
@@ -155,26 +155,43 @@ _TABLE_LAYOUT = re.compile(rb"\[([ \t\n\r]*)\[[\d, ]*\](?:([ \t\n\r]*,[ \t\n\r]*
 _TABLE_END = re.compile(rb"\]([ \t\n\r]*)\]")
 
 
-def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
-    """Yield as bytes the JSON text of a table of ints in 0..2^15-1, ``head``/``tail`` in its
-    brackets, ``mid`` from "]" to "[", gathering NUL-padded words per row block, unpadded."""
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """The table codec's row blocks, of about BLOCK_CELLS cells."""
+    step = max(1, BLOCK_CELLS // cols)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _renderer(table: np.ndarray, mid: bytes):
+    """A function from a block of ``table``'s rows to their text from its first cell, as
+    uint8: a gather of NUL-padded words, unpadded, each row's last cell closed by "]" mid
+    "[", of which the table's last row keeps "]"."""
     end = b"]" + mid + b"["
     words = np.array([(b"%d, " % v, b"%d" % v + end) for v in range(int(table.max()) + 1)])
-    yield b"[" + head + b"["
-    step = max(1, (1 << 20) // (table.shape[1] * words.itemsize))     # blocks of about 1 MiB
-    for lo in range(0, len(table), step):
-        block = words[table[lo:lo + step], 0]
-        block[:, -1] = words[table[lo:lo + step, -1], 1]
+
+    def render(rows: slice) -> np.ndarray:
+        block = words[table[rows], 0]
+        block[:, -1] = words[table[rows, -1], 1]
         raw = block.view(np.uint8).ravel()
         piece = raw[raw != 0]
-        yield (piece if lo + step < len(table) else piece[:len(piece) - len(end) + 1]).tobytes()
+        return piece[:len(piece) - len(end) + 1] if rows.stop >= len(table) else piece
+    return render
+
+
+def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
+    """Yield as bytes the JSON text of a table of ints in 0..2^15-1, ``head``/``tail`` in its
+    brackets, ``mid`` from "]" to "[", in row blocks (on two threads past BLOCK_CELLS cells)."""
+    yield b"[" + head + b"["
+    yield from (piece.tobytes() for piece in
+                table_map(table.size, _renderer(table, mid), _row_blocks(*table.shape)))
     yield tail + b"]"
 
 
 def _read_table(data: bytes, start: int):
     """(int16 array, end) of the table whose text starts at ``data[start]``, or None: read in
-    row blocks by ``np.fromstring``, whose values count only if ``table_text`` renders them
-    back (an int over 2^15 - 1 wraps, and renders as another)."""
+    row blocks by ``np.fromstring``, whose values count only if ``table_text`` renders each
+    block back to its text byte for byte (an int over 2^15 - 1 wraps, and renders as
+    another).  A table of more than BLOCK_CELLS cells has its blocks parsed, then checked,
+    on up to two threads; nothing sets this."""
     layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
     if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
         return None
@@ -182,21 +199,31 @@ def _read_table(data: bytes, start: int):
     cols = data.count(b",", start, data.find(b"]", start)) + 1      # of the first row
     if rows * cols > end.end() - start:                 # a cell takes two bytes or more
         return None
-    table, close, step = np.empty((rows, cols), np.int16), start, max(1, (1 << 18) // cols)
+    table, close, spans = np.empty((rows, cols), np.int16), start, []
+    for block in _row_blocks(rows, cols):   # a block's text: its first cell to its last "]"
+        first = data.find(b"[", close + 1) + 1
+        for _ in range(block.start, min(block.stop, rows)):
+            close = data.find(b"]", close + 1)
+        spans.append((block, first, close))
+    # "[" head "[" (matched) ends where the first block starts; a block's rendering runs
+    # to the next one's first cell, the last one's to "]" tail "]" (matched)
+    stops = [first for _, first, _ in spans[1:]] + [end.start() + 1]
+
+    def parse(span):
+        block, first, close = span
+        cells = data[first:close].translate(None, b"[]")
+        table[block] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
+
     with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
-        for lo in range(0, rows, step):
-            first = data.find(b"[", close + 1) + 1
-            for _ in range(min(step, rows - lo)):
-                close = data.find(b"]", close + 1)
-            cells = data[first:close].translate(None, b"[]")
-            table[lo:lo + step] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
+        list(table_map(table.size, parse, spans))
         if table.min() >= 0:                            # an int over 2^15-1 wraps
-            at = start
-            for piece in table_text(table, layout[1], layout[2] or b",", end[1]):
-                if not data.startswith(piece, at):
-                    return None
-                at += len(piece)
-            return table, end.end()
+            render = _renderer(table, layout[2] or b",")
+
+            def matches(span, stop):
+                piece = render(span[0])
+                return len(piece) == stop - span[1] and data.startswith(piece, span[1])
+            if all(list(table_map(table.size, matches, spans, stops))):    # every result read
+                return table, end.end()
     return None
 
 
@@ -254,7 +281,7 @@ def load_entry(path_or_name, store: Path | None = None):
     path = path if path and path.exists() else Path(path_or_name)
     if not path.exists():
         raise FileNotFoundError(path_or_name)
-    data = path.read_text().encode()        # no str of the text is held beside it
+    data = path.read_bytes()        # the file as is: no str of the text is held beside it
     bools = b"true" in data or b"false" in data
     name, kind, payload = _fields(_loads(data), "name", "kind", "payload")
     del data                # not held while the tables are validated

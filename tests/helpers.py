@@ -2,6 +2,7 @@
 
 import json
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from stonework.groupoids import (
 )
 from stonework.inverse_core import InverseMonoid, OrderData, partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
-from stonework.serialize import _codec, _fields
+from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _fields
 
 
 def corpus_monoids():
@@ -526,6 +527,53 @@ def reference_load_entry(path):
     from_json = _codec(kind)[1]
     obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
     return name, kind, obj
+
+
+# -- the table codec on one thread --------------------------------------------------
+
+
+def reference_table_text(table, head=b"\n", mid=b",\n", tail=b"\n"):
+    """``serialize.table_text`` on the calling thread, in blocks of about 1 MiB of words."""
+    end = b"]" + mid + b"["
+    words = np.array([(b"%d, " % v, b"%d" % v + end) for v in range(int(table.max()) + 1)])
+    yield b"[" + head + b"["
+    step = max(1, (1 << 20) // (table.shape[1] * words.itemsize))
+    for lo in range(0, len(table), step):
+        block = words[table[lo:lo + step], 0]
+        block[:, -1] = words[table[lo:lo + step, -1], 1]
+        raw = block.view(np.uint8).ravel()
+        piece = raw[raw != 0]
+        yield (piece if lo + step < len(table) else piece[:len(piece) - len(end) + 1]).tobytes()
+    yield tail + b"]"
+
+
+def reference_read_table(data, start):
+    """``serialize._read_table`` on the calling thread: every row block parsed,
+    then the whole table rendered back by ``reference_table_text`` and
+    compared with the text from ``start`` on, piece by piece."""
+    layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
+    if layout is None or end is None or end.end() - start < 2048:
+        return None
+    rows = data.count(b"[", start, end.end()) - 1
+    cols = data.count(b",", start, data.find(b"]", start)) + 1
+    if rows * cols > end.end() - start:
+        return None
+    table, close, step = np.empty((rows, cols), np.int16), start, max(1, (1 << 18) // cols)
+    with suppress(ValueError, OverflowError):
+        for lo in range(0, rows, step):
+            first = data.find(b"[", close + 1) + 1
+            for _ in range(min(step, rows - lo)):
+                close = data.find(b"]", close + 1)
+            cells = data[first:close].translate(None, b"[]")
+            table[lo:lo + step] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
+        if table.min() >= 0:
+            at = start
+            for piece in reference_table_text(table, layout[1], layout[2] or b",", end[1]):
+                if not data.startswith(piece, at):
+                    return None
+                at += len(piece)
+            return table, end.end()
+    return None
 
 
 # -- the object form of a bisection, before membership rows ------------------------

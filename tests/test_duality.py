@@ -1,5 +1,6 @@
 """Morphism axioms, basic-open laws, functors on morphisms, round trips."""
 
+import random
 import re
 from dataclasses import replace
 
@@ -52,7 +53,7 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
-from stonework.filters import filter_of
+from stonework.filters import enumerate_ultrafilters, filter_of
 from stonework.laws import point_filter_laws
 
 
@@ -557,3 +558,55 @@ def test_cardinality_mismatch_raises():
 
     with pytest.raises(NotBooleanError):
         round_trip_monoid(brandt_monoid())
+
+
+def _seeded_weak_maps(source, target, rng, count):
+    """Up to ``count`` maps from ``source`` to ``target`` that pass M1 and M2,
+    built weak: a depth-first search over images in a seeded order, cut off
+    wherever an assigned product is not sent to the product of the images."""
+    mul, tmul = source.mul.tolist(), target.mul.tolist()
+    images, found = {source.zero: target.zero, source.one: target.one}, []
+    free = [s for s in range(source.n) if s not in images]
+
+    def extend(k):
+        if len(found) == count:
+            return
+        if k == len(free):
+            mapping = tuple(images[s] for s in range(source.n))
+            try:
+                found.append(MonoidMorphism(source, target, mapping, weak=True))
+            except MorphismError:
+                pass
+            return
+        for x in rng.sample(range(target.n), target.n):
+            images[free[k]] = x
+            if all(images.get(mul[a][b], tmul[images[a]][images[b]])
+                   == tmul[images[a]][images[b]] for a in images for b in images):
+                extend(k + 1)
+        del images[free[k]]
+
+    extend(0)
+    return found
+
+
+def test_a_weak_map_pulls_every_ultrafilter_back_to_nothing_or_a_filter():
+    """M1 and M2 make a map keep the order and the binary meets, so the
+    non-empty preimage of an ultrafilter is upward closed and closed under
+    meets: a filter, which ``filter_of`` accepts.  Seeded weak maps between
+    every ordered pair of ba1-ba3, z2-zero, z3-zero, clifford and ix2."""
+    corpus = corpus_monoids()
+    monoids = [corpus[name] for name in ("ba1", "ba2", "ba3", "z2_zero", "z3_zero",
+                                         "clifford", "ix2")]
+    maps = preimages = 0
+    for i, source in enumerate(monoids):
+        for j, target in enumerate(monoids):
+            for theta in _seeded_weak_maps(source, target, random.Random(7 * i + j), 3):
+                t_leq, image = target.order().matrix, np.asarray(theta.mapping)
+                for u in enumerate_ultrafilters(target).tolist():
+                    if (pre := t_leq[u][image]).any():
+                        filter_of(source, pre)
+                        preimages += 1
+                report = weak_morphism_pullback(theta)
+                assert {kind for _, kind in report.flagged} <= {"empty", "filter-not-ultra"}
+                maps += 1
+    assert maps >= 50 and preimages >= 100, (maps, preimages)

@@ -364,6 +364,19 @@ def test_a_malformed_table_is_left_to_json_without_a_large_allocation(tmp_path):
         assert peak < 20 * 2 ** 20, peak
 
 
+def test_an_entry_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
+    """A 0xff byte beside a table the codec reads, and one inside it: either
+    way the entry is refused with the decoder's message, at the byte's
+    position in the file."""
+    path = save_entry(tmp_path, "ix3", "monoid", monoid_to_json(symmetric_inverse_monoid(3)))
+    data = path.read_bytes()
+    for at in (data.index(b'"labels": ["') + 12, data.index(b'"mul": ') + 20):
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n")
+
+
 def test_stored_entries_are_the_json_route_byte_for_byte(tmp_path, capsys):
     """Each corpus generator, ix4, ba6, a morphism and a groupoid's dual are
     stored exactly as json.dumps of each row would write them."""
