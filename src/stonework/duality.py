@@ -17,7 +17,10 @@ instances ran.
 Morphisms of monoids carry three extra axioms beyond being a semigroup
 homomorphism: restriction to idempotents is a homomorphism of boolean
 algebras, binary meets are preserved, and preimages of ultrafilters are
-ultrafilters.  Validation fails fast in that order, with a witness.
+ultrafilters.  Validation fails fast in that order, with a witness.  M3,
+the functor on morphisms and the weak pullback read every preimage off one
+array function, :func:`_preimages`.  That the functor of a morphism is a
+covering and intertwines dom are theorems, which the tests cross-check.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from .groupoids import (
     image_products,
     point_ultrafilter,
 )
-from .inverse_core import (MAX_ELEMENTS, InverseMonoid, first_failure, inclusions,
-                           raise_first_failure)
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, first_failure,
+                           inclusions, raise_first_failure)
 from .reporting import LawReport
 
 
@@ -70,6 +73,7 @@ class MonoidMorphism:
     weak: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "mapping", as_indices(self.mapping, "morphism map"))
         if len(self.mapping) != self.source.n:
             raise StructureError("morphism mapping length mismatch")
         if any(not 0 <= x < self.target.n for x in self.mapping):
@@ -112,13 +116,10 @@ class MonoidMorphism:
 
         if weak:
             return
-        for u in enumerate_ultrafilters(t_mon).tolist():
-            try:        # the preimage, a boolean row, must be an ultrafilter
-                ultra = ultra_by_meet(s_mon, [filter_of(s_mon, theirs.matrix[u][image])])[0]
-            except StructureError:
-                ultra = False
-            if not ultra:
-                raise MorphismError("M3", (np.flatnonzero(theirs.matrix[u]).tolist(),))
+        ultra = enumerate_ultrafilters(t_mon)
+        if not (is_ultra := _preimages(self, ultra)[1]).all():
+            u = ultra[np.argmin(is_ultra)]
+            raise MorphismError("M3", (np.flatnonzero(theirs.matrix[u]).tolist(),))
 
     def then(self, other: "MonoidMorphism") -> "MonoidMorphism":
         if other.source is not self.target:
@@ -130,6 +131,17 @@ class MonoidMorphism:
 
 def identity_morphism(monoid: InverseMonoid) -> MonoidMorphism:
     return MonoidMorphism(monoid, monoid, tuple(range(monoid.n)))
+
+
+def _preimages(theta: MonoidMorphism, generators) -> tuple[np.ndarray, np.ndarray]:
+    """For each target ultrafilter up(u) of ``generators``: the generator of
+    its preimage under theta (-1 where it is empty), and whether that is an
+    ultrafilter.  M1 and M2 make a non-empty preimage a filter, else filter_of refuses it."""
+    rows = theta.target.order().matrix[generators][:, np.asarray(theta.mapping)]
+    found = rows.any(axis=1)            # [u, s]: theta(s) is in up(u)
+    pre = np.full(len(rows), -1, dtype=np.intp)
+    pre[found] = filter_of(theta.source, rows[found])
+    return pre, found & ultra_by_meet(theta.source, np.where(found, pre, 0))
 
 
 # -- the monoid-to-groupoid direction -----------------------------------------------
@@ -238,31 +250,15 @@ def functor_on_morphism(theta: MonoidMorphism,
                         sg_source: StoneGroupoid | None = None,
                         sg_target: StoneGroupoid | None = None) -> CoveringFunctor:
     """The contravariant ultrafilter functor on a morphism theta: S -> T,
-    i.e. the covering functor G(T) -> G(S) sending A to its preimage.
-
-    Verifies the domain-preservation identity dom(preimage) =
-    preimage(dom) explicitly; functoriality and the covering conditions are
-    re-checked structurally.
-    """
-    source, target = theta.source, theta.target
-    sg_t = stone_groupoid(target) if sg_target is None else sg_target
-    sg_s = stone_groupoid(source) if sg_source is None else sg_source
-    arrow_map, image = [], np.asarray(theta.mapping)
-    s_leq, t_leq = source.order().matrix, target.order().matrix
-    doms = filter_doms(target, sg_t.ultrafilters).tolist()
-    for a, a_dom in zip(sg_t.ultrafilters.tolist(), doms):
-        pre = filter_of(source, t_leq[a][image])
-        if not ultra_by_meet(source, [pre])[0]:
-            raise MorphismError("M3", (np.flatnonzero(t_leq[a]).tolist(),))
-        arrow_map.append(sg_s.arrow_at(pre))
-        # dom(theta^-1 A) = theta^-1(dom A)
-        if not np.array_equal(s_leq[filter_doms(source, [pre])[0]], t_leq[a_dom][image]):
-            raise StructureError("preimage does not intertwine dom")
-    functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
-    report = check_covering(functor)
-    if not report.ok:
-        raise StructureError(f"morphism preimage is not a covering: {report.witness}")
-    return functor
+    the functor G(T) -> G(S) sending each ultrafilter A to its preimage.
+    Only a weak theta is validated here (M3); CoveringFunctor checks
+    functoriality.  That it is a covering and that dom(theta^-1 A) =
+    theta^-1(dom A) are theorems, which the tests cross-check."""
+    if theta.weak:
+        theta.validate()
+    sg_t = stone_groupoid(theta.target) if sg_target is None else sg_target
+    sg_s = stone_groupoid(theta.source) if sg_source is None else sg_source
+    return CoveringFunctor(sg_t, sg_s, sg_s.arrow_at(_preimages(theta, sg_t.ultrafilters)[0]))
 
 
 def pullback_morphism(f: CoveringFunctor,
@@ -451,18 +447,12 @@ class WeakPullbackReport:
 
 
 def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
-    idem_failures, flagged, image = [], [], np.asarray(theta.mapping)
-    source, target = theta.source, theta.target
-    t_leq, ultra = target.order().matrix, enumerate_ultrafilters(target)
-    for u, u_idempotent in zip(ultra.tolist(), contains_idempotent(target, ultra)):
-        pre, kind, idempotent = t_leq[u][image], "empty", False
-        if pre.any():       # a filter: M1 and M2 keep the order and the meets
-            gen = [filter_of(source, pre)]
-            kind = "ultrafilter" if ultra_by_meet(source, gen)[0] else "filter-not-ultra"
-            idempotent = contains_idempotent(source, gen)[0]
-        members = np.flatnonzero(t_leq[u]).tolist()
-        if u_idempotent and not (kind == "ultrafilter" and idempotent):
-            idem_failures.append(members)
-        elif not u_idempotent and kind != "ultrafilter":
-            flagged.append((members, kind))
-    return WeakPullbackReport(not idem_failures, idem_failures, flagged)
+    ultra = enumerate_ultrafilters(theta.target)
+    pre, is_ultra = _preimages(theta, ultra)
+    u_idempotent = contains_idempotent(theta.target, ultra)
+    kept = is_ultra & contains_idempotent(theta.source, np.where(is_ultra, pre, 0))
+    failing, flagged = u_idempotent & ~kept, ~u_idempotent & ~is_ultra
+    members = [np.flatnonzero(row).tolist() for row in theta.target.order().matrix[ultra]]
+    return WeakPullbackReport(not failing.any(), [members[i] for i in np.flatnonzero(failing)],
+                              [(members[i], "empty" if pre[i] < 0 else "filter-not-ultra")
+                               for i in np.flatnonzero(flagged)])

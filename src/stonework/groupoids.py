@@ -30,9 +30,11 @@ from .inverse_core import (
     _partial_bijection_count,
     as_indices,
     as_labels,
+    as_table,
     check_size,
     in_range,
     raise_first_failure,
+    reject_bools,
 )
 
 
@@ -68,7 +70,7 @@ class FiniteGroupoid:
         self.m = len(self.d)
         self.r = as_indices(r, "r")
         self.inv = as_indices(inv, "inv")
-        table = np.asarray(compose)
+        table = as_table(compose, "compose")
         if table.shape != (self.m, self.m) or table.dtype.kind not in "iu":
             raise StructureError(f"compose must be an {self.m} x {self.m} table of arrows")
         # compose is a view of a table with a row and a column of -1 appended,
@@ -80,6 +82,7 @@ class FiniteGroupoid:
         self.identities = tuple(sorted(as_indices(identities, "identities")))
         self.labels = as_labels(labels, self.m)
         self._validate()
+        reject_bools(compose, "compose")
 
     def _validate(self) -> None:
         """Each failure names the first failing arrow, pair or triple."""
@@ -383,8 +386,9 @@ def point_ultrafilter(bm: BisectionMonoid, g):
 class CoveringFunctor:
     """A functor between finite groupoids, stored as its arrow map.
 
-    Construction checks functoriality (identities, dom/ran, composition);
-    the covering conditions are decided by :func:`check_covering`.
+    Construction checks an integer map, then functoriality (identities,
+    dom/ran, composition) at the first failing arrow or pair; the covering
+    conditions are decided by :func:`check_covering`.
     Continuity is vacuous for finite discrete groupoids.
     """
 
@@ -393,18 +397,18 @@ class CoveringFunctor:
     arrow_map: tuple[int, ...] = field(compare=True)
 
     def __post_init__(self):
-        src, tgt, f = self.source, self.target, self.arrow_map
+        src, tgt = self.source, self.target
+        object.__setattr__(self, "arrow_map", f := as_indices(self.arrow_map, "arrow map"))
         if len(f) != src.m:
             raise StructureError("arrow map length mismatch")
         if any(not 0 <= x < tgt.m for x in f):
             raise StructureError("arrow map leaves the target")
-        for e in src.identities:
-            if f[e] not in tgt.identities:
-                raise StructureError(f"identity {e} not sent to an identity")
-        for g in range(src.m):
-            if tgt.d[f[g]] != f[src.d[g]] or tgt.r[f[g]] != f[src.r[g]]:
-                raise StructureError(f"dom/ran not preserved at {g}")
         arrows, defined = np.array(f, dtype=np.int64), src.compose >= 0
+        raise_first_failure({"identity {} not sent to an identity": np.isin(
+            np.arange(src.m), src.identities) & ~np.isin(arrows, tgt.identities)})
+        raise_first_failure({"dom/ran not preserved at {}":
+                             (np.take(tgt.d, arrows) != np.take(arrows, src.d))
+                             | (np.take(tgt.r, arrows) != np.take(arrows, src.r))})
         raise_first_failure({"composition not preserved at ({}, {})": defined & (
             tgt.compose[np.ix_(arrows, arrows)] != arrows[np.where(defined, src.compose, 0)])})
 

@@ -71,12 +71,20 @@ def as_indices(values, what: str) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
-def as_table(rows) -> np.ndarray:
+def as_table(rows, what: str = "product table") -> np.ndarray:
     """The rows as a numpy array; ragged rows are a StructureError."""
     try:
         return np.asarray(rows)
     except ValueError:
-        raise StructureError("product table rows are ragged") from None
+        raise StructureError(f"{what} rows are ragged") from None
+
+
+def reject_bools(rows, what: str) -> None:
+    """A bool in a list of rows, which numpy reads as 1/0, is a StructureError:
+    scanned last by the constructors, so a table they reject skips it."""
+    for row in rows if isinstance(rows, list) else ():
+        if bool in map(type, row):
+            as_indices(row, what)
 
 
 def in_range(values, size: int, what: str) -> np.ndarray:
@@ -332,10 +340,7 @@ class InverseMonoid:
         self._certificate: BooleanCertificate | None = None
         self._complements: np.ndarray | None = None     # [e]: complement of e in E, -1 off E
         self._validate()
-        # numpy read JSON true/false as 1/0: scanned last, so a rejected table skips it
-        for row in mul if isinstance(mul, list) else ():
-            if bool in map(type, row):
-                as_indices(row, "product table")
+        reject_bools(mul, "product table")
 
     # -- construction-time axiom checks ------------------------------------
 

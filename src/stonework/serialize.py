@@ -95,8 +95,8 @@ def morphism_from_json(data: dict) -> MonoidMorphism:
     weak = data.get("weak", False)
     if not isinstance(weak, bool):
         raise StructureError("weak must be true or false")
-    return MonoidMorphism(monoid_from_json(source), monoid_from_json(target),
-                          as_indices(mapping, "map"), weak=weak)
+    return MonoidMorphism(monoid_from_json(source), monoid_from_json(target), mapping,
+                          weak=weak)
 
 
 def functor_to_json(f: CoveringFunctor) -> dict:
@@ -109,8 +109,7 @@ def functor_to_json(f: CoveringFunctor) -> dict:
 
 def functor_from_json(data: dict) -> CoveringFunctor:
     source, target, mapping = _fields(data, "source", "target", "map")
-    return CoveringFunctor(groupoid_from_json(source), groupoid_from_json(target),
-                           as_indices(mapping, "map"))
+    return CoveringFunctor(groupoid_from_json(source), groupoid_from_json(target), mapping)
 
 
 def _cn_to_json(element: CnElement) -> dict:

@@ -16,9 +16,11 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.duality import MonoidMorphism
-from stonework.errors import StructureError
-from stonework.filters import ultrafilter_groupoid
+from stonework.errors import MorphismError, StructureError
+from stonework.filters import filter_doms, filter_of, ultra_by_meet, ultrafilter_groupoid
 from stonework.groupoids import (
+    CoveringFunctor,
+    check_covering,
     disjoint_union,
     fiber_clash,
     group_groupoid,
@@ -674,3 +676,28 @@ def reference_pullback_preimages(f, bisections):
     src = f.source
     return [Bisection(src, frozenset(g for g in range(src.m) if f.arrow_map[g] in b.members))
             for b in bisections]
+
+
+def reference_functor_on_morphism(theta, sg_source=None, sg_target=None):
+    """The ultrafilter functor on theta: S -> T, one target ultrafilter A at
+    a time: the preimage's generator, checked ultra (M3), its arrow, and
+    dom(theta^-1 A) = theta^-1(dom A) by closed filter products; then the
+    covering conditions on the functor."""
+    source, target = theta.source, theta.target
+    sg_t = ultrafilter_groupoid(target) if sg_target is None else sg_target
+    sg_s = ultrafilter_groupoid(source) if sg_source is None else sg_source
+    arrow_map, image = [], np.asarray(theta.mapping)
+    s_leq, t_leq = source.order().matrix, target.order().matrix
+    doms = filter_doms(target, sg_t.ultrafilters).tolist()
+    for a, a_dom in zip(sg_t.ultrafilters.tolist(), doms):
+        pre = filter_of(source, t_leq[a][image])
+        if not ultra_by_meet(source, [pre])[0]:
+            raise MorphismError("M3", (np.flatnonzero(t_leq[a]).tolist(),))
+        arrow_map.append(sg_s.arrow_at(pre))
+        if not np.array_equal(s_leq[filter_doms(source, [pre])[0]], t_leq[a_dom][image]):
+            raise StructureError("preimage does not intertwine dom")
+    functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
+    report = check_covering(functor)
+    if not report.ok:
+        raise StructureError(f"morphism preimage is not a covering: {report.witness}")
+    return functor

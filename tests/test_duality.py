@@ -3,6 +3,7 @@
 import random
 import re
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     projection_first,
     reference_basic_open,
     reference_bisections,
+    reference_functor_on_morphism,
     reference_transport_failure,
     restriction_ba2_to_ba1,
     symmetric_to_pair_arrow_map,
@@ -53,7 +55,7 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
-from stonework.filters import enumerate_ultrafilters, filter_of
+from stonework.filters import enumerate_ultrafilters, filter_doms, filter_of, ultra_by_meet
 from stonework.laws import point_filter_laws
 
 
@@ -96,6 +98,20 @@ def test_weak_embedding_fails_m3(ix2):
         weak.validate(weak=False)
     assert err.value.stage == "M3"
     assert err.value.witness == ([2, 6],)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MonoidMorphism(boolean_algebra_monoid(2), boolean_algebra_monoid(2), (0, 1.0, 2, 3)),
+    lambda: MonoidMorphism(boolean_algebra_monoid(2), boolean_algebra_monoid(2), (0, True, 2, 3)),
+    lambda: MonoidMorphism(boolean_algebra_monoid(2), boolean_algebra_monoid(2), (0, 1, 2, 3.5)),
+    lambda: CoveringFunctor(pair_groupoid(2), pair_groupoid(2), (0.0, 1, 2, 3)),
+    lambda: CoveringFunctor(pair_groupoid(2), pair_groupoid(2), (False, 1, 2, 3)),
+], ids=["float-one", "true", "float-half", "float-zero", "false"])
+def test_a_map_with_a_non_integer_entry_is_refused(build):
+    """A float or bool in a morphism's or a functor's map is an input
+    error, never read as an index or compared as a number."""
+    with pytest.raises(StructureError, match="map has a non-integer entry"):
+        build()
 
 
 def test_non_homomorphism_rejected(ix2):
@@ -391,6 +407,14 @@ def test_functor_on_identity_is_identity(ix2, sg_ix2):
     assert functor.arrow_map == tuple(range(len(sg_ix2)))
 
 
+def test_functor_on_a_weak_morphism_checks_m3(ix2):
+    """A weak map is validated before its preimages are read as arrows."""
+    weak = idempotent_embedding_ba2_into_ix2(boolean_algebra_monoid(2), ix2)
+    with pytest.raises(MorphismError) as err:
+        functor_on_morphism(weak)
+    assert (err.value.stage, err.value.witness) == ("M3", ([2, 6],))
+
+
 def test_functor_on_boolean_restriction_embeds_spectra():
     ba2, ba1 = boolean_algebra_monoid(2), boolean_algebra_monoid(1)
     theta = restriction_ba2_to_ba1(ba2, ba1)
@@ -610,3 +634,89 @@ def test_a_weak_map_pulls_every_ultrafilter_back_to_nothing_or_a_filter():
                 assert {kind for _, kind in report.flagged} <= {"empty", "filter-not-ultra"}
                 maps += 1
     assert maps >= 50 and preimages >= 100, (maps, preimages)
+
+
+@cache
+def seeded_weak_maps():
+    """The seeded weak maps of the test above, over the same pairs."""
+    corpus = corpus_monoids()
+    monoids = [corpus[name] for name in ("ba1", "ba2", "ba3", "z2_zero", "z3_zero",
+                                         "clifford", "ix2")]
+    return tuple(theta for i, source in enumerate(monoids) for j, target in enumerate(monoids)
+                 for theta in _seeded_weak_maps(source, target, random.Random(7 * i + j), 3))
+
+
+def cyclic_automorphisms():
+    """Automorphisms of order 3, whose image and preimage maps differ: the
+    atoms of ba3 rotated, and ix3 conjugated by a 3-cycle."""
+    ba3, ix3 = boolean_algebra_monoid(3), symmetric_inverse_monoid(3)
+    cycle = by_label(ix3, "{1->2,2->3,3->1}")
+    back = ix3.inv[cycle]
+    return [MonoidMorphism(ba3, ba3, tuple((s << 1 | s >> 2) & 7 for s in range(8))),
+            MonoidMorphism(ix3, ix3, tuple(ix3.product(ix3.product(cycle, s), back)
+                                           for s in range(ix3.n)))]
+
+
+def built_morphisms():
+    """Every morphism the tests above build, the cyclic automorphisms, and
+    each seeded weak map that passes the full validation."""
+    c, z, ix2 = clifford_monoid(), group_with_zero_monoid(2), symmetric_inverse_monoid(2)
+    delta, pi = diagonal_embedding(z, c), projection_first(c, z)
+    z2 = group_groupoid(2)
+    both = disjoint_union(z2, z2)
+    incl, fold = CoveringFunctor(z2, both, (0, 1)), CoveringFunctor(both, z2, (0, 1, 0, 1))
+    bm_z2, bm_both = all_bisections_monoid(z2), all_bisections_monoid(both)
+    sg_c, sg_z = stone_groupoid(c), stone_groupoid(z)
+    pullbacks = [pullback_morphism(incl, bm_z2, bm_both), pullback_morphism(fold, bm_both, bm_z2),
+                 pullback_morphism(incl.then(fold), bm_z2, bm_z2),
+                 pullback_morphism(functor_on_morphism(pi, sg_c, sg_z),
+                                   all_bisections_monoid(sg_z), all_bisections_monoid(sg_c))]
+    strong = []
+    for theta in seeded_weak_maps():
+        try:
+            theta.validate()
+            strong.append(theta)
+        except MorphismError:
+            pass
+    return [identity_morphism(ix2), delta, pi, delta.then(pi),
+            restriction_ba2_to_ba1(boolean_algebra_monoid(2), boolean_algebra_monoid(1)),
+            *pullbacks, *cyclic_automorphisms(), *strong]
+
+
+def test_functor_on_morphism_agrees_with_the_reference_and_the_theorems():
+    """For every built morphism, weak ones included: the arrow map is the
+    per-ultrafilter loop's, the functor is a covering, and at every
+    ultrafilter A, dom(theta^-1 A) = theta^-1(dom A) as closed filter
+    products."""
+    morphisms = built_morphisms()
+    for theta in morphisms:
+        functor = functor_on_morphism(theta)
+        assert functor.arrow_map == reference_functor_on_morphism(theta).arrow_map
+        assert check_covering(functor).ok
+        sg_t, sg_s = functor.source, functor.target
+        pre = sg_s.ultrafilters[list(functor.arrow_map)]      # theta^-1 A, for each arrow A
+        lhs = theta.source.order().matrix[filter_doms(theta.source, pre)]
+        rhs = theta.target.order().matrix[filter_doms(theta.target, sg_t.ultrafilters)]
+        assert np.array_equal(lhs, rhs[:, list(theta.mapping)])
+    assert len(morphisms) >= 30 and sum(theta.weak for theta in morphisms) >= 20
+
+
+def test_preimages_agree_with_the_per_ultrafilter_loop():
+    """_preimages, against filter_of and ultra_by_meet one target
+    ultrafilter at a time, on every seeded weak map: -1 and not ultra where
+    the preimage is empty.  No non-empty preimage is short of ultra: M1
+    keeps orthogonal joins, so an atom below theta(g v h) lies below
+    theta(g) or theta(h), and the least member of a preimage is an atom."""
+    kinds = set()
+    for theta in seeded_weak_maps():
+        source, t_leq = theta.source, theta.target.order().matrix
+        ultra = enumerate_ultrafilters(theta.target)
+        expected = []
+        for u in ultra.tolist():
+            row = t_leq[u][list(theta.mapping)]
+            g = filter_of(source, row) if row.any() else -1
+            expected.append((g, g >= 0 and bool(ultra_by_meet(source, [g])[0])))
+            kinds.add((g >= 0, expected[-1][1]))
+        pre, is_ultra = duality._preimages(theta, ultra)
+        assert list(zip(pre.tolist(), is_ultra.tolist())) == expected
+    assert kinds == {(False, False), (True, True)}

@@ -174,6 +174,18 @@ def test_compose_must_be_a_square_integer_table(pair2):
             FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 
+def test_a_ragged_compose_list_is_refused():
+    with pytest.raises(StructureError, match="^compose rows are ragged$"):
+        FiniteGroupoid([0, 1], [0, 1], [0, 1], [[0, -1], [-1]], [0, 1])
+
+
+def test_a_bool_in_a_compose_list_is_refused():
+    """numpy reads True as 1, which here would be the right arrow."""
+    FiniteGroupoid([0, 1], [0, 1], [0, 1], [[0, -1], [-1, 1]], [0, 1])
+    with pytest.raises(StructureError, match="^compose has a non-integer entry True$"):
+        FiniteGroupoid([0, 1], [0, 1], [0, 1], [[0, -1], [-1, True]], [0, 1])
+
+
 def test_discrete_certificate(pair2):
     cert = pair2.discrete_certificate()
     assert cert["finite"] and cert["topology"] == "discrete"
@@ -605,6 +617,17 @@ def test_functor_validation_rejects_non_functor(pair2):
     swapped[a12], swapped[a21] = a21, a12  # breaks dom/ran preservation
     with pytest.raises(StructureError):
         CoveringFunctor(pair2, pair2, tuple(swapped))
+
+
+def test_functor_validation_names_the_identity_arrow(pair2):
+    """The identity (2,2) is arrow 3 and the second identity: the message
+    names the arrow."""
+    e = arrow(pair2, 2, 2)
+    assert pair2.identities.index(e) != e
+    mapping = list(range(pair2.m))
+    mapping[e] = arrow(pair2, 1, 2)
+    with pytest.raises(StructureError, match=f"^identity {e} not sent to an identity$"):
+        CoveringFunctor(pair2, pair2, tuple(mapping))
 
 
 # -- pullbacks ---------------------------------------------------------------------------
