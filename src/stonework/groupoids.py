@@ -3,10 +3,11 @@
 A finite groupoid is a set of arrows ``0..m-1`` with total ``d``, ``r``
 and inverse maps and a composition table, defined exactly on the pairs
 with ``d(g) = r(h)``.  The table is dense: ``compose[g, h]`` is the arrow
-``g h``, or -1 where the pair is not composable.  For finite carriers the
-topology is discrete, so every subset is compact open and the
-boolean-groupoid conditions reduce to finiteness; the certificate of that
-reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
+``g h``, or -1 where the pair is not composable.  Associativity is decided
+by Light's test, as for monoids, with -1 read as one more, absorbing arrow.
+For finite carriers the topology is discrete, so every subset is compact open
+and the boolean-groupoid conditions reduce to finiteness; the certificate of
+that reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 
 A bisection is a subset hitting each identity at most once on the domain
 side and at most once on the range side (:func:`fiber_clash`), held as a
@@ -31,6 +32,7 @@ from .inverse_core import (
     as_indices,
     as_labels,
     as_table,
+    check_associativity,
     check_size,
     in_range,
     raise_first_failure,
@@ -51,12 +53,13 @@ def compose_table(triples, m: int) -> np.ndarray:
     if not isinstance(triples, list) or any(not isinstance(t, list) or len(t) != 3
                                             for t in triples):
         raise StructureError("compose must be a list of [g, h, k] triples")
-    cells = np.array([as_indices(t, "compose") for t in triples], dtype=np.int64).reshape(-1, 3)
-    if cells.size and (cells.min() < 0 or cells.max() >= m):
+    cells = np.array([as_indices(t, "compose") for t in triples]).reshape(-1, 3)
+    if cells.size and (cells.min() < 0 or cells.max() >= m):    # as given, past int64 too
         raise StructureError(f"compose has an arrow index outside 0..{m - 1}")
-    table[cells[:, 0], cells[:, 1]] = cells[:, 2]
+    g, h, k = cells.astype(np.int64).T
+    table[g, h] = k
     if np.count_nonzero(table >= 0) < len(cells):
-        pairs, counts = np.unique(cells[:, 0] * m + cells[:, 1], return_counts=True)
+        pairs, counts = np.unique(g * m + h, return_counts=True)
         g, h = divmod(int(pairs[counts > 1][0]), m)
         raise StructureError(f"compose gives the pair ({g}, {h}) twice")
     return table
@@ -67,36 +70,37 @@ class FiniteGroupoid:
 
     def __init__(self, d, r, inv, compose, identities, labels=None):
         self.d = as_indices(d, "d")
-        self.m = len(self.d)
+        self.m = m = len(self.d)
         self.r = as_indices(r, "r")
         self.inv = as_indices(inv, "inv")
         table = as_table(compose, "compose")
-        if table.shape != (self.m, self.m) or table.dtype.kind not in "iu":
-            raise StructureError(f"compose must be an {self.m} x {self.m} table of arrows")
+        if table.shape != (m, m) or table.dtype.kind not in "iu":
+            raise StructureError(f"compose must be an {m} x {m} table of arrows")
+        self.identities = tuple(sorted(as_indices(identities, "identities")))
+        self.labels = as_labels(labels, m)
+        if len(self.r) != m or len(self.inv) != m:
+            raise StructureError("d/r/inv length mismatch")
+        # every index is range-checked as given, before it is narrowed to int64
+        # or looked up by; compose may also hold -1, which numpy would read as m - 1
+        extremes = (table.min(), table.max()) if table.size else ()
+        for name, values, low in (("d", self.d, 0), ("r", self.r, 0), ("inv", self.inv, 0),
+                                  ("identities", self.identities, 0), ("compose", extremes, -1)):
+            if values and (min(values) < low or max(values) >= m):
+                raise StructureError(f"{name} has an arrow index outside 0..{m - 1}")
         # compose is a view of a table with a row and a column of -1 appended,
         # so that -1 (no arrow) used as an index reads -1 instead of wrapping
-        self._padded = np.full((self.m + 1, self.m + 1), -1, dtype=np.int64)
+        self._padded = np.full((m + 1, m + 1), -1, dtype=np.int64)
         self._padded[:-1, :-1] = table
         self._padded.setflags(write=False)
         self.compose = self._padded[:-1, :-1]
-        self.identities = tuple(sorted(as_indices(identities, "identities")))
-        self.labels = as_labels(labels, self.m)
         self._validate()
         reject_bools(compose, "compose")
 
     def _validate(self) -> None:
-        """Each failure names the first failing arrow, pair or triple."""
+        """Each failure names the first failing arrow or pair, or a failing triple."""
         m, table = self.m, self.compose
-        if len(self.r) != m or len(self.inv) != m:
-            raise StructureError("d/r/inv length mismatch")
         d, r, inv, ids = (np.array(x, dtype=np.int64)
                           for x in (self.d, self.r, self.inv, self.identities))
-        # every index is range-checked before anything is looked up by it;
-        # compose may also hold -1, which numpy would read as m - 1
-        for name, values, low in (("d", d, 0), ("r", r, 0), ("inv", inv, 0),
-                                  ("identities", ids, 0), ("compose", table, -1)):
-            if values.size and (values.min() < low or values.max() >= m):
-                raise StructureError(f"{name} has an arrow index outside 0..{m - 1}")
         arrows, is_identity = np.arange(m), np.zeros(m, dtype=bool)
         is_identity[ids] = True
         defined, composable = table >= 0, d[:, None] == r
@@ -116,11 +120,9 @@ class FiniteGroupoid:
                  "identities do not act neutrally at {}":
                     (table[r, arrows] != arrows) | (table[arrows, d] != arrows)}):
             raise_first_failure(checks)
-        # (g h) k == g (h k); both sides read -1 wherever a pair is undefined
-        padded = self._padded
-        for g in range(m):
-            raise_first_failure({f"associativity fails at ({g}, {{}}, {{}})":
-                                 padded[table[g], :m] != padded[g, table]})
+        # -1 % (m + 1) reads undefined as an absorbing arrow m: by the checks above,
+        # (g h) k is defined exactly when g (h k) is, and m and the identities pass
+        check_associativity(self._padded.astype(np.int16) % (m + 1), [*self.identities, m])
 
     def __len__(self) -> int:
         return self.m

@@ -6,8 +6,9 @@ a designated zero and one, and an involution ``s -> s^-1`` satisfying
 one, absorbing zero, associativity, an involution with s s^-1 s = s and
 s^-1 s s^-1 = s^-1, commuting idempotents) so that everything downstream
 can trust the table; their consequences (inverses are unique, the natural
-order is a partial order) are theorems, checked by the tests.  Richer
-carriers such as partial bijections appear only as constructors and labels.
+order is a partial order) are theorems, checked by the tests.  Associativity
+is Light's test, :func:`check_associativity`, the one that groupoids use too.
+Richer carriers such as partial bijections appear only as constructors and labels.
 A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
 arrows); a larger one is refused before its n x n tables are built.  The
 product table is range-checked as given and then held as a read-only int16
@@ -88,9 +89,12 @@ def reject_bools(rows, what: str) -> None:
 
 
 def in_range(values, size: int, what: str) -> np.ndarray:
-    """``values`` as an intp array, each in 0..size-1: one outside is a
-    StructureError naming it, never read as an index from the end."""
-    values = np.asarray(values, dtype=np.intp)
+    """``values`` as an intp array, each in 0..size-1: one outside, even past
+    intp, is a StructureError naming it, never read as an index from the end."""
+    try:
+        values = np.asarray(values, dtype=np.intp)
+    except OverflowError:       # compared as given below, and outside
+        values = np.asarray(values, dtype=object)
     if (outside := np.flatnonzero((values < 0) | (values >= size))).size:
         raise StructureError(f"{what} {values.flat[outside[0]]} is outside 0..{size - 1}")
     return values
@@ -123,6 +127,32 @@ def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
     (a template filled with the position)."""
     if hit := first_failure(checks):
         raise StructureError(hit[0].format(*hit[1]))
+
+
+def check_associativity(table: np.ndarray, passed: list[int]) -> None:
+    """Light's test, exact for any finite magma with this total n x n table:
+    the g with ``(x g) y == x (g y)`` for all x, y are closed under the
+    product, so it suffices to test unreached elements until products of
+    ``passed`` (known to pass, and closed under the product) reach all.  Rows
+    with more distinct entries go first (speed only: 3-6 tries on I(X), k+1 on
+    2^k, about 2(p-1) on a pair groupoid of p points); trying all n is n^3."""
+    n = len(table)
+    distinct = np.zeros((n, n), dtype=bool)
+    distinct.ravel()[np.arange(0, n * n, n)[:, None] + table] = True    # flat: 2x a 2-d scatter
+    reached, columns = set(passed), [table[:, p].tolist() for p in passed]  # x -> x p
+    for g in np.argsort(-np.count_nonzero(distinct, axis=1), kind="stable").tolist():
+        if g in reached:
+            continue
+        left = np.take(table, table[:, g], axis=0)    # (x g) y
+        right = np.take(table, table[g], axis=1)      # x (g y)
+        if (fails := left != right).any():
+            x, y = map(int, np.argwhere(fails)[0])
+            raise StructureError(f"associativity fails at ({x}, {g}, {y})")
+        columns.append(column := table[:, g].tolist())
+        fresh = {column[x] for x in reached} | {g}
+        while fresh := fresh - reached:
+            reached |= fresh
+            fresh = {col[x] for x in fresh for col in columns}
 
 
 BLOCK_CELLS = 1 << 18   # cells of one block of table work; a larger table uses two threads
@@ -353,7 +383,7 @@ class InverseMonoid:
         if not (np.all(mul[self.zero] == self.zero) and np.all(mul[:, self.zero] == self.zero)):
             raise StructureError("designated zero is not absorbing")
 
-        self._check_associativity()
+        check_associativity(mul, [self.one])    # one passes: it is an identity
 
         inv_arr = np.asarray(self.inv)
         raise_first_failure({"inverse is not an involution at {}": inv_arr[inv_arr] != rng})
@@ -371,33 +401,6 @@ class InverseMonoid:
         if not np.array_equal(sub, sub.T):
             i, j = map(int, np.argwhere(sub != sub.T)[0])
             raise StructureError(f"idempotents {idem[i]} and {idem[j]} do not commute")
-
-    def _check_associativity(self) -> None:
-        """Light's test, exact for any finite magma: the elements g with
-        ``(x g) y == x (g y)`` for all x, y are closed under the product, so
-        it suffices to test unreached elements until products of the passed
-        ones reach all.  Rows with more distinct entries go first (speed only:
-        3-6 tries on I(X), k+1 on 2^k); trying all n is an n^3 scan."""
-        mul, n = self.mul, self.n
-        distinct = np.zeros((n, n), dtype=bool)
-        distinct[np.arange(n)[:, None], mul] = True
-        reached = np.arange(n) == self.one    # one passes: _validate found it an identity
-        passed = [self.one]
-        for g in np.argsort(-distinct.sum(axis=1), kind="stable").tolist():
-            if reached[g]:
-                continue
-            left = np.take(mul, mul[:, g], axis=0)    # (x g) y
-            right = np.take(mul, mul[g], axis=1)      # x (g y)
-            if not np.array_equal(left, right):
-                x, y = map(int, np.argwhere(left != right)[0])
-                raise StructureError(f"associativity fails at ({x}, {g}, {y})")
-            passed.append(g)
-            # right-multiply what is reached by the passed elements
-            new = np.append(mul[reached, g], g)
-            while len(new):
-                fresh = np.bincount(new, minlength=n).astype(bool) & ~reached
-                reached |= fresh
-                new = mul[np.ix_(np.flatnonzero(fresh), passed)].ravel()
 
     # -- elementary operations ----------------------------------------------
 

@@ -20,6 +20,7 @@ from stonework.groupoids import identity_functor, pair_groupoid
 from stonework.serialize import (
     entry_to_json,
     functor_to_json,
+    groupoid_to_json,
     load_entry,
     monoid_to_json,
     morphism_to_json,
@@ -478,6 +479,26 @@ GROUPOID_CORRUPTIONS = {
         0, [*data["compose"][0][:2], (data["compose"][0][2] + 1) % data["m"]]),
 }
 
+
+@pytest.mark.parametrize("index", [2 ** 63, 2 ** 64, -2 ** 63 - 1])
+@pytest.mark.parametrize("field", ["identities", "d", "r", "inv", "compose"])
+@pytest.mark.parametrize("kind", ["groupoid", "functor"])
+def test_an_index_past_int64_in_a_stored_groupoid_exits_2(tmp_path, capsys, kind, field,
+                                                          index):
+    """Range-checked as given: narrowed to int64 first, it would overflow."""
+    pair2 = pair_groupoid(2)
+    payload = (groupoid_to_json(pair2) if kind == "groupoid"
+               else functor_to_json(identity_functor(pair2)))
+    groupoid = payload if kind == "groupoid" else payload["source"]
+    (groupoid["compose"][0] if field == "compose" else groupoid[field])[0] = index
+    save_entry(tmp_path, "bad", kind, payload)
+    message = f"{field} has an arrow index outside 0..3"
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        load_entry("bad", tmp_path)
+    code, out, err = run(capsys, "check", "bad", "--store", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 MONOID_CORRUPTIONS = {
     "mul-range": lambda data: data["mul"][5].__setitem__(3, data["n"] + 1),
     "inv-range": lambda data: data["inv"].__setitem__(3, -1),
@@ -627,6 +648,16 @@ def test_no_reproved_theorem_in_src():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_one_associativity_test_in_src():
+    # monoids and groupoids (with undefined as an absorbing arrow) are both
+    # decided by Light's test, in one function; no per-element scan returns
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "associativity fails at" in line]
+    assert len(hits) == 1, hits
 
 
 def test_tracer_hooks_resolve():

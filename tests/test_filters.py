@@ -105,9 +105,10 @@ def test_filter_of_takes_a_row_or_an_array_of_rows(ix2):
         filter_of(ix2, np.vstack([leq[e1], np.arange(ix2.n) == e1]))
 
 
-@pytest.mark.parametrize("generator", [-1, 7, 8])
+@pytest.mark.parametrize("generator", [-1, 7, 8, 2 ** 63, 2 ** 64, -2 ** 63 - 1])
 def test_a_generator_outside_the_carrier_is_refused(ix2, generator):
-    # ix2 has 7 elements: -1 must not be read as the last one, nor 7 or 8 wrap
+    # ix2 has 7 elements: -1 must not be read as the last one, nor 7 or 8 wrap,
+    # nor an index past int64 overflow
     message = f"filter generator {generator} is outside 0..6"
     for a, b in ((generator, ix2.one), (ix2.one, generator)):
         with pytest.raises(StructureError, match=message):

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -145,12 +146,18 @@ def test_validation_rejects_bad_inverse(pair2):
         type(pair2)(pair2.d, pair2.r, inv, pair2.compose, pair2.identities)
 
 
-@pytest.mark.parametrize("groupoid", [pair_groupoid(3),
-                                      disjoint_union(group_groupoid(2), group_groupoid(3))],
-                         ids=["pair3", "z2+z3"])
-def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid):
-    # every cell of the table, set to each other arrow and to -1 (undefined)
-    m, checked = groupoid.m, 0
+@pytest.mark.parametrize("groupoid, earlier, associativity", [
+    (pair_groupoid(3), 729, 0),
+    (disjoint_union(group_groupoid(2), group_groupoid(3)), 121, 4),
+    (disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)), group_groupoid(7)),
+     3850, 246),
+], ids=["pair3", "z2+z3", "z4+z5+z7"])
+def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid, earlier, associativity):
+    """Every cell of the table, set to each other arrow and to -1 (undefined).
+    Each check before associativity fails with the reference's message.  At
+    associativity Light's test names a failing triple, not the reference's
+    lexicographically first one: (a b) c != a (b c), undefined read as absorbing."""
+    m, counts = groupoid.m, [0, 0]
     for (g, h), value in np.ndenumerate(groupoid.compose):
         for wrong in set(range(-1, m)) - {int(value)}:
             table = groupoid.compose.copy()
@@ -163,15 +170,50 @@ def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid):
                 message = None
             except StructureError as err:
                 message = str(err)
-            assert message == expected, (g, h, wrong)
-            checked += expected is not None
-    assert checked > 0
+            if expected is None or not expected.startswith("associativity fails at"):
+                assert message == expected, (g, h, wrong)
+                counts[0] += expected is not None
+                continue
+            named = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", message or "")
+            assert named, (g, h, wrong, message)
+            a, b, c = map(int, named.groups())
+            padded = np.pad(table, (0, 1), constant_values=-1)      # index -1 reads -1
+            assert max(a, b, c) < m, (g, h, wrong, message)
+            assert padded[padded[a, b], c] != padded[a, padded[b, c]], (g, h, wrong, message)
+            counts[1] += 1
+    assert counts == [earlier, associativity]
+
+
+def test_large_groupoids_validate_at_the_cost_of_a_few_tries():
+    """An associativity scan of each arrow in turn is m^3 cells: minutes on
+    these.  Light's test tries one arrow of z2000 and about 2(p - 1) of pair32."""
+    start = time.perf_counter()
+    assert (len(group_groupoid(2000)), len(pair_groupoid(32))) == (2000, 1024)
+    assert time.perf_counter() - start < 20
+
+
+def test_a_one_cell_change_in_z2000_is_rejected_at_a_failing_triple():
+    z2000 = group_groupoid(2000)
+    table = z2000.compose.copy()
+    table[1, 1] = 3         # not 2; 1 is not its own inverse, so only associativity fails
+    with pytest.raises(StructureError, match=r"^associativity fails at \(\d+, \d+, \d+\)$") as err:
+        FiniteGroupoid(z2000.d, z2000.r, z2000.inv, table, z2000.identities)
+    a, b, c = map(int, re.findall(r"\d+", str(err.value)))
+    assert table[table[a, b], c] != table[a, table[b, c]]
 
 
 def test_compose_must_be_a_square_integer_table(pair2):
     for table in (pair2.compose[:, :3], pair2.compose.astype(float), {(0, 0): 0}):
         with pytest.raises(StructureError, match="compose must be"):
             FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
+
+
+def test_a_compose_entry_past_int64_is_out_of_range_not_wrapped(pair2):
+    """A uint64 table narrowed to int64 first would read 2^64 - 1 as -1,
+    undefined, which is right in every cell that holds it here."""
+    table = np.where(pair2.compose < 0, 2 ** 64 - 1, pair2.compose).astype(np.uint64)
+    with pytest.raises(StructureError, match="^compose has an arrow index outside 0..3$"):
+        FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 
 def test_a_ragged_compose_list_is_refused():
