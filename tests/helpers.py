@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the duality and acceptance tests."""
 
+import itertools
 import json
 import random
 from contextlib import suppress
@@ -17,7 +18,13 @@ from stonework import (
 )
 from stonework.duality import MonoidMorphism
 from stonework.errors import MorphismError, StructureError
-from stonework.filters import filter_doms, filter_of, ultra_by_meet, ultrafilter_groupoid
+from stonework.filters import (
+    enumerate_ultrafilters,
+    filter_doms,
+    filter_of,
+    ultra_by_meet,
+    ultrafilter_groupoid,
+)
 from stonework.groupoids import (
     CoveringFunctor,
     check_covering,
@@ -27,7 +34,7 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
-from stonework.inverse_core import InverseMonoid, OrderData, partial_bijections
+from stonework.inverse_core import InverseMonoid, OrderData, first_failure, partial_bijections
 from stonework.polycyclic import PolyElement, letters, poly_mul
 from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _fields
 
@@ -282,6 +289,78 @@ def idempotent_embedding_ba2_into_ix2(ba2, ix2):
     images = [by_label["{}"], by_label["{1->1}"], by_label["{2->2}"],
               by_label["{1->1,2->2}"]]
     return MonoidMorphism(ba2, ix2, tuple(images), weak=True)
+
+
+def reference_morphism_failure(source, target, f, *, weak=False):
+    """The morphism axioms with the checks they imply, in MonoidMorphism's
+    order: the homomorphism, then M1 as zero and one, each idempotent's image
+    idempotent and its complement kept, then the meets and joins of
+    idempotents; M2; and unless ``weak``, M3 as every target ultrafilter's
+    preimage being non-empty and ultra.  (stage, witness) of the first
+    failure, or None."""
+    source.require_boolean()
+    target.require_boolean()
+    image = np.array(f, dtype=np.int64)
+    moved = image.take(source.mul) != target.mul[np.ix_(image, image)]
+    if moved.any():
+        return "homomorphism", tuple(int(x) for x in np.argwhere(moved)[0])
+    if f[source.zero] != target.zero or f[source.one] != target.one:
+        return "M1", ("zero/one",)
+    for e in source.idempotents:
+        if not target.is_idempotent(f[e]):
+            return "M1", (e,)
+        if f[source.idempotent_complement(e)] != target.idempotent_complement(f[e]):
+            return "M1", ("complement", e)
+    padded, idem = np.append(image, -1), list(source.idempotents)
+    mine, theirs, e_image = source.order(), target.order(), image[idem]
+    if hit := first_failure({bound: padded[getattr(mine, bound)[idem][:, idem]]
+                             != getattr(theirs, bound)[e_image][:, e_image]
+                             for bound in ("meet", "join")}):
+        return "M1", (hit[0], *(idem[i] for i in hit[1]))
+    if hit := first_failure({"M2": padded[mine.meet] != theirs.meet[image][:, image]}):
+        return hit
+    if weak:
+        return None
+    ultra = enumerate_ultrafilters(target)
+    rows = theirs.matrix[ultra][:, image]
+    found = rows.any(axis=1)
+    pre = np.zeros(len(ultra), dtype=np.intp)
+    pre[found] = filter_of(source, rows[found])
+    if not (is_ultra := found & ultra_by_meet(source, pre)).all():
+        return "M3", (np.flatnonzero(theirs.matrix[ultra[np.argmin(is_ultra)]]).tolist(),)
+    return None
+
+
+def homomorphisms(source, target, *, fix_zero_one=True):
+    """Every semigroup homomorphism source -> target, sending zero to zero
+    and one to one unless ``fix_zero_one`` is false, as the rows of an int
+    array.  Brute force, cut early: maps grow one element at a time, and a
+    partial map is dropped once a product of assigned elements that lands
+    on an assigned element is not sent to the product of the images."""
+    mul, tmul = source.mul.astype(np.intp), target.mul.astype(np.intp)
+    fixed = {source.zero: target.zero, source.one: target.one} if fix_zero_one else {}
+    order = list(dict.fromkeys([source.zero, source.one, *range(source.n)]))
+    maps = np.zeros((1, source.n), dtype=np.intp)
+    for k, s in enumerate(order):
+        images = [fixed[s]] if s in fixed else list(range(target.n))
+        maps = np.repeat(maps, len(images), axis=0)
+        maps[:, s] = np.tile(images, len(maps) // len(images))
+        for a in order[:k + 1]:
+            for x, y in ((a, s), (s, a)):
+                if mul[x, y] in order[:k + 1]:
+                    maps = maps[tmul[maps[:, x], maps[:, y]] == maps[:, mul[x, y]]]
+    return maps
+
+
+def covering_functors(source, target):
+    """The arrow maps of every covering functor source -> target, by brute
+    force over all target.m ** source.m arrow maps."""
+    found = []
+    for arrow_map in itertools.product(range(target.m), repeat=source.m):
+        with suppress(StructureError):
+            if check_covering(CoveringFunctor(source, target, arrow_map)).ok:
+                found.append(arrow_map)
+    return found
 
 
 # -- literal definitions of the orthogonal completion ------------------------------
