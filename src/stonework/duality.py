@@ -54,7 +54,7 @@ from .groupoids import (
     image_products,
     point_ultrafilter,
 )
-from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, first_failure,
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, as_map, first_failure,
                            inclusions, raise_first_failure)
 from .reporting import LawReport
 
@@ -74,11 +74,9 @@ class MonoidMorphism:
     weak: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", as_indices(self.mapping, "morphism map"))
+        object.__setattr__(self, "mapping", as_map(self.mapping, "morphism map", self.target.n))
         if len(self.mapping) != self.source.n:
             raise StructureError("morphism mapping length mismatch")
-        if any(not 0 <= x < self.target.n for x in self.mapping):
-            raise StructureError("morphism maps outside the target")
         self.validate(weak=self.weak)
 
     def __call__(self, s: int) -> int:
@@ -158,6 +156,7 @@ def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     """Is K(s) | K(t) a bisection?  Returns (flag, witness) where the
     witness names two arrows sharing a domain or range fiber."""
+    s, t = as_indices((s, t), "element", sg.monoid.n).tolist()
     opens = basic_opens(sg.monoid, sg)
     clash = fiber_clash(sg, np.flatnonzero(opens[s] | opens[t]).tolist())
     return clash is None, clash

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, in_range, inclusions
+from .inverse_core import InverseMonoid, as_indices, inclusions
 
 
 def filter_of(monoid: InverseMonoid, rows):
@@ -93,7 +93,7 @@ def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
 def filter_product(monoid: InverseMonoid, a: int, b: int) -> int:
     """The smallest filter containing the set product up(a) up(b): the
     generator of the upward closure of {xy}."""
-    a, b = in_range((a, b), monoid.n, "filter generator").tolist()
+    a, b = as_indices((a, b), "filter generator", monoid.n).tolist()
     leq = monoid.order().matrix
     product = np.zeros(monoid.n, dtype=bool)
     product[monoid.mul[np.ix_(leq[a], leq[b])].astype(np.intp)] = True
@@ -102,7 +102,7 @@ def filter_product(monoid: InverseMonoid, a: int, b: int) -> int:
 
 def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
     """up(g)^-1 for each generator g: the least member of the inverted row."""
-    rows = monoid.order().matrix[in_range(generators, monoid.n, "filter generator")]
+    rows = monoid.order().matrix[as_indices(generators, "filter generator", monoid.n)]
     return least_members(monoid, rows[..., list(monoid.inv)])
 
 
@@ -192,7 +192,7 @@ class StoneGroupoid(FiniteGroupoid):
     def arrow_at(self, generators):
         """The arrow that is the ultrafilter up(g), for a generator g or each
         of an array of them; g must be an atom."""
-        gens = in_range(generators, self.monoid.n, "filter generator")
+        gens = as_indices(generators, "filter generator", self.monoid.n)
         arrows = self._arrow[gens]
         if (missing := np.flatnonzero(arrows < 0)).size:
             s = int(gens.flat[missing[0]])

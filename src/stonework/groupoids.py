@@ -3,8 +3,11 @@
 A finite groupoid is a set of arrows ``0..m-1`` with total ``d``, ``r``
 and inverse maps and a composition table, defined exactly on the pairs
 with ``d(g) = r(h)``.  The table is dense: ``compose[g, h]`` is the arrow
-``g h``, or -1 where the pair is not composable.  Associativity is decided
-by Light's test, as for monoids, with -1 read as one more, absorbing arrow.
+``g h``, or -1 where the pair is not composable.  Every arrow index given to
+a groupoid, a covering functor or a point filter passes the index gate,
+:func:`~stonework.inverse_core.as_indices` (-1 is allowed only in
+``compose``).  Associativity is decided by Light's test, as for monoids,
+with -1 read as one more, absorbing arrow.
 For finite carriers the topology is discrete, so every subset is compact open
 and the boolean-groupoid conditions reduce to finiteness; the certificate of
 that reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
@@ -31,12 +34,11 @@ from .inverse_core import (
     _partial_bijection_count,
     as_indices,
     as_labels,
-    as_table,
+    as_map,
     check_associativity,
     check_size,
-    in_range,
     raise_first_failure,
-    reject_bools,
+    sequence_length,
 )
 
 
@@ -53,12 +55,9 @@ def compose_table(triples, m: int) -> np.ndarray:
     if not isinstance(triples, list) or any(not isinstance(t, list) or len(t) != 3
                                             for t in triples):
         raise StructureError("compose must be a list of [g, h, k] triples")
-    cells = np.array([as_indices(t, "compose") for t in triples]).reshape(-1, 3)
-    if cells.size and (cells.min() < 0 or cells.max() >= m):    # as given, past int64 too
-        raise StructureError(f"compose has an arrow index outside 0..{m - 1}")
-    g, h, k = cells.astype(np.int64).T
+    g, h, k = as_indices(triples, "compose", m).reshape(-1, 3).T
     table[g, h] = k
-    if np.count_nonzero(table >= 0) < len(cells):
+    if np.count_nonzero(table >= 0) < len(triples):
         pairs, counts = np.unique(g * m + h, return_counts=True)
         g, h = divmod(int(pairs[counts > 1][0]), m)
         raise StructureError(f"compose gives the pair ({g}, {h}) twice")
@@ -69,24 +68,16 @@ class FiniteGroupoid:
     """A finite groupoid on dense arrow indices, verified on construction."""
 
     def __init__(self, d, r, inv, compose, identities, labels=None):
-        self.d = as_indices(d, "d")
-        self.m = m = len(self.d)
-        self.r = as_indices(r, "r")
-        self.inv = as_indices(inv, "inv")
-        table = as_table(compose, "compose")
-        if table.shape != (m, m) or table.dtype.kind not in "iu":
+        self.m = m = sequence_length(d, "d")
+        self.d, self.r, self.inv = (as_map(x, name, m) for x, name in
+                                    ((d, "d"), (r, "r"), (inv, "inv")))
+        table = as_indices(compose, "compose", m, -1)      # -1: the pair is not composable
+        if table.shape != (m, m):
             raise StructureError(f"compose must be an {m} x {m} table of arrows")
-        self.identities = tuple(sorted(as_indices(identities, "identities")))
+        self.identities = tuple(sorted(as_map(identities, "identities", m)))
         self.labels = as_labels(labels, m)
         if len(self.r) != m or len(self.inv) != m:
             raise StructureError("d/r/inv length mismatch")
-        # every index is range-checked as given, before it is narrowed to int64
-        # or looked up by; compose may also hold -1, which numpy would read as m - 1
-        extremes = (table.min(), table.max()) if table.size else ()
-        for name, values, low in (("d", self.d, 0), ("r", self.r, 0), ("inv", self.inv, 0),
-                                  ("identities", self.identities, 0), ("compose", extremes, -1)):
-            if values and (min(values) < low or max(values) >= m):
-                raise StructureError(f"{name} has an arrow index outside 0..{m - 1}")
         # compose is a view of a table with a row and a column of -1 appended,
         # so that -1 (no arrow) used as an index reads -1 instead of wrapping
         self._padded = np.full((m + 1, m + 1), -1, dtype=np.int64)
@@ -94,7 +85,6 @@ class FiniteGroupoid:
         self._padded.setflags(write=False)
         self.compose = self._padded[:-1, :-1]
         self._validate()
-        reject_bools(compose, "compose")
 
     def _validate(self) -> None:
         """Each failure names the first failing arrow or pair, or a failing triple."""
@@ -378,7 +368,7 @@ def point_ultrafilter(bm: BisectionMonoid, g):
     That it is an ultrafilter is the law ``point-filters-ultra``."""
     from .filters import filter_of  # filters builds on FiniteGroupoid
 
-    return filter_of(bm.monoid, bm.rows[:, in_range(g, bm.groupoid.m, "arrow")].T)
+    return filter_of(bm.monoid, bm.rows[:, as_indices(g, "arrow", bm.groupoid.m)].T)
 
 
 # -- covering functors --------------------------------------------------------------
@@ -400,11 +390,9 @@ class CoveringFunctor:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        object.__setattr__(self, "arrow_map", f := as_indices(self.arrow_map, "arrow map"))
+        object.__setattr__(self, "arrow_map", f := as_map(self.arrow_map, "arrow map", tgt.m))
         if len(f) != src.m:
             raise StructureError("arrow map length mismatch")
-        if any(not 0 <= x < tgt.m for x in f):
-            raise StructureError("arrow map leaves the target")
         arrows, defined = np.array(f, dtype=np.int64), src.compose >= 0
         raise_first_failure({"identity {} not sent to an identity": np.isin(
             np.arange(src.m), src.identities) & ~np.isin(arrows, tgt.identities)})

@@ -10,12 +10,17 @@ order) are theorems, checked by the tests.  Associativity is Light's test,
 :func:`check_associativity`, the one that groupoids use too.
 Richer carriers such as partial bijections appear only as constructors and labels.
 A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
-arrows); a larger one is refused before its n x n tables are built.  The
-product table is range-checked as given and then held as a read-only int16
-array (n <= 2^12 < 2^15), so each n x n gather moves two bytes a cell.  Code
-that combines entries into codes or sums widens them first, and a hot gather
-indexed by entries reads them as intp (``take``, or a widened index vector):
-numpy gathers by an int16 index array several times slower.
+arrows); a larger one is refused before its n x n tables are built.
+
+Every index that enters the library (a table, a map, a generator) is read by
+one gate, :func:`as_indices`, as given: its first entry that is not an int
+fails as ``{what} has a non-integer entry {x!r}``, and one outside its bounds
+as ``{what} {x} is outside {lo}..{hi}``.  The checked product table is then
+held as a read-only int16 array (n <= 2^12 < 2^15), so each n x n gather
+moves two bytes a cell.  Code that combines entries into codes or sums widens
+them first, and a hot gather indexed by entries reads them as intp (``take``,
+or a widened index vector): numpy gathers by an int16 index array several
+times slower.
 
 The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
 is computed definitionally, as a dense matrix, and with it one dense meet
@@ -42,7 +47,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -59,45 +64,45 @@ def check_size(count: int, what: str, cap: int = MAX_ELEMENTS) -> None:
         raise BoundError(f"{what}: sizes are capped at {cap}")
 
 
-def as_indices(values, what: str) -> tuple[int, ...]:
-    """The entries as a tuple of ints; a non-integer entry (float, bool,
-    string) is a StructureError, never truncated."""
+def as_indices(values, what: str, size: int, low: int = 0) -> np.ndarray:
+    """The one gate for indices from outside: ``values`` (an int, a sequence,
+    rows of one, or an array) as an array of ints in ``low..size-1``.  The
+    first entry, in ascending position, that is not an int (a bool, float or
+    string) or lies outside, even past int64, is a StructureError.  An integer
+    array costs a min and a max; a list is scanned for bools row by row."""
     try:
-        out = tuple(values)
-    except TypeError:
-        raise StructureError(f"{what} is not a sequence") from None
-    for x in out:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise StructureError(f"{what} has a non-integer entry {x!r}")
-    return tuple(int(x) for x in out)
-
-
-def as_table(rows, what: str = "product table") -> np.ndarray:
-    """The rows as a numpy array; ragged rows are a StructureError."""
-    try:
-        return np.asarray(rows)
+        array = np.asarray(values)
     except ValueError:
         raise StructureError(f"{what} rows are ragged") from None
+    rows = [values] if isinstance(values, (list, tuple)) else []    # innermost rows
+    for _ in range(array.ndim - 1):
+        rows = chain.from_iterable(rows)
+    if (array.dtype.kind in "iu" and not any(bool in map(type, row) for row in rows)
+            and (not array.size or low <= array.min() and array.max() < size)):
+        return array
+    for x in np.asarray(values, dtype=object).flat:     # as given: numpy reads True as 1
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise StructureError(f"{what} has a non-integer entry {x!r}")
+        if not low <= x < size:
+            raise StructureError(f"{what} {x} is outside {low}..{size - 1}")
+    return array.astype(np.intp)        # no entry at all, or ints numpy read as floats
 
 
-def reject_bools(rows, what: str) -> None:
-    """A bool in a list of rows, which numpy reads as 1/0, is a StructureError:
-    scanned last by the constructors, so a table they reject skips it."""
-    for row in rows if isinstance(rows, list) else ():
-        if bool in map(type, row):
-            as_indices(row, what)
-
-
-def in_range(values, size: int, what: str) -> np.ndarray:
-    """``values`` as an intp array, each in 0..size-1: one outside, even past
-    intp, is a StructureError naming it, never read as an index from the end."""
+def sequence_length(values, what: str) -> int:
+    """The length of a table or map; a value without one is a StructureError."""
     try:
-        values = np.asarray(values, dtype=np.intp)
-    except OverflowError:       # compared as given below, and outside
-        values = np.asarray(values, dtype=object)
-    if (outside := np.flatnonzero((values < 0) | (values >= size))).size:
-        raise StructureError(f"{what} {values.flat[outside[0]]} is outside 0..{size - 1}")
-    return values
+        return len(values)
+    except TypeError:
+        raise StructureError(f"{what} is not a sequence") from None
+
+
+def as_map(values, what: str, size: int) -> tuple[int, ...]:
+    """A sequence through :func:`as_indices`, as a tuple of Python ints."""
+    sequence_length(values, what)
+    indices = as_indices(values, what, size)
+    if indices.ndim != 1:
+        raise StructureError(f"{what} is not a sequence")
+    return tuple(indices.tolist())
 
 
 def as_labels(labels, count: int):
@@ -336,25 +341,18 @@ class InverseMonoid:
     """A finite inverse monoid with zero, held as a verified product table."""
 
     def __init__(self, mul, inv, zero: int, one: int, labels=None):
-        table = as_table(mul)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        n = sequence_length(mul, "product table")
+        table = as_indices(mul, "product table", n)
+        if table.shape != (n, n):
             raise StructureError(f"product table must be square, got {table.shape}")
-        n = table.shape[0]
         if n == 0:
             raise StructureError("empty carrier")
         check_size(n, f"a monoid of {n} elements")
-        if table.dtype.kind not in "iu":
-            raise StructureError(f"product table has non-integer entries ({table.dtype})")
-        # range-checked as given, then narrowed: n <= MAX_ELEMENTS < 2^15
-        if table.min() < 0 or table.max() >= n:
-            raise StructureError("product table entry out of range")
-        table = table.astype(np.int16, copy=False)
-        inv = as_indices(inv, "inverse table")
-        if len(inv) != n or any(not 0 <= i < n for i in inv):
+        table = table.astype(np.int16, copy=False)     # n <= MAX_ELEMENTS < 2^15
+        inv = as_map(inv, "inverse table", n)
+        if len(inv) != n:
             raise StructureError("inverse table malformed")
-        zero, one = as_indices((zero, one), "zero/one")
-        if not (0 <= zero < n and 0 <= one < n):
-            raise StructureError("zero/one out of range")
+        zero, one = as_map((zero, one), "zero/one", n)
         if zero == one and n > 1:
             raise StructureError("zero equals one in a non-trivial monoid")
         labels = as_labels(labels, n)
@@ -370,7 +368,6 @@ class InverseMonoid:
         self._certificate: BooleanCertificate | None = None
         self._complements: np.ndarray | None = None     # [e]: complement of e in E, -1 off E
         self._validate()
-        reject_bools(mul, "product table")
 
     # -- construction-time axiom checks ------------------------------------
 
@@ -524,13 +521,6 @@ class InverseMonoid:
                 f"monoid is not boolean: {cert.axiom} {cert.detail} at {cert.elements}",
                 certificate=cert)
 
-    def idempotent_complement(self, e: int) -> int:
-        """Complement of an idempotent inside the boolean algebra E."""
-        self.require_boolean()
-        if self._complements[e] < 0:
-            raise StructureError(f"{e} is not idempotent")
-        return int(self._complements[e])
-
     def relative_complement(self, s: int, t: int) -> int:
         """The unique r = t \\ s with r <= t, r orthogonal to s, s v r = t."""
         return int(self.relative_complements([s], [t])[0])
@@ -539,10 +529,12 @@ class InverseMonoid:
         """t \\ s over index arrays: each r is t * e, e the complement of
         dom(s) relative to dom(t), checked as in relative_complement.  The
         first pair that breaks s <= t or the check raises; an s of -1 (an
-        absent meet) is below nothing and is never used as an index."""
+        absent meet) passes the gate, is below nothing and is never used as
+        an index."""
         self.require_boolean()
         mul, inv, order = self.mul, np.asarray(self.inv), self.order()
-        given, t = np.asarray(s, dtype=np.intp), np.asarray(t, dtype=np.intp)
+        given = as_indices(s, "element", self.n, -1).astype(np.intp, copy=False)
+        t = as_indices(t, "element", self.n).astype(np.intp, copy=False)
         s = np.where(given >= 0, given, self.zero)
         dom = mul[inv, np.arange(self.n)].astype(np.intp)
         complement = self._complements[dom[s]]

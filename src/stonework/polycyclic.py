@@ -313,16 +313,6 @@ def cn_join(a: CnElement, b: CnElement):
     return CnElement.make(a.n, keep)
 
 
-def cn_join_all(parts) -> CnElement:
-    parts = list(parts)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = cn_join(acc, p)
-        if acc is None:
-            raise StructureError("orthogonal family failed to join")
-    return acc
-
-
 def is_maximal_prefix_code(n: int, code) -> bool:
     """A non-empty antichain under the prefix order that is complete: with
     L the longest length, the integer Kraft sum of n^(L - |w|) is n^L."""
@@ -463,10 +453,6 @@ class EvPeriodicWord:
 
     def __str__(self) -> str:
         return format_ev(self)
-
-
-def ev_words_agree_to(a: EvPeriodicWord, b: EvPeriodicWord, length: int) -> bool:
-    return a.prefix(length) == b.prefix(length)
 
 
 # -- the shift groupoid over eventually periodic words ----------------------------------
@@ -633,12 +619,6 @@ def random_word(rng, n: int, max_len: int) -> str:
     return "".join(rng.choice(letters(n)) for _ in range(rng.randint(0, max_len)))
 
 
-def random_poly(rng, n: int, max_len: int, zero_weight: float = 0.1) -> PolyElement:
-    if rng.random() < zero_weight:
-        return PolyElement.zero()
-    return PolyElement(random_word(rng, n, max_len), random_word(rng, n, max_len))
-
-
 def random_prefix_code(rng, n: int, splits: int) -> list[str]:
     """Leaves of a random n-ary tree grown by the given number of splits:
     always a maximal prefix code."""
@@ -647,14 +627,6 @@ def random_prefix_code(rng, n: int, splits: int) -> list[str]:
         stem = code.pop(rng.randrange(len(code)))
         code.extend(stem + c for c in letters(n))
     return code
-
-
-def random_unit(rng, n: int, max_splits: int) -> CnElement:
-    splits = rng.randint(0, max_splits)
-    targets = random_prefix_code(rng, n, splits)
-    sources = random_prefix_code(rng, n, splits)
-    rng.shuffle(sources)
-    return CnElement.make(n, zip(targets, sources))
 
 
 def random_cn_element(rng, n: int, max_splits: int) -> CnElement:

@@ -2,7 +2,10 @@
 
 Loading always re-runs the structural validation: the constructors are the
 single source of truth, so a corrupted file fails exactly like a corrupted
-in-memory table.
+in-memory table.  Their index gate reads every index as given, so a JSON
+true, a float or a string in a table or map is refused, never read as an
+int; a product table decoded as rows goes on as the gate's array, and the
+rows are freed before it is validated.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
-from .inverse_core import BLOCK_CELLS, InverseMonoid, as_indices, as_table, table_map
+from .inverse_core import (BLOCK_CELLS, MAX_ELEMENTS, InverseMonoid, as_indices, sequence_length,
+                           table_map)
 from .polycyclic import CnElement, format_cn, parse_cn
 
 
@@ -44,15 +48,10 @@ def monoid_to_json(monoid: InverseMonoid, *, rows: bool = True) -> dict:
     }
 
 
-def monoid_from_json(data: dict, *, bools: bool = True) -> InverseMonoid:
-    """``bools=False`` says the JSON text held no true or false: the table
-    then goes on as an array, which ``InverseMonoid`` does not scan, and
-    replaces the decoded rows in ``data``, freed before it is validated."""
+def monoid_from_json(data: dict) -> InverseMonoid:
     n, mul, inv, zero, one = _fields(data, "n", "mul", "inv", "zero", "one")
-    if not bools:
-        data["mul"] = mul = as_table(mul)
     monoid = InverseMonoid(mul, inv, zero, one, data.get("labels"))
-    if (monoid.n,) != as_indices([n], "n"):
+    if as_indices(n, "n", MAX_ELEMENTS + 1).tolist() != monoid.n:
         raise StructureError("declared size disagrees with the table")
     return monoid
 
@@ -73,10 +72,9 @@ def groupoid_to_json(groupoid: FiniteGroupoid) -> dict:
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     m, d, r, inv, compose, identities = _fields(
         data, "m", "d", "r", "inv", "compose", "identities")
-    d = as_indices(d, "d")
-    groupoid = FiniteGroupoid(d, r, inv, compose_table(compose, len(d)), identities,
-                              data.get("labels"))
-    if (groupoid.m,) != as_indices([m], "m"):
+    groupoid = FiniteGroupoid(d, r, inv, compose_table(compose, sequence_length(d, "d")),
+                              identities, data.get("labels"))
+    if as_indices(m, "m", MAX_ELEMENTS + 1).tolist() != groupoid.m:
         raise StructureError("declared size disagrees with the tables")
     return groupoid
 
@@ -281,14 +279,13 @@ def load_entry(path_or_name, store: Path | None = None):
     if not path.exists():
         raise FileNotFoundError(path_or_name)
     data = path.read_bytes()        # the file as is: no str of the text is held beside it
-    bools = b"true" in data or b"false" in data
     name, kind, payload = _fields(_loads(data), "name", "kind", "payload")
-    del data                # not held while the tables are validated
+    del data                # neither it nor the decoded rows are held while a table is validated
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
-    from_json = _codec(kind)[1]
-    obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
-    return name, kind, obj
+    if kind == "monoid" and isinstance(payload, dict) and isinstance(payload.get("mul"), list):
+        payload["mul"] = as_indices(payload["mul"], "product table", len(payload["mul"]))
+    return name, kind, _codec(kind)[1](payload)
 
 
 def check_dot(fmt: str, kind: str) -> None:

@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the duality and acceptance tests."""
 
+import functools
 import itertools
 import json
 import random
@@ -35,7 +36,14 @@ from stonework.groupoids import (
     trivial_groupoid,
 )
 from stonework.inverse_core import InverseMonoid, OrderData, first_failure, partial_bijections
-from stonework.polycyclic import PolyElement, letters, poly_mul
+from stonework.polycyclic import (
+    CnElement,
+    PolyElement,
+    letters,
+    poly_mul,
+    random_prefix_code,
+    random_word,
+)
 from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _fields
 
 
@@ -309,7 +317,7 @@ def reference_morphism_failure(source, target, f, *, weak=False):
     for e in source.idempotents:
         if not target.is_idempotent(f[e]):
             return "M1", (e,)
-        if f[source.idempotent_complement(e)] != target.idempotent_complement(f[e]):
+        if f[complements_by_definition(source)[e]] != complements_by_definition(target)[f[e]]:
             return "M1", ("complement", e)
     padded, idem = np.append(image, -1), list(source.idempotents)
     mine, theirs, e_image = source.order(), target.order(), image[idem]
@@ -465,13 +473,29 @@ def compatible(monoid, s, t):
     return monoid.is_idempotent(int(mul[inv[s], t])) and monoid.is_idempotent(int(mul[s, inv[t]]))
 
 
+@functools.lru_cache(maxsize=16)
+def complements_by_definition(monoid) -> dict[int, int]:
+    """The complement of each idempotent e in E by its definition, read off
+    the order matrix alone: the idempotent f with e f = zero (their only
+    common lower bound) and e v f = one (their only common upper bound in
+    E).  Counted by matmuls over the order of E, once per monoid."""
+    order = monoid.order()
+    idem = list(order.idempotents)
+    in_e = order.matrix[np.ix_(idem, idem)].astype(np.int64)    # [x, y]: x <= y
+    lower, upper = in_e.T @ in_e, in_e @ in_e.T    # [i, j]: common lower / upper bounds
+    return {idem[i]: idem[j] for i, j in np.argwhere((lower == 1) & (upper == 1)).tolist()}
+
+
 def reference_relative_complement(monoid, s, t):
     """The scalar relative complement t \\ s, built as t * e for e the
     complement of dom(s) relative to dom(t), with its precondition and
     self-check one call at a time."""
     if not monoid.leq(s, t):
         raise StructureError(f"relative complement needs {s} <= {t}")
-    e = int(monoid.mul[monoid.dom(t), monoid.idempotent_complement(monoid.dom(s))])
+    complements, dom_s = complements_by_definition(monoid), monoid.dom(s)
+    if dom_s not in complements:
+        raise StructureError(f"{dom_s} is not idempotent")
+    e = int(monoid.mul[monoid.dom(t), complements[dom_s]])
     r = int(monoid.mul[t, e])
     if not (monoid.leq(r, t) and orthogonal(monoid, s, r) and monoid.join(s, r) == t):
         raise StructureError(f"relative complement construction broke at ({s}, {t})")
@@ -600,14 +624,12 @@ def reference_load_entry(path):
     """Load an entry by ``json.loads`` alone, every table as rows of Python
     ints: (name, kind, object), or the loader's error."""
     text = Path(path).read_text()
-    bools = "true" in text or "false" in text
     name, kind, payload = _fields(json.loads(text), "name", "kind", "payload")
     del text
     if not isinstance(name, str):
         raise StructureError("entry name must be a string")
     from_json = _codec(kind)[1]
-    obj = from_json(payload, bools=bools) if kind == "monoid" else from_json(payload)
-    return name, kind, obj
+    return name, kind, from_json(payload)
 
 
 # -- the table codec on one thread --------------------------------------------------
@@ -780,3 +802,20 @@ def reference_functor_on_morphism(theta, sg_source=None, sg_target=None):
     if not report.ok:
         raise StructureError(f"morphism preimage is not a covering: {report.witness}")
     return functor
+
+
+# -- seeded samplers only tests use ---------------------------------------------------
+
+
+def random_poly(rng, n: int, max_len: int, zero_weight: float = 0.1) -> PolyElement:
+    if rng.random() < zero_weight:
+        return PolyElement.zero()
+    return PolyElement(random_word(rng, n, max_len), random_word(rng, n, max_len))
+
+
+def random_unit(rng, n: int, max_splits: int) -> CnElement:
+    splits = rng.randint(0, max_splits)
+    targets = random_prefix_code(rng, n, splits)
+    sources = random_prefix_code(rng, n, splits)
+    rng.shuffle(sources)
+    return CnElement.make(n, zip(targets, sources))

@@ -8,8 +8,9 @@ see one line per criterion.
 
 import random
 import time
+from functools import reduce
 
-from helpers import corpus_monoids, symmetric_to_pair_arrow_map
+from helpers import corpus_monoids, random_unit, symmetric_to_pair_arrow_map
 from stonework import chain_monoid, symmetric_inverse_monoid
 from stonework.duality import (
     clifford_check,
@@ -31,7 +32,7 @@ from stonework.polycyclic import (
     CnElement,
     all_words,
     arrow_to_ultrafilter,
-    cn_join_all,
+    cn_join,
     cn_mul,
     embed_poly,
     is_unit,
@@ -42,7 +43,6 @@ from stonework.polycyclic import (
     PolyElement,
     random_arrow,
     random_cn_element,
-    random_unit,
     ultrafilter_to_arrow,
 )
 
@@ -117,7 +117,7 @@ def test_criterion_5_completion_identities():
     # the complete family of generator ranges joins to the identity
     for n in (2, 3):
         parts = [CnElement.make(n, [(c, c)]) for c in "123"[:n]]
-        assert cn_join_all(parts) == CnElement.one(n), n
+        assert reduce(cn_join, parts) == CnElement.one(n), n
 
     # embedding is a homomorphism on every pair with components of length <= 3
     elements = [PolyElement.zero()]

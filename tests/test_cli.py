@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from helpers import relabelled
 
+import stonework
 from stonework import (MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli,
                        filters)
 from stonework.cli import main, make_parser
@@ -147,6 +148,28 @@ def test_every_public_name_is_used():
               if not name.startswith("_")
               and sum(len(re.findall(rf"\b{name}\b", text)) for text in texts.values()) <= count]
     assert unused == []
+
+
+# helpers that only perfbench/workloads.py imports: they leave src/ in a
+# change to the benchmark, which may not touch perfbench/ otherwise
+BENCHMARK_HELPERS = {"random_cn_element", "random_arrow", "random_prefix_code",
+                     "is_unit_definitional", "oracle_agrees_on_product", "oracle_agrees_on_join"}
+
+
+def test_every_public_def_is_exported_or_used_in_src():
+    # a public module-level def that stonework does not export and no code in
+    # src/ refers to is test or benchmark scaffolding: it belongs outside src/
+    trees = {path.name: ast.parse(path.read_text())
+             for path in (Path(__file__).parents[1] / "src" / "stonework").glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [(path, node.name) for path, tree in sorted(trees.items()) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert {name for _, name in defined} >= BENCHMARK_HELPERS
+    kept = {*stonework.__all__, *used, *BENCHMARK_HELPERS}
+    assert [f"{path}:{name}" for path, name in defined if name not in kept] == []
 
 
 def test_no_bitmask_twin_of_the_order_in_src():
@@ -492,7 +515,7 @@ def test_an_index_past_int64_in_a_stored_groupoid_exits_2(tmp_path, capsys, kind
     groupoid = payload if kind == "groupoid" else payload["source"]
     (groupoid["compose"][0] if field == "compose" else groupoid[field])[0] = index
     save_entry(tmp_path, "bad", kind, payload)
-    message = f"{field} has an arrow index outside 0..3"
+    message = f"{field} {index} is outside 0..3"
     with pytest.raises(StructureError, match=f"^{message}$"):
         load_entry("bad", tmp_path)
     code, out, err = run(capsys, "check", "bad", "--store", str(tmp_path))
@@ -651,6 +674,17 @@ def test_no_reproved_theorem_in_src():
             if pattern.search(line)]
     assert hits == []
     assert "ultra_by_meet" not in (root / "stonework" / "duality.py").read_text()
+
+
+def test_one_index_gate_in_src():
+    # every index from outside the library is read by inverse_core.as_indices:
+    # the helpers it replaced and hand-rolled range scans may not return
+    pattern = re.compile(r"\b(in_range|reject_bools|as_table)\b|bools=|any\(not 0 <=")
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 def test_one_associativity_test_in_src():

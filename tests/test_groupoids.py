@@ -203,8 +203,11 @@ def test_a_one_cell_change_in_z2000_is_rejected_at_a_failing_triple():
 
 
 def test_compose_must_be_a_square_integer_table(pair2):
-    for table in (pair2.compose[:, :3], pair2.compose.astype(float), {(0, 0): 0}):
-        with pytest.raises(StructureError, match="compose must be"):
+    with pytest.raises(StructureError, match="^compose must be an 4 x 4 table of arrows$"):
+        FiniteGroupoid(pair2.d, pair2.r, pair2.inv, pair2.compose[:, :3], pair2.identities)
+    for table, entry in ((pair2.compose.astype(float), "0.0"), ({(0, 0): 0}, "{(0, 0): 0}")):
+        message = f"compose has a non-integer entry {entry}"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
             FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 
@@ -212,7 +215,7 @@ def test_a_compose_entry_past_int64_is_out_of_range_not_wrapped(pair2):
     """A uint64 table narrowed to int64 first would read 2^64 - 1 as -1,
     undefined, which is right in every cell that holds it here."""
     table = np.where(pair2.compose < 0, 2 ** 64 - 1, pair2.compose).astype(np.uint64)
-    with pytest.raises(StructureError, match="^compose has an arrow index outside 0..3$"):
+    with pytest.raises(StructureError, match=f"^compose {2 ** 64 - 1} is outside -1..3$"):
         FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 

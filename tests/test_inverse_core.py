@@ -34,6 +34,17 @@ from stonework import (
     product_monoid,
     symmetric_inverse_monoid,
 )
+from stonework.duality import MonoidMorphism, stone_groupoid, union_bisection_probe
+from stonework.filters import filter_doms, filter_inverses, filter_product, filter_rans
+from stonework.groupoids import (
+    CoveringFunctor,
+    FiniteGroupoid,
+    all_bisections_monoid,
+    compose_table,
+    pair_groupoid,
+    point_ultrafilter,
+)
+from stonework.serialize import groupoid_to_json
 
 from helpers import (
     compatible,
@@ -180,6 +191,72 @@ def test_rejects_bad_inverse_table(ix2):
     with pytest.raises(StructureError):
         InverseMonoid(ix2.mul, inv, ix2.zero, ix2.one)
     del b
+
+
+def _replaced(values, at, bad):
+    """A copy of a list (of rows) with the entry at position ``at`` replaced."""
+    values = [list(row) if isinstance(row, (list, tuple)) else row for row in values]
+    *row, last = at
+    (values[row[0]] if row else values)[last] = bad
+    return values
+
+
+def _gated_entry_points():
+    """Each index gate: (name, what, size, low, call), ``call(bad)`` putting
+    ``bad`` where the gate reads it: ix2 has 7 elements, pair2 4 arrows."""
+    ix2, pair2 = symmetric_inverse_monoid(2), pair_groupoid(2)
+    sg, bm = stone_groupoid(ix2), all_bisections_monoid(pair2)
+    mul, inv, one = ix2.mul.tolist(), list(ix2.inv), ix2.one
+    d, r, p_inv, ids = (list(x) for x in (pair2.d, pair2.r, pair2.inv, pair2.identities))
+    dense, triples = pair2.compose.tolist(), groupoid_to_json(pair2)["compose"]
+    monoid = lambda mul=mul, inv=inv, zero=ix2.zero, one=one: InverseMonoid(mul, inv, zero, one)
+    groupoid = lambda d=d, r=r, inv=p_inv, compose=dense, ids=ids: FiniteGroupoid(
+        d, r, inv, compose, ids)
+    return [
+        ("table cell", "product table", 7, 0, lambda x: monoid(mul=_replaced(mul, (3, 2), x))),
+        ("inv", "inverse table", 7, 0, lambda x: monoid(inv=_replaced(inv, (3,), x))),
+        ("zero", "zero/one", 7, 0, lambda x: monoid(zero=x)),
+        ("one", "zero/one", 7, 0, lambda x: monoid(one=x)),
+        ("d", "d", 4, 0, lambda x: groupoid(d=_replaced(d, (1,), x))),
+        ("r", "r", 4, 0, lambda x: groupoid(r=_replaced(r, (1,), x))),
+        ("groupoid inv", "inv", 4, 0, lambda x: groupoid(inv=_replaced(p_inv, (1,), x))),
+        ("identities", "identities", 4, 0, lambda x: groupoid(ids=_replaced(ids, (1,), x))),
+        ("compose cell", "compose", 4, -1,
+         lambda x: groupoid(compose=_replaced(dense, (2, 1), x))),
+        ("compose triple", "compose", 4, 0,
+         lambda x: compose_table(_replaced(triples, (1, 2), x), 4)),
+        ("morphism map", "morphism map", 7, 0,
+         lambda x: MonoidMorphism(ix2, ix2, _replaced(range(7), (2,), x))),
+        ("functor map", "arrow map", 4, 0,
+         lambda x: CoveringFunctor(pair2, pair2, _replaced(range(4), (1,), x))),
+        ("filter_product", "filter generator", 7, 0, lambda x: filter_product(ix2, one, x)),
+        ("filter_inverses", "filter generator", 7, 0,
+         lambda x: filter_inverses(ix2, [one, x])),
+        ("filter_doms", "filter generator", 7, 0, lambda x: filter_doms(ix2, [x])),
+        ("filter_rans", "filter generator", 7, 0, lambda x: filter_rans(ix2, [x])),
+        ("arrow_at", "filter generator", 7, 0, lambda x: sg.arrow_at(x)),
+        ("point_ultrafilter", "arrow", 4, 0, lambda x: point_ultrafilter(bm, [0, x])),
+        ("union_bisection_probe", "element", 7, 0,
+         lambda x: union_bisection_probe(sg, x, one)),
+        ("relative_complements s", "element", 7, -1,
+         lambda x: ix2.relative_complements([ix2.zero, x], [one, one])),
+        ("relative_complements t", "element", 7, 0,
+         lambda x: ix2.relative_complements([ix2.zero], [x])),
+    ]
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3", "below", "size", 2 ** 64])
+def test_every_index_gate_refuses_a_bad_entry_with_its_message(bad):
+    """Each entry point refuses a float, a bool, a string, one below its
+    lower bound, its size, and an int past int64 with the gate's message:
+    never a result, an IndexError or a TypeError."""
+    for name, what, size, low, call in _gated_entry_points():
+        value = {"below": low - 1, "size": size}.get(bad, bad)
+        message = (f"{what} {value} is outside {low}..{size - 1}"
+                   if type(value) is int else f"{what} has a non-integer entry {value!r}")
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            call(value)
+            pytest.fail(f"{name} took {value!r}")
 
 
 def test_a_left_zero_band_is_rejected_for_idempotents_that_do_not_commute():
@@ -353,15 +430,17 @@ def test_relative_complements_name_the_first_broken_pair(ix2):
 
 
 def test_complements_are_one_array_with_minus_one_off_e(ix2):
+    """The complement of e in E is its complement relative to one."""
     idem = set(ix2.idempotents)
     for e in range(ix2.n):
         if e in idem:
-            c = ix2.idempotent_complement(e)
+            c = ix2.relative_complement(e, ix2.one)
+            assert c == ix2._complements[e]
             assert ix2.meet(e, c) == ix2.zero and ix2.join(e, c) == ix2.one
         else:
             assert ix2._complements[e] == -1
-            with pytest.raises(StructureError, match=rf"^{e} is not idempotent$"):
-                ix2.idempotent_complement(e)
+            with pytest.raises(StructureError, match=rf"^relative complement needs {e} <= "):
+                ix2.relative_complement(e, ix2.one)
 
 
 def test_relative_complement_unique_by_enumeration(ix2):

@@ -178,20 +178,17 @@ def test_gathered_complement_and_join_laws_match_the_loops(name):
 
 
 def _tampered(monoid, rng):
-    """The monoid with one meet cell, one join cell (possibly made absent),
-    one complement entry or one product cell replaced, chosen by ``rng``."""
+    """The monoid with one meet cell, one join cell (possibly made absent)
+    or one product cell replaced, chosen by ``rng``.  (The loops find a
+    complement by its definition, so a corrupted complement entry is
+    test_a_corrupted_complement_entry_is_caught_by_the_self_check's.)"""
     monoid.require_boolean()
     order, n = monoid.order(), monoid.n
     s, t = rng.randrange(n), rng.randrange(n)
-    what = rng.choice(["meet", "join", "complement", "product"])
+    what = rng.choice(["meet", "join", "product"])
     if what == "product":
         monoid.mul = monoid.mul.copy()
         monoid.mul[s, t] = rng.randrange(n)
-        return monoid
-    if what == "complement":
-        idem = list(monoid.idempotents)
-        monoid._complements = monoid._complements.copy()
-        monoid._complements[rng.choice(idem)] = rng.choice(idem + [-1])
         return monoid
     table = getattr(order, what).copy()
     # an absent meet is never asked of a boolean monoid: the loop would fail on None
@@ -202,7 +199,7 @@ def _tampered(monoid, rng):
 
 @pytest.mark.parametrize("name", ["ix2", "ix3", "ba3", "ba4", "clifford", "z3_zero"])
 def test_gathered_laws_match_the_loops_on_tampered_tables(name):
-    """After one meet, join, complement or product entry is corrupted, each
+    """After one meet, join or product entry is corrupted, each
     gathered law gives the loop's count and failures in loop order, or its
     suite raises the loop's StructureError; passing, failing and raising
     all occur."""
@@ -213,6 +210,23 @@ def test_gathered_laws_match_the_loops_on_tampered_tables(name):
             kinds.add("raised" if isinstance(gathered, str)
                       else "failed" if any(law[2] for law in gathered) else "passed")
     assert kinds == {"raised", "failed", "passed"}
+
+
+@pytest.mark.parametrize("name", ["ix2", "ba3", "clifford"])
+def test_a_corrupted_complement_entry_is_caught_by_the_self_check(name):
+    """relative_complements reads the complements of E that check_boolean
+    keeps; every wrong entry (another idempotent, or -1) is refused, as at
+    (e, one) the only relative complement is the complement of e."""
+    monoid = FACTORIES[name]()
+    monoid.require_boolean()
+    kept, idem = monoid._complements, list(monoid.idempotents)
+    for e in idem:
+        for wrong in set(idem + [-1]) - {int(kept[e])}:
+            monoid._complements = kept.copy()
+            monoid._complements[e] = wrong
+            with pytest.raises(StructureError, match=rf"^({e} is not idempotent|relative "
+                                                     r"complement construction broke at .*)$"):
+                laws.local_complement_laws(monoid)
 
 
 def test_a_second_candidate_fails_relative_complement_unique():

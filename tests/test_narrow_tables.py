@@ -73,7 +73,7 @@ def test_an_entry_past_int16_is_out_of_range_not_wrapped(dtype, entry):
     table = ba2.mul.astype(np.int64)
     table[3, 3] = entry
     table = table.tolist() if dtype is list else table.astype(dtype)
-    with pytest.raises(StructureError, match="^product table entry out of range$"):
+    with pytest.raises(StructureError, match=f"^product table {entry} is outside 0..3$"):
         InverseMonoid(table, ba2.inv, ba2.zero, ba2.one)
 
 
@@ -96,7 +96,7 @@ def test_a_stored_entry_past_int16_exits_2_out_of_range(tmp_path, capsys, monkey
 
     monkeypatch.setattr(serialize, "_read_table", recording_read)
     assert main(["check", "wide", "--laws", "bm", "--store", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: product table entry out of range\n"
+    assert capsys.readouterr().err == f"error: product table {cell} is outside 0..33\n"
     assert read == [None]
 
 

@@ -8,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from helpers import symmetric_to_pair_arrow_map
+from helpers import random_poly, random_unit, symmetric_to_pair_arrow_map
 from stonework import (
     BoundError,
     CoveringFunctor,
@@ -32,11 +32,9 @@ from stonework.polycyclic import (
     all_words,
     arrow_to_ultrafilter,
     cn_join,
-    cn_join_all,
     cn_mul,
     cuntz_compose,
     embed_poly,
-    ev_words_agree_to,
     finite_depth_oracle,
     format_cn,
     format_ev,
@@ -55,8 +53,6 @@ from stonework.polycyclic import (
     random_arrow,
     random_cn_element,
     random_ev_word,
-    random_poly,
-    random_unit,
     ultrafilter_to_arrow,
 )
 
@@ -224,7 +220,7 @@ def test_cn_mul_spec_cases():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_complete_family_joins_to_one(n):
     parts = [CnElement.make(n, [(c, c)]) for c in "123456"[:n]]
-    assert cn_join_all(parts) == CnElement.one(n)
+    assert reduce(cn_join, parts) == CnElement.one(n)
 
 
 def test_join_with_zero():
@@ -445,7 +441,7 @@ def test_ev_equality_matches_prefix_comparison():
         a = random_ev_word(rng, 2, 3, 3)
         b = random_ev_word(rng, 2, 3, 3)
         horizon = len(a.pre) + len(b.pre) + 2 * lcm(len(a.period), len(b.period))
-        assert (a == b) == ev_words_agree_to(a, b, horizon)
+        assert (a == b) == (a.prefix(horizon) == b.prefix(horizon))
 
 
 def test_ev_shift_consistent_with_prefix():

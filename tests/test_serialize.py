@@ -55,13 +55,11 @@ def test_monoid_loader_reverifies():
         monoid_from_json(data)
 
 
-def test_a_table_is_scanned_for_json_booleans_only_when_the_text_has_them(
-        tmp_path, monkeypatch):
-    # InverseMonoid scans a list table for bools, which numpy reads as 1/0.
+def test_every_stored_table_reaches_the_constructor_as_an_array(tmp_path, monkeypatch):
     # A table of 2 KiB or more in the stored layout is read as an array
     # whatever the labels say; a table in another layout, or a shorter one,
-    # goes through json, and on as an array unless the entry holds a true or
-    # false
+    # goes through json, and on as the gate's checked array, which refuses a
+    # true cell (numpy would read it as 1)
     lists, read = [], []
     real, real_read = serialize.InverseMonoid, serialize._read_table
 
@@ -89,9 +87,9 @@ def test_a_table_is_scanned_for_json_booleans_only_when_the_text_has_them(
     save_entry(tmp_path, "true-cell", "monoid", {**data, "mul": true_cell})
     plain, labelled, compact, small_loaded = (
         load_entry(name, tmp_path)[2] for name in ("plain", "label-true", "compact", "small"))
-    with pytest.raises(StructureError, match="non-integer entry True"):
+    with pytest.raises(StructureError, match="^product table has a non-integer entry True$"):
         load_entry("true-cell", tmp_path)
-    assert lists == [False, False, False, False, True]
+    assert lists == [False, False, False, False]
     assert read == [True, True, False, False, False]
     assert monoid_to_json(plain) == data
     assert labelled.mul.tolist() == compact.mul.tolist() == data["mul"]
