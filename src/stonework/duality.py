@@ -414,9 +414,9 @@ def clifford_check(monoid: InverseMonoid) -> CliffordReport:
     """If every element has dom == ran, the ultrafilter groupoid must be a
     disjoint union of groups: verified on both the filter and arrow level."""
     monoid.require_boolean()
-    for s in range(monoid.n):
-        if monoid.dom(s) != monoid.ran(s):
-            return CliffordReport(False, s, None, None)
+    mul, inv, rng = monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
+    if (unbalanced := np.flatnonzero(mul[inv, rng] != mul[rng, inv])).size:
+        return CliffordReport(False, int(unbalanced[0]), None, None)
     sg = stone_groupoid(monoid)
     balanced = bool((filter_doms(monoid, sg.ultrafilters)
                      == filter_rans(monoid, sg.ultrafilters)).all())

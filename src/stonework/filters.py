@@ -186,7 +186,7 @@ class StoneGroupoid(FiniteGroupoid):
         if (stray := composable & (compose < 0)).any():
             self.arrow_at(products[tuple(np.argwhere(stray)[0])])
         super().__init__(d, r, self.arrow_at(inv), compose,
-                         [i for i, a in enumerate(atoms.tolist()) if monoid.is_idempotent(a)],
+                         np.flatnonzero(mul[atoms, atoms] == atoms),
                          [monoid.label(a) + "^" for a in atoms.tolist()])
 
     def arrow_at(self, generators):

@@ -405,18 +405,31 @@ class InverseMonoid:
     def __repr__(self) -> str:
         return f"InverseMonoid(n={self.n}, zero={self.zero}, one={self.one})"
 
+    def _index(self, s) -> int:
+        """One element through the index gate, as a Python int; an int in
+        range, the common case, skips the gate's numpy dispatch."""
+        if type(s) is int and 0 <= s < self.n:
+            return s
+        index = as_indices(s, "element", self.n)
+        if index.ndim:
+            raise StructureError(f"element has a non-integer entry {s!r}")
+        return int(index)
+
     def product(self, s: int, t: int) -> int:
-        return int(self.mul[s, t])
+        return int(self.mul[self._index(s), self._index(t)])
 
     def dom(self, s: int) -> int:
         """s^-1 s, the domain idempotent of s."""
+        s = self._index(s)
         return int(self.mul[self.inv[s], s])
 
     def ran(self, s: int) -> int:
         """s s^-1, the range idempotent of s."""
+        s = self._index(s)
         return int(self.mul[s, self.inv[s]])
 
     def is_idempotent(self, s: int) -> bool:
+        s = self._index(s)
         return int(self.mul[s, s]) == s
 
     @property
@@ -425,6 +438,7 @@ class InverseMonoid:
         return tuple(int(e) for e in np.nonzero(self.mul[rng, rng] == rng)[0])
 
     def label(self, s: int) -> str:
+        s = self._index(s)
         return self.labels[s] if self.labels else str(s)
 
     # -- natural partial order ----------------------------------------------
@@ -449,7 +463,7 @@ class InverseMonoid:
                          meet=meet, join=join)
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order().matrix.item(s, t)
+        return self.order().matrix.item(self._index(s), self._index(t))
 
     @property
     def atoms(self) -> tuple[int, ...]:
@@ -459,12 +473,12 @@ class InverseMonoid:
 
     def meet(self, s: int, t: int):
         """Greatest lower bound in the natural order, or None if absent."""
-        m = self.order().meet.item(s, t)
+        m = self.order().meet.item(self._index(s), self._index(t))
         return None if m < 0 else m
 
     def join(self, s: int, t: int):
         """Least upper bound in the natural order, or None if absent."""
-        j = self.order().join.item(s, t)
+        j = self.order().join.item(self._index(s), self._index(t))
         return None if j < 0 else j
 
     def compatibility(self) -> np.ndarray:
@@ -521,13 +535,10 @@ class InverseMonoid:
                 f"monoid is not boolean: {cert.axiom} {cert.detail} at {cert.elements}",
                 certificate=cert)
 
-    def relative_complement(self, s: int, t: int) -> int:
-        """The unique r = t \\ s with r <= t, r orthogonal to s, s v r = t."""
-        return int(self.relative_complements([s], [t])[0])
-
     def relative_complements(self, s, t) -> np.ndarray:
-        """t \\ s over index arrays: each r is t * e, e the complement of
-        dom(s) relative to dom(t), checked as in relative_complement.  The
+        """t \\ s over index arrays: each r is the unique element with r <= t,
+        r orthogonal to s and s v r = t, found as t * e, e the complement of
+        dom(s) relative to dom(t), and checked against that definition.  The
         first pair that breaks s <= t or the check raises; an s of -1 (an
         absent meet) passes the gate, is below nothing and is never used as
         an index."""
@@ -554,7 +565,7 @@ class InverseMonoid:
 
     def restrict(self, elements) -> "InverseMonoid":
         """Submonoid on the given indices (must be closed, contain zero and one)."""
-        sub = sorted(set(int(s) for s in elements))
+        sub = sorted(set(as_map(list(elements), "element", self.n)))
         where = {s: i for i, s in enumerate(sub)}
         if self.zero not in where or self.one not in where:
             raise StructureError("restriction must contain zero and one")
@@ -566,7 +577,7 @@ class InverseMonoid:
                     raise StructureError(f"restriction not closed at ({s}, {t})")
         mul = [[where[int(self.mul[s, t])] for t in sub] for s in sub]
         inv = [where[self.inv[s]] for s in sub]
-        labels = [self.label(s) for s in sub] if self.labels else None
+        labels = [self.labels[s] for s in sub] if self.labels else None
         return InverseMonoid(mul, inv, where[self.zero], where[self.one], labels)
 
 

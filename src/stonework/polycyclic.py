@@ -11,9 +11,10 @@ characters ``'1'..'n'``):
   canonical form merges every complete sibling family.  Units are exactly
   the pairs of maximal prefix codes (the finitary tree-pair group).
   Antichains are checked on sorted words (in lexicographic order a prefix
-  of any later word is a prefix of its successor), and a product looks up
-  only the pairs whose ranges are prefix-comparable, so both cost what the
-  families and the product hold, not the number of pairs of pairs.
+  of any later word is a prefix of its successor), and a product finds the
+  pairs whose ranges are prefix-comparable by one bisect per pair, so both
+  cost what the families and the product hold, not the number of pairs of
+  pairs.
 * ``CuntzArrow`` — arrows ``(x w, |x|-|y|, y w)`` of the shift groupoid
   over eventually periodic infinite words ``u v^w``, which are the
   finitely-representable points; composition is exact on normal forms.
@@ -21,6 +22,10 @@ characters ``'1'..'n'``):
 ``finite_depth_oracle`` expands an element into literal truncated arrows,
 giving an independent semantics against which products and joins are
 cross-checked.
+
+``parse_cn`` accepts a family by one match of a pattern compiled per alphabet
+size and reads its pairs by splitting the matched text; a text that fails
+the match is scanned chunk by chunk only to name its error.
 """
 
 from __future__ import annotations
@@ -196,8 +201,9 @@ class CnElement:
     Use :meth:`make` to build one from an arbitrary pair family; the bare
     constructor insists the family is already canonical.  It checks the
     alphabet, then the canonical form, then orthogonality, and names the
-    first offending pair: a sorted pass accepts a valid family, and only a
-    rejected one is scanned pair by pair for its witness.
+    first offending pair: the letters of all pairs are checked as one joined
+    string and a sorted pass accepts a valid family, and only a rejected
+    one is scanned pair by pair for its witness.
     """
 
     n: int
@@ -208,10 +214,12 @@ class CnElement:
         if not ALPHABET_MIN <= n <= ALPHABET_MAX:
             raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
         top = ALPHABET[n - 1]
-        for x, y in pairs:
-            word = x + y
-            if word and (min(word) < "1" or max(word) > top):
-                raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
+        word = "".join(map("".join, pairs))
+        if word and (min(word) < "1" or max(word) > top):
+            for x, y in pairs:
+                word = x + y
+                if word and (min(word) < "1" or max(word) > top):
+                    raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
         if _canonical_and_orthogonal(n, pairs):
             return
         if pairs != _canonical_pairs(n, pairs):
@@ -258,28 +266,26 @@ def embed_poly(n: int, a: PolyElement) -> CnElement:
 def cn_mul(a: CnElement, b: CnElement) -> CnElement:
     """The prefix products of the pairs (x, y) of a with those pairs (u, v)
     of b whose range u is prefix-comparable with y, canonicalized.  The
-    ranges of b are an antichain, so at most one u is a prefix of y, found
-    among the |y| + 1 prefixes by dict lookup, and only when there is none
-    can some u extend y: those form one bisect range of b's sorted pairs."""
+    ranges of b are a sorted antichain, so one bisect finds them: a prefix
+    u of y sorts last among the ranges up to y (a range between them would
+    extend u), and only when there is none can some u extend y, those
+    forming the run of ranges that follows."""
     if a.n != b.n:
         raise StructureError("alphabet mismatch")
     right = b.pairs
     ranges = [u for u, _ in right]
     size = len(ranges)
-    by_range = dict(right)
     out = []
     for x, y in a.pairs:
-        for cut in range(len(y) + 1):
-            v = by_range.get(y[:cut])
-            if v is not None:
-                out.append((x, v + y[cut:]))
-                break
-        else:
-            at = bisect_right(ranges, y)
-            while at < size and ranges[at].startswith(y):
-                u, v = right[at]
-                out.append((x + u[len(y):], v))
-                at += 1
+        at = bisect_right(ranges, y)
+        if at and y.startswith(ranges[at - 1]):
+            u, v = right[at - 1]
+            out.append((x, v + y[len(u):]))
+            continue
+        while at < size and ranges[at].startswith(y):
+            u, v = right[at]
+            out.append((x + u[len(y):], v))
+            at += 1
     return CnElement.make(a.n, out)
 
 
@@ -545,6 +551,17 @@ _WORD_RE = re.compile(r"^(?:e|(?:a[1-9])+)$")
 _EV_RE = re.compile(r"^(?P<pre>(?:e|(?:a[1-9])+)?)\((?P<per>e|(?:a[1-9])+)\)\^w$")
 
 
+def _family_pattern(n: int) -> re.Pattern:
+    """A whole family over the first n letters, with whitespace around the
+    text, inside the braces and around every word (``\\s`` is ``str.isspace``)."""
+    word = rf"(?:e|(?:a[1-{letters(n)[-1]}])+)"
+    pair = rf"{word}\s*/\s*{word}"
+    return re.compile(rf"\s*\{{\s*(?P<body>(?:{pair}(?:\s*,\s*{pair})*\s*)?)\}}\s*")
+
+
+_FAMILIES = {n: _family_pattern(n) for n in range(ALPHABET_MIN, ALPHABET_MAX + 1)}
+
+
 def format_word(w: str) -> str:
     return "e" if not w else "".join("a" + c for c in w)
 
@@ -554,7 +571,7 @@ def parse_word(text: str, n: int | None = None) -> str:
     if not _WORD_RE.match(text):
         raise ParseError(f"malformed word {text!r}")
     word = "" if text == "e" else text[1::2]
-    if n is not None and not set(word) <= set(letters(n)):
+    if n is not None and word and max(word) > letters(n)[-1:]:
         raise ParseError(f"letter out of range in {text!r}")
     return word
 
@@ -581,6 +598,15 @@ def format_cn(a: CnElement) -> str:
 
 
 def parse_cn(text: str, n: int) -> CnElement:
+    """A family ``{x/y, ...}`` over the first n letters, accepted by one match
+    of its alphabet's pattern and read by splitting the matched text.  A text
+    that fails the match, or comes with an alphabet size C_n is not built
+    for, is scanned chunk by chunk only to raise the error that names it."""
+    match = _FAMILIES[n].fullmatch(text) if n in _FAMILIES else None
+    if match:
+        bare = "".join(match["body"].split()).replace("a", "").replace("e", "")
+        words = iter(bare.replace(",", "/").split("/"))     # an empty body gives no pair
+        return CnElement.make(n, zip(words, words))
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"malformed family {text!r}")

@@ -4,6 +4,8 @@ import functools
 import itertools
 import json
 import random
+import re
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +20,7 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.duality import MonoidMorphism
-from stonework.errors import MorphismError, StructureError
+from stonework.errors import MorphismError, ParseError, StructureError
 from stonework.filters import (
     enumerate_ultrafilters,
     filter_doms,
@@ -458,6 +460,66 @@ def reference_is_unit(a):
             and reference_is_maximal_prefix_code(a.n, [y for _, y in a.pairs]))
 
 
+# -- the per-word parser and the per-prefix product, as references ----------------
+
+_REFERENCE_WORD = re.compile(r"^(?:e|(?:a[1-9])+)$")
+
+
+def scan_parse_word(text, n=None):
+    """A word by strip and match, its letters checked as a set against the
+    first n."""
+    text = text.strip()
+    if not _REFERENCE_WORD.match(text):
+        raise ParseError(f"malformed word {text!r}")
+    word = "" if text == "e" else text[1::2]
+    if n is not None and not set(word) <= set(letters(n)):
+        raise ParseError(f"letter out of range in {text!r}")
+    return word
+
+
+def scan_parse_cn(text, n):
+    """A family by strip, a split into comma chunks, a split of each chunk at
+    its one slash, and :func:`scan_parse_word` on both words."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ParseError(f"malformed family {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        return CnElement.zero(n)
+    pairs = []
+    for chunk in body.split(","):
+        if chunk.count("/") != 1:
+            raise ParseError(f"malformed pair {chunk.strip()!r}")
+        x, y = chunk.split("/")
+        pairs.append((scan_parse_word(x, n), scan_parse_word(y, n)))
+    return CnElement.make(n, pairs)
+
+
+def sliced_cn_mul(a, b):
+    """The product that looks each of the |y| + 1 prefixes of y up among the
+    ranges of b, and bisects for the ranges that extend y only when none is
+    a prefix."""
+    if a.n != b.n:
+        raise StructureError("alphabet mismatch")
+    right = b.pairs
+    ranges = [u for u, _ in right]
+    by_range = dict(right)
+    out = []
+    for x, y in a.pairs:
+        for cut in range(len(y) + 1):
+            v = by_range.get(y[:cut])
+            if v is not None:
+                out.append((x, v + y[cut:]))
+                break
+        else:
+            at = bisect_right(ranges, y)
+            while at < len(ranges) and ranges[at].startswith(y):
+                u, v = right[at]
+                out.append((x + u[len(y):], v))
+                at += 1
+    return CnElement.make(a.n, out)
+
+
 # -- literal per-pair loops of the local complement and compatible join laws ------
 
 
@@ -484,6 +546,11 @@ def complements_by_definition(monoid) -> dict[int, int]:
     in_e = order.matrix[np.ix_(idem, idem)].astype(np.int64)    # [x, y]: x <= y
     lower, upper = in_e.T @ in_e, in_e @ in_e.T    # [i, j]: common lower / upper bounds
     return {idem[i]: idem[j] for i, j in np.argwhere((lower == 1) & (upper == 1)).tolist()}
+
+
+def relative_complement(monoid, s, t):
+    """t \\ s for one pair: the array form on one-entry arrays."""
+    return int(monoid.relative_complements([s], [t])[0])
 
 
 def reference_relative_complement(monoid, s, t):

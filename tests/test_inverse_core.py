@@ -52,6 +52,7 @@ from helpers import (
     first_associativity_failure,
     orthogonal,
     reference_inverse_uniqueness_failure,
+    relative_complement,
 )
 
 
@@ -242,6 +243,13 @@ def _gated_entry_points():
          lambda x: ix2.relative_complements([ix2.zero, x], [one, one])),
         ("relative_complements t", "element", 7, 0,
          lambda x: ix2.relative_complements([ix2.zero], [x])),
+        ("restrict", "element", 7, 0, lambda x: ix2.restrict([ix2.zero, one, x])),
+        *((f"{name} {side}", "element", 7, 0,
+           lambda x, accessor=getattr(ix2, name), side=side:
+           accessor(*((x, one) if side == "s" else (one, x))))
+          for name in ("product", "leq", "meet", "join") for side in "st"),
+        *((name, "element", 7, 0, getattr(ix2, name))
+          for name in ("dom", "ran", "is_idempotent", "label")),
     ]
 
 
@@ -410,11 +418,11 @@ def test_join_absent_for_incompatibles(ix2):
 def test_relative_complement(ix2):
     e1, e2 = by_label(ix2, "{1->1}"), by_label(ix2, "{2->2}")
     for t in range(ix2.n):
-        assert ix2.relative_complement(ix2.zero, t) == t
-        assert ix2.relative_complement(t, t) == ix2.zero
-    assert ix2.relative_complement(e1, ix2.one) == e2
+        assert relative_complement(ix2, ix2.zero, t) == t
+        assert relative_complement(ix2, t, t) == ix2.zero
+    assert relative_complement(ix2, e1, ix2.one) == e2
     with pytest.raises(StructureError):
-        ix2.relative_complement(ix2.one, e1)
+        relative_complement(ix2, ix2.one, e1)
 
 
 def test_relative_complements_name_the_first_broken_pair(ix2):
@@ -434,19 +442,19 @@ def test_complements_are_one_array_with_minus_one_off_e(ix2):
     idem = set(ix2.idempotents)
     for e in range(ix2.n):
         if e in idem:
-            c = ix2.relative_complement(e, ix2.one)
+            c = relative_complement(ix2, e, ix2.one)
             assert c == ix2._complements[e]
             assert ix2.meet(e, c) == ix2.zero and ix2.join(e, c) == ix2.one
         else:
             assert ix2._complements[e] == -1
             with pytest.raises(StructureError, match=rf"^relative complement needs {e} <= "):
-                ix2.relative_complement(e, ix2.one)
+                relative_complement(ix2, e, ix2.one)
 
 
 def test_relative_complement_unique_by_enumeration(ix2):
     for t in range(ix2.n):
         for s in np.flatnonzero(ix2.order().matrix[:, t]).tolist():
-            r = ix2.relative_complement(s, t)
+            r = relative_complement(ix2, s, t)
             candidates = [x for x in range(ix2.n)
                           if ix2.leq(x, t) and orthogonal(ix2, s, x)
                           and ix2.join(s, x) == t]
@@ -557,7 +565,7 @@ def test_separation_witness(ix2):
         for t in range(ix2.n):
             if ix2.leq(s, t):
                 continue
-            s_prime = ix2.relative_complement(ix2.meet(s, t), s)
+            s_prime = relative_complement(ix2, ix2.meet(s, t), s)
             assert s_prime != ix2.zero
             assert ix2.leq(s_prime, s)
             assert ix2.meet(s_prime, t) == ix2.zero
@@ -571,7 +579,7 @@ def test_compatible_join_formula(ix2):
         j = ix2.join(s, t)
         assert j is not None
         m = ix2.meet(s, t)
-        parts = [m, ix2.relative_complement(m, s), ix2.relative_complement(m, t)]
+        parts = [m, relative_complement(ix2, m, s), relative_complement(ix2, m, t)]
         acc = parts[0]
         for p in parts[1:]:
             assert orthogonal(ix2, acc, p) or p == ix2.zero
@@ -886,6 +894,29 @@ def test_product_monoid_structure():
     assert c.n == 9
     assert len(c.idempotents) == 4
     assert all(c.dom(s) == c.ran(s) for s in range(c.n))
+
+
+def test_restrict_and_the_scalar_accessors_read_elements_through_the_gate(ix2):
+    """A float is refused, not truncated, and -1 or n is refused, not read
+    from the end of a table; a numpy int in range is read as its value."""
+    with pytest.raises(StructureError, match=r"^element has a non-integer entry 0\.9$"):
+        ix2.restrict([0.9, 5.5])
+    with pytest.raises(StructureError, match=r"^element 7 is outside 0\.\.6$"):
+        ix2.restrict([0, 5, 7])
+    for bad in (-1, ix2.n):
+        message = rf"^element {bad} is outside 0\.\.6$"
+        for call in (ix2.product, ix2.leq, ix2.meet, ix2.join):
+            for args in ((bad, 2), (2, bad)):
+                with pytest.raises(StructureError, match=message):
+                    call(*args)
+        for call in (ix2.dom, ix2.ran, ix2.is_idempotent, ix2.label):
+            with pytest.raises(StructureError, match=message):
+                call(bad)
+    with pytest.raises(StructureError, match=r"^element has a non-integer entry \[1\]$"):
+        ix2.dom([1])
+    s, t = np.int64(2), np.int16(ix2.one)
+    assert ix2.product(s, t) == 2 and ix2.meet(s, t) == ix2.meet(2, ix2.one)
+    assert ix2.label(s) == ix2.label(2) and ix2.is_idempotent(t)
 
 
 def test_restrict_rejects_unclosed(ix2):

@@ -2,19 +2,29 @@
 
 import random
 import re
+from collections import Counter
 from functools import reduce
 from math import lcm
 
 import numpy as np
 import pytest
 
-from helpers import random_poly, random_unit, symmetric_to_pair_arrow_map
+from helpers import (
+    random_poly,
+    random_unit,
+    reference_cn_mul,
+    scan_parse_cn,
+    scan_parse_word,
+    sliced_cn_mul,
+    symmetric_to_pair_arrow_map,
+)
 from stonework import (
     BoundError,
     CoveringFunctor,
     InverseMonoid,
     MonoidMorphism,
     ParseError,
+    StoneworkError,
     StructureError,
     check_covering,
     pair_groupoid,
@@ -43,6 +53,7 @@ from stonework.polycyclic import (
     is_maximal_prefix_code,
     is_unit,
     is_unit_definitional,
+    letters,
     oracle_agrees_on_join,
     oracle_agrees_on_product,
     parse_cn,
@@ -195,7 +206,8 @@ def test_constructor_rejects_non_canonical():
     (2, (("1", "2"), ("11", "1")), "pairs ('1','2') and ('11','1') are not orthogonal"),
     (2, (("1", "1"), ("11", "2"), ("2", "2")), "pair family is not canonical"),
     (2, (("1", "3"),), "letter out of alphabet in ('1', '3')"),
-], ids=["domains-apart", "ranges-adjacent", "family-apart", "alphabet"])
+    (2, (("1", "1"), ("2", "0")), "letter out of alphabet in ('2', '0')"),
+], ids=["domains-apart", "ranges-adjacent", "family-apart", "alphabet", "below-alphabet"])
 def test_constructor_names_the_first_failure(n, pairs, message):
     """Comparable domains whose pairs are not neighbours, and a complete
     family split by a pair with a comparable range, are found as the
@@ -253,6 +265,36 @@ def test_join_inconsistent_refinement():
     assert cn_join(a, twisted) is None
 
 
+THOMPSON_X0 = CnElement.make(2, [("11", "1"), ("12", "21"), ("2", "22")])
+THOMPSON_X1 = CnElement.make(2, [("1", "1"), ("211", "21"), ("212", "221"), ("22", "222")])
+
+
+def test_cn_mul_agrees_with_the_per_prefix_product():
+    """One bisect per pair of a finds what slicing every prefix of y finds:
+    on seeded elements and units for n = 2..6, and on x0^k x1^k x0^-k in
+    C_2 up to k = 64, products whose pairs reach depth k."""
+    rng = random.Random(2027)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        a, b = (rng.choice([random_cn_element, random_unit])(rng, n, rng.randint(0, 8))
+                for _ in range(2))
+        assert cn_mul(a, b) == sliced_cn_mul(a, b)
+    x0, x1 = THOMPSON_X0, THOMPSON_X1
+    x0_inv = x0.inverse()
+    power0, power1, power0_inv = (CnElement.one(2),) * 3
+    for k in range(1, 65):
+        power0, power1 = cn_mul(power0, x0), cn_mul(power1, x1)
+        power0_inv = cn_mul(x0_inv, power0_inv)
+        word = cn_mul(cn_mul(power0, power1), power0_inv)
+        for a, b in ((power0, x0), (power1, x1), (x0_inv, power0_inv),
+                     (power0, power1), (cn_mul(power0, power1), power0_inv)):
+            assert cn_mul(a, b) == sliced_cn_mul(a, b)
+            if k % 8 == 0:      # the pairwise literal product, at every eighth depth
+                assert cn_mul(a, b).pairs == reference_cn_mul(a, b)
+        assert is_unit(word) and cn_mul(word, word.inverse()) == CnElement.one(2)
+    assert power0.max_length() == 65 and word.max_length() >= 64
+
+
 # -- units -------------------------------------------------------------------------------
 
 
@@ -307,8 +349,7 @@ def test_thompson_f_and_its_torsion_inside_c2():
     generators inverted both relations fail, so the check sees the order
     of composition.  T and V add torsion: a rotation of order 3 and a
     transposition."""
-    x0 = CnElement.make(2, [("11", "1"), ("12", "21"), ("2", "22")])
-    x1 = CnElement.make(2, [("1", "1"), ("211", "21"), ("212", "221"), ("22", "222")])
+    x0, x1 = THOMPSON_X0, THOMPSON_X1
     assert is_unit(x0) and is_unit(x1)
 
     def relations(x0, x1):
@@ -606,6 +647,10 @@ def test_a_letter_outside_the_alphabet_is_named_in_the_error():
             parse_word(text, n=2)
     with pytest.raises(ParseError, match=r"^letter out of range in 'a1a2'$"):
         parse_poly("a1a2.e*", n=1)
+    # the top letter of the first n bounds a word for every n, sizes C_n is not built for too
+    for n in (-1, 0, 1, 2, 6, 7, 9, 10):
+        for text in ("e", "a1", "a2a1", "a6", "a7a1", "a9", "a1a8"):
+            assert _outcome(parse_word, text, n) == _outcome(scan_parse_word, text, n)
 
 
 def test_poly_round_trip():
@@ -643,3 +688,90 @@ def test_ev_round_trip():
 def test_parser_canonicalizes():
     assert parse_cn("{a1/a1, a2/a2}", 2) == CnElement.one(2)
     assert parse_ev("a1(a1)^w") == EvPeriodicWord.make("", "1")
+
+
+WHITESPACE = " \t\n\f\v\u00a0"
+
+
+def _pair_text(pairs) -> str:
+    return "{" + ", ".join(f"{format_word(x)}/{format_word(y)}" for x, y in pairs) + "}"
+
+
+def _mutated_family(rng, n: int) -> str:
+    """A printed family, or its pairs re-printed with one family split into
+    siblings or an overlapping pair added, then edited up to twice: spaces,
+    a letter past n, a lost brace, an empty pair, a double slash, a trailing
+    comma, or an ``e`` form."""
+    size = min(max(n, 2), 6)     # the printed family is over an alphabet C_n is built for
+    element = rng.choice([random_cn_element, random_unit])(rng, size, 4)
+    pairs = list(element.pairs)
+    shape = rng.choice(["printed", "printed", "merging", "overlapping", "shuffled"])
+    if shape == "merging" and pairs:
+        x, y = pairs.pop(rng.randrange(len(pairs)))
+        pairs += [(x + c, y + c) for c in letters(size)]
+    elif shape == "overlapping" and pairs:
+        x, y = rng.choice(pairs)
+        pairs.append(rng.choice([(x + "1", "2" * 9), ("2" * 9, y + "1")]))
+    if shape != "printed":
+        rng.shuffle(pairs)
+    text = _pair_text(pairs)
+    for _ in range(rng.randint(0, 2)):
+        edit = rng.choice(["space", "space", "space", "letter", "brace", "empty pair",
+                           "double slash", "trailing comma", "e form"])
+        at = rng.randrange(len(text) + 1)
+        if edit == "space":
+            gap = "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(1, 3)))
+            spots = [i for i, c in enumerate(text) if c in "{}/,"] + [0, len(text)]
+            at = rng.choice(spots) + rng.choice([0, 1]) if rng.random() < 0.8 else at
+            text = text[:at] + gap + text[at:]
+        elif edit == "letter" and any(c.isdigit() for c in text):
+            at = rng.choice([i for i, c in enumerate(text) if c.isdigit()])
+            text = text[:at] + str(min(n + 1, 9)) + text[at + 1:]
+        elif edit == "brace":
+            text = text[1:] if rng.random() < 0.5 else text[:-1]
+        elif edit == "empty pair":
+            text = text.replace(", ", ", , ", 1) if ", " in text else "{, " + text[1:]
+        elif edit == "double slash":
+            text = text.replace("/", "//", 1)
+        elif edit == "trailing comma":
+            text = text[:-1] + ",}"
+        elif edit == "e form":
+            text = text.replace(rng.choice(["a1", "a2"]), rng.choice(["e", "ee", "ea1", " e "]), 1)
+    return text
+
+
+def _outcome(parse, text: str, n: int):
+    try:
+        return parse(text, n)
+    except StoneworkError as err:
+        return type(err), str(err)
+
+
+def test_parse_cn_agrees_with_the_chunk_scan_on_mutated_texts():
+    """Every text gives an equal element, or the same exception type and
+    message, as the chunk-by-chunk parser: 600 seeded texts for n = 2..6
+    and for n = 0, 1, 7 and 10, printed families mutated by whitespace
+    (including \\t, \\n, \\f, \\v and U+00A0), letters past n, lost braces,
+    empty pairs, double slashes, trailing commas, e forms, families that
+    merge and families that are not orthogonal."""
+    rng = random.Random(27)
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.choice([2, 3, 4, 5, 6, 2, 3, 0, 1, 7, 10])
+        text = _mutated_family(rng, n)
+        got = _outcome(parse_cn, text, n)
+        assert got == _outcome(scan_parse_cn, text, n), (text, n)
+        kind = got[0].__name__ if type(got) is tuple else "accepted"
+        kinds[kind] += 1
+        if kind == "accepted" and any(c in text for c in WHITESPACE[1:]):
+            kinds["accepted with other whitespace"] += 1
+    assert set(kinds) == {"accepted", "accepted with other whitespace", "ParseError",
+                          "StructureError", "BoundError"}, kinds
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_whitespace_the_family_pattern_allows_is_what_strip_removes():
+    """``\\s`` and ``str.isspace`` agree on every code point, so the one match
+    allows whitespace exactly where the chunk scan strips it."""
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
