@@ -401,14 +401,6 @@ class CliffordReport:
     loops_only: bool | None        # every groupoid arrow has dom == ran
     filters_balanced: bool | None  # dom(A) == ran(A) for every ultrafilter
 
-    def to_json(self) -> dict:
-        return {
-            "is_clifford": self.is_clifford,
-            "witness": self.witness,
-            "loops_only": self.loops_only,
-            "filters_balanced": self.filters_balanced,
-        }
-
 
 def clifford_check(monoid: InverseMonoid) -> CliffordReport:
     """If every element has dom == ran, the ultrafilter groupoid must be a

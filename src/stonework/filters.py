@@ -179,12 +179,11 @@ class StoneGroupoid(FiniteGroupoid):
         self._arrow[atoms] = np.arange(len(atoms))
         mul, inv = monoid.mul, np.asarray(monoid.inv)[atoms]
         d, r = self.arrow_at(mul[inv, atoms]), self.arrow_at(mul[atoms, inv])
-        # up(a) up(b) = up(ab) where dom a = ran b: one gather of mul
+        # up(a) up(b) = up(ab) where dom a = ran b, and ab is then an atom: one
+        # gather of mul (FiniteGroupoid refuses a composable pair left undefined)
         products = mul[np.ix_(atoms, atoms)]
         composable = np.equal.outer(d, r)
         compose = np.where(composable, self._arrow[products], -1)
-        if (stray := composable & (compose < 0)).any():
-            self.arrow_at(products[tuple(np.argwhere(stray)[0])])
         super().__init__(d, r, self.arrow_at(inv), compose,
                          np.flatnonzero(mul[atoms, atoms] == atoms),
                          [monoid.label(a) + "^" for a in atoms.tolist()])

@@ -104,11 +104,6 @@ def poly_mul(a: PolyElement, b: PolyElement) -> PolyElement:
     return PolyElement.zero()
 
 
-def generator(i: int) -> PolyElement:
-    """The i-th generator (1-based): the pair (a_i, empty)."""
-    return PolyElement(ALPHABET[i - 1], "")
-
-
 # -- the orthogonal completion ---------------------------------------------------------
 
 
@@ -408,7 +403,7 @@ def oracle_agrees_on_join(a: CnElement, b: CnElement) -> bool:
 
 
 def _primitive_root(word: str) -> str:
-    for d in range(1, len(word) + 1):
+    for d in range(1, len(word)):
         if len(word) % d == 0 and word == word[:d] * (len(word) // d):
             return word[:d]
     return word
@@ -510,17 +505,14 @@ class CuntzArrow:
 
 def cuntz_compose(g: CuntzArrow, h: CuntzArrow):
     """Defined exactly when the source word of g is the target word of h;
-    the integer components add.  Returns None when undefined."""
+    the integer components add.  Returns None when undefined.  The two
+    prefixes are then prefixes of one word, so one extends the other."""
     if g.source_word() != h.target_word():
         return None
     y, xh = g.source_prefix, h.target_prefix
     if xh.startswith(y):
-        tail_piece = xh[len(y):]
-        return CuntzArrow.make(g.target_prefix + tail_piece, h.source_prefix, h.tail)
-    if y.startswith(xh):
-        tail_piece = y[len(xh):]
-        return CuntzArrow.make(g.target_prefix, h.source_prefix + tail_piece, g.tail)
-    raise StructureError("prefixes of a shared word must be comparable")
+        return CuntzArrow.make(g.target_prefix + xh[len(y):], h.source_prefix, h.tail)
+    return CuntzArrow.make(g.target_prefix, h.source_prefix + y[len(xh):], g.tail)
 
 
 # -- points of the groupoid as maximal filters of the polycyclic monoid -------------------

@@ -10,11 +10,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from helpers import relabelled
+from helpers import idempotent_embedding_ba2_into_ix2, relabelled
 
 import stonework
 from stonework import (MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli,
-                       filters)
+                       filters, symmetric_inverse_monoid)
 from stonework.cli import main, make_parser
 from stonework.duality import identity_morphism
 from stonework.groupoids import identity_functor, pair_groupoid
@@ -157,19 +157,27 @@ BENCHMARK_HELPERS = {"random_cn_element", "random_arrow", "random_prefix_code",
 
 
 def test_every_public_def_is_exported_or_used_in_src():
-    # a public module-level def that stonework does not export and no code in
-    # src/ refers to is test or benchmark scaffolding: it belongs outside src/
+    # a public module-level def is used when its own module loads its name,
+    # another module of src/ imports it by name, stonework exports it or the
+    # benchmark reads it; anything else is test or benchmark scaffolding, and
+    # a parameter or attribute of the same name elsewhere does not hide it
     trees = {path.name: ast.parse(path.read_text())
              for path in (Path(__file__).parents[1] / "src" / "stonework").glob("*.py")}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    loaded = {path: {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+              for path, tree in trees.items()}
+    imported = {path: {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+                for path, tree in trees.items()}
     defined = [(path, node.name) for path, tree in sorted(trees.items()) for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")]
     assert {name for _, name in defined} >= BENCHMARK_HELPERS
-    kept = {*stonework.__all__, *used, *BENCHMARK_HELPERS}
-    assert [f"{path}:{name}" for path, name in defined if name not in kept] == []
+    kept = {*stonework.__all__, *BENCHMARK_HELPERS}
+    unused = [f"{path}:{name}" for path, name in defined
+              if name not in kept | loaded[path]
+              and not any(name in names for other, names in imported.items() if other != path)]
+    assert unused == []
 
 
 def test_no_bitmask_twin_of_the_order_in_src():
@@ -292,6 +300,57 @@ def test_dualize_bool_algebra_gives_identity_groupoid(tmp_path, capsys):
     assert code == 0
     _, _, dual = load_entry("bool-algebra-4-dual", tmp_path)
     assert dual.m == 2 and len(dual.identities) == 2  # two discrete points
+
+
+@pytest.mark.parametrize("build_argv, entry, laws, counts", [
+    (("ix", "--size", "3"), "ix3", "order", [
+        ("compatible-iff-meet-splits", 1156), ("join-splits-dom-ran", 352),
+        ("products-distribute-over-meets", 39304), ("downset-boolean-via-dom", 34),
+        ("relative-complement-unique", 139), ("separation-below", 1017),
+        ("compatible-join-formula", 352)]),
+    (("clifford",), "clifford", "clifford", [("clifford-groupoid-has-loops-only", 1)]),
+], ids=["ix3-order", "clifford-clifford"])
+def test_order_and_clifford_law_sets_run_to_the_end(tmp_path, capsys, build_argv, entry, laws,
+                                                    counts):
+    run(capsys, "build", *build_argv, "--store", str(tmp_path))
+    code, out, _ = run(capsys, "check", entry, "--laws", laws, "--store", str(tmp_path))
+    report = json.loads(out)
+    assert (code, report["ok"], report["failures"]) == (0, True, 0)
+    assert [(law["name"], law["instances"]) for law in report["laws"]] == counts
+
+
+def test_clifford_laws_on_ix2_name_an_element_with_dom_not_ran(tmp_path, capsys):
+    run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
+    code, out, _ = run(capsys, "check", "ix2", "--laws", "clifford", "--store", str(tmp_path))
+    (law,) = json.loads(out)["laws"]
+    assert (code, law["name"], law["failures"]) == (
+        1, "clifford-groupoid-has-loops-only", [["not-clifford", 2]])
+    ix2 = load_entry("ix2", tmp_path)[2]
+    assert ix2.labels[2] == "{1->2}" and ix2.dom(2) != ix2.ran(2)
+
+
+@pytest.mark.parametrize("build_argv, entry, kind, certified", [
+    (("ix", "--size", "2"), "ix2", "groupoid", "cardinalityx1, bijectivex7, multiplicativex49, "
+     "inverse-preservingx7, zero-onex2, meet-and-orderx49"),
+    (("pair-groupoid", "--points", "2"), "pair2", "monoid", "cardinalityx1, bijectivex4, "
+     "dom-ran-inversex12, compositionx16, identitiesx2, bisection-transportx7"),
+], ids=["monoid", "groupoid"])
+def test_dualize_in_text(tmp_path, capsys, build_argv, entry, kind, certified):
+    run(capsys, "build", *build_argv, "--store", str(tmp_path))
+    store = ["--store", str(tmp_path), "--format", "text"]
+    head = f"{entry} -> {entry}-dual ({kind}), stored at {tmp_path / f'{entry}-dual.json'}\n"
+    assert run(capsys, "dualize", entry, *store) == (0, head, "")
+    assert run(capsys, "dualize", entry, "--round-trip", *store) == (
+        0, f"{head}  round trip certified: {certified}\n", "")
+
+
+def test_axioms_of_a_stored_weak_morphism_name_its_m3_witness(tmp_path, capsys):
+    weak = idempotent_embedding_ba2_into_ix2(boolean_algebra_monoid(2),
+                                             symmetric_inverse_monoid(2))
+    save_entry(tmp_path, "weak", "morphism", morphism_to_json(weak))
+    code, out, _ = run(capsys, "check", "weak", "--laws", "axioms", "--store", str(tmp_path))
+    (law,) = json.loads(out)["laws"]
+    assert (code, law["name"], law["failures"]) == (1, "axioms", [["M3", [[2, 6]]]])
 
 
 def test_dot_format(tmp_path, capsys):
