@@ -241,15 +241,14 @@ def cmd_dualize(args) -> int:
         out.update({"kind": "groupoid", "arrows": dual.m, "path": None})
         if args.round_trip:
             out.update({"certificate": round_trip_monoid(
-                obj, dual, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n})
+                obj, bisection_bound=args.max_size).to_json(), "preserved_size": obj.n})
     elif kind == "groupoid":
         check_dot(args.format, "monoid")
-        bm = all_bisections_monoid(obj, bisection_bound=args.max_size)
-        dual = bm.monoid
+        dual = all_bisections_monoid(obj, bisection_bound=args.max_size).monoid
         payload = KINDS["monoid"][0](dual)
         out.update({"kind": "monoid", "elements": dual.n, "path": None})
         if args.round_trip:
-            out.update({"certificate": round_trip_groupoid(obj, bm).to_json(),
+            out.update({"certificate": round_trip_groupoid(obj).to_json(),
                         "preserved_size": obj.m})
     else:
         raise StructureError(f"cannot dualize an entry of kind {kind!r}")

@@ -28,7 +28,7 @@ morphisms and the weak pullback read every preimage off :func:`_preimages`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
-    BisectionMonoid,
     CoveringFunctor,
     FiniteGroupoid,
     all_bisections_monoid,
@@ -141,15 +140,17 @@ def _preimages(theta: MonoidMorphism, generators) -> np.ndarray:
 
 
 def stone_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
-    """The monoid-to-groupoid construction: the verified ultrafilter groupoid."""
-    return ultrafilter_groupoid(monoid)
+    """The verified ultrafilter groupoid, built on the first call and kept on the monoid."""
+    if monoid._stone_groupoid is None:
+        monoid._stone_groupoid = ultrafilter_groupoid(monoid)
+    return monoid._stone_groupoid
 
 
 def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
     """K(s) for every element s, as membership rows over the arrows of
-    ``sg``: [s, g] is s in ultrafilter g, read off the order of ``monoid``
-    (the monoid ``sg`` is built from, unless a law suite probes another).
-    K(zero) is empty."""
+    ``sg``: [s, g] is s in ultrafilter g, read off the order of ``monoid``.
+    ``sg`` is a Stone groupoid of ``monoid``: the one it keeps, or the one
+    :func:`union_bisection_probe` is given.  K(zero) is empty."""
     return monoid.order().matrix[sg.ultrafilters].T
 
 
@@ -162,15 +163,14 @@ def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     return clash is None, clash
 
 
-def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = None,
-                           *, bisection_bound: int = MAX_ELEMENTS) -> LawReport:
+def verify_basic_open_laws(monoid: InverseMonoid, *,
+                           bisection_bound: int = MAX_ELEMENTS) -> LawReport:
     """Exhaustively check the nine laws of the basic-open map s -> K(s):
     bisection-ness, meet/intersection, inverse, product, order embedding,
     injectivity, join/union both ways, and surjectivity onto all bisections
-    of the ultrafilter groupoid.  K(s) is row s of :func:`basic_opens`;
+    of the Stone groupoid.  K(s) is row s of :func:`basic_opens`;
     pairwise laws run as numpy comparisons."""
-    if sg is None:
-        sg = stone_groupoid(monoid)
+    sg = stone_groupoid(monoid)
     report = LawReport(subject=f"basic-open laws on {monoid!r}")
     n, order = monoid.n, monoid.order()
     inside = basic_opens(monoid, sg)       # inside[s, g]: arrow g is in K(s)
@@ -240,9 +240,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, sg: StoneGroupoid | None = Non
 # -- functors on morphisms ------------------------------------------------------------
 
 
-def functor_on_morphism(theta: MonoidMorphism,
-                        sg_source: StoneGroupoid | None = None,
-                        sg_target: StoneGroupoid | None = None) -> CoveringFunctor:
+def functor_on_morphism(theta: MonoidMorphism) -> CoveringFunctor:
     """The contravariant ultrafilter functor on a morphism theta: S -> T,
     the functor G(T) -> G(S) sending each ultrafilter A to its preimage.
     Only a weak theta is validated here (M3); CoveringFunctor checks
@@ -250,27 +248,23 @@ def functor_on_morphism(theta: MonoidMorphism,
     theta^-1(dom A) are theorems, which the tests cross-check."""
     if theta.weak:
         theta.validate()
-    sg_t = stone_groupoid(theta.target) if sg_target is None else sg_target
-    sg_s = stone_groupoid(theta.source) if sg_source is None else sg_source
-    if sg_s.monoid is not theta.source or sg_t.monoid is not theta.target:
-        raise StructureError("Stone groupoids are not those of the morphism's monoids")
+    sg_t = stone_groupoid(theta.target)
+    sg_s = stone_groupoid(theta.source)
     return CoveringFunctor(sg_t, sg_s, sg_s.arrow_at(_preimages(theta, sg_t.ultrafilters)))
 
 
-def pullback_morphism(f: CoveringFunctor,
-                      bm_source: BisectionMonoid,
-                      bm_target: BisectionMonoid) -> MonoidMorphism:
+def pullback_morphism(f: CoveringFunctor) -> MonoidMorphism:
     """The contravariant bisection functor on a covering functor f: G -> H:
-    the preimage map A(H) -> A(G), where ``bm_source`` is A(G) and
-    ``bm_target`` is A(H).  The preimages are one gather of the rows of
-    A(H) through the arrow map; MonoidMorphism verifies the axioms."""
-    if bm_source.groupoid is not f.source or bm_target.groupoid is not f.target:
-        raise StructureError("bisection monoids are not those of the functor's groupoids")
+    the preimage map A(H) -> A(G) between the bisection monoids the
+    groupoids keep.  The preimages are one gather of the rows of A(H)
+    through the arrow map; MonoidMorphism verifies the axioms."""
     report = check_covering(f)
     if not report.ok:
         raise StructureError(f"pullback requires a covering functor: {report.witness}")
-    mapping = tuple(bm_source.indices_of(bm_target.rows[:, list(f.arrow_map)]))
-    return MonoidMorphism(bm_target.monoid, bm_source.monoid, mapping)
+    source = all_bisections_monoid(f.source)
+    target = all_bisections_monoid(f.target)
+    mapping = tuple(source.indices_of(target.rows[:, list(f.arrow_map)]))
+    return MonoidMorphism(target.monoid, source.monoid, mapping)
 
 
 # -- round trips ------------------------------------------------------------------------
@@ -300,15 +294,13 @@ class IsoCertificate:
         }
 
 
-def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
+def round_trip_monoid(monoid: InverseMonoid, *,
                       bisection_bound: int = MAX_ELEMENTS) -> IsoCertificate:
-    """Certify that s -> K(s) is an isomorphism onto the monoid of
-    all bisections of the ultrafilter groupoid (``sg``, built when not
-    given)."""
+    """Certify that s -> K(s) is an isomorphism onto the monoid of all
+    bisections of the Stone groupoid."""
     start = time.perf_counter()
     n = monoid.n
-    if sg is None:
-        sg = stone_groupoid(monoid)
+    sg = stone_groupoid(monoid)
     bm = all_bisections_monoid(sg, bisection_bound=bisection_bound)
     if len(bm) != n:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
@@ -343,15 +335,14 @@ def round_trip_monoid(monoid: InverseMonoid, sg: StoneGroupoid | None = None, *,
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)
 
 
-def round_trip_groupoid(groupoid: FiniteGroupoid, bm: BisectionMonoid | None = None, *,
+def round_trip_groupoid(groupoid: FiniteGroupoid, *,
                         bisection_bound: int = MAX_ELEMENTS) -> IsoCertificate:
     """Certify that g -> point_ultrafilter(g) is an isomorphism onto the
-    ultrafilter groupoid of the bisection monoid (``bm``, built when not
-    given), and that it carries each bisection U onto K(U)."""
+    Stone groupoid of the bisection monoid, and that it carries each
+    bisection U onto K(U)."""
     start = time.perf_counter()
     m = groupoid.m
-    if bm is None:
-        bm = all_bisections_monoid(groupoid, bisection_bound=bisection_bound)
+    bm = all_bisections_monoid(groupoid, bisection_bound=bisection_bound)
     sg = stone_groupoid(bm.monoid)
     if len(sg) != m:
         raise StructureError(f"cardinality mismatch: |double dual| = {len(sg)} != {m}")
@@ -419,19 +410,15 @@ def clifford_check(monoid: InverseMonoid) -> CliffordReport:
 @dataclass
 class WeakPullbackReport:
     """Behaviour of a weak morphism (no ultrafilter axiom) on ultrafilters:
-    idempotent ones must pull back to idempotent ultrafilters, all others
-    are classified."""
+    idempotent ones must pull back to idempotent ultrafilters, and the
+    others whose preimage is empty are flagged."""
 
     idempotent_ok: bool
     idempotent_failures: list
-    flagged: list  # (ultrafilter members, classification) for non-idempotent ones
+    flagged: list  # the members of each non-idempotent ultrafilter with an empty preimage
 
     def to_json(self) -> dict:
-        return {
-            "idempotent_ok": self.idempotent_ok,
-            "idempotent_failures": self.idempotent_failures,
-            "flagged": [[list(m), c] for m, c in self.flagged],
-        }
+        return asdict(self)
 
 
 def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
@@ -442,4 +429,4 @@ def weak_morphism_pullback(theta: MonoidMorphism) -> WeakPullbackReport:
     failing, flagged = u_idempotent & ~kept, ~u_idempotent & ~found
     members = [np.flatnonzero(row).tolist() for row in theta.target.order().matrix[ultra]]
     return WeakPullbackReport(not failing.any(), [members[i] for i in np.flatnonzero(failing)],
-                              [(members[i], "empty") for i in np.flatnonzero(flagged)])
+                              [members[i] for i in np.flatnonzero(flagged)])

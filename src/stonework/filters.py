@@ -9,10 +9,10 @@ exercised by the law suite.  The product of filters ``A * B`` is the upward
 closure of the elementwise product set (:func:`filter_product`, the literal
 one-pair definition), and the ultrafilters form a groupoid under it with
 ``dom(A) = A^-1 * A``.  In a finite boolean monoid the ultrafilters are the
-principal filters at atoms, so that groupoid is built on the atoms; the
-filter-product route is kept for the law suites that cross-check it, which
-read every product at once from :func:`filter_products`.  The inverse, dom,
-ran and the ultrafilter criteria are array functions over generators.
+principal filters at atoms, so that groupoid is built on the atoms; the law
+suites cross-check it by the filter products, read all at once from
+:func:`filter_products`, which the monoid keeps.  The inverse, dom, ran and
+the ultrafilter criteria are array functions over generators.
 """
 
 from __future__ import annotations
@@ -124,10 +124,13 @@ def _closed_products(monoid: InverseMonoid, lefts, rights) -> np.ndarray:
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every filter product as :func:`filter_product` defines it (filter i
-    is up(i)): ``sets[i, j]``, the set product up(i) up(j) as a boolean row;
-    ``prod[i, j]``, the generator of its closure; ``inverse[i]``, that of
-    up(i)^-1.  Row i of ``sets`` is U @ R > 0 for the order matrix U and
-    R[b, z] = [z in up(i) b], exact in float32 as sums stay <= n < 2^24."""
+    is up(i)), kept read-only on the monoid: ``sets[i, j]``, the set
+    product up(i) up(j) as a boolean row; ``prod[i, j]``, the generator of
+    its closure; ``inverse[i]``, that of up(i)^-1.  Row i of ``sets`` is
+    U @ R > 0 for the order matrix U and R[b, z] = [z in up(i) b], exact
+    in float32 as sums stay <= n < 2^24."""
+    if monoid._filter_products is not None:
+        return monoid._filter_products
     n, mul = monoid.n, monoid.mul
     leq = monoid.order().matrix
     square = leq.astype(np.float32)
@@ -141,7 +144,10 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.n
         np.greater(square @ reach, 0, out=sets[i])
         reach[columns, cells] = 0
         prod[i] = least_members(monoid, sets[i])
-    return sets, prod, filter_inverses(monoid, columns)
+    monoid._filter_products = sets, prod, filter_inverses(monoid, columns)
+    for table in monoid._filter_products:
+        table.setflags(write=False)     # every caller reads the same arrays
+    return monoid._filter_products
 
 
 def prime_property_holds(members: np.ndarray, join: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ that reduction lives in :meth:`FiniteGroupoid.discrete_certificate`.
 A bisection is a subset hitting each identity at most once on the domain
 side and at most once on the range side (:func:`fiber_clash`), held as a
 boolean membership row over the arrows.  The set of all bisections under
-the arrow-wise product is a boolean inverse monoid, materialized by
-:func:`all_bisections_monoid` up to a bound on their number (MAX_ELEMENTS,
-or lower), counted in closed form before any is built.
+the arrow-wise product is a boolean inverse monoid, materialized and kept
+by :func:`all_bisections_monoid` under a bound on their number that every
+call checks (MAX_ELEMENTS, or lower; in closed form before any is built).
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class FiniteGroupoid:
         self._padded[:-1, :-1] = table
         self._padded.setflags(write=False)
         self.compose = self._padded[:-1, :-1]
+        self._bisections = None     # all_bisections_monoid, kept from its first call
         self._validate()
 
     def _validate(self) -> None:
@@ -331,7 +332,7 @@ def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarr
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
                           bisection_bound: int = MAX_ELEMENTS) -> BisectionMonoid:
-    """Materialize the boolean inverse monoid of all bisections.
+    """The boolean inverse monoid of all bisections, kept on the groupoid.
 
     The products are taken on image arrays (see :func:`image_products`), so
     the table is one gather through ``compose`` per place; each product is
@@ -340,6 +341,9 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     law suites check; a product found nowhere would be a -1 entry, which the
     index gate refuses.
     """
+    kept = groupoid._bisections
+    if kept is not None and len(kept) <= min(bisection_bound, MAX_ELEMENTS):
+        return kept     # the count passes; a larger kept monoid is refused as a fresh one
     rows = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
     arrow_codes = _arrow_codes(groupoid)
     images, products = image_products(groupoid, rows)
@@ -357,7 +361,9 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     names = [groupoid.label(a) for a in arrows.tolist()]
     ends = np.searchsorted(i, np.arange(len(rows) + 1)).tolist()
     labels = ["{" + ",".join(names[lo:hi]) + "}" for lo, hi in zip(ends, ends[1:])]
-    return BisectionMonoid(groupoid, rows, InverseMonoid(mul, inv, zero, one, labels), codes)
+    monoid = InverseMonoid(mul, inv, zero, one, labels)
+    groupoid._bisections = BisectionMonoid(groupoid, rows, monoid, codes)
+    return groupoid._bisections
 
 
 def point_ultrafilter(bm: BisectionMonoid, g):

@@ -367,6 +367,8 @@ class InverseMonoid:
         self._order: OrderData | None = None
         self._certificate: BooleanCertificate | None = None
         self._complements: np.ndarray | None = None     # [e]: complement of e in E, -1 off E
+        self._stone_groupoid = None     # duality.stone_groupoid, kept from its first call
+        self._filter_products = None    # filters.filter_products, kept from its first call
         self._validate()
 
     # -- construction-time axiom checks ------------------------------------

@@ -6,12 +6,12 @@ and witnesses.  ``boolean_monoid_suite`` bundles the order/filter laws that
 any verified boolean inverse monoid must satisfy; the CLI exposes the same
 suites through ``check --laws``.
 
-A suite computes what its laws share once per call: both filter suites read
-one table of every literal filter product (``filter_products``), and the
-order suites are gathers over the order's dense tables, each complement
-law with one ``relative_complements`` call over all of its pairs.  Each
-law still checks its own definition on every instance; none is replaced by
-the theorem it tests.
+A suite computes what its laws share once: both filter suites read the one
+table of every literal filter product that the monoid keeps
+(``filter_products``), and the order suites are gathers over the order's
+dense tables, each complement law with one ``relative_complements`` call
+over all of its pairs.  Each law still checks its own definition on every
+instance; none is replaced by the theorem it tests.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     return report
 
 
-def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawReport:
+def filter_laws(monoid: InverseMonoid) -> LawReport:
     """The filter-level laws: base property, ultrafilter criteria agreement,
     coverage, cosets, product minimality, domain submonoids, idempotent
     filters, rigidity, and the prime property of ultrafilters."""
@@ -155,7 +155,7 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     mul = monoid.mul.astype(np.intp)    # the loops below index by products; n^2 beside n^3 sets
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
     up = [np.flatnonzero(row) for row in leq]   # up[i]: the members of filter i
-    sets, prod, inverse = products or filter_products(monoid)
+    sets, prod, inverse = filter_products(monoid)
     dom = prod[inverse, rng]
 
     law = report.new("filter-base-pairwise")
@@ -242,14 +242,14 @@ def filter_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawRepo
     return report
 
 
-def filter_semigroup_laws(monoid: InverseMonoid, products: tuple | None = None) -> LawReport:
+def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
     """The filters form an inverse semigroup under the closed product, whose
     idempotents are the idempotent filters and whose natural order is
-    reverse inclusion.  ``products``, when given, is ``filter_products``."""
+    reverse inclusion."""
     monoid.require_boolean()
     report = LawReport("filter semigroup laws")
     n = monoid.n                # filter i is up(i)
-    _, prod, inverse = products or filter_products(monoid)
+    _, prod, inverse = filter_products(monoid)
     leq, rng = monoid.order().matrix, np.arange(n)
 
     law = report.new("inverse-semigroup")
@@ -298,9 +298,8 @@ def boolean_monoid_suite(monoid: InverseMonoid, *,
     report.extend(order_meet_laws(monoid))
     report.extend(local_complement_laws(monoid))
     report.extend(compatible_join_laws(monoid))
-    products = filter_products(monoid)
-    report.extend(filter_laws(monoid, products))
-    report.extend(filter_semigroup_laws(monoid, products))
+    report.extend(filter_laws(monoid))
+    report.extend(filter_semigroup_laws(monoid))
     report.extend(ultra_equivalence_laws(monoid))
     report.extend(verify_basic_open_laws(monoid, bisection_bound=bisection_bound))
     return report

@@ -663,7 +663,7 @@ def int64_reference(monoid):
                       matrix=leq, up_sizes=leq.sum(axis=1),
                       meet=reference_bound_table(leq), join=reference_bound_table(leq.T))
     vars(wide).update(vars(monoid), mul=mul, _order=order, _certificate=None,
-                      _complements=None)
+                      _complements=None, _stone_groupoid=None, _filter_products=None)
     return wide
 
 
@@ -846,14 +846,13 @@ def reference_pullback_preimages(f, bisections):
             for b in bisections]
 
 
-def reference_functor_on_morphism(theta, sg_source=None, sg_target=None):
+def reference_functor_on_morphism(theta):
     """The ultrafilter functor on theta: S -> T, one target ultrafilter A at
     a time: the preimage's generator, checked ultra (M3), its arrow, and
     dom(theta^-1 A) = theta^-1(dom A) by closed filter products; then the
     covering conditions on the functor."""
     source, target = theta.source, theta.target
-    sg_t = ultrafilter_groupoid(target) if sg_target is None else sg_target
-    sg_s = ultrafilter_groupoid(source) if sg_source is None else sg_source
+    sg_t, sg_s = ultrafilter_groupoid(target), ultrafilter_groupoid(source)
     arrow_map, image = [], np.asarray(theta.mapping)
     s_leq, t_leq = source.order().matrix, target.order().matrix
     doms = filter_doms(target, sg_t.ultrafilters).tolist()

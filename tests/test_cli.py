@@ -14,7 +14,7 @@ from helpers import idempotent_embedding_ba2_into_ix2, relabelled
 
 import stonework
 from stonework import (MAX_ELEMENTS, BoundError, StructureError, boolean_algebra_monoid, cli,
-                       filters, symmetric_inverse_monoid)
+                       filters, laws, symmetric_inverse_monoid)
 from stonework.cli import main, make_parser
 from stonework.duality import identity_morphism
 from stonework.groupoids import identity_functor, pair_groupoid
@@ -213,6 +213,21 @@ def test_check_full_suite(tmp_path, capsys):
     assert code == 0
     names = {law["name"] for law in json.loads(out)["laws"]}
     assert "union-bisection-iff-join" in names
+
+
+def test_check_all_builds_the_filter_products_once(tmp_path, capsys, monkeypatch):
+    """Both filter suites read the table the monoid keeps: ``check --laws
+    all`` asks for it twice and is given the one table built first."""
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    tables, real = [], filters.filter_products
+
+    def recorded(monoid):
+        tables.append(real(monoid))
+        return tables[-1]
+
+    monkeypatch.setattr(laws, "filter_products", recorded)
+    assert run(capsys, "check", "ix3", "--laws", "all", "--store", str(tmp_path))[0] == 0
+    assert len(tables) == 2 and tables[0] is tables[1]
 
 
 FULL_SUITE_LAWS = (

@@ -28,6 +28,7 @@ from helpers import (
     symmetric_to_pair_arrow_map,
 )
 from stonework import (
+    BoundError,
     MorphismError,
     StructureError,
     duality,
@@ -58,7 +59,6 @@ from stonework.groupoids import (
     disjoint_union,
     fiber_clash,
     group_groupoid,
-    identity_functor,
     pair_groupoid,
     trivial_groupoid,
 )
@@ -175,13 +175,13 @@ def test_gathered_bound_checks_give_the_loops_first_witness(name, bound, now):
     assert any(moved)
 
     source = corrupted_bounds(monoid, "meet", monoid.atoms[-1], monoid.zero)
-    sg = stone_groupoid(monoid)
+    source._stone_groupoid = sg = stone_groupoid(monoid)
     dual = all_bisections_monoid(sg).monoid
-    forward = round_trip_monoid(monoid, sg).forward
+    forward = round_trip_monoid(monoid).forward
     s, t = next((s, t) for s in range(monoid.n) for t in range(monoid.n)
                 if forward[source.meet(s, t)] != dual.meet(forward[s], forward[t]))
     with pytest.raises(StructureError, match=re.escape(f"does not preserve meets at ({s}, {t})")):
-        round_trip_monoid(source, sg)
+        round_trip_monoid(source)
 
 
 # -- basic open sets ----------------------------------------------------------------
@@ -223,7 +223,8 @@ def test_an_absent_meet_fails_meet_is_intersection(ix2, sg_ix2):
     among the cells forced."""
     for landing_on in (*ix2.atoms, ix2.n - 1):
         source = corrupted_bounds(ix2, "meet", landing_on, -1)
-        law = verify_basic_open_laws(source, sg_ix2).get("meet-is-intersection")
+        source._stone_groupoid = sg_ix2
+        law = verify_basic_open_laws(source).get("meet-is-intersection")
         absent = [tuple(cell) for cell in np.argwhere(source.order().meet < 0).tolist()]
         assert absent and law.failures == absent, landing_on
         assert law.instances == ix2.n ** 2
@@ -263,13 +264,13 @@ def test_union_probe_agrees_with_the_union_law(factory, clashes, monkeypatch):
 
     order = monoid.order()
     monkeypatch.setattr(monoid, "_order", replace(order, join=np.full_like(order.join, -1)))
-    law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
+    law = verify_basic_open_laws(monoid).get("union-bisection-iff-join")
     assert law.instances == len(pairs)
     assert law.failures == [(*pair, None) for pair in pairs if probe[pair][0]]
 
     monkeypatch.setattr(monoid, "_order",
                         replace(order, join=np.full_like(order.join, monoid.zero)))
-    law = verify_basic_open_laws(monoid, sg).get("union-bisection-iff-join")
+    law = verify_basic_open_laws(monoid).get("union-bisection-iff-join")
     assert law.failures == [(*pair, probe[pair][1]) for pair in pairs if not probe[pair][0]]
 
 
@@ -293,7 +294,7 @@ def test_product_law_checks_each_product_is_a_bisection(ix2, sg_ix2, monkeypatch
         return images, places()
 
     monkeypatch.setattr(duality, "image_products", doubled)
-    report = verify_basic_open_laws(ix2, sg_ix2)
+    report = verify_basic_open_laws(ix2)
     assert report.get("product").failures == [(ix2.one, ix2.one)]
     assert report.failure_count == 1
 
@@ -309,11 +310,25 @@ def test_a_tampered_order_fails_is_bisection_with_a_witness(ix2, sg_ix2):
     matrix = order.matrix.copy()
     matrix[sg_ix2.ultrafilters[swap], source.one] = True
     source._order = replace(order, matrix=matrix)
-    law = verify_basic_open_laws(source, sg_ix2).get("is-bisection")
+    source._stone_groupoid = sg_ix2
+    law = verify_basic_open_laws(source).get("is-bisection")
     clash = fiber_clash(sg_ix2, [e0, e1, swap])
     assert clash[0] in ("domain-fiber", "range-fiber") and swap in clash[1:]
     assert law.instances == ix2.n
     assert law.failures == [(source.one, clash)]
+
+
+def test_an_atom_put_below_zero_fails_zero_is_empty(ix2, sg_ix2):
+    """K(0) is read off the order: with the atom {1->1} put below 0, the
+    ultrafilter at that atom holds 0, so K(0) is not empty."""
+    source = ix2.restrict(range(ix2.n))
+    order = source.order()
+    matrix = order.matrix.copy()
+    matrix[by_label(ix2, "{1->1}"), source.zero] = True
+    source._order = replace(order, matrix=matrix)
+    source._stone_groupoid = sg_ix2
+    law = verify_basic_open_laws(source).get("zero-is-empty")
+    assert (law.instances, law.failures) == (1, [(source.zero,)])
 
 
 DUAL_CASES = {
@@ -344,19 +359,19 @@ def test_basic_opens_and_their_laws_match_the_object_form(name, monkeypatch):
 
     everything = [b.members for b in reference_bisections(sg)]
     forward = [everything.index(k.members) for k in reference]
-    cert = round_trip_monoid(monoid, sg).to_json()
+    cert = round_trip_monoid(monoid).to_json()
     del cert["elapsed_s"]
     assert cert == {"forward": forward, "backward": np.argsort(forward).tolist(),
                     "checked_laws": [{"law": law, "instances": count} for law, count in (
                         ("cardinality", 1), ("bijective", n), ("multiplicative", n * n),
                         ("inverse-preserving", n), ("zero-one", 2), ("meet-and-order", n * n))]}
 
-    report = verify_basic_open_laws(monoid, sg).to_json()
+    report = verify_basic_open_laws(monoid).to_json()
     monkeypatch.setattr(duality, "basic_opens",
                         lambda monoid, sg: reference_rows(reference))
     monkeypatch.setattr(duality, "enumerate_bisections", lambda sg, bisection_bound:
                         reference_rows(reference_bisections(sg)))
-    assert report == verify_basic_open_laws(monoid, sg).to_json()
+    assert report == verify_basic_open_laws(monoid).to_json()
 
 
 @pytest.mark.parametrize("name", list(object_form_groupoids()))
@@ -367,7 +382,7 @@ def test_groupoid_round_trip_and_point_laws_match_the_object_form(name, monkeypa
     groupoid = object_form_groupoids()[name]()
     m, reference = groupoid.m, reference_bisections(groupoid)
     bm = all_bisections_monoid(groupoid)
-    cert = round_trip_groupoid(groupoid, bm).to_json()
+    cert = round_trip_groupoid(groupoid).to_json()
     del cert["elapsed_s"]
     sg = stone_groupoid(bm.monoid)
     through = np.array([[g in b.members for b in reference] for g in range(m)],
@@ -393,7 +408,7 @@ def test_a_transport_failure_names_the_first_bisection(monkeypatch):
     pair = pair_groupoid(2)
     bm = all_bisections_monoid(pair)
     sg = stone_groupoid(bm.monoid)
-    forward = round_trip_groupoid(pair, bm).forward
+    forward = round_trip_groupoid(pair).forward
     swapped = list(range(bm.monoid.n))
     swapped[3], swapped[5] = 5, 3
     opens = [reference_basic_open(s, sg).members for s in swapped]
@@ -403,15 +418,16 @@ def test_a_transport_failure_names_the_first_bisection(monkeypatch):
     real = duality.basic_opens
     monkeypatch.setattr(duality, "basic_opens", lambda monoid, sg: real(monoid, sg)[swapped])
     with pytest.raises(StructureError, match=f"^image of bisection {first} is not its basic"):
-        round_trip_groupoid(pair, bm)
+        round_trip_groupoid(pair)
 
 
 # -- functors on morphisms --------------------------------------------------------------
 
 
 def test_functor_on_identity_is_identity(ix2, sg_ix2):
-    functor = functor_on_morphism(identity_morphism(ix2), sg_ix2, sg_ix2)
+    functor = functor_on_morphism(identity_morphism(ix2))
     assert functor.arrow_map == tuple(range(len(sg_ix2)))
+    assert functor.source is functor.target is sg_ix2
 
 
 def test_functor_on_a_weak_morphism_checks_m3(ix2):
@@ -433,39 +449,63 @@ def test_functor_on_boolean_restriction_embeds_spectra():
     assert check_covering(functor).ok
 
 
+def test_kept_duals_are_built_once():
+    """A monoid keeps its Stone groupoid and a groupoid its bisection
+    monoid: every call returns the same object, which is why functors and
+    morphisms built by separate calls compose."""
+    monoid, groupoid = clifford_monoid(), pair_groupoid(2)
+    assert stone_groupoid(monoid) is stone_groupoid(monoid)
+    assert all_bisections_monoid(groupoid) is all_bisections_monoid(groupoid)
+    sg = stone_groupoid(monoid)
+    assert all_bisections_monoid(sg) is all_bisections_monoid(sg, bisection_bound=len(monoid))
+
+
+def test_a_kept_bisection_monoid_is_counted_against_the_bound():
+    """ix4's dual has 209 bisections.  Once its bisection monoid is kept, a
+    bound of 100 refuses it with the text a fresh groupoid gets, whose
+    closed-form count stops once it passes the bound."""
+    def refusal(groupoid):
+        with pytest.raises(BoundError) as err:
+            all_bisections_monoid(groupoid, bisection_bound=100)
+        return str(err.value)
+
+    fresh = refusal(stone_groupoid(symmetric_inverse_monoid(4)))
+    sg = stone_groupoid(symmetric_inverse_monoid(4))
+    assert len(all_bisections_monoid(sg)) == 209
+    assert refusal(sg) == fresh == ("a groupoid of 16 arrows has at least 185 bisections: "
+                                    "sizes are capped at 100")
+
+
 def test_contravariance_of_ultrafilter_functor():
+    """G(theta then phi) = G(phi) then G(theta), with no groupoid passed in."""
     c, z = clifford_monoid(), group_with_zero_monoid(2)
     delta = diagonal_embedding(z, c)   # z -> c
     pi = projection_first(c, z)        # c -> z
-    sg_c, sg_z = stone_groupoid(c), stone_groupoid(z)
-    composite = delta.then(pi)         # z -> z (the identity)
-    lhs = functor_on_morphism(composite, sg_z, sg_z)
-    g_pi = functor_on_morphism(pi, sg_c, sg_z)
-    g_delta = functor_on_morphism(delta, sg_z, sg_c)
-    rhs = g_pi.then(g_delta)
-    assert lhs.arrow_map == rhs.arrow_map
+    lhs = functor_on_morphism(delta.then(pi))      # z -> z (the identity)
+    rhs = functor_on_morphism(pi).then(functor_on_morphism(delta))
+    assert lhs == rhs and lhs.source is rhs.source is lhs.target is stone_groupoid(z)
+    assert functor_on_morphism(pi.then(delta)) == functor_on_morphism(delta).then(
+        functor_on_morphism(pi))
 
 
 def test_contravariance_of_bisection_functor():
+    """A(f then g) = A(g) then A(f), with no bisection monoid passed in."""
     z2 = group_groupoid(2)
     both = disjoint_union(z2, z2)
     incl = CoveringFunctor(z2, both, (0, 1))
     fold = CoveringFunctor(both, z2, (0, 1, 0, 1))
-    bm_z2, bm_both = all_bisections_monoid(z2), all_bisections_monoid(both)
-    a_incl = pullback_morphism(incl, bm_z2, bm_both)       # A(both) -> A(z2)
-    a_fold = pullback_morphism(fold, bm_both, bm_z2)       # A(z2) -> A(both)
-    composite = pullback_morphism(incl.then(fold), bm_z2, bm_z2)
-    assert composite.mapping == a_fold.then(a_incl).mapping
+    lhs = pullback_morphism(incl.then(fold))
+    rhs = pullback_morphism(fold).then(pullback_morphism(incl))
+    assert lhs == rhs and lhs.source is rhs.source is all_bisections_monoid(z2).monoid
+    assert pullback_morphism(fold.then(incl)) == pullback_morphism(incl).then(
+        pullback_morphism(fold))
 
 
 def test_naturality_square():
     c, z = clifford_monoid(), group_with_zero_monoid(2)
     theta = projection_first(c, z)
-    sg_c, sg_z = stone_groupoid(c), stone_groupoid(z)
-    functor = functor_on_morphism(theta, sg_c, sg_z)       # G(z) -> G(c)
-    bm_c = all_bisections_monoid(sg_c)
-    bm_z = all_bisections_monoid(sg_z)
-    transported = pullback_morphism(functor, bm_z, bm_c)   # A(G(c)) -> A(G(z))
+    functor = functor_on_morphism(theta)       # G(z) -> G(c)
+    transported = pullback_morphism(functor)   # A(G(c)) -> A(G(z))
     fwd_c = round_trip_monoid(c).forward
     fwd_z = round_trip_monoid(z).forward
     for s in range(c.n):
@@ -579,8 +619,8 @@ def test_weak_pullback_of_idempotent_embedding(ix2):
     report = weak_morphism_pullback(theta)
     assert report.idempotent_ok
     # the two ultrafilters through non-idempotent atoms pull back to nothing
-    assert sorted(kind for _, kind in report.flagged) == ["empty", "empty"]
-    assert report.to_json()["flagged"] == [[[2, 6], "empty"], [[3, 6], "empty"]]
+    assert report.flagged == [[2, 6], [3, 6]]
+    assert report.to_json()["flagged"] == [[2, 6], [3, 6]]
 
 
 def test_cardinality_mismatch_raises():
@@ -633,12 +673,14 @@ def test_a_weak_map_pulls_every_ultrafilter_back_to_nothing_or_a_filter():
         for j, target in enumerate(monoids):
             for theta in _seeded_weak_maps(source, target, random.Random(7 * i + j), 3):
                 t_leq, image = target.order().matrix, np.asarray(theta.mapping)
+                empty = []          # non-idempotent ultrafilters with an empty preimage
                 for u in enumerate_ultrafilters(target).tolist():
                     if (pre := t_leq[u][image]).any():
                         filter_of(source, pre)
                         preimages += 1
-                report = weak_morphism_pullback(theta)
-                assert {kind for _, kind in report.flagged} <= {"empty"}
+                    elif not t_leq[u, list(target.idempotents)].any():
+                        empty.append(np.flatnonzero(t_leq[u]).tolist())
+                assert weak_morphism_pullback(theta).flagged == empty
                 maps += 1
     assert maps >= 50 and preimages >= 100, (maps, preimages)
 
@@ -672,12 +714,8 @@ def built_morphisms():
     z2 = group_groupoid(2)
     both = disjoint_union(z2, z2)
     incl, fold = CoveringFunctor(z2, both, (0, 1)), CoveringFunctor(both, z2, (0, 1, 0, 1))
-    bm_z2, bm_both = all_bisections_monoid(z2), all_bisections_monoid(both)
-    sg_c, sg_z = stone_groupoid(c), stone_groupoid(z)
-    pullbacks = [pullback_morphism(incl, bm_z2, bm_both), pullback_morphism(fold, bm_both, bm_z2),
-                 pullback_morphism(incl.then(fold), bm_z2, bm_z2),
-                 pullback_morphism(functor_on_morphism(pi, sg_c, sg_z),
-                                   all_bisections_monoid(sg_z), all_bisections_monoid(sg_c))]
+    pullbacks = [pullback_morphism(incl), pullback_morphism(fold),
+                 pullback_morphism(incl.then(fold)), pullback_morphism(functor_on_morphism(pi))]
     strong = []
     for theta in seeded_weak_maps():
         try:
@@ -726,30 +764,6 @@ def test_preimages_agree_with_the_per_ultrafilter_loop():
             kinds.add((g >= 0, expected[-1][1]))
         assert duality._preimages(theta, ultra).tolist() == [g for g, _ in expected]
     assert kinds == {(False, False), (True, True)}
-
-
-def test_functor_on_morphism_refuses_stone_groupoids_of_other_monoids():
-    """The groupoids passed in must be built from theta's own monoids, as
-    ``then`` needs the same monoid in the middle."""
-    theta = identity_morphism(boolean_algebra_monoid(2))
-    own = stone_groupoid(theta.source)
-    for other in (group_with_zero_monoid(2), boolean_algebra_monoid(3)):
-        foreign = stone_groupoid(other)
-        for pair in ((foreign, foreign), (own, foreign), (foreign, own)):
-            with pytest.raises(StructureError, match="not those of the morphism's monoids"):
-                functor_on_morphism(theta, *pair)
-    assert functor_on_morphism(theta, own, own).arrow_map == tuple(range(len(own)))
-
-
-def test_pullback_morphism_refuses_bisection_monoids_of_other_groupoids():
-    f = identity_functor(pair_groupoid(2))
-    own = all_bisections_monoid(f.source)
-    for other in (trivial_groupoid(4), group_groupoid(4)):
-        foreign = all_bisections_monoid(other)
-        for pair in ((foreign, foreign), (own, foreign), (foreign, own)):
-            with pytest.raises(StructureError, match="not those of the functor's groupoids"):
-                pullback_morphism(f, *pair)
-    assert pullback_morphism(f, own, own).mapping == tuple(range(len(own)))
 
 
 # -- every homomorphism between small monoids ------------------------------------------
@@ -812,7 +826,7 @@ def test_functor_on_morphism_is_a_bijection_onto_the_covering_functors():
         for f in homomorphisms(source, target).tolist():
             with suppress(MorphismError):
                 homs.append(MonoidMorphism(source, target, tuple(f)))
-        functors = {functor_on_morphism(theta, sg_s, sg_t).arrow_map for theta in homs}
+        functors = {functor_on_morphism(theta).arrow_map for theta in homs}
         assert len(functors) == len(homs), (a, b)
         assert functors == set(covering_functors(sg_t, sg_s)), (a, b)
         if homs:

@@ -515,6 +515,17 @@ def test_dense_table_is_the_literal_filter_product(corpus, name, seed):
             assert prod[i, j] == filter_product(monoid, i, j)
 
 
+def test_kept_filter_products_are_read_only():
+    """Every caller is handed the same three arrays, so none of them can be
+    edited in place: an edit would change every later suite's products."""
+    monoid = symmetric_inverse_monoid(2)
+    tables = filter_products(monoid)
+    assert filter_products(monoid) is tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
+
+
 def test_a_set_without_a_least_member_has_no_filter_closure():
     """Two atoms have no least member, so least_members refuses them, and
     filter_products refuses a table in which 1 a = b for atoms a != b: the

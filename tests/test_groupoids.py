@@ -411,7 +411,7 @@ def test_membership_rows_match_the_object_form(name):
     assert [point_ultrafilter(bm, g) for g in range(groupoid.m)] == points
     assert point_ultrafilter(bm, np.arange(groupoid.m)).tolist() == points
     preimages = reference_pullback_preimages(identity_functor(groupoid), reference)
-    assert pullback_morphism(identity_functor(groupoid), bm, bm).mapping == tuple(
+    assert pullback_morphism(identity_functor(groupoid)).mapping == tuple(
         members.index(b.members) for b in preimages)
 
 
@@ -425,8 +425,7 @@ def test_pullbacks_match_the_object_form(left, right):
               CoveringFunctor(twice, left, tuple(range(left.m)) * 2)):
         source, target = reference_bisections(f.source), reference_bisections(f.target)
         members = [b.members for b in source]
-        mapping = pullback_morphism(f, all_bisections_monoid(f.source),
-                                    all_bisections_monoid(f.target)).mapping
+        mapping = pullback_morphism(f).mapping
         assert mapping == tuple(members.index(b.members)
                                 for b in reference_pullback_preimages(f, target))
 
@@ -679,12 +678,12 @@ def test_functor_validation_names_the_identity_arrow(pair2):
 
 
 def test_pullback_of_identity_is_identity(pair2, bm_pair2):
-    pb = pullback_morphism(identity_functor(pair2), bm_pair2, bm_pair2)
+    pb = pullback_morphism(identity_functor(pair2))
     assert pb.mapping == tuple(range(len(bm_pair2)))
 
 
-def test_pullback_preserves_zero_and_one(pair2, bm_pair2):
-    pb = pullback_morphism(identity_functor(pair2), bm_pair2, bm_pair2)
+def test_pullback_preserves_zero_and_one(pair2):
+    pb = pullback_morphism(identity_functor(pair2))
     assert pb.mapping[pb.source.zero] == pb.target.zero
     assert pb.mapping[pb.source.one] == pb.target.one
 
@@ -693,17 +692,16 @@ def test_pullback_along_component_inclusion():
     z2, z3 = group_groupoid(2), group_groupoid(3)
     union = disjoint_union(z2, z3)
     incl = CoveringFunctor(z2, union, (0, 1))
-    bm_union, bm_z2 = all_bisections_monoid(union), all_bisections_monoid(z2)
-    pb = pullback_morphism(incl, bm_z2, bm_union)
+    bm_z2 = all_bisections_monoid(z2)
+    pb = pullback_morphism(incl)
     # restriction to the left component: surjective onto A(Z/2)
     assert set(pb.mapping) == set(range(bm_z2.monoid.n))
 
 
-def test_pullback_refuses_non_covering(pair2, bm_pair2):
+def test_pullback_refuses_non_covering(pair2):
     collapse = CoveringFunctor(pair2, trivial_groupoid(1), (0, 0, 0, 0))
-    bm_triv = all_bisections_monoid(trivial_groupoid(1))
     with pytest.raises(StructureError):
-        pullback_morphism(collapse, bm_pair2, bm_triv)
+        pullback_morphism(collapse)
 
 
 # -- rendering -----------------------------------------------------------------------------

@@ -926,6 +926,22 @@ def test_restrict_rejects_unclosed(ix2):
         ix2.restrict([ix2.zero, ix2.one, swap, e1])  # missing swap*e1
 
 
+@pytest.mark.parametrize("elements, message", [
+    ([6, 5, 2, 0], "restriction not closed under inverse at 2"),
+    ([0, 1, 2, 5, 6], "restriction not closed at (1, 6)"),
+    ([0, 1, 5, 6], "restriction not closed at (1, 6)"),
+    ([0, 2, 3, 5], "restriction not closed at (2, 3)"),
+], ids=["inverse-before-products", "product-before-a-later-inverse", "product", "product-of-pair"])
+def test_restrict_names_the_first_element_that_leaves(ix2, elements, message):
+    """The witness is the first s, in ascending order, whose inverse or a
+    product s t leaves the set: its inverse before its products, then the
+    first t.  (ix2: 1 is {1->1}, 2 is {1->2}, 3 is {2->1}, 4 is {2->2}, 5
+    the one, 6 the swap; in the first set both 2^-1 and 2 * 6 are missing.)"""
+    assert (ix2.inv[2], ix2.product(2, 6)) == (3, 4)
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        ix2.restrict(elements)
+
+
 def test_tables_read_only(ix2):
     with pytest.raises(ValueError):
         ix2.mul[0, 0] = 1

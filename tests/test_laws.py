@@ -1,7 +1,8 @@
 """The law suites read shared tables: a table of every filter product,
 computed from the definition under test, and dense meet, join and
 complement tables.  These tests show that a wrong product, meet, join or
-complement still surfaces, with the witnesses the per-instance loops give."""
+complement still surfaces, with the witnesses the per-instance loops give,
+and that each failure a suite can record is reached by some broken input."""
 
 import random
 from dataclasses import replace
@@ -18,12 +19,15 @@ from helpers import (
 )
 from stonework import (
     StructureError,
+    all_bisections_monoid,
     boolean_algebra_monoid,
     clifford_monoid,
     group_with_zero_monoid,
     laws,
+    pair_groupoid,
     symmetric_inverse_monoid,
 )
+from stonework.duality import stone_groupoid
 
 
 def test_law_suites_read_the_product_they_check(monkeypatch):
@@ -259,3 +263,103 @@ def test_array_relative_complements_match_the_scalar_ones():
     looped = [reference_relative_complement(monoid, a, b) for a, b in zip(s.tolist(), t.tolist())]
     assert monoid.relative_complements(s, t).tolist() == looped
     assert [relative_complement(monoid, a, b) for a, b in zip(s.tolist(), t.tolist())] == looped
+
+
+# -- each recorded failure, reached once --------------------------------------------
+
+
+def by_label(monoid, label):
+    return monoid.labels.index(label)
+
+
+def test_a_removed_relation_fails_downset_boolean_via_dom(monkeypatch):
+    """In ix3, {1->2} <= {1->2,2->3} struck from the order: down({1->2,2->3})
+    loses {1->2}, so dom no longer maps it onto the idempotents below its
+    dom, and inside down({1->2,2->3,3->1}) the two are no longer ordered as
+    their doms are.  Relative complements come from a sound copy, so the
+    suite runs to its end."""
+    monoid = symmetric_inverse_monoid(3)
+    sound = monoid.restrict(range(monoid.n))
+    x, y, s = (by_label(monoid, label) for label in ("{1->2}", "{1->2,2->3}",
+                                                     "{1->2,2->3,3->1}"))
+    order = monoid.order()
+    matrix = order.matrix.copy()
+    matrix[x, y] = False
+    monoid._order = replace(order, matrix=matrix)
+    monkeypatch.setattr(monoid, "relative_complements", sound.relative_complements)
+    law = laws.local_complement_laws(monoid).get("downset-boolean-via-dom")
+    assert law.failures == [(y,), (s, x, y)]
+
+
+def test_zero_left_out_of_its_own_filter_fails_the_filter_base():
+    """In ba2 with 0 <= 0 struck, up(0) is {1}, {2} and {1,2}: nothing in it
+    lies below both {1} and {2}."""
+    monoid = boolean_algebra_monoid(2)
+    monoid.require_boolean()
+    laws.filter_products(monoid)            # kept from the sound order
+    order = monoid.order()
+    matrix = order.matrix.copy()
+    matrix[0, 0] = False
+    monoid._order = replace(order, matrix=matrix)
+    assert laws.filter_laws(monoid).get("filter-base-pairwise").failures == [(0, 1, 2), (0, 2, 1)]
+
+
+def test_a_kept_product_off_its_set_fails_minimality_and_the_domain_laws():
+    """In ix2, up(0) up(0) is every element, but the kept table says up(a)
+    for a = {1->2}: a filter that does not hold the set product, and the
+    domain of up(0) is then up(a), which holds neither the one nor a^-1,
+    is not closed under products and is not up(0)'s coset."""
+    monoid = symmetric_inverse_monoid(2)
+    sets, prod, inverse = laws.filter_products(monoid)
+    a = by_label(monoid, "{1->2}")
+    prod = prod.copy()
+    prod[0, 0] = a
+    monoid._filter_products = sets, prod, inverse
+    report = laws.filter_laws(monoid)
+    assert report.get("product-smallest-filter").failures == [(0, 0, "not containing")]
+    swap = by_label(monoid, "{1->2,2->1}")
+    assert report.get("domain-inverse-submonoid").failures == [
+        (0, "one"), (0, a, "inverse"), (0, a, a), (0, a, swap), (0, swap, a), (0, swap, swap),
+        *((0, x, "coset-form") for x in range(3, monoid.n))]
+
+
+def test_a_wrong_join_fails_ultrafilters_prime():
+    """In ba2 with 0 v 0 = {1}, the join lies in the ultrafilter up({1})
+    while 0 does not."""
+    monoid = boolean_algebra_monoid(2)
+    monoid.require_boolean()
+    order = monoid.order()
+    join = order.join.copy()
+    join[0, 0] = 1
+    monoid._order = replace(order, join=join)
+    report = laws.filter_laws(monoid)
+    assert report.get("ultrafilters-prime").failures == [(1,)]
+    assert report.failure_count == 1
+
+
+def test_a_foreign_kept_groupoid_fails_the_clifford_law():
+    """The Clifford monoid keeping ix2's Stone groupoid, which has arrows
+    between two identities, is reported unbalanced."""
+    monoid = clifford_monoid()
+    monoid._stone_groupoid = stone_groupoid(symmetric_inverse_monoid(2))
+    assert laws.clifford_report(monoid).get("clifford-groupoid-has-loops-only").failures == [
+        ("unbalanced",)]
+
+
+@pytest.mark.parametrize("columns, intertwine, collision, mismatch", [
+    ([1, 0, 2, 3], [(0,), (0, 0), (0, 1), (1,), (1, 2), (1, 3), (2,), (2, 0), (2, 1)], [], []),
+    ([0, 0, 2, 3], [(1,), (1, 2), (1, 3), (2, 1)], [("collision",)], [("mismatch",)]),
+], ids=["two-arrows-swapped", "one-arrow-twice"])
+def test_a_kept_bisection_monoid_with_moved_columns_fails_the_point_filter_laws(
+        columns, intertwine, collision, mismatch):
+    """pair2 keeping its bisection monoid with the membership columns of
+    its arrows moved: the point filters no longer intertwine dom, ran and
+    composition, and a repeated column collides and misses an ultrafilter."""
+    groupoid = pair_groupoid(2)
+    bm = all_bisections_monoid(groupoid)
+    groupoid._bisections = replace(bm, rows=bm.rows[:, columns])
+    report = laws.point_filter_laws(groupoid)
+    assert report.get("point-filters-ultra").ok
+    assert report.get("point-filters-intertwine").failures == intertwine
+    assert report.get("point-filters-injective").failures == collision
+    assert report.get("point-filters-exhaust-ultrafilters").failures == mismatch

@@ -64,6 +64,7 @@ from stonework.polycyclic import (
     random_arrow,
     random_cn_element,
     random_ev_word,
+    random_word,
     ultrafilter_to_arrow,
 )
 
@@ -406,7 +407,7 @@ def test_cn_at_finite_depth_is_the_symmetric_inverse_monoid(n, depth):
     arrow_map = symmetric_to_pair_arrow_map(points, monoid, sg, pair)
     assert sorted(arrow_map) == list(range(pair.m))
     assert check_covering(CoveringFunctor(sg, pair, tuple(arrow_map))).ok
-    assert round_trip_monoid(monoid, sg).forward
+    assert round_trip_monoid(monoid).forward
 
     words, tail = list(all_words(n, depth)), EvPeriodicWord.make("", "1")
     arrows = [CuntzArrow.make(words[p], words[q], tail) for p in range(points)
@@ -625,6 +626,76 @@ def test_representative_independence_seeded():
         p = w.prefix(rng.randint(1, 3))
         fattened = pe(rep.x + p, rep.y + p)
         assert ultrafilter_to_arrow(fattened, z) == g
+
+
+# -- the point identification respects the groupoid structure -------------------------------
+
+POINT_TAILS = {     # purely periodic and pre-periodic, with periods of length 1 and 2
+    2: [("", "1"), ("", "12"), ("2", "1"), ("1", "12")],
+    3: [("", "3"), ("", "13"), ("2", "1"), ("3", "12")],
+}
+
+
+def identified(rep, point):
+    """The arrow of the filter with representative ``rep`` over ``point``,
+    with the checks that need only the one filter: its dom, ran and
+    inverse filters give the identities at its ends and its inverse arrow."""
+    g = ultrafilter_to_arrow(rep, point)
+    target = g.target_word()
+    assert g.source_word() == point and target == point.shift(len(rep.y)).prepend(rep.x)
+    assert ultrafilter_to_arrow(poly_mul(rep.inverse(), rep), point) == CuntzArrow.identity(point)
+    assert ultrafilter_to_arrow(poly_mul(rep, rep.inverse()), target) == CuntzArrow.identity(target)
+    assert ultrafilter_to_arrow(rep.inverse(), target) == g.inverse()
+    return g
+
+
+def assert_products_are_compositions(filters):
+    """``filters`` maps (rep, point) to its arrow.  For every pair whose
+    arrows compose, the product of the representatives over the second
+    point is the composite arrow; pairs that do not compose are counted."""
+    by_target = {}
+    for (rep, point), h in filters.items():
+        by_target.setdefault(h.target_word(), []).append((rep, point, h))
+    pairs = 0
+    for (rep_g, _), g in filters.items():
+        for rep_h, point_h, h in by_target.get(g.source_word(), ()):
+            assert ultrafilter_to_arrow(poly_mul(rep_g, rep_h), point_h) == cuntz_compose(g, h)
+            pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("n, max_len", [(2, 3), (3, 2)])
+def test_point_identification_respects_the_groupoid(n, max_len):
+    """Every representative x y^-1 with |x|, |y| <= max_len over every point
+    y w, for each tail w of POINT_TAILS: the identified arrows multiply as
+    their filters do, invert as they do, and have the identities at the
+    filters' dom and ran as their ends; the unit filter over a point is its
+    identity arrow.  (n = 3 stops at length 2 to keep the run short.)"""
+    words, pairs = words_up_to(n, max_len), 0
+    for pre, period in POINT_TAILS[n]:
+        tail = EvPeriodicWord.make(pre, period)
+        points = {y: tail.prepend(y) for y in words}
+        for point in points.values():
+            assert ultrafilter_to_arrow(ONE, point) == CuntzArrow.identity(point)
+        filters = {(pe(x, y), points[y]): identified(pe(x, y), points[y])
+                   for x in words for y in words}
+        pairs += assert_products_are_compositions(filters)
+    assert pairs >= len(POINT_TAILS[n]) * len(words) ** 3       # at least every u = y
+
+
+def test_point_identification_respects_the_groupoid_on_long_arrows():
+    """Seeded long arrows g and arrows h into their source, through the
+    representatives arrow_to_ultrafilter gives."""
+    rng = random.Random(37)
+    for n in (2, 3):
+        for _ in range(150):
+            g = random_arrow(rng, n, 8, 6, 4)
+            cut = rng.randint(0, 10)
+            h = CuntzArrow.make(g.source_word().prefix(cut), random_word(rng, n, 8),
+                                g.source_word().shift(cut))
+            filters = {arrow_to_ultrafilter(a): a for a in (g, h)}
+            assert all(identified(rep, point) == a for (rep, point), a in filters.items())
+            assert assert_products_are_compositions(filters) >= 1
 
 
 # -- text syntax -----------------------------------------------------------------------------
