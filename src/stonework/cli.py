@@ -194,7 +194,7 @@ def cmd_build(args) -> int:
     keys = ("size", "atoms", "order", "orders", "length", "points", "n", "expr")
     name, kind, obj, summary = build(args.generator, **{
         k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    name = args.name or name
+    name = name if args.name is None else args.name
     out = {"entry": name, "kind": kind, "path": None, "summary": summary}
     _output(args, out, lambda out: [f"{name} ({kind}) -> {out['path']}",
                                     *(f"  {k}: {v}" for k, v in summary.items())],

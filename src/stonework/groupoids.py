@@ -32,6 +32,7 @@ from .inverse_core import (
     MAX_ELEMENTS,
     InverseMonoid,
     _partial_bijection_count,
+    as_index,
     as_indices,
     as_labels,
     as_map,
@@ -122,14 +123,16 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(arrows={self.m}, identities={len(self.identities)})"
 
     def label(self, g: int) -> str:
+        g = as_index(g, self.m, "arrow")
         return self.labels[g] if self.labels else str(g)
 
     def compose_maybe(self, g: int, h: int):
-        k = self.compose.item(g, h)
+        k = self.compose.item(as_index(g, self.m, "arrow"), as_index(h, self.m, "arrow"))
         return None if k < 0 else k
 
     def star(self, e: int) -> tuple[int, ...]:
         """Arrows with domain e."""
+        e = as_index(e, self.m, "arrow")
         return tuple(g for g in range(self.m) if self.d[g] == e)
 
     def discrete_certificate(self) -> dict:

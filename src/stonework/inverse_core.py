@@ -37,14 +37,14 @@ complement scans run, on tables of the idempotents from the same
 join tables.
 
 A table of more than BLOCK_CELLS cells is worked in blocks of about that
-many cells, and its independent blocks (and its meet and join tables) run
-on up to two threads: :func:`table_map`.  Nothing sets this; a smaller
-table never leaves the calling thread.
+many cells, and the calling thread shares its independent blocks (and its
+meet and join tables) with one helper: :func:`table_map`; nothing sets this.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, permutations
@@ -86,6 +86,17 @@ def as_indices(values, what: str, size: int, low: int = 0) -> np.ndarray:
         if not low <= x < size:
             raise StructureError(f"{what} {x} is outside {low}..{size - 1}")
     return array.astype(np.intp)        # no entry at all, or ints numpy read as floats
+
+
+def as_index(value, size: int, what: str = "element") -> int:
+    """One index through :func:`as_indices`, as a Python int; an int in
+    range, the common case, skips the gate's numpy dispatch."""
+    if type(value) is int and 0 <= value < size:
+        return value
+    index = as_indices(value, what, size)
+    if index.ndim:
+        raise StructureError(f"{what} has a non-integer entry {value!r}")
+    return int(index)
 
 
 def sequence_length(values, what: str) -> int:
@@ -161,31 +172,31 @@ def check_associativity(table: np.ndarray, passed: list[int]) -> None:
 
 
 BLOCK_CELLS = 1 << 18   # cells of one block of table work; a larger table uses two threads
-_pool = None            # the table_map thread pool, made on the first larger table
 
 
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, so none of its pool."""
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def table_map(cells: int, fn, *items):
-    """``map(fn, *items)``, on up to two worker threads (as many as this
-    process may run on) when the table worked on has more than BLOCK_CELLS
-    cells: only numpy's large parses, gathers and reductions release the
-    GIL, and on a smaller table the hand-off costs more than they gain.
-    ``fn`` must do nothing but such table work (no tracing, no I/O)."""
-    global _pool
+def table_map(cells: int, fn, *items) -> list:
+    """``list(map(fn, *items))`` over sequences, a helper thread taking the odd jobs
+    when the table worked on has more than BLOCK_CELLS cells and this process may run on
+    two CPUs: only numpy's large parses, gathers and reductions release the GIL, and on a
+    smaller table the hand-off costs more than they gain.  The helper is joined before
+    this returns, and what either thread raised is raised here.  ``fn`` must do nothing
+    but such table work (no tracing, no I/O)."""
     if cells <= BLOCK_CELLS or len(os.sched_getaffinity(0)) < 2:
-        return map(fn, *items)
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(2)
-    return _pool.map(fn, *items)
+        return list(map(fn, *items))
+    results, failed = [None] * len(items[0]), []
+
+    def work(start):
+        try:
+            results[start::2] = map(fn, *(item[start::2] for item in items))
+        except BaseException as error:     # raised on the calling thread: the helper prints nothing
+            failed.append(error)
+    helper = threading.Thread(target=work, args=(1,))
+    helper.start()
+    work(0)
+    helper.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def bound_table(leq: np.ndarray) -> np.ndarray:
@@ -205,7 +216,7 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
     gathers read a C-contiguous copy of ``leq``: from a transposed view they
     took several times as long (ba12's join table: 18.6 s against 3.3 s).
     ``InverseMonoid.order`` builds an order's meet and join tables side by
-    side through :func:`table_map`: on two threads when n^2 > BLOCK_CELLS."""
+    side through :func:`table_map`: the join on one helper when n^2 > BLOCK_CELLS."""
     leq = np.ascontiguousarray(leq)
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
@@ -407,31 +418,21 @@ class InverseMonoid:
     def __repr__(self) -> str:
         return f"InverseMonoid(n={self.n}, zero={self.zero}, one={self.one})"
 
-    def _index(self, s) -> int:
-        """One element through the index gate, as a Python int; an int in
-        range, the common case, skips the gate's numpy dispatch."""
-        if type(s) is int and 0 <= s < self.n:
-            return s
-        index = as_indices(s, "element", self.n)
-        if index.ndim:
-            raise StructureError(f"element has a non-integer entry {s!r}")
-        return int(index)
-
     def product(self, s: int, t: int) -> int:
-        return int(self.mul[self._index(s), self._index(t)])
+        return int(self.mul[as_index(s, self.n), as_index(t, self.n)])
 
     def dom(self, s: int) -> int:
         """s^-1 s, the domain idempotent of s."""
-        s = self._index(s)
+        s = as_index(s, self.n)
         return int(self.mul[self.inv[s], s])
 
     def ran(self, s: int) -> int:
         """s s^-1, the range idempotent of s."""
-        s = self._index(s)
+        s = as_index(s, self.n)
         return int(self.mul[s, self.inv[s]])
 
     def is_idempotent(self, s: int) -> bool:
-        s = self._index(s)
+        s = as_index(s, self.n)
         return int(self.mul[s, s]) == s
 
     @property
@@ -440,7 +441,7 @@ class InverseMonoid:
         return tuple(int(e) for e in np.nonzero(self.mul[rng, rng] == rng)[0])
 
     def label(self, s: int) -> str:
-        s = self._index(s)
+        s = as_index(s, self.n)
         return self.labels[s] if self.labels else str(s)
 
     # -- natural partial order ----------------------------------------------
@@ -465,7 +466,7 @@ class InverseMonoid:
                          meet=meet, join=join)
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order().matrix.item(self._index(s), self._index(t))
+        return self.order().matrix.item(as_index(s, self.n), as_index(t, self.n))
 
     @property
     def atoms(self) -> tuple[int, ...]:
@@ -475,12 +476,12 @@ class InverseMonoid:
 
     def meet(self, s: int, t: int):
         """Greatest lower bound in the natural order, or None if absent."""
-        m = self.order().meet.item(self._index(s), self._index(t))
+        m = self.order().meet.item(as_index(s, self.n), as_index(t, self.n))
         return None if m < 0 else m
 
     def join(self, s: int, t: int):
         """Least upper bound in the natural order, or None if absent."""
-        j = self.order().join.item(self._index(s), self._index(t))
+        j = self.order().join.item(as_index(s, self.n), as_index(t, self.n))
         return None if j < 0 else j
 
     def compatibility(self) -> np.ndarray:

@@ -176,7 +176,7 @@ def _renderer(table: np.ndarray, mid: bytes):
 
 def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
     """Yield as bytes the JSON text of a table of ints in 0..2^15-1, ``head``/``tail`` in its
-    brackets, ``mid`` from "]" to "[", in row blocks (on two threads past BLOCK_CELLS cells)."""
+    brackets, ``mid`` from "]" to "[", in row blocks (half on a helper past BLOCK_CELLS cells)."""
     yield b"[" + head + b"["
     yield from (piece.tobytes() for piece in
                 table_map(table.size, _renderer(table, mid), _row_blocks(*table.shape)))
@@ -188,7 +188,7 @@ def _read_table(data: bytes, start: int):
     row blocks by ``np.fromstring``, whose values count only if ``table_text`` renders each
     block back to its text byte for byte (an int over 2^15 - 1 wraps, and renders as
     another).  A table of more than BLOCK_CELLS cells has its blocks parsed, then checked,
-    on up to two threads; nothing sets this."""
+    by the calling thread and one helper; nothing sets this."""
     layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
     if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
         return None
@@ -212,14 +212,14 @@ def _read_table(data: bytes, start: int):
         table[block] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
 
     with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
-        list(table_map(table.size, parse, spans))
+        table_map(table.size, parse, spans)
         if table.min() >= 0:                            # an int over 2^15-1 wraps
             render = _renderer(table, layout[2] or b",")
 
             def matches(span, stop):
                 piece = render(span[0])
                 return len(piece) == stop - span[1] and data.startswith(piece, span[1])
-            if all(list(table_map(table.size, matches, spans, stops))):    # every result read
+            if all(table_map(table.size, matches, spans, stops)):
                 return table, end.end()
     return None
 
@@ -263,6 +263,10 @@ def _write_json(out, value) -> None:
 
 
 def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
+    """Write an entry to ``<store>/<name>.json``.  A name that is empty, "." or "..", or
+    holds "/", is no plain file name in the store: it is refused before anything is written."""
+    if name in ("", ".", "..") or "/" in name:
+        raise StructureError(f"entry name {name!r} is not a file name in the store")
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
     path = store / f"{name}.json"

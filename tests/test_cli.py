@@ -465,6 +465,39 @@ def test_a_refused_build_or_check_writes_nothing(tmp_path, capsys, argv, message
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("name", ["../escape", "sub/x", ".", "..", ""])
+def test_build_refuses_a_name_that_is_no_file_in_the_store(tmp_path, capsys, name):
+    """--name is the entry's file name in the store: one that is empty, "."
+    or "..", or holds "/", exits 2 before anything is written."""
+    code, out, err = run(capsys, "build", "ix", "--size", "2", "--name", name,
+                         "--store", str(tmp_path / "store"))
+    assert (code, out, err) == (2, "", f"error: entry name {name!r} is not a file name in "
+                                       "the store\n")
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("name", ["../../x", "sub/x"])
+def test_dualize_refuses_a_stored_name_whose_dual_is_no_file_in_the_store(tmp_path, capsys,
+                                                                           name):
+    """The dual of a stored entry is saved as its name + "-dual": a name that
+    would put it outside the store exits 2 and writes nothing."""
+    store = tmp_path / "a" / "b" / "store"
+    run(capsys, "build", "ix", "--size", "2", "--store", str(store))
+    entry = store / "ix2.json"
+    entry.write_text(entry.read_text().replace('"name": "ix2"', f'"name": "{name}"', 1))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, "dualize", "ix2", "--store", str(store))
+    assert (code, out, err) == (2, "", f"error: entry name '{name}-dual' is not a file name "
+                                       "in the store\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_save_entry_refuses_an_empty_name_before_it_makes_the_store(tmp_path):
+    with pytest.raises(StructureError, match="^entry name '' is not a file name in the store$"):
+        save_entry(tmp_path / "store", "", "monoid", monoid_to_json(boolean_algebra_monoid(1)))
+    assert list(tmp_path.rglob("*")) == []
+
+
 @pytest.mark.parametrize("entry", ["chain3", "brandt"])
 def test_clifford_on_a_non_boolean_monoid_reports_the_precondition(tmp_path, capsys, entry):
     # every monoid law set reports a failed boolean precondition the same way

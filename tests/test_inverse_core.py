@@ -250,6 +250,9 @@ def _gated_entry_points():
           for name in ("product", "leq", "meet", "join") for side in "st"),
         *((name, "element", 7, 0, getattr(ix2, name))
           for name in ("dom", "ran", "is_idempotent", "label")),
+        ("compose_maybe g", "arrow", 4, 0, lambda x: pair2.compose_maybe(x, 0)),
+        ("compose_maybe h", "arrow", 4, 0, lambda x: pair2.compose_maybe(0, x)),
+        *((f"groupoid {name}", "arrow", 4, 0, getattr(pair2, name)) for name in ("star", "label")),
     ]
 
 

@@ -1,21 +1,22 @@
-"""Tables of more than BLOCK_CELLS cells on two threads: the same tables,
-decisions and errors as on the calling thread, in a forked child and on one
-CPU."""
+"""Tables of more than BLOCK_CELLS cells shared by the calling thread and one
+helper: the same tables, decisions and errors as on the calling thread alone,
+in a forked child and on one CPU."""
 
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from helpers import reference_read_table, reference_table_text
-from stonework import boolean_algebra_monoid, inverse_core, serialize, symmetric_inverse_monoid
+from stonework import boolean_algebra_monoid, serialize, symmetric_inverse_monoid
 from stonework.cli import main
-from stonework.inverse_core import BLOCK_CELLS, bound_table
+from stonework.inverse_core import BLOCK_CELLS, bound_table, table_map
 from stonework.serialize import _read_table, monoid_to_json, save_entry, table_text
 
 TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
@@ -35,6 +36,56 @@ def ba10_entry(tmp_path_factory):
 @pytest.fixture(scope="module")
 def ix5():
     return symmetric_inverse_monoid(5)
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """The threads started while a test runs, listed by a wrapped threading.Thread."""
+    started = []
+
+    class Listed(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Listed)
+    return started
+
+
+def _fails_on_odd_values(x):
+    if x % 2:
+        raise ValueError(f"job {x} failed")
+    return x
+
+
+@pytest.mark.parametrize("cells", [BLOCK_CELLS, BLOCK_CELLS + 1])
+def test_table_map_is_a_list_of_the_results_with_one_helper_past_block_cells(cells,
+                                                                             helper_threads):
+    """Each job runs once.  A table of at most BLOCK_CELLS cells stays on the
+    calling thread; a larger one, on two CPUs, starts exactly one helper,
+    joined on return."""
+    done = []
+    assert table_map(cells, lambda x, y: done.append(x) or x ** y, range(7), [2] * 7) == [
+        x * x for x in range(7)]
+    assert sorted(done) == list(range(7))
+    assert len(helper_threads) == (cells > BLOCK_CELLS and TWO_CPUS)
+    assert not any(helper.is_alive() for helper in helper_threads)
+
+
+@pytest.mark.parametrize("jobs", [[1, 2, 4], [0, 2, 4, 5], [3, 5]],
+                         ids=["even-job-fails", "odd-job-fails", "both-fail"])
+def test_an_error_in_either_thread_is_raised_by_the_caller(jobs, capfd, monkeypatch):
+    """A job that raises, on the calling thread (at an even position) or on
+    the helper (at an odd one), raises that error from table_map after the
+    helper is joined; the helper leaves nothing to threading.excepthook,
+    which would print it."""
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=r"^job \d failed$") as raised:
+        table_map(BLOCK_CELLS + 1, _fails_on_odd_values, jobs)
+    assert threading.active_count() == threads
+    assert str(raised.value) in [f"job {x} failed" for x in jobs if x % 2]
+    assert capfd.readouterr() == ("", "") and unhandled == []
 
 
 def _rows(data, start):
@@ -115,13 +166,16 @@ def _check(path, capsys):
 
 
 @pytest.mark.parametrize("how", list(TAMPERINGS))
-def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tmp_path,
-                                                             capsys, monkeypatch):
+def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tmp_path, capsys,
+                                                             monkeypatch, helper_threads):
     """Each seeded tampering of a four-block table is accepted or refused
-    as on one thread, with the same array; ``check`` then exits with the
-    same code and prints the same as with the one-thread reader."""
+    as on one thread, with the same array, a helper reading half its blocks
+    on two CPUs; ``check`` then exits with the same code and prints the same
+    as with the one-thread reader."""
     _, data, start = ba10_entry
     tampered = TAMPERINGS[how](data, start, random.Random(how))
+    calls = []
+    monkeypatch.setattr(serialize, "table_map", lambda *job: calls.append(job) or table_map(*job))
     found, expected = _read_table(tampered, start), reference_read_table(tampered, start)
     assert (found is None) == (expected is None)
     if found is not None:
@@ -130,7 +184,8 @@ def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tm
     # whitespace is the table's own where it is the same at every row break
     assert (found is not None) == (how in ("none", "changed-digit", "head-whitespace",
                                            "every-mid-whitespace", "tail-whitespace"))
-    assert inverse_core._pool is not None or not TWO_CPUS
+    assert len(helper_threads) == len(calls) * TWO_CPUS
+    assert bool(calls) == (how != "truncated")
     entry = tmp_path / "tampered.json"
     entry.write_bytes(tampered)
     threaded = _check(entry, capsys)
@@ -154,19 +209,19 @@ def test_meet_and_join_tables_built_side_by_side_are_the_serial_ones(name, ix5):
     assert np.array_equal(order.join, bound_table(order.matrix.T))
 
 
-def test_a_forked_child_starts_without_the_pool(ba10_entry):
-    """With the pool running here, a forked child loads a four-block table
-    on a pool of its own and exits, where the parent's (whose threads it
-    does not have) would leave its blocks unworked."""
+def test_a_forked_child_reads_a_four_block_table(ba10_entry, helper_threads):
+    """After the helpers of a read here, a forked child reads a four-block
+    table with helpers of its own, one for the parse and one for the check
+    on two CPUs, and exits."""
     _, data, start = ba10_entry
     table = _read_table(data, start)[0]
-    assert (inverse_core._pool is not None) == TWO_CPUS
+    assert len(helper_threads) == 2 * TWO_CPUS
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            fresh = inverse_core._pool is None
-            code = 0 if fresh and np.array_equal(_read_table(data, start)[0], table) else 3
+            same = np.array_equal(_read_table(data, start)[0], table)
+            code = 0 if same and len(helper_threads) == 4 * TWO_CPUS else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -197,14 +252,21 @@ def test_blocks_written_side_by_side_under_a_short_switch_interval(ba10_entry):
         sys.setswitchinterval(interval)
 
 
-ONE_CPU = """
-import os, sys
+BA10 = """
+import os, sys, threading
 from pathlib import Path
 import numpy as np
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+started = []
+class Listed(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+threading.Thread = Listed
 from helpers import reference_read_table, reference_table_text
 from stonework import boolean_algebra_monoid, inverse_core
-from stonework.serialize import _read_table, table_text
+from stonework.serialize import _read_table, load_entry, table_text
 data = Path(sys.argv[1]).read_bytes()
 start = data.index(b'"mul": ') + 7
 (table, end), expected = _read_table(data, start), reference_read_table(data, start)
@@ -213,14 +275,26 @@ print(np.array_equal(table, expected[0]) and end == expected[1],
       b"".join(table_text(table)) == b"".join(reference_table_text(table)),
       np.array_equal(order.meet, inverse_core.bound_table(order.matrix)),
       np.array_equal(order.join, inverse_core.bound_table(order.matrix.T)),
-      inverse_core._pool is None)
+      np.array_equal(load_entry(sys.argv[1])[2].mul, table),
+      len(started), "concurrent.futures" in sys.modules)
 """
 
 
-def test_on_one_cpu_large_tables_stay_on_the_calling_thread(ba10_entry):
-    """Pinned to one CPU, a process reads, renders and orders ba10 with no
-    pool, and gets the same tables."""
+def _ba10_in_a_subprocess(path, cpus):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", ONE_CPU, str(ba10_entry[0])], env=env,
-                         capture_output=True, text=True, check=True, timeout=120).stdout
-    assert out.split() == ["True"] * 5
+    return subprocess.run([sys.executable, "-c", BA10, str(path), cpus], env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout.split()
+
+
+def test_on_one_cpu_large_tables_stay_on_the_calling_thread(ba10_entry):
+    """Pinned to one CPU, a process reads, renders, orders and loads ba10
+    with no helper, and gets the same tables."""
+    assert _ba10_in_a_subprocess(ba10_entry[0], "one") == ["True"] * 5 + ["0", "False"]
+
+
+def test_a_process_that_loads_ba10_never_imports_concurrent_futures(ba10_entry):
+    """On the CPUs it may run on, a process reads, renders, orders and loads
+    ba10 with one helper per table_map call (two for each read, one for the
+    render and one for the order) and imports no thread pool."""
+    started = 6 if TWO_CPUS else 0
+    assert _ba10_in_a_subprocess(ba10_entry[0], "all") == ["True"] * 5 + [str(started), "False"]
