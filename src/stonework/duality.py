@@ -2,17 +2,14 @@
 
 One direction sends a boolean inverse monoid S to its groupoid of
 ultrafilters; the other sends a finite groupoid G to the monoid of all its
-bisections.  The canonical comparison maps are
-
-* ``s -> K(s)``, the set of ultrafilters through s, and
-* ``g -> point_ultrafilter(g)``, the set of bisections through g.
-
-A bisection is a boolean membership row over the arrows, so K is one gather
-of the order matrix (:func:`basic_opens`, row s is K(s)) and the bisections
-through g are a column of the bisection monoid's rows.  Both round trips
-are certified element by element: the certificates store the explicit maps
-(never searched for) together with every law that was checked and how many
-instances ran.
+bisections.  The canonical comparison maps are ``s -> K(s)``, the set of
+ultrafilters through s, and ``g -> point_ultrafilter(g)``, the set of
+bisections through g.  A bisection is a boolean membership row over the
+arrows, so K is one gather of the order matrix (:func:`basic_opens`, row s
+is K(s)) and the bisections through g are a column of the bisection
+monoid's rows.  Both round trips are certified element by element: the
+certificates store the explicit maps (never searched for) with every law
+that was checked and how many instances ran.
 
 Morphisms of monoids carry three axioms beyond being a semigroup
 homomorphism, checked in this order with a witness: M1 keeps zero, one and
@@ -29,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -54,7 +52,7 @@ from .groupoids import (
     point_ultrafilter,
 )
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, as_map, first_failure,
-                           inclusions, raise_first_failure)
+                           inclusions, raise_first_failure, row_blocks)
 from .reporting import LawReport
 
 
@@ -176,23 +174,26 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     inside = basic_opens(monoid, sg)       # inside[s, g]: arrow g is in K(s)
     meet, join = order.meet, order.join     # -1 where a bound is absent
 
-    def clash(row) -> tuple | None:
-        return fiber_clash(sg, np.flatnonzero(row).tolist())
-
     law = report.new("is-bisection")
     law.tick(n)
     for s in np.flatnonzero(fiber_clashes(sg, inside)).tolist():
-        law.fail((s, clash(inside[s])))
+        law.fail((s, fiber_clash(sg, np.flatnonzero(inside[s]).tolist())))
 
     law = report.new("zero-is-empty")
     law.tick()
     if inside[monoid.zero].any():
         law.fail((monoid.zero,))
 
+    # K(s) as a bit set of 64-bit words
+    words = np.packbits(np.pad(inside, ((0, 0), (0, -sg.m % 64))), axis=1).copy().view(np.uint64)
+
+    def by_rows(fn, width=8 * n * words.shape[1]):     # fn([s, t] for s in a block), stacked
+        return np.concatenate([fn(rows) for rows in row_blocks(n, width)])
+
     law = report.new("meet-is-intersection")
     law.tick(n * n)
-    law.fail_where([(meet[s] < 0) | (inside[meet[s]] != (inside[s] & inside)).any(axis=1)
-                    for s in range(n)])
+    law.fail_where(by_rows(lambda s: (meet[s] < 0) | (
+        words[meet[s]] != (words[s, None] & words)).any(axis=2)))
 
     law = report.new("inverse")
     law.tick(n)
@@ -202,8 +203,8 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     law.tick(n * n)
     # a product that is not a bisection differs from K(st), so it fails here
     images, products = image_products(sg, inside)
-    law.fail_where(sum(product != images[monoid.mul, place]
-                       for place, product in enumerate(products)))
+    law.fail_where(reduce(np.logical_or, (product != images[monoid.mul, place]
+                                          for place, product in enumerate(products))))
 
     law = report.new("order-embedding")
     law.tick(n * n)
@@ -216,14 +217,14 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
 
     law = report.new("join-is-union")
     law.tick(int(np.count_nonzero(join >= 0)))
-    law.fail_where([(join[s] >= 0) & (inside[join[s]] != (inside[s] | inside)).any(axis=1)
-                    for s in range(n)])
+    law.fail_where(by_rows(lambda s: (join[s] >= 0) & (
+        words[join[s]] != (words[s, None] | words)).any(axis=2)))
 
     law = report.new("union-bisection-iff-join")
     law.tick(n * n)
-    unions = np.array([fiber_clashes(sg, inside[s] | inside) for s in range(n)])
+    unions = by_rows(lambda s: fiber_clashes(sg, inside[s, None] | inside), 4 * n * sg.m)
     for s, t in np.argwhere(unions == (join >= 0)).tolist():
-        law.fail((s, t, clash(inside[s] | inside[t])))
+        law.fail((s, t, fiber_clash(sg, np.flatnonzero(inside[s] | inside[t]).tolist())))
 
     law = report.new("surjective-on-bisections")
     everything = enumerate_bisections(sg, bisection_bound=bisection_bound)

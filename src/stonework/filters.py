@@ -4,16 +4,13 @@ A filter is an upward-closed, downward-directed subset.  In a finite monoid
 every filter is the up-set of its least member g, so a filter is that int
 generator and its members are row g of the order matrix; :func:`filter_of`
 finds the generator of a member set (or of each of an array of them) or
-rejects it.  The pairwise filter-base property is equivalent and is
-exercised by the law suite.  The product of filters ``A * B`` is the upward
-closure of the elementwise product set (:func:`filter_product`, the literal
-one-pair definition), and the ultrafilters form a groupoid under it with
-``dom(A) = A^-1 * A``.  In a finite boolean monoid the ultrafilters are the
-principal filters at atoms, so that groupoid is built on the atoms; the law
-suites cross-check it by the filter products, read all at once from
-:func:`filter_products`, which the monoid keeps.  The inverse, dom, ran and
-the ultrafilter criteria are array functions over generators.
-"""
+rejects it.  The product of filters ``A * B`` is the upward closure of their
+set product (:func:`filter_product`, of one pair or of two arrays of them,
+through the literal gather :func:`set_products`).  In a finite boolean monoid
+the ultrafilters are the principal filters at atoms, and they form a groupoid
+under that product with ``dom(A) = A^-1 * A``, built on the atoms; the law
+suites cross-check it against :func:`filter_products`, which the monoid keeps.
+The inverse, dom, ran and the ultrafilter criteria are array functions."""
 
 from __future__ import annotations
 
@@ -21,7 +18,7 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, as_indices, inclusions
+from .inverse_core import InverseMonoid, as_indices, inclusions, member_blocks, row_blocks
 
 
 def filter_of(monoid: InverseMonoid, rows):
@@ -90,14 +87,27 @@ def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
     return least
 
 
-def filter_product(monoid: InverseMonoid, a: int, b: int) -> int:
+def set_products(monoid: InverseMonoid, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Row k: the set product {x y : x in lefts[k], y in rights[k]} of two
+    boolean rows over the elements, the literal gather mul[A x B], taken for
+    rights of one size together in chunks of BLOCK_CELLS // 64 products, whose
+    intp indices and int16 values (18 bytes each) stay under BLOCK_CELLS / 3 bytes."""
+    out = np.zeros(np.shape(lefts), dtype=bool)
+    for at, ys in member_blocks(rights, lambda size: size):
+        k, xs = np.nonzero(lefts[at])
+        for chunk in row_blocks(len(xs), 64 * ys.shape[1]):
+            out[at[k[chunk], None], monoid.mul[xs[chunk, None], ys[k[chunk]]]] = True
+    return out
+
+
+def filter_product(monoid: InverseMonoid, a, b):
     """The smallest filter containing the set product up(a) up(b): the
-    generator of the upward closure of {xy}."""
-    a, b = as_indices((a, b), "filter generator", monoid.n).tolist()
+    generator of the upward closure of {xy}, for one pair of generators, or
+    for each pair of two arrays of them."""
+    a, b = np.broadcast_arrays(*(as_indices(g, "filter generator", monoid.n) for g in (a, b)))
     leq = monoid.order().matrix
-    product = np.zeros(monoid.n, dtype=bool)
-    product[monoid.mul[np.ix_(leq[a], leq[b])].astype(np.intp)] = True
-    return int(least_members(monoid, product))
+    generators = least_members(monoid, set_products(monoid, leq[a.ravel()], leq[b.ravel()]))
+    return int(generators[0]) if a.ndim == 0 else generators.reshape(a.shape)
 
 
 def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
@@ -109,17 +119,12 @@ def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
 def filter_doms(monoid: InverseMonoid, generators) -> np.ndarray:
     """dom(up(g)) = up(g)^-1 up(g) for each generator g, the closed product
     (never up(g^-1 g): that identity is a law the suites check)."""
-    return _closed_products(monoid, filter_inverses(monoid, generators), generators)
+    return filter_product(monoid, filter_inverses(monoid, generators), generators)
 
 
 def filter_rans(monoid: InverseMonoid, generators) -> np.ndarray:
     """ran(up(g)) = up(g) up(g)^-1 for each generator g, the closed product."""
-    return _closed_products(monoid, generators, filter_inverses(monoid, generators))
-
-
-def _closed_products(monoid: InverseMonoid, lefts, rights) -> np.ndarray:
-    pairs = zip(np.asarray(lefts).tolist(), np.asarray(rights).tolist())
-    return np.array([filter_product(monoid, a, b) for a, b in pairs], dtype=np.intp)
+    return filter_product(monoid, generators, filter_inverses(monoid, generators))
 
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,8 +136,7 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.n
     in float32 as sums stay <= n < 2^24."""
     if monoid._filter_products is not None:
         return monoid._filter_products
-    n, mul = monoid.n, monoid.mul
-    leq = monoid.order().matrix
+    n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
     square = leq.astype(np.float32)
     reach = np.zeros((n, n), dtype=np.float32)      # R, cleared after each use
     columns = np.arange(n)
@@ -162,8 +166,7 @@ def enumerate_ultrafilters(monoid: InverseMonoid) -> np.ndarray:
     the atoms.  Ordered by least member index (ties, which a relabelled
     table can have, broken by the member set read as a binary number, bit s
     for element s).  That no ultrafilter is missed is checked by the laws
-    ``nonzero-in-some-ultrafilter`` and ``ultra-criteria-agree``.
-    """
+    ``nonzero-in-some-ultrafilter`` and ``ultra-criteria-agree``."""
     monoid.require_boolean()
     leq = monoid.order().matrix
     return np.array(sorted(monoid.atoms, key=lambda a: (leq[a].argmax(), leq[a, ::-1].tobytes())),
@@ -175,8 +178,7 @@ class StoneGroupoid(FiniteGroupoid):
     filter product.  Arrow i is the ultrafilter ``ultrafilters[i]``, the
     principal filter at an atom, and its structure is read off those atoms;
     the groupoid axioms are verified by :class:`FiniteGroupoid` like any
-    other groupoid's.  Built by :func:`ultrafilter_groupoid`.
-    """
+    other groupoid's.  Built by :func:`ultrafilter_groupoid`."""
 
     def __init__(self, monoid: InverseMonoid, ultrafilters: np.ndarray):
         self.monoid = monoid
@@ -210,6 +212,5 @@ def ultrafilter_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
     """The ultrafilter groupoid, read off the atoms: up(a) * up(b) = up(ab)
     when dom a = ran b, with dom, ran and inverse those of a.  The filter
     products it stands for, the explicit product form and the three-way
-    ultrafilter equivalence are theorems, checked by the law suites.
-    """
+    ultrafilter equivalence are theorems, checked by the law suites."""
     return StoneGroupoid(monoid, enumerate_ultrafilters(monoid))

@@ -17,8 +17,7 @@ side and at most once on the range side (:func:`fiber_clash`), held as a
 boolean membership row over the arrows.  The set of all bisections under
 the arrow-wise product is a boolean inverse monoid, materialized and kept
 by :func:`all_bisections_monoid` under a bound on their number that every
-call checks (MAX_ELEMENTS, or lower; in closed form before any is built).
-"""
+call checks (MAX_ELEMENTS, or lower; in closed form before any is built)."""
 
 from __future__ import annotations
 
@@ -246,8 +245,7 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
     not hit yet, which is equivalent to subset filtering but never touches
     non-bisections.  More than min(bisection_bound, MAX_ELEMENTS) are
     refused before any is built: a component with k identities and isotropy
-    groups of order g has sum_j C(k, j)^2 j! g^j of them.
-    """
+    groups of order g has sum_j C(k, j)^2 j! g^j of them."""
     bound = min(bisection_bound, MAX_ELEMENTS)
     count, d, r = 1, np.array(groupoid.d), np.array(groupoid.r)
     for e in groupoid.identities:
@@ -342,8 +340,7 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     looked up by its code.  That a product of bisections is a bisection, and
     that the monoid is boolean, are theorems, which the round trips and the
     law suites check; a product found nowhere would be a -1 entry, which the
-    index gate refuses.
-    """
+    index gate refuses."""
     kept = groupoid._bisections
     if kept is not None and len(kept) <= min(bisection_bound, MAX_ELEMENTS):
         return kept     # the count passes; a larger kept monoid is refused as a fresh one
@@ -388,8 +385,7 @@ class CoveringFunctor:
     Construction checks an integer map, then functoriality (identities,
     dom/ran, composition) at the first failing arrow or pair; the covering
     conditions are decided by :func:`check_covering`.
-    Continuity is vacuous for finite discrete groupoids.
-    """
+    Continuity is vacuous for finite discrete groupoids."""
 
     source: FiniteGroupoid = field(compare=False)
     target: FiniteGroupoid = field(compare=False)

@@ -1,45 +1,41 @@
 """Finite inverse monoids as dense multiplication tables.
 
-An inverse monoid lives on indices ``0..n-1`` with a total product table,
-a designated zero and one, and an involution ``s -> s^-1`` satisfying
-``s s^-1 s = s``.  Construction verifies the defining axioms (neutral
-one, absorbing zero, associativity, an involution with s s^-1 s = s,
-commuting idempotents) so that everything downstream can trust the table;
-their consequences (s^-1 s s^-1 = s^-1, unique inverses, a partial natural
-order) are theorems, checked by the tests.  Associativity is Light's test,
-:func:`check_associativity`, the one that groupoids use too.
-Richer carriers such as partial bijections appear only as constructors and labels.
-A carrier has at most MAX_ELEMENTS elements (groupoids share the cap on
-arrows); a larger one is refused before its n x n tables are built.
+An inverse monoid lives on indices ``0..n-1`` with a total product table, a
+designated zero and one, and an involution ``s -> s^-1`` with s s^-1 s = s.
+Construction verifies the defining axioms (neutral one, absorbing zero,
+associativity by Light's test :func:`check_associativity`, which groupoids
+share, the involution, commuting idempotents); their consequences (s^-1 s
+s^-1 = s^-1, unique inverses, a partial natural order) are theorems, checked
+by the tests.  Richer carriers such as partial bijections appear only as
+constructors and labels.  A carrier of more than MAX_ELEMENTS elements (or a
+groupoid of more arrows) is refused before its n x n tables are built.
 
 Every index that enters the library (a table, a map, a generator) is read by
 one gate, :func:`as_indices`, as given: its first entry that is not an int
 fails as ``{what} has a non-integer entry {x!r}``, and one outside its bounds
-as ``{what} {x} is outside {lo}..{hi}``.  The checked product table is then
-held as a read-only int16 array (n <= 2^12 < 2^15), so each n x n gather
-moves two bytes a cell.  Code that combines entries into codes or sums widens
-them first, and a hot gather indexed by entries reads them as intp (``take``,
-or a widened index vector): numpy gathers by an int16 index array several
-times slower.
+as ``{what} {x} is outside {lo}..{hi}``.  The checked product table is held
+as a read-only int16 array (n <= 2^12 < 2^15), so an n x n gather moves two
+bytes a cell; code that combines entries into codes or sums widens them
+first, and a hot gather indexed by entries reads them as intp (``take``, or
+a widened index vector): numpy gathers by an int16 index array several times
+slower.
 
-The natural partial order ``s <= t  iff  s = t e`` for some idempotent e
-is computed definitionally, as a dense matrix, and with it one dense meet
-table and one dense join table (:func:`bound_table`, -1 where a bound is
-absent).  ``meet`` and ``join`` read one cell and return ``None`` when the
-bound does not exist, so diagnostics can run on non-boolean monoids;
-``check_boolean`` decides the three boolean-monoid axioms and reports the
-first witness (in ascending index order) when one fails.  BM1 is decided by
-the atoms of E: a finite poset with a bottom is a boolean lattice exactly
-when x -> {atoms below x} is an order isomorphism onto the subsets of its
-atoms.  Only when that fails do the literal lattice, distributivity and
-complement scans run, on tables of the idempotents from the same
-:func:`bound_table`, to name the witness.  BM2 and BM3 read the meet and
-join tables.
+The natural partial order ``s <= t  iff  s = t e`` for some idempotent e is
+computed definitionally, as a dense matrix, with one dense meet and one
+dense join table (:func:`bound_table`, -1 where a bound is absent); ``meet``
+and ``join`` read one cell and return ``None`` when it is absent, so
+diagnostics run on non-boolean monoids.  ``check_boolean`` decides the three
+boolean-monoid axioms and names the first witness (in ascending index order)
+when one fails: BM1 by the atoms of E (a finite poset with a bottom is a
+boolean lattice exactly when x -> {atoms below x} is an order isomorphism
+onto the subsets of its atoms), the literal lattice, distributivity and
+complement scans of E running only to name a witness; BM2 and BM3 read the
+meet and join tables.
 
-A table of more than BLOCK_CELLS cells is worked in blocks of about that
-many cells, and the calling thread shares its independent blocks (and its
-meet and join tables) with one helper: :func:`table_map`; nothing sets this.
-"""
+A table of more than BLOCK_CELLS cells is worked in blocks of about that many
+cells (:func:`row_blocks`, :func:`member_blocks`), and the calling thread
+shares its independent blocks (and its meet and join tables) with one
+helper: :func:`table_map`; nothing sets this."""
 
 from __future__ import annotations
 
@@ -199,24 +195,39 @@ def table_map(cells: int, fn, *items) -> list:
     return results
 
 
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` cells, of at most BLOCK_CELLS cells or one row."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def member_blocks(rows: np.ndarray, width, sizes=None):
+    """The boolean ``rows`` with k members, k by k, in blocks of at most BLOCK_CELLS
+    cells, a row taking ``width(k)``: pairs (at, members), members[i] the members
+    of row at[i] in ascending order.  ``sizes``, when known, counts each row's."""
+    sizes = np.count_nonzero(rows, axis=1) if sizes is None else sizes
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():    # np.unique imports numpy.ma
+        same = np.flatnonzero(sizes == size)
+        for block in row_blocks(len(same), width(size)):
+            at = same[block]
+            yield at, np.nonzero(rows[at])[1].reshape(len(at), size)
+
+
 def bound_table(leq: np.ndarray) -> np.ndarray:
     """Greatest lower bounds in the partial order ``leq`` ([s, t]: s <= t),
     an int16 table with -1 where a bound is absent; ``bound_table(leq.T)``
     gives least upper bounds.  Of the members of down(s) below t, the one
     with the largest down-set (ties to the larger index) is the meet if its
     down-set is all of down(s) & down(t): exact for a transitive,
-    antisymmetric order.  Each element is keyed by its rank 1..n in that
-    order, and the members are counted, both in int16 (n <= 2^12).
-
-    An order whose n^3 cells fit in BLOCK_CELLS (n <= 64) is one gather
-    over every m.  A larger one takes the rows with down-sets of one size in
-    blocks, and their members in chunks, of about BLOCK_CELLS cells, so no
-    temporary grows with n^2.  (Blocks cost numpy calls per size: on small
-    orders they made ``dualize`` and ``laws`` p50_s 15-18% slower.)  The
-    gathers read a C-contiguous copy of ``leq``: from a transposed view they
-    took several times as long (ba12's join table: 18.6 s against 3.3 s).
-    ``InverseMonoid.order`` builds an order's meet and join tables side by
-    side through :func:`table_map`: the join on one helper when n^2 > BLOCK_CELLS."""
+    antisymmetric order.  Elements are keyed by that rank 1..n, and members
+    counted, in int16 (n <= 2^12).  An order with n^3 <= BLOCK_CELLS is one
+    gather over every m; a larger one is worked in the :func:`member_blocks`
+    of its down-sets, their members in chunks, so no temporary grows with n^2
+    (on small orders such blocks made ``dualize`` and ``laws`` p50_s 15-18%
+    slower).  The gathers read a C-contiguous copy of ``leq``: from a
+    transposed view, ba12's join table took 18.6 s against 3.3 s.
+    ``InverseMonoid.order`` builds the meet and join tables side by side
+    through :func:`table_map`, the join on one helper when n^2 > BLOCK_CELLS."""
     leq = np.ascontiguousarray(leq)
     n = len(leq)
     sizes = np.count_nonzero(leq, axis=0)             # sizes[m] = |down(m)|
@@ -229,16 +240,11 @@ def bound_table(leq: np.ndarray) -> np.ndarray:
         table = _greatest_below([(leq.T[:, :, None] & leq, key)], element, down).astype(np.int16)
     else:
         table = np.empty((n, n), dtype=np.int16)
-        for size in np.flatnonzero(np.bincount(sizes)).tolist():    # np.unique imports numpy.ma
-            rows = np.flatnonzero(sizes == size)
-            step = max(1, BLOCK_CELLS // (size * n))
-            for lo in range(0, len(rows), step):
-                block = rows[lo:lo + step]
-                members = np.nonzero(leq[:, block].T)[1].reshape(len(block), size)
-                width = max(1, BLOCK_CELLS // (len(block) * n))
-                parts = (members[:, at:at + width] for at in range(0, size, width))
-                table[block] = _greatest_below(((leq[part], key[part]) for part in parts),
-                                               element, down)
+        for block, members in member_blocks(leq.T, lambda size: size * n, sizes):
+            width = max(1, BLOCK_CELLS // (len(block) * n))
+            parts = (members[:, at:at + width] for at in range(0, members.shape[1], width))
+            table[block] = _greatest_below(((leq[part], key[part]) for part in parts),
+                                           element, down)
     table.setflags(write=False)
     return table
 
@@ -331,8 +337,7 @@ class BooleanCertificate:
 
     On failure, ``axiom`` is one of ``"BM1"``, ``"BM2"``, ``"BM3"``,
     ``detail`` says which sub-check broke, and ``elements`` are the
-    offending indices (deterministic: first hit of an ascending scan).
-    """
+    offending indices (deterministic: first hit of an ascending scan)."""
 
     is_boolean: bool
     axiom: str | None = None
@@ -591,8 +596,7 @@ def partial_bijections(x_size: int) -> list[tuple[tuple[int, int], ...]]:
     """All partial bijections of {0..x_size-1} as sorted pair tuples.
 
     Deterministic order: domain bitmask ascending, then image subset and
-    assignment lexicographically.  The empty map comes first.
-    """
+    assignment lexicographically.  The empty map comes first."""
     out = []
     points = range(x_size)
     for dom_mask in range(1 << x_size):
@@ -624,8 +628,7 @@ def symmetric_inverse_monoid(x_size: int) -> InverseMonoid:
     """The symmetric inverse monoid I(X) on |X| = x_size points.
 
     Elements are all partial bijections under composition; zero is the
-    empty map and one the identity.  Labels use 1-based points.
-    """
+    empty map and one the identity.  Labels use 1-based points."""
     if x_size < 1:
         raise BoundError("symmetric inverse monoid needs at least one point")
     check_size(_partial_bijection_count(x_size, MAX_ELEMENTS),
@@ -686,8 +689,7 @@ def chain_monoid(length: int) -> InverseMonoid:
     """A chain 0 < e_1 < ... < 1 of idempotents under min.
 
     For length >= 3 the idempotent algebra has no complements, so this is
-    the stock non-boolean specimen.
-    """
+    the stock non-boolean specimen."""
     if length < 2:
         raise BoundError("chain needs at least two elements")
     check_size(length, f"a chain of {length} elements")

@@ -2,16 +2,16 @@
 
 Each function sweeps one family of identities over every element, pair or
 filter of its subject and returns a :class:`LawReport` with instance counts
-and witnesses.  ``boolean_monoid_suite`` bundles the order/filter laws that
-any verified boolean inverse monoid must satisfy; the CLI exposes the same
-suites through ``check --laws``.
-
-A suite computes what its laws share once: both filter suites read the one
-table of every literal filter product that the monoid keeps
-(``filter_products``), and the order suites are gathers over the order's
-dense tables, each complement law with one ``relative_complements`` call
-over all of its pairs.  Each law still checks its own definition on every
-instance; none is replaced by the theorem it tests.
+and witnesses; ``boolean_monoid_suite`` bundles the order and filter laws,
+and the CLI runs the same suites through ``check --laws``.  A suite computes
+what its laws share once (the order's dense tables, one
+``relative_complements`` call per complement law, the ``filter_products``
+that the monoid keeps, one batched ``filter_product`` call per batch) and
+checks each law's own definition on every instance, never the theorem it
+tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
+law whose witnesses mix kinds flags its failing rows whole-table and names
+them by its per-instance loop, in that loop's order; the loops themselves
+are kept as references in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .filters import (
     filter_rans,
     idempotent_part_ultra,
     prime_property_holds,
+    set_products,
     ultra_by_maximality,
     ultra_by_meet,
 )
 from .groupoids import all_bisections_monoid, point_ultrafilter
-from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions
+from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions, member_blocks, row_blocks
 from .reporting import LawReport
 
 
@@ -60,18 +61,17 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     law.fail_where((join >= 0) & fails_to_split(join))
 
     law = report.new("products-distribute-over-meets")
+    exists = meet >= 0
+    law.tick(n * int(np.count_nonzero(exists)))
     # meets read by flat int32 codes x * n + y: n^2 <= MAX_ELEMENTS^2 < 2^31
     by_row, by_col = (np.ascontiguousarray(a, dtype=np.int32) for a in (mul, mul.T))
-    for s in range(n):
-        ts = np.flatnonzero(meet[s] >= 0)
-        m = meet[s, ts]
-        law.tick(n * len(ts))
-        # row i is t = ts[i], column u: (us) ^ (ut) = u m and (su) ^ (tu) = m u
-        left = meet.take(by_col[s] * n + by_col[ts])
-        right = meet.take(by_row[s] * n + by_row[ts])
-        bad = (left != by_col[m]) | (right != by_row[m])
-        for i, u in np.argwhere(bad).tolist():
-            law.fail((s, int(ts[i]), u))
+    for rows in row_blocks(n, 16 * n * n):      # about 16 bytes a cell: one row from n = 128
+        # [s, t, u]: (us) ^ (ut) = u m and (su) ^ (tu) = m u, m = s ^ t where it exists
+        left = meet.take(by_col[rows, None] * n + by_col) != by_col[meet[rows]]
+        right = meet.take(by_row[rows, None] * n + by_row) != by_row[meet[rows]]
+        for s, t, u in np.argwhere(left | right).tolist():
+            if exists[rows.start + s, t]:
+                law.fail((rows.start + s, t, u))
     return report
 
 
@@ -87,14 +87,17 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
 
     law = report.new("downset-boolean-via-dom")
-    for s in range(n):
-        law.tick()
-        down = np.flatnonzero(leq[:, s])
-        if sorted(dom[down].tolist()) != np.flatnonzero(leq[:, dom[s]]).tolist():
-            law.fail((s,))
-            continue
-        for x, y in np.argwhere(moved[down][:, down]).tolist():
-            law.fail((s, int(down[x]), int(down[y])))
+    law.tick(n)
+    # (s,): dom does not sort down(s) onto down(dom s); else (s, x, y): x, y in down(s) moved
+    found = []
+    for at, down in member_blocks(leq.T, lambda size: size * size):
+        image = np.sort(dom[down], axis=1)      # onto: distinct, inside, and as many
+        onto = ((np.diff(image) > 0).all(axis=1) & leq[image, dom[at, None]].all(axis=1)
+                & (np.count_nonzero(leq[:, dom[at]], axis=0) == down.shape[1]))
+        found += [(s,) for s in at[~onto].tolist()]
+        r, x, y = np.nonzero(moved[down[:, :, None], down[:, None, :]] & onto[:, None, None])
+        found += zip(at[r].tolist(), down[r, x].tolist(), down[r, y].tolist())
+    law.failures += sorted(found, key=lambda witness: witness[0])      # as the loop over s
 
     law = report.new("relative-complement-unique")
     orthogonal = monoid.orthogonality()
@@ -152,18 +155,19 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     report = LawReport("filter laws")
     ultra = enumerate_ultrafilters(monoid)
     n, inv, order = monoid.n, np.asarray(monoid.inv), monoid.order()
-    mul = monoid.mul.astype(np.intp)    # the loops below index by products; n^2 beside n^3 sets
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
-    up = [np.flatnonzero(row) for row in leq]   # up[i]: the members of filter i
+    above = leq.astype(np.float32)              # [x, z]: x <= z, for exact float32 counts
     sets, prod, inverse = filter_products(monoid)
     dom = prod[inverse, rng]
 
     law = report.new("filter-base-pairwise")
-    for i, members in enumerate(up):
-        law.tick(len(members) ** 2)
-        below = leq[np.ix_(members, members)].astype(np.float32)    # [z, s]: z <= s
-        for s, t in np.argwhere(below.T @ below == 0).tolist():     # no z below both
-            law.fail((i, int(members[s]), int(members[t])))
+    law.tick(int(np.square(np.count_nonzero(leq, axis=1)).sum()))
+    found = []          # (i, s, t): no member of filter i lies below both s and t
+    for at, members in member_blocks(leq, lambda size: size * size):
+        below = leq[members[:, :, None], members[:, None, :]].astype(np.float32)  # [i, z, s]
+        row, s, t = np.nonzero(np.matmul(below.transpose(0, 2, 1), below) == 0)
+        found += zip(at[row].tolist(), members[row, s].tolist(), members[row, t].tolist())
+    law.failures += sorted(found, key=lambda witness: witness[0])      # as the loop over i
 
     law = report.new("ultra-criteria-agree")
     law.tick(n)
@@ -182,63 +186,57 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     law.fail_where(nonzero & (common != leq).any(axis=1))
 
     law = report.new("filters-are-cosets")
-    for i in range(n):
-        law.tick()
-        # F = F F^-1 F, the set product with no closure
-        triple = np.zeros(n, dtype=bool)
-        triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), up[i])]] = True
-        if not np.array_equal(triple, leq[i]):
-            law.fail((i,))
+    law.tick(n)
+    # F = F F^-1 F, the set product with no closure
+    law.fail_where((set_products(monoid, sets[rng, inverse], leq) != leq).any(axis=1))
 
     law = report.new("product-smallest-filter")
+    law.tick(n * n)
     contains = inclusions(leq, leq)         # contains[x, c]: filter c contains up(x)
     outside = (~leq).T.astype(np.float32)   # inclusions(sets[i], leq)'s right factor, once
-    for i in range(n):
-        law.tick(n)
-        missing = (sets[i] & ~leq[prod[i]]).any(axis=1)
-        smaller = (sets[i].astype(np.float32) @ outside == 0) & ~contains[prod[i]]
-        for j in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
-            if missing[j]:
-                law.fail((i, j, "not containing"))
-                continue
-            for c in np.flatnonzero(smaller[j]).tolist():
-                law.fail((i, j, c))
+    flat, target = sets.reshape(n * n, n), prod.ravel()        # row i * n + j: up(i) up(j)
+    for rows in row_blocks(n * n, 4 * n):                       # float32 cells
+        missing = (flat[rows] & ~leq[target[rows]]).any(axis=1)
+        smaller = (flat[rows].astype(np.float32) @ outside == 0) & ~contains[target[rows]]
+        for k in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
+            i, j = divmod(rows.start + k, n)
+            law.failures += ([(i, j, "not containing")] if missing[k]
+                             else [(i, j, c) for c in np.flatnonzero(smaller[k]).tolist()])
 
+    squares = set_products(monoid, leq, leq)    # [f]: the set up(f) up(f); is up(f) closed?
+    closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq[:, inv]).any(axis=1)
     law = report.new("domain-inverse-submonoid")
-    for i in range(n):
-        law.tick()
-        members, inside = up[dom[i]], leq[dom[i]]
+    law.tick(n)
+    f, a = np.nonzero(leq)          # filter f is the upward closure of a dom(f), a in up(f)
+    coset = np.zeros((n, n), dtype=bool)
+    for rows in row_blocks(len(f), 4 * n):                      # float32 cells
+        products = set_products(monoid, a[rows, None] == rng, leq[dom[f[rows]]])
+        coset[f[rows], a[rows]] = ((products.astype(np.float32) @ above > 0)
+                                   != leq[f[rows]]).any(axis=1)
+    for i in np.flatnonzero(~(leq[dom, monoid.one] & closed[dom]) | coset.any(axis=1)).tolist():
+        inside = leq[dom[i]]                                # named by the loop
+        members = np.flatnonzero(inside)
         if not inside[monoid.one]:
             law.fail((i, "one"))
-        closed = inside[mul[np.ix_(members, members)]]
-        for x, row, has_inverse in zip(members.tolist(), closed, inside[inv[members]]):
+        products = inside[monoid.mul[np.ix_(members, members)]]
+        for x, row, has_inverse in zip(members.tolist(), products, inside[inv[members]]):
             if not has_inverse:
                 law.fail((i, x, "inverse"))
             for y in members[~row].tolist():
                 law.fail((i, x, y))
-        for a in up[i].tolist():        # filter i is the upward closure of a dom(i)
-            if not np.array_equal(leq[mul[a, members]].any(axis=0), leq[i]):
-                law.fail((i, a, "coset-form"))
+        law.failures += [(i, a, "coset-form") for a in np.flatnonzero(coset[i]).tolist()]
 
     law = report.new("idempotent-filter-iff-closed")
-    idempotent = contains_idempotent(monoid, rng)
-    for i, members in enumerate(up):
-        law.tick()
-        closed = leq[i][mul[np.ix_(members, members)]].all() and leq[i][inv[members]].all()
-        if idempotent[i] != closed:
-            law.fail((i,))
+    law.tick(n)
+    law.fail_where(contains_idempotent(monoid, rng) != closed)
 
     law = report.new("filter-rigidity")
     law.tick(n * n)
-    rows = leq.astype(np.float32)
-    law.fail_where((rows @ rows.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool))
+    law.fail_where((above @ above.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool))
 
     law = report.new("ultrafilters-prime")
-    prime = prime_property_holds(in_ultra, order.join)
-    for g, holds in zip(ultra.tolist(), prime):
-        law.tick()
-        if not holds:
-            law.fail((g,))
+    law.tick(len(ultra))
+    law.failures += [(g,) for g in ultra[~prime_property_holds(in_ultra, order.join)].tolist()]
     return report
 
 
@@ -331,15 +329,15 @@ def point_filter_laws(groupoid, *, bisection_bound: int = MAX_ELEMENTS) -> LawRe
     law.fail_where(~ultra_by_meet(monoid, points))
 
     law = report.new("point-filters-intertwine")
-    doms, rans = filter_doms(monoid, points).tolist(), filter_rans(monoid, points).tolist()
-    for g, f in enumerate(points):
-        law.tick()
-        if doms[g] != points[groupoid.d[g]] or rans[g] != points[groupoid.r[g]]:
-            law.fail((g,))
-        for h in range(groupoid.m):
-            gh = groupoid.compose_maybe(g, h)
-            if gh is not None and filter_product(monoid, f, points[h]) != points[gh]:
-                law.fail((g, h))
+    law.tick(len(points))
+    at, d, r = np.array(points), list(groupoid.d), list(groupoid.r)
+    moved = (filter_doms(monoid, at) != at[d]) | (filter_rans(monoid, at) != at[r])
+    g, h = np.nonzero(groupoid.compose >= 0)
+    wrong = filter_product(monoid, at[g], at[h]) != at[groupoid.compose[g, h]]
+    # (g,) before the pairs (g, h), as the loop over g names them
+    for g, h in sorted([(g, -1) for g in np.flatnonzero(moved).tolist()]
+                       + list(zip(g[wrong].tolist(), h[wrong].tolist()))):
+        law.fail((g,) if h < 0 else (g, h))
 
     law = report.new("point-filters-injective")
     law.tick(len(points))

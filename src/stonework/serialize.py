@@ -20,7 +20,7 @@ import numpy as np
 from .duality import MonoidMorphism
 from .errors import StructureError
 from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
-from .inverse_core import (BLOCK_CELLS, MAX_ELEMENTS, InverseMonoid, as_indices, sequence_length,
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, row_blocks, sequence_length,
                            table_map)
 from .polycyclic import CnElement, format_cn, parse_cn
 
@@ -152,12 +152,6 @@ _TABLE_LAYOUT = re.compile(rb"\[([ \t\n\r]*)\[[\d, ]*\](?:([ \t\n\r]*,[ \t\n\r]*
 _TABLE_END = re.compile(rb"\]([ \t\n\r]*)\]")
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """The table codec's row blocks, of about BLOCK_CELLS cells."""
-    step = max(1, BLOCK_CELLS // cols)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 def _renderer(table: np.ndarray, mid: bytes):
     """A function from a block of ``table``'s rows to their text from its first cell, as
     uint8: a gather of NUL-padded words, unpadded, each row's last cell closed by "]" mid
@@ -179,7 +173,7 @@ def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
     brackets, ``mid`` from "]" to "[", in row blocks (half on a helper past BLOCK_CELLS cells)."""
     yield b"[" + head + b"["
     yield from (piece.tobytes() for piece in
-                table_map(table.size, _renderer(table, mid), _row_blocks(*table.shape)))
+                table_map(table.size, _renderer(table, mid), row_blocks(*table.shape)))
     yield tail + b"]"
 
 
@@ -197,7 +191,7 @@ def _read_table(data: bytes, start: int):
     if rows * cols > end.end() - start:                 # a cell takes two bytes or more
         return None
     table, close, spans = np.empty((rows, cols), np.int16), start, []
-    for block in _row_blocks(rows, cols):   # a block's text: its first cell to its last "]"
+    for block in row_blocks(rows, cols):   # a block's text: its first cell to its last "]"
         first = data.find(b"[", close + 1) + 1
         for _ in range(block.start, min(block.stop, rows)):
             close = data.find(b"]", close + 1)
@@ -262,11 +256,19 @@ def _write_json(out, value) -> None:
     out.write("\n" + brackets[1])
 
 
-def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
-    """Write an entry to ``<store>/<name>.json``.  A name that is empty, "." or "..", or
-    holds "/", is no plain file name in the store: it is refused before anything is written."""
-    if name in ("", ".", "..") or "/" in name:
+def _entry_name(name) -> None:
+    """Refuse a name that cannot name ``<store>/<name>.json`` on the command line: one that is
+    no string, is empty, "." or "..", holds "/" or starts with "-"."""
+    if not isinstance(name, str):
+        raise StructureError("entry name must be a string")
+    if name in ("", ".", "..") or "/" in name or name.startswith("-"):
         raise StructureError(f"entry name {name!r} is not a file name in the store")
+
+
+def save_entry(store: Path, name: str, kind: str, payload: dict) -> Path:
+    """Write an entry to ``<store>/<name>.json``, its name refused first, before anything is
+    written, by the check that ``load_entry`` makes too."""
+    _entry_name(name)
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
     path = store / f"{name}.json"
@@ -285,8 +287,7 @@ def load_entry(path_or_name, store: Path | None = None):
     data = path.read_bytes()        # the file as is: no str of the text is held beside it
     name, kind, payload = _fields(_loads(data), "name", "kind", "payload")
     del data                # neither it nor the decoded rows are held while a table is validated
-    if not isinstance(name, str):
-        raise StructureError("entry name must be a string")
+    _entry_name(name)
     if kind == "monoid" and isinstance(payload, dict) and isinstance(payload.get("mul"), list):
         payload["mul"] = as_indices(payload["mul"], "product table", len(payload["mul"]))
     return name, kind, _codec(kind)[1](payload)

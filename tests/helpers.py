@@ -19,25 +19,34 @@ from stonework import (
     group_with_zero_monoid,
     symmetric_inverse_monoid,
 )
-from stonework.duality import MonoidMorphism
+from stonework.duality import MonoidMorphism, basic_opens, stone_groupoid
 from stonework.errors import MorphismError, ParseError, StructureError
 from stonework.filters import (
+    contains_idempotent,
     enumerate_ultrafilters,
     filter_doms,
+    filter_inverses,
     filter_of,
+    filter_products,
+    idempotent_part_ultra,
+    least_members,
+    prime_property_holds,
     ultra_by_meet,
     ultrafilter_groupoid,
 )
 from stonework.groupoids import (
     CoveringFunctor,
+    all_bisections_monoid,
     check_covering,
     disjoint_union,
     fiber_clash,
     group_groupoid,
     pair_groupoid,
+    point_ultrafilter,
     trivial_groupoid,
 )
-from stonework.inverse_core import InverseMonoid, OrderData, first_failure, partial_bijections
+from stonework.inverse_core import (InverseMonoid, OrderData, first_failure, inclusions,
+                                    partial_bijections)
 from stonework.polycyclic import (
     CnElement,
     PolyElement,
@@ -46,7 +55,7 @@ from stonework.polycyclic import (
     random_prefix_code,
     random_word,
 )
-from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _fields
+from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _entry_name, _fields
 
 
 def corpus_monoids():
@@ -624,6 +633,209 @@ def reference_compatible_join_formula(monoid):
     return count, failures
 
 
+# -- the law suites' per-element loops: the references for their gathers ------------
+# Each returns (instances, failures) as the suite's law gives them, and first
+# reads what the suite reads before its laws, so it raises the suite's error.
+
+
+def reference_products_distribute_over_meets(monoid):
+    """products-distribute-over-meets one s at a time."""
+    n, mul, meet = monoid.n, monoid.mul, monoid.order().meet
+    by_row, by_col = (np.ascontiguousarray(a, dtype=np.int32) for a in (mul, mul.T))
+    count, failures = 0, []
+    for s in range(n):
+        ts = np.flatnonzero(meet[s] >= 0)
+        m = meet[s, ts]
+        count += n * len(ts)
+        left = meet.take(by_col[s] * n + by_col[ts])
+        right = meet.take(by_row[s] * n + by_row[ts])
+        bad = (left != by_col[m]) | (right != by_row[m])
+        failures += [(s, int(ts[i]), u) for i, u in np.argwhere(bad).tolist()]
+    return count, failures
+
+
+def reference_downset_boolean_via_dom(monoid):
+    """downset-boolean-via-dom one s at a time."""
+    monoid.require_boolean()
+    n, leq = monoid.n, monoid.order().matrix
+    dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)].astype(np.intp)
+    moved = leq != leq[dom][:, dom]
+    failures = []
+    for s in range(n):
+        down = np.flatnonzero(leq[:, s])
+        if sorted(dom[down].tolist()) != np.flatnonzero(leq[:, dom[s]]).tolist():
+            failures.append((s,))
+            continue
+        failures += [(s, int(down[x]), int(down[y]))
+                     for x, y in np.argwhere(moved[down][:, down]).tolist()]
+    return n, failures
+
+
+def _filter_tables(monoid):
+    """What filter_laws reads first: its order, its members and the kept filter products."""
+    monoid.require_boolean()
+    enumerate_ultrafilters(monoid)
+    leq = monoid.order().matrix
+    sets, prod, inverse = filter_products(monoid)
+    return leq, [np.flatnonzero(row) for row in leq], sets, prod, inverse
+
+
+def reference_filter_base_pairwise(monoid):
+    """filter-base-pairwise one filter at a time."""
+    leq, up, *_ = _filter_tables(monoid)
+    count, failures = 0, []
+    for i, members in enumerate(up):
+        count += len(members) ** 2
+        below = leq[np.ix_(members, members)].astype(np.float32)    # [z, s]: z <= s
+        failures += [(i, int(members[s]), int(members[t]))
+                     for s, t in np.argwhere(below.T @ below == 0).tolist()]
+    return count, failures
+
+
+def reference_filters_are_cosets(monoid):
+    """filters-are-cosets one filter at a time."""
+    leq, up, sets, _, inverse = _filter_tables(monoid)
+    mul, failures = monoid.mul.astype(np.intp), []
+    for i in range(monoid.n):
+        triple = np.zeros(monoid.n, dtype=bool)
+        triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), up[i])]] = True
+        if not np.array_equal(triple, leq[i]):
+            failures.append((i,))
+    return monoid.n, failures
+
+
+def reference_product_smallest_filter(monoid):
+    """product-smallest-filter one filter i at a time."""
+    leq, _, sets, prod, _ = _filter_tables(monoid)
+    contains, outside = inclusions(leq, leq), (~leq).T.astype(np.float32)
+    count, failures = 0, []
+    for i in range(monoid.n):
+        count += monoid.n
+        missing = (sets[i] & ~leq[prod[i]]).any(axis=1)
+        smaller = (sets[i].astype(np.float32) @ outside == 0) & ~contains[prod[i]]
+        for j in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
+            if missing[j]:
+                failures.append((i, j, "not containing"))
+                continue
+            failures += [(i, j, c) for c in np.flatnonzero(smaller[j]).tolist()]
+    return count, failures
+
+
+def reference_domain_inverse_submonoid(monoid):
+    """domain-inverse-submonoid one filter at a time."""
+    leq, up, _, prod, inverse = _filter_tables(monoid)
+    mul, inv = monoid.mul.astype(np.intp), np.asarray(monoid.inv)
+    dom, failures = prod[inverse, np.arange(monoid.n)], []
+    for i in range(monoid.n):
+        members, inside = up[dom[i]], leq[dom[i]]
+        if not inside[monoid.one]:
+            failures.append((i, "one"))
+        closed = inside[mul[np.ix_(members, members)]]
+        for x, row, has_inverse in zip(members.tolist(), closed, inside[inv[members]]):
+            if not has_inverse:
+                failures.append((i, x, "inverse"))
+            failures += [(i, x, y) for y in members[~row].tolist()]
+        failures += [(i, a, "coset-form") for a in up[i].tolist()
+                     if not np.array_equal(leq[mul[a, members]].any(axis=0), leq[i])]
+    return monoid.n, failures
+
+
+def reference_idempotent_filter_iff_closed(monoid):
+    """idempotent-filter-iff-closed one filter at a time."""
+    leq, up, *_ = _filter_tables(monoid)
+    mul, inv = monoid.mul.astype(np.intp), np.asarray(monoid.inv)
+    idempotent = contains_idempotent(monoid, np.arange(monoid.n))
+    failures = []
+    for i, members in enumerate(up):
+        closed = leq[i][mul[np.ix_(members, members)]].all() and leq[i][inv[members]].all()
+        if idempotent[i] != closed:
+            failures.append((i,))
+    return monoid.n, failures
+
+
+def reference_ultrafilters_prime(monoid):
+    """ultrafilters-prime one ultrafilter at a time."""
+    leq = _filter_tables(monoid)[0]
+    ultra = enumerate_ultrafilters(monoid)
+    prime = prime_property_holds(leq[ultra], monoid.order().join)
+    return len(ultra), [(g,) for g, holds in zip(ultra.tolist(), prime) if not holds]
+
+
+def reference_filter_product(monoid, a, b):
+    """One closed filter product by one gather of mul and least_members."""
+    leq, product = monoid.order().matrix, np.zeros(monoid.n, dtype=bool)
+    product[monoid.mul[np.ix_(leq[a], leq[b])].astype(np.intp)] = True
+    return int(least_members(monoid, product))
+
+
+def reference_three_way_equivalence(monoid):
+    """three-way-equivalence with each domain one closed product at a time."""
+    monoid.require_boolean()
+    every = np.arange(monoid.n)
+    dom = np.array([reference_filter_product(monoid, i, f)
+                    for f, i in enumerate(filter_inverses(monoid, every).tolist())], dtype=np.intp)
+    second = contains_idempotent(monoid, dom) & ultra_by_meet(monoid, dom)
+    third = idempotent_part_ultra(monoid, dom)
+    bad = (ultra_by_meet(monoid, every) != second) | (second != third)
+    return monoid.n, [(f,) for f in np.flatnonzero(bad).tolist()]
+
+
+def _basic_opens(monoid):
+    """What verify_basic_open_laws reads first: the kept Stone groupoid and K(s) for every s."""
+    sg = stone_groupoid(monoid)
+    return sg, basic_opens(monoid, sg), monoid.order()
+
+
+def reference_meet_is_intersection(monoid):
+    """meet-is-intersection one s at a time."""
+    _, inside, order = _basic_opens(monoid)
+    bad = [(order.meet[s] < 0) | (inside[order.meet[s]] != (inside[s] & inside)).any(axis=1)
+           for s in range(monoid.n)]
+    return monoid.n ** 2, [tuple(st) for st in np.argwhere(bad).tolist()]
+
+
+def reference_join_is_union(monoid):
+    """join-is-union one s at a time."""
+    _, inside, order = _basic_opens(monoid)
+    join = order.join
+    bad = [(join[s] >= 0) & (inside[join[s]] != (inside[s] | inside)).any(axis=1)
+           for s in range(monoid.n)]
+    return int(np.count_nonzero(join >= 0)), [tuple(st) for st in np.argwhere(bad).tolist()]
+
+
+def reference_union_bisection_iff_join(monoid):
+    """union-bisection-iff-join one s at a time, each union tested by fiber_clash."""
+    sg, inside, order = _basic_opens(monoid)
+    failures = []
+    for s in range(monoid.n):
+        for t in range(monoid.n):
+            clash = fiber_clash(sg, np.flatnonzero(inside[s] | inside[t]).tolist())
+            if (clash is None) != (order.join[s, t] >= 0):
+                failures.append((s, t, clash))
+    return monoid.n ** 2, failures
+
+
+def reference_point_filters_intertwine(groupoid):
+    """point-filters-intertwine one arrow, and one composable pair, at a time,
+    each closed product by reference_filter_product."""
+    bm = all_bisections_monoid(groupoid)
+    points = point_ultrafilter(bm, np.arange(groupoid.m)).tolist()
+    monoid = bm.monoid
+    ultra_by_meet(monoid, points)
+    inverses = filter_inverses(monoid, points).tolist()
+    doms = [reference_filter_product(monoid, i, f) for f, i in zip(points, inverses)]
+    rans = [reference_filter_product(monoid, f, i) for f, i in zip(points, inverses)]
+    failures = []
+    for g, f in enumerate(points):
+        if doms[g] != points[groupoid.d[g]] or rans[g] != points[groupoid.r[g]]:
+            failures.append((g,))
+        for h in range(groupoid.m):
+            gh = groupoid.compose_maybe(g, h)
+            if gh is not None and reference_filter_product(monoid, f, points[h]) != points[gh]:
+                failures.append((g, h))
+    return len(points), failures
+
+
 # -- product tables as int64: the reference for the int16 tables ---------------------
 
 
@@ -693,8 +905,7 @@ def reference_load_entry(path):
     text = Path(path).read_text()
     name, kind, payload = _fields(json.loads(text), "name", "kind", "payload")
     del text
-    if not isinstance(name, str):
-        raise StructureError("entry name must be a string")
+    _entry_name(name)
     from_json = _codec(kind)[1]
     return name, kind, from_json(payload)
 

@@ -479,15 +479,16 @@ def test_build_refuses_a_name_that_is_no_file_in_the_store(tmp_path, capsys, nam
 @pytest.mark.parametrize("name", ["../../x", "sub/x"])
 def test_dualize_refuses_a_stored_name_whose_dual_is_no_file_in_the_store(tmp_path, capsys,
                                                                            name):
-    """The dual of a stored entry is saved as its name + "-dual": a name that
-    would put it outside the store exits 2 and writes nothing."""
+    """The dual of a stored entry is saved as its name + "-dual": a stored name
+    that would put it outside the store is refused as the entry is loaded,
+    with exit 2, and nothing is written."""
     store = tmp_path / "a" / "b" / "store"
     run(capsys, "build", "ix", "--size", "2", "--store", str(store))
     entry = store / "ix2.json"
     entry.write_text(entry.read_text().replace('"name": "ix2"', f'"name": "{name}"', 1))
     before = sorted(tmp_path.rglob("*"))
     code, out, err = run(capsys, "dualize", "ix2", "--store", str(store))
-    assert (code, out, err) == (2, "", f"error: entry name '{name}-dual' is not a file name "
+    assert (code, out, err) == (2, "", f"error: entry name '{name}' is not a file name "
                                        "in the store\n")
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -838,8 +839,9 @@ def test_tracer_reads_the_filter_layer_off_the_results(tmp_path, capsys):
     layers = tracer.layer_metrics()
     # 9 ultrafilters of ix3, and 9 of the bisection monoid of pair3
     assert layers["filters.ultrafilters"] == 9 + 9
-    # point filters on pair3: a dom and a ran per arrow, and 27 composable pairs
-    assert layers["filters.filter_product_calls"] == 9 + 9 + 27
+    # point filters on pair3: one batched call for the 9 doms, one for the 9
+    # rans and one for the 27 composable pairs
+    assert layers["filters.filter_product_calls"] == 3
     assert all(getattr(filters, name) is originals[name] for name in names)
 
 

@@ -85,6 +85,22 @@ def command(*argv, entry):
     return route
 
 
+def named(name):
+    """Entry ``bad`` stored under ``name``: refused by ``load_entry`` and by
+    ``stonework check bad``."""
+    def route(store):
+        (store / "bad.json").write_text(json.dumps({"name": name, "kind": "monoid",
+                                                    "payload": MONOID}))
+        return (lambda: load_entry("bad", store)), ["check", "bad"]
+    return route
+
+
+def saved_as(name):
+    """A monoid saved as ``name``, by ``save_entry`` and by ``stonework build --name``."""
+    return lambda store: ((lambda: save_entry(store, name, "monoid", MONOID)),
+                          ["build", "bool-algebra", "--atoms", "2", f"--name={name}"])
+
+
 def setter(key, value):
     return lambda data: data.__setitem__(key, value)
 
@@ -166,6 +182,15 @@ REFUSALS = {
                            stored("groupoid", GROUPOID, setter("m", 3))),
     "unknown-kind": (StructureError, "unknown entry kind 'nope'",
                      stored("nope", MONOID, lambda d: None)),
+    # entry names: each is a file name in the store that the CLI can name
+    "stored-name-empty": (StructureError, "entry name '' is not a file name in the store",
+                          named("")),
+    "stored-name-leading-dash": (StructureError,
+                                 "entry name '-x' is not a file name in the store", named("-x")),
+    "saved-name-leading-dash": (StructureError,
+                                "entry name '-x' is not a file name in the store",
+                                saved_as("-x")),
+    "stored-name-not-a-string": (StructureError, "entry name must be a string", named(7)),
     # the CLI
     "check-a-cn-element": (StructureError, "no law sets for entries of kind 'cn-element'",
                            command("check", "good", entry=(
