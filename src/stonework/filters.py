@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import StructureError
 from .groupoids import FiniteGroupoid
-from .inverse_core import InverseMonoid, as_indices, inclusions, member_blocks, row_blocks
+from . import inverse_core
+from .inverse_core import (InverseMonoid, as_indices, bit_words, inclusions, member_blocks,
+                           row_blocks)
 
 
 def filter_of(monoid: InverseMonoid, rows):
@@ -91,8 +93,13 @@ def set_products(monoid: InverseMonoid, lefts: np.ndarray, rights: np.ndarray) -
     """Row k: the set product {x y : x in lefts[k], y in rights[k]} of two
     boolean rows over the elements, the literal gather mul[A x B], taken for
     rights of one size together in chunks of BLOCK_CELLS // 64 products, whose
-    intp indices and int16 values (18 bytes each) stay under BLOCK_CELLS / 3 bytes."""
+    intp indices and int16 values (18 bytes each) stay under BLOCK_CELLS / 3 bytes; with
+    rows * n^3 at most BLOCK_CELLS / 2 (small monoids, where it is faster), one dense gather."""
     out = np.zeros(np.shape(lefts), dtype=bool)
+    if out.size * monoid.n ** 2 * 2 <= inverse_core.BLOCK_CELLS:
+        k, xs, ys = np.nonzero(lefts[:, :, None] & rights[:, None, :])
+        out[k, monoid.mul[xs, ys]] = True
+        return out
     for at, ys in member_blocks(rights, lambda size: size):
         k, xs = np.nonzero(lefts[at])
         for chunk in row_blocks(len(xs), 64 * ys.shape[1]):
@@ -127,38 +134,64 @@ def filter_rans(monoid: InverseMonoid, generators) -> np.ndarray:
     return filter_product(monoid, generators, filter_inverses(monoid, generators))
 
 
-def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every filter product as :func:`filter_product` defines it (filter i
-    is up(i)), kept read-only on the monoid: ``sets[i, j]``, the set
-    product up(i) up(j) as a boolean row; ``prod[i, j]``, the generator of
-    its closure; ``inverse[i]``, that of up(i)^-1.  Row i of ``sets`` is
-    U @ R > 0 for the order matrix U and R[b, z] = [z in up(i) b], exact
-    in float32 as sums stay <= n < 2^24."""
-    if monoid._filter_products is not None:
-        return monoid._filter_products
+def lower_bounds(monoid: InverseMonoid):
+    """(rows, generators, bounds) by blocks of rows i, never building S(i, j) = up(i) up(j):
+    ``generators[k, j]`` is the member of S(rows.start + k, j) that :func:`least_members`
+    picks (0 if empty), ``bounds[k, j]`` the :func:`bit_words` of {c : c <= all of it}.  Stage
+    one (a in up(i), for each b; in chunks of pairs (i, a), or one masked shot when n <= 16)
+    and two (b in up(j)) keep the largest key and the AND of the products' lower-bound words:
+    n sum|up| W words (W words a set), no temporary over BLOCK_CELLS bytes or one row."""
     n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
-    square = leq.astype(np.float32)
-    reach = np.zeros((n, n), dtype=np.float32)      # R, cleared after each use
-    columns = np.arange(n)
-    sets = np.empty((n, n, n), dtype=bool)
-    prod = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        cells = mul[leq[i]].astype(np.intp)         # row a, column b: a b, a in up(i)
-        reach[columns, cells] = 1
-        np.greater(square @ reach, 0, out=sets[i])
-        reach[columns, cells] = 0
-        prod[i] = least_members(monoid, sets[i])
-    monoid._filter_products = sets, prod, filter_inverses(monoid, columns)
-    for table in monoid._filter_products:
-        table.setflags(write=False)     # every caller reads the same arrays
+    key = (monoid.order().up_sizes * n + np.arange(n - 1, -1, -1)).astype(np.int32)
+    below, empty = bit_words(leq.T), bit_words(np.ones(n, dtype=bool))    # [x]: c <= x
+    (js, bs), width = np.nonzero(leq), 8 * len(empty)       # b in up(j), j-major
+    starts = np.flatnonzero(np.diff(js, prepend=-1))        # each non-empty up(j)
+    for rows in row_blocks(n, width * max(n, len(bs))):
+        if n ** 3 * width * 8 <= inverse_core.BLOCK_CELLS:  # then rows is every row
+            keys = np.where(leq[:, :, None], key.take(mul), -1).max(axis=1)
+            words = np.bitwise_and.reduce(np.where(leq[:, :, None, None],
+                                                   below.take(mul, axis=0), empty), axis=1)
+        else:
+            keys = np.full((len(range(n)[rows]), n), -1, dtype=np.int32)
+            words, (i, a) = np.tile(empty, (len(keys), n, 1)), np.nonzero(leq[rows])
+            for chunk in row_blocks(len(a), width * n):
+                cells = mul[a[chunk]].astype(np.intp)       # [pair, b]: a b
+                first = np.flatnonzero(np.diff(i[chunk], prepend=-1))
+                at = i[chunk][first]
+                keys[at] = np.maximum(keys[at], np.maximum.reduceat(key.take(cells), first))
+                words[at] &= np.bitwise_and.reduceat(below.take(cells, axis=0), first)
+        most, bounds = np.full_like(keys, -1), np.tile(empty, (len(keys), n, 1))
+        most[:, js[starts]] = np.maximum.reduceat(keys.take(bs, axis=1), starts, axis=1)
+        bounds[:, js[starts]] = np.bitwise_and.reduceat(words.take(bs, axis=1), starts, axis=1)
+        yield rows, n - 1 - most % n, bounds       # -1, an empty set, gives 0 as argmax does
+
+
+def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
+    """Every filter product as :func:`filter_product` defines it, kept read-only on the monoid:
+    ``prod[i, j]``, the generator of the closure of up(i) up(j), from :func:`lower_bounds` and
+    checked to lie below all of it, and ``inverse[i]``, that of up(i)^-1."""
+    if monoid._filter_products is None:
+        n, single = monoid.n, bit_words(np.eye(monoid.n, dtype=bool))     # [c]: {c}
+        prod = np.empty((n, n), dtype=np.intp)
+        for rows, generators, bounds in lower_bounds(monoid):
+            if not (bounds & single.take(generators, axis=0)).any(axis=2).all():
+                raise StructureError("member set is not the up-set of one of its members")
+            prod[rows] = generators
+        monoid._filter_products = prod, filter_inverses(monoid, np.arange(n))
+        for table in monoid._filter_products:
+            table.setflags(write=False)     # every caller reads the same arrays
     return monoid._filter_products
 
 
 def prime_property_holds(members: np.ndarray, join: np.ndarray) -> np.ndarray:
-    """For each filter (a boolean row): a join s v t in it has s or t in it.
-    ``join`` is the join table ``OrderData.join``, -1 where absent."""
-    lands = np.pad(members, ((0, 0), (0, 1)))[:, join]     # -1 reads the pad, False
-    return ~(lands & ~members[:, :, None] & ~members[:, None, :]).any(axis=(1, 2))
+    """For each filter (a boolean row): a join s v t in it has s or t in it.  ``join`` is
+    ``OrderData.join``, -1 where absent; filters go in blocks of BLOCK_CELLS cells or one."""
+    padded = np.hstack((members, np.zeros((len(members), 1), dtype=bool)))  # -1 reads False
+    holds, join = np.empty(len(members), dtype=bool), join.astype(np.intp)   # widened once
+    for rows in row_blocks(len(members), join.size):
+        holds[rows] = ~(padded[rows][:, join] & ~members[rows, :, None]
+                        & ~members[rows, None, :]).any(axis=(1, 2))
+    return holds
 
 
 def enumerate_ultrafilters(monoid: InverseMonoid) -> np.ndarray:

@@ -268,6 +268,12 @@ def inclusions(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
     return (rows.astype(np.float32) @ (~others).T.astype(np.float32)) == 0
 
 
+def bit_words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows (the last axis) as bit sets of 64-bit words, zero past the row's end."""
+    pad = np.zeros(rows.shape[:-1] + (-rows.shape[-1] % 64,), dtype=bool)
+    return np.packbits(np.concatenate((rows, pad), axis=-1), axis=-1).view(np.uint64)
+
+
 def bm1_by_atoms(in_e: np.ndarray) -> np.ndarray | None:
     """BM1 by the atom criterion on the order ``in_e`` of E ([x, y]: x <= y,
     the bottom in every down-set): E is a boolean lattice exactly when

@@ -4,9 +4,9 @@ Each function sweeps one family of identities over every element, pair or
 filter of its subject and returns a :class:`LawReport` with instance counts
 and witnesses; ``boolean_monoid_suite`` bundles the order and filter laws,
 and the CLI runs the same suites through ``check --laws``.  A suite computes
-what its laws share once (the order's dense tables, one
-``relative_complements`` call per complement law, the ``filter_products``
-that the monoid keeps, one batched ``filter_product`` call per batch) and
+what its laws share once (the order's dense tables, one ``relative_complements``
+call per complement law, the ``filter_products`` that the monoid keeps, one
+``lower_bounds`` pass, one batched ``filter_product`` call per batch) and
 checks each law's own definition on every instance, never the theorem it
 tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
 law whose witnesses mix kinds flags its failing rows whole-table and names
@@ -27,13 +27,15 @@ from .filters import (
     filter_products,
     filter_rans,
     idempotent_part_ultra,
+    lower_bounds,
     prime_property_holds,
     set_products,
     ultra_by_maximality,
     ultra_by_meet,
 )
 from .groupoids import all_bisections_monoid, point_ultrafilter
-from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions, member_blocks, row_blocks
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
+                           row_blocks)
 from .reporting import LawReport
 
 
@@ -157,7 +159,7 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     n, inv, order = monoid.n, np.asarray(monoid.inv), monoid.order()
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
     above = leq.astype(np.float32)              # [x, z]: x <= z, for exact float32 counts
-    sets, prod, inverse = filter_products(monoid)
+    prod, inverse = filter_products(monoid)
     dom = prod[inverse, rng]
 
     law = report.new("filter-base-pairwise")
@@ -185,25 +187,27 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     common = inclusions(in_ultra.T, in_ultra.T)
     law.fail_where(nonzero & (common != leq).any(axis=1))
 
+    # [f]: the set products up(f) up(f)^-1 and up(f) up(f), in one call
+    pairs, squares = np.split(set_products(monoid, np.vstack((leq, leq)),
+                                           np.vstack((leq[inverse], leq))), 2)
     law = report.new("filters-are-cosets")
     law.tick(n)
     # F = F F^-1 F, the set product with no closure
-    law.fail_where((set_products(monoid, sets[rng, inverse], leq) != leq).any(axis=1))
+    law.fail_where((set_products(monoid, pairs, leq) != leq).any(axis=1))
 
     law = report.new("product-smallest-filter")
     law.tick(n * n)
-    contains = inclusions(leq, leq)         # contains[x, c]: filter c contains up(x)
-    outside = (~leq).T.astype(np.float32)   # inclusions(sets[i], leq)'s right factor, once
-    flat, target = sets.reshape(n * n, n), prod.ravel()        # row i * n + j: up(i) up(j)
-    for rows in row_blocks(n * n, 4 * n):                       # float32 cells
-        missing = (flat[rows] & ~leq[target[rows]]).any(axis=1)
-        smaller = (flat[rows].astype(np.float32) @ outside == 0) & ~contains[target[rows]]
-        for k in np.flatnonzero(missing | smaller.any(axis=1)).tolist():
-            i, j = divmod(rows.start + k, n)
-            law.failures += ([(i, j, "not containing")] if missing[k]
-                             else [(i, j, c) for c in np.flatnonzero(smaller[k]).tolist()])
+    # up(c) holds up(i) up(j) exactly when c is in its lower bounds L(i, j); such
+    # an up(c) is smaller when it does not contain up(T), T = prod[i, j]
+    single, lacking = bit_words(np.eye(n, dtype=bool)), bit_words(~inclusions(leq, leq))
+    for rows, _, bounds in lower_bounds(monoid):
+        missing = ~(bounds & single.take(prod[rows], axis=0)).any(axis=2)
+        smaller = bounds & lacking.take(prod[rows], axis=0)
+        for k, j in np.argwhere(missing | smaller.any(axis=2)).tolist():
+            i, bits = rows.start + k, np.unpackbits(smaller[k, j].view(np.uint8), count=n)
+            law.failures += ([(i, j, "not containing")] if missing[k, j]
+                             else [(i, j, c) for c in np.flatnonzero(bits).tolist()])
 
-    squares = set_products(monoid, leq, leq)    # [f]: the set up(f) up(f); is up(f) closed?
     closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq[:, inv]).any(axis=1)
     law = report.new("domain-inverse-submonoid")
     law.tick(n)
@@ -247,7 +251,7 @@ def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
     monoid.require_boolean()
     report = LawReport("filter semigroup laws")
     n = monoid.n                # filter i is up(i)
-    _, prod, inverse = filter_products(monoid)
+    prod, inverse = filter_products(monoid)
     leq, rng = monoid.order().matrix, np.arange(n)
 
     law = report.new("inverse-semigroup")

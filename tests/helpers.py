@@ -671,13 +671,38 @@ def reference_downset_boolean_via_dom(monoid):
     return n, failures
 
 
+def reference_set_products(monoid):
+    """The set product up(i) up(j) of every pair of filters, at [i, j] as a boolean row over
+    the elements (an n x n x n array), read off the current order and table: row i is
+    U @ R > 0 for the order matrix U and R[b, z] = [z in up(i) b], exact in float32."""
+    n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
+    square, reach = leq.astype(np.float32), np.zeros((n, n), dtype=np.float32)
+    sets = np.empty((n, n, n), dtype=bool)
+    for i in range(n):
+        cells = mul[leq[i]].astype(np.intp)         # row a, column b: a b, a in up(i)
+        reach[np.arange(n), cells] = 1
+        np.greater(square @ reach, 0, out=sets[i])
+        reach[np.arange(n), cells] = 0
+    return sets
+
+
+def reference_filter_products(monoid):
+    """``filters.filter_products`` as the cube of every set product (the
+    library's form before the products were reduced without it), neither
+    kept nor read from the monoid: (sets, prod, inverse), each closure by
+    least_members, or its StructureError."""
+    sets = reference_set_products(monoid)
+    prod = np.array([least_members(monoid, row) for row in sets], dtype=np.intp)
+    return sets, prod, filter_inverses(monoid, np.arange(monoid.n))
+
+
 def _filter_tables(monoid):
     """What filter_laws reads first: its order, its members and the kept filter products."""
     monoid.require_boolean()
     enumerate_ultrafilters(monoid)
     leq = monoid.order().matrix
-    sets, prod, inverse = filter_products(monoid)
-    return leq, [np.flatnonzero(row) for row in leq], sets, prod, inverse
+    prod, inverse = filter_products(monoid)
+    return leq, [np.flatnonzero(row) for row in leq], prod, inverse
 
 
 def reference_filter_base_pairwise(monoid):
@@ -694,8 +719,8 @@ def reference_filter_base_pairwise(monoid):
 
 def reference_filters_are_cosets(monoid):
     """filters-are-cosets one filter at a time."""
-    leq, up, sets, _, inverse = _filter_tables(monoid)
-    mul, failures = monoid.mul.astype(np.intp), []
+    leq, up, _, inverse = _filter_tables(monoid)
+    sets, mul, failures = reference_set_products(monoid), monoid.mul.astype(np.intp), []
     for i in range(monoid.n):
         triple = np.zeros(monoid.n, dtype=bool)
         triple[mul[np.ix_(np.flatnonzero(sets[i, inverse[i]]), up[i])]] = True
@@ -705,9 +730,10 @@ def reference_filters_are_cosets(monoid):
 
 
 def reference_product_smallest_filter(monoid):
-    """product-smallest-filter one filter i at a time."""
-    leq, _, sets, prod, _ = _filter_tables(monoid)
-    contains, outside = inclusions(leq, leq), (~leq).T.astype(np.float32)
+    """product-smallest-filter one filter i at a time, by a float32 matmul."""
+    leq, _, prod, _ = _filter_tables(monoid)
+    sets, contains = reference_set_products(monoid), inclusions(leq, leq)
+    outside = (~leq).T.astype(np.float32)
     count, failures = 0, []
     for i in range(monoid.n):
         count += monoid.n
@@ -723,7 +749,7 @@ def reference_product_smallest_filter(monoid):
 
 def reference_domain_inverse_submonoid(monoid):
     """domain-inverse-submonoid one filter at a time."""
-    leq, up, _, prod, inverse = _filter_tables(monoid)
+    leq, up, prod, inverse = _filter_tables(monoid)
     mul, inv = monoid.mul.astype(np.intp), np.asarray(monoid.inv)
     dom, failures = prod[inverse, np.arange(monoid.n)], []
     for i in range(monoid.n):

@@ -1,5 +1,9 @@
 """Filter algebra, ultrafilter enumeration and the ultrafilter groupoid."""
 
+import random
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -8,6 +12,7 @@ from helpers import (
     iter_bits,
     mask_of,
     reference_contains_idempotent,
+    reference_filter_products,
     reference_idempotent_part_ultra,
     reference_ultra_by_maximality,
     reference_ultra_by_meet,
@@ -25,6 +30,7 @@ from stonework import (
     chain_monoid,
     clifford_monoid,
     group_with_zero_monoid,
+    inverse_core,
     symmetric_inverse_monoid,
 )
 from stonework.filters import (
@@ -39,6 +45,7 @@ from stonework.filters import (
     idempotent_part_ultra,
     least_members,
     prime_property_holds,
+    set_products,
     ultra_by_maximality,
     ultra_by_meet,
     ultrafilter_groupoid,
@@ -512,16 +519,19 @@ def test_filter_product_takes_a_pair_or_arrays_of_pairs(ix2):
 
 @pytest.mark.parametrize("name, seed", CROSS_CHECKED)
 def test_dense_table_is_the_literal_filter_product(corpus, name, seed):
-    """Every cell of filter_products against filter_product, and its set
-    products and closures against the reference bit loops."""
+    """Every cell of filter_products against filter_product, and the set
+    product of every pair (one set_products call) and its closure against
+    the reference bit loops."""
     monoid = corpus[name]
     if seed is not None:
         monoid = monoid_from_json(relabelled(monoid_to_json(monoid), seed))
-    sets, prod, inverses = filter_products(monoid)
+    prod, inverses = filter_products(monoid)
     assert inverses.tolist() == [inverse(monoid, f) for f in range(monoid.n)]
     # every pair by one batched call, and one pair at a time below ix4 (on its diagonal)
-    assert filter_product(monoid, *np.divmod(np.arange(monoid.n ** 2), monoid.n)).tolist() == \
-        prod.ravel().tolist()
+    lefts, rights = np.divmod(np.arange(monoid.n ** 2), monoid.n)
+    assert filter_product(monoid, lefts, rights).tolist() == prod.ravel().tolist()
+    leq = monoid.order().matrix
+    sets = set_products(monoid, leq[lefts], leq[rights]).reshape(monoid.n, monoid.n, monoid.n)
     for i in range(monoid.n):
         for j in range(monoid.n):
             product = element_product_mask(monoid, i, j)
@@ -531,12 +541,89 @@ def test_dense_table_is_the_literal_filter_product(corpus, name, seed):
                 assert prod[i, j] == filter_product(monoid, i, j)
 
 
+def _tables_or_refusal(run):
+    """The tables ``run`` returns, as lists, or the message of its StructureError."""
+    try:
+        return [table.tolist() for table in run()]
+    except StructureError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("name, seed", CROSS_CHECKED)
+def test_filter_products_are_those_of_the_cube(corpus, name, seed):
+    """prod and inverse are those the n x n x n cube of every set product
+    gives (reference_filter_products)."""
+    monoid = corpus[name]
+    if seed is not None:
+        monoid = monoid_from_json(relabelled(monoid_to_json(monoid), seed))
+    expected = _tables_or_refusal(lambda: reference_filter_products(monoid)[1:])
+    assert _tables_or_refusal(lambda: filter_products(monoid)) == expected
+
+
+def _tampered_for_products(monoid, rng):
+    """The monoid (its order computed from the sound table) with one to three
+    product cells replaced, or one to three order cells flipped, or an
+    up-set emptied."""
+    monoid.require_boolean()
+    n, order = monoid.n, monoid.order()
+    what = rng.choice(["product", "order", "empty"])
+    if what == "product":
+        monoid.mul = monoid.mul.copy()
+        for _ in range(rng.randint(1, 3)):
+            monoid.mul[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        return monoid
+    matrix = order.matrix.copy()
+    if what == "empty":
+        matrix[rng.randrange(n)] = False
+    for _ in range(rng.randint(1, 3) if what == "order" else 0):
+        s = rng.randrange(n)
+        t = s if rng.random() < 0.3 else rng.randrange(n)
+        matrix[s, t] = not matrix[s, t]
+    monoid._order = replace(order, matrix=matrix)
+    return monoid
+
+
+@pytest.mark.parametrize("blocks", [None, 64])
+def test_filter_products_match_the_cube_on_tampered_tables_and_orders(monkeypatch, blocks):
+    """200 seeded tamperings, 100 of ix3 and 100 of ba4: filter_products
+    gives the cube's prod and inverse, or its refusal, in one shot or with
+    BLOCK_CELLS at 64 (rows in many blocks, an up-set over many chunks);
+    both occur, and so do empty up-sets."""
+    if blocks:
+        monkeypatch.setattr(inverse_core, "BLOCK_CELLS", blocks)
+    kinds, empty = set(), 0
+    for name, make in (("ix3", lambda: symmetric_inverse_monoid(3)),
+                       ("ba4", lambda: boolean_algebra_monoid(4))):
+        rng = random.Random(name)
+        for _ in range(100):
+            monoid = _tampered_for_products(make(), rng)
+            empty += not monoid.order().matrix.any(axis=1).all()
+            expected = _tables_or_refusal(lambda: reference_filter_products(monoid)[1:])
+            assert _tables_or_refusal(lambda: filter_products(monoid)) == expected
+            kinds.add(type(expected))
+    assert kinds == {str, list} and empty
+
+
+def test_filter_products_of_ix4_allocate_no_cube():
+    """filter_products(ix4) peaks at 1.21 MB under tracemalloc (numpy 2.4.6),
+    where the n x n x n cube of its set products alone is 9.1 MB."""
+    monoid = symmetric_inverse_monoid(4)
+    monoid.require_boolean()
+    tracemalloc.start()
+    try:
+        filter_products(monoid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024, peak
+
+
 def test_kept_filter_products_are_read_only():
-    """Every caller is handed the same three arrays, so none of them can be
+    """Every caller is handed the same two arrays, so neither can be
     edited in place: an edit would change every later suite's products."""
     monoid = symmetric_inverse_monoid(2)
     tables = filter_products(monoid)
-    assert filter_products(monoid) is tables
+    assert filter_products(monoid) is tables and len(tables) == 2
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = table.flat[0]
