@@ -65,15 +65,18 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     law = report.new("products-distribute-over-meets")
     exists = meet >= 0
     law.tick(n * int(np.count_nonzero(exists)))
-    # meets read by flat int32 codes x * n + y: n^2 <= MAX_ELEMENTS^2 < 2^31
-    by_row, by_col = (np.ascontiguousarray(a, dtype=np.int32) for a in (mul, mul.T))
-    for rows in row_blocks(n, 16 * n * n):      # about 16 bytes a cell: one row from n = 128
-        # [s, t, u]: (us) ^ (ut) = u m and (su) ^ (tu) = m u, m = s ^ t where it exists
-        left = meet.take(by_col[rows, None] * n + by_col) != by_col[meet[rows]]
-        right = meet.take(by_row[rows, None] * n + by_row) != by_row[meet[rows]]
-        for s, t, u in np.argwhere(left | right).tolist():
-            if exists[rows.start + s, t]:
-                law.fail((rows.start + s, t, u))
+    found = []
+    for rows in row_blocks(n, n):       # blocks of s; two row gathers a u in each
+        m = np.maximum(meet[rows], 0).astype(np.intp)       # an absent meet reads 0: masked
+        for u in range(n):
+            row, col = mul[u].astype(np.intp), mul[:, u].astype(np.intp)    # [s]: u s and s u
+            # [s, t]: (us) ^ (ut) = u m and (su) ^ (tu) = m u, m = s ^ t where it exists
+            bad = ((meet.take(row[rows], axis=0).take(row, axis=1) != mul[u].take(m))
+                   | (meet.take(col[rows], axis=0).take(col, axis=1) != mul[:, u].take(m)))
+            if bad.any():
+                s, t = np.nonzero(bad & exists[rows])
+                found += zip((s + rows.start).tolist(), t.tolist(), [u] * len(s))
+    law.failures += sorted(found)       # as the loop over (s, t, u)
     return report
 
 
@@ -118,10 +121,12 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
 
     law = report.new("separation-below")
     apart = (np.arange(n) != monoid.zero)[:, None] & ~leq     # s != 0, s not <= t
-    s, t = np.nonzero(apart)
-    law.tick(len(s))
-    s_prime = monoid.relative_complements(meet[s, t], s)
-    apart[s, t] = (s_prime == monoid.zero) | ~leq[s_prime, s] | (meet[s_prime, t] != monoid.zero)
+    pairs = np.nonzero(apart)
+    law.tick(len(pairs[0]))
+    for block in row_blocks(len(pairs[0]), 1):     # relative_complements holds ~70 bytes a pair
+        s, t = pairs[0][block], pairs[1][block]
+        s_prime = monoid.relative_complements(meet[s, t], s)
+        apart[s, t] = (s_prime == monoid.zero) | ~leq[s_prime, s] | (meet[s_prime, t] != monoid.zero)
     law.fail_where(apart)
     return report
 

@@ -583,12 +583,13 @@ def _tampered_for_products(monoid, rng):
     return monoid
 
 
-@pytest.mark.parametrize("blocks", [None, 64])
+@pytest.mark.parametrize("blocks", [None, 64, 1024])
 def test_filter_products_match_the_cube_on_tampered_tables_and_orders(monkeypatch, blocks):
     """200 seeded tamperings, 100 of ix3 and 100 of ba4: filter_products
     gives the cube's prod and inverse, or its refusal, in one shot or with
-    BLOCK_CELLS at 64 (rows in many blocks, an up-set over many chunks);
-    both occur, and so do empty up-sets."""
+    BLOCK_CELLS at 64 (rows in many blocks, an up-set over many chunks of
+    one pair each) or 1024 (one row a block, its up-set in chunks of up to
+    three pairs); both occur, and so do empty up-sets."""
     if blocks:
         monkeypatch.setattr(inverse_core, "BLOCK_CELLS", blocks)
     kinds, empty = set(), 0
