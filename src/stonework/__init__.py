@@ -11,6 +11,7 @@ from .duality import (
     clifford_check,
     functor_on_morphism,
     identity_morphism,
+    point_ultrafilter,
     pullback_morphism,
     round_trip_groupoid,
     round_trip_monoid,
@@ -45,7 +46,6 @@ from .groupoids import (
     groupoid_to_dot,
     identity_functor,
     pair_groupoid,
-    point_ultrafilter,
     trivial_groupoid,
 )
 from .inverse_core import (

@@ -10,6 +10,7 @@ is an input error too, whether or not the flag is given.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -138,6 +139,11 @@ LAW_SETS = {
 }
 
 
+# each generator parameter, in order of first appearance -> the type of its default
+BUILD_FLAGS = {dest: type(param.default) for func in GENERATORS.values()
+               for dest, param in inspect.signature(func).parameters.items()}
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     for dest, (_, type, choices, help) in GLOBAL_FLAGS.items():
@@ -151,14 +157,8 @@ def make_parser() -> argparse.ArgumentParser:
     build_p = sub.add_parser("build", help="generate a corpus entry", parents=[common])
     build_p.add_argument("generator", choices=sorted(GENERATORS))
     build_p.add_argument("--name", help="override the default entry name")
-    build_p.add_argument("--size", type=int)
-    build_p.add_argument("--atoms", type=int)
-    build_p.add_argument("--order", type=int)
-    build_p.add_argument("--orders")
-    build_p.add_argument("--length", type=int)
-    build_p.add_argument("--points", type=int)
-    build_p.add_argument("--n", type=int)
-    build_p.add_argument("--expr")
+    for dest, type in BUILD_FLAGS.items():
+        build_p.add_argument(f"--{dest}", type=type)
 
     check_p = sub.add_parser("check", help="run a law suite against an entry",
                              parents=[common])
@@ -191,9 +191,8 @@ def _output(args, out: dict, text, shown: tuple, saved: tuple | None = None) -> 
 
 
 def cmd_build(args) -> int:
-    keys = ("size", "atoms", "order", "orders", "length", "points", "n", "expr")
     name, kind, obj, summary = build(args.generator, **{
-        k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+        k: getattr(args, k) for k in BUILD_FLAGS if getattr(args, k) is not None})
     name = name if args.name is None else args.name
     out = {"entry": name, "kind": kind, "path": None, "summary": summary}
     _output(args, out, lambda out: [f"{name} ({kind}) -> {out['path']}",

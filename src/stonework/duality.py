@@ -41,6 +41,7 @@ from .filters import (
     ultrafilter_groupoid,
 )
 from .groupoids import (
+    BisectionMonoid,
     CoveringFunctor,
     FiniteGroupoid,
     all_bisections_monoid,
@@ -49,7 +50,6 @@ from .groupoids import (
     fiber_clash,
     fiber_clashes,
     image_products,
-    point_ultrafilter,
 )
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, as_map, first_failure,
                            inclusions, raise_first_failure, row_blocks)
@@ -150,6 +150,13 @@ def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
     ``sg`` is a Stone groupoid of ``monoid``: the one it keeps, or the one
     :func:`union_bisection_probe` is given.  K(zero) is empty."""
     return monoid.order().matrix[sg.ultrafilters].T
+
+
+def point_ultrafilter(bm: BisectionMonoid, g):
+    """The generator of the filter of all bisections through the arrow g,
+    column g of the rows, or the array of them for an array of arrows.
+    That it is an ultrafilter is the law ``point-filters-ultra``."""
+    return filter_of(bm.monoid, bm.rows[:, as_indices(g, "arrow", bm.groupoid.m)].T)
 
 
 def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):

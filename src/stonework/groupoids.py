@@ -366,15 +366,6 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     return groupoid._bisections
 
 
-def point_ultrafilter(bm: BisectionMonoid, g):
-    """The generator of the filter of all bisections through the arrow g,
-    column g of the rows, or the array of them for an array of arrows.
-    That it is an ultrafilter is the law ``point-filters-ultra``."""
-    from .filters import filter_of  # filters builds on FiniteGroupoid
-
-    return filter_of(bm.monoid, bm.rows[:, as_indices(g, "arrow", bm.groupoid.m)].T)
-
-
 # -- covering functors --------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .duality import clifford_check, verify_basic_open_laws
+from .duality import clifford_check, point_ultrafilter, verify_basic_open_laws
 from .filters import (
     contains_idempotent,
     enumerate_ultrafilters,
@@ -33,7 +33,7 @@ from .filters import (
     ultra_by_maximality,
     ultra_by_meet,
 )
-from .groupoids import all_bisections_monoid, point_ultrafilter
+from .groupoids import all_bisections_monoid
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
                            row_blocks)
 from .reporting import LawReport

@@ -91,17 +91,20 @@ class PolyElement:
         return format_poly(self)
 
 
-def poly_mul(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Prefix-overlap product: (x, y)(u, v) joins when u extends y or y
-    extends u, and is zero otherwise."""
-    if a.is_zero or b.is_zero:
-        return PolyElement.zero()
-    x, y, u, v = a.x, a.y, b.x, b.y
+def _pair_product(x: str, y: str, u: str, v: str) -> tuple[str, str] | None:
+    """The pair of the prefix-overlap product (x y^-1)(u v^-1): it joins
+    when u extends y or y extends u, and is None otherwise."""
     if u.startswith(y):
-        return PolyElement(x + u[len(y):], v)
+        return x + u[len(y):], v
     if y.startswith(u):
-        return PolyElement(x, v + y[len(u):])
-    return PolyElement.zero()
+        return x, v + y[len(u):]
+    return None
+
+
+def poly_mul(a: PolyElement, b: PolyElement) -> PolyElement:
+    """The prefix-overlap product, zero when the pairs do not join."""
+    pair = None if a.is_zero or b.is_zero else _pair_product(a.x, a.y, b.x, b.y)
+    return PolyElement.zero() if pair is None else PolyElement(*pair)
 
 
 # -- the orthogonal completion ---------------------------------------------------------
@@ -509,10 +512,9 @@ def cuntz_compose(g: CuntzArrow, h: CuntzArrow):
     prefixes are then prefixes of one word, so one extends the other."""
     if g.source_word() != h.target_word():
         return None
-    y, xh = g.source_prefix, h.target_prefix
-    if xh.startswith(y):
-        return CuntzArrow.make(g.target_prefix + xh[len(y):], h.source_prefix, h.tail)
-    return CuntzArrow.make(g.target_prefix, h.source_prefix + y[len(xh):], g.tail)
+    tail = h.tail if h.target_prefix.startswith(g.source_prefix) else g.tail
+    return CuntzArrow.make(*_pair_product(g.target_prefix, g.source_prefix,
+                                          h.target_prefix, h.source_prefix), tail)
 
 
 # -- points of the groupoid as maximal filters of the polycyclic monoid -------------------

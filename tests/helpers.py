@@ -19,7 +19,7 @@ from stonework import (
     group_with_zero_monoid,
     symmetric_inverse_monoid,
 )
-from stonework.duality import MonoidMorphism, basic_opens, stone_groupoid
+from stonework.duality import MonoidMorphism, basic_opens, point_ultrafilter, stone_groupoid
 from stonework.errors import MorphismError, ParseError, StructureError
 from stonework.filters import (
     contains_idempotent,
@@ -42,7 +42,6 @@ from stonework.groupoids import (
     fiber_clash,
     group_groupoid,
     pair_groupoid,
-    point_ultrafilter,
     trivial_groupoid,
 )
 from stonework.inverse_core import (InverseMonoid, OrderData, first_failure, inclusions,

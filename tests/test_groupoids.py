@@ -41,10 +41,10 @@ from stonework.groupoids import (
     groupoid_to_dot,
     identity_functor,
     pair_groupoid,
-    point_ultrafilter,
     trivial_groupoid,
 )
 from stonework.duality import (
+    point_ultrafilter,
     pullback_morphism,
     round_trip_groupoid,
     round_trip_monoid,

@@ -34,7 +34,8 @@ from stonework import (
     product_monoid,
     symmetric_inverse_monoid,
 )
-from stonework.duality import MonoidMorphism, stone_groupoid, union_bisection_probe
+from stonework.duality import (MonoidMorphism, point_ultrafilter, stone_groupoid,
+                               union_bisection_probe)
 from stonework.filters import filter_doms, filter_inverses, filter_product, filter_rans
 from stonework.groupoids import (
     CoveringFunctor,
@@ -42,7 +43,6 @@ from stonework.groupoids import (
     all_bisections_monoid,
     compose_table,
     pair_groupoid,
-    point_ultrafilter,
 )
 from stonework.serialize import groupoid_to_json
 

@@ -170,6 +170,19 @@ REFUSALS = {
     # corpus
     "union-of-one-group": (StructureError, "union groupoid needs at least two orders",
                            build("union-groupoid", orders="2")),
+    "union-orders-not-decimal": (StructureError, "generator 'union-groupoid' takes 'orders' "
+                                 "as decimal ints split by commas, not '2,a'",
+                                 build("union-groupoid", orders="2,a")),
+    "union-orders-empty-chunk": (StructureError, "generator 'union-groupoid' takes 'orders' "
+                                 "as decimal ints split by commas, not '2,,3'",
+                                 build("union-groupoid", orders="2,,3")),
+    # a parameter of another type than its default is refused, never coerced
+    "ix-size-a-bool": (StructureError, "generator 'ix' takes 'size' as int, not True",
+                       library(lambda: corpus.build("ix", size=True))),
+    "cn-element-n-a-float": (StructureError, "generator 'cn-element' takes 'n' as int, not 2.7",
+                             library(lambda: corpus.build("cn-element", n=2.7))),
+    "chain-length-a-string": (StructureError, "generator 'chain' takes 'length' as int, not '3'",
+                              library(lambda: corpus.build("chain", length="3"))),
     "unknown-generator": (
         StructureError, "unknown generator 'nope'; choose from ['bool-algebra', 'brandt', "
         "'chain', 'clifford', 'cn-element', 'group-groupoid', 'group-zero', 'ix', "
