@@ -17,14 +17,13 @@ import sys
 from pathlib import Path
 
 from .corpus import GENERATORS, build
-from .duality import (round_trip_groupoid, round_trip_monoid, stone_groupoid,
+from .duality import (clifford_check, round_trip_groupoid, round_trip_monoid, stone_groupoid,
                       verify_basic_open_laws)
 from .errors import MorphismError, NotBooleanError, StoneworkError, StructureError
-from .groupoids import all_bisections_monoid, check_covering
+from .groupoids import all_bisections_monoid, check_covering, groupoid_to_dot
 from .inverse_core import MAX_ELEMENTS
 from .laws import (
     boolean_monoid_suite,
-    clifford_report,
     compatible_join_laws,
     filter_laws,
     filter_semigroup_laws,
@@ -33,8 +32,8 @@ from .laws import (
     point_filter_laws,
     ultra_equivalence_laws,
 )
-from .reporting import LawReport
-from .serialize import KINDS, check_dot, groupoid_to_json, load_entry, render, save_entry
+from .reporting import LawReport, one_law
+from .serialize import KINDS, check_dot, groupoid_to_json, load_entry, save_entry
 
 FORMATS = ("json", "dot", "text")
 
@@ -77,22 +76,12 @@ def _with_environment(args: argparse.Namespace) -> argparse.Namespace:
 # -- law sets: entry kind -> law set -> report of (entry, bisection bound) ----------
 
 
-def _one_law(subject: str, name: str, witness) -> LawReport:
-    """A report of one law instance, failed with ``witness`` unless it is None."""
-    report = LawReport(subject)
-    law = report.new(name)
-    law.tick()
-    if witness is not None:
-        law.fail(witness)
-    return report
-
-
 def _boolean_witness(cert):
     return None if cert.is_boolean else (cert.axiom, cert.detail, tuple(cert.elements))
 
 
 def _boolean_axioms(monoid, bound) -> LawReport:
-    return _one_law("boolean axioms", "boolean-axioms", _boolean_witness(monoid.check_boolean()))
+    return one_law("boolean axioms", "boolean-axioms", _boolean_witness(monoid.check_boolean()))
 
 
 def _order_laws(monoid, bound) -> LawReport:
@@ -113,8 +102,8 @@ def _morphism_axioms(morphism, bound) -> LawReport:
     try:
         morphism.validate(weak=False)
     except MorphismError as err:
-        return _one_law("morphism axioms", "axioms", (err.stage, err.witness))
-    return _one_law("morphism axioms", "axioms", None)
+        return one_law("morphism axioms", "axioms", (err.stage, err.witness))
+    return one_law("morphism axioms", "axioms", None)
 
 
 # `all` runs a kind's one law set; every monoid law set but `bm` and `all`
@@ -128,13 +117,12 @@ LAW_SETS = {
         "ultra-equivalence": lambda monoid, _: ultra_equivalence_laws(monoid),
         "basic-open": lambda monoid, bound: verify_basic_open_laws(
             monoid, bisection_bound=bound),
-        "clifford": lambda monoid, _: clifford_report(monoid),
+        "clifford": lambda monoid, _: clifford_check(monoid),
         "all": _all_monoid_laws,
     },
     "groupoid": {"point-filters": lambda groupoid, bound: point_filter_laws(
         groupoid, bisection_bound=bound)},
-    "functor": {"covering": lambda functor, _: _one_law(
-        "covering functor", "covering", check_covering(functor).witness)},
+    "functor": {"covering": lambda functor, _: check_covering(functor)},
     "morphism": {"axioms": _morphism_axioms},
 }
 
@@ -179,7 +167,8 @@ def _output(args, out: dict, text, shown: tuple, saved: tuple | None = None) -> 
     the lines ``text(out)``, or ``shown`` = (object, kind) as dot, which
     only a groupoid has.  ``saved`` = (name, kind, payload) is stored, and
     its path put in ``out``, only once the rendering has not been refused."""
-    dot = render(*shown) if args.format == "dot" else None
+    check_dot(args.format, shown[1])
+    dot = groupoid_to_dot(shown[0]) if args.format == "dot" else None
     if saved is not None:
         out["path"] = str(save_entry(Path(args.store), *saved))
     if dot is not None:
@@ -222,8 +211,8 @@ def cmd_check(args) -> int:
     try:
         report = law_sets[law_set](obj, args.max_size)
     except NotBooleanError as err:
-        report = _one_law(f"{law_set} (requires a boolean monoid)", "boolean-precondition",
-                          _boolean_witness(err.certificate))
+        report = one_law(f"{law_set} (requires a boolean monoid)", "boolean-precondition",
+                         _boolean_witness(err.certificate))
     _output(args, {"entry": name, **report.to_json()}, lambda _: _report_lines(name, report),
             (report, "law report"))
     return 0 if report.ok else 1

@@ -51,9 +51,9 @@ from .groupoids import (
     fiber_clashes,
     image_products,
 )
-from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, as_map, first_failure,
-                           inclusions, raise_first_failure, row_blocks)
-from .reporting import LawReport
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_index, as_indices, as_map, bit_words,
+                           first_failure, inclusions, raise_first_failure, row_blocks)
+from .reporting import LawReport, one_law
 
 
 # -- morphisms of boolean inverse monoids ----------------------------------------
@@ -77,7 +77,7 @@ class MonoidMorphism:
         self.validate(weak=self.weak)
 
     def __call__(self, s: int) -> int:
-        return self.mapping[s]
+        return self.mapping[as_index(s, self.source.n)]
 
     def validate(self, *, weak: bool = False) -> None:
         s_mon, t_mon, f = self.source, self.target, self.mapping
@@ -192,7 +192,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
         law.fail((monoid.zero,))
 
     # K(s) as a bit set of 64-bit words
-    words = np.packbits(np.pad(inside, ((0, 0), (0, -sg.m % 64))), axis=1).copy().view(np.uint64)
+    words = bit_words(inside)
 
     def by_rows(fn, width=8 * n * words.shape[1]):     # fn([s, t] for s in a block), stacked
         return np.concatenate([fn(rows) for rows in row_blocks(n, width)])
@@ -266,9 +266,8 @@ def pullback_morphism(f: CoveringFunctor) -> MonoidMorphism:
     the preimage map A(H) -> A(G) between the bisection monoids the
     groupoids keep.  The preimages are one gather of the rows of A(H)
     through the arrow map; MonoidMorphism verifies the axioms."""
-    report = check_covering(f)
-    if not report.ok:
-        raise StructureError(f"pullback requires a covering functor: {report.witness}")
+    if failures := check_covering(f).get("covering").failures:
+        raise StructureError(f"pullback requires a covering functor: {failures[0]}")
     source = all_bisections_monoid(f.source)
     target = all_bisections_monoid(f.target)
     mapping = tuple(source.indices_of(target.rows[:, list(f.arrow_map)]))
@@ -393,26 +392,21 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, *,
 # -- special structure ---------------------------------------------------------------------
 
 
-@dataclass
-class CliffordReport:
-    is_clifford: bool
-    witness: int | None            # element with dom != ran, when not Clifford
-    loops_only: bool | None        # every groupoid arrow has dom == ran
-    filters_balanced: bool | None  # dom(A) == ran(A) for every ultrafilter
-
-
-def clifford_check(monoid: InverseMonoid) -> CliffordReport:
+def clifford_check(monoid: InverseMonoid) -> LawReport:
     """If every element has dom == ran, the ultrafilter groupoid must be a
-    disjoint union of groups: verified on both the filter and arrow level."""
+    disjoint union of groups: the one law ``clifford-groupoid-has-loops-only``,
+    failed with ("not-clifford", s) for the first s with dom != ran, or with
+    ("unbalanced",) when an ultrafilter has dom != ran or an arrow is no loop."""
     monoid.require_boolean()
     mul, inv, rng = monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
     if (unbalanced := np.flatnonzero(mul[inv, rng] != mul[rng, inv])).size:
-        return CliffordReport(False, int(unbalanced[0]), None, None)
-    sg = stone_groupoid(monoid)
-    balanced = bool((filter_doms(monoid, sg.ultrafilters)
-                     == filter_rans(monoid, sg.ultrafilters)).all())
-    loops = all(sg.d[g] == sg.r[g] for g in range(sg.m))
-    return CliffordReport(True, None, loops, balanced)
+        witness = ("not-clifford", int(unbalanced[0]))
+    else:
+        sg = stone_groupoid(monoid)
+        balanced = filter_doms(monoid, sg.ultrafilters) == filter_rans(monoid, sg.ultrafilters)
+        loops = all(sg.d[g] == sg.r[g] for g in range(sg.m))
+        witness = None if balanced.all() and loops else ("unbalanced",)
+    return one_law("clifford check", "clifford-groupoid-has-loops-only", witness)
 
 
 @dataclass

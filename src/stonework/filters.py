@@ -138,30 +138,25 @@ def lower_bounds(monoid: InverseMonoid):
     """(rows, generators, bounds) by blocks of rows i, never building S(i, j) = up(i) up(j):
     ``generators[k, j]`` is the member of S(rows.start + k, j) that :func:`least_members`
     picks (0 if empty), ``bounds[k, j]`` the :func:`bit_words` of {c : c <= all of it}.  Stage
-    one (a in up(i), for each b; in chunks of pairs (i, a), or one masked shot when n <= 16)
-    and two (b in up(j)) keep the largest key and the AND of the products' lower-bound words:
-    n sum|up| W words (W words a set), no temporary over BLOCK_CELLS bytes or one row."""
+    one (a in up(i), for each b; in chunks of pairs (i, a)) and two (b in up(j)) keep the
+    largest key and the AND of the products' lower-bound words: n sum|up| W words (W words a
+    set), no temporary over BLOCK_CELLS bytes or one row."""
     n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
     key = (monoid.order().up_sizes * n + np.arange(n - 1, -1, -1)).astype(np.int32)
     below, empty = bit_words(leq.T), bit_words(np.ones(n, dtype=bool))    # [x]: c <= x
     (js, bs), width = np.nonzero(leq), 8 * len(empty)       # b in up(j), j-major
     starts = np.flatnonzero(np.diff(js, prepend=-1))        # each non-empty up(j)
     for rows in row_blocks(n, width * max(n, len(bs))):
-        if n ** 3 * width * 8 <= inverse_core.BLOCK_CELLS:  # then rows is every row
-            keys = np.where(leq[:, :, None], key.take(mul), -1).max(axis=1)
-            words = np.bitwise_and.reduce(np.where(leq[:, :, None, None],
-                                                   below.take(mul, axis=0), empty), axis=1)
-        else:
-            keys = np.full((len(range(n)[rows]), n), -1, dtype=np.int32)
-            words, (i, a) = np.tile(empty, (len(keys), n, 1)), np.nonzero(leq[rows])
-            for chunk in row_blocks(len(a), width * n):
-                cells = mul[a[chunk]].astype(np.intp)       # [pair, b]: a b
-                first = np.flatnonzero(np.diff(i[chunk], prepend=-1))
-                at = i[chunk][first]        # reduceat costs ~0.2 ms even on one segment
-                reduce = ((lambda f, x: f.reduce(x, axis=0, keepdims=True)) if len(first) == 1
-                          else (lambda f, x: f.reduceat(x, first)))
-                keys[at] = np.maximum(keys[at], reduce(np.maximum, key.take(cells)))
-                words[at] &= reduce(np.bitwise_and, below.take(cells, axis=0))
+        keys = np.full((len(range(n)[rows]), n), -1, dtype=np.int32)
+        words, (i, a) = np.tile(empty, (len(keys), n, 1)), np.nonzero(leq[rows])
+        for chunk in row_blocks(len(a), width * n):
+            cells = mul[a[chunk]].astype(np.intp)       # [pair, b]: a b
+            first = np.flatnonzero(np.diff(i[chunk], prepend=-1))
+            at = i[chunk][first]        # reduceat costs ~0.2 ms even on one segment
+            reduce = ((lambda f, x: f.reduce(x, axis=0, keepdims=True)) if len(first) == 1
+                      else (lambda f, x: f.reduceat(x, first)))
+            keys[at] = np.maximum(keys[at], reduce(np.maximum, key.take(cells)))
+            words[at] &= reduce(np.bitwise_and, below.take(cells, axis=0))
         most, bounds = np.full_like(keys, -1), np.tile(empty, (len(keys), n, 1))
         most[:, js[starts]] = np.maximum.reduceat(keys.take(bs, axis=1), starts, axis=1)
         bounds[:, js[starts]] = np.bitwise_and.reduceat(words.take(bs, axis=1), starts, axis=1)

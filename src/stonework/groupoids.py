@@ -40,6 +40,7 @@ from .inverse_core import (
     raise_first_failure,
     sequence_length,
 )
+from .reporting import LawReport, one_law
 
 
 def _undefined_table(m: int) -> np.ndarray:
@@ -407,27 +408,23 @@ def identity_functor(groupoid: FiniteGroupoid) -> CoveringFunctor:
     return CoveringFunctor(groupoid, groupoid, tuple(range(groupoid.m)))
 
 
-@dataclass
-class CoveringReport:
-    ok: bool
-    witness: tuple | None = None
-
-
-def check_covering(f: CoveringFunctor) -> CoveringReport:
-    """Star bijectivity on every domain fiber.  Every factorization then
-    lifts: if a b = f(x), bijectivity at d(x) gives v with f(v) = b, at r(v)
-    then u with f(u) = a, and u v = x since both lie in star(d x) with the
-    same image.  The tests cross-check this theorem."""
+def check_covering(f: CoveringFunctor) -> LawReport:
+    """Star bijectivity on every domain fiber, as the one law ``covering``, failed with
+    ("star-injectivity", e, g, h) or ("star-surjectivity", e, arrow missed).  Every
+    factorization then lifts: if a b = f(x), bijectivity at d(x) gives v with f(v) = b, at
+    r(v) then u with f(u) = a, and u v = x since both lie in star(d x) with the same image.
+    The tests cross-check this theorem."""
     src, tgt = f.source, f.target
     for e in src.identities:
         seen: dict[int, int] = {}          # image -> the first arrow sent there
         for g in src.star(e):
             if f.arrow_map[g] in seen:
-                return CoveringReport(False, ("star-injectivity", e, seen[f.arrow_map[g]], g))
+                return one_law("covering functor", "covering",
+                               ("star-injectivity", e, seen[f.arrow_map[g]], g))
             seen[f.arrow_map[g]] = g
         if missing := set(tgt.star(f.arrow_map[e])) - set(seen):
-            return CoveringReport(False, ("star-surjectivity", e, min(missing)))
-    return CoveringReport(True)
+            return one_law("covering functor", "covering", ("star-surjectivity", e, min(missing)))
+    return one_law("covering functor", "covering", None)
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .duality import clifford_check, point_ultrafilter, verify_basic_open_laws
+from .duality import point_ultrafilter, verify_basic_open_laws
 from .filters import (
     contains_idempotent,
     enumerate_ultrafilters,
@@ -309,18 +309,6 @@ def boolean_monoid_suite(monoid: InverseMonoid, *,
     report.extend(filter_semigroup_laws(monoid))
     report.extend(ultra_equivalence_laws(monoid))
     report.extend(verify_basic_open_laws(monoid, bisection_bound=bisection_bound))
-    return report
-
-
-def clifford_report(monoid: InverseMonoid) -> LawReport:
-    report = LawReport("clifford check")
-    law = report.new("clifford-groupoid-has-loops-only")
-    law.tick()
-    result = clifford_check(monoid)
-    if not result.is_clifford:
-        law.fail(("not-clifford", result.witness))
-    elif not (result.loops_only and result.filters_balanced):
-        law.fail(("unbalanced",))
     return report
 
 

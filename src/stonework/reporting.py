@@ -84,3 +84,13 @@ class LawReport:
             "failures": self.failure_count,
             "laws": [r.to_json() for r in self.results],
         }
+
+
+def one_law(subject: str, name: str, witness) -> LawReport:
+    """A report of one law instance, failed with ``witness`` unless it is None."""
+    report = LawReport(subject)
+    law = report.new(name)
+    law.tick()
+    if witness is not None:
+        law.fail(witness)
+    return report

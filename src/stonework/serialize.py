@@ -19,7 +19,7 @@ import numpy as np
 
 from .duality import MonoidMorphism
 from .errors import StructureError
-from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table, groupoid_to_dot
+from .groupoids import CoveringFunctor, FiniteGroupoid, compose_table
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_indices, row_blocks, sequence_length,
                            table_map)
 from .polycyclic import CnElement, format_cn, parse_cn
@@ -297,9 +297,3 @@ def check_dot(fmt: str, kind: str) -> None:
     """Only a groupoid has a dot rendering."""
     if fmt == "dot" and kind != "groupoid":
         raise StructureError("dot output is only defined for groupoids")
-
-
-def render(obj, kind: str) -> str:
-    """The dot rendering of an object of the given kind: a groupoid's."""
-    check_dot("dot", kind)
-    return groupoid_to_dot(obj)

@@ -354,7 +354,8 @@ def homomorphisms(source, target, *, fix_zero_one=True):
     and one to one unless ``fix_zero_one`` is false, as the rows of an int
     array.  Brute force, cut early: maps grow one element at a time, and a
     partial map is dropped once a product of assigned elements that lands
-    on an assigned element is not sent to the product of the images."""
+    on an assigned element is not sent to the product of the images.  Each
+    pair (x, y) is checked when the last of x, y and x y is assigned."""
     mul, tmul = source.mul.astype(np.intp), target.mul.astype(np.intp)
     fixed = {source.zero: target.zero, source.one: target.one} if fix_zero_one else {}
     order = list(dict.fromkeys([source.zero, source.one, *range(source.n)]))
@@ -363,10 +364,10 @@ def homomorphisms(source, target, *, fix_zero_one=True):
         images = [fixed[s]] if s in fixed else list(range(target.n))
         maps = np.repeat(maps, len(images), axis=0)
         maps[:, s] = np.tile(images, len(maps) // len(images))
-        for a in order[:k + 1]:
-            for x, y in ((a, s), (s, a)):
-                if mul[x, y] in order[:k + 1]:
-                    maps = maps[tmul[maps[:, x], maps[:, y]] == maps[:, mul[x, y]]]
+        assigned = order[:k + 1]
+        for x, y in itertools.product(assigned, repeat=2):
+            if s in (x, y, mul[x, y]) and mul[x, y] in assigned:
+                maps = maps[tmul[maps[:, x], maps[:, y]] == maps[:, mul[x, y]]]
     return maps
 
 
@@ -1100,9 +1101,8 @@ def reference_functor_on_morphism(theta):
         if not np.array_equal(s_leq[filter_doms(source, [pre])[0]], t_leq[a_dom][image]):
             raise StructureError("preimage does not intertwine dom")
     functor = CoveringFunctor(sg_t, sg_s, tuple(arrow_map))
-    report = check_covering(functor)
-    if not report.ok:
-        raise StructureError(f"morphism preimage is not a covering: {report.witness}")
+    if failures := check_covering(functor).get("covering").failures:
+        raise StructureError(f"morphism preimage is not a covering: {failures[0]}")
     return functor
 
 

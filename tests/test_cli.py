@@ -17,7 +17,8 @@ from stonework import (MAX_ELEMENTS, BoundError, StructureError, boolean_algebra
                        filters, laws, symmetric_inverse_monoid)
 from stonework.cli import main, make_parser
 from stonework.duality import identity_morphism
-from stonework.groupoids import identity_functor, pair_groupoid
+from stonework.groupoids import (CoveringFunctor, groupoid_to_dot, identity_functor, pair_groupoid,
+                                 trivial_groupoid)
 from stonework.serialize import (
     entry_to_json,
     functor_to_json,
@@ -25,7 +26,6 @@ from stonework.serialize import (
     load_entry,
     monoid_to_json,
     morphism_to_json,
-    render,
     save_entry,
 )
 
@@ -368,13 +368,34 @@ def test_axioms_of_a_stored_weak_morphism_name_its_m3_witness(tmp_path, capsys):
     assert (code, law["name"], law["failures"]) == (1, "axioms", [["M3", [[2, 6]]]])
 
 
-def test_dot_format(tmp_path, capsys):
-    run(capsys, "build", "pair-groupoid", "--points", "2", "--store", str(tmp_path))
-    from stonework.serialize import render
+def _covering_report(ok: bool, failures: list) -> dict:
+    return {"entry": "f", "subject": "covering functor", "ok": ok, "failures": len(failures),
+            "laws": [{"name": "covering", "instances": 1, "ok": ok, "failures": failures}]}
 
+
+@pytest.mark.parametrize("make, code, expected", [
+    (lambda p2, p3, t1: identity_functor(p3), 0, _covering_report(True, [])),
+    (lambda p2, p3, t1: CoveringFunctor(p2, t1, (0, 0, 0, 0)), 1,
+     _covering_report(False, [["star-injectivity", 0, 0, 2]])),
+    (lambda p2, p3, t1: CoveringFunctor(t1, p2, (0,)), 1,
+     _covering_report(False, [["star-surjectivity", 0, 2]])),
+], ids=["identity-pair3", "collapse-pair2", "misses-a-star"])
+def test_check_covering_prints_the_one_law_report(tmp_path, capsys, make, code, expected):
+    """check --laws covering on a stored functor: the identity on pair3 is a
+    covering; pair2 onto a point sends two arrows of star(0) to one; the point
+    into pair2 misses arrow 2 of star(0)."""
+    functor = make(pair_groupoid(2), pair_groupoid(3), trivial_groupoid(1))
+    save_entry(tmp_path, "f", "functor", functor_to_json(functor))
+    got, out, err = run(capsys, "check", "f", "--laws", "covering", "--store", str(tmp_path))
+    assert (got, json.loads(out), err) == (code, expected, "")
+
+
+def test_dot_format(tmp_path, capsys):
+    code, out, _ = run(capsys, "build", "pair-groupoid", "--points", "2", "--format", "dot",
+                       "--store", str(tmp_path))
     _, _, g = load_entry("pair2", tmp_path)
-    dot = render(g, "groupoid")
-    assert dot.startswith("digraph") and "doublecircle" in dot
+    assert code == 0 and out == groupoid_to_dot(g) + "\n"
+    assert out.startswith("digraph") and "doublecircle" in out
 
 
 def test_dualize_dot_renders_the_dual_it_built(tmp_path, capsys, monkeypatch):
@@ -385,7 +406,7 @@ def test_dualize_dot_renders_the_dual_it_built(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "dualize", "ix3", "--format", "dot", "--store", str(tmp_path))
     assert code == 0 and len(loads) == 1                # the dual is not read back
     dual = load_entry("ix3-dual", tmp_path)[2]
-    assert out == render(dual, "groupoid") + "\n"
+    assert out == groupoid_to_dot(dual) + "\n"
     code, out, err = run(capsys, "dualize", "pair3", "--format", "dot", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert "dot output is only defined for groupoids" in err

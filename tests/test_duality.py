@@ -34,6 +34,7 @@ from stonework import (
     duality,
     laws,
     boolean_algebra_monoid,
+    brandt_monoid,
     clifford_monoid,
     group_with_zero_monoid,
     symmetric_inverse_monoid,
@@ -574,19 +575,18 @@ def test_symmetric_monoid_gives_pair_groupoid(x_size):
 
 
 def test_clifford_check_positive():
-    report = clifford_check(clifford_monoid())
-    assert report.is_clifford and report.loops_only and report.filters_balanced
+    (law,) = clifford_check(clifford_monoid()).results
+    assert (law.name, law.instances, law.failures) == ("clifford-groupoid-has-loops-only", 1, [])
 
 
 def test_clifford_check_on_boolean_algebra():
-    report = clifford_check(boolean_algebra_monoid(2))
-    assert report.is_clifford and report.loops_only
+    (law,) = clifford_check(boolean_algebra_monoid(2)).results
+    assert (law.name, law.instances, law.failures) == ("clifford-groupoid-has-loops-only", 1, [])
 
 
 def test_clifford_check_negative(ix2):
-    report = clifford_check(ix2)
-    assert not report.is_clifford
-    assert ix2.dom(report.witness) != ix2.ran(report.witness)
+    ((kind, s),) = clifford_check(ix2).get("clifford-groupoid-has-loops-only").failures
+    assert kind == "not-clifford" and ix2.dom(s) != ix2.ran(s)
 
 
 def test_clifford_groupoid_is_two_copies_of_z2():
@@ -776,6 +776,19 @@ def hom_monoids():
     """Each monoid of HOM_MONOIDS with its Stone groupoid."""
     corpus = corpus_monoids()
     return {name: (corpus[name], stone_groupoid(corpus[name])) for name in HOM_MONOIDS}
+
+
+@pytest.mark.parametrize("fix_zero_one, count", [(True, 1), (False, 9)])
+def test_the_homomorphism_helper_returns_exactly_the_homomorphisms(fix_zero_one, count):
+    """brandt -> ba2: the helper returns every map of all 4^6 that keeps every
+    product, and no other.  {1->2} {2->1} = {2->2} is assigned after both
+    factors, so that pair can be checked only once its product is."""
+    source, target = brandt_monoid(), boolean_algebra_monoid(2)
+    every = [f for f in itertools.product(range(target.n), repeat=source.n)
+             if (np.take(f, source.mul) == target.mul[np.ix_(f, f)]).all()
+             and (not fix_zero_one or (f[source.zero], f[source.one]) == (target.zero, target.one))]
+    maps = homomorphisms(source, target, fix_zero_one=fix_zero_one)
+    assert len(maps) == count and sorted(map(tuple, maps.tolist())) == every
 
 
 def test_the_validator_agrees_with_the_reference_on_every_small_homomorphism():

@@ -605,14 +605,14 @@ def test_collapse_fails_star_injectivity(pair2):
     collapse = CoveringFunctor(pair2, trivial_groupoid(1), (0, 0, 0, 0))
     report = check_covering(collapse)
     assert not report.ok
-    assert report.witness[0] == "star-injectivity"
+    assert report.get("covering").failures[0][0] == "star-injectivity"
 
 
 def test_zero_map_on_group_fails_injectivity():
     z2 = group_groupoid(2)
     report = check_covering(CoveringFunctor(z2, trivial_groupoid(1), (0, 0)))
     assert not report.ok
-    assert report.witness[0] == "star-injectivity"
+    assert report.get("covering").failures[0][0] == "star-injectivity"
 
 
 def test_group_identity_hom_is_covering():

@@ -34,8 +34,8 @@ from stonework import (
     product_monoid,
     symmetric_inverse_monoid,
 )
-from stonework.duality import (MonoidMorphism, point_ultrafilter, stone_groupoid,
-                               union_bisection_probe)
+from stonework.duality import (MonoidMorphism, identity_morphism, point_ultrafilter,
+                               stone_groupoid, union_bisection_probe)
 from stonework.filters import filter_doms, filter_inverses, filter_product, filter_rans
 from stonework.groupoids import (
     CoveringFunctor,
@@ -228,6 +228,7 @@ def _gated_entry_points():
          lambda x: compose_table(_replaced(triples, (1, 2), x), 4)),
         ("morphism map", "morphism map", 7, 0,
          lambda x: MonoidMorphism(ix2, ix2, _replaced(range(7), (2,), x))),
+        ("morphism call", "element", 7, 0, identity_morphism(ix2)),
         ("functor map", "arrow map", 4, 0,
          lambda x: CoveringFunctor(pair2, pair2, _replaced(range(4), (1,), x))),
         ("filter_product", "filter generator", 7, 0, lambda x: filter_product(ix2, one, x)),

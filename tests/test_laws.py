@@ -43,7 +43,7 @@ from stonework import (
     pair_groupoid,
     symmetric_inverse_monoid,
 )
-from stonework.duality import stone_groupoid, verify_basic_open_laws
+from stonework.duality import clifford_check, stone_groupoid, verify_basic_open_laws
 
 
 def test_law_suites_read_the_product_they_check(monkeypatch):
@@ -442,7 +442,7 @@ def test_a_foreign_kept_groupoid_fails_the_clifford_law():
     between two identities, is reported unbalanced."""
     monoid = clifford_monoid()
     monoid._stone_groupoid = stone_groupoid(symmetric_inverse_monoid(2))
-    assert laws.clifford_report(monoid).get("clifford-groupoid-has-loops-only").failures == [
+    assert clifford_check(monoid).get("clifford-groupoid-has-loops-only").failures == [
         ("unbalanced",)]
 
 
@@ -540,7 +540,7 @@ def _suite_reports(name):
     if name.startswith("pair"):
         return json.dumps(laws.point_filter_laws(pair_groupoid(int(name[4:]))).to_json())
     monoid = FACTORIES[name]()
-    suites = [suite for suite, _ in GATHERED + BASIC_OPEN] + [laws.clifford_report]
+    suites = [suite for suite, _ in GATHERED + BASIC_OPEN] + [clifford_check]
     return json.dumps([suite(monoid).to_json() for suite in suites])
 
 
