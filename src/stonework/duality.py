@@ -53,7 +53,7 @@ from .groupoids import (
 )
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, as_index, as_indices, as_map, bit_words,
                            first_failure, inclusions, raise_first_failure, row_blocks)
-from .reporting import LawReport, one_law
+from .reporting import LawReport, one_law, where
 
 
 # -- morphisms of boolean inverse monoids ----------------------------------------
@@ -181,15 +181,10 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     inside = basic_opens(monoid, sg)       # inside[s, g]: arrow g is in K(s)
     meet, join = order.meet, order.join     # -1 where a bound is absent
 
-    law = report.new("is-bisection")
-    law.tick(n)
-    for s in np.flatnonzero(fiber_clashes(sg, inside)).tolist():
-        law.fail((s, fiber_clash(sg, np.flatnonzero(inside[s]).tolist())))
-
-    law = report.new("zero-is-empty")
-    law.tick()
-    if inside[monoid.zero].any():
-        law.fail((monoid.zero,))
+    report.add("is-bisection", n, [
+        (s, fiber_clash(sg, np.flatnonzero(inside[s]).tolist()))
+        for s in np.flatnonzero(fiber_clashes(sg, inside)).tolist()])
+    report.add("zero-is-empty", 1, [(monoid.zero,)] if inside[monoid.zero].any() else [])
 
     # K(s) as a bit set of 64-bit words
     words = bit_words(inside)
@@ -197,51 +192,33 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     def by_rows(fn, width=8 * n * words.shape[1]):     # fn([s, t] for s in a block), stacked
         return np.concatenate([fn(rows) for rows in row_blocks(n, width)])
 
-    law = report.new("meet-is-intersection")
-    law.tick(n * n)
-    law.fail_where(by_rows(lambda s: (meet[s] < 0) | (
-        words[meet[s]] != (words[s, None] & words)).any(axis=2)))
+    report.add("meet-is-intersection", n * n, where(by_rows(lambda s: (meet[s] < 0) | (
+        words[meet[s]] != (words[s, None] & words)).any(axis=2))))
+    report.add("inverse", n,
+               where((inside[list(monoid.inv)] != inside[:, list(sg.inv)]).any(axis=1)))
 
-    law = report.new("inverse")
-    law.tick(n)
-    law.fail_where((inside[list(monoid.inv)] != inside[:, list(sg.inv)]).any(axis=1))
-
-    law = report.new("product")
-    law.tick(n * n)
     # a product that is not a bisection differs from K(st), so it fails here
     images, products = image_products(sg, inside)
-    law.fail_where(reduce(np.logical_or, (product != images[monoid.mul, place]
-                                          for place, product in enumerate(products))))
+    report.add("product", n * n, where(reduce(np.logical_or, (
+        product != images[monoid.mul, place] for place, product in enumerate(products)))))
 
-    law = report.new("order-embedding")
-    law.tick(n * n)
     within = inclusions(inside, inside)             # within[s, t]: K(s) is inside K(t)
-    law.fail_where(within != order.matrix)
+    report.add("order-embedding", n * n, where(within != order.matrix))
+    report.add("injective", n * (n - 1) // 2, where(np.triu(within & within.T, 1)))
+    report.add("join-is-union", int(np.count_nonzero(join >= 0)), where(by_rows(
+        lambda s: (join[s] >= 0) & (words[join[s]] != (words[s, None] | words)).any(axis=2))))
 
-    law = report.new("injective")
-    law.tick(n * (n - 1) // 2)
-    law.fail_where(np.triu(within & within.T, 1))
-
-    law = report.new("join-is-union")
-    law.tick(int(np.count_nonzero(join >= 0)))
-    law.fail_where(by_rows(lambda s: (join[s] >= 0) & (
-        words[join[s]] != (words[s, None] | words)).any(axis=2)))
-
-    law = report.new("union-bisection-iff-join")
-    law.tick(n * n)
     unions = by_rows(lambda s: fiber_clashes(sg, inside[s, None] | inside), 4 * n * sg.m)
-    for s, t in np.argwhere(unions == (join >= 0)).tolist():
-        law.fail((s, t, fiber_clash(sg, np.flatnonzero(inside[s] | inside[t]).tolist())))
+    report.add("union-bisection-iff-join", n * n, [
+        (s, t, fiber_clash(sg, np.flatnonzero(inside[s] | inside[t]).tolist()))
+        for s, t in np.argwhere(unions == (join >= 0)).tolist()])
 
-    law = report.new("surjective-on-bisections")
     everything = enumerate_bisections(sg, bisection_bound=bisection_bound)
-    law.tick(len(everything))
     opens = {row.tobytes() for row in inside}
-    if uncovered := [row for row in everything if row.tobytes() not in opens]:
-        # named by their arrow bitmasks
-        law.fail(tuple(sorted(sum(1 << a for a in np.flatnonzero(row).tolist())
-                              for row in uncovered)))
-
+    uncovered = [row for row in everything if row.tobytes() not in opens]
+    # one witness: the uncovered bisections, named by their arrow bitmasks
+    masks = tuple(sorted(sum(1 << a for a in np.flatnonzero(row).tolist()) for row in uncovered))
+    report.add("surjective-on-bisections", len(everything), [masks] if masks else [])
     return report
 
 

@@ -430,9 +430,9 @@ def check_covering(f: CoveringFunctor) -> LawReport:
 # -- rendering -----------------------------------------------------------------------
 
 
-def groupoid_to_dot(groupoid: FiniteGroupoid, name: str = "G") -> str:
-    """Graphviz rendering: identities double-circled, arrows labeled edges."""
-    lines = [f"digraph {name} {{"]
+def groupoid_to_dot(groupoid: FiniteGroupoid) -> str:
+    """Graphviz rendering of ``digraph G``: identities double-circled, arrows labeled edges."""
+    lines = ["digraph G {"]
     for e in groupoid.identities:
         lines.append(f'  n{e} [shape=doublecircle, label="{groupoid.label(e)}"];')
     for g in range(groupoid.m):

@@ -36,7 +36,7 @@ from .filters import (
 from .groupoids import all_bisections_monoid
 from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
                            row_blocks)
-from .reporting import LawReport
+from .reporting import LawReport, where
 
 
 def order_meet_laws(monoid: InverseMonoid) -> LawReport:
@@ -53,18 +53,12 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
         """[s, t]: dom or ran of the bound of s and t is not the bound of their doms or rans."""
         return (dom[bound] != bound[np.ix_(dom, dom)]) | (ran[bound] != bound[np.ix_(ran, ran)])
 
-    law = report.new("compatible-iff-meet-splits")
-    law.tick(n * n)
     splits = (meet >= 0) & ~fails_to_split(meet)
-    law.fail_where(splits != monoid.compatibility())
+    report.add("compatible-iff-meet-splits", n * n, where(splits != monoid.compatibility()))
+    report.add("join-splits-dom-ran", int(np.count_nonzero(join >= 0)),
+               where((join >= 0) & fails_to_split(join)))
 
-    law = report.new("join-splits-dom-ran")
-    law.tick(int(np.count_nonzero(join >= 0)))
-    law.fail_where((join >= 0) & fails_to_split(join))
-
-    law = report.new("products-distribute-over-meets")
     exists = meet >= 0
-    law.tick(n * int(np.count_nonzero(exists)))
     found = []
     for rows in row_blocks(n, n):       # blocks of s; two row gathers a u in each
         m = np.maximum(meet[rows], 0).astype(np.intp)       # an absent meet reads 0: masked
@@ -76,7 +70,8 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
             if bad.any():
                 s, t = np.nonzero(bad & exists[rows])
                 found += zip((s + rows.start).tolist(), t.tolist(), [u] * len(s))
-    law.failures += sorted(found)       # as the loop over (s, t, u)
+    report.add("products-distribute-over-meets", n * int(np.count_nonzero(exists)),
+               sorted(found))       # as the loop over (s, t, u)
     return report
 
 
@@ -91,8 +86,6 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)].astype(np.intp)
     moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
 
-    law = report.new("downset-boolean-via-dom")
-    law.tick(n)
     # (s,): dom does not sort down(s) onto down(dom s); else (s, x, y): x, y in down(s) moved
     found = []
     for at, down in member_blocks(leq.T, lambda size: size * size):
@@ -102,12 +95,11 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
         found += [(s,) for s in at[~onto].tolist()]
         r, x, y = np.nonzero(moved[down[:, :, None], down[:, None, :]] & onto[:, None, None])
         found += zip(at[r].tolist(), down[r, x].tolist(), down[r, y].tolist())
-    law.failures += sorted(found, key=lambda witness: witness[0])      # as the loop over s
+    report.add("downset-boolean-via-dom", n,
+               sorted(found, key=lambda witness: witness[0]))      # as the loop over s
 
-    law = report.new("relative-complement-unique")
     orthogonal = monoid.orthogonality()
     t, s = np.nonzero(leq.T)                # every s <= t, t-major
-    law.tick(len(s))
     r = monoid.relative_complements(s, t)
     # x is a candidate of (s, t) when x <= t, x is orthogonal to s and s v x = t:
     # a pair (s, x) is one only for t = s v x, so one bincount counts them all;
@@ -116,18 +108,17 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     ups = join[rows, xs]
     counts = np.bincount((rows * n + ups)[leq[xs, ups]], minlength=n * n)
     unique = (counts[s * n + t] == 1) & leq[r, t] & orthogonal[s, r] & (join[s, r] == t)
-    for s, t in zip(s[~unique].tolist(), t[~unique].tolist()):
-        law.fail((s, t, np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist()))
+    report.add("relative-complement-unique", len(s), [
+        (s, t, np.flatnonzero(leq[:, t] & orthogonal[s] & (join[s] == t)).tolist())
+        for s, t in zip(s[~unique].tolist(), t[~unique].tolist())])
 
-    law = report.new("separation-below")
     apart = (np.arange(n) != monoid.zero)[:, None] & ~leq     # s != 0, s not <= t
     pairs = np.nonzero(apart)
-    law.tick(len(pairs[0]))
     for block in row_blocks(len(pairs[0]), 1):     # relative_complements holds ~70 bytes a pair
         s, t = pairs[0][block], pairs[1][block]
         s_prime = monoid.relative_complements(meet[s, t], s)
         apart[s, t] = (s_prime == monoid.zero) | ~leq[s_prime, s] | (meet[s_prime, t] != monoid.zero)
-    law.fail_where(apart)
+    report.add("separation-below", len(pairs[0]), where(apart))
     return report
 
 
@@ -136,10 +127,8 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     orthogonal decomposition through meet and relative complements."""
     monoid.require_boolean()
     report = LawReport("compatible join laws")
-    law = report.new("compatible-join-formula")
     order = monoid.order()
     s, t = np.nonzero(monoid.compatibility())
-    law.tick(len(s))
     j = order.join[s, t]
     joined = j >= 0
     m = order.meet[s, t][joined]
@@ -149,8 +138,9 @@ def compatible_join_laws(monoid: InverseMonoid) -> LawReport:
     acc = np.where(acc >= 0, order.join[np.maximum(acc, 0), parts[1::2]], -1)
     wrong = ~joined
     wrong[joined] = acc != j[joined]
-    for s, t, missing in zip(s[wrong].tolist(), t[wrong].tolist(), ~joined[wrong]):
-        law.fail((s, t, "missing" if missing else "formula"))
+    report.add("compatible-join-formula", len(s), [
+        (s, t, "missing" if missing else "formula")
+        for s, t, missing in zip(s[wrong].tolist(), t[wrong].tolist(), ~joined[wrong])])
     return report
 
 
@@ -167,85 +157,73 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     prod, inverse = filter_products(monoid)
     dom = prod[inverse, rng]
 
-    law = report.new("filter-base-pairwise")
-    law.tick(int(np.square(np.count_nonzero(leq, axis=1)).sum()))
     found = []          # (i, s, t): no member of filter i lies below both s and t
     for at, members in member_blocks(leq, lambda size: size * size):
         below = leq[members[:, :, None], members[:, None, :]].astype(np.float32)  # [i, z, s]
         row, s, t = np.nonzero(np.matmul(below.transpose(0, 2, 1), below) == 0)
         found += zip(at[row].tolist(), members[row, s].tolist(), members[row, t].tolist())
-    law.failures += sorted(found, key=lambda witness: witness[0])      # as the loop over i
+    report.add("filter-base-pairwise", int(np.square(np.count_nonzero(leq, axis=1)).sum()),
+               sorted(found, key=lambda witness: witness[0]))      # as the loop over i
 
-    law = report.new("ultra-criteria-agree")
-    law.tick(n)
-    law.fail_where(ultra_by_meet(monoid, rng) != ultra_by_maximality(monoid, rng))
+    report.add("ultra-criteria-agree", n,
+               where(ultra_by_meet(monoid, rng) != ultra_by_maximality(monoid, rng)))
 
     in_ultra = leq[ultra]                   # row k: the members of ultra[k]
     nonzero = rng != monoid.zero
-    law = report.new("nonzero-in-some-ultrafilter")
-    law.tick(n - 1)
-    law.fail_where(nonzero & ~in_ultra.any(axis=0))
+    report.add("nonzero-in-some-ultrafilter", n - 1, where(nonzero & ~in_ultra.any(axis=0)))
 
-    law = report.new("ultrafilter-intersection-principal")
-    law.tick(n - 1)
     # [a, z]: every ultrafilter that holds a holds z
     common = inclusions(in_ultra.T, in_ultra.T)
-    law.fail_where(nonzero & (common != leq).any(axis=1))
+    report.add("ultrafilter-intersection-principal", n - 1,
+               where(nonzero & (common != leq).any(axis=1)))
 
     # [f]: the set products up(f) up(f)^-1 and up(f) up(f), in one call
     pairs, squares = np.split(set_products(monoid, np.vstack((leq, leq)),
                                            np.vstack((leq[inverse], leq))), 2)
-    law = report.new("filters-are-cosets")
-    law.tick(n)
     # F = F F^-1 F, the set product with no closure
-    law.fail_where((set_products(monoid, pairs, leq) != leq).any(axis=1))
+    report.add("filters-are-cosets", n,
+               where((set_products(monoid, pairs, leq) != leq).any(axis=1)))
 
-    law = report.new("product-smallest-filter")
-    law.tick(n * n)
     # up(c) holds up(i) up(j) exactly when c is in its lower bounds L(i, j); such
     # an up(c) is smaller when it does not contain up(T), T = prod[i, j]
     single, lacking = bit_words(np.eye(n, dtype=bool)), bit_words(~inclusions(leq, leq))
+    found = []
     for rows, _, bounds in lower_bounds(monoid):
         missing = ~(bounds & single.take(prod[rows], axis=0)).any(axis=2)
         smaller = bounds & lacking.take(prod[rows], axis=0)
         for k, j in np.argwhere(missing | smaller.any(axis=2)).tolist():
             i, bits = rows.start + k, np.unpackbits(smaller[k, j].view(np.uint8), count=n)
-            law.failures += ([(i, j, "not containing")] if missing[k, j]
-                             else [(i, j, c) for c in np.flatnonzero(bits).tolist()])
+            found += ([(i, j, "not containing")] if missing[k, j]
+                      else [(i, j, c) for c in np.flatnonzero(bits).tolist()])
+    report.add("product-smallest-filter", n * n, found)
 
     closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq[:, inv]).any(axis=1)
-    law = report.new("domain-inverse-submonoid")
-    law.tick(n)
     f, a = np.nonzero(leq)          # filter f is the upward closure of a dom(f), a in up(f)
     coset = np.zeros((n, n), dtype=bool)
     for rows in row_blocks(len(f), 4 * n):                      # float32 cells
         products = set_products(monoid, a[rows, None] == rng, leq[dom[f[rows]]])
         coset[f[rows], a[rows]] = ((products.astype(np.float32) @ above > 0)
                                    != leq[f[rows]]).any(axis=1)
+    found = []
     for i in np.flatnonzero(~(leq[dom, monoid.one] & closed[dom]) | coset.any(axis=1)).tolist():
         inside = leq[dom[i]]                                # named by the loop
         members = np.flatnonzero(inside)
         if not inside[monoid.one]:
-            law.fail((i, "one"))
+            found.append((i, "one"))
         products = inside[monoid.mul[np.ix_(members, members)]]
         for x, row, has_inverse in zip(members.tolist(), products, inside[inv[members]]):
             if not has_inverse:
-                law.fail((i, x, "inverse"))
-            for y in members[~row].tolist():
-                law.fail((i, x, y))
-        law.failures += [(i, a, "coset-form") for a in np.flatnonzero(coset[i]).tolist()]
+                found.append((i, x, "inverse"))
+            found += [(i, x, y) for y in members[~row].tolist()]
+        found += [(i, a, "coset-form") for a in np.flatnonzero(coset[i]).tolist()]
+    report.add("domain-inverse-submonoid", n, found)
 
-    law = report.new("idempotent-filter-iff-closed")
-    law.tick(n)
-    law.fail_where(contains_idempotent(monoid, rng) != closed)
-
-    law = report.new("filter-rigidity")
-    law.tick(n * n)
-    law.fail_where((above @ above.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool))
-
-    law = report.new("ultrafilters-prime")
-    law.tick(len(ultra))
-    law.failures += [(g,) for g in ultra[~prime_property_holds(in_ultra, order.join)].tolist()]
+    report.add("idempotent-filter-iff-closed", n,
+               where(contains_idempotent(monoid, rng) != closed))
+    report.add("filter-rigidity", n * n,
+               where((above @ above.T > 0) & (dom[:, None] == dom) & ~np.eye(n, dtype=bool)))
+    report.add("ultrafilters-prime", len(ultra),
+               [(g,) for g in ultra[~prime_property_holds(in_ultra, order.join)].tolist()])
     return report
 
 
@@ -259,25 +237,20 @@ def filter_semigroup_laws(monoid: InverseMonoid) -> LawReport:
     prod, inverse = filter_products(monoid)
     leq, rng = monoid.order().matrix, np.arange(n)
 
-    law = report.new("inverse-semigroup")
-    law.tick(n)
     # candidates[f, g]: (f g) f = f and (g f) g = g
     candidates = (prod[prod, rng[:, None]] == rng[:, None]) & (prod[prod.T, rng] == rng)
     expected = np.zeros((n, n), dtype=bool)
     expected[rng, inverse] = True
-    law.fail_where((candidates != expected).any(axis=1))
+    report.add("inverse-semigroup", n, where((candidates != expected).any(axis=1)))
 
-    law = report.new("idempotents-are-idempotent-filters")
-    law.tick(n)
     squares = prod[rng, rng] == rng
-    law.fail_where(squares != contains_idempotent(monoid, rng))
+    report.add("idempotents-are-idempotent-filters", n,
+               where(squares != contains_idempotent(monoid, rng)))
 
-    law = report.new("order-is-reverse-inclusion")
-    law.tick(n * n)
     # algebraic[f, g]: f = g e for some idempotent e of the filter semigroup
     algebraic = np.zeros((n, n), dtype=bool)
     algebraic[prod[:, squares], rng[:, None]] = True
-    law.fail_where(algebraic != inclusions(leq, leq).T)
+    report.add("order-is-reverse-inclusion", n * n, where(algebraic != inclusions(leq, leq).T))
     return report
 
 
@@ -287,14 +260,12 @@ def ultra_equivalence_laws(monoid: InverseMonoid) -> LawReport:
     are equivalent."""
     monoid.require_boolean()
     report = LawReport("ultrafilter equivalence laws")
-    law = report.new("three-way-equivalence")
     rng = np.arange(monoid.n)               # filter i is up(i)
-    law.tick(monoid.n)
     dom = filter_doms(monoid, rng)
     first = ultra_by_meet(monoid, rng)
     second = contains_idempotent(monoid, dom) & ultra_by_meet(monoid, dom)
     third = idempotent_part_ultra(monoid, dom)
-    law.fail_where((first != second) | (second != third))
+    report.add("three-way-equivalence", monoid.n, where((first != second) | (second != third)))
     return report
 
 
@@ -321,28 +292,20 @@ def point_filter_laws(groupoid, *, bisection_bound: int = MAX_ELEMENTS) -> LawRe
     monoid = bm.monoid
     points = point_ultrafilter(bm, np.arange(groupoid.m)).tolist()     # g -> its filter
 
-    law = report.new("point-filters-ultra")
-    law.tick(len(points))
-    law.fail_where(~ultra_by_meet(monoid, points))
+    report.add("point-filters-ultra", len(points), where(~ultra_by_meet(monoid, points)))
 
-    law = report.new("point-filters-intertwine")
-    law.tick(len(points))
     at, d, r = np.array(points), list(groupoid.d), list(groupoid.r)
     moved = (filter_doms(monoid, at) != at[d]) | (filter_rans(monoid, at) != at[r])
     g, h = np.nonzero(groupoid.compose >= 0)
     wrong = filter_product(monoid, at[g], at[h]) != at[groupoid.compose[g, h]]
     # (g,) before the pairs (g, h), as the loop over g names them
-    for g, h in sorted([(g, -1) for g in np.flatnonzero(moved).tolist()]
-                       + list(zip(g[wrong].tolist(), h[wrong].tolist()))):
-        law.fail((g,) if h < 0 else (g, h))
+    report.add("point-filters-intertwine", len(points), [
+        (g,) if h < 0 else (g, h) for g, h in sorted(
+            [(g, -1) for g in np.flatnonzero(moved).tolist()]
+            + list(zip(g[wrong].tolist(), h[wrong].tolist())))])
 
-    law = report.new("point-filters-injective")
-    law.tick(len(points))
-    if len(set(points)) != len(points):
-        law.fail(("collision",))
-
-    law = report.new("point-filters-exhaust-ultrafilters")
-    law.tick()
-    if set(points) != set(enumerate_ultrafilters(monoid).tolist()):
-        law.fail(("mismatch",))
+    report.add("point-filters-injective", len(points),
+               [] if len(set(points)) == len(points) else [("collision",)])
+    exhausted = set(points) == set(enumerate_ultrafilters(monoid).tolist())
+    report.add("point-filters-exhaust-ultrafilters", 1, [] if exhausted else [("mismatch",)])
     return report

@@ -15,29 +15,17 @@ def _jsonable(value):
     return repr(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawResult:
     """Outcome of one named law: how many instances ran, which failed."""
 
     name: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
+    instances: int
+    failures: list
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def tick(self, count: int = 1) -> None:
-        self.instances += count
-
-    def fail(self, witness) -> None:
-        self.failures.append(witness)
-
-    def fail_where(self, bad) -> None:
-        """One failure per true entry of a boolean array, named by its index
-        tuple, in ascending order."""
-        for index in np.argwhere(bad).tolist():
-            self.fail(tuple(index))
 
     def to_json(self) -> dict:
         return {
@@ -46,6 +34,11 @@ class LawResult:
             "ok": self.ok,
             "failures": _jsonable(self.failures),
         }
+
+
+def where(bad) -> list[tuple[int, ...]]:
+    """The index tuple of each true entry of a boolean array, in ascending order."""
+    return [tuple(index) for index in np.argwhere(bad).tolist()]
 
 
 @dataclass
@@ -63,10 +56,9 @@ class LawReport:
     def failure_count(self) -> int:
         return sum(len(r.failures) for r in self.results)
 
-    def new(self, name: str) -> LawResult:
-        result = LawResult(name)
-        self.results.append(result)
-        return result
+    def add(self, name: str, instances: int, witnesses: list) -> None:
+        """Record the law ``name``: ``instances`` ran and the list ``witnesses`` failed."""
+        self.results.append(LawResult(name, instances, witnesses))
 
     def extend(self, other: "LawReport") -> None:
         self.results.extend(other.results)
@@ -89,8 +81,5 @@ class LawReport:
 def one_law(subject: str, name: str, witness) -> LawReport:
     """A report of one law instance, failed with ``witness`` unless it is None."""
     report = LawReport(subject)
-    law = report.new(name)
-    law.tick()
-    if witness is not None:
-        law.fail(witness)
+    report.add(name, 1, [] if witness is None else [witness])
     return report

@@ -191,6 +191,17 @@ def test_no_bitmask_twin_of_the_order_in_src():
     assert hits == []
 
 
+def test_each_law_is_added_once_with_its_count_and_witnesses():
+    # a LawResult is a value: no accumulator that starts a law at 0
+    # instances and ticks or fails it afterwards may return to src
+    pattern = re.compile(r"\.tick\(|\.fail\(|fail_where|report\.new\(|failures \+=")
+    root = Path(__file__).parents[1] / "src"
+    hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
 def test_check_boolean_pass_and_fail(tmp_path, capsys):
     run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
     code, out, _ = run(capsys, "check", "ix2", "--laws", "bm", "--store", str(tmp_path))

@@ -422,6 +422,28 @@ def test_a_transport_failure_names_the_first_bisection(monkeypatch):
         round_trip_groupoid(pair)
 
 
+def test_a_repeated_basic_open_set_is_refused_as_not_injective(monkeypatch, ix2):
+    """With K(1) read as K(0), two elements land on one bisection: the
+    monoid round trip refuses the basic-open map before it inverts it."""
+    real = duality.basic_opens
+    repeated = [0, 0, *range(2, ix2.n)]
+    monkeypatch.setattr(duality, "basic_opens", lambda monoid, sg: real(monoid, sg)[repeated])
+    with pytest.raises(StructureError, match="^basic-open map is not injective$"):
+        round_trip_monoid(ix2)
+
+
+def test_a_repeated_point_ultrafilter_is_refused_as_not_injective(monkeypatch):
+    """With the point ultrafilter of arrow 1 read as that of arrow 0, two
+    arrows land on one ultrafilter: the groupoid round trip refuses the
+    point-ultrafilter map before it inverts it."""
+    pair = pair_groupoid(2)
+    real = duality.point_ultrafilter
+    repeated = [0, 0, *range(2, pair.m)]
+    monkeypatch.setattr(duality, "point_ultrafilter", lambda bm, g: real(bm, g)[repeated])
+    with pytest.raises(StructureError, match="^point-ultrafilter map is not injective$"):
+        round_trip_groupoid(pair)
+
+
 # -- functors on morphisms --------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ and that each failure a suite can record is reached by some broken input."""
 import json
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework.duality import clifford_check, stone_groupoid, verify_basic_open_laws
+from stonework.reporting import LawReport, LawResult, where
 
 
 def test_law_suites_read_the_product_they_check(monkeypatch):
@@ -594,3 +595,20 @@ def test_gathered_suites_peak_no_higher_than_the_loops(make, suite, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound, peak
+
+
+def test_a_law_is_added_once_as_a_value():
+    """A law result has no defaults and cannot change: a law is recorded
+    once, with its count and its witnesses, and ``where`` names the true
+    cells of a boolean table by index tuple in ascending order."""
+    with pytest.raises(TypeError):
+        LawResult("unticked")           # no law reads "(0 instances)" by default
+    report = LawReport("subject")
+    report.add("law", 4, where(np.array([[False, True], [True, False]])))
+    law = report.get("law")
+    assert (law.instances, law.failures, law.ok) == (4, [(0, 1), (1, 0)], False)
+    with pytest.raises(FrozenInstanceError):
+        law.instances += 1
+    report.add("empty", 0, where(np.zeros(3, dtype=bool)))
+    assert report.get("empty").to_json() == {"name": "empty", "instances": 0, "ok": True,
+                                             "failures": []}
