@@ -126,27 +126,34 @@ def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
 def filter_doms(monoid: InverseMonoid, generators) -> np.ndarray:
     """dom(up(g)) = up(g)^-1 up(g) for each generator g, the closed product
     (never up(g^-1 g): that identity is a law the suites check)."""
-    return filter_product(monoid, filter_inverses(monoid, generators), generators)
+    return _closed_products(monoid, filter_inverses(monoid, generators), generators)
 
 
 def filter_rans(monoid: InverseMonoid, generators) -> np.ndarray:
     """ran(up(g)) = up(g) up(g)^-1 for each generator g, the closed product."""
-    return filter_product(monoid, generators, filter_inverses(monoid, generators))
+    return _closed_products(monoid, generators, filter_inverses(monoid, generators))
+
+
+def _closed_products(monoid: InverseMonoid, a, b) -> np.ndarray:
+    """filter_product of two arrays, gathered from the filter_products table if it is kept."""
+    kept = monoid._filter_products
+    return filter_product(monoid, a, b) if kept is None else kept[0][a, b]
 
 
 def lower_bounds(monoid: InverseMonoid):
-    """(rows, generators, bounds) by blocks of rows i, never building S(i, j) = up(i) up(j):
-    ``generators[k, j]`` is the member of S(rows.start + k, j) that :func:`least_members`
-    picks (0 if empty), ``bounds[k, j]`` the :func:`bit_words` of {c : c <= all of it}.  Stage
-    one (a in up(i), for each b; in chunks of pairs (i, a)) and two (b in up(j)) keep the
-    largest key and the AND of the products' lower-bound words: n sum|up| W words (W words a
-    set), no temporary over BLOCK_CELLS bytes or one row."""
+    """(rows, generators, held, words) by blocks of rows i, never building S(i, j) = up(i) up(j):
+    ``generators[k, j]`` is the member of S(rows.start + k, j) that :func:`least_members` picks
+    (0 if empty), ``held[k, j]`` whether it lies below all of S(i, j), and ``words[k, b]`` the
+    :func:`bit_words` of {c : c <= a b, every a in up(i)}, whose AND over b in up(j) is L(i, j).
+    Stage one (a in up(i), for each b, in chunks of pairs (i, a)) keeps the largest key and that
+    AND, n sum|up| W words; stage two (b in up(j)) keeps the largest key and reads bit g of each
+    words[k, b], g the generator: n sum|up| bytes.  Temporaries: BLOCK_CELLS bytes or one row."""
     n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
     key = (monoid.order().up_sizes * n + np.arange(n - 1, -1, -1)).astype(np.int32)
     below, empty = bit_words(leq.T), bit_words(np.ones(n, dtype=bool))    # [x]: c <= x
     (js, bs), width = np.nonzero(leq), 8 * len(empty)       # b in up(j), j-major
     starts = np.flatnonzero(np.diff(js, prepend=-1))        # each non-empty up(j)
-    for rows in row_blocks(n, width * max(n, len(bs))):
+    for rows in row_blocks(n, max(width * n, 8 * len(bs))):
         keys = np.full((len(range(n)[rows]), n), -1, dtype=np.int32)
         words, (i, a) = np.tile(empty, (len(keys), n, 1)), np.nonzero(leq[rows])
         for chunk in row_blocks(len(a), width * n):
@@ -157,24 +164,26 @@ def lower_bounds(monoid: InverseMonoid):
                       else (lambda f, x: f.reduceat(x, first)))
             keys[at] = np.maximum(keys[at], reduce(np.maximum, key.take(cells)))
             words[at] &= reduce(np.bitwise_and, below.take(cells, axis=0))
-        most, bounds = np.full_like(keys, -1), np.tile(empty, (len(keys), n, 1))
+        most, held = np.full_like(keys, -1), np.ones(keys.shape, dtype=bool)
         most[:, js[starts]] = np.maximum.reduceat(keys.take(bs, axis=1), starts, axis=1)
-        bounds[:, js[starts]] = np.bitwise_and.reduceat(words.take(bs, axis=1), starts, axis=1)
-        yield rows, n - 1 - most % n, bounds       # -1, an empty set, gives 0 as argmax does
+        generators = n - 1 - most % n       # -1, an empty set, gives 0 as argmax does
+        byte = (generators >> 3).take(js, axis=1) + (np.arange(len(keys))[:, None] * n + bs) * width
+        ands = np.bitwise_and.reduceat(words.view(np.uint8).take(byte), starts, axis=1)   # [k, j]
+        held[:, js[starts]] = (ands & (128 >> (generators[:, js[starts]] & 7))) != 0
+        yield rows, generators, held, words
 
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
     """Every filter product as :func:`filter_product` defines it, kept read-only on the monoid:
-    ``prod[i, j]``, the generator of the closure of up(i) up(j), from :func:`lower_bounds` and
-    checked to lie below all of it, and ``inverse[i]``, that of up(i)^-1."""
+    ``prod[i, j]``, the generator of the closure of up(i) up(j), from one :func:`lower_bounds`
+    pass on the first call, each refused unless held, and ``inverse[i]``, that of up(i)^-1."""
     if monoid._filter_products is None:
-        n, single = monoid.n, bit_words(np.eye(monoid.n, dtype=bool))     # [c]: {c}
-        prod = np.empty((n, n), dtype=np.intp)
-        for rows, generators, bounds in lower_bounds(monoid):
-            if not (bounds & single.take(generators, axis=0)).any(axis=2).all():
+        prod = np.empty((monoid.n, monoid.n), dtype=np.intp)
+        for rows, generators, held, _ in lower_bounds(monoid):
+            if not held.all():
                 raise StructureError("member set is not the up-set of one of its members")
             prod[rows] = generators
-        monoid._filter_products = prod, filter_inverses(monoid, np.arange(n))
+        monoid._filter_products = prod, filter_inverses(monoid, np.arange(monoid.n))
         for table in monoid._filter_products:
             table.setflags(write=False)     # every caller reads the same arrays
     return monoid._filter_products

@@ -1,17 +1,17 @@
 """Exhaustive law suites over finite carriers.
 
-Each function sweeps one family of identities over every element, pair or
-filter of its subject and returns a :class:`LawReport` with instance counts
-and witnesses; ``boolean_monoid_suite`` bundles the order and filter laws,
-and the CLI runs the same suites through ``check --laws``.  A suite computes
-what its laws share once (the order's dense tables, one ``relative_complements``
-call per complement law, the ``filter_products`` that the monoid keeps, one
-``lower_bounds`` pass, one batched ``filter_product`` call per batch) and
-checks each law's own definition on every instance, never the theorem it
-tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
-law whose witnesses mix kinds flags its failing rows whole-table and names
-them by its per-instance loop, in that loop's order; the loops themselves
-are kept as references in ``tests/helpers.py``.
+Each function sweeps one family of identities over every element, pair or filter of
+its subject and returns a :class:`LawReport` with instance counts and witnesses;
+``boolean_monoid_suite`` bundles the order and filter laws, and the CLI runs the same
+suites through ``check --laws``.  A suite computes what its laws share once (the
+order's dense tables, one ``relative_complements`` call per complement law, the
+``filter_products`` that the monoid keeps, whose one ``lower_bounds`` pass, at one bit
+a cell in stage two, also decides product minimality, one batched ``filter_product``
+call per batch) and checks each law's own definition on every instance, never the
+theorem it tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
+law whose witnesses mix kinds flags its failing rows whole-table and names them by its
+per-instance loop, in that loop's order; the loops themselves are kept as references
+in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .filters import (
     ultra_by_meet,
 )
 from .groupoids import all_bisections_monoid
-from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
-                           row_blocks)
+from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions, member_blocks, row_blocks
 from .reporting import LawReport, where
 
 
@@ -154,7 +153,20 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     n, inv, order = monoid.n, np.asarray(monoid.inv), monoid.order()
     leq, rng = order.matrix, np.arange(n)       # filter i is up(i)
     above = leq.astype(np.float32)              # [x, z]: x <= z, for exact float32 counts
+    built = monoid._filter_products is None
     prod, inverse = filter_products(monoid)
+    # up(c) holds up(i) up(j) when c is in L(i, j); it is smaller if it does not contain up(T),
+    # T = prod[i, j].  None is if T is the pass's held generator (a member) and the order is not
+    # loose (an empty up-set, or c <= x but up(x) not in up(c)): a table built here just passes
+    contains = inclusions(leq, leq)                         # [x, c]: up(x) inside up(c)
+    loose = not (leq.any(axis=1) & ~(leq.T & ~contains).any(axis=1)).all()
+    smallest, fresh = [], built and prod is monoid._filter_products[0] and not loose
+    for rows, generators, held, words in [] if fresh else lower_bounds(monoid):
+        for k, j in np.argwhere(~held | (prod[rows] != generators) | loose).tolist():
+            i, bounds = rows.start + k, np.bitwise_and.reduce(words[k, leq[j]], axis=0)
+            bounds, t = np.unpackbits(bounds.view(np.uint8), count=n).view(bool), prod[i, j]
+            smallest += ([(i, j, "not containing")] if not bounds[t]
+                         else [(i, j, c) for c in np.flatnonzero(bounds & ~contains[t]).tolist()])
     dom = prod[inverse, rng]
 
     found = []          # (i, s, t): no member of filter i lies below both s and t
@@ -184,18 +196,7 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     report.add("filters-are-cosets", n,
                where((set_products(monoid, pairs, leq) != leq).any(axis=1)))
 
-    # up(c) holds up(i) up(j) exactly when c is in its lower bounds L(i, j); such
-    # an up(c) is smaller when it does not contain up(T), T = prod[i, j]
-    single, lacking = bit_words(np.eye(n, dtype=bool)), bit_words(~inclusions(leq, leq))
-    found = []
-    for rows, _, bounds in lower_bounds(monoid):
-        missing = ~(bounds & single.take(prod[rows], axis=0)).any(axis=2)
-        smaller = bounds & lacking.take(prod[rows], axis=0)
-        for k, j in np.argwhere(missing | smaller.any(axis=2)).tolist():
-            i, bits = rows.start + k, np.unpackbits(smaller[k, j].view(np.uint8), count=n)
-            found += ([(i, j, "not containing")] if missing[k, j]
-                      else [(i, j, c) for c in np.flatnonzero(bits).tolist()])
-    report.add("product-smallest-filter", n * n, found)
+    report.add("product-smallest-filter", n * n, smallest)
 
     closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq[:, inv]).any(axis=1)
     f, a = np.nonzero(leq)          # filter f is the upward closure of a dom(f), a in up(f)

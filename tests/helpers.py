@@ -787,6 +787,69 @@ def reference_ultrafilters_prime(monoid):
     return len(ultra), [(g,) for g, holds in zip(ultra.tolist(), prime) if not holds]
 
 
+def reference_ultra_criteria_agree(monoid):
+    """ultra-criteria-agree one filter at a time, by the two criteria's loops."""
+    _filter_tables(monoid)
+    return monoid.n, [(g,) for g in range(monoid.n) if reference_ultra_by_meet(monoid, g)
+                      != reference_ultra_by_maximality(monoid, g)]
+
+
+def reference_nonzero_in_some_ultrafilter(monoid):
+    """nonzero-in-some-ultrafilter one element at a time."""
+    leq, ultra = _filter_tables(monoid)[0], reference_ultrafilters(monoid)
+    return monoid.n - 1, [(s,) for s in range(monoid.n)
+                          if s != monoid.zero and not any(leq[u, s] for u in ultra)]
+
+
+def reference_ultrafilter_intersection_principal(monoid):
+    """ultrafilter-intersection-principal: for each non-zero a, the ultrafilters
+    that hold a meet in up(a)."""
+    leq, ultra = _filter_tables(monoid)[0], reference_ultrafilters(monoid)
+    failures = []
+    for a in range(monoid.n):
+        common = np.ones(monoid.n, dtype=bool)
+        for u in ultra:
+            if leq[u, a]:
+                common &= leq[u]
+        if a != monoid.zero and (common != leq[a]).any():
+            failures.append((a,))
+    return monoid.n - 1, failures
+
+
+def reference_filter_rigidity(monoid):
+    """filter-rigidity one pair of filters at a time: two that meet have different domains."""
+    leq, _, prod, inverse = _filter_tables(monoid)
+    dom = [prod[inverse[f], f] for f in range(monoid.n)]
+    return monoid.n ** 2, [(f, g) for f in range(monoid.n) for g in range(monoid.n)
+                           if f != g and dom[f] == dom[g] and (leq[f] & leq[g]).any()]
+
+
+def reference_inverse_semigroup(monoid):
+    """inverse-semigroup one filter f at a time: its one inverse under the kept
+    products is the kept inverse."""
+    _, _, prod, inverse = _filter_tables(monoid)
+    return monoid.n, [(f,) for f in range(monoid.n) if [
+        g for g in range(monoid.n)
+        if prod[prod[f, g], f] == f and prod[prod[g, f], g] == g] != [inverse[f]]]
+
+
+def reference_idempotents_are_idempotent_filters(monoid):
+    """idempotents-are-idempotent-filters one filter at a time."""
+    prod = _filter_tables(monoid)[2]
+    return monoid.n, [(f,) for f in range(monoid.n)
+                      if (prod[f, f] == f) != reference_contains_idempotent(monoid, f)]
+
+
+def reference_order_is_reverse_inclusion(monoid):
+    """order-is-reverse-inclusion one pair at a time: f = g e for an idempotent
+    filter e exactly when up(g) lies inside up(f)."""
+    leq, _, prod, _ = _filter_tables(monoid)
+    squares = [e for e in range(monoid.n) if prod[e, e] == e]
+    return monoid.n ** 2, [
+        (f, g) for f in range(monoid.n) for g in range(monoid.n)
+        if any(prod[g, e] == f for e in squares) != bool((leq[f] | ~leq[g]).all())]
+
+
 def reference_filter_product(monoid, a, b):
     """One closed filter product by one gather of mul and least_members."""
     leq, product = monoid.order().matrix, np.zeros(monoid.n, dtype=bool)
@@ -795,10 +858,11 @@ def reference_filter_product(monoid, a, b):
 
 
 def reference_three_way_equivalence(monoid):
-    """three-way-equivalence with each domain one closed product at a time."""
+    """three-way-equivalence with each domain one closed product at a time, or read off
+    the filter products table when the monoid keeps one, as filter_doms reads it."""
     monoid.require_boolean()
-    every = np.arange(monoid.n)
-    dom = np.array([reference_filter_product(monoid, i, f)
+    every, kept = np.arange(monoid.n), monoid._filter_products
+    dom = np.array([reference_filter_product(monoid, i, f) if kept is None else kept[0][i, f]
                     for f, i in enumerate(filter_inverses(monoid, every).tolist())], dtype=np.intp)
     second = contains_idempotent(monoid, dom) & ultra_by_meet(monoid, dom)
     third = idempotent_part_ultra(monoid, dom)

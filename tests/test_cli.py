@@ -241,6 +241,23 @@ def test_check_all_builds_the_filter_products_once(tmp_path, capsys, monkeypatch
     assert len(tables) == 2 and tables[0] is tables[1]
 
 
+@pytest.mark.parametrize("law_set", ["all", "filters", "filter-semigroup"])
+def test_each_filter_check_makes_one_lower_bounds_pass(tmp_path, capsys, monkeypatch, law_set):
+    """The pass that builds the kept product table also gives product-smallest-filter,
+    so each check runs ``filters.lower_bounds`` once, whichever module calls it."""
+    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
+    passes, real = [], filters.lower_bounds
+
+    def counted(monoid):
+        passes.append(monoid.n)
+        return real(monoid)
+
+    for module in (filters, laws):
+        monkeypatch.setattr(module, "lower_bounds", counted)
+    assert run(capsys, "check", "ix3", "--laws", law_set, "--store", str(tmp_path))[0] == 0
+    assert passes == [34]
+
+
 FULL_SUITE_LAWS = (
     "boolean-axioms", "compatible-iff-meet-splits", "join-splits-dom-ran",
     "products-distribute-over-meets", "downset-boolean-via-dom",

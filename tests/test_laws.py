@@ -17,17 +17,25 @@ from helpers import (
     reference_domain_inverse_submonoid,
     reference_downset_boolean_via_dom,
     reference_filter_base_pairwise,
+    reference_filter_rigidity,
     reference_filters_are_cosets,
     reference_idempotent_filter_iff_closed,
+    reference_idempotents_are_idempotent_filters,
+    reference_inverse_semigroup,
     reference_join_is_union,
     reference_meet_is_intersection,
+    reference_nonzero_in_some_ultrafilter,
+    reference_order_is_reverse_inclusion,
     reference_point_filters_intertwine,
     reference_product_smallest_filter,
     reference_products_distribute_over_meets,
     reference_relative_complement,
     reference_relative_complement_unique,
     reference_separation_below,
+    reference_set_products,
     reference_three_way_equivalence,
+    reference_ultra_criteria_agree,
+    reference_ultrafilter_intersection_principal,
     reference_ultrafilters_prime,
     reference_union_bisection_iff_join,
     relative_complement,
@@ -408,6 +416,72 @@ def test_a_kept_product_off_its_set_fails_minimality_and_the_domain_laws():
     assert report.get("domain-inverse-submonoid").failures == [
         (0, "one"), (0, a, "inverse"), (0, a, a), (0, a, swap), (0, swap, a), (0, swap, swap),
         *((0, x, "coset-form") for x in range(3, monoid.n))]
+
+
+WHOLE_FILTER_SUITES = [
+    (laws.filter_laws, {
+        "filter-base-pairwise": reference_filter_base_pairwise,
+        "ultra-criteria-agree": reference_ultra_criteria_agree,
+        "nonzero-in-some-ultrafilter": reference_nonzero_in_some_ultrafilter,
+        "ultrafilter-intersection-principal": reference_ultrafilter_intersection_principal,
+        "filters-are-cosets": reference_filters_are_cosets,
+        "product-smallest-filter": reference_product_smallest_filter,
+        "domain-inverse-submonoid": reference_domain_inverse_submonoid,
+        "idempotent-filter-iff-closed": reference_idempotent_filter_iff_closed,
+        "filter-rigidity": reference_filter_rigidity,
+        "ultrafilters-prime": reference_ultrafilters_prime}),
+    (laws.filter_semigroup_laws, {
+        "inverse-semigroup": reference_inverse_semigroup,
+        "idempotents-are-idempotent-filters": reference_idempotents_are_idempotent_filters,
+        "order-is-reverse-inclusion": reference_order_is_reverse_inclusion}),
+]
+PRODUCT_TAMPERINGS = ("not below", "strict lower bound", "other member")
+
+
+def _tampered_products(monoid, rng, sets):
+    """The monoid keeping its filter products with one to three cells (i, j) of prod set to
+    an element of one kind, chosen by ``rng``: one not below all of S(i, j) = up(i) up(j)
+    (``sets[i, j]``), a strict lower bound of S(i, j) outside it, or another member of it
+    than the generator of its closure.  Returns the kinds."""
+    prod, inverse = laws.filter_products(monoid)
+    prod, leq, kinds = prod.copy(), monoid.order().matrix, []
+    for _ in range(rng.randint(1, 3)):
+        kinds.append(kind := rng.choice(PRODUCT_TAMPERINGS))
+        while True:
+            i, j = rng.randrange(monoid.n), rng.randrange(monoid.n)
+            members = sets[i, j]
+            bounds = leq[:, members].all(axis=1)            # [c]: c <= every member
+            allowed = {"not below": ~bounds, "strict lower bound": bounds & ~members,
+                       "other member": members & (np.arange(monoid.n) != prod[i, j])}[kind]
+            if allowed.any():
+                break
+        prod[i, j] = rng.choice(np.flatnonzero(allowed).tolist())
+    prod.setflags(write=False)
+    monoid._filter_products = prod, inverse
+    return kinds
+
+
+@pytest.mark.parametrize("blocks", [None, 64])
+def test_filter_reports_match_the_loops_on_tampered_kept_products(monkeypatch, blocks):
+    """200 seeded tamperings of the kept product table, 100 of ix3 and 100 of ba4, with
+    BLOCK_CELLS at its default or at 64: every law of filter_laws and filter_semigroup_laws
+    gives the loops' count and witnesses in loop order.  Each kind of tampered value occurs,
+    and product-smallest-filter names both "not containing" and smaller filters."""
+    if blocks:
+        monkeypatch.setattr(inverse_core, "BLOCK_CELLS", blocks)
+    kinds, named = set(), set()
+    for name in ("ix3", "ba4"):
+        rng, sets = random.Random(f"kept-{name}"), reference_set_products(FACTORIES[name]())
+        for _ in range(100):
+            monoid = FACTORIES[name]()
+            kinds.update(_tampered_products(monoid, rng, sets))
+            for suite, loops in WHOLE_FILTER_SUITES:
+                report = suite(monoid)
+                assert [(law.name, law.instances, law.failures) for law in report.results] == [
+                    (law, *loop(monoid)) for law, loop in loops.items()]
+                named |= {witness[2] == "not containing" for law in report.results
+                          if law.name == "product-smallest-filter" for witness in law.failures}
+    assert kinds == set(PRODUCT_TAMPERINGS) and named == {True, False}
 
 
 def test_a_wrong_inverse_fails_idempotent_filter_iff_closed():
