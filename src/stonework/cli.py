@@ -168,15 +168,15 @@ def _output(args, out: dict, text, shown: tuple, saved: tuple | None = None) -> 
     only a groupoid has.  ``saved`` = (name, kind, payload) is stored, and
     its path put in ``out``, only once the rendering has not been refused."""
     check_dot(args.format, shown[1])
-    dot = groupoid_to_dot(shown[0]) if args.format == "dot" else None
+    page = groupoid_to_dot(shown[0]) if args.format == "dot" else None
     if saved is not None:
         out["path"] = str(save_entry(Path(args.store), *saved))
-    if dot is not None:
-        print(dot)
-    elif args.format == "text":
-        print("\n".join(text(out)))
-    else:
-        print(json.dumps(out, indent=2))
+    if page is None:
+        page = "\n".join(text(out)) if args.format == "text" else json.dumps(out, indent=2)
+    try:
+        print(page, flush=True)
+    except BrokenPipeError:     # a closed stdout is no input error: drop the rest, now and at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_build(args) -> int:

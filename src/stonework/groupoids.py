@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .inverse_core import (
     check_associativity,
     check_size,
     raise_first_failure,
+    row_blocks,
     sequence_length,
 )
 from .reporting import LawReport, one_law
@@ -269,13 +271,13 @@ def enumerate_bisections(groupoid: FiniteGroupoid, *,
 @dataclass
 class BisectionMonoid:
     """The inverse monoid of all bisections of a finite groupoid: element i
-    is membership row ``rows[i]``, and ``codes[i]`` is its code (see
-    _arrow_codes)."""
+    is membership row ``rows[i]``, and ``by_code[c]`` is the element whose
+    code (see _arrow_codes) is c, or -1 where no bisection has code c."""
 
     groupoid: FiniteGroupoid
     rows: np.ndarray
     monoid: InverseMonoid
-    codes: np.ndarray = field(repr=False)
+    by_code: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -286,50 +288,42 @@ class BisectionMonoid:
         bisection's, is looked up."""
         rows = np.asarray(rows, dtype=bool)
         if rows.shape[1:] == (self.groupoid.m,) and not fiber_clashes(self.groupoid, rows).any():
-            found = _positions(self.codes, rows @ _arrow_codes(self.groupoid)[:-1])
-            if (found >= 0).all():
-                return found.tolist()
+            return self.by_code[rows @ _arrow_codes(self.groupoid)[0][:-1]].tolist()
         raise StructureError("not a bisection of this groupoid")
 
 
-def _arrow_codes(groupoid: FiniteGroupoid) -> np.ndarray:
+def _arrow_codes(groupoid: FiniteGroupoid) -> tuple[np.ndarray, int]:
     """Entry a is arrow a's share of the code of an arrow set meeting each
-    domain fiber at most once: the digit a + 1, base m + 1, at the place of
-    its domain; -1 adds 0.  A groupoid with at most MAX_ELEMENTS bisections,
-    the most enumerate_bisections admits under any bound, has
-    (m + 1)^identities < 2^45 (13^12 on 12 identities), so codes fit int64."""
-    base = groupoid.m + 1
+    domain fiber at most once, and -1 adds 0; then the number of codes.  A
+    code is mixed radix: the radix at the place of identity e is |star(e)| + 1,
+    and an arrow of star(e) is the digit 1 + its rank there.  The number of
+    codes, the product of the radices, is taken in Python ints: a groupoid
+    with at most MAX_ELEMENTS bisections, the most enumerate_bisections admits
+    under any bound, has at most 15,625 (5^4 5^2, pair4 beside a pair of
+    objects with isotropy Z/2), so codes are int32."""
     place = np.searchsorted(groupoid.identities, groupoid.d)
-    return np.append((np.arange(groupoid.m) + 1) * base ** place, 0)
+    radices = (np.bincount(place, minlength=len(groupoid.identities)) + 1).tolist()
+    weights = np.array([prod(radices[:p]) for p in range(len(radices))], dtype=np.int32)
+    order = np.argsort(place, kind="stable")        # star by star, each ascending
+    rank = np.argsort(order) - np.searchsorted(place, place, sorter=order)
+    return np.append((rank + 1) * weights[place], 0).astype(np.int32), prod(radices)
 
 
-def _positions(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where each wanted code is in ``codes`` (which has no repeats), or -1.
-    Looked up in blocks of rows, each clipped, gathered and marked in place
-    in the answer, so no other array is as large as ``wanted``."""
-    order, at = np.argsort(codes), np.empty(wanted.shape, dtype=np.intp)
-    step = max(1, (1 << 16) // max(1, wanted[:1].size))
-    for lo in range(0, len(wanted), step):
-        part, want = at[lo:lo + step], wanted[lo:lo + step]
-        np.take(order, np.searchsorted(codes, want, sorter=order), mode="clip", out=part)
-        part[codes[part] != want] = -1
-    return at
-
-
-def image_products(groupoid: FiniteGroupoid, rows: np.ndarray) -> tuple[np.ndarray, Iterator]:
+def image_products(groupoid: FiniteGroupoid, rows: np.ndarray,
+                   table: np.ndarray | None = None) -> tuple[np.ndarray, Iterator]:
     """The image arrays of bisections given as membership rows ([i, a]:
     arrow a is in bisection i), and their pairwise products place by place:
     at place p, the arrow whose domain is identity p, or -1 (a last place
     holds -1, which -1 as a place indexes, as around compose).  The product
-    of a and b is a(r(b(e))) b(e) at each e; each place is an n x n gather,
-    made on demand.  That it meets each range fiber once is the caller's."""
-    ids = groupoid.identities
+    of a and b is a(r(b(e))) b(e) at each e; each place is an n x n gather of
+    ``table`` (by default the padded compose: the product arrows), made on
+    demand.  That it meets each range fiber once is the caller's."""
+    ids, table = groupoid.identities, groupoid._padded if table is None else table
     images = np.full((len(rows), len(ids) + 1), -1, dtype=np.int32)
     i, arrows = np.nonzero(rows)
     images[i, np.searchsorted(ids, groupoid.d)[arrows]] = arrows
     range_place = np.append(np.searchsorted(ids, groupoid.r), len(ids))
-    return images, (groupoid._padded[images[:, range_place[right]], right]
-                    for right in images.T)
+    return images, (table[images[:, range_place[right]], right] for right in images.T)
 
 
 def all_bisections_monoid(groupoid: FiniteGroupoid, *,
@@ -337,8 +331,9 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     """The boolean inverse monoid of all bisections, kept on the groupoid.
 
     The products are taken on image arrays (see :func:`image_products`), so
-    the table is one gather through ``compose`` per place; each product is
-    looked up by its code.  That a product of bisections is a bisection, and
+    the table of product codes is one gather of the codes of compose per
+    place; each product, inverse, zero and one is looked up in the table
+    from code to element.  That a product of bisections is a bisection, and
     that the monoid is boolean, are theorems, which the round trips and the
     law suites check; a product found nowhere would be a -1 entry, which the
     index gate refuses."""
@@ -346,24 +341,27 @@ def all_bisections_monoid(groupoid: FiniteGroupoid, *,
     if kept is not None and len(kept) <= min(bisection_bound, MAX_ELEMENTS):
         return kept     # the count passes; a larger kept monoid is refused as a fresh one
     rows = enumerate_bisections(groupoid, bisection_bound=bisection_bound)
-    arrow_codes = _arrow_codes(groupoid)
-    images, products = image_products(groupoid, rows)
-    codes = arrow_codes[images].sum(axis=1)
-    total = np.zeros((len(rows), len(rows)), dtype=np.int64)    # the product codes
+    arrow_codes, size = _arrow_codes(groupoid)
+    images, products = image_products(groupoid, rows, arrow_codes[groupoid._padded])
+    by_code = np.full(size, -1, dtype=np.int16)
+    by_code[rows @ arrow_codes[:-1]] = np.arange(len(rows))
+    total = next(products)          # the product codes; there is always the last place
     for product in products:        # dropped before the next place is gathered
-        np.add(total, arrow_codes[product], out=total)
+        total += product
         del product
-    mul = _positions(codes, total)
-    inverses = np.array((*groupoid.inv, -1))[images]    # the members' inverses
-    inv = _positions(codes, arrow_codes[inverses].sum(axis=1)).tolist()
+    mul = np.empty(total.shape, dtype=np.int16)
+    for block in row_blocks(len(rows), len(rows)):  # no intp copy of all of total
+        mul[block] = by_code[total[block]]
+    del total                       # dropped before the monoid validates its table
+    inv = by_code[rows[:, list(groupoid.inv)] @ arrow_codes[:-1]].tolist()
     unit = arrow_codes[list(groupoid.identities)].sum()     # the code of every identity
-    zero, one = _positions(codes, np.array([0, unit])).tolist()
+    zero, one = by_code[[0, unit]].tolist()
     i, arrows = np.nonzero(rows)        # row by row, each row's arrows ascending
     names = [groupoid.label(a) for a in arrows.tolist()]
     ends = np.searchsorted(i, np.arange(len(rows) + 1)).tolist()
     labels = ["{" + ",".join(names[lo:hi]) + "}" for lo, hi in zip(ends, ends[1:])]
     monoid = InverseMonoid(mul, inv, zero, one, labels)
-    groupoid._bisections = BisectionMonoid(groupoid, rows, monoid, codes)
+    groupoid._bisections = BisectionMonoid(groupoid, rows, monoid, by_code)
     return groupoid._bisections
 
 
@@ -431,14 +429,13 @@ def check_covering(f: CoveringFunctor) -> LawReport:
 
 
 def groupoid_to_dot(groupoid: FiniteGroupoid) -> str:
-    """Graphviz rendering of ``digraph G``: identities double-circled, arrows labeled edges."""
-    lines = ["digraph G {"]
-    for e in groupoid.identities:
-        lines.append(f'  n{e} [shape=doublecircle, label="{groupoid.label(e)}"];')
-    for g in range(groupoid.m):
-        if g in groupoid.identities:
-            continue
-        lines.append(
-            f'  n{groupoid.d[g]} -> n{groupoid.r[g]} [label="{groupoid.label(g)}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    """Graphviz rendering of ``digraph G``: identities double-circled, arrows labeled
+    edges.  A label is quoted with its backslashes and quotes escaped, so it is
+    one string whatever it holds."""
+    def quoted(g):
+        return '"' + groupoid.label(g).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    nodes = [f"  n{e} [shape=doublecircle, label={quoted(e)}];" for e in groupoid.identities]
+    edges = [f"  n{groupoid.d[g]} -> n{groupoid.r[g]} [label={quoted(g)}];"
+             for g in range(groupoid.m) if g not in groupoid.identities]
+    return "\n".join(["digraph G {", *nodes, *edges, "}"])

@@ -4,8 +4,11 @@ import argparse
 import ast
 import importlib
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -438,6 +441,50 @@ def test_dualize_dot_renders_the_dual_it_built(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "dualize", "pair3", "--format", "dot", "--store", str(tmp_path))
     assert code == 2 and out == ""
     assert "dot output is only defined for groupoids" in err
+
+
+def test_dualize_dot_keeps_a_stored_label_in_its_string(tmp_path, capsys):
+    """A label with a quote and a bracket in a stored entry renders as text:
+    the dual's DOT has one statement per identity and per other arrow."""
+    run(capsys, "build", "bool-algebra", "--name", "ba2q", "--store", str(tmp_path))
+    path = tmp_path / "ba2q.json"
+    entry = json.loads(path.read_text())
+    entry["payload"]["labels"][1] = 'a"]; evil [shape=box'
+    path.write_text(json.dumps(entry))
+    code, out, _ = run(capsys, "dualize", "ba2q", "--format", "dot", "--store", str(tmp_path))
+    dual = load_entry("ba2q-dual", tmp_path)[2]
+    assert code == 0 and out == groupoid_to_dot(dual) + "\n"
+    bare = re.sub(r'"(?:[^"\\]|\\.)*"', '""', out)
+    assert "evil" not in bare and bare.count(";") == dual.m
+    assert 'label="a\\"]; evil [shape=box' in out
+
+
+def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path):
+    """A reader that has gone, as in ``check ... | head -1``, is no input
+    error: with stdout a pipe whose read end is closed first, so that every
+    write fails, each command prints nothing on stderr, keeps its exit code
+    (1 for a failed law report) and still saves what it built."""
+    def closed(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "stonework.cli", *argv, "--store", str(tmp_path)],
+                stdout=write, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(stonework.__file__).parents[1])})
+        finally:
+            os.close(write)
+        return done.returncode, done.stderr.decode()
+
+    assert closed("build", "chain", "--length", "2") == (0, "")
+    assert closed("build", "brandt", "--format", "text") == (0, "")
+    assert [p.name for p in sorted(tmp_path.iterdir())] == ["brandt.json", "chain2.json"]
+    assert closed("check", "chain2", "--laws", "all") == (0, "")
+    assert closed("check", "brandt", "--laws", "all") == (1, "")
+    assert closed("dualize", "chain2", "--round-trip", "--format", "dot") == (0, "")
+    assert (tmp_path / "chain2-dual.json").exists()
+    code, err = closed("check", "ghost")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path, capsys):

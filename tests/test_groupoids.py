@@ -1,6 +1,7 @@
 """Groupoid structure, bisection enumeration, A(G), point filters, coverings."""
 
 import itertools
+import math
 import re
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from helpers import (
 )
 
 from stonework import (
+    MAX_ELEMENTS,
     BoundError,
     StructureError,
     boolean_algebra_monoid,
@@ -59,6 +61,7 @@ from stonework.filters import (
     ultra_by_meet,
     ultrafilter_groupoid,
 )
+from stonework.inverse_core import _partial_bijection_count
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +394,11 @@ def test_membership_rows_match_the_object_form(name):
     reference = reference_bisections(groupoid)
     bm = all_bisections_monoid(groupoid)
     rows = enumerate_bisections(groupoid)
+    radices = [len(groupoid.star(e)) + 1 for e in groupoid.identities]
+    weight = {e: math.prod(radices[:p]) for p, e in enumerate(groupoid.identities)}
+    code = lambda b: sum((groupoid.star(groupoid.d[a]).index(a) + 1) * weight[groupoid.d[a]]
+                         for a in b)
+    assert len(bm.by_code) == math.prod(radices)
     assert not rows.flags.writeable and len(rows) == len(reference)
     assert rows.tolist() == bm.rows.tolist() == [b.row().tolist() for b in reference]
 
@@ -402,9 +410,8 @@ def test_membership_rows_match_the_object_form(name):
         frozenset(), frozenset(groupoid.identities))
     assert list(bm.monoid.labels) == [
         "{" + ",".join(groupoid.label(a) for a in b) + "}" for b in reference]
-    place = {e: p for p, e in enumerate(groupoid.identities)}
-    assert bm.codes.tolist() == [sum((a + 1) * (groupoid.m + 1) ** place[groupoid.d[a]]
-                                     for a in b) for b in reference]
+    assert np.flatnonzero(bm.by_code >= 0).tolist() == sorted(map(code, reference))
+    assert [bm.by_code[code(b)] for b in reference] == list(range(len(reference)))
 
     through = [np.array([g in b.members for b in reference]) for g in range(groupoid.m)]
     points = [filter_of(bm.monoid, column) for column in through]
@@ -431,15 +438,90 @@ def test_pullbacks_match_the_object_form(left, right):
 
 
 def test_indices_of_refuses_a_row_whose_code_aliases_a_bisection():
-    """In Z/3 every arrow has the one domain, so the code of {0, 1} is
-    1 + 2, the code of {2}; the fiber test refuses it first."""
+    """In Z/3 every arrow has the one domain, so arrows 0, 1 and 2 are the
+    digits 1, 2 and 3 of radix 4, and the code of {0, 1} is 1 + 2, the code
+    of {2}; the fiber test refuses it first."""
     z3 = group_groupoid(3)
     bm = all_bisections_monoid(z3)
     alias, two = row_of(z3, [0, 1]), row_of(z3, [2])
-    codes = groupoids._arrow_codes(z3)
-    assert codes[[0, 1]].sum() == codes[2] == bm.codes[bm.indices_of([two])[0]]
+    codes, size = groupoids._arrow_codes(z3)
+    assert (codes.tolist(), size) == ([1, 2, 3, 0], 4)
+    assert codes[[0, 1]].sum() == codes[2] and bm.by_code[codes[2]] == bm.indices_of([two])[0]
     with pytest.raises(StructureError, match="not a bisection"):
         bm.indices_of([alias])
+
+
+def permuted(groupoid, seed):
+    """The groupoid with its arrows renumbered by a seeded shuffle, arrow a
+    becoming sigma[a], and ``was``: new arrow b was arrow was[b]."""
+    sigma = np.random.default_rng(seed).permutation(groupoid.m)
+    was = np.argsort(sigma)
+    table = groupoid.compose[np.ix_(was, was)]
+    return FiniteGroupoid(*(sigma[np.take(x, was)] for x in (groupoid.d, groupoid.r,
+                                                             groupoid.inv)),
+                          np.where(table >= 0, sigma[table], -1),
+                          sigma[list(groupoid.identities)],
+                          groupoid.labels and [groupoid.labels[a] for a in was.tolist()]), was
+
+
+RELABELLED_CASES = {
+    "pair3": lambda: pair_groupoid(3),
+    "pair2+z3": OBJECT_FORM_CASES["pair2+z3"],
+    "z4+z5+z7": OBJECT_FORM_CASES["z4+z5+z7"],
+    "ix3-dual": OBJECT_FORM_CASES["ix3-dual"],
+}
+
+
+@pytest.mark.parametrize("name", list(RELABELLED_CASES))
+def test_codes_under_relabelled_arrows_give_the_object_form(name):
+    """A digit is a rank in a star, which depends on the arrow order.  Under
+    50 seeded renumberings the monoid is still the object form's: its product
+    and inverse, carried over the renumbering, are the literal ones of the
+    original arrows, and indices_of finds every reference row."""
+    original = RELABELLED_CASES[name]()
+    reference = reference_bisections(original)
+    at = {b.members: i for i, b in enumerate(reference)}
+    mul = np.array([[at[reference_bisection_product(a, b).members] for b in reference]
+                    for a in reference])
+    inv = np.array([at[b.inverse().members] for b in reference])
+    for seed in range(50):
+        groupoid, was = permuted(original, seed)
+        relabelled = reference_bisections(groupoid)
+        bm = all_bisections_monoid(groupoid)
+        assert bm.rows.tolist() == [b.row().tolist() for b in relabelled]
+        p = np.array([at[frozenset(was[list(b.members)].tolist())] for b in relabelled])
+        assert np.array_equal(p[bm.monoid.mul], mul[np.ix_(p, p)])
+        assert np.array_equal(p[list(bm.monoid.inv)], inv[p])
+        assert (relabelled[bm.monoid.zero].members, relabelled[bm.monoid.one].members) == (
+            frozenset(), frozenset(groupoid.identities))
+        assert bm.indices_of([b.row() for b in relabelled]) == list(range(len(relabelled)))
+
+
+def test_codes_stay_below_the_code_space_bound():
+    """Among groupoids with at most MAX_ELEMENTS bisections, the most codes,
+    prod(|star(e)| + 1), is 15,625.  A component of k objects with isotropy
+    of order g has sum_j C(k, j)^2 j! g^j bisections and (kg + 1)^k codes;
+    a one-object component has g + 1 of both, so one-object components fill
+    what the others leave of the bound.  The maximum is pair4 beside the pair
+    groupoid on two objects times Z/2, and every stock groupoid's code count
+    is its product of radices."""
+    components = [(_partial_bijection_count(k, MAX_ELEMENTS, g), (k * g + 1) ** k)
+                  for k in range(2, 7) for g in range(1, MAX_ELEMENTS)
+                  if _partial_bijection_count(k, MAX_ELEMENTS, g) <= MAX_ELEMENTS]
+
+    def most(budget, start):       # components from ``start`` on, at most ``budget`` bisections
+        return max([budget] + [codes * most(budget // count, i)
+                               for i, (count, codes) in enumerate(components[start:], start)
+                               if count <= budget])
+
+    assert most(MAX_ELEMENTS, 0) == 15_625
+    widest = disjoint_union(pair_groupoid(4), pair_times_group(2, 2))
+    assert len(enumerate_bisections(widest)) == 209 * 17 == 3_553
+    assert groupoids._arrow_codes(widest)[1] == 15_625
+    for make in OBJECT_FORM_CASES.values():
+        groupoid = make()
+        assert groupoids._arrow_codes(groupoid)[1] == math.prod(
+            len(groupoid.star(e)) + 1 for e in groupoid.identities)
 
 
 def test_no_object_form_of_a_bisection_in_src():
@@ -454,27 +536,19 @@ def test_no_object_form_of_a_bisection_in_src():
     assert hits == []
 
 
-def test_code_lookup_makes_no_array_as_large_as_its_input_beside_the_answer():
-    """The product codes of trivial11's 2,048 bisections take 32 MiB.  The
-    lookup makes its 32 MiB answer and only blocks of rows besides, and
-    gives the answers of the one-shot lookup."""
+def test_the_bisection_monoid_of_trivial11_peaks_under_64_mib():
+    """trivial11's 2,048 bisections have a table of 4 M cells: 16 MiB of
+    int32 product codes, looked up into 8 MiB of int16 entries.  Building
+    the monoid peaks at most at 64 MiB under tracemalloc (48.3 MiB measured);
+    an n x n int64 array of codes beside the gathers would exceed it."""
     groupoid = trivial_groupoid(11)
-    arrow_codes = groupoids._arrow_codes(groupoid)
-    images, products = groupoids.image_products(groupoid, enumerate_bisections(groupoid))
-    codes = arrow_codes[images].sum(axis=1)
-    wanted = sum(arrow_codes[product] for product in products)
     tracemalloc.start()
     try:
-        found = groupoids._positions(codes, wanted)
+        bm = all_bisections_monoid(groupoid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert wanted.nbytes == 32 << 20 and peak < 1.25 * wanted.nbytes
-    order = np.argsort(codes)
-    at = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(codes) - 1)]
-    assert np.array_equal(found, np.where(codes[at] == wanted, at, -1))
-    absent = np.array([codes[5], codes.max() + 1, -7, codes.min()])
-    assert groupoids._positions(codes, absent).tolist() == [5, -1, -1, int(codes.argmin())]
+    assert bm.monoid.mul.nbytes == 8 << 20 and peak <= 64 << 20
 
 
 def test_more_bisections_than_the_cap_are_refused_by_their_count():
@@ -705,6 +779,26 @@ def test_pullback_refuses_non_covering(pair2):
 
 
 # -- rendering -----------------------------------------------------------------------------
+
+
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')     # a quoted DOT string, escapes kept
+
+
+def test_dot_labels_are_escaped():
+    """Quotes and backslashes in labels stay inside their quoted strings:
+    with each string emptied, the rendering is that of empty labels, one
+    statement per identity and per other arrow, and each string, unescaped,
+    is its label."""
+    pair3 = pair_groupoid(3)
+    hostile = ['a"]; evil [shape=box', "ends in \\", '\\"', 'x\\"; y', "two\nlines", "plain"]
+    labels = [hostile[g % len(hostile)] for g in range(pair3.m)]
+    as_labelled = lambda labels: FiniteGroupoid(pair3.d, pair3.r, pair3.inv, pair3.compose,
+                                                pair3.identities, labels)
+    dot = groupoid_to_dot(as_labelled(labels))
+    assert DOT_STRING.sub('""', dot) == groupoid_to_dot(as_labelled([""] * pair3.m))
+    order = [*pair3.identities, *(g for g in range(pair3.m) if g not in pair3.identities)]
+    assert [re.sub(r"\\(.)", r"\1", text, flags=re.S) for text in DOT_STRING.findall(dot)] == [
+        labels[g] for g in order]
 
 
 def test_dot_output(pair2):
