@@ -13,12 +13,12 @@ that was checked and how many instances ran.
 
 Morphisms of monoids carry three axioms beyond being a semigroup
 homomorphism, checked in this order with a witness: M1 keeps zero, one and
-the meets and joins of idempotents, M2 all binary meets, and M3 leaves no
-target ultrafilter with an empty preimage.  That M1 is a boolean algebra map
-on idempotents (f(e) = f(e) f(e); complements are unique), that a non-empty
-preimage of an ultrafilter is one (M1 keeps orthogonal joins, so its least
-member is an atom), and that the functor of a morphism is a covering and
-intertwines dom are theorems, which the tests cross-check.  The functor on
+the joins of idempotents (meets are products), M2 all binary meets, and M3
+leaves no target ultrafilter with an empty preimage.  That M1 is a boolean
+algebra map on idempotents (f(e) = f(e) f(e); complements are unique), that
+a non-empty preimage of an ultrafilter is one (M1 keeps orthogonal joins, so
+its least member is an atom), and that the functor of a morphism is a covering
+and intertwines dom are theorems, which the tests cross-check.  The functor on
 morphisms and the weak pullback read every preimage off :func:`_preimages`.
 """
 
@@ -89,15 +89,14 @@ class MonoidMorphism:
         if moved.any():
             raise MorphismError("homomorphism", tuple(int(x) for x in np.argwhere(moved)[0]))
 
-        # M1.  [a, b]: the image of the bound of idempotents a and b is not the
-        # bound of the images; the padded map sends an absent bound (-1) to -1
+        # M1.  [a, b]: f moves the join of idempotents a and b (absent: -1, sent to
+        # -1 by the padded map); their meet is their product, which f keeps
         if f[s_mon.zero] != t_mon.zero or f[s_mon.one] != t_mon.one:
             raise MorphismError("M1", ("zero/one",))
         padded, idem = np.append(image, -1).astype(np.int16), list(s_mon.idempotents)
         mine, theirs, e_image = s_mon.order(), t_mon.order(), image[idem]
-        if hit := first_failure({bound: padded[getattr(mine, bound)[idem][:, idem]]
-                                 != getattr(theirs, bound)[e_image][:, e_image]
-                                 for bound in ("meet", "join")}):
+        if hit := first_failure({"join": padded[mine.join[idem][:, idem]]
+                                 != theirs.join[e_image][:, e_image]}):
             raise MorphismError("M1", (hit[0], *(idem[i] for i in hit[1])))
 
         # all binary meets
@@ -144,12 +143,11 @@ def stone_groupoid(monoid: InverseMonoid) -> StoneGroupoid:
     return monoid._stone_groupoid
 
 
-def basic_opens(monoid: InverseMonoid, sg: StoneGroupoid) -> np.ndarray:
-    """K(s) for every element s, as membership rows over the arrows of
-    ``sg``: [s, g] is s in ultrafilter g, read off the order of ``monoid``.
-    ``sg`` is a Stone groupoid of ``monoid``: the one it keeps, or the one
-    :func:`union_bisection_probe` is given.  K(zero) is empty."""
-    return monoid.order().matrix[sg.ultrafilters].T
+def basic_opens(sg: StoneGroupoid) -> np.ndarray:
+    """K(s) for every element s of the monoid of ``sg``, as membership rows
+    over the arrows of ``sg``: [s, g] is s in ultrafilter g, read off the
+    order of ``sg.monoid``.  K(zero) is empty."""
+    return sg.monoid.order().matrix[sg.ultrafilters].T
 
 
 def point_ultrafilter(bm: BisectionMonoid, g):
@@ -163,8 +161,7 @@ def union_bisection_probe(sg: StoneGroupoid, s: int, t: int):
     """Is K(s) | K(t) a bisection?  Returns (flag, witness) where the
     witness names two arrows sharing a domain or range fiber."""
     s, t = as_indices((s, t), "element", sg.monoid.n).tolist()
-    opens = basic_opens(sg.monoid, sg)
-    clash = fiber_clash(sg, np.flatnonzero(opens[s] | opens[t]).tolist())
+    clash = fiber_clash(sg, np.flatnonzero(basic_opens(sg)[[s, t]].any(axis=0)).tolist())
     return clash is None, clash
 
 
@@ -178,7 +175,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     sg = stone_groupoid(monoid)
     report = LawReport(subject=f"basic-open laws on {monoid!r}")
     n, order = monoid.n, monoid.order()
-    inside = basic_opens(monoid, sg)       # inside[s, g]: arrow g is in K(s)
+    inside = basic_opens(sg)       # inside[s, g]: arrow g is in K(s)
     meet, join = order.meet, order.join     # -1 where a bound is absent
 
     report.add("is-bisection", n, [
@@ -290,7 +287,7 @@ def round_trip_monoid(monoid: InverseMonoid, *,
         raise StructureError(f"cardinality mismatch: |double dual| = {len(bm)} != {n}")
     laws = [("cardinality", 1)]
 
-    forward = tuple(bm.indices_of(basic_opens(monoid, sg)))
+    forward = tuple(bm.indices_of(basic_opens(sg)))
     if len(set(forward)) != n:
         raise StructureError("basic-open map is not injective")
     backward = np.argsort(forward).tolist()      # the inverse permutation
@@ -360,7 +357,7 @@ def round_trip_groupoid(groupoid: FiniteGroupoid, *,
     image = np.zeros((len(bm), m), dtype=bool)
     image[:, fwd] = bm.rows
     raise_first_failure({"image of bisection {} is not its basic open set":
-                         (image != basic_opens(bm.monoid, sg)).any(axis=1)})
+                         (image != basic_opens(sg)).any(axis=1)})
     laws.append(("bisection-transport", len(bm)))
 
     return IsoCertificate(forward, tuple(backward), laws, time.perf_counter() - start)

@@ -188,10 +188,15 @@ def reference_inverse_uniqueness_failure(mul, inv):
     return None
 
 
-def first_groupoid_failure(d, r, inv, compose, identities):
+def first_groupoid_failure(d, r, inv, compose, identities, *, implied=True):
     """Reference groupoid validation: the Python loops over a dict of
     composable pairs ``{(g, h): k}`` that ``FiniteGroupoid`` ran before its
-    table became dense.  Returns the message of the first failure, or None."""
+    table became dense.  With ``implied`` false it skips the two checks that
+    ``FiniteGroupoid`` leaves to Light's test, a composite's dom/ran and an
+    involutive inverse.  Associativity is scanned over every triple in
+    ascending order, undefined read as an absorbing arrow m; once the checks
+    before it pass, only defined triples can fail.  Returns the message of
+    the first failure, or None."""
     m, ids = len(d), set(identities)
     if len(r) != m or len(inv) != m:
         return "d/r/inv length mismatch"
@@ -208,14 +213,14 @@ def first_groupoid_failure(d, r, inv, compose, identities):
     for (g, h), k in compose.items():
         if d[g] != r[h]:
             return f"composition defined on non-composable ({g}, {h})"
-        if d[k] != d[h] or r[k] != r[g]:
+        if implied and (d[k] != d[h] or r[k] != r[g]):
             return f"composite ({g}, {h}) has wrong dom/ran"
     for g in range(m):
         for h in range(m):
             if d[g] == r[h] and (g, h) not in compose:
                 return f"composable pair ({g}, {h}) left undefined"
     for g in range(m):
-        if inv[inv[g]] != g:
+        if implied and inv[inv[g]] != g:
             return f"inverse not involutive at {g}"
         if compose.get((g, inv[g])) != r[g]:
             return f"g g^-1 != ran(g) at {g}"
@@ -223,10 +228,34 @@ def first_groupoid_failure(d, r, inv, compose, identities):
             return f"g^-1 g != dom(g) at {g}"
         if compose[(r[g], g)] != g or compose[(g, d[g])] != g:
             return f"identities do not act neutrally at {g}"
-    for (g, h), gh in compose.items():
-        for k in range(m):
-            if (h, k) in compose and compose[(gh, k)] != compose[(g, compose[(h, k)])]:
-                return f"associativity fails at ({g}, {h}, {k})"
+    table = np.full((m + 1, m + 1), m)
+    for (g, h), k in compose.items():
+        table[g, h] = k
+    if triple := first_associativity_failure(table, range(m)):
+        return "associativity fails at ({}, {}, {})".format(*triple)
+    return None
+
+
+def reference_functor_failure(source, target, arrow_map, *, implied=True):
+    """Reference functor validation, the loops that ``CoveringFunctor`` ran
+    before it left identities and dom/ran to composition: the message of
+    the first identity not sent to an identity, then of the first arrow
+    whose dom or ran is not preserved, then of the first composable pair
+    whose composite is not; or None.  With ``implied`` false only
+    composition is checked."""
+    f, src_d, src_r, tgt_d, tgt_r = arrow_map, source.d, source.r, target.d, target.r
+    if implied:
+        for e in source.identities:
+            if f[e] not in target.identities:
+                return f"identity {e} not sent to an identity"
+        for g in range(source.m):
+            if tgt_d[f[g]] != f[src_d[g]] or tgt_r[f[g]] != f[src_r[g]]:
+                return f"dom/ran not preserved at {g}"
+    image = target.compose.tolist()
+    for g, row in enumerate(source.compose.tolist()):
+        for h, k in enumerate(row):
+            if k >= 0 and image[f[g]][f[h]] != f[k]:
+                return f"composition not preserved at ({g}, {h})"
     return None
 
 
@@ -873,7 +902,7 @@ def reference_three_way_equivalence(monoid):
 def _basic_opens(monoid):
     """What verify_basic_open_laws reads first: the kept Stone groupoid and K(s) for every s."""
     sg = stone_groupoid(monoid)
-    return sg, basic_opens(monoid, sg), monoid.order()
+    return sg, basic_opens(sg), monoid.order()
 
 
 def reference_meet_is_intersection(monoid):

@@ -16,6 +16,7 @@ from helpers import (
     object_form_groupoids,
     reference_bisection_product,
     reference_bisections,
+    reference_functor_failure,
     reference_lifting_failure,
     reference_pullback_preimages,
     reference_star_bijective,
@@ -61,7 +62,9 @@ from stonework.filters import (
     ultra_by_meet,
     ultrafilter_groupoid,
 )
+from stonework.cli import main
 from stonework.inverse_core import _partial_bijection_count
+from stonework.serialize import groupoid_to_json, save_entry
 
 
 @pytest.fixture(scope="module")
@@ -149,42 +152,109 @@ def test_validation_rejects_bad_inverse(pair2):
         type(pair2)(pair2.d, pair2.r, inv, pair2.compose, pair2.identities)
 
 
-@pytest.mark.parametrize("groupoid, earlier, associativity", [
-    (pair_groupoid(3), 729, 0),
-    (disjoint_union(group_groupoid(2), group_groupoid(3)), 121, 4),
+IMPLIED = ("composite (", "inverse not involutive at ")     # left to Light's test
+
+
+def assert_fails_as_the_reference(d, r, inv, table, identities):
+    """The validator refuses exactly what the full reference refuses.  Its
+    message is the one the reference reaches without the checks that
+    Light's test decides, except at associativity, where Light's test names
+    a failing triple, not the first one: (a b) c != a (b c), undefined read
+    as absorbing.  Returns the full reference's message and the validator's."""
+    pairs = {(x, y): int(k) for (x, y), k in np.ndenumerate(table) if k >= 0}
+    expected = first_groupoid_failure(d, r, inv, pairs, identities)
+    reached = first_groupoid_failure(d, r, inv, pairs, identities, implied=False)
+    try:
+        FiniteGroupoid(d, r, inv, table, identities)
+        message = None
+    except StructureError as err:
+        message = str(err)
+    assert (message is None) == (expected is None), (expected, message)
+    assert reached == expected or expected.startswith(IMPLIED), (expected, reached)
+    if reached is None or not reached.startswith("associativity fails at"):
+        assert message == reached, (reached, message)
+        return expected, message
+    named = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", message or "")
+    assert named, (reached, message)
+    a, b, c = map(int, named.groups())
+    padded = np.pad(table, (0, 1), constant_values=-1)      # index -1 reads -1
+    assert max(a, b, c) < len(d) and padded[padded[a, b], c] != padded[a, padded[b, c]]
+    return expected, message
+
+
+@pytest.mark.parametrize("groupoid, earlier, associativity, implied", [
+    (pair_groupoid(3), 681, 48, 216),
+    (disjoint_union(group_groupoid(2), group_groupoid(3)), 117, 8, 30),
     (disjoint_union(disjoint_union(group_groupoid(4), group_groupoid(5)), group_groupoid(7)),
-     3850, 246),
+     3376, 720, 908),
 ], ids=["pair3", "z2+z3", "z4+z5+z7"])
-def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid, earlier, associativity):
-    """Every cell of the table, set to each other arrow and to -1 (undefined).
-    Each check before associativity fails with the reference's message.  At
-    associativity Light's test names a failing triple, not the reference's
-    lexicographically first one: (a b) c != a (b c), undefined read as absorbing."""
-    m, counts = groupoid.m, [0, 0]
+def test_cell_corruptions_fail_as_the_reference_validator_does(groupoid, earlier, associativity,
+                                                               implied):
+    """Every cell of the table, set to each other arrow and to -1 (undefined),
+    fails as :func:`assert_fails_as_the_reference` says: ``earlier`` times
+    before associativity and ``associativity`` times at it, ``implied`` of
+    them where the full reference refuses at a check left to Light's test."""
+    m, counts = groupoid.m, [0, 0, 0]
     for (g, h), value in np.ndenumerate(groupoid.compose):
         for wrong in set(range(-1, m)) - {int(value)}:
             table = groupoid.compose.copy()
             table[g, h] = wrong
-            pairs = {(x, y): int(k) for (x, y), k in np.ndenumerate(table) if k >= 0}
-            expected = first_groupoid_failure(groupoid.d, groupoid.r, groupoid.inv, pairs,
-                                              groupoid.identities)
-            try:
-                FiniteGroupoid(groupoid.d, groupoid.r, groupoid.inv, table, groupoid.identities)
-                message = None
-            except StructureError as err:
-                message = str(err)
-            if expected is None or not expected.startswith("associativity fails at"):
-                assert message == expected, (g, h, wrong)
-                counts[0] += expected is not None
-                continue
-            named = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", message or "")
-            assert named, (g, h, wrong, message)
-            a, b, c = map(int, named.groups())
-            padded = np.pad(table, (0, 1), constant_values=-1)      # index -1 reads -1
-            assert max(a, b, c) < m, (g, h, wrong, message)
-            assert padded[padded[a, b], c] != padded[a, padded[b, c]], (g, h, wrong, message)
-            counts[1] += 1
-    assert counts == [earlier, associativity]
+            expected, message = assert_fails_as_the_reference(
+                groupoid.d, groupoid.r, groupoid.inv, table, groupoid.identities)
+            counts[message.startswith("associativity fails at")] += 1
+            counts[2] += expected.startswith(IMPLIED)
+    assert counts == [earlier, associativity, implied]
+
+
+SMALL_GROUPOIDS = {
+    "pair2": lambda: pair_groupoid(2), "pair3": lambda: pair_groupoid(3),
+    "z4": lambda: group_groupoid(4), "trivial3": lambda: trivial_groupoid(3),
+    "z2+z3": lambda: disjoint_union(group_groupoid(2), group_groupoid(3)),
+    "pair2+z2": lambda: disjoint_union(pair_groupoid(2), group_groupoid(2)),
+}
+
+
+@pytest.mark.parametrize("name", ["pair3", "z2+z3"])
+def test_every_inverse_corruption_fails_as_the_reference_validator_does(name):
+    """Every entry of inv set to each other arrow: without its involution
+    check the validator still refuses each such inverse, at the reference's
+    check or by Light's test."""
+    groupoid = SMALL_GROUPOIDS[name]()
+    implied = 0
+    for g, wrong in itertools.product(range(groupoid.m), repeat=2):
+        if wrong != groupoid.inv[g]:
+            inv = [*groupoid.inv[:g], wrong, *groupoid.inv[g + 1:]]
+            expected, message = assert_fails_as_the_reference(
+                groupoid.d, groupoid.r, inv, groupoid.compose, groupoid.identities)
+            assert message is not None
+            implied += expected.startswith(IMPLIED)
+    assert implied > 0
+
+
+def test_seeded_corruptions_fail_as_the_reference_validator_does():
+    """6,000 tables of six small groupoids, each with one to three entries
+    of compose (-1 included), inv, d or r set to a seeded value: the
+    validator accepts exactly the 606 that the full reference accepts, and
+    1,111 are refused first at a check that Light's test now decides."""
+    rng = np.random.default_rng(40)
+    counts = {"accepted": 0, "implied": 0, "refused": 0}
+    for make in SMALL_GROUPOIDS.values():
+        groupoid = make()
+        m = groupoid.m
+        for _ in range(1000):
+            fields = {"d": list(groupoid.d), "r": list(groupoid.r), "inv": list(groupoid.inv)}
+            table = groupoid.compose.copy()
+            for _ in range(rng.integers(1, 4)):
+                where = ["compose", "d", "r", "inv"][rng.integers(4)]
+                if where == "compose":
+                    table[tuple(rng.integers(m, size=2))] = rng.integers(-1, m)
+                else:
+                    fields[where][rng.integers(m)] = int(rng.integers(m))
+            expected, _ = assert_fails_as_the_reference(fields["d"], fields["r"], fields["inv"],
+                                                        table, groupoid.identities)
+            counts["accepted" if expected is None else
+                   "implied" if expected.startswith(IMPLIED) else "refused"] += 1
+    assert counts == {"accepted": 606, "implied": 1111, "refused": 4283}
 
 
 def test_large_groupoids_validate_at_the_cost_of_a_few_tries():
@@ -193,6 +263,20 @@ def test_large_groupoids_validate_at_the_cost_of_a_few_tries():
     start = time.perf_counter()
     assert (len(group_groupoid(2000)), len(pair_groupoid(32))) == (2000, 1024)
     assert time.perf_counter() - start < 20
+
+
+def test_pair32_validates_within_28_mib():
+    """Validation builds no m x m int64 array: pair_groupoid(32), 1,024
+    arrows, peaks at about 21 MiB under tracemalloc, its int16 table and
+    Light's test; an int64 table and a composite dom/ran check took 41 MiB."""
+    pair_groupoid(2)
+    tracemalloc.start()
+    try:
+        pair_groupoid(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2 ** 20
 
 
 def test_a_one_cell_change_in_z2000_is_rejected_at_a_failing_triple():
@@ -214,12 +298,28 @@ def test_compose_must_be_a_square_integer_table(pair2):
             FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
 
 
-def test_a_compose_entry_past_int64_is_out_of_range_not_wrapped(pair2):
-    """A uint64 table narrowed to int64 first would read 2^64 - 1 as -1,
-    undefined, which is right in every cell that holds it here."""
+def test_a_compose_entry_past_int64_is_out_of_range_not_wrapped(pair2, tmp_path, capsys):
+    """Entries are range-checked as given, before the table is narrowed.  A
+    uint64 table narrowed to int64 first would read 2^64 - 1 as -1,
+    undefined, which is right in every cell that holds it here.  Narrowed to
+    int16 first, 2^16 + e would read as e, the right product e e for the
+    identity e, and 2^15 + e as a negative entry: in a dense int32 or int64
+    table, and in a stored [e, e, k] triple (exit 2), each is refused."""
     table = np.where(pair2.compose < 0, 2 ** 64 - 1, pair2.compose).astype(np.uint64)
     with pytest.raises(StructureError, match=f"^compose {2 ** 64 - 1} is outside -1..3$"):
         FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
+    e, payload = pair2.identities[-1], groupoid_to_json(pair2)
+    for entry in (2 ** 15 + e, 2 ** 16 + e):
+        for dtype in (np.int32, np.int64):
+            table = pair2.compose.astype(dtype)
+            table[e, e] = entry
+            with pytest.raises(StructureError, match=f"^compose {entry} is outside -1..3$"):
+                FiniteGroupoid(pair2.d, pair2.r, pair2.inv, table, pair2.identities)
+        triples = [[g, h, entry if g == h == e else k] for g, h, k in payload["compose"]]
+        assert triples != payload["compose"]
+        save_entry(tmp_path, "wide", "groupoid", {**payload, "compose": triples})
+        assert main(["check", "wide", "--store", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: compose {entry} is outside 0..3\n")
 
 
 def test_a_ragged_compose_list_is_refused():
@@ -272,6 +372,28 @@ def test_bisection_product_with_empty_and_domain(pair2, bm_pair2):
         assert not bisection_product(pair2, b, empty).any()
         dom_image = bisection_product(pair2, b[list(pair2.inv)], b)    # b^-1 b
         assert np.array_equal(bisection_product(pair2, b, dom_image), b)
+
+
+@pytest.mark.parametrize("make_a", [lambda: [True], lambda: np.array([1, 0, 0, 1])],
+                         ids=["short-list", "ints"])
+def test_bisection_product_refuses_a_row_that_is_not_boolean_of_m_arrows(pair2, make_a):
+    """[True] would read as arrow 0, and the ints 1, 0, 0, 1 as the arrows
+    1, 0, 0, 1; each is refused, with the full row on either side."""
+    full = np.ones(pair2.m, dtype=bool)
+    for a, b in ((make_a(), full), (full, make_a())):
+        with pytest.raises(StructureError, match="^membership rows must be boolean, of 4 arrows$"):
+            bisection_product(pair2, a, b)
+
+
+@pytest.mark.parametrize("rows", [[[2, 0, 0, 0]], [[0.5, 0, 0, 0]], [["x", 0, 0, 0]],
+                                  [True, False, False, False]],
+                         ids=["int", "float", "string", "one-axis"])
+def test_indices_of_refuses_rows_that_are_not_boolean_of_m_arrows(bm_pair2, rows):
+    """Cast to bool, each of the first three would read as {(1,1)}, the row
+    [True, False, False, False]; a (k, m) array of bools is needed."""
+    with pytest.raises(StructureError, match="^membership rows must be boolean, of 4 arrows$"):
+        bm_pair2.indices_of(rows)
+    assert bm_pair2.indices_of([np.array([True, False, False, False])]) == [1]
 
 
 def test_product_of_random_bisections_is_bisection(pair2):
@@ -737,14 +859,42 @@ def test_functor_validation_rejects_non_functor(pair2):
         CoveringFunctor(pair2, pair2, tuple(swapped))
 
 
+def test_every_arrow_map_is_a_functor_exactly_when_the_reference_says_so():
+    """All 60,132 arrow maps between seven small groupoids: CoveringFunctor
+    checks composition only, and accepts exactly the maps that the reference,
+    which also checks identities and dom/ran first, accepts; it refuses the
+    others at the reference's first composition failure."""
+    groupoids = {**{name: SMALL_GROUPOIDS[name]() for name in ("pair2", "pair2+z2")},
+                 "z2": group_groupoid(2), "z3": group_groupoid(3),
+                 "trivial1": trivial_groupoid(1), "trivial2": trivial_groupoid(2),
+                 "z2+z2": disjoint_union(group_groupoid(2), group_groupoid(2))}
+    counts = {"maps": 0, "functors": 0, "implied": 0}
+    for src, tgt in itertools.product(groupoids.values(), repeat=2):
+        for arrow_map in itertools.product(range(tgt.m), repeat=src.m):
+            expected = reference_functor_failure(src, tgt, arrow_map)
+            try:
+                CoveringFunctor(src, tgt, arrow_map)
+                message = None
+            except StructureError as err:
+                message = str(err)
+            assert (message is None) == (expected is None), (arrow_map, expected)
+            assert message == reference_functor_failure(src, tgt, arrow_map, implied=False)
+            counts["maps"] += 1
+            counts["functors"] += message is None
+            counts["implied"] += bool(expected) and not expected.startswith("composition")
+    assert counts == {"maps": 60132, "functors": 194, "implied": 59844}
+
+
 def test_functor_validation_names_the_identity_arrow(pair2):
     """The identity (2,2) is arrow 3 and the second identity: the message
-    names the arrow."""
+    names the arrow.  Sent to (1,2), it fails composition first at
+    (1,2)(2,2) = (1,2), whose image (1,2)(1,2) is undefined."""
     e = arrow(pair2, 2, 2)
     assert pair2.identities.index(e) != e
     mapping = list(range(pair2.m))
     mapping[e] = arrow(pair2, 1, 2)
-    with pytest.raises(StructureError, match=f"^identity {e} not sent to an identity$"):
+    g = arrow(pair2, 1, 2)
+    with pytest.raises(StructureError, match=f"^composition not preserved at \\({g}, {e}\\)$"):
         CoveringFunctor(pair2, pair2, tuple(mapping))
 
 

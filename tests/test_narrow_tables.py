@@ -1,6 +1,7 @@
-"""Product tables are int16 from load to law: every table is narrow and
-read-only, nothing is narrowed before it is range-checked, and everything
-derived from a table is what an int64 copy of it gives."""
+"""Product tables, and groupoids' compose tables, are int16 from load to
+law: every table is narrow and read-only, nothing is narrowed before it is
+range-checked, and everything derived from a table is what an int64 copy of
+it gives."""
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from stonework import (
 )
 from stonework.cli import main
 from stonework.corpus import GENERATORS, build
-from stonework.groupoids import all_bisections_monoid, pair_groupoid, trivial_groupoid
+from stonework.filters import ultrafilter_groupoid
+from stonework.groupoids import (all_bisections_monoid, disjoint_union, group_groupoid,
+                                 identity_functor, pair_groupoid, trivial_groupoid)
 from stonework.inverse_core import bound_table, product_monoid
 from stonework.laws import boolean_monoid_suite, order_meet_laws
-from stonework.serialize import load_entry, monoid_from_json, monoid_to_json, save_entry
+from stonework.serialize import (functor_to_json, groupoid_to_json, load_entry,
+                                 monoid_from_json, monoid_to_json, save_entry)
 
 
 def assert_narrow(monoid):
@@ -59,6 +63,27 @@ def test_every_built_and_loaded_monoid_holds_a_read_only_int16_table(tmp_path):
     assert_narrow(load_entry("ix3", tmp_path)[2])
     table, _ = serialize._read_table(text, text.index(b'"mul": ') + len(b'"mul": '))
     assert table.dtype == np.int16          # parsed narrow, not narrowed after
+
+
+def test_every_built_and_loaded_groupoid_holds_a_read_only_int16_table(tmp_path):
+    """A groupoid's compose is narrow like a monoid's table: each stock
+    groupoid generator's, a disjoint union, Stone groupoids, each loaded
+    back, and the two groupoids of a loaded functor."""
+    made = {name: obj for name, kind, obj, _ in map(build, GENERATORS) if kind == "groupoid"}
+    made["pair2+z3"] = disjoint_union(pair_groupoid(2), group_groupoid(3))
+    made |= {f"{name}-stone": ultrafilter_groupoid(make()) for name, make in (
+        ("ix3", lambda: symmetric_inverse_monoid(3)), ("ba3", lambda: boolean_algebra_monoid(3)),
+        ("clifford", clifford_monoid))}
+    assert len(made) == 8
+    for name, groupoid in made.items():
+        save_entry(tmp_path, name, "groupoid", groupoid_to_json(groupoid))
+        loaded = load_entry(name, tmp_path)[2]
+        for narrow in (groupoid, loaded):
+            assert narrow.compose.dtype == np.int16 and not narrow.compose.flags.writeable
+    save_entry(tmp_path, "id", "functor", functor_to_json(identity_functor(pair_groupoid(3))))
+    functor = load_entry("id", tmp_path)[2]
+    for narrow in (functor.source, functor.target):
+        assert narrow.compose.dtype == np.int16 and not narrow.compose.flags.writeable
 
 
 # -- nothing is narrowed before it is range-checked --------------------------------
