@@ -127,36 +127,25 @@ def _prefix_free(words) -> bool:
 def _canonical_pairs(n: int, pairs) -> tuple[tuple[str, str], ...]:
     """Merge complete sibling families until none remain, then sort.
 
-    Each round replaces every family {(sx c, sy c) : c a letter} present in
-    full by its stem (sx, sy), all at once; a stem that is itself a member
-    of another family merged in the same round stays.  A family with a
-    member on a letter outside the alphabet is never complete.  Only the
-    stems of the pairs a round adds can complete in the next round."""
-    current = set(pairs)
-    alphabet = letters(n)
-    fresh, blocked = current, set()
-    while True:
-        merged = set()
-        for x, y in fresh:
+    Each round groups the pairs (sx c, sy c) by their stem (sx, sy) and
+    replaces, all at once, every stem whose letters are exactly the alphabet
+    by the stem: a letter outside the alphabet keeps its stem from merging,
+    and a stem that is a member of another family merged in the same round
+    stays.  A family has n members, so the rounds stop once fewer than n
+    pairs remain."""
+    current, alphabet = set(pairs), set(letters(n))
+    while len(current) >= n:
+        stems: dict[tuple[str, str], set] = {}
+        for x, y in current:
             if x and y and x[-1] == y[-1]:
-                stem_x, stem_y = x[:-1], y[:-1]
-                if x[-1] not in alphabet:
-                    blocked.add((stem_x, stem_y))
-                    continue
-                for c in alphabet:
-                    if (stem_x + c, stem_y + c) not in current:
-                        break
-                else:
-                    merged.add((stem_x, stem_y))
-        if merged and blocked:
-            merged -= blocked
+                stems.setdefault((x[:-1], y[:-1]), set()).add(x[-1])
+        merged = [stem for stem, found in stems.items() if found == alphabet]
         if not merged:
-            return tuple(sorted(current))
+            break
         for stem_x, stem_y in merged:
-            for c in alphabet:
-                current.discard((stem_x + c, stem_y + c))
-        current |= merged
-        fresh = merged
+            current.difference_update((stem_x + c, stem_y + c) for c in alphabet)
+        current.update(merged)
+    return tuple(sorted(current))
 
 
 def _canonical_and_orthogonal(n: int, pairs) -> bool:
@@ -378,26 +367,16 @@ def oracle_agrees_on_join(a: CnElement, b: CnElement) -> bool:
     """The union of truncated-arrow sets is single-valued and injective
     exactly when the join exists; when it does, expansions agree.
 
-    All sources are truncated to one depth, so a source collision is plain
-    equality, but targets keep their length shifts: two distinct arrows
-    with prefix-comparable targets always share a range point.
+    All sources are truncated to one depth, so two arrows collide at a
+    source when there are fewer distinct sources than arrows; targets keep
+    their length shifts, so two collide at a range point when the sorted
+    targets are not prefix-free.
     """
     depth = max(a.max_length(), b.max_length(), 0) + 1
     union = finite_depth_oracle(a, depth) | finite_depth_oracle(b, depth)
-    collision = False
-    by_source: dict[str, str] = {}
-    for t, s in union:
-        if by_source.setdefault(s, t) != t:
-            collision = True
-            break
-    if not collision:
-        ordered = sorted(union)
-        for (t1, _), (t2, _) in zip(ordered, ordered[1:]):
-            if t2.startswith(t1):
-                collision = True
-                break
     joined = cn_join(a, b)
-    if collision:
+    if (len({s for _, s in union}) < len(union)
+            or not _prefix_free(sorted(t for t, _ in union))):
         return joined is None
     return joined is not None and finite_depth_oracle(joined, depth) == union
 

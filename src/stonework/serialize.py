@@ -220,7 +220,8 @@ def _read_table(data: bytes, start: int):
 
 def _loads(data: bytes):
     """``json.loads(data.decode())``, each table ``_read_table`` accepts spliced out as NaN,
-    which ``parse_constant`` hands back, unless the rest has NaN or Infinity or fails."""
+    which ``parse_constant`` hands back, unless the rest has NaN or Infinity or fails.  Text
+    nested past the recursion limit is a StructureError."""
     tables, parts, pos = [], [], 0
     for key in _TABLE_KEY.finditer(data):       # a table's text holds no '"'
         if (found := _read_table(data, key.end())) is not None:
@@ -232,7 +233,10 @@ def _loads(data: bytes):
         handed = iter(tables)
         with suppress(ValueError, RecursionError):
             return json.loads(rest.decode(), parse_constant=lambda _: next(handed))
-    return json.loads(data.decode())
+    try:
+        return json.loads(data.decode())
+    except RecursionError:
+        raise StructureError("entry is nested too deeply to read") from None
 
 
 def _write_json(out, value) -> None:

@@ -135,22 +135,36 @@ def test_a_bad_max_size_flag_exits_2(tmp_path, capsys, value):
 
 
 def test_every_public_name_is_used():
-    # a public function, class or method whose name appears only where it
-    # is defined is dead code
+    # a public function, class or method is dead code unless some module of
+    # src/, tests/ or perfbench/ loads its name, reads it as an attribute or
+    # imports it, outside a def of that name; a comment, docstring, parameter
+    # or string of the same name is no use
     root = Path(__file__).parents[1]
-    texts = {path: path.read_text() for folder in ("src", "tests", "perfbench")
-             for path in (root / folder).rglob("*.py")}
-    definitions: dict[str, int] = {}
+    used: set[str] = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.update({node.attr} - inside)
+        elif isinstance(node, ast.alias):
+            used.update(set(node.name.split(".")) - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for folder in ("src", "tests", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            visit(ast.parse(path.read_text()), frozenset())
+    defined = set()
     for path in (root / "src" / "stonework").glob("*.py"):
-        for node in ast.parse(texts[path]).body:
+        for node in ast.parse(path.read_text()).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
-            for item in [node, *members]:
-                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
-                    definitions[item.name] = definitions.get(item.name, 0) + 1
-    unused = [name for name, count in sorted(definitions.items())
-              if not name.startswith("_")
-              and sum(len(re.findall(rf"\b{name}\b", text)) for text in texts.values()) <= count]
-    assert unused == []
+            defined.update(item.name for item in [node, *members]
+                           if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                           and not item.name.startswith("_"))
+    assert sorted(defined - used) == []
 
 
 # helpers that only perfbench/workloads.py imports: they leave src/ in a

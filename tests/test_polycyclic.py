@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     random_poly,
     random_unit,
+    reference_canonical_pairs,
     reference_cn_mul,
     scan_parse_cn,
     scan_parse_word,
@@ -33,6 +34,7 @@ from stonework import (
     stone_groupoid,
     symmetric_inverse_monoid,
 )
+from stonework import polycyclic
 from stonework.polycyclic import (
     CnElement,
     CuntzArrow,
@@ -191,6 +193,35 @@ def test_families_merged_in_one_round_keep_a_stem_that_is_a_member():
     assert _canonical_pairs(2, pairs) == (("", ""), ("1", "1"))
     with pytest.raises(StructureError, match="not orthogonal"):
         CnElement.make(2, pairs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_form_under_cascading_merges(n):
+    """Complete sibling trees of depth 1-3 under random stems merge round
+    after round up to their stems.  Each family also has a leaf dropped, a
+    sibling on a letter outside the alphabet, or loose pairs added, so some
+    cascades stop part way; every result is the reference fixpoint's."""
+    rng = random.Random(n)
+    outside = letters(n + 1)[-1]
+    cascaded = 0
+    for _ in range(700):
+        trees = [(random_word(rng, n, 2), random_word(rng, n, 2), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+        pairs = [(sx + w, sy + w) for sx, sy, depth in trees for w in all_words(n, depth)]
+        edit = rng.randrange(3)
+        if edit == 0:
+            pairs.pop(rng.randrange(len(pairs)))
+        elif edit == 1:
+            x, y = rng.choice(pairs)
+            pairs.append((x[:-1] + outside, y[:-1] + outside))
+        else:
+            pairs += [(random_word(rng, n + 1, 4), random_word(rng, n + 1, 4))
+                      for _ in range(rng.randint(1, 3))]
+        rng.shuffle(pairs)
+        canonical = reference_canonical_pairs(n, pairs)
+        assert _canonical_pairs(n, pairs) == canonical
+        cascaded += any(depth > 1 and (sx, sy) in canonical for sx, sy, depth in trees)
+    assert cascaded > 100
 
 
 def test_constructor_rejects_non_canonical():
@@ -444,13 +475,34 @@ def test_oracle_detects_equality():
     assert finite_depth_oracle(a, depth) == finite_depth_oracle(b, depth)
 
 
-def test_oracle_product_and_join_seeded():
+def seeded_element_pairs():
+    """250 seeded pairs of C_2 elements of at most three splits each."""
     rng = random.Random(9)
-    for _ in range(250):
-        a = random_cn_element(rng, 2, 3)
-        b = random_cn_element(rng, 2, 3)
+    return [(random_cn_element(rng, 2, 3), random_cn_element(rng, 2, 3)) for _ in range(250)]
+
+
+def test_oracle_product_and_join_seeded():
+    for a, b in seeded_element_pairs():
         assert oracle_agrees_on_product(a, b)
         assert oracle_agrees_on_join(a, b)
+
+
+def join_dropping_the_first_pair(a, b):
+    joined = cn_join(a, b)
+    return None if joined is None else CnElement(joined.n, joined.pairs[1:])
+
+
+@pytest.mark.parametrize("wrong_join", [lambda a, b: None, lambda a, b: a,
+                                        join_dropping_the_first_pair],
+                         ids=["none", "left-operand", "first-pair-dropped"])
+def test_the_join_oracle_refuses_a_wrong_join(monkeypatch, wrong_join):
+    monkeypatch.setattr(polycyclic, "cn_join", wrong_join)
+    assert not all(oracle_agrees_on_join(a, b) for a, b in seeded_element_pairs())
+
+
+def test_the_product_oracle_refuses_a_product_with_its_operands_swapped(monkeypatch):
+    monkeypatch.setattr(polycyclic, "cn_mul", lambda a, b: cn_mul(b, a))
+    assert not all(oracle_agrees_on_product(a, b) for a, b in seeded_element_pairs())
 
 
 # -- eventually periodic words ------------------------------------------------------------

@@ -77,6 +77,19 @@ def stored(kind, payload, edit):
     return route
 
 
+def nested(verb, where):
+    """Entry ``bad``, a monoid whose payload, or its ``mul``, is a list nested 100,000
+    deep, past the recursion limit: refused by ``load_entry`` and by ``stonework <verb> bad``."""
+    def route(store):
+        deep = "[" * 100_000 + "]" * 100_000
+        payload = deep if where == "payload" else json.dumps(
+            {**MONOID, "mul": "deep"}).replace('"deep"', deep)
+        entry = f'{{"name": "bad", "kind": "monoid", "payload": {payload}}}'
+        (store / "bad.json").write_text(entry)
+        return (lambda: load_entry("bad", store)), [verb, "bad"]
+    return route
+
+
 def command(*argv, entry):
     """A command refused by the CLI itself, on a stored ``entry`` = (kind, payload)."""
     def route(store):
@@ -195,6 +208,14 @@ REFUSALS = {
                            stored("groupoid", GROUPOID, setter("m", 3))),
     "unknown-kind": (StructureError, "unknown entry kind 'nope'",
                      stored("nope", MONOID, lambda d: None)),
+    "payload-nested-deep-check": (StructureError, "entry is nested too deeply to read",
+                                  nested("check", "payload")),
+    "payload-nested-deep-dualize": (StructureError, "entry is nested too deeply to read",
+                                    nested("dualize", "payload")),
+    "mul-nested-deep-check": (StructureError, "entry is nested too deeply to read",
+                              nested("check", "mul")),
+    "mul-nested-deep-dualize": (StructureError, "entry is nested too deeply to read",
+                                nested("dualize", "mul")),
     # entry names: each is a file name in the store that the CLI can name
     "stored-name-empty": (StructureError, "entry name '' is not a file name in the store",
                           named("")),
