@@ -7,8 +7,8 @@ characters ``'1'..'n'``):
   reads a ``y``-prefix and writes an ``x``-prefix, with a multiplicative
   zero; multiplication is by prefix overlap.
 * ``CnElement`` — finite orthogonal families of such pairs, the orthogonal
-  completion: domains and ranges are antichains under the prefix order,
-  canonical form merges every complete sibling family.  Units are exactly
+  completion: domains and ranges are antichains under the prefix order;
+  the constructor merges every complete sibling family.  Units are exactly
   the pairs of maximal prefix codes (the finitary tree-pair group).
   Antichains are checked on sorted words (in lexicographic order a prefix
   of any later word is a prefix of its successor), and a product finds the
@@ -17,7 +17,8 @@ characters ``'1'..'n'``):
   pairs.
 * ``CuntzArrow`` — arrows ``(x w, |x|-|y|, y w)`` of the shift groupoid
   over eventually periodic infinite words ``u v^w``, which are the
-  finitely-representable points; composition is exact on normal forms.
+  finitely-representable points; both constructors normalize, so
+  composition is exact on normal forms.
 
 ``finite_depth_oracle`` expands an element into literal truncated arrows,
 giving an independent semantics against which products and joins are
@@ -148,49 +149,17 @@ def _canonical_pairs(n: int, pairs) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(current))
 
 
-def _canonical_and_orthogonal(n: int, pairs) -> bool:
-    """The defining checks of a CnElement by sorting: the pairs are sorted
-    with no duplicates, ranges and domains are antichains, and no complete
-    sibling family is present.  Over an antichain of ranges the members of
-    a family are consecutive, so one pass finds them.  On False the literal
-    checks run, to decide and to name the first offending pair."""
-    if type(pairs) is not tuple:
-        return False
-    size = len(pairs)
-    if size < 2:
-        return True         # a family of n >= 2 siblings has two members
-    siblings = letters(n)[1:]
-    domains = []
-    for i in range(size):
-        x, y = pair = pairs[i]
-        if i:
-            before = pairs[i - 1]
-            if not before < pair or x.startswith(before[0]):
-                return False
-        if x[-1:] == y[-1:] == "1":
-            stem_x, stem_y = x[:-1], y[:-1]
-            j = i
-            for c in siblings:
-                j += 1
-                if j == size or pairs[j] != (stem_x + c, stem_y + c):
-                    break
-            else:
-                return False
-        domains.append(y)
-    domains.sort()
-    return _prefix_free(domains)
-
-
 @dataclass(frozen=True)
 class CnElement:
     """A finite orthogonal join of shift pairs, in canonical form.
 
-    Use :meth:`make` to build one from an arbitrary pair family; the bare
-    constructor insists the family is already canonical.  It checks the
-    alphabet, then the canonical form, then orthogonality, and names the
-    first offending pair: the letters of all pairs are checked as one joined
-    string and a sorted pass accepts a valid family, and only a rejected
-    one is scanned pair by pair for its witness.
+    The constructor (and ``make``, the same call) takes any iterable of pairs
+    of words and canonicalizes it: complete sibling families merged, pairs
+    sorted.  It refuses an alphabet size C_n is not built for, a member that
+    is not a pair of words, a letter outside the alphabet and a family that
+    is not orthogonal (two sorted antichains, of ranges and of domains),
+    naming the member or the first offending pair of the canonical family;
+    only a refused family is scanned pair by pair for that pair.
     """
 
     n: int
@@ -200,6 +169,16 @@ class CnElement:
         n, pairs = self.n, self.pairs
         if not ALPHABET_MIN <= n <= ALPHABET_MAX:
             raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
+        if type(pairs) is not tuple:
+            pairs = tuple(pairs)
+        for pair in pairs:
+            if not (type(pair) is tuple and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str):
+                raise StructureError(f"family member {pair!r} is not a pair of words")
+        if len(pairs) > 1:
+            pairs = _canonical_pairs(n, pairs)
+        if pairs != self.pairs:
+            object.__setattr__(self, "pairs", pairs)
         top = ALPHABET[n - 1]
         word = "".join(map("".join, pairs))
         if word and (min(word) < "1" or max(word) > top):
@@ -207,10 +186,9 @@ class CnElement:
                 word = x + y
                 if word and (min(word) < "1" or max(word) > top):
                     raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
-        if _canonical_and_orthogonal(n, pairs):
+        if len(pairs) < 2 or (_prefix_free([x for x, _ in pairs])
+                              and _prefix_free(sorted([y for _, y in pairs]))):
             return
-        if pairs != _canonical_pairs(n, pairs):
-            raise StructureError("pair family is not canonical")
         for i, (x, y) in enumerate(pairs):
             for u, v in pairs[i + 1:]:
                 if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
@@ -219,7 +197,7 @@ class CnElement:
 
     @classmethod
     def make(cls, n: int, pairs) -> "CnElement":
-        return cls(n, _canonical_pairs(n, pairs))
+        return cls(n, pairs)
 
     @classmethod
     def zero(cls, n: int) -> "CnElement":
@@ -229,15 +207,11 @@ class CnElement:
     def one(cls, n: int) -> "CnElement":
         return cls(n, (("", ""),))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.pairs
-
     def max_length(self) -> int:
         return max((max(len(x), len(y)) for x, y in self.pairs), default=0)
 
     def inverse(self) -> "CnElement":
-        return CnElement.make(self.n, [(y, x) for x, y in self.pairs])
+        return CnElement(self.n, [(y, x) for x, y in self.pairs])
 
     def __str__(self) -> str:
         return format_cn(self)
@@ -247,7 +221,7 @@ def embed_poly(n: int, a: PolyElement) -> CnElement:
     """The injective homomorphism sending x y^-1 to the singleton family."""
     if a.is_zero:
         return CnElement.zero(n)
-    return CnElement.make(n, [(a.x, a.y)])
+    return CnElement(n, [(a.x, a.y)])
 
 
 def cn_mul(a: CnElement, b: CnElement) -> CnElement:
@@ -273,7 +247,7 @@ def cn_mul(a: CnElement, b: CnElement) -> CnElement:
             u, v = right[at]
             out.append((x + u[len(y):], v))
             at += 1
-    return CnElement.make(a.n, out)
+    return CnElement(a.n, out)
 
 
 def cn_join(a: CnElement, b: CnElement):
@@ -303,7 +277,7 @@ def cn_join(a: CnElement, b: CnElement):
                 keep.discard(p)
             elif not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
                 return None
-    return CnElement.make(a.n, keep)
+    return CnElement(a.n, keep)
 
 
 def is_maximal_prefix_code(n: int, code) -> bool:
@@ -395,28 +369,24 @@ def _primitive_root(word: str) -> str:
 class EvPeriodicWord:
     """The infinite word pre . period^infinity in normal form: the period is
     primitive and the preperiod cannot be shortened by rotating the period.
-    Normal forms are equal exactly when the infinite words are."""
+    The constructor brings its input to that form and refuses only an empty
+    period.  Normal forms are equal exactly when the infinite words are."""
 
     pre: str
     period: str
 
     def __post_init__(self):
-        if not self.period:
-            raise StructureError("period must be non-empty")
-        if _primitive_root(self.period) != self.period:
-            raise StructureError("period is not primitive")
-        if self.pre and self.pre[-1] == self.period[-1]:
-            raise StructureError("preperiod can be shortened")
-
-    @classmethod
-    def make(cls, pre: str, period: str) -> "EvPeriodicWord":
+        pre, period = self.pre, self.period
         if not period:
             raise StructureError("period must be non-empty")
-        period = _primitive_root(period)
-        while pre and pre[-1] == period[-1]:
-            period = period[-1] + period[:-1]
+        root = _primitive_root(period)
+        while pre and pre[-1] == root[-1]:
+            root = root[-1] + root[:-1]
             pre = pre[:-1]
-        return cls(pre, period)
+        if root is not period:
+            object.__setattr__(self, "period", root)
+        if pre is not self.pre:
+            object.__setattr__(self, "pre", pre)
 
     def prefix(self, length: int) -> str:
         if length <= len(self.pre):
@@ -427,12 +397,12 @@ class EvPeriodicWord:
     def shift(self, count: int) -> "EvPeriodicWord":
         """Drop the first ``count`` letters."""
         if count <= len(self.pre):
-            return EvPeriodicWord.make(self.pre[count:], self.period)
+            return EvPeriodicWord(self.pre[count:], self.period)
         offset = (count - len(self.pre)) % len(self.period)
-        return EvPeriodicWord.make("", self.period[offset:] + self.period[:offset])
+        return EvPeriodicWord("", self.period[offset:] + self.period[:offset])
 
     def prepend(self, word: str) -> "EvPeriodicWord":
-        return EvPeriodicWord.make(word + self.pre, self.period)
+        return EvPeriodicWord(word + self.pre, self.period)
 
     def __str__(self) -> str:
         return format_ev(self)
@@ -444,9 +414,10 @@ class EvPeriodicWord:
 @dataclass(frozen=True)
 class CuntzArrow:
     """An arrow (x w, |x|-|y|, y w): target prefix, stored length shift,
-    source prefix and the shared eventually periodic tail.  Canonical form
-    absorbs every common trailing letter of x and y into the tail, so the
-    representation is minimal and equality is structural."""
+    source prefix and the shared eventually periodic tail.  The constructor
+    refuses a stored shift other than |x|-|y| and absorbs every common
+    trailing letter of x and y into the tail, so the representation is
+    minimal and equality is structural; ``make`` computes the shift."""
 
     target_prefix: str
     shift: int
@@ -454,17 +425,20 @@ class CuntzArrow:
     tail: EvPeriodicWord
 
     def __post_init__(self):
-        if self.shift != len(self.target_prefix) - len(self.source_prefix):
-            raise StructureError("stored shift disagrees with the prefix lengths")
         x, y = self.target_prefix, self.source_prefix
+        if self.shift != len(x) - len(y):
+            raise StructureError("stored shift disagrees with the prefix lengths")
         if x and y and x[-1] == y[-1]:
-            raise StructureError("arrow representation is not maximally absorbed")
+            tail = self.tail
+            while x and y and x[-1] == y[-1]:
+                tail = tail.prepend(x[-1])
+                x, y = x[:-1], y[:-1]
+            object.__setattr__(self, "target_prefix", x)
+            object.__setattr__(self, "source_prefix", y)
+            object.__setattr__(self, "tail", tail)
 
     @classmethod
     def make(cls, x: str, y: str, tail: EvPeriodicWord) -> "CuntzArrow":
-        while x and y and x[-1] == y[-1]:
-            tail = tail.prepend(x[-1])
-            x, y = x[:-1], y[:-1]
         return cls(x, len(x) - len(y), y, tail)
 
     @classmethod
@@ -579,7 +553,7 @@ def parse_cn(text: str, n: int) -> CnElement:
     if match:
         bare = "".join(match["body"].split()).replace("a", "").replace("e", "")
         words = iter(bare.replace(",", "/").split("/"))     # an empty body gives no pair
-        return CnElement.make(n, zip(words, words))
+        return CnElement(n, zip(words, words))
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"malformed family {text!r}")
@@ -592,7 +566,7 @@ def parse_cn(text: str, n: int) -> CnElement:
             raise ParseError(f"malformed pair {chunk.strip()!r}")
         x, y = chunk.split("/")
         pairs.append((parse_word(x, n), parse_word(y, n)))
-    return CnElement.make(n, pairs)
+    return CnElement(n, pairs)
 
 
 def format_ev(w: EvPeriodicWord) -> str:
@@ -608,7 +582,7 @@ def parse_ev(text: str, n: int | None = None) -> EvPeriodicWord:
     period = parse_word(match["per"], n)
     if not period:
         raise ParseError("period must be non-empty")
-    return EvPeriodicWord.make(pre, period)
+    return EvPeriodicWord(pre, period)
 
 
 # -- seeded samplers ---------------------------------------------------------------------
@@ -636,12 +610,12 @@ def random_cn_element(rng, n: int, max_splits: int) -> CnElement:
     sources = random_prefix_code(rng, n, splits)
     rng.shuffle(sources)
     size = rng.randint(0, len(targets))
-    return CnElement.make(n, list(zip(targets, sources))[:size])
+    return CnElement(n, list(zip(targets, sources))[:size])
 
 
 def random_ev_word(rng, n: int, max_pre: int, max_period: int) -> EvPeriodicWord:
     period = "".join(rng.choice(letters(n)) for _ in range(rng.randint(1, max_period)))
-    return EvPeriodicWord.make(random_word(rng, n, max_pre), period)
+    return EvPeriodicWord(random_word(rng, n, max_pre), period)
 
 
 def random_arrow(rng, n: int, max_len: int, max_pre: int, max_period: int) -> CuntzArrow:

@@ -456,15 +456,16 @@ def first_orthogonality_failure(pairs):
 
 def reference_cn_error(n, pairs):
     """The StructureError message the CnElement constructor gives a pair
-    tuple, by the literal checks in order (alphabet, canonical form,
-    orthogonality), or None when it is accepted."""
+    family, by the literal checks on its reference canonical form in order
+    (alphabet, orthogonality), or None when it is accepted.  A merge drops
+    only letters of the alphabet, so the canonical form has a letter outside
+    it exactly when the family has; the message names the canonical pair."""
+    canonical = reference_canonical_pairs(n, pairs)
     ok = letters(n)
-    for x, y in pairs:
+    for x, y in canonical:
         if any(c not in ok for c in x + y):
             return f"letter out of alphabet in ({x!r}, {y!r})"
-    if pairs != reference_canonical_pairs(n, pairs):
-        return "pair family is not canonical"
-    return first_orthogonality_failure(pairs)
+    return first_orthogonality_failure(canonical)
 
 
 def reference_cn_mul(a, b):

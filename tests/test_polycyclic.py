@@ -224,9 +224,10 @@ def test_canonical_form_under_cascading_merges(n):
     assert cascaded > 100
 
 
-def test_constructor_rejects_non_canonical():
-    with pytest.raises(StructureError):
-        CnElement(2, (("1", "1"), ("2", "2")))
+def test_constructor_canonicalizes_and_refuses_what_cannot_be_fixed():
+    assert CnElement(2, (("2", "2"), ("1", "1"))) == CnElement.one(2)
+    shuffled = iter([("2", "1"), ("1", "2"), ("2", "1")])
+    assert CnElement(2, shuffled).pairs == (("1", "2"), ("2", "1"))
     with pytest.raises(StructureError):
         CnElement(2, (("1", "1"), ("1", "2")))
     with pytest.raises(BoundError):
@@ -236,14 +237,14 @@ def test_constructor_rejects_non_canonical():
 @pytest.mark.parametrize("n, pairs, message", [
     (3, (("1", "1"), ("2", "3"), ("3", "11")), "pairs ('1','1') and ('3','11') are not orthogonal"),
     (2, (("1", "2"), ("11", "1")), "pairs ('1','2') and ('11','1') are not orthogonal"),
-    (2, (("1", "1"), ("11", "2"), ("2", "2")), "pair family is not canonical"),
+    (2, (("1", "1"), ("11", "2"), ("2", "2")), "pairs ('','') and ('11','2') are not orthogonal"),
     (2, (("1", "3"),), "letter out of alphabet in ('1', '3')"),
     (2, (("1", "1"), ("2", "0")), "letter out of alphabet in ('2', '0')"),
 ], ids=["domains-apart", "ranges-adjacent", "family-apart", "alphabet", "below-alphabet"])
 def test_constructor_names_the_first_failure(n, pairs, message):
-    """Comparable domains whose pairs are not neighbours, and a complete
-    family split by a pair with a comparable range, are found as the
-    literal checks find them."""
+    """Comparable domains whose pairs are not neighbours are found as the
+    literal checks find them, and a complete family split by a pair with a
+    comparable range is merged first, so the refusal names the merged pair."""
     with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
         CnElement(n, pairs)
 
@@ -440,7 +441,7 @@ def test_cn_at_finite_depth_is_the_symmetric_inverse_monoid(n, depth):
     assert check_covering(CoveringFunctor(sg, pair, tuple(arrow_map))).ok
     assert round_trip_monoid(monoid).forward
 
-    words, tail = list(all_words(n, depth)), EvPeriodicWord.make("", "1")
+    words, tail = list(all_words(n, depth)), EvPeriodicWord("", "1")
     arrows = [CuntzArrow.make(words[p], words[q], tail) for p in range(points)
               for q in range(points)]                   # pair arrow p * points + q is (p, q)
     for g, h in np.ndindex(pair.m, pair.m):
@@ -509,24 +510,24 @@ def test_the_product_oracle_refuses_a_product_with_its_operands_swapped(monkeypa
 
 
 def test_ev_normal_form_primitive():
-    assert EvPeriodicWord.make("", "1212") == EvPeriodicWord.make("", "12")
-    with pytest.raises(StructureError):
-        EvPeriodicWord("", "1212")
+    w = EvPeriodicWord("", "1212")
+    assert (w.pre, w.period) == ("", "12")
+    assert w == EvPeriodicWord("1", "2121")
 
 
 def test_ev_normal_form_rotation():
     # 1(21)^w == (12)^w
-    assert EvPeriodicWord.make("1", "21") == EvPeriodicWord.make("", "12")
+    assert EvPeriodicWord("1", "21") == EvPeriodicWord("", "12")
     # 12(12)^w == (12)^w
-    assert EvPeriodicWord.make("12", "12") == EvPeriodicWord.make("", "12")
+    assert EvPeriodicWord("12", "12") == EvPeriodicWord("", "12")
 
 
 def test_ev_prefix_and_shift():
-    w = EvPeriodicWord.make("2", "12")
+    w = EvPeriodicWord("2", "12")
     assert w.prefix(6) == "212121"[:6]
-    assert w.shift(1) == EvPeriodicWord.make("", "12")
-    assert w.shift(2) == EvPeriodicWord.make("", "21")
-    assert w.prepend("1") == EvPeriodicWord.make("", "12")  # 1 + 2121... = (12)^w
+    assert w.shift(1) == EvPeriodicWord("", "12")
+    assert w.shift(2) == EvPeriodicWord("", "21")
+    assert w.prepend("1") == EvPeriodicWord("", "12")  # 1 + 2121... = (12)^w
 
 
 def test_ev_equality_matches_prefix_comparison():
@@ -550,40 +551,42 @@ def test_ev_shift_consistent_with_prefix():
 
 
 def test_arrow_absorption():
-    a = CuntzArrow.make("21", "11", EvPeriodicWord.make("", "1"))
+    a = CuntzArrow.make("21", "11", EvPeriodicWord("", "1"))
     assert (a.target_prefix, a.source_prefix) == ("2", "1")
     assert a.shift == 0
-    assert a.tail == EvPeriodicWord.make("", "1")  # 1(1)^w renormalizes
+    assert a.tail == EvPeriodicWord("", "1")  # 1(1)^w renormalizes
 
 
 def test_arrow_absorption_tail():
     # (x 1, y 1, (2)^w) == (x, y, 1(2)^w)
-    a = CuntzArrow.make("21", "11", EvPeriodicWord.make("", "2"))
-    assert a.tail == EvPeriodicWord.make("1", "2")
+    a = CuntzArrow.make("21", "11", EvPeriodicWord("", "2"))
+    assert a.tail == EvPeriodicWord("1", "2")
 
 
 def test_arrow_constructor_guards():
-    w = EvPeriodicWord.make("", "1")
+    w = EvPeriodicWord("", "1")
+    with pytest.raises(StructureError, match="^stored shift disagrees with the prefix lengths$"):
+        CuntzArrow("1", 1, "1", w)
     with pytest.raises(StructureError):
-        CuntzArrow("1", 1, "1", w)  # wrong shift
-    with pytest.raises(StructureError):
-        CuntzArrow("21", 0, "11", w)  # not absorbed
+        CuntzArrow("21", 1, "11", w)  # the shift is checked before absorbing
+    a = CuntzArrow("21", 0, "11", w)
+    assert (a.target_prefix, a.shift, a.source_prefix, a.tail) == ("2", 0, "1", w)
 
 
 def test_compose_spec_example():
-    w = EvPeriodicWord.make("", "1")
+    w = EvPeriodicWord("", "1")
     g = CuntzArrow.make("1", "", w)          # (1 1^w, 1, 1^w)
     h = CuntzArrow.make("", "2", w)          # (1^w, -1, 2 1^w)
     gh = cuntz_compose(g, h)
     assert gh == CuntzArrow.make("1", "2", w)
     assert gh.shift == 0
-    assert gh.target_word() == EvPeriodicWord.make("11", "1").prepend("")
-    assert gh.source_word() == EvPeriodicWord.make("2", "1")
+    assert gh.target_word() == EvPeriodicWord("11", "1").prepend("")
+    assert gh.source_word() == EvPeriodicWord("2", "1")
 
 
 def test_compose_undefined_on_mismatch():
-    w1 = EvPeriodicWord.make("", "1")
-    w2 = EvPeriodicWord.make("", "2")
+    w1 = EvPeriodicWord("", "1")
+    w2 = EvPeriodicWord("", "2")
     g = CuntzArrow.make("1", "", w1)
     h = CuntzArrow.make("1", "", w2)
     assert cuntz_compose(g, h) is None
@@ -632,28 +635,28 @@ def test_arrow_shift_adds_under_composition():
 
 
 def test_point_identification_trivial():
-    z = EvPeriodicWord.make("1", "2")
+    z = EvPeriodicWord("1", "2")
     assert ultrafilter_to_arrow(ONE, z) == CuntzArrow.identity(z)
 
 
 def test_point_identification_spec_example():
-    z = EvPeriodicWord.make("2", "1")        # 2 1^w
+    z = EvPeriodicWord("2", "1")        # 2 1^w
     arrow = ultrafilter_to_arrow(pe("1", "2"), z)
-    assert arrow == CuntzArrow.make("1", "2", EvPeriodicWord.make("", "1"))
+    assert arrow == CuntzArrow.make("1", "2", EvPeriodicWord("", "1"))
     rep, back = arrow_to_ultrafilter(arrow)
     assert rep == pe("1", "2")
     assert back == z
 
 
 def test_point_identification_k2():
-    z = EvPeriodicWord.make("", "1")
+    z = EvPeriodicWord("", "1")
     arrow = ultrafilter_to_arrow(pe("11", ""), z)
     assert arrow.shift == 2
     assert arrow_to_ultrafilter(arrow) == (pe("11", ""), z)
 
 
 def test_point_identification_requires_prefix():
-    z = EvPeriodicWord.make("1", "2")
+    z = EvPeriodicWord("1", "2")
     with pytest.raises(StructureError):
         ultrafilter_to_arrow(pe("1", "2"), z)
     with pytest.raises(StructureError):
@@ -725,7 +728,7 @@ def test_point_identification_respects_the_groupoid(n, max_len):
     identity arrow.  (n = 3 stops at length 2 to keep the run short.)"""
     words, pairs = words_up_to(n, max_len), 0
     for pre, period in POINT_TAILS[n]:
-        tail = EvPeriodicWord.make(pre, period)
+        tail = EvPeriodicWord(pre, period)
         points = {y: tail.prepend(y) for y in words}
         for point in points.values():
             assert ultrafilter_to_arrow(ONE, point) == CuntzArrow.identity(point)
@@ -798,19 +801,34 @@ def test_cn_round_trip():
 
 
 def test_ev_round_trip():
-    examples = [EvPeriodicWord.make("", "1"), EvPeriodicWord.make("2", "1"),
-                EvPeriodicWord.make("12", "112")]
+    examples = [EvPeriodicWord("", "1"), EvPeriodicWord("2", "1"),
+                EvPeriodicWord("12", "112")]
     for w in examples:
         assert parse_ev(format_ev(w)) == w
-    assert format_ev(EvPeriodicWord.make("", "12")) == "(a1a2)^w"
-    assert parse_ev("e(a1)^w") == EvPeriodicWord.make("", "1")
+    assert format_ev(EvPeriodicWord("", "12")) == "(a1a2)^w"
+    assert parse_ev("e(a1)^w") == EvPeriodicWord("", "1")
     with pytest.raises(ParseError):
         parse_ev("a1^w")
 
 
 def test_parser_canonicalizes():
     assert parse_cn("{a1/a1, a2/a2}", 2) == CnElement.one(2)
-    assert parse_ev("a1(a1)^w") == EvPeriodicWord.make("", "1")
+    assert parse_ev("a1(a1)^w") == EvPeriodicWord("", "1")
+
+
+def test_str_is_the_text_form_and_parses_back():
+    for p in [ZERO, ONE, pe("1", "21")]:
+        assert str(p) == format_poly(p) and parse_poly(str(p)) == p
+    rng = random.Random(23)
+    for _ in range(100):
+        a = random_cn_element(rng, 3, 4)
+        assert str(a) == format_cn(a) and parse_cn(str(a), 3) == a
+        w = random_ev_word(rng, 3, 3, 3)
+        assert str(w) == format_ev(w) and parse_ev(str(w), 3) == w
+    assert str(EvPeriodicWord("1", "1212")) == "a1(a1a2)^w"
+    # an arrow prints its target and source words, each as prefix|tail, around its shift
+    g = CuntzArrow.make("21", "1", EvPeriodicWord("", "2"))
+    assert str(g) == "(a2|a1(a2)^w, 1, e|a1(a2)^w)"
 
 
 WHITESPACE = " \t\n\f\v\u00a0"

@@ -2,6 +2,9 @@
 stored entries."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from helpers import (
     first_associativity_failure,
@@ -67,7 +70,7 @@ def cn_elements(draw):
 
 @st.composite
 def ev_words(draw):
-    return EvPeriodicWord.make(draw(words), draw(periods))
+    return EvPeriodicWord(draw(words), draw(periods))
 
 
 @given(poly_elements(), poly_elements(), poly_elements())
@@ -179,13 +182,13 @@ def test_canonical_form_and_constructor_checks_match_the_literal_definitions(fam
     n, pairs = family
     canonical = reference_canonical_pairs(n, pairs)
     assert _canonical_pairs(n, pairs) == canonical
-    for raw in (tuple(pairs), canonical):
+    for raw in (pairs, canonical):
         try:
-            CnElement(n, raw)
-            message = None
+            made, message = CnElement(n, raw).pairs, None
         except StructureError as err:
-            message = str(err)
+            made, message = None, str(err)
         assert message == reference_cn_error(n, raw)
+        assert made == (None if message else canonical)
     for column in zip(*pairs):
         assert is_maximal_prefix_code(n, column) == reference_is_maximal_prefix_code(n, column)
 
@@ -274,3 +277,31 @@ def test_a_corrupted_entry_is_rejected_or_loads_valid(tmp_path_factory, entry):
     for monoid in monoids:
         assert first_associativity_failure(monoid.mul) is None
         assert reference_inverse_uniqueness_failure(monoid.mul, monoid.inv) is None
+
+
+FALSIFIED = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_falsified(x):
+    assert x < 3
+
+
+def test_after():
+    pass
+"""
+
+
+def test_a_falsified_property_is_one_failure_and_the_session_goes_on(tmp_path):
+    # hypothesis's failure report imports libcst, which warns on import; under
+    # the repo's warning filters that must not end the session
+    (tmp_path / "test_falsified.py").write_text(FALSIFIED)
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

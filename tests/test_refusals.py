@@ -29,7 +29,15 @@ from stonework.groupoids import (
     trivial_groupoid,
 )
 from stonework.inverse_core import InverseMonoid, boolean_algebra_monoid, symmetric_inverse_monoid
-from stonework.polycyclic import CnElement, EvPeriodicWord, PolyElement, cn_join, cn_mul, parse_ev
+from stonework.polycyclic import (
+    CnElement,
+    CuntzArrow,
+    EvPeriodicWord,
+    PolyElement,
+    cn_join,
+    cn_mul,
+    parse_ev,
+)
 from stonework.reporting import LawReport
 from stonework.serialize import (
     _cn_to_json,
@@ -237,18 +245,28 @@ REFUSALS = {
     # the symbolic layer
     "poly-half-zero": (StructureError, "zero must have both components empty",
                        library(lambda: PolyElement("1", None))),
-    "cn-pairs-a-list": (StructureError, "pair family is not canonical",
-                        library(lambda: CnElement(2, [("1", "")]))),
+    "cn-pairs-a-list": (StructureError, "pairs ('1','') and ('11','2') are not orthogonal",
+                        library(lambda: CnElement(2, [("11", "2"), ("1", "")]))),
+    "cn-member-three-words": (StructureError,
+                              "family member ('1', '2', '1') is not a pair of words",
+                              library(lambda: CnElement(2, (("1", "2", "1"),)))),
+    "cn-member-a-string": (StructureError, "family member '12' is not a pair of words",
+                           library(lambda: CnElement(2, ("12",)))),
+    "cn-make-member-one-word": (StructureError, "family member ('1',) is not a pair of words",
+                                library(lambda: CnElement.make(2, [("1",)]))),
+    "cn-make-member-not-a-word": (StructureError,
+                                  "family member ('1', 2) is not a pair of words",
+                                  library(lambda: CnElement.make(2, [("1", "1"), ("1", 2)]))),
+    "cn-make-member-a-list": (StructureError, "family member ['1', '1'] is not a pair of words",
+                              library(lambda: CnElement.make(2, [["1", "1"]]))),
     "cn-mul-alphabets": (StructureError, "alphabet mismatch",
                          library(lambda: cn_mul(CnElement.one(2), CnElement.one(3)))),
     "cn-join-alphabets": (StructureError, "alphabet mismatch",
                           library(lambda: cn_join(CnElement.one(2), CnElement.one(3)))),
     "ev-empty-period": (StructureError, "period must be non-empty",
                         library(lambda: EvPeriodicWord("", ""))),
-    "ev-preperiod-shortens": (StructureError, "preperiod can be shortened",
-                              library(lambda: EvPeriodicWord("1", "1"))),
-    "ev-make-empty-period": (StructureError, "period must be non-empty",
-                             library(lambda: EvPeriodicWord.make("1", ""))),
+    "arrow-wrong-shift": (StructureError, "stored shift disagrees with the prefix lengths",
+                          library(lambda: CuntzArrow("1", 1, "1", EvPeriodicWord("", "1")))),
     "parse-ev-empty-period": (ParseError, "period must be non-empty",
                               library(lambda: parse_ev("(e)^w"))),
     # reports
