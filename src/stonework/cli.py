@@ -2,9 +2,8 @@
 
 Exit codes form a stable contract: 0 on success, 1 when a law check found
 failures, 2 on input errors (unknown generators, malformed files, size
-bounds, unreadable paths).  A global flag that is not given comes from its
-STONEWORK_* environment variable; a value there that the flag would refuse
-is an input error too, whether or not the flag is given.
+bounds, unreadable paths).  Every setting comes from the command line: a
+global flag that is not given takes its default.
 """
 
 from __future__ import annotations
@@ -39,38 +38,19 @@ FORMATS = ("json", "dot", "text")
 
 
 def _size(text: str) -> int:
-    """The type of --max-size, and of STONEWORK_MAX_SIZE."""
+    """The type of --max-size: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
 
 
-# dest -> (default, type, choices, help) of each global flag; --max-size
-# falls back on STONEWORK_MAX_SIZE, then on its default
+# dest -> (default, type, choices, help) of each global flag
 GLOBAL_FLAGS = {
     "store": ("./stonework-store", str, None, "directory for corpus entries"),
-    "max_size": (str(MAX_ELEMENTS), _size, None,
+    "max_size": (MAX_ELEMENTS, _size, None,
                  f"most bisections to materialize (at most {MAX_ELEMENTS})"),
     "format": ("json", str, FORMATS, None),
 }
-
-
-def _with_environment(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill in each global flag not given.  argparse checks only what is on
-    the command line, so every STONEWORK_* value is checked here, as its
-    flag would be, on every call."""
-    for dest, (default, type, choices, _) in GLOBAL_FLAGS.items():
-        name = f"STONEWORK_{dest.upper()}"
-        text = os.environ.get(name, default)
-        try:
-            value = type(text)
-            ok = choices is None or value in choices
-        except argparse.ArgumentTypeError:
-            ok = False
-        if not ok:
-            raise StoneworkError(f"{name} has a bad value {text!r}")
-        vars(args).setdefault(dest, value)
-    return args
 
 
 # -- law sets: entry kind -> law set -> report of (entry, bisection bound) ----------
@@ -259,7 +239,9 @@ PARSER = make_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _with_environment(PARSER.parse_args(argv))
+        args = PARSER.parse_args(argv)
+        for dest, (default, *_) in GLOBAL_FLAGS.items():
+            vars(args).setdefault(dest, default)
         return COMMANDS[args.command](args)
     except (StoneworkError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -31,6 +31,7 @@ the match is scanned chunk by chunk only to name its error.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -155,11 +156,12 @@ class CnElement:
 
     The constructor (and ``make``, the same call) takes any iterable of pairs
     of words and canonicalizes it: complete sibling families merged, pairs
-    sorted.  It refuses an alphabet size C_n is not built for, a member that
-    is not a pair of words, a letter outside the alphabet and a family that
-    is not orthogonal (two sorted antichains, of ranges and of domains),
-    naming the member or the first offending pair of the canonical family;
-    only a refused family is scanned pair by pair for that pair.
+    sorted.  It refuses an alphabet size C_n is not built for (or that
+    ``operator.index`` refuses), a member that is not a pair of words, a
+    letter outside the alphabet and a family that is not orthogonal (two
+    sorted antichains, of ranges and of domains), naming the member or the
+    first offending pair of the canonical family; only a refused family
+    is scanned pair by pair for that pair.
     """
 
     n: int
@@ -167,7 +169,7 @@ class CnElement:
 
     def __post_init__(self):
         n, pairs = self.n, self.pairs
-        if not ALPHABET_MIN <= n <= ALPHABET_MAX:
+        if not (hasattr(n, "__index__") and ALPHABET_MIN <= operator.index(n) <= ALPHABET_MAX):
             raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
         if type(pairs) is not tuple:
             pairs = tuple(pairs)

@@ -8,6 +8,7 @@ import os
 import re
 import runpy
 import subprocess
+import symtable
 import sys
 import tracemalloc
 from pathlib import Path
@@ -111,20 +112,9 @@ def test_max_size_is_honoured_wherever_bisections_are_enumerated(tmp_path, capsy
     assert code == 2 and out == "" and "capped at 33" in err
 
 
-@pytest.mark.parametrize("name, value", [("MAX_SIZE", "abc"), ("MAX_SIZE", "-1"),
-                                         ("FORMAT", "yaml")])
-def test_a_bad_environment_default_exits_2(tmp_path, capsys, monkeypatch, name, value):
-    run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
-    monkeypatch.setenv(f"STONEWORK_{name}", value)
-    code, out, err = run(capsys, "check", "ix3", "--store", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"STONEWORK_{name}" in err and repr(value) in err
-
-
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
 def test_a_bad_max_size_flag_exits_2(tmp_path, capsys, value):
-    # the flag takes exactly what STONEWORK_MAX_SIZE takes: a non-negative integer
+    # the flag takes a non-negative integer
     run(capsys, "build", "ix", "--size", "3", "--store", str(tmp_path))
     with pytest.raises(SystemExit) as exit_:
         main(["dualize", "ix3", "--round-trip", "--max-size", value, "--store", str(tmp_path)])
@@ -136,30 +126,44 @@ def test_a_bad_max_size_flag_exits_2(tmp_path, capsys, value):
 
 def test_every_public_name_is_used():
     # a public function, class or method is dead code unless some module of
-    # src/, tests/ or perfbench/ loads its name, reads it as an attribute or
-    # imports it, outside a def of that name; a comment, docstring, parameter
-    # or string of the same name is no use
+    # src/, tests/ or perfbench/ reads its name as an attribute or imports it
+    # from stonework, or its own module loads it as a global, outside a def
+    # of that name; a local, parameter or import from elsewhere of the same
+    # name, a comment, docstring or string is no use
     root = Path(__file__).parents[1]
+    package = root / "src" / "stonework"
     used: set[str] = set()
 
-    def visit(node, inside):
+    def visit(node, inside, in_package):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.update({node.id} - inside)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.update({node.attr} - inside)
-        elif isinstance(node, ast.alias):
-            used.update(set(node.name.split(".")) - inside)
+        elif isinstance(node, ast.ImportFrom) and (
+                in_package if node.level else node.module.split(".")[0] == "stonework"):
+            used.update({alias.name for alias in node.names} - inside)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, in_package)
+
+    def load_globals(table, inside, defs):
+        # symtable resolves each loaded name in its scope: module level, or global there
+        for symbol in table.get_symbols():
+            if symbol.is_referenced() and (table.get_type() == "module" or symbol.is_global()):
+                used.update({symbol.get_name()} & defs - inside)
+        for child in table.get_children():
+            load_globals(child, inside | {child.get_name()}, defs)
 
     for folder in ("src", "tests", "perfbench"):
         for path in (root / folder).rglob("*.py"):
-            visit(ast.parse(path.read_text()), frozenset())
+            visit(ast.parse(path.read_text()), frozenset(), path.parent == package)
     defined = set()
-    for path in (root / "src" / "stonework").glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
+    for path in package.glob("*.py"):
+        source = path.read_text()
+        body = ast.parse(source).body
+        load_globals(symtable.symtable(source, str(path), "exec"), frozenset(),
+                     {node.name for node in body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
+        for node in body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             defined.update(item.name for item in [node, *members]
                            if isinstance(item, (ast.FunctionDef, ast.ClassDef))
@@ -517,14 +521,6 @@ def test_seed_flag_is_rejected(tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path))
-    monkeypatch.setenv("STONEWORK_FORMAT", "text")
-    code, out, _ = run(capsys, "build", "clifford")
-    assert code == 0
-    assert "clifford" in out and (tmp_path / "clifford.json").exists()
-
-
 def test_store_round_trip_lossless(tmp_path, capsys):
     run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
     _, _, first = load_entry("ix2", tmp_path)
@@ -640,7 +636,7 @@ def test_an_os_error_exits_2(tmp_path, capsys, case):
 
 
 def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
-    # the parser does not read the environment, so it is built once, on import
+    # the parser is the same for every call, so it is built once, on import
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
@@ -654,36 +650,59 @@ def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
-def test_each_call_reads_the_environment_anew(tmp_path, capsys, monkeypatch):
-    run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
-    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path))
-    monkeypatch.setenv("STONEWORK_FORMAT", "text")
-    assert run(capsys, "check", "ix2", "--laws", "bm") == (0, "ix2: ok (0 failures)\n"
-                                                          "  [ok ] boolean-axioms (1 instances)\n", "")
-    monkeypatch.setenv("STONEWORK_FORMAT", "json")
-    code, out, _ = run(capsys, "check", "ix2", "--laws", "bm")
-    assert code == 0 and json.loads(out)["ok"] is True
-    # a flag beats its environment variable, before or after the subcommand
-    assert run(capsys, "--format", "text", "check", "ix2", "--laws", "bm")[1].startswith("ix2: ok")
-    assert run(capsys, "check", "ix2", "--laws", "bm", "--format", "text")[1].startswith("ix2: ok")
-    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path / "elsewhere"))
-    assert run(capsys, "check", "ix2")[0] == 2
-
-
-@pytest.mark.parametrize("name, value, flag", [("FORMAT", "yaml", ("--format", "json")),
-                                               ("MAX_SIZE", "-1", ("--max-size", "5"))])
-def test_a_bad_environment_value_exits_2_though_its_flag_is_given(tmp_path, capsys, monkeypatch,
-                                                                  name, value, flag):
-    run(capsys, "build", "ix", "--size", "2", "--store", str(tmp_path))
-    monkeypatch.setenv(f"STONEWORK_{name}", value)
-    code, out, err = run(capsys, "check", "ix2", *flag, "--store", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err == f"error: STONEWORK_{name} has a bad value {value!r}\n"
-    # a usage error comes first: argparse reports it before the environment is read
+def test_a_global_flag_goes_before_or_after_the_subcommand_and_has_a_default(capsys,
+                                                                             monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "check", lambda args: seen.append(vars(args)) or 0)
+    for argv in (("check", "ix2"),
+                 ("--store", "st", "--max-size", "7", "--format", "text", "check", "ix2"),
+                 ("check", "ix2", "--store", "st", "--max-size", "7", "--format", "text")):
+        assert main(list(argv)) == 0
+    assert [(args["store"], args["max_size"], args["format"]) for args in seen] == [
+        ("./stonework-store", MAX_ELEMENTS, "json"), ("st", 7, "text"), ("st", 7, "text")]
+    # a usage error exits 2 before any command runs
     with pytest.raises(SystemExit) as exit_:
-        main(["check", "ix2", "--laws", "nope", "--store", str(tmp_path)])
+        main(["check", "ix2", "--laws", "nope"])
     out, err = capsys.readouterr()
     assert exit_.value.code == 2 and out == "" and "invalid choice: 'nope'" in err
+    assert len(seen) == 3
+
+
+def test_the_environment_changes_no_command(tmp_path, capsys, monkeypatch):
+    """STONEWORK_* variables are neither read nor refused: with each set, and
+    no global flag given, every command prints, exits and stores as with
+    none set."""
+    def session(folder):
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        outcomes = [run(capsys, *argv) for argv in (
+            ("build", "ix", "--size", "2"), ("check", "ix2", "--laws", "all"),
+            ("check", "ghost"), ("dualize", "ix2", "--round-trip"))]
+        store = folder / "stonework-store"
+        return ([(code, re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": 0', out), err)
+                 for code, out, err in outcomes],
+                {p.name: p.read_bytes() for p in store.iterdir()})
+
+    plain = session(tmp_path / "plain")
+    monkeypatch.setenv("STONEWORK_STORE", str(tmp_path / "elsewhere"))
+    monkeypatch.setenv("STONEWORK_MAX_SIZE", "-1")
+    monkeypatch.setenv("STONEWORK_FORMAT", "yaml")
+    assert session(tmp_path / "set") == plain
+    assert [code for code, _, _ in plain[0]] == [0, 0, 2, 0]
+    assert sorted(plain[1]) == ["ix2-dual.json", "ix2.json"]
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_no_module_in_src_reads_the_environment():
+    # a setting comes from the command line or a keyword, never from os.environ
+    names = {"environ", "environb", "getenv"}
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted((Path(__file__).parents[1] / "src" / "stonework").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names)]
+    assert hits == []
 
 
 def test_law_set_choices_come_from_one_table():
@@ -868,8 +887,8 @@ def test_the_empty_groupoid_and_the_one_element_monoid_dualize(tmp_path, capsys)
 
 
 def test_one_bisection_bound_in_src():
-    # the bisection bound counts bisections, and it is the keyword, the flag
-    # and the environment variable: no arrow bound, or advice from one, may return
+    # the bisection bound counts bisections, and it is the keyword and the
+    # flag: no arrow bound, or advice from one, may return
     pattern = re.compile(r"BISECTION_BOUND|dualize the monoid side")
     root = Path(__file__).parents[1] / "src"
     hits = [f"{path.name}:{number}" for path in sorted(root.rglob("*.py"))

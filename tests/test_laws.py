@@ -686,3 +686,10 @@ def test_a_law_is_added_once_as_a_value():
     report.add("empty", 0, where(np.zeros(3, dtype=bool)))
     assert report.get("empty").to_json() == {"name": "empty", "instances": 0, "ok": True,
                                              "failures": []}
+
+
+def test_a_witness_of_no_json_type_renders_as_its_repr():
+    report = LawReport("subject")
+    report.add("law", 2, [(np.int64(3), "x", [1.5, None, True])])
+    data = json.loads(json.dumps(report.to_json()))
+    assert data["laws"][0]["failures"] == [[repr(np.int64(3)), "x", [1.5, None, True]]]

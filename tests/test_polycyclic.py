@@ -232,6 +232,7 @@ def test_constructor_canonicalizes_and_refuses_what_cannot_be_fixed():
         CnElement(2, (("1", "1"), ("1", "2")))
     with pytest.raises(BoundError):
         CnElement(7, ())
+    assert CnElement(np.int64(2), (("1", "1"), ("2", "2"))) == CnElement.one(2)
 
 
 @pytest.mark.parametrize("n, pairs, message", [

@@ -36,6 +36,7 @@ from stonework.polycyclic import (
     PolyElement,
     cn_join,
     cn_mul,
+    parse_cn,
     parse_ev,
 )
 from stonework.reporting import LawReport
@@ -64,6 +65,16 @@ def keeping(obj, **kept):
     """``obj`` with a kept structure (``_stone_groupoid`` of a monoid,
     ``_bisections`` of a groupoid) set to another object's."""
     vars(obj).update(kept)
+    return obj
+
+
+def moving_the_kept_dual(obj, **moved):
+    """``obj`` whose kept double dual, the one its round trip compares it
+    with (the bisection monoid of a monoid's Stone groupoid, the Stone
+    groupoid of a groupoid's bisection monoid), has the given fields moved."""
+    dual = (all_bisections_monoid(stone_groupoid(obj)).monoid if isinstance(obj, InverseMonoid)
+            else stone_groupoid(all_bisections_monoid(obj).monoid))
+    vars(dual).update(moved)
     return obj
 
 
@@ -188,6 +199,15 @@ REFUSALS = {
         StructureError, "cardinality mismatch: |double dual| = 1 != 4",
         library(lambda: round_trip_groupoid(keeping(
             pair_groupoid(2), _bisections=all_bisections_monoid(TRIVIAL1))))),
+    # round trips whose kept double dual has its zero or its identities moved
+    "round-trip-monoid-moved-zero": (
+        StructureError, "does not preserve zero/one",
+        library(lambda: round_trip_monoid(moving_the_kept_dual(symmetric_inverse_monoid(2),
+                                                               zero=6)))),
+    "round-trip-groupoid-moved-identities": (
+        StructureError, "does not preserve identities",
+        library(lambda: round_trip_groupoid(moving_the_kept_dual(pair_groupoid(2),
+                                                                 identities=(1, 2))))),
     # corpus
     "union-of-one-group": (StructureError, "union groupoid needs at least two orders",
                            build("union-groupoid", orders="2")),
@@ -245,6 +265,14 @@ REFUSALS = {
     # the symbolic layer
     "poly-half-zero": (StructureError, "zero must have both components empty",
                        library(lambda: PolyElement("1", None))),
+    "cn-n-a-float": (BoundError, "alphabet size must lie in [2, 6]",
+                     library(lambda: CnElement(2.0, ()))),
+    "cn-n-a-string": (BoundError, "alphabet size must lie in [2, 6]",
+                      library(lambda: CnElement("2", ()))),
+    "cn-n-a-bool": (BoundError, "alphabet size must lie in [2, 6]",
+                    library(lambda: CnElement.make(True, ()))),
+    "cn-parse-n-a-float": (BoundError, "alphabet size must lie in [2, 6]",
+                           library(lambda: parse_cn("{a1/a2}", 2.0))),
     "cn-pairs-a-list": (StructureError, "pairs ('1','') and ('11','2') are not orthogonal",
                         library(lambda: CnElement(2, [("11", "2"), ("1", "")]))),
     "cn-member-three-words": (StructureError,
