@@ -8,13 +8,13 @@ characters ``'1'..'n'``):
   zero; multiplication is by prefix overlap.
 * ``CnElement`` — finite orthogonal families of such pairs, the orthogonal
   completion: domains and ranges are antichains under the prefix order;
-  the constructor merges every complete sibling family.  Units are exactly
-  the pairs of maximal prefix codes (the finitary tree-pair group).
-  Antichains are checked on sorted words (in lexicographic order a prefix
-  of any later word is a prefix of its successor), and a product finds the
-  pairs whose ranges are prefix-comparable by one bisect per pair, so both
-  cost what the families and the product hold, not the number of pairs of
-  pairs.
+  the constructor sorts a family once and, when it is orthogonal over the
+  alphabet, merges every complete sibling family in one stack pass, leaving
+  any other family to merge by rounds before it is checked.  Units are
+  exactly the pairs of maximal prefix codes (the finitary tree-pair group).
+  Antichains are checked on sorted words, and a product finds the pairs
+  whose ranges are prefix-comparable by one bisect per pair, so both cost
+  what the families and the product hold, not the number of pairs of pairs.
 * ``CuntzArrow`` — arrows ``(x w, |x|-|y|, y w)`` of the shift groupoid
   over eventually periodic infinite words ``u v^w``, which are the
   finitely-representable points; both constructors normalize, so
@@ -120,10 +120,29 @@ def _prefix_free(words) -> bool:
     """A sorted word list is an antichain under the prefix order exactly
     when no word is a prefix of its successor: in lexicographic order, a
     word that is a prefix of any later word is a prefix of the next one."""
-    for i in range(1, len(words)):
-        if words[i].startswith(words[i - 1]):
-            return False
-    return True
+    return not any(map(str.startswith, words[1:], words))
+
+
+def _orthogonal(alphabet: str, pairs) -> bool:
+    """Sorted pairs over the alphabet whose ranges and domains are antichains."""
+    if len(pairs) < 2:
+        return not "".join(map("".join, pairs)).strip(alphabet)
+    xs, ys = [x for x, _ in pairs], sorted([y for _, y in pairs])
+    return not "".join(xs + ys).strip(alphabet) and _prefix_free(xs) and _prefix_free(ys)
+
+
+def _merged_pairs(alphabet: str, pairs) -> tuple[tuple[str, str], ...]:
+    """Sorted orthogonal pairs over the alphabet merged in one pass: a complete
+    sibling family is adjacent in sorted order once its members are merged, so
+    each pair or completed stem merges with the n - 1 siblings atop the stack."""
+    last, siblings, stack = alphabet[-1], 1 - len(alphabet), []
+    for x, y in pairs:
+        while (x[-1:] == last == y[-1:]
+               and stack[siblings:] == [(x[:-1] + c, y[:-1] + c) for c in alphabet[:-1]]):
+            del stack[siblings:]
+            x, y = x[:-1], y[:-1]
+        stack.append((x, y))
+    return tuple(stack)
 
 
 def _canonical_pairs(n: int, pairs) -> tuple[tuple[str, str], ...]:
@@ -155,47 +174,43 @@ class CnElement:
     """A finite orthogonal join of shift pairs, in canonical form.
 
     The constructor (and ``make``, the same call) takes any iterable of pairs
-    of words and canonicalizes it: complete sibling families merged, pairs
-    sorted.  It refuses an alphabet size C_n is not built for (or that
-    ``operator.index`` refuses), a member that is not a pair of words, a
-    letter outside the alphabet and a family that is not orthogonal (two
-    sorted antichains, of ranges and of domains), naming the member or the
-    first offending pair of the canonical family; only a refused family
-    is scanned pair by pair for that pair.
+    of words and sorts it.  A family whose letters lie in the alphabet and
+    whose ranges and domains are antichains has its complete sibling
+    families merged in one stack pass.  Any other family is merged by rounds;
+    a result that is still not orthogonal is refused, naming its first pair
+    with a letter outside the alphabet or else its first pair comparable
+    with a later one.  A member that is not a pair of words and an alphabet
+    size C_n is not built for are refused; the size is stored as its index.
     """
 
     n: int
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        n, pairs = self.n, self.pairs
+        n = self.n
         if not (hasattr(n, "__index__") and ALPHABET_MIN <= operator.index(n) <= ALPHABET_MAX):
             raise BoundError(f"alphabet size must lie in [{ALPHABET_MIN}, {ALPHABET_MAX}]")
-        if type(pairs) is not tuple:
-            pairs = tuple(pairs)
+        n, pairs, alphabet = operator.index(n), list(self.pairs), letters(n)
         for pair in pairs:
             if not (type(pair) is tuple and len(pair) == 2
                     and type(pair[0]) is str and type(pair[1]) is str):
                 raise StructureError(f"family member {pair!r} is not a pair of words")
-        if len(pairs) > 1:
+        pairs.sort()
+        if _orthogonal(alphabet, pairs):
+            pairs = _merged_pairs(alphabet, pairs)
+        else:
             pairs = _canonical_pairs(n, pairs)
-        if pairs != self.pairs:
-            object.__setattr__(self, "pairs", pairs)
-        top = ALPHABET[n - 1]
-        word = "".join(map("".join, pairs))
-        if word and (min(word) < "1" or max(word) > top):
             for x, y in pairs:
-                word = x + y
-                if word and (min(word) < "1" or max(word) > top):
+                if (x + y).strip(alphabet):
                     raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
-        if len(pairs) < 2 or (_prefix_free([x for x, _ in pairs])
-                              and _prefix_free(sorted([y for _, y in pairs]))):
-            return
-        for i, (x, y) in enumerate(pairs):
-            for u, v in pairs[i + 1:]:
-                if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
-                    raise StructureError(
-                        f"pairs ({x!r},{y!r}) and ({u!r},{v!r}) are not orthogonal")
+            if not _orthogonal(alphabet, pairs):
+                for i, (x, y) in enumerate(pairs):
+                    for u, v in pairs[i + 1:]:
+                        if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
+                            raise StructureError(
+                                f"pairs ({x!r},{y!r}) and ({u!r},{v!r}) are not orthogonal")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def make(cls, n: int, pairs) -> "CnElement":
@@ -512,7 +527,7 @@ _FAMILIES = {n: _family_pattern(n) for n in range(ALPHABET_MIN, ALPHABET_MAX + 1
 
 
 def format_word(w: str) -> str:
-    return "e" if not w else "".join("a" + c for c in w)
+    return "a" + "a".join(w) if w else "e"
 
 
 def parse_word(text: str, n: int | None = None) -> str:
@@ -562,12 +577,12 @@ def parse_cn(text: str, n: int) -> CnElement:
     body = text[1:-1].strip()
     if not body:
         return CnElement.zero(n)
-    pairs = []
+    pairs, size = [], n if hasattr(n, "__index__") else None  # the constructor refuses any other n
     for chunk in body.split(","):
         if chunk.count("/") != 1:
             raise ParseError(f"malformed pair {chunk.strip()!r}")
         x, y = chunk.split("/")
-        pairs.append((parse_word(x, n), parse_word(y, n)))
+        pairs.append((parse_word(x, size), parse_word(y, size)))
     return CnElement(n, pairs)
 
 

@@ -499,6 +499,18 @@ def reference_is_unit(a):
             and reference_is_maximal_prefix_code(a.n, [y for _, y in a.pairs]))
 
 
+def sign(pairs):
+    """Higman's sign of a unit written as the pairs (x, y): the parity, 0 or
+    1, of the permutation read off the pairs sorted by x, which sends the
+    rank of each x to the rank of its y among the y's.  Expanding one pair
+    into its n children changes the number of inversions by (n - 1) k for
+    some k, so for odd n the sign does not depend on how the unit is written."""
+    pairs = sorted(pairs)
+    rank = {y: i for i, y in enumerate(sorted(y for _, y in pairs))}
+    images = [rank[y] for _, y in pairs]
+    return sum(a > b for i, a in enumerate(images) for b in images[i + 1:]) % 2
+
+
 # -- the per-word parser and the per-prefix product, as references ----------------
 
 _REFERENCE_WORD = re.compile(r"^(?:e|(?:a[1-9])+)$")

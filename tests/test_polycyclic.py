@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from functools import reduce
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -13,9 +14,11 @@ from helpers import (
     random_poly,
     random_unit,
     reference_canonical_pairs,
+    reference_cn_error,
     reference_cn_mul,
     scan_parse_cn,
     scan_parse_word,
+    sign,
     sliced_cn_mul,
     symmetric_to_pair_arrow_map,
 )
@@ -66,6 +69,7 @@ from stonework.polycyclic import (
     random_arrow,
     random_cn_element,
     random_ev_word,
+    random_prefix_code,
     random_word,
     ultrafilter_to_arrow,
 )
@@ -250,6 +254,82 @@ def test_constructor_names_the_first_failure(n, pairs, message):
         CnElement(n, pairs)
 
 
+def seeded_family(rng, n):
+    """Pairs for the constructor, the input they come as (a list, a set or a
+    zip), and the sibling trees grafted in.  Members of two maximal prefix
+    codes are paired at random, one or two of them replaced by a complete
+    sibling tree of depth 1-3, and then perhaps edited: a leaf dropped, a
+    letter outside the alphabet put on a member or inside a stem whose family
+    is complete, a member duplicated, a range of one member grafted onto
+    another, or a member split with the member kept."""
+    splits = rng.randint(0, 4)
+    pairs = list(zip(random_prefix_code(rng, n, splits), random_prefix_code(rng, n, splits)))
+    rng.shuffle(pairs)
+    trees = []
+    for _ in range(rng.randint(1, 2)):
+        x, y = pairs.pop(0)
+        trees.append((x, y, rng.randint(1, 3)))
+        pairs += [(x + w, y + w) for w in all_words(n, trees[-1][2])]
+    outside = rng.choice(["0", letters(n + 1)[-1]])
+    edit = rng.choice(["none"] * 6 + ["drop", "letter", "stem", "duplicate", "graft", "keep"])
+    at = rng.randrange(len(pairs))
+    x, y = pairs[at]
+    if edit == "drop":
+        pairs.pop(at)
+    elif edit == "letter":
+        pairs[at] = (x, y + outside)
+    elif edit == "stem":
+        pairs[at:at + 1] = [(x + outside + c, y + c) for c in letters(n)]
+    elif edit == "duplicate":
+        pairs.append((x, y))
+    elif edit == "graft":
+        onto = rng.randrange(len(pairs))
+        pairs[onto] = (pairs[onto][0], y + rng.choice(letters(n)))
+    elif edit == "keep":
+        pairs += [(x + c, y + c) for c in letters(n)]
+    rng.shuffle(pairs)
+    given = rng.choice([list, set, lambda p: zip([x for x, _ in p], [y for _, y in p])])(pairs)
+    return pairs, given, trees
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_constructor_agrees_with_the_reference_on_both_paths(monkeypatch, n):
+    """The one-pass merge of a family that is orthogonal as given, and the
+    merge by rounds and checks of any other family, each give the reference
+    fixpoint's pairs or the reference error; both run often, and complete
+    trees of depth 2 and 3 cascade up to their stems or above."""
+    rounds = []
+    monkeypatch.setattr(polycyclic, "_canonical_pairs",
+                        lambda n, pairs: rounds.append(1) or _canonical_pairs(n, pairs))
+    rng = random.Random(4400 + n)
+    families, cascaded = 500, 0
+    for _ in range(families):
+        pairs, given, trees = seeded_family(rng, n)
+        try:
+            made, message = CnElement(n, given).pairs, None
+        except StructureError as err:
+            made, message = None, str(err)
+        assert message == reference_cn_error(n, pairs)
+        assert made == (None if message else reference_canonical_pairs(n, pairs))
+        cascaded += any(depth > 1 and x.startswith(u) and y.startswith(v) and x[len(u):] == y[len(v):]
+                        for x, y, depth in trees for u, v in made or ())
+    assert min(len(rounds), families - len(rounds), cascaded) > 100
+
+
+def test_products_joins_inverses_and_parses_merge_in_one_pass(monkeypatch):
+    """Every family that cn_mul, cn_join, inverse and parse_cn of canonical
+    text build is orthogonal as built, so none of them merges by rounds."""
+    elements = seeded_element_pairs()
+    rounds = []
+    monkeypatch.setattr(polycyclic, "_canonical_pairs", lambda n, pairs: rounds.append(pairs))
+    for a, b in elements:
+        cn_mul(a, b)
+        cn_join(a, b)
+        a.inverse()
+        assert parse_cn(format_cn(a), 2) == a
+    assert rounds == []
+
+
 # -- products and joins in the completion --------------------------------------------------
 
 
@@ -366,6 +446,53 @@ def test_unit_group_closure_seeded():
         assert is_unit(cn_mul(u, v))
         assert is_unit(u.inverse())
         assert cn_mul(u, u.inverse()) == CnElement.one(2)
+
+
+def units_of_one_split(n):
+    """Every unit whose two trees have at most one split: the identity and
+    the n! units that permute the n letters (the identity permutation again)."""
+    return [CnElement.one(n)] + [CnElement(n, zip(letters(n), p)) for p in permutations(letters(n))]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_sign_is_additive_for_odd_n(n):
+    """For odd n the sign of a product is the sum of its factors' signs, on
+    every product of units with at most one split and on seeded deeper units."""
+    rng = random.Random(n)
+    small = units_of_one_split(n)
+    deeper = [(random_unit(rng, n, 6), random_unit(rng, n, 6)) for _ in range(200)]
+    for a, b in [(a, b) for a in small for b in small] + deeper:
+        assert sign(cn_mul(a, b).pairs) == (sign(a.pairs) + sign(b.pairs)) % 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_swapping_two_sibling_leaves_is_odd(n):
+    """The unit that swaps two sibling leaves of a code and fixes every other
+    leaf is odd as the constructor writes it, and for odd n it changes the
+    sign of every unit it multiplies."""
+    rng = random.Random(40 + n)
+    for _ in range(60):
+        code = random_prefix_code(rng, n, rng.randint(1, 5))
+        stem = code[-1][:-1]            # the children of the last split are leaves
+        i, j = (stem + c for c in rng.sample(letters(n), 2))
+        swap = CnElement(n, [(w, {i: j, j: i}.get(w, w)) for w in code])
+        assert sign(swap.pairs) == 1
+        if n % 2:
+            a = random_unit(rng, n, 5)
+            assert sign(cn_mul(a, swap).pairs) == 1 - sign(a.pairs)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_expanding_a_pair_changes_the_sign_exactly_for_even_n(n):
+    """The unit that swaps the letters 1 and 2, written with its pair (1, 2)
+    and with that pair expanded into its n children: for even n the two ways
+    have signs of different parity, so the sign is no function of the unit.
+    That only shows that the sign of odd n does not carry over; it is not a
+    proof that V_{n,1} is simple for even n."""
+    swap = [("1", "2"), ("2", "1")] + [(c, c) for c in letters(n)[2:]]
+    expanded = [("1" + c, "2" + c) for c in letters(n)] + swap[1:]
+    assert CnElement(n, expanded) == CnElement(n, swap)
+    assert (sign(expanded) != sign(swap)) == (n % 2 == 0)
 
 
 def product(*units):

@@ -273,6 +273,21 @@ REFUSALS = {
                     library(lambda: CnElement.make(True, ()))),
     "cn-parse-n-a-float": (BoundError, "alphabet size must lie in [2, 6]",
                            library(lambda: parse_cn("{a1/a2}", 2.0))),
+    # a text that fails its alphabet's pattern is scanned: a malformed one is a
+    # ParseError whatever n is; a float or string n is then the constructor's
+    # BoundError, and a bool n, an index, checks the letters as 1 would
+    "cn-parse-n-a-float-letter": (BoundError, "alphabet size must lie in [2, 6]",
+                                  library(lambda: parse_cn("{a3/a1}", 2.0))),
+    "cn-parse-n-a-float-malformed": (ParseError, "malformed pair 'a3 a1'",
+                                     library(lambda: parse_cn("{a3 a1}", 2.0))),
+    "cn-parse-n-a-string-letter": (BoundError, "alphabet size must lie in [2, 6]",
+                                   library(lambda: parse_cn("{a3/a1}", "2"))),
+    "cn-parse-n-a-string-malformed": (ParseError, "malformed word 'a3a'",
+                                      library(lambda: parse_cn("{a3a/a1}", "2"))),
+    "cn-parse-n-a-bool-letter": (ParseError, "letter out of range in 'a3'",
+                                 library(lambda: parse_cn("{a3/a1}", True))),
+    "cn-parse-n-a-bool-malformed": (ParseError, "malformed family '{a3/a1'",
+                                    library(lambda: parse_cn("{a3/a1", True))),
     "cn-pairs-a-list": (StructureError, "pairs ('1','') and ('11','2') are not orthogonal",
                         library(lambda: CnElement(2, [("11", "2"), ("1", "")]))),
     "cn-member-three-words": (StructureError,

@@ -24,6 +24,7 @@ from stonework.corpus import GENERATORS, build
 from stonework.duality import identity_morphism, stone_groupoid
 from stonework.groupoids import (CoveringFunctor, all_bisections_monoid, pair_groupoid,
                                  trivial_groupoid)
+from stonework.polycyclic import CnElement
 from stonework.serialize import (
     KINDS,
     entry_to_json,
@@ -160,6 +161,15 @@ def test_functor_round_trip():
     f = CoveringFunctor(g, g, tuple(range(g.m)))
     data = functor_to_json(f)
     assert functor_from_json(data).arrow_map == f.arrow_map
+
+
+def test_a_cn_element_built_with_a_numpy_size_is_saved_and_reloaded(tmp_path):
+    """The constructor stores the index of its alphabet size, so the entry
+    holds a JSON integer."""
+    element = CnElement(np.int64(3), [("1", "2"), ("2", "1"), ("3", "3")])
+    assert type(element.n) is int
+    save_entry(tmp_path, "swap", "cn-element", KINDS["cn-element"][0](element))
+    assert load_entry("swap", tmp_path) == ("swap", "cn-element", element)
 
 
 def test_stone_export_shape(tmp_path, capsys):
