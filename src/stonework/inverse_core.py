@@ -148,18 +148,23 @@ def check_associativity(table: np.ndarray, passed: list[int]) -> None:
     ``passed`` (known to pass, and closed under the product) reach all.  Rows
     with more distinct entries go first (speed only: 3-6 tries on I(X), k+1 on
     2^k, about 2(p-1) on a pair groupoid of p points); trying all n is n^3."""
-    n = len(table)
-    distinct = np.zeros((n, n), dtype=bool)
-    distinct.ravel()[np.arange(0, n * n, n)[:, None] + table] = True    # flat: 2x a 2-d scatter
+    n, blocks = len(table), row_blocks(len(table), len(table))
+    distinct = np.empty(n, dtype=np.intp)
+    for block in blocks:
+        rows = table[block]
+        marks = np.zeros(rows.shape, dtype=bool)
+        marks.ravel()[np.arange(0, rows.size, n)[:, None] + rows] = True   # flat: 2x a 2-d one
+        distinct[block] = np.count_nonzero(marks, axis=1)
     reached, columns = set(passed), [table[:, p].tolist() for p in passed]  # x -> x p
-    for g in np.argsort(-np.count_nonzero(distinct, axis=1), kind="stable").tolist():
+    for g in np.argsort(-distinct, kind="stable").tolist():
         if g in reached:
             continue
-        left = np.take(table, table[:, g], axis=0)    # (x g) y
-        right = np.take(table, table[g], axis=1)      # x (g y)
-        if (fails := left != right).any():
-            x, y = map(int, np.argwhere(fails)[0])
-            raise StructureError(f"associativity fails at ({x}, {g}, {y})")
+        for block in blocks:
+            left = np.take(table, table[block, g], axis=0)    # (x g) y
+            right = np.take(table[block], table[g], axis=1)   # x (g y)
+            if (fails := left != right).any():
+                x, y = map(int, np.argwhere(fails)[0])
+                raise StructureError(f"associativity fails at ({block.start + x}, {g}, {y})")
         columns.append(column := table[:, g].tolist())
         fresh = {column[x] for x in reached} | {g}
         while fresh := fresh - reached:

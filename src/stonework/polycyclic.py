@@ -566,7 +566,8 @@ def parse_cn(text: str, n: int) -> CnElement:
     of its alphabet's pattern and read by splitting the matched text.  A text
     that fails the match, or comes with an alphabet size C_n is not built
     for, is scanned chunk by chunk only to raise the error that names it."""
-    match = _FAMILIES[n].fullmatch(text) if n in _FAMILIES else None
+    size = n if hasattr(n, "__index__") else None   # the constructor refuses any other n
+    match = _FAMILIES[size].fullmatch(text) if size in _FAMILIES else None
     if match:
         bare = "".join(match["body"].split()).replace("a", "").replace("e", "")
         words = iter(bare.replace(",", "/").split("/"))     # an empty body gives no pair
@@ -577,7 +578,7 @@ def parse_cn(text: str, n: int) -> CnElement:
     body = text[1:-1].strip()
     if not body:
         return CnElement.zero(n)
-    pairs, size = [], n if hasattr(n, "__index__") else None  # the constructor refuses any other n
+    pairs = []
     for chunk in body.split(","):
         if chunk.count("/") != 1:
             raise ParseError(f"malformed pair {chunk.strip()!r}")

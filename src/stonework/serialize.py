@@ -179,10 +179,18 @@ def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
 
 def _read_table(data: bytes, start: int):
     """(int16 array, end) of the table whose text starts at ``data[start]``, or None: read in
-    row blocks by ``np.fromstring``, whose values count only if ``table_text`` renders each
-    block back to its text byte for byte (an int over 2^15 - 1 wraps, and renders as
-    another).  A table of more than BLOCK_CELLS cells has its blocks parsed, then checked,
-    by the calling thread and one helper; nothing sets this."""
+    row blocks by ``np.fromstring``, whose values count only if the text is what
+    ``table_text`` renders from them, which is decided without rendering it.  A cell's
+    rendering takes ``len(b"%d, " % v)`` bytes, a row's last one ``len(mid)`` more for its
+    "]" mid "["; their cumsum places every separator.  A block must be as long as its
+    rendering, hold ", " at every inner separator and "]" mid "[" at every row's end (the
+    last "]" is the table end's), and hold as many ASCII digits as its values have.  The
+    separators are in place and hold no digit, so every other byte is a digit: each cell is
+    a run of exactly ``len(str(v))`` digits that was read as v, so it is ``str(v)`` (a
+    leading zero, a sign, a space or an int that wrapped, 5 digits or more, needs more
+    bytes).  That needs every value under 10,000; a table with a larger one is left to
+    ``json.loads``.  A table of more than BLOCK_CELLS cells has its blocks parsed, then
+    checked, by the calling thread and one helper; nothing sets this."""
     layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
     if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
         return None
@@ -199,22 +207,34 @@ def _read_table(data: bytes, start: int):
     # "[" head "[" (matched) ends where the first block starts; a block's rendering runs
     # to the next one's first cell, the last one's to "]" tail "]" (matched)
     stops = [first for _, first, _ in spans[1:]] + [end.start() + 1]
+    row_end, text = b"]" + (layout[2] or b",") + b"[", np.frombuffer(data, np.uint8)
 
     def parse(span):
         block, first, close = span
         cells = data[first:close].translate(None, b"[]")
         table[block] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
 
+    def exact(span, stop):
+        block, first, _ = span
+        cells, last = table[block], block.stop >= rows
+        # where each cell would end were every separator ", ": its len(b"%d, " % v), summed
+        at = np.cumsum(np.uint8(3) + (cells > 9) + (cells > 99) + (cells > 999), dtype=np.int32)
+        digits = int(at[-1]) - 2 * at.size
+        at = at.reshape(-1, cols)       # made where each cell's ", " or "]" mid "[" starts
+        at += np.arange(len(at), dtype=np.int32)[:, None] * (len(row_end) - 2) + (first - 2)
+        if at[-1, -1] + (1 if last else len(row_end)) != stop:
+            return False
+        closes = at[:-1, -1] if last else at[:, -1]     # the last "]" is the table end's
+        return ((text[at[:, :-1]] == ord(",")).all() and (text[at[:, :-1] + 1] == ord(" ")).all()
+                and all((text[closes + k] == byte).all() for k, byte in enumerate(row_end))
+                and np.count_nonzero(text[first:stop] >= ord("0"))   # a temporary at a time
+                - np.count_nonzero(text[first:stop] > ord("9")) == digits)
+
     with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
         table_map(table.size, parse, spans)
-        if table.min() >= 0:                            # an int over 2^15-1 wraps
-            render = _renderer(table, layout[2] or b",")
-
-            def matches(span, stop):
-                piece = render(span[0])
-                return len(piece) == stop - span[1] and data.startswith(piece, span[1])
-            if all(table_map(table.size, matches, spans, stops)):
-                return table, end.end()
+        if (table.min() >= 0 and table.max() < 10_000     # no sign, at most 4 digits
+                and all(table_map(table.size, exact, spans, stops))):
+            return table, end.end()
     return None
 
 

@@ -172,6 +172,30 @@ def first_associativity_failure(mul, rows=None):
     return None
 
 
+def reference_light_failure(table, passed):
+    """Light's test as ``inverse_core.check_associativity`` made it on the whole
+    table at once: one n x n distinct-entry mask through an n^2 flat index, and
+    each try's (x g) y and x (g y) as two n x n products.  The first failing
+    (x, g, y), in the same try order, or None."""
+    n = len(table)
+    distinct = np.zeros((n, n), dtype=bool)
+    distinct.ravel()[np.arange(0, n * n, n)[:, None] + table] = True
+    reached, columns = set(passed), [table[:, p].tolist() for p in passed]
+    for g in np.argsort(-np.count_nonzero(distinct, axis=1), kind="stable").tolist():
+        if g in reached:
+            continue
+        fails = np.take(table, table[:, g], axis=0) != np.take(table, table[g], axis=1)
+        if fails.any():
+            x, y = map(int, np.argwhere(fails)[0])
+            return x, g, y
+        columns.append(column := table[:, g].tolist())
+        fresh = {column[x] for x in reached} | {g}
+        while fresh := fresh - reached:
+            reached |= fresh
+            fresh = {col[x] for x in fresh for col in columns}
+    return None
+
+
 def reference_inverse_uniqueness_failure(mul, inv):
     """The uniqueness scan ``InverseMonoid`` ran before its definition check
     sufficed: the message naming the first s whose inverses (the t with

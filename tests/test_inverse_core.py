@@ -52,6 +52,7 @@ from helpers import (
     first_associativity_failure,
     orthogonal,
     reference_inverse_uniqueness_failure,
+    reference_light_failure,
     relative_complement,
 )
 
@@ -183,6 +184,32 @@ def test_seeded_cell_corruptions_of_ix5_are_rejected(ix5, seed):
     # the corrupted row is enough to demand a rejection
     assert first_associativity_failure(mul, rows=[i]) is not None
     assert_rejected_at_a_failing_triple(ix5, mul)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_corruptions_in_a_late_row_block_name_the_whole_table_triple(ix5, seed):
+    """Light's test works in row blocks; a corrupted cell in one of ix5's last two
+    blocks fails at the (x, g, y) that the test on the whole table names."""
+    rng = np.random.default_rng(seed)
+    late = inverse_core.row_blocks(ix5.n, ix5.n)[-2].start
+    i = rng.choice([s for s in range(late, ix5.n) if s not in (ix5.zero, ix5.one)])
+    j = rng.choice([s for s in range(ix5.n) if s not in (ix5.zero, ix5.one)])
+    mul = corrupted(ix5, i, j, (ix5.mul[i, j] + rng.integers(1, ix5.n)) % ix5.n)
+    triple = reference_light_failure(mul, [ix5.one])
+    with pytest.raises(StructureError, match=re.escape("fails at ({}, {}, {})".format(*triple))):
+        inverse_core.check_associativity(mul, [ix5.one])
+
+
+def test_lights_test_on_ix5_keeps_no_n_by_n_temporary(ix5):
+    """Its distinct-entry count and each try's products are made a row block at a
+    time: the whole-table mask and int64 flat index peaked at 21.6 MB on ix5."""
+    tracemalloc.start()
+    try:
+        inverse_core.check_associativity(ix5.mul, [ix5.one])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_rejects_bad_inverse_table(ix2):

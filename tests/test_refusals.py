@@ -288,6 +288,15 @@ REFUSALS = {
                                  library(lambda: parse_cn("{a3/a1}", True))),
     "cn-parse-n-a-bool-malformed": (ParseError, "malformed family '{a3/a1'",
                                     library(lambda: parse_cn("{a3/a1", True))),
+    # an unhashable n is the constructor's BoundError too, after the same scan
+    "cn-parse-n-a-list": (BoundError, "alphabet size must lie in [2, 6]",
+                          library(lambda: parse_cn("{a1/a1}", [2]))),
+    "cn-parse-n-a-list-malformed": (ParseError, "malformed pair 'a1 a1'",
+                                    library(lambda: parse_cn("{a1 a1}", [2]))),
+    "cn-parse-n-a-dict": (BoundError, "alphabet size must lie in [2, 6]",
+                          library(lambda: parse_cn("{a1/a2, a2/a1}", {2: 2}))),
+    "cn-parse-n-a-dict-malformed": (ParseError, "malformed family 'a1/a1'",
+                                    library(lambda: parse_cn("a1/a1", {2: 2}))),
     "cn-pairs-a-list": (StructureError, "pairs ('1','') and ('11','2') are not orthogonal",
                         library(lambda: CnElement(2, [("11", "2"), ("1", "")]))),
     "cn-member-three-words": (StructureError,

@@ -127,6 +127,29 @@ def _ragged_middle_block(data, start, rng):
     return data[:a] + data[b + 2:] if data[b:b + 1] == b"," else data[:a - 2] + data[b:]
 
 
+def _cell_where(data, start, rng, ok):
+    """(start, stop) of the first random cell for which ``ok(start, stop)`` holds."""
+    while True:
+        a, b = _cell(data, start, rng)
+        if ok(a, b):
+            return a, b
+
+
+def _swapped_separator(data, start, rng):
+    _, b = _cell_where(data, start, rng, lambda a, b: data[b:b + 2] == b", ")
+    return data[:b] + b" ," + data[b + 2:]
+
+
+def _zero_for_space(data, start, rng):
+    a, _ = _cell_where(data, start, rng, lambda a, b: data[a - 2:a] == b", ")
+    return data[:a - 1] + b"0" + data[a:]
+
+
+def _blanked_digit(data, start, rng):
+    a, b = _cell_where(data, start, rng, lambda a, b: b - a == 1 and data[a:b] != b"0")
+    return data[:a] + b" " + data[b:]
+
+
 def _one_row_break(data, start, rng):
     at = rng.choice(_rows(data, start)[1:]) - 1       # the "[" after "],\n"
     return data[:at] + b" " + data[at:]
@@ -147,6 +170,10 @@ TAMPERINGS = {
     "leading-zero": _before_cell(b"0"),
     "plus-sign": _before_cell(b"+"),
     "wraps-to-10000": _wrapping_cell,
+    # as long as the table's text, and parsed to the same values (a blank cell as 0)
+    "separator-swapped": _swapped_separator,
+    "zero-for-a-space": _zero_for_space,
+    "blanked-digit": _blanked_digit,
     "ragged-middle-block": _ragged_middle_block,
     "head-whitespace": lambda data, start, rng: data[:start + 1] + b" " + data[start + 1:],
     "mid-whitespace": _one_row_break,
