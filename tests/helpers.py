@@ -1012,9 +1012,20 @@ def reference_bound_table(leq):
     return table
 
 
+def reference_greatest_idempotents(leq, idempotents):
+    """phi(s) by its definition, one s at a time: the idempotent below s
+    that every idempotent below s lies below, or -1 when there is none."""
+    phi = []
+    for s in range(len(leq)):
+        below = [e for e in idempotents if leq[e, s]]
+        phi.append(next((e for e in below if all(leq[f, e] for f in below)), -1))
+    return np.array(phi)
+
+
 def int64_reference(monoid):
     """A copy of ``monoid`` whose product table is an int64 copy of ``mul``,
-    with the natural order rebuilt from that copy (bound tables by
+    with the natural order rebuilt from that copy (phi by
+    ``reference_greatest_idempotents``, bound tables by
     ``reference_bound_table``) and nothing else computed: its methods and
     the law suites then do every gather and every code in int64."""
     wide = object.__new__(InverseMonoid)
@@ -1029,6 +1040,8 @@ def int64_reference(monoid):
     order = OrderData(idempotents=tuple(idempotents.tolist()),
                       atoms=tuple(np.flatnonzero(leq.sum(axis=0) == 2).tolist()),
                       matrix=leq, up_sizes=leq.sum(axis=1),
+                      phi=reference_greatest_idempotents(leq, idempotents.tolist()),
+                      mul=mul, inv=np.array(monoid.inv, dtype=np.int64),
                       meet=reference_bound_table(leq), join=reference_bound_table(leq.T))
     vars(wide).update(vars(monoid), mul=mul, _order=order, _certificate=None,
                       _complements=None, _stone_groupoid=None, _filter_products=None)

@@ -7,6 +7,7 @@ not depend on enumeration order.
 
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -44,15 +45,17 @@ from stonework.groupoids import (
     compose_table,
     pair_groupoid,
 )
-from stonework.serialize import groupoid_to_json
+from stonework.serialize import groupoid_to_json, monoid_from_json, monoid_to_json
 
 from helpers import (
     compatible,
     corpus_monoids,
     first_associativity_failure,
     orthogonal,
+    reference_greatest_idempotents,
     reference_inverse_uniqueness_failure,
     reference_light_failure,
+    relabelled,
     relative_complement,
 )
 
@@ -751,6 +754,98 @@ def test_two_maximal_lower_bounds_fails_bm2():
     assert [monoid.label(s) for s in cert.elements] == [
         "{1->1,2->2,3->3,4->4}", "{1->1,2->2,3->4,4->3}"]
     assert monoid.meet(3, 4) is None
+
+
+def transposition_without_phi():
+    """{0, 1, s, e3, e4} inside I({1,2,3,4}), s swapping 1 and 2 and fixing
+    3 and 4: the idempotents below s are 0, e3 and e4, with no greatest."""
+    ix4 = symmetric_inverse_monoid(4)
+    keep = ["{}", "{1->1,2->2,3->3,4->4}", "{1->2,2->1,3->3,4->4}", "{3->3}", "{4->4}"]
+    return ix4.restrict([by_label(ix4, lab) for lab in keep])
+
+
+def test_an_element_without_phi_fails_bm2_by_the_bound_table(monkeypatch):
+    """Where phi is missing a meet is missing (s ^ s s^-1 would be phi(s)):
+    BM2 and the meet table come from bound_table, as before phi."""
+    monoid = transposition_without_phi()
+    order = monoid.order()
+    assert order.phi.tolist() == [0, 1, 2, 3, -1]
+    assert monoid.label(4) == "{1->2,2->1,3->3,4->4}"
+    calls = []
+    monkeypatch.setattr(inverse_core, "bound_table",
+                        lambda leq, table=inverse_core.bound_table: calls.append(leq) or table(leq))
+    cert = monoid.check_boolean()
+    assert (cert.is_boolean, cert.axiom, cert.detail, cert.elements) == (
+        False, "BM2", "meet missing", (3, 4))
+    assert len(calls) == 1 and calls[0] is order.matrix     # the meet table, read by BM2
+    assert np.array_equal(order.meet, inverse_core.bound_table(order.matrix))
+    assert order.meet[3, 4] == order.meet[4, 3] == -1 and monoid.meet(4, 3) is None
+
+
+def phi_corpus():
+    return dict(corpus_monoids(), chain3=chain_monoid(3), brandt=brandt_monoid(),
+                two_maximal=two_maximal_lower_bounds(), no_phi=transposition_without_phi())
+
+
+def test_meets_by_phi_are_the_bound_tables_on_relabelled_monoids():
+    """phi is its definition and the meet table bound_table's, on every
+    corpus monoid and on 200 seeded relabellings of them (which move the
+    ties of down-set size); on ix3, brandt and the Clifford monoid the
+    factor t of phi(s t^-1) t matters."""
+    corpus = phi_corpus()
+    rng, names = random.Random(46), sorted(corpus)
+    relabellings = [(name, monoid_from_json(relabelled(monoid_to_json(corpus[name]),
+                                                       rng.randrange(1 << 30))))
+                    for name in (rng.choice(names) for _ in range(200))]
+    for name, monoid in [*corpus.items(), *relabellings]:
+        order = monoid.order()
+        assert order.phi.tolist() == reference_greatest_idempotents(
+            order.matrix, order.idempotents).tolist(), name
+        assert np.array_equal(order.meet, inverse_core.bound_table(order.matrix)), name
+        assert order.meet.dtype == np.int16 and not order.meet.flags.writeable
+    assert {name for name, _ in relabellings} == set(names)
+
+
+def test_bounds_at_pairs_are_the_bound_tables():
+    """At every pair, meets and joins of the corpus monoids and bounds of
+    random orders (some without a bound, relabelled to move the ties of
+    down-set size), in blocks of the default size and of 64 words."""
+    n = 60
+    rng = np.random.default_rng(7)
+    leq = np.triu(rng.random((n, n)) < 0.08) | np.eye(n, dtype=bool)
+    leq[0] = True
+    for k in range(n):                      # transitive closure
+        leq |= leq[:, [k]] & leq[k]
+    perm = rng.permutation(n)
+    relations = [monoid.order().matrix for monoid in phi_corpus().values()]
+    relations += [symmetric_inverse_monoid(4).order().matrix, leq, leq[np.ix_(perm, perm)]]
+    for cells in (inverse_core.BLOCK_CELLS, 64):
+        with patch.object(inverse_core, "BLOCK_CELLS", cells):
+            for relation in relations:
+                for order in (relation, relation.T):
+                    size = len(order)
+                    s, t = np.divmod(np.arange(size * size), size)
+                    pairs = inverse_core.bounds_at(order, s, t)
+                    assert pairs.dtype == np.int16
+                    assert np.array_equal(pairs, inverse_core.bound_table(order).ravel())
+    assert (inverse_core.bound_table(leq) < 0).any() and (inverse_core.bound_table(leq.T) < 0).any()
+
+
+@pytest.mark.parametrize("points", [4, 5])
+def test_deciding_a_boolean_monoid_builds_no_bound_table(points, monkeypatch):
+    """A fresh ix4 or ix5 decides BM1-BM3 from its order, phi and the joins
+    at its orthogonal pairs; its meet table comes from phi, and only the
+    join table, when read, is built by bound_table."""
+    calls = []
+    monkeypatch.setattr(inverse_core, "bound_table",
+                        lambda leq, table=inverse_core.bound_table: calls.append(leq) or table(leq))
+    monoid = symmetric_inverse_monoid(points)
+    assert monoid.check_boolean().is_boolean and calls == []
+    order = monoid.order()
+    assert (order.phi >= 0).all()
+    assert order.meet[monoid.one].tolist() == order.phi.tolist() and calls == []
+    assert monoid.join(monoid.zero, monoid.one) == monoid.one and len(calls) == 1
+    assert calls[0].base is order.matrix
 
 
 # -- BM1 distributivity witness ---------------------------------------------------

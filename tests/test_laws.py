@@ -582,6 +582,21 @@ def test_gathered_laws_match_the_loops_on_a_tampered_order(name):
     assert {"filter-base-pairwise", *["downset-boolean-via-dom"] * (name != "ba4")} <= failing
 
 
+@pytest.mark.parametrize("name", ["ix3", "ba4", "clifford"])
+def test_bounds_at_pairs_are_the_bound_tables_of_a_tampered_order(name):
+    """bounds_at keeps bound_table's rule off a partial order too: with
+    one to three cells of the order flipped, the down-set of the candidate
+    can differ from down(s) & down(t) and still have its size."""
+    rng = random.Random(name)
+    for _ in range(30):
+        matrix = _tampered_order(FACTORIES[name](), rng).order().matrix
+        n = len(matrix)
+        s, t = np.divmod(np.arange(n * n), n)
+        for relation in (matrix, matrix.T):
+            assert np.array_equal(inverse_core.bounds_at(relation, s, t),
+                                  inverse_core.bound_table(relation).ravel())
+
+
 @pytest.mark.parametrize("blocks", [None, 64])
 def test_absent_meets_are_read_as_in_the_loops(monkeypatch, blocks):
     """Meets made absent (-1) in ix3: products-distribute-over-meets skips

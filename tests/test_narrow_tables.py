@@ -144,7 +144,7 @@ def test_derived_tables_are_those_of_an_int64_table(name):
     assert wide.mul.dtype == np.int64 and np.array_equal(wide.mul, monoid.mul)
     narrow, reference = monoid.order(), wide.order()
     assert narrow == reference          # the idempotents and atoms
-    for table in ("matrix", "up_sizes", "meet", "join"):
+    for table in ("matrix", "up_sizes", "phi", "meet", "join"):
         assert np.array_equal(getattr(narrow, table), getattr(reference, table)), table
     assert narrow.meet.dtype == narrow.join.dtype == np.int16
     assert np.array_equal(monoid.compatibility(), wide.compatibility())

@@ -229,8 +229,9 @@ def test_large_tables_render_as_on_one_thread(ba10_entry, ix5):
 
 
 @pytest.mark.parametrize("name", ["ix5", "ba10"])
-def test_meet_and_join_tables_built_side_by_side_are_the_serial_ones(name, ix5):
-    """order() builds the two tables at once; each is bound_table's on this thread."""
+def test_meet_and_join_tables_built_on_first_read_are_the_bound_tables(name, ix5):
+    """order() builds neither table; each, built on this thread when first
+    read (the meet by phi), is bound_table's."""
     order = (ix5 if name == "ix5" else boolean_algebra_monoid(10)).order()
     assert np.array_equal(order.meet, bound_table(order.matrix))
     assert np.array_equal(order.join, bound_table(order.matrix.T))
@@ -321,7 +322,8 @@ def test_on_one_cpu_large_tables_stay_on_the_calling_thread(ba10_entry):
 
 def test_a_process_that_loads_ba10_never_imports_concurrent_futures(ba10_entry):
     """On the CPUs it may run on, a process reads, renders, orders and loads
-    ba10 with one helper per table_map call (two for each read, one for the
-    render and one for the order) and imports no thread pool."""
-    started = 6 if TWO_CPUS else 0
+    ba10 with one helper per table_map call (two for each read and one for
+    the render; the order and its tables take none) and imports no thread
+    pool."""
+    started = 5 if TWO_CPUS else 0
     assert _ba10_in_a_subprocess(ba10_entry[0], "all") == ["True"] * 5 + [str(started), "False"]
