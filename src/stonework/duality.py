@@ -192,7 +192,7 @@ def verify_basic_open_laws(monoid: InverseMonoid, *,
     report.add("meet-is-intersection", n * n, where(by_rows(lambda s: (meet[s] < 0) | (
         words[meet[s]] != (words[s, None] & words)).any(axis=2))))
     report.add("inverse", n,
-               where((inside[list(monoid.inv)] != inside[:, list(sg.inv)]).any(axis=1)))
+               where((inside[list(monoid.inv)] != inside.take(sg.inv, axis=1)).any(axis=1)))
 
     # a product that is not a bisection differs from K(st), so it fails here
     images, products = image_products(sg, inside)

@@ -126,10 +126,6 @@ class FiniteGroupoid:
         g = as_index(g, self.m, "arrow")
         return self.labels[g] if self.labels else str(g)
 
-    def compose_maybe(self, g: int, h: int):
-        k = self.compose.item(as_index(g, self.m, "arrow"), as_index(h, self.m, "arrow"))
-        return None if k < 0 else k
-
     def star(self, e: int) -> tuple[int, ...]:
         """Arrows with domain e."""
         e = as_index(e, self.m, "arrow")

@@ -47,7 +47,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -146,24 +146,31 @@ def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
         raise StructureError(hit[0].format(*hit[1]))
 
 
+def _tries(table: np.ndarray, reached: set, blocks: list[slice]):
+    """The rows outside ``reached`` (read as each is asked for) by falling distinct entries,
+    ties in index order: past BLOCK_CELLS cells in every (n // 64)-th column for six tries."""
+    n = len(table)
+    if table.size > BLOCK_CELLS:
+        distinct = np.count_nonzero(np.diff(np.sort(table[:, ::max(1, n // 64)], axis=1)), axis=1)
+        yield from islice((g for g in np.argsort(-distinct, kind="stable").tolist()
+                           if g not in reached), 6)
+    if len(reached) < n:
+        distinct = np.empty(n, dtype=np.intp)
+        for block in blocks:
+            marks = np.zeros((len(rows := table[block]), n), dtype=bool)
+            marks.ravel()[np.arange(0, rows.size, n)[:, None] + rows] = True   # flat: 2x a 2-d one
+            distinct[block] = np.count_nonzero(marks, axis=1)
+        yield from (g for g in np.argsort(-distinct, kind="stable").tolist() if g not in reached)
+
+
 def check_associativity(table: np.ndarray, passed: list[int]) -> None:
-    """Light's test, exact for any finite magma with this total n x n table:
-    the g with ``(x g) y == x (g y)`` for all x, y are closed under the
-    product, so it suffices to test unreached elements until products of
-    ``passed`` (known to pass, and closed under the product) reach all.  Rows
-    with more distinct entries go first (speed only: 3-6 tries on I(X), k+1 on
-    2^k, about 2(p-1) on a pair groupoid of p points); trying all n is n^3."""
-    n, blocks = len(table), row_blocks(len(table), len(table))
-    distinct = np.empty(n, dtype=np.intp)
-    for block in blocks:
-        rows = table[block]
-        marks = np.zeros(rows.shape, dtype=bool)
-        marks.ravel()[np.arange(0, rows.size, n)[:, None] + rows] = True   # flat: 2x a 2-d one
-        distinct[block] = np.count_nonzero(marks, axis=1)
+    """Light's test, exact for any finite magma with this total n x n table: the g with
+    ``(x g) y == x (g y)`` for all x, y are closed under the product, so it suffices to try
+    unreached elements, in :func:`_tries` (3-6 on I(X), k+1 on 2^k; past n = 512 it may name
+    another failing triple), until products of ``passed`` (closed, and passing) reach all."""
     reached, columns = set(passed), [table[:, p].tolist() for p in passed]  # x -> x p
-    for g in np.argsort(-distinct, kind="stable").tolist():
-        if g in reached:
-            continue
+    blocks = row_blocks(len(table), len(table))
+    for g in _tries(table, reached, blocks):
         for block in blocks:
             left = np.take(table, table[block, g], axis=0)    # (x g) y
             right = np.take(table[block], table[g], axis=1)   # x (g y)
@@ -606,7 +613,7 @@ class InverseMonoid:
     def compatibility(self) -> np.ndarray:
         """[s, t]: s^-1 t and s t^-1 are both idempotent."""
         inv, idempotent = np.asarray(self.inv), np.diagonal(self.mul) == np.arange(self.n)
-        return idempotent.take(self.mul[inv]) & idempotent.take(self.mul[:, inv])
+        return idempotent.take(self.mul[inv]) & idempotent.take(self.mul.take(inv, axis=1))
 
     def orthogonality(self) -> np.ndarray:
         """[s, t]: s^-1 t and s t^-1 are both zero.  (Columns are gathered by

@@ -83,7 +83,7 @@ def local_complement_laws(monoid: InverseMonoid) -> LawReport:
     n, order = monoid.n, monoid.order()
     leq, meet, join = order.matrix, order.meet, order.join
     dom = monoid.mul[np.asarray(monoid.inv), np.arange(n)].astype(np.intp)
-    moved = leq != leq[dom][:, dom]         # [x, y]: x <= y and dom x <= dom y disagree
+    moved = leq != leq[dom].take(dom, axis=1)   # [x, y]: x <= y and dom x <= dom y disagree
 
     # (s,): dom does not sort down(s) onto down(dom s); else (s, x, y): x, y in down(s) moved
     found = []
@@ -198,7 +198,7 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
 
     report.add("product-smallest-filter", n * n, smallest)
 
-    closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq[:, inv]).any(axis=1)
+    closed = ~(squares & ~leq).any(axis=1) & ~(leq & ~leq.take(inv, axis=1)).any(axis=1)
     f, a = np.nonzero(leq)          # filter f is the upward closure of a dom(f), a in up(f)
     coset = np.zeros((n, n), dtype=bool)
     for rows in row_blocks(len(f), 4 * n):                      # float32 cells

@@ -147,9 +147,9 @@ def entry_to_json(name: str, kind: str, payload: dict) -> dict:
 
 
 _TABLE_KEY = re.compile(rb'"mul": (?=\[)')
-# a table's head, first row and row break; its tail and end (\s would also take \f, \v)
+# a table's head, first row and row break (\s would also take \f, \v)
 _TABLE_LAYOUT = re.compile(rb"\[([ \t\n\r]*)\[[\d, ]*\](?:([ \t\n\r]*,[ \t\n\r]*)\[)?")
-_TABLE_END = re.compile(rb"\]([ \t\n\r]*)\]")
+_BLANKS = re.compile(rb"[ \t\n\r]*")
 
 
 def _renderer(table: np.ndarray, mid: bytes):
@@ -178,63 +178,59 @@ def table_text(table: np.ndarray, head=b"\n", mid=b",\n", tail=b"\n"):
 
 
 def _read_table(data: bytes, start: int):
-    """(int16 array, end) of the table whose text starts at ``data[start]``, or None: read in
-    row blocks by ``np.fromstring``, whose values count only if the text is what
-    ``table_text`` renders from them, which is decided without rendering it.  A cell's
-    rendering takes ``len(b"%d, " % v)`` bytes, a row's last one ``len(mid)`` more for its
-    "]" mid "["; their cumsum places every separator.  A block must be as long as its
-    rendering, hold ", " at every inner separator and "]" mid "[" at every row's end (the
-    last "]" is the table end's), and hold as many ASCII digits as its values have.  The
-    separators are in place and hold no digit, so every other byte is a digit: each cell is
-    a run of exactly ``len(str(v))`` digits that was read as v, so it is ``str(v)`` (a
-    leading zero, a sign, a space or an int that wrapped, 5 digits or more, needs more
-    bytes).  That needs every value under 10,000; a table with a larger one is left to
-    ``json.loads``.  A table of more than BLOCK_CELLS cells has its blocks parsed, then
-    checked, by the calling thread and one helper; nothing sets this."""
-    layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
-    if layout is None or end is None or end.end() - start < 2048:   # json is as fast there
+    """(int16 array, end) of the table whose text starts at ``data[start]``, or None.  A walk
+    over the rows' "]" finds the rows and the end: each "]" is followed by "," or, at the end,
+    "]" (whitespace may come first).  One job a row block (a helper takes half of them past
+    BLOCK_CELLS cells) parses it by ``np.fromstring`` and proves, without rendering it, that
+    it is what ``table_text`` renders from its values.  A cell's rendering takes
+    ``len(b"%d, " % v)`` bytes, a row's last one ``len(mid)`` more for its "]" mid "["; their
+    cumsum places every separator.  A block must be as long as its rendering, hold ", " and
+    "]" mid "[" in their places (the last "]" is the end's) and as many ASCII digits as its
+    values: so each cell, a run of exactly ``len(str(v))`` digits read as v, is ``str(v)`` (a
+    leading zero, a sign, a space or a wrapped int needs more bytes).  That needs every value
+    under 10,000; a table with a larger one is left to ``json.loads``."""
+    if (layout := _TABLE_LAYOUT.match(data, start)) is None:
         return None
-    rows = data.count(b"[", start, end.end()) - 1
     cols = data.count(b",", start, data.find(b"]", start)) + 1      # of the first row
-    if rows * cols > end.end() - start:                 # a cell takes two bytes or more
-        return None
-    table, close, spans = np.empty((rows, cols), np.int16), start, []
-    for block in row_blocks(rows, cols):   # a block's text: its first cell to its last "]"
-        first = data.find(b"[", close + 1) + 1
-        for _ in range(block.start, min(block.stop, rows)):
-            close = data.find(b"]", close + 1)
-        spans.append((block, first, close))
-    # "[" head "[" (matched) ends where the first block starts; a block's rendering runs
-    # to the next one's first cell, the last one's to "]" tail "]" (matched)
-    stops = [first for _, first, _ in spans[1:]] + [end.start() + 1]
-    row_end, text = b"]" + (layout[2] or b",") + b"[", np.frombuffer(data, np.uint8)
+    closes, close = [start], start                  # start, then each row's "]"
+    while (close := data.find(b"]", close + 1)) >= 0:
+        closes.append(close)
+        after = close + 1
+        if data[after:after + 1] in b" \t\n\r":       # (or b"" past the end: nothing follows)
+            after = _BLANKS.match(data, after).end()
+        if data[after:after + 1] != b",":
+            break
+    rows, end = len(closes) - 1, after + 1
+    if close < 0 or data[after:after + 1] != b"]" or end - start < max(2048, rows * cols):
+        return None         # below 2 KiB json.loads is as fast; a cell takes two bytes or more
+    # a block's text runs from its first cell to its last "]", its rendering on to the next
+    # block's first cell or, past the last block, its last "]"; "[" head "[" was matched
+    blocks = row_blocks(rows, cols)
+    firsts = [data.find(b"[", closes[block.start] + 1) + 1 for block in blocks] + [close + 1]
+    table, text = np.empty((rows, cols), np.int16), np.frombuffer(data, np.uint8)
+    row_end = b"]" + (layout[2] or b",") + b"["
 
-    def parse(span):
-        block, first, close = span
-        cells = data[first:close].translate(None, b"[]")
-        table[block] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
-
-    def exact(span, stop):
-        block, first, _ = span
-        cells, last = table[block], block.stop >= rows
+    def read(block, first, stop):
+        cells = data[first:closes[min(block.stop, rows)]].translate(None, b"[]")
+        cells = table[block] = np.fromstring(cells, np.int16, sep=",").reshape(-1, cols)
+        if cells.min() < 0 or cells.max() >= 10_000:     # a sign, or 5 digits or more
+            return False
         # where each cell would end were every separator ", ": its len(b"%d, " % v), summed
         at = np.cumsum(np.uint8(3) + (cells > 9) + (cells > 99) + (cells > 999), dtype=np.int32)
         digits = int(at[-1]) - 2 * at.size
         at = at.reshape(-1, cols)       # made where each cell's ", " or "]" mid "[" starts
         at += np.arange(len(at), dtype=np.int32)[:, None] * (len(row_end) - 2) + (first - 2)
-        if at[-1, -1] + (1 if last else len(row_end)) != stop:
+        if at[-1, -1] + (1 if block.stop >= rows else len(row_end)) != stop:
             return False
-        closes = at[:-1, -1] if last else at[:, -1]     # the last "]" is the table end's
+        breaks = at[:-1, -1] if block.stop >= rows else at[:, -1]   # the last "]": the end's
         return ((text[at[:, :-1]] == ord(",")).all() and (text[at[:, :-1] + 1] == ord(" ")).all()
-                and all((text[closes + k] == byte).all() for k, byte in enumerate(row_end))
+                and all((text[breaks + k] == byte).all() for k, byte in enumerate(row_end))
                 and np.count_nonzero(text[first:stop] >= ord("0"))   # a temporary at a time
                 - np.count_nonzero(text[first:stop] > ord("9")) == digits)
 
-    with suppress(ValueError, OverflowError):   # unreadable text, ragged rows, a short file
-        table_map(table.size, parse, spans)
-        if (table.min() >= 0 and table.max() < 10_000     # no sign, at most 4 digits
-                and all(table_map(table.size, exact, spans, stops))):
-            return table, end.end()
+    with suppress(ValueError, OverflowError):   # unreadable text, ragged rows
+        if all(table_map(table.size, read, blocks, firsts, firsts[1:])):
+            return table, end
     return None
 
 
@@ -242,12 +238,13 @@ def _loads(data: bytes):
     """``json.loads(data.decode())``, each table ``_read_table`` accepts spliced out as NaN,
     which ``parse_constant`` hands back, unless the rest has NaN or Infinity or fails.  Text
     nested past the recursion limit is a StructureError."""
-    tables, parts, pos = [], [], 0
-    for key in _TABLE_KEY.finditer(data):       # a table's text holds no '"'
-        if (found := _read_table(data, key.end())) is not None:
+    tables, parts, pos, at = [], [], 0, 0
+    while key := _TABLE_KEY.search(data, at):   # resumed past a table read: it holds no '"'
+        at = key.end()
+        if (found := _read_table(data, at)) is not None:
             tables.append(found[0])
-            parts.append(data[pos:key.end()])
-            pos = found[1]
+            parts.append(data[pos:at])
+            pos = at = found[1]
     rest = b"NaN".join([*parts, data[pos:]])
     if tables and rest.count(b"NaN") == len(tables) and b"Infinity" not in rest:
         handed = iter(tables)

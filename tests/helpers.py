@@ -44,8 +44,8 @@ from stonework.groupoids import (
     pair_groupoid,
     trivial_groupoid,
 )
-from stonework.inverse_core import (InverseMonoid, OrderData, first_failure, inclusions,
-                                    partial_bijections)
+from stonework.inverse_core import (InverseMonoid, OrderData, as_index, first_failure,
+                                    inclusions, partial_bijections)
 from stonework.polycyclic import (
     CnElement,
     PolyElement,
@@ -54,7 +54,14 @@ from stonework.polycyclic import (
     random_prefix_code,
     random_word,
 )
-from stonework.serialize import _TABLE_END, _TABLE_LAYOUT, _codec, _entry_name, _fields
+from stonework.serialize import _TABLE_LAYOUT, _codec, _entry_name, _fields
+
+
+def compose_maybe(groupoid, g, h):
+    """g h in ``groupoid``, or None where the pair is not composable; each arrow
+    passes the library's index gate."""
+    k = groupoid.compose.item(as_index(g, groupoid.m, "arrow"), as_index(h, groupoid.m, "arrow"))
+    return None if k < 0 else k
 
 
 def corpus_monoids():
@@ -172,27 +179,43 @@ def first_associativity_failure(mul, rows=None):
     return None
 
 
-def reference_light_failure(table, passed):
-    """Light's test as ``inverse_core.check_associativity`` made it on the whole
-    table at once: one n x n distinct-entry mask through an n^2 flat index, and
-    each try's (x g) y and x (g y) as two n x n products.  The first failing
-    (x, g, y), in the same try order, or None."""
+def reference_distinct_counts(table):
+    """The distinct entries of each row of a square table of entries below n, by one
+    n^2 mark scatter through a flat index, as ``inverse_core.check_associativity``
+    counted them for its whole try order before it ranked its first tries by a
+    column sample."""
     n = len(table)
-    distinct = np.zeros((n, n), dtype=bool)
-    distinct.ravel()[np.arange(0, n * n, n)[:, None] + table] = True
+    marks = np.zeros((n, n), dtype=bool)
+    marks.ravel()[np.arange(0, n * n, n)[:, None] + table] = True
+    return np.count_nonzero(marks, axis=1)
+
+
+def reference_light_tries(table, passed):
+    """The rows Light's test tries on a table, in the order of
+    ``reference_distinct_counts``, each row skipped once the rows in ``passed``
+    and the rows tried before it generate it; a caller that finds a try failing
+    stops there."""
     reached, columns = set(passed), [table[:, p].tolist() for p in passed]
-    for g in np.argsort(-np.count_nonzero(distinct, axis=1), kind="stable").tolist():
+    for g in np.argsort(-reference_distinct_counts(table), kind="stable").tolist():
         if g in reached:
             continue
-        fails = np.take(table, table[:, g], axis=0) != np.take(table, table[g], axis=1)
-        if fails.any():
-            x, y = map(int, np.argwhere(fails)[0])
-            return x, g, y
+        yield g
         columns.append(column := table[:, g].tolist())
         fresh = {column[x] for x in reached} | {g}
         while fresh := fresh - reached:
             reached |= fresh
             fresh = {col[x] for x in fresh for col in columns}
+
+
+def reference_light_failure(table, passed):
+    """Light's test on the whole table at once, in the try order of
+    ``reference_light_tries``: each try's (x g) y and x (g y) as two n x n
+    products.  The first failing (x, g, y), in that order, or None."""
+    for g in reference_light_tries(table, passed):
+        fails = np.take(table, table[:, g], axis=0) != np.take(table, table[g], axis=1)
+        if fails.any():
+            x, y = map(int, np.argwhere(fails)[0])
+            return x, g, y
     return None
 
 
@@ -986,7 +1009,7 @@ def reference_point_filters_intertwine(groupoid):
         if doms[g] != points[groupoid.d[g]] or rans[g] != points[groupoid.r[g]]:
             failures.append((g,))
         for h in range(groupoid.m):
-            gh = groupoid.compose_maybe(g, h)
+            gh = compose_maybe(groupoid, g, h)
             if gh is not None and reference_filter_product(monoid, f, points[h]) != points[gh]:
                 failures.append((g, h))
     return len(points), failures
@@ -1097,11 +1120,14 @@ def reference_table_text(table, head=b"\n", mid=b",\n", tail=b"\n"):
     yield tail + b"]"
 
 
+TABLE_END = re.compile(rb"\]([ \t\n\r]*)\]")        # the first "]" tail "]" after a table starts
+
+
 def reference_read_table(data, start):
     """``serialize._read_table`` on the calling thread: every row block parsed,
     then the whole table rendered back by ``reference_table_text`` and
     compared with the text from ``start`` on, piece by piece."""
-    layout, end = _TABLE_LAYOUT.match(data, start), _TABLE_END.search(data, start)
+    layout, end = _TABLE_LAYOUT.match(data, start), TABLE_END.search(data, start)
     if layout is None or end is None or end.end() - start < 2048:
         return None
     rows = data.count(b"[", start, end.end()) - 1
@@ -1186,8 +1212,7 @@ def object_form_groupoids():
 
 def reference_bisection_product(a, b):
     """Arrow-wise product {xy : composable}, validated as a Bisection."""
-    compose = a.groupoid.compose_maybe
-    out = {compose(x, y) for x in a.members for y in b.members}
+    out = {compose_maybe(a.groupoid, x, y) for x in a.members for y in b.members}
     out.discard(None)
     return Bisection(a.groupoid, frozenset(out))
 

@@ -43,18 +43,24 @@ from stonework.groupoids import (
     FiniteGroupoid,
     all_bisections_monoid,
     compose_table,
+    disjoint_union,
+    group_groupoid,
     pair_groupoid,
+    trivial_groupoid,
 )
 from stonework.serialize import groupoid_to_json, monoid_from_json, monoid_to_json
 
 from helpers import (
     compatible,
+    compose_maybe,
     corpus_monoids,
     first_associativity_failure,
     orthogonal,
+    reference_distinct_counts,
     reference_greatest_idempotents,
     reference_inverse_uniqueness_failure,
     reference_light_failure,
+    reference_light_tries,
     relabelled,
     relative_complement,
 )
@@ -203,6 +209,112 @@ def test_corruptions_in_a_late_row_block_name_the_whole_table_triple(ix5, seed):
         inverse_core.check_associativity(mul, [ix5.one])
 
 
+def _light_table(obj):
+    """The table and passing rows that a monoid or a groupoid hands Light's test."""
+    if isinstance(obj, FiniteGroupoid):
+        return obj._padded % (obj.m + 1), [*obj.identities, obj.m]
+    return obj.mul, [obj.one]
+
+
+def _relabelled_table(monoid, seed):
+    """``monoid``'s table and passing row with its indices shuffled by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(monoid.n)
+    mul = np.empty_like(monoid.mul)
+    mul[np.ix_(perm, perm)] = perm[monoid.mul]
+    return mul, [int(perm[monoid.one])]
+
+
+STOCK_TABLES = {
+    **{f"ix{k}": lambda k=k: symmetric_inverse_monoid(k) for k in (1, 2, 3, 4, 5)},
+    **{f"ba{k}": lambda k=k: boolean_algebra_monoid(k) for k in (1, 2, 4, 6, 8, 10)},
+    **{f"z{k}-zero": lambda k=k: group_with_zero_monoid(k) for k in (1, 2, 3, 6, 300)},
+    **{f"chain{k}": lambda k=k: chain_monoid(k) for k in (2, 5, 300)},
+    "clifford": clifford_monoid, "brandt": brandt_monoid,
+    "ix3xba4": lambda: product_monoid(symmetric_inverse_monoid(3), boolean_algebra_monoid(4)),
+    **{f"pair{k}": lambda k=k: pair_groupoid(k) for k in (1, 2, 3, 5, 11, 23, 32)},
+    **{f"z{k}-group": lambda k=k: group_groupoid(k) for k in (1, 2, 7, 300)},
+    **{f"trivial{k}": lambda k=k: trivial_groupoid(k) for k in (1, 4)},
+    "z100-pair20": lambda: disjoint_union(group_groupoid(100), pair_groupoid(20)),
+    **{f"{name}-relabelled{seed}": lambda name=name, seed=seed: _relabelled_table(
+        symmetric_inverse_monoid(5) if name == "ix5" else boolean_algebra_monoid(10), seed)
+       for name in ("ix5", "ba10") for seed in range(5)},
+}
+
+
+def _stock_table(name):
+    made = STOCK_TABLES[name]()
+    return made if isinstance(made, tuple) else _light_table(made)
+
+
+def _tried(table):
+    """The rows ``inverse_core._tries`` hands out when each try reaches only itself."""
+    reached, order, blocks = set(), [], inverse_core.row_blocks(len(table), len(table))
+    for g in inverse_core._tries(table, reached, blocks):
+        order.append(g)
+        reached.add(g)
+    return order
+
+
+@pytest.mark.parametrize("name", list(STOCK_TABLES))
+def test_light_tries_rows_in_the_order_of_the_distinct_count_scatter(name):
+    """Up to n = 512 (BLOCK_CELLS cells) the rows are ranked as the n^2
+    scatter ranks them: the same tries name the same triple.  Past it, the
+    first six tries come from the column sample and the rest keep the
+    scatter's order."""
+    table, _ = _stock_table(name)
+    reference = np.argsort(-reference_distinct_counts(table), kind="stable").tolist()
+    order = _tried(table)
+    if table.size <= inverse_core.BLOCK_CELLS:
+        assert order == reference
+    else:
+        assert order[6:] == [g for g in reference if g not in order[:6]]
+
+
+def _tries_made(table, passed, monkeypatch):
+    """How many rows ``check_associativity`` tries on a table that passes."""
+    made, tries = [], inverse_core._tries
+    monkeypatch.setattr(inverse_core, "_tries", lambda *args: (
+        made.append(g) or g for g in tries(*args)))
+    inverse_core.check_associativity(table, passed)
+    return len(made)
+
+
+@pytest.mark.parametrize("name", [*(f"{name}-relabelled{seed}" for name in ("ix5", "ba10")
+                                    for seed in range(5)), "pair32", "ix5", "ba10"])
+def test_light_takes_about_as_many_tries_as_whole_row_counts(name, monkeypatch):
+    """On relabelled tables the column sample ranks the first tries as well as
+    whole rows do, within two tries; on a stock boolean algebra, whose
+    indices are bit masks that a strided sample aliases, it costs at most the
+    six tries it ranks (alone it took 111 on ba10, where whole rows take 10)."""
+    table, passed = _stock_table(name)
+    made = _tries_made(table, passed, monkeypatch)
+    reference = len(list(reference_light_tries(table, passed)))
+    if name == "ba10":
+        assert reference <= made <= reference + 6
+    else:
+        assert abs(made - reference) <= 2
+
+
+@pytest.mark.parametrize("name", ["ix5", "ba10"])
+def test_a_corrupted_relabelled_table_is_refused_at_a_failing_triple(name, ix5):
+    """A seeded cell corruption of ix5 or ba10, relabelled by a seeded
+    permutation, is refused, as the test on the whole table refuses it, at
+    an (x, g, y) with (x g) y != x (g y): past n = 512 the sample may rank
+    another failing row first."""
+    monoid = ix5 if name == "ix5" else boolean_algebra_monoid(10)
+    rng = np.random.default_rng(11)
+    for seed in range(4):
+        mul, passed = _relabelled_table(monoid, seed)
+        inner = [s for s in range(monoid.n) if s not in passed]
+        i, j = rng.choice(inner, size=2)
+        mul[i, j] = (mul[i, j] + rng.integers(1, monoid.n)) % monoid.n
+        assert reference_light_failure(mul, passed) is not None
+        with pytest.raises(StructureError, match="associativity fails") as err:
+            inverse_core.check_associativity(mul, passed)
+        x, g, y = map(int, re.findall(r"\d+", str(err.value)))
+        assert mul[mul[x, g], y] != mul[x, mul[g, y]]
+
+
 def test_lights_test_on_ix5_keeps_no_n_by_n_temporary(ix5):
     """Its distinct-entry count and each try's products are made a row block at a
     time: the whole-table mask and int64 flat index peaked at 21.6 MB on ix5."""
@@ -281,8 +393,8 @@ def _gated_entry_points():
           for name in ("product", "leq", "meet", "join") for side in "st"),
         *((name, "element", 7, 0, getattr(ix2, name))
           for name in ("dom", "ran", "is_idempotent", "label")),
-        ("compose_maybe g", "arrow", 4, 0, lambda x: pair2.compose_maybe(x, 0)),
-        ("compose_maybe h", "arrow", 4, 0, lambda x: pair2.compose_maybe(0, x)),
+        ("compose_maybe g", "arrow", 4, 0, lambda x: compose_maybe(pair2, x, 0)),
+        ("compose_maybe h", "arrow", 4, 0, lambda x: compose_maybe(pair2, 0, x)),
         *((f"groupoid {name}", "arrow", 4, 0, getattr(pair2, name)) for name in ("star", "label")),
     ]
 

@@ -2,8 +2,10 @@
 helper: the same tables, decisions and errors as on the calling thread alone,
 in a forked child and on one CPU."""
 
+import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import reference_read_table, reference_table_text
+from helpers import TABLE_END, reference_read_table, reference_table_text
 from stonework import boolean_algebra_monoid, serialize, symmetric_inverse_monoid
 from stonework.cli import main
 from stonework.inverse_core import BLOCK_CELLS, bound_table, table_map
@@ -30,6 +32,21 @@ def ba10_entry(tmp_path_factory):
     assert monoid.n ** 2 > 3 * BLOCK_CELLS
     path = save_entry(tmp_path_factory.mktemp("store"), "ba10", "monoid", monoid_to_json(monoid))
     data = path.read_bytes()
+    return path, data, data.index(b'"mul": ') + 7
+
+
+@pytest.fixture(scope="module")
+def ba10_compact_entry(tmp_path_factory):
+    """ba10's entry in the benchmark's own layout: one line, the rows of its
+    table as ``json.dumps`` writes them, joined by "," with no whitespace."""
+    payload = monoid_to_json(boolean_algebra_monoid(10))
+    head = json.dumps({key: payload[key] for key in ("n", "zero", "one", "inv")})
+    rows = ",".join(json.dumps(row) for row in payload["mul"])
+    path = tmp_path_factory.mktemp("compact") / "ba10.json"
+    path.write_text('{"name": "ba10", "kind": "monoid", "payload": %s, "labels": null, '
+                    '"mul": [%s]}}' % (head[:-1], rows))
+    data = path.read_bytes()
+    assert b"],[" in data and b"\n" not in data
     return path, data, data.index(b'"mul": ') + 7
 
 
@@ -90,8 +107,9 @@ def test_an_error_in_either_thread_is_raised_by_the_caller(jobs, capfd, monkeypa
 
 def _rows(data, start):
     """The offset of each row's first cell in the table from ``start``."""
-    stop = data.index(b"]\n]", start)
-    return [i + 1 for i in range(start + 1, stop) if data[i] == ord("[")]
+    stop = TABLE_END.search(data, start).start()
+    return [bracket.end() for bracket in re.finditer(rb"\[", data[:stop])
+            if bracket.start() > start]
 
 
 def _cell(data, start, rng, rows=None):
@@ -155,6 +173,11 @@ def _one_row_break(data, start, rng):
     return data[:at] + b" " + data[at:]
 
 
+def _space_before_row_break(data, start, rng):
+    close = data.rindex(b"]", start, rng.choice(_rows(data, start)[1:]))
+    return data[:close + 1] + b" " + data[close + 1:]
+
+
 def _truncated(data, start, rng):
     return data[:rng.randrange(start, start + len(data) // 2)]
 
@@ -177,10 +200,12 @@ TAMPERINGS = {
     "ragged-middle-block": _ragged_middle_block,
     "head-whitespace": lambda data, start, rng: data[:start + 1] + b" " + data[start + 1:],
     "mid-whitespace": _one_row_break,
+    "space-before-row-break": _space_before_row_break,
     "every-mid-whitespace": lambda data, start, rng: (
-        data[:start] + data[start:].replace(b"],\n[", b"],\n [")),
+        data[:start] + re.sub(rb"\],([ \t\n\r]*)\[", rb"],\1 [", data[start:])),
     "tail-whitespace": lambda data, start, rng: (
-        data[:data.index(b"]\n]", start) + 2] + b" " + data[data.index(b"]\n]", start) + 2:]),
+        data[:TABLE_END.search(data, start).end() - 1] + b" "
+        + data[TABLE_END.search(data, start).end() - 1:]),
     "truncated": _truncated,
     "non-ascii": _non_ascii,
 }
@@ -192,14 +217,8 @@ def _check(path, capsys):
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("how", list(TAMPERINGS))
-def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tmp_path, capsys,
-                                                             monkeypatch, helper_threads):
-    """Each seeded tampering of a four-block table is accepted or refused
-    as on one thread, with the same array, a helper reading half its blocks
-    on two CPUs; ``check`` then exits with the same code and prints the same
-    as with the one-thread reader."""
-    _, data, start = ba10_entry
+def _tampered_read(entry, how, tmp_path, capsys, monkeypatch, helper_threads):
+    _, data, start = entry
     tampered = TAMPERINGS[how](data, start, random.Random(how))
     calls = []
     monkeypatch.setattr(serialize, "table_map", lambda *job: calls.append(job) or table_map(*job))
@@ -212,12 +231,29 @@ def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tm
     assert (found is not None) == (how in ("none", "changed-digit", "head-whitespace",
                                            "every-mid-whitespace", "tail-whitespace"))
     assert len(helper_threads) == len(calls) * TWO_CPUS
-    assert bool(calls) == (how != "truncated")
-    entry = tmp_path / "tampered.json"
-    entry.write_bytes(tampered)
-    threaded = _check(entry, capsys)
+    assert len(calls) == (how != "truncated")
+    path = tmp_path / "tampered.json"
+    path.write_bytes(tampered)
+    threaded = _check(path, capsys)
     monkeypatch.setattr(serialize, "_read_table", reference_read_table)
-    assert threaded == _check(entry, capsys)
+    assert threaded == _check(path, capsys)
+
+
+@pytest.mark.parametrize("how", list(TAMPERINGS))
+def test_a_tampered_table_gets_the_serial_decision_and_error(how, ba10_entry, tmp_path, capsys,
+                                                             monkeypatch, helper_threads):
+    """Each seeded tampering of a four-block table is accepted or refused
+    as on one thread, with the same array, from one parse-and-check job per
+    block, a helper taking half the blocks on two CPUs; ``check`` then exits
+    with the same code and prints the same as with the one-thread reader."""
+    _tampered_read(ba10_entry, how, tmp_path, capsys, monkeypatch, helper_threads)
+
+
+@pytest.mark.parametrize("how", list(TAMPERINGS))
+def test_a_tampered_compact_table_gets_the_serial_decision_and_error(
+        how, ba10_compact_entry, tmp_path, capsys, monkeypatch, helper_threads):
+    """The same, on the table in the benchmark's layout, "],[" between rows."""
+    _tampered_read(ba10_compact_entry, how, tmp_path, capsys, monkeypatch, helper_threads)
 
 
 def test_large_tables_render_as_on_one_thread(ba10_entry, ix5):
@@ -238,18 +274,18 @@ def test_meet_and_join_tables_built_on_first_read_are_the_bound_tables(name, ix5
 
 
 def test_a_forked_child_reads_a_four_block_table(ba10_entry, helper_threads):
-    """After the helpers of a read here, a forked child reads a four-block
-    table with helpers of its own, one for the parse and one for the check
-    on two CPUs, and exits."""
+    """After the helper of a read here, a forked child reads a four-block
+    table with a helper of its own, one on two CPUs for the blocks' parse
+    and check, and exits."""
     _, data, start = ba10_entry
     table = _read_table(data, start)[0]
-    assert len(helper_threads) == 2 * TWO_CPUS
+    assert len(helper_threads) == TWO_CPUS
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             same = np.array_equal(_read_table(data, start)[0], table)
-            code = 0 if same and len(helper_threads) == 4 * TWO_CPUS else 3
+            code = 0 if same and len(helper_threads) == 2 * TWO_CPUS else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -322,8 +358,8 @@ def test_on_one_cpu_large_tables_stay_on_the_calling_thread(ba10_entry):
 
 def test_a_process_that_loads_ba10_never_imports_concurrent_futures(ba10_entry):
     """On the CPUs it may run on, a process reads, renders, orders and loads
-    ba10 with one helper per table_map call (two for each read and one for
+    ba10 with one helper per table_map call (one for each read and one for
     the render; the order and its tables take none) and imports no thread
     pool."""
-    started = 5 if TWO_CPUS else 0
+    started = 3 if TWO_CPUS else 0
     assert _ba10_in_a_subprocess(ba10_entry[0], "all") == ["True"] * 5 + [str(started), "False"]
