@@ -140,50 +140,143 @@ def _closed_products(monoid: InverseMonoid, a, b) -> np.ndarray:
     return filter_product(monoid, a, b) if kept is None else kept[0][a, b]
 
 
-def lower_bounds(monoid: InverseMonoid):
-    """(rows, generators, held, words) by blocks of rows i, never building S(i, j) = up(i) up(j):
-    ``generators[k, j]`` is the member of S(rows.start + k, j) that :func:`least_members` picks
-    (0 if empty), ``held[k, j]`` whether it lies below all of S(i, j), and ``words[k, b]`` the
-    :func:`bit_words` of {c : c <= a b, every a in up(i)}, whose AND over b in up(j) is L(i, j).
-    Stage one (a in up(i), for each b, in chunks of pairs (i, a)) keeps the largest key and that
-    AND, n sum|up| W words; stage two (b in up(j)) keeps the largest key and reads bit g of each
-    words[k, b], g the generator: n sum|up| bytes.  Temporaries: BLOCK_CELLS bytes or one row."""
-    n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
-    key = (monoid.order().up_sizes * n + np.arange(n - 1, -1, -1)).astype(np.int32)
-    below, empty = bit_words(leq.T), bit_words(np.ones(n, dtype=bool))    # [x]: c <= x
-    (js, bs), width = np.nonzero(leq), 8 * len(empty)       # b in up(j), j-major
+def _fold_up(ufunc, out: np.ndarray, base, plan, width: int) -> None:
+    """Fold ``ufunc`` over up-sets into ``out``, one row per element, by the steps (rows,
+    groups) of ``plan``, each group (at, sources) of rows at[r] with sources[r] (as many to a
+    row).  With rows None: out[i] = ufunc(out[i], base(a)) for each source a of i (the literal
+    fold; out starts at ufunc's identity).  Else out[rows] = base(rows), then out[i] = ufunc(out[i],
+    out[c]) for the covers c of i, whose rows earlier steps made.  Rows go in blocks of
+    BLOCK_CELLS bytes, a source taking ``width`` bytes, or one row."""
+    for rows, groups in plan:
+        if rows is not None:
+            out[rows] = base(rows)
+        gather = base if rows is None else (lambda x: out.take(x, axis=0))
+        for at, sources in groups:
+            for block in row_blocks(len(at), sources.shape[1] * width):
+                out[at[block]] = ufunc(out[at[block]],
+                                       ufunc.reduce(gather(sources[block].T), axis=0))
+
+
+def _groups(rows: np.ndarray) -> list:
+    """The :func:`_fold_up` groups of boolean ``rows`` (row at[r]'s sources are its members),
+    leaving out rows without one."""
+    return [(at, members) for at, members in member_blocks(rows, lambda size: 1)
+            if members.shape[1]]
+
+
+def cover_levels(leq: np.ndarray):
+    """The relation ``leq`` ([s, t]: s <= t) by its upper covers, level by level from the top:
+    :func:`_fold_up` steps (rows, groups), the sources of a row its covers.  None if some up(i)
+    is not {i} together with the up-sets of i's covers (decided on bit words) or the covers have
+    a cycle; a partial order has neither, and only then does the fold by covers equal the
+    literal one."""
+    n = len(leq)
+    ups, strict = bit_words(leq), leq & ~np.eye(n, dtype=bool)
+    above, higher = bit_words(strict), np.zeros_like(ups)   # higher[i]: above some c > i
+    _fold_up(np.bitwise_or, higher, lambda c: above.take(c, axis=0), [(None, _groups(strict))],
+             above[0].nbytes)
+    cover = np.unpackbits((above & ~higher).view(np.uint8), axis=1, count=n).view(bool)
+    generated = bit_words(np.eye(n, dtype=bool))
+    _fold_up(np.bitwise_or, generated, lambda c: ups.take(c, axis=0), [(None, _groups(cover))],
+             ups[0].nbytes)
+    if not np.array_equal(generated, ups):
+        return None
+    levels, placed, waiting = [], np.zeros(n, dtype=bool), np.count_nonzero(cover, axis=1)
+    while (rows := np.flatnonzero((waiting == 0) & ~placed)).size:
+        placed[rows] = True
+        waiting -= np.count_nonzero(cover[:, rows], axis=1)
+        levels.append((rows, [(rows[at], covers) for at, covers in _groups(cover[rows])]))
+    return levels if placed.all() else None
+
+
+def bound_words(mul: np.ndarray, leq: np.ndarray, below: np.ndarray, rows: slice) -> np.ndarray:
+    """[k, b]: the AND of ``below[a b]`` over a in up(i), i = rows.start + k, literally (all
+    ones for an empty up(i)).  With ``below = bit_words(leq.T)`` its AND over b in up(j) is
+    L(i, j), the bit words of the lower bounds of S(i, j) = up(i) up(j)."""
+    words = np.full((len(range(len(mul))[rows]), *below.shape), ~np.uint64(0))
+    _fold_up(np.bitwise_and, words, lambda a: below.take(mul[a], axis=0),
+             [(None, _groups(leq[rows]))], words[0].nbytes)
+    return words
+
+
+def _hold(held, generators, words, rows: slice, leq) -> None:
+    """held[j, i] = whether bit generators[j, i] is set in words[k, b] for every b in up(j),
+    i = rows.start + k: the words' bytes ANDed over those b, then one bit read."""
+    flat, per_row = words.view(np.uint8).reshape(-1), words[0].nbytes
+    (js, bs), g = np.nonzero(leq), generators[:, rows]
     starts = np.flatnonzero(np.diff(js, prepend=-1))        # each non-empty up(j)
-    for rows in row_blocks(n, max(width * n, 8 * len(bs))):
-        keys = np.full((len(range(n)[rows]), n), -1, dtype=np.int32)
-        words, (i, a) = np.tile(empty, (len(keys), n, 1)), np.nonzero(leq[rows])
-        for chunk in row_blocks(len(a), width * n):
-            cells = mul[a[chunk]].astype(np.intp)       # [pair, b]: a b
-            first = np.flatnonzero(np.diff(i[chunk], prepend=-1))
-            at = i[chunk][first]        # reduceat costs ~0.2 ms even on one segment
-            reduce = ((lambda f, x: f.reduce(x, axis=0, keepdims=True)) if len(first) == 1
-                      else (lambda f, x: f.reduceat(x, first)))
-            keys[at] = np.maximum(keys[at], reduce(np.maximum, key.take(cells)))
-            words[at] &= reduce(np.bitwise_and, below.take(cells, axis=0))
-        most, held = np.full_like(keys, -1), np.ones(keys.shape, dtype=bool)
-        most[:, js[starts]] = np.maximum.reduceat(keys.take(bs, axis=1), starts, axis=1)
-        generators = n - 1 - most % n       # -1, an empty set, gives 0 as argmax does
-        byte = (generators >> 3).take(js, axis=1) + (np.arange(len(keys))[:, None] * n + bs) * width
-        ands = np.bitwise_and.reduceat(words.view(np.uint8).take(byte), starts, axis=1)   # [k, j]
-        held[:, js[starts]] = (ands & (128 >> (generators[:, js[starts]] & 7))) != 0
-        yield rows, generators, held, words
+    byte = (g.take(js, axis=0) >> 3) + np.arange(0, flat.size, per_row) + (bs * 8 * words.shape[2])[:, None]
+    ands = np.bitwise_and.reduceat(flat.take(byte), starts)
+    held[js[starts], rows] = (ands & (128 >> (g[js[starts]] & 7))) != 0
+
+
+def _all_below(leq: np.ndarray, low: np.ndarray, high: np.ndarray) -> bool:
+    """Whether low[r, t] <= high[r, t] in ``leq`` at every cell, in row blocks."""
+    flat, n = leq.reshape(-1), len(leq)
+    return all(flat.take(low[block].astype(np.intp) * n + high[block]).all()
+               for block in row_blocks(len(low), 8 * low.shape[1]))
+
+
+def _below_covers(leq: np.ndarray, table: np.ndarray, levels) -> bool:
+    """Whether table[i, t] <= table[c, t] in ``leq`` for every cover c of i and every t."""
+    flat, n = leq.reshape(-1), len(leq)
+    return all(flat.take(table[at[block]].astype(np.intp) * n
+                         + table.take(covers[block].T, axis=0)).all()
+               for _, groups in levels for at, covers in groups
+               for block in row_blocks(len(at), 8 * covers.shape[1] * table.shape[1]))
+
+
+def lower_bounds(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
+    """(generators, held), never building S(i, j) = up(i) up(j): ``generators[i, j]`` is the
+    member of S(i, j) that :func:`least_members` picks (0 if empty), ``held[i, j]`` whether it
+    lies below all of S(i, j), that is in L(i, j) (:func:`bound_words`).  The generator is the
+    member of largest rank (up-set size, ties to the smaller index): the largest rank p(i, b)
+    over up(i) b, then over b in up(j), each a max folded over up-sets.
+
+    A partial order is folded by :func:`cover_levels`, from the top down (p(i, b) = max of the
+    rank of i b and the p(c, b) of i's covers c: n sum(1 + covers) cells where the literal fold
+    takes n sum|up|), and every generator is held if p(i, b) <= i b and <= p(c, b) for the covers
+    c of i, and g(i, j) <= p(i, j) and <= g(i, c) for the covers c of j: by induction from the
+    top, up(i) b then lies above p(i, b), and S(i, j) above g(i, j).  (So every pair of a monoid
+    whose order its product respects, as an inverse monoid's, is decided without a bit word.)
+    Elsewhere held is read literally: bit g of the AND of :func:`bound_words` over b in up(j),
+    rows in blocks, n sum|up| W words and n sum|up| bytes.  Temporaries: BLOCK_CELLS bytes or
+    one row."""
+    n, mul, leq = monoid.n, monoid.mul, monoid.order().matrix
+    levels = cover_levels(leq)
+    plan = [(None, _groups(leq))] if levels is None else levels
+    ranked = np.argsort(monoid.order().up_sizes * n + np.arange(n - 1, -1, -1))
+    rank, element = np.empty(n, dtype=np.int16), np.append(0, ranked).astype(np.int16)
+    rank[ranked] = np.arange(n)
+    products = np.full((n, n), -1, dtype=np.int16)     # [i, b]: p(i, b)
+    _fold_up(np.maximum, products, lambda a: rank.take(mul[a]), plan, 8 * n)
+    across, generators = np.ascontiguousarray(products.T), np.full((n, n), -1, dtype=np.int16)
+    _fold_up(np.maximum, generators, lambda b: across.take(b, axis=0), plan, 2 * n)
+    for table in (products, across, generators):       # ranks to elements; -1 (empty) gives 0
+        for block in row_blocks(n, 8 * n):
+            table[block] = element.take(table[block] + 1)
+    if levels is not None and (_all_below(leq, products, mul)
+                               and _below_covers(leq, products, levels)
+                               and _all_below(leq, generators, across)    # [j, i] both
+                               and _below_covers(leq, generators, levels)):
+        return generators.T, np.ones((n, n), dtype=bool)
+    held, below = np.ones((n, n), dtype=bool), bit_words(leq.T)      # [x]: c <= x
+    for rows in row_blocks(n, max(below.nbytes, 8 * np.count_nonzero(leq))):
+        _hold(held, generators, bound_words(mul, leq, below, rows), rows, leq)
+    return generators.T, held.T
 
 
 def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
     """Every filter product as :func:`filter_product` defines it, kept read-only on the monoid:
     ``prod[i, j]``, the generator of the closure of up(i) up(j), from one :func:`lower_bounds`
-    pass on the first call, each refused unless held, and ``inverse[i]``, that of up(i)^-1."""
+    pass on the first call, refused unless every one is held, and ``inverse[i]``, that of
+    up(i)^-1."""
     if monoid._filter_products is None:
-        prod = np.empty((monoid.n, monoid.n), dtype=np.intp)
-        for rows, generators, held, _ in lower_bounds(monoid):
-            if not held.all():
-                raise StructureError("member set is not the up-set of one of its members")
-            prod[rows] = generators
-        monoid._filter_products = prod, filter_inverses(monoid, np.arange(monoid.n))
+        generators, held = lower_bounds(monoid)
+        if not held.all():
+            raise StructureError("member set is not the up-set of one of its members")
+        monoid._filter_products = (np.ascontiguousarray(generators, dtype=np.intp),
+                                   filter_inverses(monoid, np.arange(monoid.n)))
         for table in monoid._filter_products:
             table.setflags(write=False)     # every caller reads the same arrays
     return monoid._filter_products

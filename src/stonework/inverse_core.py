@@ -146,37 +146,55 @@ def raise_first_failure(checks: dict[str, np.ndarray]) -> None:
         raise StructureError(hit[0].format(*hit[1]))
 
 
+def _distinct_entries(rows: np.ndarray, n: int) -> np.ndarray:
+    """The number of distinct entries in each row of ``rows``, entries in 0..n-1, by a mark
+    scatter (flat: twice as fast as a 2-d one)."""
+    marks = np.zeros((len(rows), n), dtype=bool)
+    marks.ravel()[np.arange(0, rows.size, n)[:, None] + rows] = True
+    return np.count_nonzero(marks, axis=1)
+
+
 def _tries(table: np.ndarray, reached: set, blocks: list[slice]):
     """The rows outside ``reached`` (read as each is asked for) by falling distinct entries,
-    ties in index order: past BLOCK_CELLS cells in every (n // 64)-th column for six tries."""
+    ties in index order.  Past BLOCK_CELLS cells the first six come from a pool of the
+    BLOCK_CELLS // n rows with the most distinct entries in every (n // 64)-th column,
+    ranked by their whole rows: the sample alone aliases bit-mask indices (ba10 took 16 tries
+    by it, 10 by whole rows)."""
     n = len(table)
     if table.size > BLOCK_CELLS:
         distinct = np.count_nonzero(np.diff(np.sort(table[:, ::max(1, n // 64)], axis=1)), axis=1)
-        yield from islice((g for g in np.argsort(-distinct, kind="stable").tolist()
-                           if g not in reached), 6)
+        pool = np.sort(np.argsort(-distinct, kind="stable")[:BLOCK_CELLS // n])
+        pool = pool[np.argsort(-_distinct_entries(table[pool], n), kind="stable")]
+        yield from islice((g for g in pool.tolist() if g not in reached), 6)
     if len(reached) < n:
-        distinct = np.empty(n, dtype=np.intp)
-        for block in blocks:
-            marks = np.zeros((len(rows := table[block]), n), dtype=bool)
-            marks.ravel()[np.arange(0, rows.size, n)[:, None] + rows] = True   # flat: 2x a 2-d one
-            distinct[block] = np.count_nonzero(marks, axis=1)
+        distinct = np.concatenate(table_map(table.size, lambda block: _distinct_entries(
+            table[block], n), blocks))
         yield from (g for g in np.argsort(-distinct, kind="stable").tolist() if g not in reached)
+
+
+def _light_failure(table: np.ndarray, g: int, block: slice):
+    """The first (x, y) of the rows x of ``block`` with (x g) y != x (g y), or None."""
+    left = np.take(table, table[block, g], axis=0)    # (x g) y
+    right = np.take(table[block], table[g], axis=1)   # x (g y)
+    if (fails := left != right).any():
+        x, y = map(int, np.argwhere(fails)[0])
+        return block.start + x, y
+    return None
 
 
 def check_associativity(table: np.ndarray, passed: list[int]) -> None:
     """Light's test, exact for any finite magma with this total n x n table: the g with
     ``(x g) y == x (g y)`` for all x, y are closed under the product, so it suffices to try
     unreached elements, in :func:`_tries` (3-6 on I(X), k+1 on 2^k; past n = 512 it may name
-    another failing triple), until products of ``passed`` (closed, and passing) reach all."""
+    another failing triple), until products of ``passed`` (closed, and passing) reach all.
+    A try's row blocks are :func:`table_map` jobs; the first failing block in row order names
+    the triple, as a scan in row order would."""
     reached, columns = set(passed), [table[:, p].tolist() for p in passed]  # x -> x p
     blocks = row_blocks(len(table), len(table))
     for g in _tries(table, reached, blocks):
-        for block in blocks:
-            left = np.take(table, table[block, g], axis=0)    # (x g) y
-            right = np.take(table[block], table[g], axis=1)   # x (g y)
-            if (fails := left != right).any():
-                x, y = map(int, np.argwhere(fails)[0])
-                raise StructureError(f"associativity fails at ({block.start + x}, {g}, {y})")
+        failures = table_map(table.size, lambda block: _light_failure(table, g, block), blocks)
+        if hit := next((hit for hit in failures if hit), None):
+            raise StructureError(f"associativity fails at ({hit[0]}, {g}, {hit[1]})")
         columns.append(column := table[:, g].tolist())
         fresh = {column[x] for x in reached} | {g}
         while fresh := fresh - reached:
@@ -184,17 +202,22 @@ def check_associativity(table: np.ndarray, passed: list[int]) -> None:
             fresh = {col[x] for x in fresh for col in columns}
 
 
-BLOCK_CELLS = 1 << 18   # cells of one block of table work; a larger table uses two threads
+BLOCK_CELLS = 1 << 18   # cells of one block of table work; more work uses two threads
+
+
+def two_threads(cells: int) -> bool:
+    """Whether :func:`table_map` shares work of ``cells`` cells with a helper thread."""
+    return cells > BLOCK_CELLS and len(os.sched_getaffinity(0)) >= 2
 
 
 def table_map(cells: int, fn, *items) -> list:
-    """``list(map(fn, *items))`` over sequences, a helper thread taking the odd jobs
-    when the table worked on has more than BLOCK_CELLS cells and this process may run on
-    two CPUs: only numpy's large parses, gathers and reductions release the GIL, and on a
-    smaller table the hand-off costs more than they gain.  The helper is joined before
-    this returns, and what either thread raised is raised here.  ``fn`` must do nothing
-    but such table work (no tracing, no I/O)."""
-    if cells <= BLOCK_CELLS or len(os.sched_getaffinity(0)) < 2:
+    """``list(map(fn, *items))`` over sequences, a helper thread taking the odd jobs when
+    the work, ``cells`` cells of table reads, passes BLOCK_CELLS and this process may run on
+    two CPUs: only numpy's large parses, gathers and reductions release the GIL, and on
+    less work the hand-off costs more than they gain.  The helper is joined before this
+    returns, and what either thread raised is raised here.  ``fn`` must do nothing but such
+    table work (no tracing, no I/O)."""
+    if len(items[0]) < 2 or not two_threads(cells):
         return list(map(fn, *items))
     results, failed = [None] * len(items[0]), []
 
@@ -764,19 +787,25 @@ def symmetric_inverse_monoid(x_size: int) -> InverseMonoid:
     index = {m: i for i, m in enumerate(maps)}
     n = len(maps)
     # each map as its image array, x_size standing for "undefined", with an
-    # extra column sending undefined to undefined: image[s][image[t]] is then
-    # the image array of s t (t first), and a map's code reads its image
-    # array as base-(x_size + 1) digits
-    image = np.full((n, x_size + 1), x_size, dtype=np.int64)
+    # extra column sending undefined to undefined; a map's code reads its image
+    # array as base-(x_size + 1) digits w_x, so the code of s t (t first) is
+    # sum_x w_x image[s, image[t, x]] = sum_y image[s, y] spread[t, y], spread[t, y]
+    # the sum of the w_x with image[t, x] = y: a float product of inner size
+    # x_size + 1 per row block, exact (codes are under 6^5), which on ix5 takes a
+    # third of the time of a gather per x
+    image = np.full((n, x_size + 1), x_size, dtype=np.int16)
     for i, m in enumerate(maps):
         for x, y in m:
             image[i, x] = y
-    weights = np.append((x_size + 1) ** np.arange(x_size), 0)
+    weights = (x_size + 1) ** np.arange(x_size)
     by_code = np.empty((x_size + 1) ** x_size, dtype=np.int16)
-    by_code[image @ weights] = np.arange(n)
+    by_code[image[:, :x_size] @ weights] = np.arange(n)
+    spread = np.zeros((n, x_size + 1))
+    for x in range(x_size):
+        spread[np.arange(n), image[:, x]] += weights[x]
     mul = np.empty((n, n), dtype=np.int16)
-    for s in range(n):
-        mul[s] = by_code[image[s][image] @ weights]
+    for rows in row_blocks(n, 16 * n):                  # float64 and intp cells
+        mul[rows] = by_code[(image[rows] @ spread.T).astype(np.intp)]
     inv = [index[tuple(sorted((y, x) for x, y in m))] for m in maps]
     identity = tuple((p, p) for p in range(x_size))
     return InverseMonoid(mul, inv, zero=index[()], one=index[identity],

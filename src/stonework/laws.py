@@ -5,8 +5,8 @@ its subject and returns a :class:`LawReport` with instance counts and witnesses;
 ``boolean_monoid_suite`` bundles the order and filter laws, and the CLI runs the same
 suites through ``check --laws``.  A suite computes what its laws share once (the
 order's dense tables, one ``relative_complements`` call per complement law, the
-``filter_products`` that the monoid keeps, whose one ``lower_bounds`` pass, at one bit
-a cell in stage two, also decides product minimality, one batched ``filter_product``
+``filter_products`` that the monoid keeps, whose one ``lower_bounds`` pass also
+decides product minimality, one batched ``filter_product``
 call per batch) and checks each law's own definition on every instance, never the
 theorem it tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
 law whose witnesses mix kinds flags its failing rows whole-table and names them by its
@@ -16,10 +16,13 @@ in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .duality import point_ultrafilter, verify_basic_open_laws
 from .filters import (
+    bound_words,
     contains_idempotent,
     enumerate_ultrafilters,
     filter_doms,
@@ -34,7 +37,8 @@ from .filters import (
     ultra_by_meet,
 )
 from .groupoids import all_bisections_monoid
-from .inverse_core import MAX_ELEMENTS, InverseMonoid, inclusions, member_blocks, row_blocks
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
+                           row_blocks, table_map, two_threads)
 from .reporting import LawReport, where
 
 
@@ -58,9 +62,10 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
                where((join >= 0) & fails_to_split(join)))
 
     exists = meet >= 0
-    found = []
-    for rows in row_blocks(n, n):       # blocks of s; two row gathers a u in each
-        m = np.maximum(meet[rows], 0).astype(np.intp)       # an absent meet reads 0: masked
+
+    def distribute(rows):
+        """(s, t, u) of the rows s, for u in turn: two row gathers a u."""
+        found, m = [], np.maximum(meet[rows], 0).astype(np.intp)   # an absent meet reads 0: masked
         for u in range(n):
             row, col = mul[u].astype(np.intp), mul[:, u].astype(np.intp)    # [s]: u s and s u
             # [s, t]: (us) ^ (ut) = u m and (su) ^ (tu) = m u, m = s ^ t where it exists
@@ -69,6 +74,13 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
             if bad.any():
                 s, t = np.nonzero(bad & exists[rows])
                 found += zip((s + rows.start).tolist(), t.tolist(), [u] * len(s))
+        return found
+    # blocks of s; one block goes in halves to two threads if a half passes BLOCK_CELLS / 16
+    # cells: ix4's took the kernel from 33 to 24 ms, ba7's (8K cells) ran 20% slower
+    blocks = row_blocks(n, n)
+    if len(blocks) == 1 and two_threads(8 * n * n):        # n^3 > BLOCK_CELLS too
+        blocks = [slice(0, n // 2), slice(n // 2, n)]
+    found = chain.from_iterable(table_map(n ** 3, distribute, blocks))
     report.add("products-distribute-over-meets", n * int(np.count_nonzero(exists)),
                sorted(found))       # as the loop over (s, t, u)
     return report
@@ -161,9 +173,12 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     contains = inclusions(leq, leq)                         # [x, c]: up(x) inside up(c)
     loose = not (leq.any(axis=1) & ~(leq.T & ~contains).any(axis=1)).all()
     smallest, fresh = [], built and prod is monoid._filter_products[0] and not loose
-    for rows, generators, held, words in [] if fresh else lower_bounds(monoid):
-        for k, j in np.argwhere(~held | (prod[rows] != generators) | loose).tolist():
-            i, bounds = rows.start + k, np.bitwise_and.reduce(words[k, leq[j]], axis=0)
+    generators, held = (prod, np.ones((n, n), dtype=bool)) if fresh else lower_bounds(monoid)
+    named, below = ~held | (prod != generators) | loose, bit_words(leq.T)
+    for i in np.flatnonzero(named.any(axis=1)).tolist():
+        words = bound_words(monoid.mul, leq, below, slice(i, i + 1))[0]     # [b]: L(i, b)
+        for j in np.flatnonzero(named[i]).tolist():
+            bounds = np.bitwise_and.reduce(words[leq[j]], axis=0)
             bounds, t = np.unpackbits(bounds.view(np.uint8), count=n).view(bool), prod[i, j]
             smallest += ([(i, j, "not containing")] if not bounds[t]
                          else [(i, j, c) for c in np.flatnonzero(bounds & ~contains[t]).tolist()])
@@ -202,7 +217,9 @@ def filter_laws(monoid: InverseMonoid) -> LawReport:
     f, a = np.nonzero(leq)          # filter f is the upward closure of a dom(f), a in up(f)
     coset = np.zeros((n, n), dtype=bool)
     for rows in row_blocks(len(f), 4 * n):                      # float32 cells
-        products = set_products(monoid, a[rows, None] == rng, leq[dom[f[rows]]])
+        left, (k, y) = a[rows], np.nonzero(leq[dom[f[rows]]])     # row k: left[k] up(dom f)
+        products = np.zeros((len(left), n), dtype=bool)
+        products[k, monoid.mul[left[k], y]] = True
         coset[f[rows], a[rows]] = ((products.astype(np.float32) @ above > 0)
                                    != leq[f[rows]]).any(axis=1)
     found = []

@@ -14,6 +14,7 @@ from helpers import (
     reference_contains_idempotent,
     reference_filter_products,
     reference_idempotent_part_ultra,
+    reference_set_products,
     reference_ultra_by_maximality,
     reference_ultra_by_meet,
     reference_ultrafilters,
@@ -29,6 +30,7 @@ from stonework import (
     brandt_monoid,
     chain_monoid,
     clifford_monoid,
+    filters,
     group_with_zero_monoid,
     inverse_core,
     symmetric_inverse_monoid,
@@ -51,6 +53,7 @@ from stonework.filters import (
     ultrafilter_groupoid,
 )
 from stonework.groupoids import FiniteGroupoid
+from stonework.inverse_core import bit_words
 from stonework.serialize import groupoid_to_json, monoid_from_json, monoid_to_json
 
 
@@ -606,8 +609,9 @@ def test_filter_products_match_the_cube_on_tampered_tables_and_orders(monkeypatc
 
 
 def test_filter_products_of_ix4_allocate_no_cube():
-    """filter_products(ix4) peaks at 1.21 MB under tracemalloc (numpy 2.4.6),
-    where the n x n x n cube of its set products alone is 9.1 MB."""
+    """filter_products(ix4) peaks at 1.27 MB under tracemalloc (numpy 2.4.6;
+    1.80 MB by the literal pass), where the n x n x n cube of its set
+    products alone is 9.1 MB."""
     monoid = symmetric_inverse_monoid(4)
     monoid.require_boolean()
     tracemalloc.start()
@@ -617,6 +621,114 @@ def test_filter_products_of_ix4_allocate_no_cube():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 1024 * 1024, peak
+
+
+def _literal_lower_bounds(monoid, monkeypatch):
+    """lower_bounds with cover_levels refusing every relation: the literal pass."""
+    with monkeypatch.context() as patch:
+        patch.setattr(filters, "cover_levels", lambda leq: None)
+        return filters.lower_bounds(monoid)
+
+
+def _bound_calls(monkeypatch):
+    """The row blocks that filters.bound_words is called on from here on."""
+    calls, real = [], filters.bound_words
+    monkeypatch.setattr(filters, "bound_words", lambda *args: calls.append(args[3]) or real(*args))
+    return calls
+
+
+def _lower_bound_sets(monoid):
+    """[i, j, c]: c in L(i, j), the AND of bound_words over b in up(j), as filter_laws reads it."""
+    n, leq = monoid.n, monoid.order().matrix
+    below, (js, bs) = bit_words(leq.T), np.nonzero(leq)
+    starts = np.flatnonzero(np.diff(js, prepend=-1))
+    return np.array([np.unpackbits(np.bitwise_and.reduceat(
+        filters.bound_words(monoid.mul, leq, below, slice(i, i + 1))[0][bs], starts).view(
+            np.uint8), axis=1, count=n).view(bool) for i in range(n)])
+
+
+@pytest.mark.parametrize("blocks", [None, 64])
+def test_lower_bounds_by_covers_are_the_literal_pass(corpus, monkeypatch, blocks):
+    """On every stock monoid (and brandt and chain5, not boolean) and 50 seeded
+    relabellings of ix3, clifford and ba4, with BLOCK_CELLS at its default or at 64:
+    the order is its covers' (cover_levels), and the fold by covers, which calls no
+    bound_words, gives the literal pass's generators and held bits, all held.  The
+    L(i, j) of bound_words are the lower bounds of the cube's S(i, j) = up(i) up(j)."""
+    if blocks:
+        monkeypatch.setattr(inverse_core, "BLOCK_CELLS", blocks)
+    monoids = [*corpus.values(), brandt_monoid(), chain_monoid(5)] + [
+        monoid_from_json(relabelled(monoid_to_json(corpus[name]), seed))
+        for seed in range(50) for name in [("ix3", "clifford", "ba4")[seed % 3]]]
+    calls = _bound_calls(monkeypatch)
+    for monoid in monoids:
+        calls.clear()
+        assert filters.cover_levels(monoid.order().matrix) is not None
+        generators, held = filters.lower_bounds(monoid)
+        assert calls == [] and held.all()
+        literal = _literal_lower_bounds(monoid, monkeypatch)
+        assert np.array_equal(generators, literal[0]) and np.array_equal(held, literal[1])
+        if blocks is None or monoid.n < 100:
+            outside = (~monoid.order().matrix).T.astype(np.float32)
+            expected = [sets.astype(np.float32) @ outside == 0
+                        for sets in reference_set_products(monoid)]
+            assert np.array_equal(_lower_bound_sets(monoid), expected)
+
+
+@pytest.mark.parametrize("blocks", [None, 64])
+def test_lower_bounds_by_covers_are_the_literal_pass_on_tampered_tables(monkeypatch, blocks):
+    """With one to three product cells of ix3, clifford or ba4 changed (60 seeds), the
+    sound order keeps its covers, and the folds by covers give the literal pass's
+    generators (no longer always i j) and held bits: held checked by covers where
+    their checks hold, read from bound_words where they do not; both occur."""
+    if blocks:
+        monkeypatch.setattr(inverse_core, "BLOCK_CELLS", blocks)
+    rng, makers, routes = random.Random("covers"), [lambda: symmetric_inverse_monoid(3),
+                                                   clifford_monoid,
+                                                   lambda: boolean_algebra_monoid(4)], set()
+    calls = _bound_calls(monkeypatch)
+    for seed in range(60):
+        monoid = makers[seed % 3]()
+        monoid.require_boolean()
+        monoid.mul = monoid.mul.copy()
+        for _ in range(rng.randint(1, 3)):
+            monoid.mul[rng.randrange(monoid.n), rng.randrange(monoid.n)] = rng.randrange(monoid.n)
+        calls.clear()
+        generators, held = filters.lower_bounds(monoid)
+        routes.add(bool(calls))
+        literal = _literal_lower_bounds(monoid, monkeypatch)
+        assert np.array_equal(generators, literal[0]) and np.array_equal(held, literal[1])
+    assert routes == {True, False}
+
+
+def test_a_relation_its_covers_do_not_generate_takes_the_literal_pass(monkeypatch):
+    """cover_levels refuses a relation with a cycle, and ix3's order with 0 <= 1
+    struck (not transitive) or with an atom's own cell struck (not reflexive):
+    lower_bounds then reads every held bit from bound_words, one call per row
+    block (one on ix3).  A table whose product breaks the order (1 a = b for atoms a != b) keeps
+    its covers, fails their checks and is read the same way; ix3 itself is not."""
+    assert filters.cover_levels(np.ones((2, 2), dtype=bool)) is None
+    assert filters.cover_levels(np.eye(2, dtype=bool)) is not None
+    monoid = symmetric_inverse_monoid(3)
+    monoid.require_boolean()
+    order, a, b = monoid.order(), *monoid.atoms[:2]
+    calls = _bound_calls(monkeypatch)
+    assert filters.lower_bounds(monoid)[1].all() and calls == []
+    for cell in [(monoid.zero, monoid.one), (a, a)]:
+        matrix = order.matrix.copy()
+        matrix[cell] = False
+        monoid._order = replace(order, matrix=matrix)
+        assert filters.cover_levels(matrix) is None
+        calls.clear()
+        generators, held = filters.lower_bounds(monoid)
+        assert len(calls) == 1          # ix3's rows make one block
+    monoid._order = order
+    monoid.mul = monoid.mul.copy()
+    monoid.mul[monoid.one, a] = b
+    calls.clear()
+    generators, held = filters.lower_bounds(monoid)
+    assert filters.cover_levels(order.matrix) is not None and calls and not held.all()
+    literal = _literal_lower_bounds(monoid, monkeypatch)
+    assert np.array_equal(generators, literal[0]) and np.array_equal(held, literal[1])
 
 
 def test_kept_filter_products_are_read_only():

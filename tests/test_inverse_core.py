@@ -259,14 +259,16 @@ def _tried(table):
 def test_light_tries_rows_in_the_order_of_the_distinct_count_scatter(name):
     """Up to n = 512 (BLOCK_CELLS cells) the rows are ranked as the n^2
     scatter ranks them: the same tries name the same triple.  Past it, the
-    first six tries come from the column sample and the rest keep the
-    scatter's order."""
+    first six tries come from the column sample's pool, in falling whole-row
+    counts, and the rest keep the scatter's order."""
     table, _ = _stock_table(name)
-    reference = np.argsort(-reference_distinct_counts(table), kind="stable").tolist()
+    counts = reference_distinct_counts(table)
+    reference = np.argsort(-counts, kind="stable").tolist()
     order = _tried(table)
     if table.size <= inverse_core.BLOCK_CELLS:
         assert order == reference
     else:
+        assert counts[order[:6]].tolist() == sorted(counts[order[:6]].tolist(), reverse=True)
         assert order[6:] == [g for g in reference if g not in order[:6]]
 
 
@@ -282,17 +284,14 @@ def _tries_made(table, passed, monkeypatch):
 @pytest.mark.parametrize("name", [*(f"{name}-relabelled{seed}" for name in ("ix5", "ba10")
                                     for seed in range(5)), "pair32", "ix5", "ba10"])
 def test_light_takes_about_as_many_tries_as_whole_row_counts(name, monkeypatch):
-    """On relabelled tables the column sample ranks the first tries as well as
-    whole rows do, within two tries; on a stock boolean algebra, whose
-    indices are bit masks that a strided sample aliases, it costs at most the
-    six tries it ranks (alone it took 111 on ba10, where whole rows take 10)."""
+    """The column sample's pool, ranked by whole rows, gives the first tries
+    as whole rows do, within two tries, also on a stock boolean algebra, whose
+    bit-mask indices a strided sample aliases (the sample alone took 111 tries
+    on ba10, and its first six unranked 16, where whole rows take 10)."""
     table, passed = _stock_table(name)
     made = _tries_made(table, passed, monkeypatch)
     reference = len(list(reference_light_tries(table, passed)))
-    if name == "ba10":
-        assert reference <= made <= reference + 6
-    else:
-        assert abs(made - reference) <= 2
+    assert abs(made - reference) <= 2
 
 
 @pytest.mark.parametrize("name", ["ix5", "ba10"])

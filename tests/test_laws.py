@@ -5,7 +5,9 @@ complement still surfaces, with the witnesses the per-instance loops give,
 and that each failure a suite can record is reached by some broken input."""
 
 import json
+import os
 import random
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -53,6 +55,8 @@ from stonework import (
 )
 from stonework.duality import clifford_check, stone_groupoid, verify_basic_open_laws
 from stonework.reporting import LawReport, LawResult, where
+
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
 
 
 def test_law_suites_read_the_product_they_check(monkeypatch):
@@ -162,6 +166,36 @@ def test_meet_table_law_matches_the_loops(monkeypatch, factory, blocks):
     law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
     assert law.failures
     assert (law.instances, law.failures) == _distribute_by_loops(monoid)
+
+
+@pytest.mark.parametrize("how", ["sound", "meet", "order"])
+def test_distributivity_on_two_threads_is_the_law_on_one(how, monkeypatch):
+    """On ix4, sound, with the meets landing on an atom read as 0, or with its order
+    tampered (_tampered_order), products-distribute-over-meets gives the per-s loop's
+    count and witnesses in order both when its two halves of s go to two threads (on two
+    CPUs: a helper is started) and with table_map as plain map."""
+    monoid = symmetric_inverse_monoid(4)
+    if how == "meet":
+        order = monoid.order()
+        meet = order.meet.copy()
+        meet[meet == monoid.atoms[0]] = monoid.zero
+        monoid._order = replace(order, meet=meet)
+    elif how == "order":
+        _tampered_order(monoid, random.Random(48))
+    expected = reference_products_distribute_over_meets(monoid)
+    started, thread = [], threading.Thread
+
+    class Listed(thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Listed)
+    law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
+    assert (law.instances, law.failures) == expected and len(started) == TWO_CPUS
+    assert law.ok == (how != "meet")
+    monkeypatch.setattr(laws, "table_map", lambda cells, fn, *items: list(map(fn, *items)))
+    law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
+    assert (law.instances, law.failures) == expected and len(started) == TWO_CPUS
 
 
 GATHERED = [          # each suite, and the laws it gathers with their per-element loops

@@ -15,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import TABLE_END, reference_read_table, reference_table_text
-from stonework import boolean_algebra_monoid, serialize, symmetric_inverse_monoid
+from helpers import TABLE_END, reference_light_failure, reference_read_table, reference_table_text
+from stonework import (StructureError, boolean_algebra_monoid, inverse_core, serialize,
+                       symmetric_inverse_monoid)
 from stonework.cli import main
 from stonework.inverse_core import BLOCK_CELLS, bound_table, table_map
 from stonework.serialize import _read_table, monoid_to_json, save_entry, table_text
@@ -103,6 +104,37 @@ def test_an_error_in_either_thread_is_raised_by_the_caller(jobs, capfd, monkeypa
     assert threading.active_count() == threads
     assert str(raised.value) in [f"job {x} failed" for x in jobs if x % 2]
     assert capfd.readouterr() == ("", "") and unhandled == []
+
+
+@pytest.mark.parametrize("name", ["ix5", "ba10"])
+def test_lights_test_names_the_same_triple_on_one_thread_and_two(name, ix5, helper_threads,
+                                                                 monkeypatch):
+    """A seeded cell corruption of ix5 or ba10 in each row block fails Light's test
+    at the triple the test on the whole table names, whether each try's blocks are
+    shared with a helper (on two CPUs) or table_map is plain map: the first failing
+    block in row order names it, however the threads finish."""
+    monoid = ix5 if name == "ix5" else boolean_algebra_monoid(10)
+    n, rng, tables = monoid.n, np.random.default_rng(48), []
+    inner = [s for s in range(n) if s not in (monoid.zero, monoid.one)]
+    for block in inverse_core.row_blocks(n, n):
+        i, j = rng.choice([s for s in inner if block.start <= s < block.stop]), rng.choice(inner)
+        mul = monoid.mul.copy()
+        mul[i, j] = (mul[i, j] + rng.integers(1, n)) % n
+        tables.append((mul, "associativity fails at ({}, {}, {})".format(
+            *reference_light_failure(mul, [monoid.one]))))
+
+    def errors():
+        found = []
+        for mul, _ in tables:
+            with pytest.raises(StructureError) as raised:
+                inverse_core.check_associativity(mul, [monoid.one])
+            found.append(str(raised.value))
+        return found
+    assert errors() == [expected for _, expected in tables]
+    assert bool(helper_threads) == TWO_CPUS
+    helper_threads.clear()
+    monkeypatch.setattr(inverse_core, "table_map", lambda cells, fn, *items: list(map(fn, *items)))
+    assert errors() == [expected for _, expected in tables] and not helper_threads
 
 
 def _rows(data, start):
@@ -358,8 +390,9 @@ def test_on_one_cpu_large_tables_stay_on_the_calling_thread(ba10_entry):
 
 def test_a_process_that_loads_ba10_never_imports_concurrent_futures(ba10_entry):
     """On the CPUs it may run on, a process reads, renders, orders and loads
-    ba10 with one helper per table_map call (one for each read and one for
-    the render; the order and its tables take none) and imports no thread
-    pool."""
-    started = 3 if TWO_CPUS else 0
+    ba10 with one helper per table_map call (one for each read, one for the
+    render, and, in each of the two monoids built, one for each of the 10
+    tries of Light's test and one for its whole-row distinct counts; the
+    order and its tables take none) and imports no thread pool."""
+    started = 3 + 2 * (10 + 1) if TWO_CPUS else 0
     assert _ba10_in_a_subprocess(ba10_entry[0], "all") == ["True"] * 5 + [str(started), "False"]
