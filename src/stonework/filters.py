@@ -148,8 +148,8 @@ def _fold_up(ufunc, out: np.ndarray, base, plan, width: int) -> None:
     out[c]) for the covers c of i, whose rows earlier steps made.  Rows go in blocks of
     BLOCK_CELLS bytes, a source taking ``width`` bytes, or one row."""
     for rows, groups in plan:
-        if rows is not None:
-            out[rows] = base(rows)
+        for block in row_blocks(0 if rows is None else len(rows), width):
+            out[rows[block]] = base(rows[block])
         gather = base if rows is None else (lambda x: out.take(x, axis=0))
         for at, sources in groups:
             for block in row_blocks(len(at), sources.shape[1] * width):
@@ -250,15 +250,17 @@ def lower_bounds(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
     rank[ranked] = np.arange(n)
     products = np.full((n, n), -1, dtype=np.int16)     # [i, b]: p(i, b)
     _fold_up(np.maximum, products, lambda a: rank.take(mul[a]), plan, 8 * n)
-    across, generators = np.ascontiguousarray(products.T), np.full((n, n), -1, dtype=np.int16)
-    _fold_up(np.maximum, generators, lambda b: across.take(b, axis=0), plan, 2 * n)
-    for table in (products, across, generators):       # ranks to elements; -1 (empty) gives 0
-        for block in row_blocks(n, 8 * n):
-            table[block] = element.take(table[block] + 1)
-    if levels is not None and (_all_below(leq, products, mul)
-                               and _below_covers(leq, products, levels)
-                               and _all_below(leq, generators, across)    # [j, i] both
-                               and _below_covers(leq, generators, levels)):
+    generators, held = np.empty((n, n), dtype=np.int16), levels is not None   # [j, i]: g(i, j)
+    for cols in row_blocks(n, n):       # columns i; ranks to elements, -1 (empty) gives 0
+        across = products[cols].T.copy()                # [b, i]: p(i, b)
+        block = np.full(across.shape, -1, dtype=np.int16)
+        _fold_up(np.maximum, block, lambda b: across.take(b, axis=0), plan, across[0].nbytes)
+        across, generators[:, cols] = element.take(across + 1), element.take(block + 1)
+        held = held and _all_below(leq, generators[:, cols], across)
+    for block in row_blocks(n, 8 * n):
+        products[block] = element.take(products[block] + 1)
+    if held and (_all_below(leq, products, mul) and _below_covers(leq, products, levels)
+                 and _below_covers(leq, generators, levels)):
         return generators.T, np.ones((n, n), dtype=bool)
     held, below = np.ones((n, n), dtype=bool), bit_words(leq.T)      # [x]: c <= x
     for rows in row_blocks(n, max(below.nbytes, 8 * np.count_nonzero(leq))):
@@ -275,8 +277,8 @@ def filter_products(monoid: InverseMonoid) -> tuple[np.ndarray, np.ndarray]:
         generators, held = lower_bounds(monoid)
         if not held.all():
             raise StructureError("member set is not the up-set of one of its members")
-        monoid._filter_products = (np.ascontiguousarray(generators, dtype=np.intp),
-                                   filter_inverses(monoid, np.arange(monoid.n)))
+        inverses = filter_inverses(monoid, np.arange(monoid.n))    # before the intp table
+        monoid._filter_products = (np.ascontiguousarray(generators, dtype=np.intp), inverses)
         for table in monoid._filter_products:
             table.setflags(write=False)     # every caller reads the same arrays
     return monoid._filter_products

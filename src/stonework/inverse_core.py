@@ -172,34 +172,43 @@ def _tries(table: np.ndarray, reached: set, blocks: list[slice]):
         yield from (g for g in np.argsort(-distinct, kind="stable").tolist() if g not in reached)
 
 
-def _light_failure(table: np.ndarray, g: int, block: slice):
+def light_failure(table: np.ndarray, g: int, block: slice):
     """The first (x, y) of the rows x of ``block`` with (x g) y != x (g y), or None."""
-    left = np.take(table, table[block, g], axis=0)    # (x g) y
-    right = np.take(table[block], table[g], axis=1)   # x (g y)
+    left = table.take(table[block, g], axis=0)    # (x g) y
+    right = table[block].take(table[g], axis=1)   # x (g y)
     if (fails := left != right).any():
         x, y = map(int, np.argwhere(fails)[0])
         return block.start + x, y
     return None
 
 
-def check_associativity(table: np.ndarray, passed: list[int]) -> None:
-    """Light's test, exact for any finite magma with this total n x n table: the g with
-    ``(x g) y == x (g y)`` for all x, y are closed under the product, so it suffices to try
-    unreached elements, in :func:`_tries` (3-6 on I(X), k+1 on 2^k; past n = 512 it may name
-    another failing triple), until products of ``passed`` (closed, and passing) reach all.
-    A try's row blocks are :func:`table_map` jobs; the first failing block in row order names
-    the triple, as a scan in row order would."""
+def first_failing_try(table: np.ndarray, passed: list[int], fails):
+    """Light's closure: (g, hit) for the first try g, in :func:`_tries` order (3-6 on I(X), k+1
+    on 2^k), with a truthy ``fails(g, block)``, hit the first over the row blocks in row order
+    (:func:`table_map` jobs); None once products of ``passed`` and the passing tries reach all.
+    Exact when the elements that pass are closed under the product, and ``passed`` pass."""
     reached, columns = set(passed), [table[:, p].tolist() for p in passed]  # x -> x p
     blocks = row_blocks(len(table), len(table))
     for g in _tries(table, reached, blocks):
-        failures = table_map(table.size, lambda block: _light_failure(table, g, block), blocks)
+        failures = table_map(table.size, lambda block: fails(g, block), blocks)
         if hit := next((hit for hit in failures if hit), None):
-            raise StructureError(f"associativity fails at ({hit[0]}, {g}, {hit[1]})")
+            return g, hit
         columns.append(column := table[:, g].tolist())
         fresh = {column[x] for x in reached} | {g}
         while fresh := fresh - reached:
             reached |= fresh
             fresh = {col[x] for x in fresh for col in columns}
+    return None
+
+
+def check_associativity(table: np.ndarray, passed: list[int]) -> None:
+    """Light's test, exact for any finite magma with this total n x n table: the g with
+    ``(x g) y == x (g y)`` for all x, y are closed under the product, so the first failing try
+    of :func:`first_failing_try` names the triple, as a scan in row order would (past n = 512
+    the try order may name another failing triple)."""
+    if found := first_failing_try(table, passed, lambda g, block: light_failure(table, g, block)):
+        g, (x, y) = found
+        raise StructureError(f"associativity fails at ({x}, {g}, {y})")
 
 
 BLOCK_CELLS = 1 << 18   # cells of one block of table work; more work uses two threads

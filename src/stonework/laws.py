@@ -8,10 +8,13 @@ order's dense tables, one ``relative_complements`` call per complement law, the
 ``filter_products`` that the monoid keeps, whose one ``lower_bounds`` pass also
 decides product minimality, one batched ``filter_product``
 call per batch) and checks each law's own definition on every instance, never the
-theorem it tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  A
-law whose witnesses mix kinds flags its failing rows whole-table and names them by its
-per-instance loop, in that loop's order; the loops themselves are kept as references
-in ``tests/helpers.py``.
+theorem it tests, by whole-table gathers in row blocks of at most BLOCK_CELLS cells.  The
+one n^3 law, products-distribute-over-meets, is decided exactly over its multipliers u by
+Light's closure (``first_failing_try``): the u where it and Light's condition hold are
+closed under the product, so a few tried u cover all, and its literal pass over every u
+runs only to name witnesses.  A law whose witnesses mix kinds flags its failing rows
+whole-table and names them by its per-instance loop, in that loop's order; the loops
+themselves are kept as references in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .filters import (
     ultra_by_meet,
 )
 from .groupoids import all_bisections_monoid
-from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, inclusions, member_blocks,
-                           row_blocks, table_map, two_threads)
+from .inverse_core import (MAX_ELEMENTS, InverseMonoid, bit_words, first_failing_try, inclusions,
+                           light_failure, member_blocks, row_blocks, table_map, two_threads)
 from .reporting import LawReport, where
 
 
@@ -50,29 +53,42 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     n, mul, inv, rng = monoid.n, monoid.mul, np.asarray(monoid.inv), np.arange(monoid.n)
     order = monoid.order()      # the bound tables hold -1 where a bound is absent
     meet, join = order.meet, order.join
-    dom, ran = mul[inv, rng].astype(np.intp), mul[rng, inv].astype(np.intp)
+    exists, dom, ran = meet >= 0, mul[inv, rng].astype(np.intp), mul[rng, inv].astype(np.intp)
 
     def fails_to_split(bound):
         """[s, t]: dom or ran of the bound of s and t is not the bound of their doms or rans."""
-        return (dom[bound] != bound[np.ix_(dom, dom)]) | (ran[bound] != bound[np.ix_(ran, ran)])
+        return ((dom.take(bound) != bound.take(dom, axis=0).take(dom, axis=1))
+                | (ran.take(bound) != bound.take(ran, axis=0).take(ran, axis=1)))
 
-    splits = (meet >= 0) & ~fails_to_split(meet)
+    splits = exists & ~fails_to_split(meet)
     report.add("compatible-iff-meet-splits", n * n, where(splits != monoid.compatibility()))
     report.add("join-splits-dom-ran", int(np.count_nonzero(join >= 0)),
                where((join >= 0) & fails_to_split(join)))
 
-    exists = meet >= 0
+    def fails(u, rows, m):
+        """[s, t] of the rows s, m = meet[rows] (an absent meet, -1, may read any index: it is
+        masked): where s ^ t exists, (us) ^ (ut) != u m or (su) ^ (tu) != m u."""
+        row, col = mul[u].astype(np.intp), mul[:, u].astype(np.intp)    # [s]: u s and s u
+        return exists[rows] & ((meet.take(row[rows], axis=0).take(row, axis=1) != mul[u].take(m))
+                               | (meet.take(col[rows], axis=0).take(col, axis=1)
+                                  != mul[:, u].take(m)))
+    # the u passing here and Light's condition are closed under the product: if g and h pass,
+    # gh keeps Light's, and g h s = g (h s) gives (ghs) ^ (ght) = g (hs ^ ht) = g h m
+    closed = first_failing_try(mul, [], lambda u, rows: (
+        light_failure(mul, u, rows) or fails(u, rows, meet[rows]).any())) is None
+    report.add("products-distribute-over-meets", n * int(np.count_nonzero(exists)),
+               [] if closed else _distributivity_witnesses(n, meet, fails))
+    return report
 
+
+def _distributivity_witnesses(n: int, meet: np.ndarray, fails) -> list:
+    """Every (s, t, u) that ``fails`` flags, in the order of the loop over (s, t, u): each
+    u in turn over a block of s."""
     def distribute(rows):
-        """(s, t, u) of the rows s, for u in turn: two row gathers a u."""
-        found, m = [], np.maximum(meet[rows], 0).astype(np.intp)   # an absent meet reads 0: masked
+        found, m = [], np.maximum(meet[rows], 0).astype(np.intp)    # widened once for every u
         for u in range(n):
-            row, col = mul[u].astype(np.intp), mul[:, u].astype(np.intp)    # [s]: u s and s u
-            # [s, t]: (us) ^ (ut) = u m and (su) ^ (tu) = m u, m = s ^ t where it exists
-            bad = ((meet.take(row[rows], axis=0).take(row, axis=1) != mul[u].take(m))
-                   | (meet.take(col[rows], axis=0).take(col, axis=1) != mul[:, u].take(m)))
-            if bad.any():
-                s, t = np.nonzero(bad & exists[rows])
+            if (bad := fails(u, rows, m)).any():
+                s, t = np.nonzero(bad)
                 found += zip((s + rows.start).tolist(), t.tolist(), [u] * len(s))
         return found
     # blocks of s; one block goes in halves to two threads if a half passes BLOCK_CELLS / 16
@@ -80,10 +96,7 @@ def order_meet_laws(monoid: InverseMonoid) -> LawReport:
     blocks = row_blocks(n, n)
     if len(blocks) == 1 and two_threads(8 * n * n):        # n^3 > BLOCK_CELLS too
         blocks = [slice(0, n // 2), slice(n // 2, n)]
-    found = chain.from_iterable(table_map(n ** 3, distribute, blocks))
-    report.add("products-distribute-over-meets", n * int(np.count_nonzero(exists)),
-               sorted(found))       # as the loop over (s, t, u)
-    return report
+    return sorted(chain.from_iterable(table_map(n ** 3, distribute, blocks)))
 
 
 def local_complement_laws(monoid: InverseMonoid) -> LawReport:

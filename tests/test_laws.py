@@ -46,6 +46,8 @@ from stonework import (
     StructureError,
     all_bisections_monoid,
     boolean_algebra_monoid,
+    brandt_monoid,
+    chain_monoid,
     clifford_monoid,
     group_with_zero_monoid,
     inverse_core,
@@ -168,12 +170,24 @@ def test_meet_table_law_matches_the_loops(monkeypatch, factory, blocks):
     assert (law.instances, law.failures) == _distribute_by_loops(monoid)
 
 
+def _literal_passes(monkeypatch):
+    """A list that gets an entry each time products-distribute-over-meets enters its
+    literal pass over every u."""
+    entered, literal = [], laws._distributivity_witnesses
+    monkeypatch.setattr(laws, "_distributivity_witnesses",
+                        lambda *args: entered.append(args) or literal(*args))
+    return entered
+
+
 @pytest.mark.parametrize("how", ["sound", "meet", "order"])
 def test_distributivity_on_two_threads_is_the_law_on_one(how, monkeypatch):
     """On ix4, sound, with the meets landing on an atom read as 0, or with its order
     tampered (_tampered_order), products-distribute-over-meets gives the per-s loop's
-    count and witnesses in order both when its two halves of s go to two threads (on two
-    CPUs: a helper is started) and with table_map as plain map."""
+    count and witnesses in order.  Sound or with its order tampered, the law holds and
+    Light's closure decides it: the literal pass is not entered.  With the meets
+    tampered it fails, and the literal pass names the witnesses both when its two
+    halves of s go to two threads (on two CPUs: a helper is started) and with
+    table_map as plain map."""
     monoid = symmetric_inverse_monoid(4)
     if how == "meet":
         order = monoid.order()
@@ -183,19 +197,21 @@ def test_distributivity_on_two_threads_is_the_law_on_one(how, monkeypatch):
     elif how == "order":
         _tampered_order(monoid, random.Random(48))
     expected = reference_products_distribute_over_meets(monoid)
-    started, thread = [], threading.Thread
+    started, thread, literal = [], threading.Thread, _literal_passes(monkeypatch)
 
     class Listed(thread):
         def start(self):
             started.append(self)
             super().start()
     monkeypatch.setattr(threading, "Thread", Listed)
+    failing = how == "meet"
     law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
-    assert (law.instances, law.failures) == expected and len(started) == TWO_CPUS
-    assert law.ok == (how != "meet")
+    assert (law.instances, law.failures) == expected and law.ok == (not failing)
+    assert len(literal) == failing and len(started) == TWO_CPUS * failing
     monkeypatch.setattr(laws, "table_map", lambda cells, fn, *items: list(map(fn, *items)))
     law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
-    assert (law.instances, law.failures) == expected and len(started) == TWO_CPUS
+    assert (law.instances, law.failures) == expected
+    assert len(literal) == 2 * failing and len(started) == TWO_CPUS * failing
 
 
 GATHERED = [          # each suite, and the laws it gathers with their per-element loops
@@ -249,6 +265,53 @@ FACTORIES = {
     "z2_zero": lambda: group_with_zero_monoid(2),
     "z3_zero": lambda: group_with_zero_monoid(3),
 }
+
+
+CLOSING_TRIES = {"ba4": 5, "ix3": 4, "clifford": 5, "z3_zero": 3, "ba7": 8, "ix4": 5, "ba8": 9,
+                 "ix5": 6, "ix2": 3, "ba3": 4, "z2_zero": 3, "chain3": 3, "brandt": 4,
+                 "pair3": 3}
+STOCK = {**FACTORIES, "ba8": lambda: boolean_algebra_monoid(8),
+         "ix5": lambda: symmetric_inverse_monoid(5), "chain3": lambda: chain_monoid(3),
+         "brandt": brandt_monoid, "pair3": lambda: all_bisections_monoid(pair_groupoid(3)).monoid}
+
+
+@pytest.mark.parametrize("name", CLOSING_TRIES)
+def test_distributivity_on_a_sound_monoid_is_decided_by_a_few_tries(name, monkeypatch):
+    """On every sound stock monoid, ix5 too, products-distribute-over-meets holds and is
+    decided by Light's closure in a pinned number of tried multipliers u (the n
+    multipliers of the literal pass): the literal pass is not entered.  Up to 256
+    elements, with the meets that land on an atom read as 0 the same monoid fails, and
+    the literal pass runs."""
+    monoid = STOCK[name]()
+    made, tries, literal = [], inverse_core._tries, _literal_passes(monkeypatch)
+    monkeypatch.setattr(inverse_core, "_tries", lambda *args: (
+        made.append(g) or g for g in tries(*args)))
+    law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
+    exists = np.count_nonzero(monoid.order().meet >= 0)
+    assert law.ok and law.instances == monoid.n * exists
+    assert (len(made), literal) == (CLOSING_TRIES[name], [])
+    if monoid.n <= 256:
+        order = monoid.order()
+        meet = order.meet.copy()
+        meet[meet == monoid.atoms[0]] = monoid.zero
+        monoid._order = replace(order, meet=meet)
+        assert not laws.order_meet_laws(monoid).get("products-distribute-over-meets").ok
+        assert len(literal) == 1
+
+
+@pytest.mark.parametrize("name", ["ba3", "chain3", "brandt"])
+def test_distributivity_tries_the_row_of_one_too(name):
+    """With one * one tampered to zero after the order is built, the law fails at u = one,
+    and it gives the loop's count and witnesses: the closure starts from no element, so
+    one is tried like any other multiplier, not taken as passing."""
+    monoid = STOCK[name]()
+    monoid.order().meet
+    mul = monoid.mul.copy()
+    mul[monoid.one, monoid.one] = monoid.zero
+    monoid.mul = mul
+    law = laws.order_meet_laws(monoid).get("products-distribute-over-meets")
+    expected = reference_products_distribute_over_meets(monoid)
+    assert (law.instances, law.failures) == expected and not law.ok
 
 
 @pytest.mark.parametrize("name", FACTORIES)
