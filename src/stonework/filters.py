@@ -81,9 +81,10 @@ def idempotent_part_ultra(monoid: InverseMonoid, generators) -> np.ndarray:
 def least_members(monoid: InverseMonoid, sets: np.ndarray) -> np.ndarray:
     """The least member of each set (a boolean row over the elements): the
     member with the largest up-set.  It generates the set's upward closure,
-    a filter, if every member lies above it; else a StructureError."""
+    a filter, if every member lies above it; else a StructureError.  Up-set
+    sizes are at most MAX_ELEMENTS < 2^15, so they rank as int16."""
     order = monoid.order()
-    least = np.where(sets, order.up_sizes, -1).argmax(axis=-1)
+    least = np.where(sets, order.up_sizes.astype(np.int16), np.int16(-1)).argmax(axis=-1)
     if (sets & ~order.matrix[least]).any():
         raise StructureError("member set is not the up-set of one of its members")
     return least
@@ -120,7 +121,7 @@ def filter_product(monoid: InverseMonoid, a, b):
 def filter_inverses(monoid: InverseMonoid, generators) -> np.ndarray:
     """up(g)^-1 for each generator g: the least member of the inverted row."""
     rows = monoid.order().matrix[as_indices(generators, "filter generator", monoid.n)]
-    return least_members(monoid, rows[..., list(monoid.inv)])
+    return least_members(monoid, rows.take(monoid.inv, axis=-1))
 
 
 def filter_doms(monoid: InverseMonoid, generators) -> np.ndarray:

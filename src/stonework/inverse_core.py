@@ -37,9 +37,9 @@ phi is missing; BM3 by joins computed at the orthogonal pairs only
 (:func:`bounds_at`).  Deciding a boolean monoid builds neither table.
 
 A table of more than BLOCK_CELLS cells is worked in blocks of about that many
-cells (:func:`row_blocks`, :func:`member_blocks`).  Reading and writing a
-stored table share the independent blocks with one helper thread
-(:func:`table_map`); nothing sets this."""
+cells (:func:`row_blocks`, :func:`member_blocks`).  Independent blocks of
+such work are shared with one helper thread (:func:`table_map`, whose users
+README lists under "Two threads"); nothing sets this."""
 
 from __future__ import annotations
 

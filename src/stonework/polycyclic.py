@@ -8,9 +8,9 @@ characters ``'1'..'n'``):
   zero; multiplication is by prefix overlap.
 * ``CnElement`` — finite orthogonal families of such pairs, the orthogonal
   completion: domains and ranges are antichains under the prefix order;
-  the constructor sorts a family once and, when it is orthogonal over the
-  alphabet, merges every complete sibling family in one stack pass, leaving
-  any other family to merge by rounds before it is checked.  Units are
+  the constructor sorts a family once, takes it when it is orthogonal over
+  the alphabet once duplicates are dropped, and merges every complete
+  sibling family in one stack pass; any other family is refused.  Units are
   exactly the pairs of maximal prefix codes (the finitary tree-pair group).
   Antichains are checked on sorted words, and a product finds the pairs
   whose ranges are prefix-comparable by one bisect per pair, so both cost
@@ -145,42 +145,19 @@ def _merged_pairs(alphabet: str, pairs) -> tuple[tuple[str, str], ...]:
     return tuple(stack)
 
 
-def _canonical_pairs(n: int, pairs) -> tuple[tuple[str, str], ...]:
-    """Merge complete sibling families until none remain, then sort.
-
-    Each round groups the pairs (sx c, sy c) by their stem (sx, sy) and
-    replaces, all at once, every stem whose letters are exactly the alphabet
-    by the stem: a letter outside the alphabet keeps its stem from merging,
-    and a stem that is a member of another family merged in the same round
-    stays.  A family has n members, so the rounds stop once fewer than n
-    pairs remain."""
-    current, alphabet = set(pairs), set(letters(n))
-    while len(current) >= n:
-        stems: dict[tuple[str, str], set] = {}
-        for x, y in current:
-            if x and y and x[-1] == y[-1]:
-                stems.setdefault((x[:-1], y[:-1]), set()).add(x[-1])
-        merged = [stem for stem, found in stems.items() if found == alphabet]
-        if not merged:
-            break
-        for stem_x, stem_y in merged:
-            current.difference_update((stem_x + c, stem_y + c) for c in alphabet)
-        current.update(merged)
-    return tuple(sorted(current))
-
-
 @dataclass(frozen=True)
 class CnElement:
     """A finite orthogonal join of shift pairs, in canonical form.
 
     The constructor (and ``make``, the same call) takes any iterable of pairs
     of words and sorts it.  A family whose letters lie in the alphabet and
-    whose ranges and domains are antichains has its complete sibling
-    families merged in one stack pass.  Any other family is merged by rounds;
-    a result that is still not orthogonal is refused, naming its first pair
-    with a letter outside the alphabet or else its first pair comparable
-    with a later one.  A member that is not a pair of words and an alphabet
-    size C_n is not built for are refused; the size is stored as its index.
+    whose ranges and domains are antichains once duplicates are dropped has
+    its complete sibling families merged in one stack pass.  Any other
+    family is refused, naming its first pair, in sorted order, with a letter
+    outside the alphabet or else its first pair comparable with a later one:
+    ``{e/e, a1/a1, a2/a2}`` is refused like ``{e/e, a1/a1}``.  A member that
+    is not a pair of words and an alphabet size C_n is not built for are
+    refused; the size is stored as its index.
     """
 
     n: int
@@ -196,21 +173,19 @@ class CnElement:
                     and type(pair[0]) is str and type(pair[1]) is str):
                 raise StructureError(f"family member {pair!r} is not a pair of words")
         pairs.sort()
-        if _orthogonal(alphabet, pairs):
-            pairs = _merged_pairs(alphabet, pairs)
-        else:
-            pairs = _canonical_pairs(n, pairs)
-            for x, y in pairs:
-                if (x + y).strip(alphabet):
-                    raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
+        if not _orthogonal(alphabet, pairs):
+            pairs = sorted(set(pairs))
             if not _orthogonal(alphabet, pairs):
+                for x, y in pairs:
+                    if (x + y).strip(alphabet):
+                        raise StructureError(f"letter out of alphabet in ({x!r}, {y!r})")
                 for i, (x, y) in enumerate(pairs):
                     for u, v in pairs[i + 1:]:
                         if not (_prefix_incomparable(x, u) and _prefix_incomparable(y, v)):
                             raise StructureError(
                                 f"pairs ({x!r},{y!r}) and ({u!r},{v!r}) are not orthogonal")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", _merged_pairs(alphabet, pairs))
 
     @classmethod
     def make(cls, n: int, pairs) -> "CnElement":

@@ -503,16 +503,15 @@ def first_orthogonality_failure(pairs):
 
 def reference_cn_error(n, pairs):
     """The StructureError message the CnElement constructor gives a pair
-    family, by the literal checks on its reference canonical form in order
-    (alphabet, orthogonality), or None when it is accepted.  A merge drops
-    only letters of the alphabet, so the canonical form has a letter outside
-    it exactly when the family has; the message names the canonical pair."""
-    canonical = reference_canonical_pairs(n, pairs)
+    family, or None when it is accepted: the family with duplicates dropped,
+    sorted, then checked literally in order (alphabet, orthogonality).
+    Nothing is merged first, so the message names given pairs."""
+    given = sorted(set(pairs))
     ok = letters(n)
-    for x, y in canonical:
+    for x, y in given:
         if any(c not in ok for c in x + y):
             return f"letter out of alphabet in ({x!r}, {y!r})"
-    return first_orthogonality_failure(canonical)
+    return first_orthogonality_failure(given)
 
 
 def reference_cn_mul(a, b):

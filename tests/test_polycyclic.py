@@ -1,5 +1,6 @@
 """Prefix-pair arithmetic, orthogonal families, infinite-word arrows."""
 
+import json
 import random
 import re
 from collections import Counter
@@ -38,12 +39,13 @@ from stonework import (
     symmetric_inverse_monoid,
 )
 from stonework import polycyclic
+from stonework.cli import main
 from stonework.polycyclic import (
     CnElement,
     CuntzArrow,
     EvPeriodicWord,
     PolyElement,
-    _canonical_pairs,
+    _orthogonal,
     all_words,
     arrow_to_ultrafilter,
     cn_join,
@@ -73,6 +75,7 @@ from stonework.polycyclic import (
     random_word,
     ultrafilter_to_arrow,
 )
+from stonework.serialize import load_entry
 
 ZERO = PolyElement.zero()
 ONE = PolyElement.one()
@@ -190,42 +193,38 @@ def test_canonicalization_preserves_oracle():
 
 
 def test_families_merged_in_one_round_keep_a_stem_that_is_a_member():
-    """1/1 and 2/2 merge into e/e while 11/11 and 12/12 merge into 1/1, in
-    the same round: 1/1 stays, whatever the hash seed, and the result is
-    rejected as not orthogonal rather than read as the identity."""
+    """1/1 and 2/2 would merge into e/e while 11/11 and 12/12 merge into 1/1:
+    the family is not orthogonal as given, so it is refused, naming the
+    first clash among the given pairs, rather than read as the identity."""
     pairs = [("1", "1"), ("2", "2"), ("11", "11"), ("12", "12")]
-    assert _canonical_pairs(2, pairs) == (("", ""), ("1", "1"))
-    with pytest.raises(StructureError, match="not orthogonal"):
+    message = "pairs ('1','1') and ('11','11') are not orthogonal"
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
         CnElement.make(2, pairs)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_canonical_form_under_cascading_merges(n):
-    """Complete sibling trees of depth 1-3 under random stems merge round
-    after round up to their stems.  Each family also has a leaf dropped, a
-    sibling on a letter outside the alphabet, or loose pairs added, so some
-    cascades stop part way; every result is the reference fixpoint's."""
-    rng = random.Random(n)
-    outside = letters(n + 1)[-1]
-    cascaded = 0
-    for _ in range(700):
-        trees = [(random_word(rng, n, 2), random_word(rng, n, 2), rng.randint(1, 3))
-                 for _ in range(rng.randint(1, 3))]
-        pairs = [(sx + w, sy + w) for sx, sy, depth in trees for w in all_words(n, depth)]
-        edit = rng.randrange(3)
-        if edit == 0:
-            pairs.pop(rng.randrange(len(pairs)))
-        elif edit == 1:
-            x, y = rng.choice(pairs)
-            pairs.append((x[:-1] + outside, y[:-1] + outside))
-        else:
-            pairs += [(random_word(rng, n + 1, 4), random_word(rng, n + 1, 4))
-                      for _ in range(rng.randint(1, 3))]
-        rng.shuffle(pairs)
-        canonical = reference_canonical_pairs(n, pairs)
-        assert _canonical_pairs(n, pairs) == canonical
-        cascaded += any(depth > 1 and (sx, sy) in canonical for sx, sy, depth in trees)
-    assert cascaded > 100
+WITNESS = "pairs ('','') and ('1','1') are not orthogonal"
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("{e/e, a1/a1, a2/a2}", [("", ""), ("1", "1"), ("2", "2")]),
+    ("{e/e, a1/a1}", [("", ""), ("1", "1")]),
+], ids=["complete", "incomplete"])
+def test_a_member_listed_with_its_split_is_refused_on_every_route(tmp_path, capsys, text, pairs):
+    """e/e with its complete split is refused like e/e with part of it, by
+    the constructor, the parser, ``build cn-element`` (exit 2, nothing
+    stored) and a stored entry; a duplicated member is still accepted."""
+    entry = tmp_path / "witness.json"
+    entry.write_text(json.dumps(
+        {"name": "witness", "kind": "cn-element", "payload": {"n": 2, "expr": text}}))
+    for build in (lambda: CnElement(2, pairs), lambda: parse_cn(text, 2), lambda: load_entry(entry)):
+        with pytest.raises(StructureError, match=f"^{re.escape(WITNESS)}$"):
+            build()
+    store = tmp_path / "store"
+    store.mkdir()
+    assert main(["build", "cn-element", "--n", "2", "--expr", text, "--store", str(store)]) == 2
+    assert WITNESS in capsys.readouterr().err
+    assert list(store.iterdir()) == []
+    assert CnElement(2, [("2", "1"), ("1", "2"), ("2", "1")]).pairs == (("1", "2"), ("2", "1"))
 
 
 def test_constructor_canonicalizes_and_refuses_what_cannot_be_fixed():
@@ -242,14 +241,14 @@ def test_constructor_canonicalizes_and_refuses_what_cannot_be_fixed():
 @pytest.mark.parametrize("n, pairs, message", [
     (3, (("1", "1"), ("2", "3"), ("3", "11")), "pairs ('1','1') and ('3','11') are not orthogonal"),
     (2, (("1", "2"), ("11", "1")), "pairs ('1','2') and ('11','1') are not orthogonal"),
-    (2, (("1", "1"), ("11", "2"), ("2", "2")), "pairs ('','') and ('11','2') are not orthogonal"),
+    (2, (("1", "1"), ("11", "2"), ("2", "2")), "pairs ('1','1') and ('11','2') are not orthogonal"),
     (2, (("1", "3"),), "letter out of alphabet in ('1', '3')"),
     (2, (("1", "1"), ("2", "0")), "letter out of alphabet in ('2', '0')"),
 ], ids=["domains-apart", "ranges-adjacent", "family-apart", "alphabet", "below-alphabet"])
 def test_constructor_names_the_first_failure(n, pairs, message):
     """Comparable domains whose pairs are not neighbours are found as the
     literal checks find them, and a complete family split by a pair with a
-    comparable range is merged first, so the refusal names the merged pair."""
+    comparable range is not merged first, so the refusal names given pairs."""
     with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
         CnElement(n, pairs)
 
@@ -295,39 +294,44 @@ def seeded_family(rng, n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_constructor_agrees_with_the_reference_on_both_paths(monkeypatch, n):
     """The one-pass merge of a family that is orthogonal as given, and the
-    merge by rounds and checks of any other family, each give the reference
-    fixpoint's pairs or the reference error; both run often, and complete
-    trees of depth 2 and 3 cascade up to their stems or above."""
-    rounds = []
-    monkeypatch.setattr(polycyclic, "_canonical_pairs",
-                        lambda n, pairs: rounds.append(1) or _canonical_pairs(n, pairs))
+    second check of any other family with its duplicates dropped, each give
+    the reference fixpoint's pairs or the reference error; both paths run
+    often, and complete trees of depth 2 and 3 cascade up to their stems or
+    above."""
+    checks = []
+    monkeypatch.setattr(polycyclic, "_orthogonal",
+                        lambda alphabet, pairs: checks.append(1) or _orthogonal(alphabet, pairs))
     rng = random.Random(4400 + n)
-    families, cascaded = 500, 0
+    families, cascaded, second = 500, 0, 0
     for _ in range(families):
         pairs, given, trees = seeded_family(rng, n)
+        checks.clear()
         try:
             made, message = CnElement(n, given).pairs, None
         except StructureError as err:
             made, message = None, str(err)
+        second += len(checks) == 2
         assert message == reference_cn_error(n, pairs)
         assert made == (None if message else reference_canonical_pairs(n, pairs))
         cascaded += any(depth > 1 and x.startswith(u) and y.startswith(v) and x[len(u):] == y[len(v):]
                         for x, y, depth in trees for u, v in made or ())
-    assert min(len(rounds), families - len(rounds), cascaded) > 100
+    assert min(second, families - second, cascaded) > 100
 
 
 def test_products_joins_inverses_and_parses_merge_in_one_pass(monkeypatch):
     """Every family that cn_mul, cn_join, inverse and parse_cn of canonical
-    text build is orthogonal as built, so none of them merges by rounds."""
+    text build is orthogonal as built, so each is checked once."""
     elements = seeded_element_pairs()
-    rounds = []
-    monkeypatch.setattr(polycyclic, "_canonical_pairs", lambda n, pairs: rounds.append(pairs))
+    checks = []
+    monkeypatch.setattr(polycyclic, "_orthogonal",
+                        lambda alphabet, pairs: checks.append(1) or _orthogonal(alphabet, pairs))
+    built = 0
     for a, b in elements:
         cn_mul(a, b)
-        cn_join(a, b)
         a.inverse()
         assert parse_cn(format_cn(a), 2) == a
-    assert rounds == []
+        built += 3 + (cn_join(a, b) is not None)     # a join that does not exist builds nothing
+    assert len(checks) == built
 
 
 # -- products and joins in the completion --------------------------------------------------
